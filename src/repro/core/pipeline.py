@@ -269,7 +269,9 @@ def encode_chunk_sequence(
     return chunks
 
 
-def assist_occurrence_indices(chunk: CDCChunk) -> list[int]:
+def assist_occurrence_indices(
+    chunk: CDCChunk, order: Sequence[int] | None = None
+) -> list[int]:
     """For each observed position, which arrival from its sender it is.
 
     With the replay-assist column, the event at observed position ``p`` is
@@ -278,24 +280,27 @@ def assist_occurrence_indices(chunk: CDCChunk) -> list[int]:
     the reference order are its events in clock order, and the stored
     permutation exposes every position's reference slot — so ``k`` is the
     rank of ``order[p]`` among the sender's own slots.
+
+    ``order`` is the chunk's decoded permutation, for callers that already
+    hold it; it is decoded here otherwise.
     """
     if chunk.sender_sequence is None:
         raise DecodingError("chunk carries no replay-assist column")
-    from repro.core.permutation import decode_permutation
+    if order is None:
+        from repro.core.permutation import decode_permutation
 
-    order = decode_permutation(chunk.diff)
+        order = decode_permutation(chunk.diff)
     slots_by_sender: dict[int, list[int]] = {}
-    for p, sender in enumerate(chunk.sender_sequence):
-        slots_by_sender.setdefault(sender, []).append(order[p])
-    rank_within: dict[int, dict[int, int]] = {}
-    for sender, slots in slots_by_sender.items():
-        rank_within[sender] = {
-            slot: k for k, slot in enumerate(sorted(slots), start=1)
-        }
-    return [
-        rank_within[sender][order[p]]
-        for p, sender in enumerate(chunk.sender_sequence)
-    ]
+    for sender, slot in zip(chunk.sender_sequence, order):
+        slots_by_sender.setdefault(sender, []).append(slot)
+    # ``order`` is a permutation, so one flat list indexed by reference
+    # slot holds every sender's ranking
+    rank_of_slot = [0] * len(order)
+    for slots in slots_by_sender.values():
+        slots.sort()
+        for k, slot in enumerate(slots, start=1):
+            rank_of_slot[slot] = k
+    return [rank_of_slot[slot] for slot in order]
 
 
 def reconstruct_observed_order(

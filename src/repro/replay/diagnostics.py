@@ -154,7 +154,7 @@ def _callsite_report(state: CallsiteReplayState, status: str) -> CallsiteReport:
         overflowed=len(state.overflow),
         outstanding_quota={s: q for s, q in state.quota.items() if q > 0},
         horizon=state.certainty_horizon() if state.chunk else None,
-        uses_assist=state.assist is not None,
+        uses_assist=state.senders is not None,
     )
 
 

@@ -15,21 +15,29 @@ them per ``(rank, callsite)``:
   receive) are drained into the pool through the call's receive filters,
   emulating the internal shadow receives a real tool posts;
 * on delivery, each recorded event's message is assigned to a compatible
-  undelivered request slot of the *current* call (exact-source slots
-  first, then wildcards, with backtracking), completing pending slots
-  in place when necessary.
+  undelivered request slot of the *current* call (specific filters
+  before wildcards; :func:`assign_slots`), completing pending slots in
+  place when necessary.
 
 **Membership and gating.** Pool entries feed the active chunk through the
 per-sender quota (DESIGN.md §5.2) with the epoch line as a cross-check.
-Delivery follows the paper's Axiom 1: the event at observed cursor ``p``
-(reference index ``order[p]`` from the stored permutation difference) is
-released once its reference position is *certain* — it lies in the prefix
-of pooled events whose clocks are below the **Local Minimum Clock**, the
-smallest clock any still-missing chunk member could carry (per-sender
-last-seen clock + 1; clocks strictly increase per sender over FIFO
-channels). ``DeliveryMode.BARRIER`` instead waits for the whole chunk
-(Section 4.2's simple reading) and is only safe when all of a chunk's
-receives are posted independently of held-back deliveries.
+What releases a delivery depends on what the chunk stores:
+
+* with the replay-assist column (the default), the chunk is a fully
+  determined script: position ``p`` is "the ``k``-th arrival from sender
+  ``s``". The whole script is laid out as flat lists when the chunk is
+  activated, so an MF call compares one arrival count and pops
+  (DESIGN.md §5.5);
+* without it, delivery follows the paper's Axiom 1: the event at observed
+  cursor ``p`` (reference index ``order[p]`` from the stored permutation
+  difference) is released once its reference position is *certain* — it
+  lies in the prefix of pooled events whose clocks are below the **Local
+  Minimum Clock**, the smallest clock any still-missing chunk member
+  could carry (per-sender last-seen clock + 1; clocks strictly increase
+  per sender over FIFO channels). ``DeliveryMode.BARRIER`` instead waits
+  for the whole chunk (Section 4.2's simple reading) and is only safe
+  when all of a chunk's receives are posted independently of held-back
+  deliveries.
 
 Unmatched-test runs replay recorded matching statuses verbatim: a Test
 recorded as unmatched returns ``flag = 0`` even if messages already
@@ -42,17 +50,18 @@ import enum
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.core.events import MFKind, ReceiveEvent
 from repro.core.permutation import decode_permutation
 from repro.core.pipeline import CDCChunk, assist_occurrence_indices
-from repro.errors import RecordExhausted, ReplayDivergence
+from repro.errors import RecordExhausted, RecordFormatError, ReplayDivergence
 from repro.obs import get_registry
 from repro.replay.chunk_store import RecordArchive
+from repro.sim.communicator import MailBox, _completion_key
 from repro.sim.datatypes import ANY_SOURCE, ANY_TAG, Message, Request, RequestState
 from repro.sim.pmpi import MFController
-from repro.sim.process import MFCall, SimProcess, undelivered_sends
+from repro.sim.process import MFCall, SimProcess
 
 
 class DeliveryMode(enum.Enum):
@@ -64,18 +73,13 @@ class DeliveryMode(enum.Enum):
     BARRIER = "barrier"
 
 
-def groups_from_with_next(with_next_indices: Sequence[int], n: int) -> dict[int, int]:
-    """Map group-start observed index -> group-end index (inclusive)."""
-    with_next = set(with_next_indices)
-    groups: dict[int, int] = {}
-    i = 0
-    while i < n:
-        start = i
-        while i in with_next and i + 1 < n:
-            i += 1
-        groups[start] = i
-        i += 1
-    return groups
+def groups_from_with_next(with_next_indices: Sequence[int], n: int) -> list[int]:
+    """Per observed index, the (inclusive) end index of its delivery group."""
+    ends = list(range(n))
+    for i in sorted(with_next_indices, reverse=True):
+        if 0 <= i < n - 1:
+            ends[i] = ends[i + 1]
+    return ends
 
 
 def filter_accepts(req: Request, msg: Message) -> bool:
@@ -120,16 +124,30 @@ class CallsiteReplayState:
 
     chunk: CDCChunk | None = None
     order: list[int] = field(default_factory=list)
-    #: with replay assist: per observed position, (sender, k) meaning "the
-    #: k-th arrival from sender" — deterministic delivery, no LMC needed.
-    assist: list[tuple[int, int]] | None = None
-    #: per sender, its chunk arrivals in feed (= clock) order.
-    arrived_per_sender: dict[int, list[ReceiveEvent]] = field(default_factory=dict)
+    #: the schedule, laid out once per chunk at activation — indexed by
+    #: observed position, so a call only compares and pops.
+    #: With replay assist: the recorded sender of each position (None for a
+    #: chunk without the column, which takes the LMC path instead) ...
+    senders: Sequence[int] | None = None
+    #: ... and which of that sender's chunk arrivals the position is
+    #: (1-based, clock order) — deterministic delivery, no LMC needed.
+    occurrence: list[int] = field(default_factory=list)
+    #: inclusive end of the delivery group each position belongs to.
+    group_end: list[int] = field(default_factory=list)
+    #: unmatched tests still to replay before each position (length n + 1:
+    #: the last entry is the run trailing the chunk's final event).
+    unmatched_left: list[int] = field(default_factory=lambda: [0])
+    #: the active chunk's epoch line: per-sender clock ceiling.
+    ceilings: Mapping[int, int] = field(default_factory=dict)
     cursor: int = 0
-    groups: dict[int, int] = field(default_factory=dict)
-    unmatched_before: dict[int, int] = field(default_factory=dict)
+    #: assist chunks: positions in [cursor, ready) are known to have
+    #: arrived, so a re-armed call resumes its check where it blocked.
+    ready: int = 0
+    #: assist chunks: per sender, its chunk arrivals in feed (= clock) order.
+    arrived_per_sender: dict[int, list[ReceiveEvent]] = field(default_factory=dict)
     quota: dict[int, int] = field(default_factory=dict)
-    #: chunk members in reference order so far: sorted by (clock, sender).
+    #: assist-less chunks: members in reference order so far, sorted by
+    #: (clock, sender) — what the certainty prefix is measured on.
     arrived_sorted: list[tuple[tuple[int, int], ReceiveEvent]] = field(
         default_factory=list
     )
@@ -158,24 +176,47 @@ class CallsiteReplayState:
     # -- chunk lifecycle ------------------------------------------------------
 
     def _activate_next(self) -> None:
+        """Make the next chunk active and lay its schedule out.
+
+        Everything a call needs to know about the chunk is derived here,
+        once: the permutation is decoded a single time and shared with the
+        occurrence ranking, and groups and unmatched runs become lists
+        indexed by observed position.
+        """
         if not self.pending_chunks:
             self.chunk = None
             return
         chunk = self.pending_chunks.popleft()
+        n = chunk.num_events
+        senders = chunk.sender_sequence
+        if senders is not None and len(senders) != n:
+            raise RecordFormatError(
+                f"callsite {self.callsite!r}: assist column has {len(senders)} "
+                f"senders for {n} events"
+            )
+        unmatched_left = [0] * (n + 1)
+        for position, count in chunk.unmatched_runs:
+            if not 0 <= position <= n:
+                raise RecordFormatError(
+                    f"callsite {self.callsite!r}: unmatched run at position "
+                    f"{position} of a {n}-event chunk"
+                )
+            unmatched_left[position] = count
         self.chunk = chunk
         # this chunk's boundary exceptions are now *its own* members
         self.claimed_later.difference_update(chunk.boundary_exceptions)
         self.order = decode_permutation(chunk.diff)
-        if chunk.sender_sequence is not None:
-            occurrences = assist_occurrence_indices(chunk)
-            self.assist = list(zip(chunk.sender_sequence, occurrences))
-        else:
-            self.assist = None
+        self.senders = senders
+        self.occurrence = (
+            [] if senders is None else assist_occurrence_indices(chunk, self.order)
+        )
+        self.group_end = groups_from_with_next(chunk.with_next_indices, n)
+        self.unmatched_left = unmatched_left
+        self.ceilings = chunk.epoch.max_clock_by_rank
+        self.cursor = 0
+        self.ready = 0
         self.arrived_per_sender = {}
         self.last_clock_by_sender = {}
-        self.cursor = 0
-        self.groups = groups_from_with_next(chunk.with_next_indices, chunk.num_events)
-        self.unmatched_before = dict(chunk.unmatched_runs)
         self.quota = dict(chunk.sender_counts)
         self.arrived_sorted = []
         backlog = list(self.overflow)
@@ -183,53 +224,67 @@ class CallsiteReplayState:
         for event, msg in backlog:
             self.feed(event, msg)
 
-    def _chunk_done(self) -> bool:
-        assert self.chunk is not None
-        return (
-            self.cursor >= self.chunk.num_events
-            and self.unmatched_before.get(self.chunk.num_events, 0) == 0
-        )
-
     def _maybe_advance(self) -> None:
-        while self.chunk is not None and self._chunk_done():
+        chunk = self.chunk
+        while (
+            chunk is not None
+            and self.cursor >= chunk.num_events
+            and self.unmatched_left[chunk.num_events] == 0
+        ):
             # note: earlier-chunk ceilings must NOT carry into the next
             # chunk's clock floors — boundary-exception events legitimately
             # sit below them; the per-chunk min-clock hints fill that role.
             self._activate_next()
+            chunk = self.chunk
 
     # -- arrivals ----------------------------------------------------------------
 
     def feed(self, event: ReceiveEvent, msg: Message) -> None:
-        """Pool a message observed for this callsite."""
+        """Pool a message observed for this callsite.
+
+        Every membership and divergence check runs on every arrival,
+        whichever path delivers it; only the bookkeeping differs — an
+        assist chunk files the arrival under its sender, an assist-less
+        one keeps the reference order the certainty prefix is read from.
+        """
         if self.chunk is None:
             self.overflow.append((event, msg))
             return
-        remaining = self.quota.get(event.rank, 0)
-        if remaining <= 0 or (event.rank, event.clock) in self.claimed_later:
+        sender = event.rank
+        clock = event.clock
+        remaining = self.quota.get(sender, 0)
+        if remaining <= 0 or (sender, clock) in self.claimed_later:
             self.overflow.append((event, msg))
             return
-        prev = self.last_clock_by_sender.get(event.rank, -1)
-        if prev >= 0 and event.clock <= prev:
+        prev = self.last_clock_by_sender.get(sender, -1)
+        if prev >= 0 and clock <= prev:
             raise ReplayDivergence(
                 self.rank,
                 f"callsite {self.callsite!r}: per-sender clock order violated "
                 f"({event} after clock {prev}); a sender's stream is split "
                 "across callsites in a way the record cannot disambiguate",
             )
-        ceiling = self.chunk.epoch.max_clock_by_rank.get(event.rank)
-        if ceiling is None or event.clock > ceiling:
+        ceiling = self.ceilings.get(sender)
+        if ceiling is None or clock > ceiling:
             raise ReplayDivergence(
                 self.rank,
                 f"callsite {self.callsite!r}: arrival {event} exceeds the "
                 f"chunk epoch line ({ceiling}); record/replay clock mismatch",
             )
-        self.quota[event.rank] = remaining - 1
-        insort(self.arrived_sorted, (event.key, event))
-        self.arrived_per_sender.setdefault(event.rank, []).append(event)
-        self.pool[event.key] = msg
-        self.last_clock_by_sender[event.rank] = event.clock
-        if self.global_floor.get(event.rank, -1) < event.clock:
-            self.global_floor[event.rank] = event.clock
+        self.quota[sender] = remaining - 1
+        key = (clock, sender)
+        if self.senders is not None:
+            arrived = self.arrived_per_sender.get(sender)
+            if arrived is None:
+                self.arrived_per_sender[sender] = [event]
+            else:
+                arrived.append(event)
+        else:
+            insort(self.arrived_sorted, (key, event))
+        self.pool[key] = msg
+        self.last_clock_by_sender[sender] = clock
+        if self.global_floor.get(sender, -1) < clock:
+            self.global_floor[sender] = clock
         registry = get_registry()
         if registry.enabled:
             registry.counter("replay.pooled_events").add()
@@ -294,24 +349,33 @@ class CallsiteReplayState:
         self._maybe_advance()
         if self.chunk is None:
             return _Peek.EXHAUSTED, []
-        if self.unmatched_before.get(self.cursor, 0) > 0:
+        start = self.cursor
+        if self.unmatched_left[start] > 0:
             return _Peek.UNMATCHED, []
-        if self.cursor >= self.chunk.num_events:  # pragma: no cover - advance handles
+        if start >= self.chunk.num_events:  # pragma: no cover - advance handles
             return _Peek.EXHAUSTED, []
-        end = self.groups[self.cursor]
-        events: list[ReceiveEvent] = []
-        if self.assist is not None:
+        end = self.group_end[start]
+        senders = self.senders
+        if senders is not None:
             # deterministic identification: position p is the k-th arrival
-            # from its recorded sender
-            for pos in range(self.cursor, end + 1):
-                sender, k = self.assist[pos]
-                got = self.arrived_per_sender.get(sender, ())
-                if len(got) < k:
+            # from its recorded sender. Arrivals only accumulate within a
+            # chunk, so the check resumes at the position it last blocked on.
+            occurrence = self.occurrence
+            arrived = self.arrived_per_sender
+            pos = self.ready if self.ready > start else start
+            while pos <= end:
+                got = arrived.get(senders[pos])
+                if got is None or len(got) < occurrence[pos]:
+                    self.ready = pos
                     return _Peek.BLOCKED, []
-                events.append(got[k - 1])
-            return _Peek.GROUP, events
+                pos += 1
+            self.ready = pos
+            return _Peek.GROUP, [
+                arrived[senders[p]][occurrence[p] - 1] for p in range(start, end + 1)
+            ]
         certain = self._certain_count()
-        for pos in range(self.cursor, end + 1):
+        events: list[ReceiveEvent] = []
+        for pos in range(start, end + 1):
             ref_index = self.order[pos]
             if ref_index >= certain:
                 return _Peek.BLOCKED, []
@@ -319,11 +383,7 @@ class CallsiteReplayState:
         return _Peek.GROUP, events
 
     def consume_unmatched(self) -> None:
-        remaining = self.unmatched_before[self.cursor]
-        if remaining <= 1:
-            del self.unmatched_before[self.cursor]
-        else:
-            self.unmatched_before[self.cursor] = remaining - 1
+        self.unmatched_left[self.cursor] -= 1
 
     def consume_group(self, events: Sequence[ReceiveEvent]) -> list[Message]:
         """Commit a group delivery; returns the pooled messages in order."""
@@ -331,6 +391,124 @@ class CallsiteReplayState:
         self.cursor += len(events)
         self.delivered_events += len(events)
         return messages
+
+
+def assign_slots(
+    requests: Sequence[Request], messages: Sequence[Message]
+) -> list[Request] | None:
+    """Match each group message to a compatible undelivered request slot.
+
+    A bipartite matching that prefers specific slots, so wildcards stay
+    available for other messages: each message tries exact ``(source,
+    tag)`` slots, then source-only, tag-only and full wildcards, lowest
+    request index first. Open slots are bucketed by filter key, so taking
+    "the first unused slot of a class" is one probe — and since every taker
+    takes a bucket's first unused slot, the used ones are always a prefix
+    and a per-bucket count is all the bookkeeping there is.
+
+    That greedy pass is exactly the first descent of a backtracking search
+    over the same preference order, so whenever no message runs out of
+    slots it *is* that search's answer. Only on a dead end (an earlier
+    message took the slot a later one needed) does the search itself run.
+    """
+    completed, pending = RequestState.COMPLETED, RequestState.PENDING
+    buckets: dict[tuple[int, int], list[Request]] = {}
+    for req in requests:
+        if req.is_recv and (req.state is completed or req.state is pending):
+            key = (req.source, req.tag)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [req]
+            else:
+                bucket.append(req)
+    taken: dict[tuple[int, int], int] = {}
+    chosen: list[Request] = []
+    for msg in messages:
+        src, tag = msg.src, msg.tag
+        for key in (
+            (src, tag),
+            (src, ANY_TAG),
+            (ANY_SOURCE, tag),
+            (ANY_SOURCE, ANY_TAG),
+        ):
+            bucket = buckets.get(key)
+            if bucket is not None:
+                used = taken.get(key, 0)
+                if used < len(bucket):
+                    taken[key] = used + 1
+                    chosen.append(bucket[used])
+                    break
+        else:
+            return _backtrack_slots(requests, messages)
+    return chosen
+
+
+def _backtrack_slots(
+    requests: Sequence[Request], messages: Sequence[Message]
+) -> list[Request] | None:
+    """Exhaustive slot search; the dead-end fallback of :func:`assign_slots`."""
+    slots = [
+        r
+        for r in requests
+        if r.is_recv and r.state in (RequestState.COMPLETED, RequestState.PENDING)
+    ]
+    candidates: list[list[int]] = []
+    for msg in messages:
+        accept = [i for i, s in enumerate(slots) if filter_accepts(s, msg)]
+        # specific filters first, wildcards last
+        accept.sort(key=lambda i: (slots[i].source == ANY_SOURCE, slots[i].tag == ANY_TAG))
+        if not accept:
+            return None
+        candidates.append(accept)
+
+    used: set[int] = set()
+    chosen: list[int] = []
+
+    def backtrack(k: int) -> bool:
+        if k == len(messages):
+            return True
+        for i in candidates[k]:
+            if i in used:
+                continue
+            used.add(i)
+            chosen.append(i)
+            if backtrack(k + 1):
+                return True
+            used.remove(i)
+            chosen.pop()
+        return False
+
+    if not backtrack(0):
+        return None
+    return [slots[i] for i in chosen]
+
+
+def _scan_requests(
+    requests: Sequence[Request],
+) -> tuple[set[tuple[int, int]], list[Request]]:
+    """One pass over a call's requests: the distinct ``(source, tag)``
+    filters of its receives and its deliverable sends, in request order."""
+    filters: set[tuple[int, int]] = set()
+    sends: list[Request] = []
+    completed = RequestState.COMPLETED
+    for req in requests:
+        if req.is_recv:
+            filters.add((req.source, req.tag))
+        elif req.state is completed:
+            sends.append(req)
+    return filters, sends
+
+
+def _accepted(filters: set[tuple[int, int]], msg: Message) -> bool:
+    """Does any of a call's receive filters accept ``msg``? At most four
+    probes, however many requests share the filters."""
+    src, tag = msg.src, msg.tag
+    return (
+        (ANY_SOURCE, tag) in filters
+        or (src, tag) in filters
+        or (ANY_SOURCE, ANY_TAG) in filters
+        or (src, ANY_TAG) in filters
+    )
 
 
 class ReplayController(MFController):
@@ -352,7 +530,11 @@ class ReplayController(MFController):
         self.keep_outcomes = keep_outcomes
         self.outcomes: dict[int, list] = {r: [] for r in range(archive.nprocs)}
         self._states: dict[tuple[int, str], CallsiteReplayState] = {}
-        self._stripped: set[int] = set()  # req ids whose message was pooled
+        #: events recorded per (rank, callsite), for the delivered summary.
+        self._recorded: dict[tuple[int, str], int] = {}
+        #: per rank, the parked call and what one scan of its requests
+        #: found; a call re-armed by an arrival does not scan them again.
+        self._parked: dict[int, tuple[MFCall, set, list[Request]]] = {}
         self._floors: dict[int, dict[int, int]] = {
             r: {} for r in range(archive.nprocs)
         }
@@ -366,6 +548,7 @@ class ReplayController(MFController):
         self.beacon_retry_interval = 5.0e-5
         for rank in range(archive.nprocs):
             for callsite, chunks in archive.chunks_by_callsite(rank).items():
+                self._recorded[(rank, callsite)] = sum(c.num_events for c in chunks)
                 self._states[(rank, callsite)] = CallsiteReplayState(
                     rank,
                     callsite,
@@ -384,66 +567,79 @@ class ReplayController(MFController):
     # -- decision logic -----------------------------------------------------------
 
     def decide(self, proc: SimProcess, call: MFCall):
-        recvs = [r for r in call.requests if r.is_recv]
-        if not recvs:
+        rank = proc.rank
+        parked = self._parked.pop(rank, None)
+        if parked is None or parked[0] is not call:
+            parked = (call, *_scan_requests(call.requests))
+        _, filters, sends = parked
+        if not filters:
             return super().decide(proc, call)
 
-        state = self._states.get((proc.rank, call.callsite))
+        state = self._states.get((rank, call.callsite))
         if state is None:
-            raise RecordExhausted(proc.rank, call.callsite)
-        self._absorb_arrivals(proc, call, state)
+            raise RecordExhausted(rank, call.callsite)
+        mailbox = proc.mailbox
+        if mailbox.completion_log or mailbox.unexpected:
+            self._absorb_arrivals(mailbox, filters, state)
 
         kind, events = state.peek()
-        sends = undelivered_sends(call.requests)
-        if kind is _Peek.BLOCKED:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("replay.blocked_polls").add()
-                if state.blocked_since is None:
-                    # engine time, not proc.time: a parked rank's local
-                    # clock freezes until it resumes.
-                    state.blocked_since = (
-                        self.engine.now if self.engine is not None else proc.time
-                    )
-            return None
-        if kind is _Peek.EXHAUSTED:
-            raise RecordExhausted(proc.rank, call.callsite)
-        if kind is _Peek.UNMATCHED:
+        if kind is _Peek.GROUP:
+            if len(events) > 1 and not call.kind.can_match_multiple:
+                raise ReplayDivergence(
+                    rank,
+                    f"record delivers {len(events)} receives to single-completion "
+                    f"{call.kind.value} at {call.callsite!r}",
+                )
+            pool = state.pool
+            messages = [pool[e.key] for e in events]
+            assignment = assign_slots(call.requests, messages)
+            if assignment is not None:
+                registry = get_registry()
+                if registry.enabled:
+                    registry.counter("replay.delivered_events").add(len(events))
+                    if state.blocked_since is not None:
+                        wait = max(0.0, self._now(proc) - state.blocked_since)
+                        state.blocked_since = None
+                        registry.histogram(
+                            f"replay.wait_us[{state.callsite}]"
+                        ).observe(int(wait * 1e6))
+                state.consume_group(events)
+                for slot, msg in zip(assignment, messages):
+                    self._occupy_slot(mailbox, slot, msg)
+                return assignment, sends, True
+            # else: a compatible slot is not available yet
+        elif kind is _Peek.UNMATCHED:
             if not call.kind.is_test:
                 raise ReplayDivergence(
-                    proc.rank,
+                    rank,
                     f"{call.kind.value} at {call.callsite!r} but the record "
                     "expects an unmatched test",
                 )
             state.consume_unmatched()
             return self._unmatched_decision(call, sends)
+        elif kind is _Peek.EXHAUSTED:
+            raise RecordExhausted(rank, call.callsite)
+        else:  # BLOCKED
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter("replay.blocked_polls").add()
+                if state.blocked_since is None:
+                    state.blocked_since = self._now(proc)
+        self._parked[rank] = parked
+        return None
 
-        # kind is GROUP: assign recorded messages to request slots
-        self._check_group_arity(proc, call, events)
-        assignment = self._assign_slots(proc, call, state, events)
-        if assignment is None:
-            return None  # a compatible slot is not available yet
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("replay.delivered_events").add(len(events))
-            if state.blocked_since is not None:
-                now = self.engine.now if self.engine is not None else proc.time
-                wait = max(0.0, now - state.blocked_since)
-                state.blocked_since = None
-                registry.histogram(
-                    f"replay.wait_us[{state.callsite}]"
-                ).observe(int(wait * 1e6))
-        messages = state.consume_group(events)
-        delivery: list[Request] = []
-        for slot, msg in zip(assignment, messages):
-            self._occupy_slot(proc, slot, msg)
-            delivery.append(slot)
-        return delivery, sends, True
+    def _now(self, proc: SimProcess) -> float:
+        # engine time, not proc.time: a parked rank's local clock freezes
+        # until it resumes.
+        return self.engine.now if self.engine is not None else proc.time
 
     # -- pooling -----------------------------------------------------------------
 
+    @staticmethod
     def _absorb_arrivals(
-        self, proc: SimProcess, call: MFCall, state: CallsiteReplayState
+        mailbox: MailBox,
+        filters: set[tuple[int, int]],
+        state: CallsiteReplayState,
     ) -> None:
         """Strip matching completed receives and drain unexpected ones.
 
@@ -458,98 +654,54 @@ class ReplayController(MFController):
         Both sources feed the pool in per-sender clock order: completions
         in completion order (FIFO channels keep that clock-ordered per
         sender), then unexpected messages in arrival order.
+
+        A stripped request keeps state COMPLETED with ``message = None`` —
+        a free slot. It needs no other bookkeeping: it left the completion
+        log here, a request completes (and so enters the log) only once,
+        and a slot that ``_occupy_slot`` fills is delivered before the log
+        is read again.
         """
-        filters = [r for r in call.requests if r.is_recv]
-        mailbox = proc.mailbox
-
-        fresh: list[Request] = []
-        remaining_log: list[Request] = []
-        for req in mailbox.completion_log:
-            if req.req_id in self._stripped or req.state is not RequestState.COMPLETED:
-                continue  # already stripped or delivered: drop from the log
-            if req.message is not None and any(
-                filter_accepts(r, req.message) for r in filters
-            ):
-                fresh.append(req)
-            else:
-                remaining_log.append(req)
-        mailbox.completion_log[:] = remaining_log
-        fresh.sort(key=lambda r: (r.completion_time, r.completion_seq))
-        for req in fresh:
-            assert req.message is not None
-            msg = req.message
-            self._stripped.add(req.req_id)
-            req.message = None
-            state.feed(ReceiveEvent(msg.src, msg.clock), msg)
-
-        kept: list[Message] = []
-        for msg in mailbox.unexpected:
-            if any(filter_accepts(r, msg) for r in filters):
+        log = mailbox.completion_log
+        if log:
+            fresh: list[Request] = []
+            remaining_log: list[Request] = []
+            completed = RequestState.COMPLETED
+            for req in log:
+                if req.state is not completed:
+                    continue  # delivered meanwhile: drop from the log
+                if req.message is not None and _accepted(filters, req.message):
+                    fresh.append(req)
+                else:
+                    remaining_log.append(req)
+            log[:] = remaining_log
+            if len(fresh) > 1:
+                fresh.sort(key=_completion_key)
+            for req in fresh:
+                msg = req.message
+                req.message = None
                 state.feed(ReceiveEvent(msg.src, msg.clock), msg)
-            else:
-                kept.append(msg)
-        mailbox.unexpected[:] = kept
+
+        unexpected = mailbox.unexpected
+        if unexpected:
+            kept: list[Message] = []
+            for msg in unexpected:
+                if _accepted(filters, msg):
+                    state.feed(ReceiveEvent(msg.src, msg.clock), msg)
+                else:
+                    kept.append(msg)
+            unexpected[:] = kept
 
     # -- slot assignment -----------------------------------------------------------
 
-    def _assign_slots(
-        self,
-        proc: SimProcess,
-        call: MFCall,
-        state: CallsiteReplayState,
-        events: Sequence[ReceiveEvent],
-    ) -> list[Request] | None:
-        """Match each group message to a compatible undelivered request slot.
-
-        Backtracking bipartite matching, preferring specific (non-wildcard)
-        slots so wildcards stay available for other messages. Group sizes
-        are small (a handful), so this is cheap.
-        """
-        slots = [
-            r
-            for r in call.requests
-            if r.is_recv and r.state in (RequestState.COMPLETED, RequestState.PENDING)
-        ]
-        messages = [state.pool[e.key] for e in events]
-        candidates: list[list[int]] = []
-        for msg in messages:
-            accept = [i for i, s in enumerate(slots) if filter_accepts(s, msg)]
-            # specific filters first, wildcards last
-            accept.sort(key=lambda i: (slots[i].source == ANY_SOURCE, slots[i].tag == ANY_TAG))
-            if not accept:
-                return None
-            candidates.append(accept)
-
-        used: set[int] = set()
-        chosen: list[int] = []
-
-        def backtrack(k: int) -> bool:
-            if k == len(messages):
-                return True
-            for i in candidates[k]:
-                if i in used:
-                    continue
-                used.add(i)
-                chosen.append(i)
-                if backtrack(k + 1):
-                    return True
-                used.remove(i)
-                chosen.pop()
-            return False
-
-        if not backtrack(0):
-            return None
-        return [slots[i] for i in chosen]
-
-    def _occupy_slot(self, proc: SimProcess, slot: Request, msg: Message) -> None:
+    @staticmethod
+    def _occupy_slot(mailbox: MailBox, slot: Request, msg: Message) -> None:
         """Complete ``slot`` in place with the recorded message."""
         if slot.state is RequestState.PENDING:
             # cannibalize the posted receive: the tool returns recorded
             # content through it; whatever would have matched it later will
             # surface in the unexpected queue and be drained then.
-            proc.mailbox.cancel(slot)
+            mailbox.cancel(slot)
             slot.state = RequestState.COMPLETED
-        self._stripped.add(slot.req_id)
         slot.message = msg
 
     @staticmethod
@@ -561,16 +713,6 @@ class ReplayController(MFController):
             return ([], sends, bool(sends))
         # TEST, TESTALL: deliver nothing, flag false
         return [], [], False
-
-    @staticmethod
-    def _check_group_arity(proc: SimProcess, call: MFCall, group: Sequence) -> None:
-        single = call.kind in (MFKind.TEST, MFKind.TESTANY, MFKind.WAIT, MFKind.WAITANY)
-        if single and len(group) > 1:
-            raise ReplayDivergence(
-                proc.rank,
-                f"record delivers {len(group)} receives to single-completion "
-                f"{call.kind.value} at {call.callsite!r}",
-            )
 
     # -- clock beacons (online LMC realization) ---------------------------------------
 
@@ -591,7 +733,7 @@ class ReplayController(MFController):
         state = self._states.get((proc.rank, call.callsite))
         if state is None or state.chunk is None:
             return
-        if state.assist is not None:
+        if state.senders is not None:
             return  # deterministic identification: arrivals alone re-arm us
         receiver = proc.rank
         launched = False
@@ -713,12 +855,7 @@ class ReplayController(MFController):
         ends: a truncated prefix shows delivered < recorded at the
         callsite whose tail was dropped.
         """
-        undelivered = self.undelivered_summary()
-        out: dict[tuple[int, str], tuple[int, int]] = {}
-        for (rank, callsite), remaining in undelivered.items():
-            total = sum(
-                c.num_events
-                for c in self.archive.chunks_by_callsite(rank).get(callsite, [])
-            )
-            out[(rank, callsite)] = (total - remaining, total)
-        return out
+        return {
+            key: (self._recorded[key] - remaining, self._recorded[key])
+            for key, remaining in self.undelivered_summary().items()
+        }

@@ -83,8 +83,11 @@ def finalize_delivery(
         if len(requests) == 1:
             indices = (0,)
         else:
-            index_of = {req: i for i, req in enumerate(requests)}
-            indices = tuple(index_of[r] for r in delivered)
+            # keyed by identity and built at C speed: hashing every
+            # request of the call per delivery (Request.__hash__ is Python)
+            # cost more than the delivery itself on wide Waitsome sets
+            index_of = dict(zip(map(id, requests), range(len(requests))))
+            indices = tuple([index_of[id(r)] for r in delivered])
     else:
         delivered = []
         indices = ()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import ReceiveEvent
+from repro.core.permutation import decode_permutation
 from repro.core.pipeline import (
     assist_occurrence_indices,
     chunk_members,
@@ -174,6 +175,8 @@ class TestAssistOccurrences:
         events = random_events(senders, n, seed)
         chunk = encode_chunk(table_of(events), replay_assist=True)
         occ = assist_occurrence_indices(chunk)
+        # a caller that already decoded the permutation hands it over
+        assert assist_occurrence_indices(chunk, decode_permutation(chunk.diff)) == occ
         per_sender_sorted = {}
         for ev in events:
             per_sender_sorted.setdefault(ev.rank, []).append(ev)

@@ -1,13 +1,15 @@
 """CallsiteReplayState unit behaviour: quotas, horizon, assist, scripts."""
 
+import dataclasses
 from collections import deque
+from unittest import mock
 
 import pytest
 
 from repro.core.events import ReceiveEvent
 from repro.core.pipeline import encode_chunk
 from repro.core.record_table import RecordTable
-from repro.errors import ReplayDivergence
+from repro.errors import RecordFormatError, ReplayDivergence
 from repro.replay.replayer import (
     CallsiteReplayState,
     DeliveryMode,
@@ -29,13 +31,13 @@ def state_for(observed, with_next=(), unmatched=(), assist=True, mode=DeliveryMo
 
 class TestGroups:
     def test_groups_from_with_next(self):
-        assert groups_from_with_next((1,), 4) == {0: 0, 1: 2, 3: 3}
+        assert groups_from_with_next((1,), 4) == [0, 2, 2, 3]
 
     def test_chained_group(self):
-        assert groups_from_with_next((0, 1), 3) == {0: 2}
+        assert groups_from_with_next((0, 1), 3) == [2, 2, 2]
 
     def test_empty(self):
-        assert groups_from_with_next((), 0) == {}
+        assert groups_from_with_next((), 0) == []
 
 
 class TestAssistDelivery:
@@ -60,6 +62,73 @@ class TestAssistDelivery:
         st.feed(ReceiveEvent(1, 9), msg_for(ReceiveEvent(1, 9)))
         kind, events = st.peek()
         assert kind is _Peek.GROUP and events[0].clock == 9
+
+
+    def test_blocked_check_resumes_where_it_stopped(self):
+        observed = [ReceiveEvent(0, 1), ReceiveEvent(1, 2), ReceiveEvent(2, 3)]
+        st = state_for(observed, with_next=(0, 1))  # one group of three
+        assert st.peek()[0] is _Peek.BLOCKED and st.ready == 0
+        for ev in observed[:2]:
+            st.feed(ev, msg_for(ev))
+        assert st.peek()[0] is _Peek.BLOCKED
+        assert st.ready == 2  # positions 0 and 1 are not looked at again
+        st.feed(observed[2], msg_for(observed[2]))
+        assert st.peek() == (_Peek.GROUP, observed)
+        st.consume_group(observed)
+        assert st.peek()[0] is _Peek.EXHAUSTED
+
+    def test_schedule_is_laid_out_at_activation(self):
+        observed = [ReceiveEvent(1, 9), ReceiveEvent(0, 2), ReceiveEvent(1, 4)]
+        st = state_for(observed, with_next=(1,), unmatched=((0, 2), (3, 1)))
+        assert list(st.senders) == [1, 0, 1]
+        assert st.occurrence == [2, 1, 1]
+        assert st.group_end == [0, 2, 2]
+        assert st.unmatched_left == [2, 0, 0, 1]
+
+    def test_activation_decodes_the_permutation_once(self):
+        observed = [ReceiveEvent(1, 9), ReceiveEvent(0, 2), ReceiveEvent(1, 4)]
+        chunk = encode_chunk(RecordTable("cs", tuple(observed), (), ()), True)
+        # the occurrence ranking is handed the decoded order: its own
+        # decode (looked up in the permutation module) must not run
+        with mock.patch(
+            "repro.core.permutation.decode_permutation",
+            side_effect=AssertionError("decoded twice"),
+        ):
+            st = CallsiteReplayState(0, "cs", deque([chunk]))
+        assert st.order == [2, 0, 1] and st.occurrence == [2, 1, 1]
+
+    def test_only_the_structure_the_path_reads_is_maintained(self):
+        observed = [ReceiveEvent(0, 2), ReceiveEvent(1, 10)]
+        with_assist, without = state_for(observed), state_for(observed, assist=False)
+        for st in (with_assist, without):
+            st.feed(observed[0], msg_for(observed[0]))
+            assert st.pool and st.quota[0] == 0  # checks and pool: both paths
+        assert with_assist.arrived_per_sender and not with_assist.arrived_sorted
+        assert without.arrived_sorted and not without.arrived_per_sender
+
+
+class TestMalformedChunks:
+    """Positions index flat lists now, so a chunk whose columns disagree
+    with its event count is refused at activation with a typed error."""
+
+    def chunk(self, **changes):
+        observed = (ReceiveEvent(0, 1), ReceiveEvent(1, 2))
+        chunk = encode_chunk(RecordTable("cs", observed, (), ((0, 1),)), True)
+        return dataclasses.replace(chunk, **changes)
+
+    def test_assist_column_of_the_wrong_length(self):
+        with pytest.raises(RecordFormatError, match="assist column"):
+            CallsiteReplayState(0, "cs", deque([self.chunk(sender_sequence=(0,))]))
+
+    def test_unmatched_run_past_the_chunk(self):
+        with pytest.raises(RecordFormatError, match="unmatched run"):
+            CallsiteReplayState(0, "cs", deque([self.chunk(unmatched_runs=((3, 1),))]))
+
+    def test_with_next_outside_the_chunk_is_ignored(self):
+        st = CallsiteReplayState(
+            0, "cs", deque([self.chunk(with_next_indices=(-1, 1, 7))])
+        )
+        assert st.group_end == [0, 1]
 
 
 class TestUnmatchedScript:
