@@ -41,11 +41,14 @@ class ClockStudyController(MFController):
         super().__init__()
         self.samples: dict[tuple[int, str], list[DeliverySample]] = {}
 
-    def on_delivery(self, proc, call, messages) -> None:
-        bucket = self.samples.setdefault((proc.rank, call.callsite), [])
+    def on_outcome(self, proc, outcome, messages) -> float:
+        if not messages:
+            return 0.0  # an unmatched poll delivers nothing to sample
+        bucket = self.samples.setdefault((proc.rank, outcome.callsite), [])
         for msg in messages:
             assert msg.vclock is not None, "run the engine with track_vector_clocks"
             bucket.append(DeliverySample(msg.src, msg.clock, tuple(msg.vclock)))
+        return 0.0
 
 
 @dataclass

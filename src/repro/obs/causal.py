@@ -184,15 +184,19 @@ class ColumnarFlowRecorder:
     grow-by-doubling int64/float64 columns
     (:class:`~repro.core.columnar.GrowColumn`) instead of a dataclass per
     event. This is what makes ``repro explain`` viable at paper scale: a
-    256-rank, million-event run is five numpy appends per endpoint during
-    capture, and the critical-path analysis then runs vectorized passes
-    over the views — the same columnar discipline the CDC encoder uses for
-    its identifier columns.
+    256-rank, million-event run is one list extend per endpoint during
+    capture (endpoints are staged flat and moved into the columns a block
+    at a time, or when a column is read), and the critical-path analysis
+    then runs vectorized passes over the views — the same columnar
+    discipline the CDC encoder uses for its identifier columns.
 
     Callsite strings are interned to dense ids (``callsites[id]`` /
     ``kinds[id]``), so per-callsite attribution is a ``bincount``, not a
     dict of strings.
     """
+
+    #: staged list entries (5 per endpoint) that trigger a move into the columns.
+    STAGE_ENTRIES = 5 * 4096
 
     def __init__(self, label: str = "run") -> None:
         # lazy: repro.core imports repro.obs for its span instrumentation,
@@ -200,16 +204,25 @@ class ColumnarFlowRecorder:
         from repro.core.columnar import GrowColumn
 
         self.label = label
-        self.send_src = GrowColumn()
-        self.send_dst = GrowColumn()
-        self.send_tag = GrowColumn()
-        self.send_clock = GrowColumn()
-        self.send_t = GrowColumn(dtype=float)
-        self.recv_rank = GrowColumn()
-        self.recv_callsite = GrowColumn()
-        self.recv_sender = GrowColumn()
-        self.recv_clock = GrowColumn()
-        self.recv_t = GrowColumn(dtype=float)
+        self._send_columns = (
+            GrowColumn(),  # src
+            GrowColumn(),  # dst
+            GrowColumn(),  # tag
+            GrowColumn(),  # clock
+            GrowColumn(dtype=float),  # t
+        )
+        self._recv_columns = (
+            GrowColumn(),  # rank
+            GrowColumn(),  # callsite id
+            GrowColumn(),  # sender
+            GrowColumn(),  # clock
+            GrowColumn(dtype=float),  # t
+        )
+        #: endpoints not yet in the columns, flat and in column order
+        #: (``src, dst, tag, clock, t, src, ...``): a hook costs one list
+        #: extend, and a stride slice per column moves a whole block.
+        self._send_stage: list = []
+        self._recv_stage: list = []
         self.callsites: list[str] = []
         self.kinds: list[str] = []
         self._callsite_ids: dict[tuple[str, str], int] = {}
@@ -217,11 +230,10 @@ class ColumnarFlowRecorder:
     # -- engine hooks --------------------------------------------------------
 
     def on_send(self, src: int, dst: int, tag: int, clock: int, t: float) -> None:
-        self.send_src.append(src)
-        self.send_dst.append(dst)
-        self.send_tag.append(tag)
-        self.send_clock.append(clock)
-        self.send_t.append(t)
+        stage = self._send_stage
+        stage += (src, dst, tag, clock, t)
+        if len(stage) >= self.STAGE_ENTRIES:
+            self._unstage(stage, self._send_columns)
 
     def on_delivery(
         self,
@@ -236,17 +248,40 @@ class ColumnarFlowRecorder:
             cs = self._callsite_ids[(callsite, kind)] = len(self.callsites)
             self.callsites.append(callsite)
             self.kinds.append(kind)
-        recv_rank = self.recv_rank
-        recv_callsite = self.recv_callsite
-        recv_sender = self.recv_sender
-        recv_clock = self.recv_clock
-        recv_t = self.recv_t
+        stage = self._recv_stage
         for ev in events:
-            recv_rank.append(rank)
-            recv_callsite.append(cs)
-            recv_sender.append(ev.rank)
-            recv_clock.append(ev.clock)
-            recv_t.append(t)
+            stage += (rank, cs, ev.rank, ev.clock, t)
+        if len(stage) >= self.STAGE_ENTRIES:
+            self._unstage(stage, self._recv_columns)
+
+    @staticmethod
+    def _unstage(stage: list, columns) -> None:
+        for i, column in enumerate(columns):
+            column.extend(stage[i::5])
+        stage.clear()
+
+    # -- columns (reading one moves what is staged in first) -------------------
+
+    def _sends(self, i: int):
+        if self._send_stage:
+            self._unstage(self._send_stage, self._send_columns)
+        return self._send_columns[i]
+
+    def _receives(self, i: int):
+        if self._recv_stage:
+            self._unstage(self._recv_stage, self._recv_columns)
+        return self._recv_columns[i]
+
+    send_src = property(lambda self: self._sends(0))
+    send_dst = property(lambda self: self._sends(1))
+    send_tag = property(lambda self: self._sends(2))
+    send_clock = property(lambda self: self._sends(3))
+    send_t = property(lambda self: self._sends(4))
+    recv_rank = property(lambda self: self._receives(0))
+    recv_callsite = property(lambda self: self._receives(1))
+    recv_sender = property(lambda self: self._receives(2))
+    recv_clock = property(lambda self: self._receives(3))
+    recv_t = property(lambda self: self._receives(4))
 
     # -- correlation ---------------------------------------------------------
 

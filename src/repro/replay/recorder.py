@@ -40,9 +40,9 @@ from repro.replay.cost_model import (
     gzip_cost_model,
 )
 from repro.obs import event, get_registry, span
-from repro.sim.network import payload_nbytes
+from repro.sim.datatypes import Message
 from repro.sim.pmpi import MFController
-from repro.sim.process import MFCall, MFResult, SimProcess
+from repro.sim.process import SimProcess
 
 #: Matched events per chunk before a flush (paper: bounded memory footprint).
 DEFAULT_CHUNK_EVENTS = 1024
@@ -89,6 +89,8 @@ class RecordingController(MFController):
         encoder_opts: Mapping[str, Any] | None = None,
     ) -> None:
         super().__init__()
+        if chunk_events < 1:
+            raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
         self.chunk_events = chunk_events
         self.cost_model = cost_model if cost_model is not None else cdc_cost_model()
         self.keep_outcomes = keep_outcomes
@@ -109,7 +111,6 @@ class RecordingController(MFController):
             r: RankRecorderState(r, PerRankRecordingState(self.cost_model))
             for r in range(nprocs)
         }
-        self._pending_events: dict[int, int] = {}
         #: opt-in parallel chunk encoding (Section 4.2 consumer fan-out):
         #: flushes submit to a worker pool and the archive fills at finalize,
         #: in flush order — chunk-for-chunk identical to the serial path.
@@ -153,7 +154,10 @@ class RecordingController(MFController):
     def piggyback_bytes(self) -> int:
         return self.cost_model.piggyback_bytes
 
-    def on_outcome(self, proc: SimProcess, outcome: MFOutcome) -> None:
+    def on_outcome(
+        self, proc: SimProcess, outcome: MFOutcome, messages: Sequence[Message]
+    ) -> float:
+        """Add the outcome to its callsite's builder; charge the cost model."""
         state = self.ranks[proc.rank]
         if self.keep_outcomes:
             state.outcomes.append(outcome)
@@ -167,19 +171,16 @@ class RecordingController(MFController):
             )
         builder.add(outcome)
         # one queue event per quintuple row this outcome produces
-        self._pending_events[proc.rank] = max(1, len(outcome.matched))
-        if builder.num_events >= self.chunk_events:
-            self._flush(proc.rank, builder)
-
-    def overhead(self, proc: SimProcess, call: MFCall, result: MFResult) -> float:
-        state = self.ranks[proc.rank]
-        for msg in result.messages:
-            if msg is not None:
-                state.payload_bytes += payload_nbytes(msg.payload)
-        n = self._pending_events.pop(proc.rank, 0)
-        if n == 0:
-            return 0.0
-        return state.cost.charge(proc.time, n)
+        rows = len(messages)
+        if rows:
+            for msg in messages:
+                state.payload_bytes += msg.nbytes
+            # only a matched receive moves the count a flush waits for
+            if builder.num_events >= self.chunk_events:
+                self._flush(proc.rank, builder)
+        else:
+            rows = 1  # an unmatched test
+        return state.cost.charge(proc.time, rows)
 
     def finalize(self, procs: Sequence[SimProcess]) -> None:
         for rank, state in self.ranks.items():

@@ -560,9 +560,10 @@ class ReplayController(MFController):
     def piggyback_bytes(self) -> int:
         return self._piggyback
 
-    def on_outcome(self, proc: SimProcess, outcome) -> None:
+    def on_outcome(self, proc: SimProcess, outcome, messages) -> float:
         if self.keep_outcomes:
             self.outcomes[proc.rank].append(outcome)
+        return 0.0
 
     # -- decision logic -----------------------------------------------------------
 

@@ -91,22 +91,32 @@ class MailBox:
             req.state = RequestState.INACTIVE
 
     @staticmethod
-    def completed_undelivered(requests) -> list[Request]:
-        """Completed-but-undelivered receives of ``requests``, completion order.
+    def deliverable(requests) -> tuple[list[Request], list[Request]]:
+        """Split the completed-but-undelivered of ``requests``: (receives, sends).
 
-        Completion order is deterministic per sender (FIFO channels) and is
-        the natural order in which an unrecorded run hands completions to
-        the application.
+        Receives come back in completion order — deterministic per sender
+        (FIFO channels), and the natural order in which an unrecorded run
+        hands completions to the application; sends (they complete at post
+        time) in request order. One pass: it runs on every poll.
         """
-        ready = [r for r in requests if r.state is RequestState.COMPLETED]
+        ready: list[Request] = []
+        sends: list[Request] = []
+        completed = RequestState.COMPLETED
+        for r in requests:
+            if r.state is completed:
+                if r.is_recv:
+                    ready.append(r)
+                else:
+                    sends.append(r)
         if len(ready) > 1:
             ready.sort(key=_completion_key)
-        return ready
+        return ready, sends
 
     @staticmethod
     def mark_delivered(requests) -> None:
+        completed = RequestState.COMPLETED
         for req in requests:
-            if not req.completed:
+            if req.state is not completed:
                 raise CommunicatorError("delivering a non-completed request")
             req.state = RequestState.DELIVERED
 

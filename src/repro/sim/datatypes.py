@@ -42,6 +42,12 @@ class Message:
     delivery; ``clock`` is the piggybacked Lamport timestamp attached at
     send time (strictly increasing per sender). Slotted: the engine
     allocates one per send, so layout matters at paper-scale rank counts.
+
+    ``nbytes`` is the payload size estimate
+    (:func:`~repro.sim.network.payload_nbytes`), fixed once by
+    :meth:`Engine.isend <repro.sim.engine.Engine.isend>`: the latency draw
+    and the recorder's data-replay accounting read the same number instead
+    of each walking the payload. Hand-built messages default to 0.
     """
 
     src: int
@@ -55,6 +61,7 @@ class Message:
     #: optional vector-clock piggyback (Section 4.3 ablation); None unless
     #: the engine runs with track_vector_clocks=True.
     vclock: tuple[int, ...] | None = None
+    nbytes: int = 0
 
     @property
     def status(self) -> Status:
@@ -90,7 +97,7 @@ class Request:
     message: Message | None = None
     completion_time: float = 0.0
     completion_seq: int = 0
-    req_id: int = field(default_factory=lambda: next(_request_ids))
+    req_id: int = field(default_factory=_request_ids.__next__)
 
     def matches(self, msg: Message) -> bool:
         """Would this posted receive accept ``msg``? (wildcard-aware)"""

@@ -134,12 +134,11 @@ class Engine:
         vclock = (
             proc.vector_clock.on_send() if proc.vector_clock is not None else None
         )
-        network = self.network
         rank = proc.rank
-        seq = network.next_seq(rank, dest)
-        msg = Message(rank, dest, tag, payload, clock, seq, send_time, 0.0, vclock)
-        arrival = network.delivery_time(
-            rank, dest, send_time, payload_nbytes(payload)
+        nbytes = payload_nbytes(payload)
+        seq, arrival = self.network.post(rank, dest, send_time, nbytes)
+        msg = Message(
+            rank, dest, tag, payload, clock, seq, send_time, 0.0, vclock, nbytes
         )
         if self.flow_recorder is not None:
             self.flow_recorder.on_send(rank, dest, tag, clock, send_time)
@@ -169,6 +168,10 @@ class Engine:
         return stats
 
     def _run_loop(self) -> SimStats:
+        controller = self.controller
+        # handed over here, not in attach(): the attribute is assigned after
+        # the controller attaches and may be replaced until the run starts
+        controller.flow_recorder = self.flow_recorder
         for proc in self.procs:
             proc.start(self)
             self._push(0.0, _RESUME, (proc, None))
@@ -189,10 +192,14 @@ class Engine:
         # STEP_SAMPLE_EVENTS block instead of per event.
         heap = self._heap
         heappop = heapq.heappop
+        heappush = heapq.heappush
+        next_seq = self._seq.__next__
         procs = self.procs
         stats = self.stats
         tracer = self.tracer
-        step = self._step
+        evaluate = controller.evaluate
+        on_blocked = controller.on_blocked
+        mf_cost = self.mf_cost
         try_mf = self._try_mf
         max_events = self.max_events
         sample = self.STEP_SAMPLE_EVENTS
@@ -224,9 +231,44 @@ class Engine:
                         tracer.record(time, "resume", proc.rank)
                     if time > proc.time:
                         proc.time = time
-                    step(proc, value)
-                    if proc.done:
+                    try:
+                        op = proc.gen.send(value)
+                    except StopIteration as stop:
+                        proc.done = True
+                        proc.result = stop.value
                         remaining -= 1
+                        continue
+                    cls = op.__class__
+                    if cls is Compute:
+                        heappush(
+                            heap,
+                            (proc.time + op.seconds, next_seq(), _RESUME, (proc, None)),
+                        )
+                    elif cls is MFCall:
+                        # _try_mf, inlined for a call's first evaluation.
+                        # pending_call is set first: a divergence raised in
+                        # there is reported against the call the rank is in.
+                        proc.pending_call = op
+                        proc.mf_calls += 1
+                        answer = evaluate(proc, op)
+                        if answer is None:
+                            on_blocked(proc, op)
+                        else:
+                            proc.pending_call = None
+                            result, overhead = answer
+                            heappush(
+                                heap,
+                                (
+                                    proc.time + (mf_cost + overhead),
+                                    next_seq(),
+                                    _RESUME,
+                                    (proc, result),
+                                ),
+                            )
+                    else:
+                        raise SimulationError(
+                            f"rank {proc.rank} yielded {op!r}; expected Compute or MFCall"
+                        )
                 elif kind == _DELIVER:
                     msg: Message = data  # type: ignore[assignment]
                     proc = procs[msg.dst]
@@ -277,35 +319,23 @@ class Engine:
         self.stats.total_mf_calls = sum(p.mf_calls for p in self.procs)
         return self.stats
 
-    def _step(self, proc: SimProcess, value) -> None:
-        op = proc.step(value)
-        if proc.done:
-            return
-        cls = op.__class__
-        if cls is Compute:
-            self._push(proc.time + op.seconds, _RESUME, (proc, None))
-        elif cls is MFCall:
-            proc.pending_call = op
-            proc.mf_calls += 1
-            self._try_mf(proc, at_time=proc.time)
-        else:
-            raise SimulationError(
-                f"rank {proc.rank} yielded {op!r}; expected Compute or MFCall"
-            )
-
     def _try_mf(self, proc: SimProcess, at_time: float) -> None:
-        """Ask the controller whether the pending MF call can return."""
+        """Ask the controller whether the pending MF call can return.
+
+        The re-arm entry: deliveries and the replayer's beacon/retry
+        callbacks come here (the main loop inlines a call's first try).
+        """
         call = proc.pending_call
         assert call is not None
         controller = self.controller
-        result = controller.evaluate(proc, call)
-        if result is None:
+        answer = controller.evaluate(proc, call)
+        if answer is None:
             controller.on_blocked(proc, call)
             return  # stays parked; deliveries and tool events re-arm it
         proc.pending_call = None
-        cost = self.mf_cost + controller.overhead(proc, call, result)
+        result, overhead = answer
         base = proc.time if proc.time > at_time else at_time
-        self._push(base + cost, _RESUME, (proc, result))
+        self._push(base + (self.mf_cost + overhead), _RESUME, (proc, result))
 
 
 def run_program(

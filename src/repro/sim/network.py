@@ -63,16 +63,24 @@ class Network:
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
 
-    def next_seq(self, src: int, dst: int) -> int:
-        """Per-channel message sequence number (FIFO check support)."""
+    def post(
+        self, src: int, dst: int, send_time: float, nbytes: int
+    ) -> tuple[int, float]:
+        """One message sent now on (src, dst): ``(channel seq, arrival time)``.
+
+        The sequence number lets the receiving mailbox check FIFO delivery;
+        the arrival is :meth:`delivery_time`'s, under the same channel key.
+        """
         key = (src, dst)
         seq = self._channel_seq.get(key, 0)
         self._channel_seq[key] = seq + 1
-        return seq
+        return seq, self._arrival(key, send_time, nbytes)
 
     def delivery_time(self, src: int, dst: int, send_time: float, nbytes: int) -> float:
         """When a message sent now on (src, dst) arrives, FIFO-clamped."""
-        key = (src, dst)
+        return self._arrival((src, dst), send_time, nbytes)
+
+    def _arrival(self, key: tuple[int, int], send_time: float, nbytes: int) -> float:
         raw = send_time + self.latency.sample(self._rng, nbytes + self.piggyback_bytes)
         clamped = max(raw, self._last_delivery.get(key, 0.0))
         self._last_delivery[key] = clamped
@@ -84,25 +92,38 @@ def payload_nbytes(payload: object) -> int:
 
     Exact sizes do not matter — only that bigger payloads cost more and the
     estimate is deterministic across runs. The estimate feeds the latency
-    draw, so any change to the returned values changes delivery order;
-    the exact-type fast paths below must agree with the isinstance chain.
+    draw, so any change to the returned values changes delivery order: the
+    value for every input is pinned to ``tests/sim/oracles.py``'s plain
+    ``isinstance`` chain by a property test. The engine calls this once per
+    send and keeps the answer on :attr:`Message.nbytes`.
+
+    Exact-type tests come first and containers of scalars are sized two
+    levels deep without recursing — particle batches and boundary lists are
+    ``[(x, y), ...]`` — so only unusual elements pay a call each.
     """
     cls = payload.__class__
     if cls is float or cls is int:
         return 8
     if cls is list or cls is tuple:
-        # common case: flat containers of scalars (particle batches,
-        # boundary lists) — one pass, no per-element recursion
         total = 8
         for item in payload:  # type: ignore[attr-defined]
             icls = item.__class__
             if icls is float or icls is int:
                 total += 8
+            elif icls is tuple or icls is list:
+                total += 8
+                for sub in item:
+                    scls = sub.__class__
+                    if scls is float or scls is int:
+                        total += 8
+                    else:
+                        total += payload_nbytes(sub)
             else:
                 total += payload_nbytes(item)
         return total
     if payload is None:
         return 8
+    # subclasses (bool, IntEnum, namedtuple, ...) size like their base
     if isinstance(payload, (int, float)):
         return 8
     if isinstance(payload, (bytes, bytearray, str)):

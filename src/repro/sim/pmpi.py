@@ -29,12 +29,19 @@ iterates completions in exactly the replayed sequence.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.sim.communicator import MailBox
-from repro.sim.datatypes import Request, RequestState
-from repro.sim.process import MFCall, MFResult, SimProcess, undelivered_sends
+from repro.sim.datatypes import Message, Request, RequestState
+from repro.sim.process import MFCall, MFResult, SimProcess
+
+_message_of = operator.attrgetter("message")
+
+#: what a call that delivers nothing returns, by flag. ``MFResult`` is
+#: frozen, so every such call can hand the application the same instance.
+_NOTHING_DELIVERED = {False: MFResult(flag=False), True: MFResult(flag=True)}
 
 
 def finalize_delivery(
@@ -51,7 +58,8 @@ def finalize_delivery(
     application-facing result and the MF outcome to record (None when the
     call involves no receive requests at all: pure send synchronization is
     deterministic and outside the record, like the paper's sole focus on
-    receives).
+    receives). :meth:`MFController.evaluate` answers a call with nothing to
+    deliver itself and comes here only for the rest.
     """
     if recv_order:
         if proc.vector_clock is None:
@@ -78,34 +86,29 @@ def finalize_delivery(
         index_of = {req: i for i, req in enumerate(requests)}
         delivered = list(recv_order) + sorted(sends, key=index_of.__getitem__)
         indices = tuple(index_of[r] for r in delivered)
-    elif recv_order:
-        delivered = list(recv_order)
+    else:
+        delivered = recv_order
         if len(requests) == 1:
-            indices = (0,)
+            indices = (0,) if delivered else ()
         else:
             # keyed by identity and built at C speed: hashing every
             # request of the call per delivery (Request.__hash__ is Python)
             # cost more than the delivery itself on wide Waitsome sets
             index_of = dict(zip(map(id, requests), range(len(requests))))
             indices = tuple([index_of[id(r)] for r in delivered])
-    else:
-        delivered = []
-        indices = ()
     MailBox.mark_delivered(delivered)
-    result = MFResult(
-        flag=flag,
-        indices=indices,
-        messages=tuple(r.message for r in delivered),
-    )
+    result = MFResult(flag, indices, tuple(map(_message_of, delivered)))
 
     outcome: MFOutcome | None = None
     if recv_order:
         outcome = MFOutcome(
             call.callsite,
             call.kind,
-            tuple(ReceiveEvent(req.message.src, req.message.clock) for req in recv_order),
+            tuple(
+                [ReceiveEvent(req.message.src, req.message.clock) for req in recv_order]
+            ),
         )
-    elif call.kind.is_test and any(r.is_recv for r in requests):
+    elif call.has_recv and call.kind.is_test:
         outcome = MFOutcome(call.callsite, call.kind, ())
     # A wait-family call that delivered only sends produces no outcome:
     # it matched nothing the record cares about and cannot be "unmatched".
@@ -119,39 +122,60 @@ class MFController:
 
     def __init__(self) -> None:
         self.engine = None
+        #: the engine's causal flow recorder; the engine hands it over when
+        #: the run starts (it may be set any time before that).
+        self.flow_recorder = None
+        #: per callsite, the outcome of an unmatched poll there. It says
+        #: only "this callsite, this kind, nothing matched" and is frozen,
+        #: so every such poll reports the same validated instance.
+        self._unmatched: dict[str, MFOutcome] = {}
 
     def attach(self, engine) -> None:
         self.engine = engine
 
     # -- the seam ----------------------------------------------------------
 
-    def evaluate(self, proc: SimProcess, call: MFCall) -> MFResult | None:
-        """Decide what ``call`` returns now, or None to keep it blocked."""
+    def evaluate(
+        self, proc: SimProcess, call: MFCall
+    ) -> tuple[MFResult, float] | None:
+        """Decide what ``call`` returns now, or None to keep it blocked.
+
+        Answers ``(result, overhead)``: what the application receives and
+        the extra virtual time :meth:`on_outcome` charged for the call.
+        """
         decision = self.decide(proc, call)
         if decision is None:
             return None
         recv_order, sends, flag = decision
-        messages = [req.message for req in recv_order]
+        if not recv_order and not sends:
+            # Nothing to deliver — the unmatched poll, the majority event
+            # of a polling application: no clock ticks, no request changes
+            # state, and result and outcome are shared frozen instances.
+            result = _NOTHING_DELIVERED[flag]
+            kind = call.kind
+            if not (call.has_recv and kind.is_test):
+                return result, 0.0
+            callsite = call.callsite
+            outcome = self._unmatched.get(callsite)
+            if outcome is None or outcome.kind is not kind:
+                outcome = self._unmatched[callsite] = MFOutcome(callsite, kind, ())
+            return result, self.on_outcome(proc, outcome, ())
         result, outcome = finalize_delivery(proc, call, recv_order, sends, flag)
-        if outcome is not None:
-            self.on_outcome(proc, outcome)
-            if outcome.matched:
-                # Causal flow hook lives here rather than in any one
-                # controller: every mode (baseline/record/replay) reports
-                # matched receives the same way, so merged record+replay
-                # timelines come out structurally comparable.
-                recorder = getattr(self.engine, "flow_recorder", None)
-                if recorder is not None:
-                    recorder.on_delivery(
-                        proc.rank,
-                        call.callsite,
-                        call.kind.value,
-                        proc.time,
-                        outcome.matched,
-                    )
-        if messages:
-            self.on_delivery(proc, call, messages)
-        return result
+        if outcome is None:
+            return result, 0.0
+        # receives lead ``result.messages``, in delivery order
+        overhead = self.on_outcome(
+            proc, outcome, result.messages[: len(recv_order)]
+        )
+        if recv_order and self.flow_recorder is not None:
+            # Causal flow hook lives here rather than in any one
+            # controller: every mode (baseline/record/replay) reports
+            # matched receives the same way, so merged record+replay
+            # timelines come out structurally comparable.
+            self.flow_recorder.on_delivery(
+                proc.rank, call.callsite, call.kind.value, proc.time, outcome.matched
+            )
+        return result, overhead
 
     def decide(
         self, proc: SimProcess, call: MFCall
@@ -176,31 +200,23 @@ class MFController:
                 if req.state is completed:
                     return [req], [], True
                 return ([], [], False) if kind is MFKind.TEST else None
+            ready, sends = MailBox.deliverable(requests)
             if not requests[0].is_recv:
-                return [], undelivered_sends(requests), True
-            ready = MailBox.completed_undelivered(
-                [r for r in requests if r.is_recv]
-            )
+                return [], sends, True
             if ready:
                 return ready[:1], [], True
             return ([], [], False) if kind is MFKind.TEST else None
 
         if kind is MFKind.TESTSOME or kind is MFKind.WAITSOME:
-            sends = undelivered_sends(requests)
-            ready = MailBox.completed_undelivered(
-                [r for r in requests if r.is_recv]
-            )
+            ready, sends = MailBox.deliverable(requests)
             if ready or sends:
                 return ready, sends, True
             return ([], [], False) if kind is MFKind.TESTSOME else None
 
         if kind is MFKind.TESTANY or kind is MFKind.WAITANY:
-            ready = MailBox.completed_undelivered(
-                [r for r in requests if r.is_recv]
-            )
+            ready, sends = MailBox.deliverable(requests)
             if ready:
                 return ready[:1], [], True
-            sends = undelivered_sends(requests)
             if sends:
                 return [], sends[:1], True
             return ([], [], False) if kind is MFKind.TESTANY else None
@@ -210,10 +226,11 @@ class MFController:
             # MPI fills in request order — so the application observes
             # completions in request-array order, independent of arrival
             # timing. This is what makes Irecv+Waitall halo exchanges
-            # *hidden deterministic* (Section 6.3). One pass computes both
-            # readiness and the request-order delivery list.
+            # *hidden deterministic* (Section 6.3). One pass computes
+            # readiness and the request-order delivery lists.
             delivered_state = RequestState.DELIVERED
             ready = []
+            sends = []
             all_done = True
             for r in requests:
                 state = r.state
@@ -222,32 +239,33 @@ class MFController:
                         ready.append(r)
                     else:
                         all_done = False
-                elif state is not completed and state is not delivered_state:
+                elif state is completed:
+                    sends.append(r)
+                elif state is not delivered_state:
                     all_done = False
             if all_done:
-                return ready, undelivered_sends(requests), True
+                return ready, sends, True
             return ([], [], False) if kind is MFKind.TESTALL else None
         raise AssertionError(f"unhandled MF kind {kind}")  # pragma: no cover
 
     # -- hooks for subclasses ----------------------------------------------
 
-    def on_outcome(self, proc: SimProcess, outcome: MFOutcome) -> None:
-        """Called after every recordable MF delivery (record mode hooks in)."""
+    def on_outcome(
+        self, proc: SimProcess, outcome: MFOutcome, messages: Sequence[Message]
+    ) -> float:
+        """Called after every recordable MF delivery; returns its overhead.
+
+        ``messages`` are the delivered receives' messages in delivery order
+        (``outcome.matched`` names the same receives): full metadata, e.g.
+        vector-clock piggybacks and sizes, that the recorded events
+        intentionally drop. The return value is the extra virtual time the
+        call costs the rank — the recording overhead model; 0 when nothing
+        is recorded.
+        """
+        return 0.0
 
     def on_blocked(self, proc: SimProcess, call: MFCall) -> None:
         """Called when an MF call parks (replay mode launches clock beacons)."""
-
-    def on_delivery(self, proc: SimProcess, call: MFCall, messages) -> None:
-        """Called with the delivered messages, in delivery order.
-
-        Gives analysis controllers access to full message metadata (e.g.
-        vector-clock piggybacks) that the recorded events intentionally
-        drop.
-        """
-
-    def overhead(self, proc: SimProcess, call: MFCall, result: MFResult) -> float:
-        """Extra virtual time this MF call costs (recording overhead model)."""
-        return 0.0
 
     def piggyback_bytes(self) -> int:
         """Per-message piggyback payload this mode adds (0 when off)."""

@@ -32,7 +32,7 @@ from repro.clocks.lamport import LamportClock
 from repro.core.events import MFKind
 from repro.errors import CommunicatorError
 from repro.sim.communicator import MailBox
-from repro.sim.datatypes import ANY_SOURCE, ANY_TAG, Message, Request, RequestState
+from repro.sim.datatypes import ANY_SOURCE, ANY_TAG, Message, Request
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,19 +53,29 @@ class MFCall:
     kind: MFKind
     requests: tuple[Request, ...]
     callsite: str
+    #: does the set hold a receive request? Learned by the validation pass
+    #: below, so no evaluation of the call scans the requests for it again.
+    has_recv: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("MF call needs at least one request")
-        if not self.kind.is_test:
-            has_recv = any(r.is_recv for r in self.requests)
-            has_send = any(not r.is_recv for r in self.requests)
-            if has_recv and has_send:
-                raise CommunicatorError(
-                    "wait-family calls over mixed send+receive request sets "
-                    "are not replayable (a send completion returned instead "
-                    "of a receive leaves no record); split the sets"
-                )
+        is_test = self.kind.is_test
+        has_recv = has_send = False
+        for r in self.requests:
+            if r.is_recv:
+                has_recv = True
+                if is_test:
+                    break  # only wait-family sets are checked for mixing
+            else:
+                has_send = True
+        if has_recv and has_send and not is_test:
+            raise CommunicatorError(
+                "wait-family calls over mixed send+receive request sets "
+                "are not replayable (a send completion returned instead "
+                "of a receive leaves no record); split the sets"
+            )
+        object.__setattr__(self, "has_recv", has_recv)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,11 +142,12 @@ class Ctx:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Post a non-blocking receive (wildcards allowed)."""
-        if source != ANY_SOURCE and not 0 <= source < self.nprocs:
+        proc, engine = self._proc, self._engine
+        if source != ANY_SOURCE and not 0 <= source < engine.nprocs:
             raise CommunicatorError(f"bad source rank {source}")
-        req = Request(owner=self.rank, is_recv=True, source=source, tag=tag)
-        self._proc.mailbox.post_recv(req)
-        self._proc.time += self._engine.op_cost
+        req = Request(owner=proc.rank, is_recv=True, source=source, tag=tag)
+        proc.mailbox.post_recv(req)
+        proc.time += engine.op_cost
         return req
 
     def cancel(self, req: Request) -> None:
@@ -377,26 +388,7 @@ class SimProcess:
     def start(self, engine) -> None:
         self.gen = self.program(Ctx(self, engine))
 
-    def step(self, value):
-        """Advance the generator; returns the next yielded op or None if done."""
-        assert self.gen is not None
-        try:
-            return self.gen.send(value)
-        except StopIteration as stop:
-            self.done = True
-            self.result = stop.value
-            return None
-
 
 def sends_only(requests: Iterable[Request]) -> bool:
     """True when an MF call involves no receive requests."""
     return all(not r.is_recv for r in requests)
-
-
-def undelivered_sends(requests: Iterable[Request]) -> list[Request]:
-    """Send requests ready for delivery (sends complete at post time)."""
-    out = []
-    for r in requests:
-        if not r.is_recv and r.state is RequestState.COMPLETED:
-            out.append(r)
-    return out

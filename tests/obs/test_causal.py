@@ -173,6 +173,41 @@ class TestColumnarParity:
         assert validate_chrome_trace(columnar_trace) == []
         assert columnar_trace == timeline
 
+    def test_staging_block_size_does_not_show(self):
+        """Endpoints reach the columns a block at a time or when a column
+        is read; neither the block size nor a mid-capture read may show."""
+
+        class Ev:
+            def __init__(self, rank, clock):
+                self.rank, self.clock = rank, clock
+
+        tiny, default = ColumnarFlowRecorder("a"), ColumnarFlowRecorder("a")
+        tiny.STAGE_ENTRIES = 15  # three endpoints
+        for rec in (tiny, default):
+            for i in range(10):
+                rec.on_send(i % 3, (i + 1) % 3, 7 + i, 10 + i, i * 0.5)
+                rec.on_delivery(i % 3, f"cs{i % 2}", "test", i * 0.25, [Ev(i % 2, i), Ev(2, -i)])
+                if i == 4:
+                    assert (rec.num_sends, rec.num_receives) == (5, 10)
+        columns = [
+            f"{side}_{name}"
+            for side, names in (
+                ("send", ("src", "dst", "tag", "clock", "t")),
+                ("recv", ("rank", "callsite", "sender", "clock", "t")),
+            )
+            for name in names
+        ]
+        for name in columns:
+            assert (
+                getattr(tiny, name).values.tolist()
+                == getattr(default, name).values.tolist()
+            ), name
+        assert default.send_tag.values.tolist() == [7 + i for i in range(10)]
+        assert default.send_t.values.tolist() == [i * 0.5 for i in range(10)]
+        assert default.recv_callsite.values.tolist() == [i % 2 for i in range(10) for _ in (0, 1)]
+        assert default.recv_clock.values.tolist() == [c for i in range(10) for c in (i, -i)]
+        assert default.recv_t.values.dtype == float and default.send_src.values.dtype == "int64"
+
     def test_send_keys_match_object_index(self, recorders):
         for obj, col in zip(recorders, self.columnar_recorders()):
             keys, k = col.send_keys()

@@ -83,3 +83,30 @@ class TestPostMortem:
             ReplaySession(
                 collector(extra_recv=1), record.archive, network_seed=5
             ).run()
+
+
+class TestDivergenceInFirstEvaluation:
+    """A call whose very first evaluation diverges is still the call the
+    report names: the engine marks it pending before asking the controller."""
+
+    @staticmethod
+    def waiting_sink(ctx):
+        if ctx.rank == 0:
+            req = ctx.irecv(source=ANY_SOURCE, tag=1)
+            yield ctx.wait(req, callsite="sink")  # recorded as a Test poll
+        else:
+            yield ctx.compute(1e-6)
+            ctx.isend(0, 0, tag=1)
+
+    def test_report_names_the_diverging_call(self, record):
+        assert record.outcomes[0][0].matched == ()  # the record opens unmatched
+        controller = ReplayController(record.archive)
+        engine = Engine(
+            4, self.waiting_sink, network=Network(seed=9), controller=controller
+        )
+        with pytest.raises(ReplayDivergence, match="expects an unmatched test"):
+            engine.run()
+        assert engine.procs[0].mf_calls == 1  # it was the first evaluation
+        rank0 = replay_report(engine, controller).ranks[0]
+        assert (rank0.blocked_kind, rank0.blocked_callsite) == ("wait", "sink")
+        assert "parked in wait at 'sink'" in rank0.describe()

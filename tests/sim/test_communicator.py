@@ -99,8 +99,9 @@ class TestLifecycle:
             box.post_recv(r)
         for i in range(3):
             box.deliver(msg(clock=i, seq=i), float(i))
-        ready = MailBox.completed_undelivered(list(reversed(rs)))
+        ready, sends = MailBox.deliverable(list(reversed(rs)))
         assert [r.message.clock for r in ready] == [0, 1, 2]
+        assert sends == []
 
     def test_mark_delivered_requires_completed(self):
         with pytest.raises(CommunicatorError):

@@ -1,11 +1,16 @@
 """Network model: determinism, FIFO clamping, piggyback cost."""
 
+import enum
 import random
+from collections import namedtuple
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.replay import RecordSession
 from repro.sim.network import LatencyModel, Network, payload_nbytes
+from repro.workloads import make_workload
+from tests.sim.oracles import payload_nbytes_oracle
 
 
 class TestLatencyModel:
@@ -46,9 +51,15 @@ class TestNetwork:
 
     def test_sequence_numbers_monotone_per_channel(self):
         net = Network(seed=0)
-        seqs = [net.next_seq(3, 4) for _ in range(10)]
+        seqs = [net.post(3, 4, 0.0, 8)[0] for _ in range(10)]
         assert seqs == list(range(10))
-        assert net.next_seq(4, 3) == 0  # reverse channel independent
+        assert net.post(4, 3, 0.0, 8)[0] == 0  # reverse channel independent
+
+    def test_post_arrives_when_delivery_time_says(self):
+        posted, timed = Network(seed=3), Network(seed=3)
+        for i in range(20):
+            _, arrival = posted.post(0, 1, i * 1e-7, 32)
+            assert arrival == timed.delivery_time(0, 1, i * 1e-7, 32)
 
     def test_piggyback_increases_latency(self):
         lat = LatencyModel(base=0.0, per_byte=1e-6, jitter_mean=0.0)
@@ -79,3 +90,90 @@ class TestPayloadSizing:
             pass
 
         assert payload_nbytes(Thing()) == 64
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Ratio(float):
+    pass
+
+
+Pair = namedtuple("Pair", "left right")
+
+
+class Opaque:
+    pass
+
+
+#: everything the fast paths tell apart: exact ints/floats, their subclasses
+#: (bool, IntEnum, a float subclass), None, sized leaves, unhashable leaves
+#: and arbitrary objects ...
+leaves = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=True),
+    st.booleans(),
+    st.none(),
+    st.just(Level.LOW),
+    st.builds(Ratio, st.floats(allow_nan=False)),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+    st.builds(bytearray, st.binary(max_size=6)),
+    st.builds(Opaque),
+)
+hashable_leaves = st.one_of(st.integers(), st.text(max_size=4), st.none(), st.booleans())
+#: ... nested in lists, tuples, a tuple subclass and dicts, deeper than the
+#: two levels the production function sizes without recursing
+payloads = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.builds(Pair, inner, inner),
+        st.dictionaries(hashable_leaves, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestPayloadSizingMatchesOracle:
+    @given(payloads)
+    def test_equals_isinstance_chain(self, payload):
+        assert payload_nbytes(payload) == payload_nbytes_oracle(payload)
+
+    def test_workload_payload_shapes(self):
+        particles = [(0.25, 3), (0.5, 1)]  # MCB batch
+        boundary = [(4, 0.125)] * 7  # unstructured halo
+        gathered = [(0, None), (1, [1.0, 2.0]), (2, (True, "x"))]
+        for payload in (particles, boundary, gathered, [], (), [[]], [(1, [2, (3,)])]):
+            assert payload_nbytes(payload) == payload_nbytes_oracle(payload)
+        assert payload_nbytes(particles) == 8 + 2 * (8 + 16)
+
+
+class TestMessageCarriesItsSize:
+    def record(self, seen):
+        program, _ = make_workload("mcb", 8, particles_per_rank=20, seed=3)
+
+        def watched(ctx):
+            gen = program(ctx)
+            value = None
+            while True:
+                try:
+                    op = gen.send(value)
+                except StopIteration as stop:
+                    return stop.value
+                value = yield op
+                seen.extend(m for m in getattr(value, "messages", ()) if m is not None)
+
+        return RecordSession(watched, nprocs=8, network_seed=5).run()
+
+    def test_nbytes_is_the_payload_estimate(self):
+        seen = []
+        result = self.record(seen)
+        assert len(seen) == result.stats.total_messages > 100
+        assert all(m.nbytes == payload_nbytes(m.payload) for m in seen)
+        # the recorder's data-replay total is the sum over delivered messages
+        assert result.controller.data_replay_bytes() == sum(
+            payload_nbytes_oracle(m.payload) for m in seen
+        )

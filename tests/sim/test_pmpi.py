@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.events import MFKind, MFOutcome
 from repro.errors import CommunicatorError
+from repro.replay import RecordSession, ReplaySession
 from repro.sim import ANY_SOURCE, run_program
+from repro.sim.datatypes import Request
+from repro.sim.process import MFCall, MFResult
 
 
 def run_collector(body, nprocs=3, seed=0, **kwargs):
@@ -162,3 +166,120 @@ class TestClockPropagation:
 
         clocks = run_collector(body)
         assert len(clocks) == 2
+
+
+class TestMFCallValidation:
+    """One pass over the request set validates it and learns ``has_recv``."""
+
+    WAITS = [k for k in MFKind if not k.is_test]
+    TESTS = [k for k in MFKind if k.is_test]
+
+    @staticmethod
+    def reqs(*is_recv):
+        return tuple(Request(owner=0, is_recv=flag) for flag in is_recv)
+
+    @pytest.mark.parametrize("kind", WAITS)
+    @pytest.mark.parametrize("shape", [(True, False), (False, True), (False, False, True)])
+    def test_mixed_wait_sets_rejected(self, kind, shape):
+        with pytest.raises(CommunicatorError, match="mixed send\\+receive"):
+            MFCall(kind, self.reqs(*shape), "cs")
+
+    @pytest.mark.parametrize("kind", TESTS)
+    def test_mixed_test_sets_allowed(self, kind):
+        assert MFCall(kind, self.reqs(False, True), "cs").has_recv
+        assert MFCall(kind, self.reqs(True, False), "cs").has_recv
+
+    @pytest.mark.parametrize("kind", list(MFKind))
+    def test_has_recv(self, kind):
+        assert MFCall(kind, self.reqs(True, True), "cs").has_recv
+        assert not MFCall(kind, self.reqs(False, False), "cs").has_recv
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError):
+            MFCall(MFKind.TEST, (), "cs")
+
+    def test_has_recv_is_not_part_of_identity(self):
+        reqs = self.reqs(True)
+        assert MFCall(MFKind.TEST, reqs, "cs") == MFCall(MFKind.TEST, reqs, "cs")
+        assert "has_recv" not in repr(MFCall(MFKind.TEST, reqs, "cs"))
+
+
+def poller(ctx):
+    """rank 0 polls one callsite with Test, another with Testsome, and a
+    third with both kinds in turn; every result it was handed is returned."""
+    if ctx.rank != 0:
+        yield ctx.compute(2e-5)
+        ctx.isend(0, ctx.rank, tag=1)
+        return None
+    results = []
+    req = ctx.irecv(source=ANY_SOURCE, tag=1)
+    others = [ctx.irecv(source=ANY_SOURCE, tag=2)]
+    got = 0
+    while got < ctx.nprocs - 1:
+        res = yield ctx.test(req, callsite="poll")
+        results.append(res)
+        if res.flag:
+            got += 1
+            req = ctx.irecv(source=ANY_SOURCE, tag=1)
+        results.append((yield ctx.testsome(others, callsite="some")))
+        results.append((yield ctx.test(others[0], callsite="both")))
+        results.append((yield ctx.testsome(others, callsite="both")))
+        yield ctx.compute(1e-6)
+    ctx.cancel(req)
+    ctx.cancel(others[0])
+    return results
+
+
+class TestSharedUnmatchedInstances:
+    """Unmatched polls hand out shared frozen objects; nothing can tell."""
+
+    def test_results_equal_fresh_ones(self):
+        engine, _ = run_program(3, poller, network_seed=1)
+        results = engine.procs[0].result
+        unmatched = [r for r in results if not r.flag]
+        assert len(unmatched) > 10
+        assert all(r == MFResult(flag=False) for r in unmatched)
+        assert all(r.indices == () and r.messages == () and r.message is None for r in unmatched)
+        assert len({id(r) for r in unmatched}) == 1
+        matched = [r for r in results if r.flag]
+        assert len(matched) == 2 and all(len(r.messages) == 1 for r in matched)
+
+    def test_outcomes_equal_fresh_ones_per_callsite_and_kind(self):
+        kept = RecordSession(poller, nprocs=3, network_seed=1, keep_outcomes=True).run()
+        stream = kept.outcomes[0]
+        unmatched = [o for o in stream if not o.matched]
+        assert {(o.callsite, o.kind) for o in unmatched} == {
+            ("poll", MFKind.TEST),
+            ("some", MFKind.TESTSOME),
+            ("both", MFKind.TEST),
+            ("both", MFKind.TESTSOME),
+        }
+        assert all(o == MFOutcome(o.callsite, o.kind, ()) for o in unmatched)
+        # one callsite polled by two kinds keeps both straight, in order
+        both = [o.kind for o in stream if o.callsite == "both"]
+        assert both[:4] == [MFKind.TEST, MFKind.TESTSOME] * 2
+
+    def test_kept_streams_survive_replay(self):
+        kept = RecordSession(poller, nprocs=3, network_seed=1, keep_outcomes=True).run()
+        kept_replay = ReplaySession(
+            poller, kept.archive, network_seed=8, keep_outcomes=True
+        ).run()
+        assert kept.outcomes == kept_replay.outcomes
+        seen = lambda run: [(r.flag, r.indices, r.payloads) for r in run.app_results[0]]
+        assert seen(kept) == seen(kept_replay)
+
+    def test_wait_that_delivers_nothing_records_nothing(self):
+        def program(ctx):
+            if ctx.rank == 0:
+                send = ctx.isend(1, "x", tag=1)
+                first = yield ctx.wait(send, callsite="w")
+                again = yield ctx.wait(send, callsite="w")  # already delivered
+                probe = yield ctx.test(send, callsite="t")
+                return first, again, probe
+            yield from ctx.recv(source=0, tag=1)
+
+        kept = RecordSession(program, nprocs=2, network_seed=0).run()
+        first, again, probe = kept.app_results[0]
+        assert first.flag and first.indices == (0,) and first.messages == (None,)
+        assert again == MFResult(flag=True) == probe
+        assert kept.outcomes[0] == []
