@@ -1,21 +1,20 @@
 """Exact byte attribution for the CDC chunk format.
 
-Answers "where do the record's bytes actually go?" by recomputing, from
-first principles, the serialized size of every table in a chunk — and
-verifying the total against :func:`repro.core.formats.serialize_cdc_chunks`
-byte-for-byte (tests enforce this). The breakdown explains the evaluation:
-MCB's bytes sit in the permutation table, Jacobi's in the epoch/sender
-tables, unmatched-heavy polls in the unmatched runs.
+Answers "where do the record's bytes actually go?" with the serialized size
+of every table in a chunk, read off the declared layout and varint stream
+:func:`repro.core.formats.serialize_cdc_chunks` writes. The breakdown
+explains the evaluation: MCB's bytes sit in the permutation table, Jacobi's
+in the epoch/sender tables, unmatched-heavy polls in the unmatched runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Mapping, Sequence
 
-from repro.core.lp_encoding import lp_encode_auto
+from repro.core.formats import CDC_BUCKETS, cdc_stream, cdc_table_bytes
 from repro.core.pipeline import CDCChunk
-from repro.core.varint import array_payload_size, uvarint_size
+from repro.core.varint import uvarint_size
 from repro.replay.chunk_store import RecordArchive
 
 
@@ -35,86 +34,34 @@ class SizeBreakdown:
 
     @property
     def total(self) -> int:
-        return (
-            self.permutation
-            + self.with_next
-            + self.unmatched
-            + self.epoch
-            + self.exceptions
-            + self.assist
-            + self.header
-        )
+        return sum(getattr(self, bucket) for bucket in CDC_BUCKETS)
 
     def per_event(self) -> dict[str, float]:
         n = max(1, self.events)
-        return {
-            "permutation": self.permutation / n,
-            "with_next": self.with_next / n,
-            "unmatched": self.unmatched / n,
-            "epoch": self.epoch / n,
-            "exceptions": self.exceptions / n,
-            "assist": self.assist / n,
-            "header": self.header / n,
-        }
+        return {bucket: getattr(self, bucket) / n for bucket in CDC_BUCKETS}
 
     def add(self, other: "SizeBreakdown") -> None:
-        self.permutation += other.permutation
-        self.with_next += other.with_next
-        self.unmatched += other.unmatched
-        self.epoch += other.epoch
-        self.exceptions += other.exceptions
-        self.assist += other.assist
-        self.header += other.header
-        self.chunks += other.chunks
-        self.events += other.events
-
-
-def chunk_breakdown(chunk: CDCChunk, callsite_id: int = 0) -> SizeBreakdown:
-    """Exact serialized byte counts of one chunk's tables.
-
-    Mirrors the layout of :func:`repro.core.formats.serialize_cdc_chunks`
-    (per-chunk part; the file-level magic and string table are accounted
-    separately by :func:`archive_breakdown`).
-    """
-    b = SizeBreakdown(chunks=1, events=chunk.num_events)
-    b.header = uvarint_size(callsite_id) + uvarint_size(chunk.num_events)
-    b.permutation = array_payload_size(
-        lp_encode_auto(chunk.diff.indices), signed=True
-    ) + array_payload_size(chunk.diff.delays, signed=True)
-    b.with_next = array_payload_size(
-        lp_encode_auto(chunk.with_next_indices), signed=True
-    )
-    u_idx = [i for i, _ in chunk.unmatched_runs]
-    u_cnt = [c for _, c in chunk.unmatched_runs]
-    b.unmatched = array_payload_size(
-        lp_encode_auto(u_idx), signed=True
-    ) + array_payload_size(u_cnt, signed=False)
-    pairs = chunk.epoch.as_sorted_pairs()
-    counts = dict(chunk.sender_counts)
-    mins = dict(chunk.sender_min_clocks)
-    ranks = [r for r, _ in pairs]
-    b.epoch = (
-        array_payload_size(lp_encode_auto(ranks), signed=True)
-        + array_payload_size([c for _, c in pairs], signed=True)
-        + array_payload_size([counts[r] for r in ranks], signed=False)
-        + array_payload_size([c - mins[r] for r, c in pairs], signed=False)
-    )
-    b.exceptions = array_payload_size(
-        [r for r, _ in chunk.boundary_exceptions], signed=False
-    ) + array_payload_size([c for _, c in chunk.boundary_exceptions], signed=True)
-    b.assist = 1  # the presence flag byte
-    if chunk.sender_sequence is not None:
-        b.assist += array_payload_size(chunk.sender_sequence, signed=False)
-    return b
+        for name in CDC_BUCKETS + ("chunks", "events"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 def chunks_breakdown(
-    chunks: Iterable[tuple[int, CDCChunk]], callsite_ids: dict[str, int]
+    chunks: Sequence[CDCChunk], callsite_ids: Mapping[str, int]
 ) -> SizeBreakdown:
-    total = SizeBreakdown()
-    for _, chunk in chunks:
-        total.add(chunk_breakdown(chunk, callsite_ids.get(chunk.callsite, 0)))
-    return total
+    """Exact serialized bytes of the chunks' tables: the sizes of the varints
+    ``serialize_cdc_chunks`` writes, summed per table. A payload's magic,
+    string table and chunk count are :func:`archive_breakdown`'s."""
+    sizes = cdc_table_bytes(*cdc_stream(chunks, callsite_ids))
+    return SizeBreakdown(
+        **dict(zip(CDC_BUCKETS, sizes)),
+        chunks=len(chunks),
+        events=sum(c.num_events for c in chunks),
+    )
+
+
+def chunk_breakdown(chunk: CDCChunk, callsite_id: int = 0) -> SizeBreakdown:
+    """:func:`chunks_breakdown` of one chunk."""
+    return chunks_breakdown([chunk], {chunk.callsite: callsite_id})
 
 
 def archive_breakdown(archive: RecordArchive) -> SizeBreakdown:
@@ -134,5 +81,5 @@ def archive_breakdown(archive: RecordArchive) -> SizeBreakdown:
             preamble += uvarint_size(len(raw)) + len(raw)
         preamble += uvarint_size(len(chunks))
         total.header += preamble
-        total.add(chunks_breakdown(((rank, c) for c in chunks), ids))
+        total.add(chunks_breakdown(chunks, ids))
     return total

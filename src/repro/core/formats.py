@@ -17,32 +17,33 @@ All layouts are self-describing streams; gzip (zlib) is applied on top by
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.epoch import EpochLine
 from repro.core.events import QuintupleRow, ReceiveEvent
-from repro.core.lp_encoding import lp_decode_auto, lp_encode_auto
+from repro.core.lp_encoding import lp_decode_exact
 from repro.core.permutation import PermutationDiff
 from repro.core.pipeline import CDCChunk
 from repro.core.record_table import RecordTable
 from repro.core.varint import (
+    LP,
+    SIGNED,
+    STREAM_FLAG_BITS,
     decode_svarint_array,
-    decode_svarint_array_np,
     decode_uvarint,
     decode_uvarint_array,
+    decode_varint_stream,
     encode_svarint_array,
     encode_uvarint,
     encode_uvarint_array,
+    encode_uvarint_stream,
+    stream_to_unsigned,
+    uvarint_stream_sizes,
 )
 from repro.errors import RecordFormatError
 from repro.obs import get_registry, span
-
-
-def _as_list(column) -> list[int]:
-    """Materialize a decoded column as a list of true Python ints."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
 
 RAW_MAGIC = b"CDR0"
 RE_MAGIC = b"CDR1"
@@ -201,83 +202,131 @@ def deserialize_re_tables(data: bytes) -> list[RecordTable]:
 # ---------------------------------------------------------------------------
 
 
-#: serialize-side per-table counter names, in chunk-layout order. Each
-#: ``format.cdc.<table>_bytes`` counter attributes serialized bytes to the
-#: CDC table that produced them (telemetry only; see ``repro stats``).
-_CDC_TABLE_COUNTERS = (
-    "permutation",
-    "with_next",
-    "unmatched",
-    "epoch",
-    "exceptions",
-    "assist",
+class Column(NamedTuple):
+    """One length-prefixed column of a chunk: the table its bytes count
+    towards, zig-zag?, Eq. 3 residuals?, behind a raw 0/1 presence byte?"""
+
+    table: str
+    signed: bool = False
+    lp: bool = False
+    optional: bool = False
+
+
+#: The chunk layout, declared once. After the string table a payload is one
+#: run of uvarints (DESIGN.md §6.5): the chunk count, then per chunk its
+#: callsite id, ``num_events`` and these columns, each ``len, values...``.
+CDC_COLUMNS = (
+    Column("permutation", signed=True, lp=True),  # moved reference indices
+    Column("permutation", signed=True),  # their delays
+    Column("with_next", signed=True, lp=True),
+    Column("unmatched", signed=True, lp=True),  # run positions
+    Column("unmatched"),  # run lengths
+    Column("epoch", signed=True, lp=True),  # sender ranks, ascending
+    Column("epoch", signed=True),  # per-sender clock ceiling
+    Column("epoch"),  # per-sender receive count
+    # first clock per sender, stored as the (>= 0) gap below the epoch
+    # ceiling — zero for single-receive senders, tiny after varints.
+    Column("epoch"),
+    # boundary exceptions (DESIGN.md §5.2): usually both arrays empty
+    Column("exceptions"),
+    Column("exceptions", signed=True),
+    # replay-assist sender column (DESIGN.md §5.6)
+    Column("assist", optional=True),
 )
+
+#: Byte-attribution buckets, in layout order: the ``format.cdc.<table>_bytes``
+#: telemetry counters, and with the chunk headers (callsite id, num_events)
+#: the fields of ``analysis.size_model.SizeBreakdown``.
+CDC_TABLES = tuple(dict.fromkeys(c.table for c in CDC_COLUMNS))
+CDC_BUCKETS = CDC_TABLES + ("header",)
+
+
+def _segment_codes() -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's segments (header, then each column's prefix and body) as
+    stream flags under a table number: [0] without, [1] with the optional
+    column, whose presence byte shares its prefix's segment."""
+    codes = [CDC_BUCKETS.index("header") << STREAM_FLAG_BITS]
+    for col in CDC_COLUMNS:
+        table = CDC_TABLES.index(col.table) << STREAM_FLAG_BITS
+        codes += [table, table | col.signed * SIGNED | col.lp * LP]
+    codes = np.array(codes, np.uint8)
+    return codes[:-1], codes
+
+
+_SEGMENT_CODES = _segment_codes()
+
+
+def _chunk_columns(chunk: CDCChunk) -> tuple:
+    """A chunk's values in :data:`CDC_COLUMNS` order (``None`` = absent)."""
+    pairs = chunk.epoch.as_sorted_pairs()
+    counts_by_rank = dict(chunk.sender_counts)
+    mins_by_rank = dict(chunk.sender_min_clocks)
+    ranks = [r for r, _ in pairs]
+    if sorted(counts_by_rank) != ranks or sorted(mins_by_rank) != ranks:
+        raise RecordFormatError("epoch / count / min-clock ranks disagree")
+    return (
+        chunk.diff.indices,
+        chunk.diff.delays,
+        chunk.with_next_indices,
+        [i for i, _ in chunk.unmatched_runs],
+        [c for _, c in chunk.unmatched_runs],
+        ranks,
+        [c for _, c in pairs],
+        [counts_by_rank[r] for r in ranks],
+        [clock - mins_by_rank[r] for r, clock in pairs],
+        [r for r, _ in chunk.boundary_exceptions],
+        [c for _, c in chunk.boundary_exceptions],
+        chunk.sender_sequence,
+    )
+
+
+def cdc_stream(
+    chunks: Sequence[CDCChunk], cs_id: Mapping[str, int]
+) -> tuple[np.ndarray | list[int], np.ndarray]:
+    """The chunks as the unsigned values their varints carry (LP and zig-zag
+    applied), and per value its segment code (above the flags: the bucket)."""
+    flat, lengths, codes = [], [], []
+    for chunk in chunks:
+        *columns, optional = _chunk_columns(chunk)
+        flat += (cs_id[chunk.callsite], chunk.num_events)
+        lengths.append(2)
+        for column in columns:
+            flat.append(len(column))
+            flat += column
+            lengths += (1, len(column))
+        if optional is None:
+            flat.append(0)
+            lengths.append(1)
+        else:
+            flat += (1, len(optional))
+            flat += optional
+            lengths += (2, len(optional))
+        codes.append(_SEGMENT_CODES[optional is not None])
+    codes = np.concatenate(codes) if codes else np.empty(0, np.uint8)
+    return stream_to_unsigned(flat, codes, lengths)
+
+
+def cdc_table_bytes(values: np.ndarray | list[int], code: np.ndarray) -> list[int]:
+    """Serialized bytes per :data:`CDC_BUCKETS` entry."""
+    sizes = uvarint_stream_sizes(values)
+    buckets = np.bincount(code >> STREAM_FLAG_BITS, sizes, minlength=len(CDC_BUCKETS))
+    return buckets.astype(np.int64).tolist()
 
 
 def serialize_cdc_chunks(chunks: Sequence[CDCChunk]) -> bytes:
     """Serialize fully-encoded CDC chunks (LP-encoded index columns)."""
-    registry = get_registry()
-    track = registry.enabled
-    table_bytes = dict.fromkeys(_CDC_TABLE_COUNTERS, 0) if track else None
     out = bytearray(CDC_MAGIC)
     callsites = sorted({c.callsite for c in chunks})
     _write_string_table(out, callsites)
-    cs_id = {c: i for i, c in enumerate(callsites)}
     encode_uvarint(len(chunks), out)
-    for chunk in chunks:
-        encode_uvarint(cs_id[chunk.callsite], out)
-        encode_uvarint(chunk.num_events, out)
-        mark = len(out)
-        out += encode_svarint_array(lp_encode_auto(chunk.diff.indices))
-        out += encode_svarint_array(chunk.diff.delays)
-        if track:
-            table_bytes["permutation"] += len(out) - mark
-            mark = len(out)
-        out += encode_svarint_array(lp_encode_auto(chunk.with_next_indices))
-        if track:
-            table_bytes["with_next"] += len(out) - mark
-            mark = len(out)
-        out += encode_svarint_array(lp_encode_auto([i for i, _ in chunk.unmatched_runs]))
-        out += encode_uvarint_array([c for _, c in chunk.unmatched_runs])
-        if track:
-            table_bytes["unmatched"] += len(out) - mark
-            mark = len(out)
-        pairs = chunk.epoch.as_sorted_pairs()
-        counts_by_rank = dict(chunk.sender_counts)
-        mins_by_rank = dict(chunk.sender_min_clocks)
-        ranks = [r for r, _ in pairs]
-        if sorted(counts_by_rank) != ranks or sorted(mins_by_rank) != ranks:
-            raise RecordFormatError("epoch / count / min-clock ranks disagree")
-        out += encode_svarint_array(lp_encode_auto(ranks))
-        out += encode_svarint_array([c for _, c in pairs])
-        out += encode_uvarint_array([counts_by_rank[r] for r in ranks])
-        # first clock per sender, stored as the (>= 0) gap below the epoch
-        # ceiling — zero for single-receive senders, tiny after varints.
-        out += encode_uvarint_array(
-            [clock - mins_by_rank[r] for r, clock in pairs]
-        )
-        if track:
-            table_bytes["epoch"] += len(out) - mark
-            mark = len(out)
-        # boundary exceptions (DESIGN.md §5.2): usually both arrays empty
-        out += encode_uvarint_array([r for r, _ in chunk.boundary_exceptions])
-        out += encode_svarint_array([c for _, c in chunk.boundary_exceptions])
-        if track:
-            table_bytes["exceptions"] += len(out) - mark
-            mark = len(out)
-        # optional replay-assist sender column (DESIGN.md §5.6)
-        if chunk.sender_sequence is None:
-            out.append(0)
-        else:
-            out.append(1)
-            out += encode_uvarint_array(chunk.sender_sequence)
-        if track:
-            table_bytes["assist"] += len(out) - mark
-    if track:
+    values, code = cdc_stream(chunks, {c: i for i, c in enumerate(callsites)})
+    out += encode_uvarint_stream(values)
+    registry = get_registry()
+    if registry.enabled:
         registry.counter("format.cdc.serialize_calls").add()
         registry.counter("format.cdc.chunks_out").add(len(chunks))
         registry.counter("format.cdc.bytes_out").add(len(out))
-        for table, n in table_bytes.items():
+        for table, n in zip(CDC_TABLES, cdc_table_bytes(values, code)):
             registry.counter(f"format.cdc.{table}_bytes").add(n)
     return bytes(out)
 
@@ -300,51 +349,51 @@ def _deserialize_cdc_chunks(data: bytes) -> list[CDCChunk]:
     if data[:4] != CDC_MAGIC:
         raise RecordFormatError("bad CDC-record magic")
     callsites, offset = _read_string_table(data, 4)
-    n, offset = decode_uvarint(data, offset)
+    unsigned, signed, ends = decode_varint_stream(data, offset)
+    total = len(unsigned)
+    if not total:
+        raise RecordFormatError(f"truncated varint at offset {offset}")
     chunks: list[CDCChunk] = []
-    for _ in range(n):
-        cs, offset = decode_uvarint(data, offset)
+    i = 1  # next unread value; unsigned[0] is the chunk count
+    for _ in range(unsigned[0]):
+        if i + 2 > total:
+            raise RecordFormatError(f"chunk header truncated at value {i}")
+        cs, num_events = unsigned[i : i + 2]
         if cs >= len(callsites):
             raise RecordFormatError(f"callsite id {cs} out of range")
-        num_events, offset = decode_uvarint(data, offset)
-        p_idx_lp, offset = decode_svarint_array_np(data, offset)
-        p_delay, offset = decode_svarint_array(data, offset)
-        w_idx_lp, offset = decode_svarint_array_np(data, offset)
-        u_idx_lp, offset = decode_svarint_array_np(data, offset)
-        u_cnt, offset = decode_uvarint_array(data, offset)
-        e_rank_lp, offset = decode_svarint_array_np(data, offset)
-        e_clock, offset = decode_svarint_array(data, offset)
-        e_count, offset = decode_uvarint_array(data, offset)
-        e_min_gap, offset = decode_uvarint_array(data, offset)
-        x_rank, offset = decode_uvarint_array(data, offset)
-        x_clock, offset = decode_svarint_array(data, offset)
-        if len(x_rank) != len(x_clock):
-            raise RecordFormatError("boundary-exception columns disagree")
-        if offset >= len(data):
-            raise RecordFormatError("chunk truncated before assist flag")
-        assist_flag = data[offset]
-        offset += 1
-        sender_sequence: tuple[int, ...] | None = None
-        if assist_flag == 1:
-            seq, offset = decode_uvarint_array(data, offset)
-            sender_sequence = tuple(seq)
-        elif assist_flag != 0:
-            raise RecordFormatError(f"bad assist flag {assist_flag}")
-        p_idx = _as_list(lp_decode_auto(p_idx_lp))
-        if len(p_idx) != len(p_delay):
-            raise RecordFormatError("permutation columns disagree")
-        u_idx = _as_list(lp_decode_auto(u_idx_lp))
-        if len(u_idx) != len(u_cnt):
-            raise RecordFormatError("unmatched columns disagree")
-        e_rank = _as_list(lp_decode_auto(e_rank_lp))
-        if not (len(e_rank) == len(e_clock) == len(e_count) == len(e_min_gap)):
-            raise RecordFormatError("epoch columns disagree")
+        i += 2
+        columns, rows = [], {}
+        for col in CDC_COLUMNS:
+            if col.optional:
+                # the presence flag is a raw byte, not a varint: 0x80 must
+                # not read as the head of a longer value
+                at = int(ends[i - 1]) + 1
+                if at >= len(data):
+                    raise RecordFormatError("chunk truncated before assist flag")
+                if data[at] > 1:
+                    raise RecordFormatError(f"bad assist flag {data[at]}")
+                i += 1
+                if not data[at]:
+                    columns.append(None)
+                    continue
+            # a length prefix can promise no more values than bytes arrived
+            stop = i + 1 + unsigned[i] if i < total else total + 1
+            if stop > total:
+                raise RecordFormatError(f"column truncated at value {i}")
+            body = (signed if col.signed else unsigned)[i + 1 : stop]
+            # a table's columns are parallel arrays
+            if rows.setdefault(col.table, len(body)) != len(body):
+                raise RecordFormatError(f"{col.table} columns disagree")
+            columns.append(tuple(lp_decode_exact(body) if col.lp else body))
+            i = stop
+        (p_idx, p_delay, w_idx, u_idx, u_cnt, e_rank, e_clock, e_count,
+         e_min_gap, x_rank, x_clock, sender_sequence) = columns
         chunks.append(
             CDCChunk(
                 callsite=callsites[cs],
                 num_events=num_events,
-                diff=PermutationDiff(num_events, tuple(p_idx), tuple(p_delay)),
-                with_next_indices=tuple(_as_list(lp_decode_auto(w_idx_lp))),
+                diff=PermutationDiff(num_events, p_idx, p_delay),
+                with_next_indices=w_idx,
                 unmatched_runs=tuple(zip(u_idx, u_cnt)),
                 epoch=EpochLine(dict(zip(e_rank, e_clock))),
                 sender_counts=tuple(zip(e_rank, e_count)),
@@ -378,6 +427,9 @@ def _read_string_table(data: bytes, offset: int) -> tuple[list[str], int]:
         length, offset = decode_uvarint(data, offset)
         if offset + length > len(data):
             raise RecordFormatError("string table truncated")
-        strings.append(data[offset : offset + length].decode("utf-8"))
+        try:
+            strings.append(data[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise RecordFormatError(f"string table: {exc}") from None
         offset += length
     return strings, offset

@@ -3,10 +3,12 @@
 The chunk format is byte-oriented (zig-zag + LEB128 varints over LP-encoded
 columns, see :mod:`repro.core.varint` / :mod:`repro.core.lp_encoding`), and
 the scalar reference implementations pay Python-interpreter cost on every
-*byte*. These kernels process whole columns as numpy arrays: byte lengths
-are computed with a handful of vectorized comparisons, payload bytes with at
-most ``max_len`` masked shift/or passes — so the per-event cost is a few
-C-loop operations instead of a Python loop iteration.
+*byte*. These kernels process whole columns — or a whole CDC payload body,
+which is one run of varints (DESIGN.md §6.5) — as numpy arrays: a varint's
+7-bit groups are the columns of a one-row-per-value matrix, so encode and
+decode are a fixed handful of array operations whatever the mix of lengths,
+and the per-event cost is a few C-loop operations instead of a Python loop
+iteration.
 
 Contract
 --------
@@ -22,7 +24,8 @@ Contract
   an error path.
 
 The kernels are pure functions over ``bytes`` / ``numpy.ndarray``; all
-policy (length prefixes, column layout) stays in the callers.
+policy (length prefixes, column layout) stays in the callers, who hand the
+stream kernels per-value masks rather than a layout.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = [
     "uvarint_decode_batch",
     "svarint_decode_batch",
     "uvarint_sizes",
+    "lp_encode_segments",
+    "stream_to_unsigned",
 ]
 
 #: Accepted column types: any int sequence or a numpy integer array.
@@ -61,6 +66,15 @@ _MAX_FAST_LEN = 9
 #: Thresholds for vectorized byte-length computation: value >= 2**(7k)
 #: needs at least k+1 bytes.
 _LEN_THRESHOLDS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
+
+#: Bit offset of each of a varint's (at most ten) 7-bit groups, and the
+#: group numbers themselves, for the one-row-per-value byte matrices.
+_GROUP_SHIFTS = np.arange(10, dtype=np.uint64) * _U7
+_GROUPS = np.arange(10, dtype=np.intp)
+
+#: Magnitudes below this survive Eq. 3 (|e| <= 4 max|x|) and the zig-zag
+#: doubling inside int64 with the sign bit still clear.
+_STREAM_SAFE_BOUND = 1 << 60
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +105,19 @@ def zigzag_decode_array(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _max_varint_len(v: np.ndarray) -> int:
+    """Byte length of the largest value's varint (``v`` non-empty uint64)."""
+    return max(1, (int(v.max()).bit_length() + 6) // 7)
+
+
 def uvarint_sizes(values: np.ndarray) -> np.ndarray:
     """Per-value encoded byte length (vectorized :func:`uvarint_size`)."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
     sizes = np.ones(v.shape, dtype=np.intp)
-    for threshold in _LEN_THRESHOLDS:
-        sizes += v >= threshold
+    if v.size:
+        # only the thresholds the largest value reaches can add a byte
+        for threshold in _LEN_THRESHOLDS[: _max_varint_len(v) - 1]:
+            sizes += v >= threshold
     return sizes
 
 
@@ -115,22 +136,19 @@ def _encode_u64(v: np.ndarray) -> bytes:
         registry.counter("kernels.encode_values").add(int(v.size))
     if v.size == 0:
         return b""
-    if bool((v < np.uint64(0x80)).all()):
+    width = _max_varint_len(v)
+    if width == 1:
         # single-byte fast path: the common case for LP residuals
         return v.astype(np.uint8).tobytes()
-    sizes = uvarint_sizes(v)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    out = np.zeros(int(ends[-1]), dtype=np.uint8)
-    rem = v.copy()
-    max_len = int(sizes.max())
-    for j in range(max_len):
-        mask = sizes > j
-        byte = (rem[mask] & _PAYLOAD_MASK).astype(np.uint8)
-        cont = (sizes[mask] > j + 1).astype(np.uint8) << 7
-        out[starts[mask] + j] = byte | cont
-        rem >>= _U7
-    return out.tobytes()
+    # one row per value, one column per 7-bit group; row-major order of the
+    # kept cells is the byte stream
+    groups = v[:, None] >> _GROUP_SHIFTS[:width]
+    keep = np.ones(groups.shape, dtype=bool)
+    np.not_equal(groups[:, 1:], 0, out=keep[:, 1:])
+    out = groups.astype(np.uint8)
+    out &= np.uint8(0x7F)
+    out[:, :-1] |= keep[:, 1:].view(np.uint8) << 7
+    return out.ravel().compress(keep.ravel()).tobytes()
 
 
 def uvarint_encode_batch(values: IntArray) -> bytes | None:
@@ -191,6 +209,49 @@ def svarint_encode_batch(values: IntArray) -> bytes | None:
     return _encode_u64(zigzag_encode_array(x))
 
 
+def lp_encode_segments(x: np.ndarray, lp: np.ndarray) -> None:
+    """Eq. 3 residuals, in place, over every run of ``lp``-marked positions.
+
+    Each run restarts the predictor (``x_{n<=0} = 0``). A run must follow an
+    unmarked position — in a CDC stream, its own length prefix — which is
+    what lets two masked differences stand in for a per-run loop: the
+    masked-out slot in front of a run reads as the zero history.
+    """
+    first = np.where(lp, x, 0)
+    first[1:] -= first[:-1]
+    first *= lp
+    second = first.copy()
+    second[1:] -= first[:-1]
+    np.copyto(x, second, where=lp)
+
+
+def stream_to_unsigned(
+    values: Sequence[int], signed: np.ndarray, lp: np.ndarray
+) -> np.ndarray | None:
+    """One varint stream's values as the uint64 array ``_encode_u64`` packs.
+
+    ``signed`` / ``lp`` mark, per value, the zig-zag and linear-predicted
+    positions. Returns ``None`` when a value is too large for the int64
+    arithmetic to be exact (the caller runs the same steps on Python ints);
+    a negative value at an unsigned position raises like the scalar encoder.
+    """
+    try:
+        x = np.array(values, dtype=np.int64)
+    except OverflowError:
+        _fallback("encode")
+        return None
+    if x.size == 0:
+        return x.view(np.uint64)
+    if int(x.max()) >= _STREAM_SAFE_BOUND or int(x.min()) <= -_STREAM_SAFE_BOUND:
+        _fallback("encode")
+        return None
+    lp_encode_segments(x, lp)
+    z = np.where(signed, (x << 1) ^ (x >> 63), x)
+    if int(z.min()) < 0:
+        raise ValueError(f"uvarint requires value >= 0, got {int(x[z < 0][0])}")
+    return z.view(np.uint64)
+
+
 # ---------------------------------------------------------------------------
 # LEB128 batch decode
 # ---------------------------------------------------------------------------
@@ -215,54 +276,63 @@ def _find_terminators(arr: np.ndarray, offset: int, count: int) -> np.ndarray:
 
 
 def uvarint_decode_batch(
-    buf: bytes, offset: int, count: int
-) -> tuple[np.ndarray, int] | None:
-    """Decode ``count`` consecutive LEB128 varints starting at ``offset``.
+    buf: bytes, offset: int, count: int | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Decode ``count`` consecutive LEB128 varints starting at ``offset``;
+    with ``count=None``, every complete varint up to the end of ``buf``.
 
-    Returns ``(uint64 array, next offset)``, or ``None`` when a varint is
-    longer than the 9-byte fast-path limit (caller decodes scalar — this
-    covers 10-byte uint64 values and the over-long encodings the scalar
-    decoder tolerates). Raises :class:`RecordFormatError` on truncation,
-    same as the scalar decoder.
+    Returns ``(uint64 values, position of each value's last byte)``, or
+    ``None`` when a varint is longer than the 9-byte fast-path limit (caller
+    decodes scalar — this covers 10-byte uint64 values and the over-long
+    encodings the scalar decoder tolerates). With a ``count``, raises
+    :class:`RecordFormatError` on truncation, same as the scalar decoder.
     """
-    if count == 0:
-        return np.empty(0, dtype=np.uint64), offset
     arr = np.frombuffer(buf, dtype=np.uint8)
-    if offset >= arr.shape[0]:
-        raise RecordFormatError(f"truncated varint at offset {offset}")
-    ends = _find_terminators(arr, offset, count)
+    if count is None:
+        ends = (arr[offset:] < _CONT_BIT).nonzero()[0]
+        ends += offset
+    else:
+        ends = _find_terminators(arr, offset, count)
+    count = ends.shape[0]
+    if count == 0:
+        return np.empty(0, dtype=np.uint64), ends
     starts = np.empty(count, dtype=np.intp)
     starts[0] = offset
-    starts[1:] = ends[:-1] + 1
-    sizes = ends - starts + 1
-    max_len = int(sizes.max())
-    if max_len > _MAX_FAST_LEN:
+    np.add(ends[:-1], 1, out=starts[1:])
+    extra = ends - starts
+    width = int(extra.max()) + 1
+    if width > _MAX_FAST_LEN:
         _fallback("decode")
         return None
     registry = get_registry()
     if registry.enabled:
         registry.counter("kernels.decode_batches").add()
         registry.counter("kernels.decode_values").add(count)
-    values = np.zeros(count, dtype=np.uint64)
-    if max_len == 1:
-        values |= arr[starts].astype(np.uint64)
-    else:
-        for j in range(max_len):
-            mask = sizes > j
-            byte = arr[starts[mask] + j].astype(np.uint64)
-            values[mask] |= (byte & _PAYLOAD_MASK) << np.uint64(7 * j)
-    return values, int(ends[-1]) + 1
+    values = arr[starts].astype(np.uint64)
+    if width > 1:
+        values &= _PAYLOAD_MASK
+        # the multi-byte values only: one row each, one column per further
+        # 7-bit group, cells past a value's own end masked to zero
+        multi = extra.nonzero()[0]
+        groups = _GROUPS[1:width]
+        tail = arr.take(starts[multi, None] + groups, mode="clip")
+        tail &= np.uint8(0x7F)
+        tail *= groups <= extra[multi, None]
+        wide = tail.astype(np.uint64)
+        wide <<= _GROUP_SHIFTS[1:width]
+        values[multi] |= np.bitwise_or.reduce(wide, axis=1)
+    return values, ends
 
 
 def svarint_decode_batch(
     buf: bytes, offset: int, count: int
-) -> tuple[np.ndarray, int] | None:
-    """Decode ``count`` zig-zag varints; ``(int64 array, next offset)``.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Decode ``count`` zig-zag varints; ``(int64 values, last-byte positions)``.
 
     Same fallback contract as :func:`uvarint_decode_batch`.
     """
     decoded = uvarint_decode_batch(buf, offset, count)
     if decoded is None:
         return None
-    raw, pos = decoded
-    return zigzag_decode_array(raw), pos
+    raw, ends = decoded
+    return zigzag_decode_array(raw), ends

@@ -21,7 +21,8 @@ predictor with arbitrary coefficients, and exact decoders for both.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,6 +92,17 @@ def lp_decode_array(errors: np.ndarray) -> np.ndarray:
     if e.size == 0:
         return e.copy()
     return np.cumsum(np.cumsum(e))
+
+
+def lp_decode_exact(errors: Iterable[int]) -> Iterator[int]:
+    """Order-2 paper-predictor inverse on Python ints, exact at any size.
+
+    The same telescoping as :func:`lp_decode_array` — ``x`` is the running
+    sum of the running sum of ``e`` — without a fixed width to overflow,
+    so it needs no range check in front of it. The archive read path
+    decodes every LP column this way (DESIGN.md §6.5).
+    """
+    return accumulate(accumulate(errors))
 
 
 #: values with |x| below this bound cannot overflow int64 through the

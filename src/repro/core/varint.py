@@ -5,8 +5,9 @@ the permutation + linear-predictive stages), so LEB128 varints with zig-zag
 mapping for signed values give a compact pre-gzip byte stream: values in
 [-64, 63] cost a single byte.
 
-The array functions route whole columns through the batched numpy kernels
-in :mod:`repro.core.kernels`; the scalar implementations here remain the
+The array functions route whole columns, and the stream functions a whole
+payload body, through the batched numpy kernels in
+:mod:`repro.core.kernels`; the scalar implementations here remain the
 correctness reference and the fallback for values outside int64/uint64.
 """
 
@@ -17,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core import kernels
+from repro.core.lp_encoding import lp_encode
 from repro.errors import RecordFormatError
 
 _CONT = 0x80
@@ -104,28 +106,19 @@ def encode_uvarint_array(values: Iterable[int]) -> bytes:
     return bytes(out) + body
 
 
+def _decode_array(buf: bytes, offset: int, signed: bool) -> tuple[list[int], int]:
+    n, pos = decode_uvarint(buf, offset)
+    batch = kernels.svarint_decode_batch if signed else kernels.uvarint_decode_batch
+    decoded = batch(buf, pos, n)
+    if decoded is None:
+        return _decode_varints_scalar(buf, pos, n, signed)
+    values, ends = decoded
+    return values.tolist(), int(ends[-1]) + 1 if n else pos
+
+
 def decode_uvarint_array(buf: bytes, offset: int) -> tuple[list[int], int]:
     """Inverse of :func:`encode_uvarint_array`; returns (values, next offset)."""
-    values, pos = decode_uvarint_array_np(buf, offset)
-    if isinstance(values, np.ndarray):
-        return values.tolist(), pos
-    return values, pos
-
-
-def decode_uvarint_array_np(
-    buf: bytes, offset: int
-) -> tuple[np.ndarray | list[int], int]:
-    """Like :func:`decode_uvarint_array` but keeps the numpy array.
-
-    Hot-path variant for callers that feed the column straight into other
-    vectorized stages (LP decode). Returns a plain list only when the batch
-    kernel fell back (out-of-range or over-long varints).
-    """
-    n, pos = decode_uvarint(buf, offset)
-    decoded = kernels.uvarint_decode_batch(buf, pos, n)
-    if decoded is None:
-        return _decode_varints_scalar(buf, pos, n, signed=False)
-    return decoded
+    return _decode_array(buf, offset, signed=False)
 
 
 def encode_svarint_array(values: Iterable[int]) -> bytes:
@@ -141,21 +134,84 @@ def encode_svarint_array(values: Iterable[int]) -> bytes:
 
 def decode_svarint_array(buf: bytes, offset: int) -> tuple[list[int], int]:
     """Inverse of :func:`encode_svarint_array`."""
-    values, pos = decode_svarint_array_np(buf, offset)
+    return _decode_array(buf, offset, signed=True)
+
+
+# ---------------------------------------------------------------------------
+# whole streams: a CDC payload body is one run of varints (DESIGN.md §6.5)
+# ---------------------------------------------------------------------------
+
+
+#: Per-value flags of a stream: zig-zag mapped / Eq. 3 residual. The bits
+#: from ``STREAM_FLAG_BITS`` up belong to the caller (the CDC layout keeps
+#: a table number there).
+SIGNED, LP, STREAM_FLAG_BITS = 1, 2, 2
+
+
+def stream_to_unsigned(
+    values: list[int], segment_flags: np.ndarray, segment_lengths: Sequence[int]
+) -> tuple[np.ndarray | list[int], np.ndarray]:
+    """Apply LP and zig-zag to a stream laid out as consecutive segments of
+    uniform flags; returns the unsigned values to pack and per-value flags.
+
+    An LP segment must follow a non-LP one (its length prefix). The values
+    come back as one uint64 array — or, when any is too large for int64
+    arithmetic to be exact, as a list from the same steps on Python ints.
+    """
+    flags = np.repeat(segment_flags, segment_lengths)
+    unsigned = kernels.stream_to_unsigned(
+        values, (flags & SIGNED).view(bool), (flags & LP).astype(bool)
+    )
+    if unsigned is None:
+        unsigned, start = [], 0
+        for seg, n in zip(segment_flags.tolist(), segment_lengths):
+            body = values[start : start + n]
+            start += n
+            if seg & LP:
+                body = lp_encode(body)
+            unsigned += map(zigzag_encode, body) if seg & SIGNED else body
+    return unsigned, flags
+
+
+def encode_uvarint_stream(values: np.ndarray | Sequence[int]) -> bytes:
+    """Concatenated unsigned varints, no length prefix: one kernel call for
+    a uint64 array, the scalar loop for a list of Python ints."""
     if isinstance(values, np.ndarray):
-        return values.tolist(), pos
-    return values, pos
+        return kernels._encode_u64(values)
+    return _encode_uvarint_body_scalar(values)
 
 
-def decode_svarint_array_np(
+def uvarint_stream_sizes(values: np.ndarray | Sequence[int]) -> np.ndarray:
+    """Encoded byte length of each value of a stream (either producer)."""
+    if isinstance(values, np.ndarray):
+        return kernels.uvarint_sizes(values)
+    return np.array([uvarint_size(v) for v in values], dtype=np.intp)
+
+
+def decode_varint_stream(
     buf: bytes, offset: int
-) -> tuple[np.ndarray | list[int], int]:
-    """Like :func:`decode_svarint_array` but keeps the numpy array."""
-    n, pos = decode_uvarint(buf, offset)
-    decoded = kernels.svarint_decode_batch(buf, pos, n)
-    if decoded is None:
-        return _decode_varints_scalar(buf, pos, n, signed=True)
-    return decoded
+) -> tuple[list[int], list[int], Sequence[int]]:
+    """Every complete varint of ``buf[offset:]``, read unsigned and read
+    zig-zag, plus the position of each one's last byte.
+
+    A tail that is cut short or over-long is left out rather than raised:
+    whoever walks the values raises when it needs one that is not there.
+    """
+    decoded = kernels.uvarint_decode_batch(buf, offset)
+    if decoded is not None:
+        raw, ends = decoded
+        return raw.tolist(), kernels.zigzag_decode_array(raw).tolist(), ends
+    unsigned: list[int] = []
+    ends = []
+    pos = offset
+    try:
+        while pos < len(buf):
+            value, pos = decode_uvarint(buf, pos)
+            unsigned.append(value)
+            ends.append(pos - 1)
+    except RecordFormatError:
+        pass
+    return unsigned, [zigzag_decode(v) for v in unsigned], ends
 
 
 # -- scalar reference implementations (fallback + kernel test oracle) -------

@@ -340,22 +340,21 @@ class _RankFrameWriter:
 
         _retry_io(attempt, self._retry)
 
-    def append(self, chunk: CDCChunk) -> None:
+    def append(self, chunk: CDCChunk) -> int:
+        """Write ``chunk`` as one frame; returns its payload's byte length."""
         assert self._fh is not None, "writer already closed"
         registry = get_registry()
-        if not registry.enabled:
-            self._write_at(self._fh.tell(), frame_bytes(chunk))
-            self.frames += 1
-            return
         t0 = time.perf_counter_ns()
         frame = frame_bytes(chunk)
         self._write_at(self._fh.tell(), frame)
         self.frames += 1
-        registry.counter("store.frames").add()
-        registry.counter("store.bytes").add(len(frame))
-        registry.histogram("store.flush_us").observe(
-            (time.perf_counter_ns() - t0) // 1000
-        )
+        if registry.enabled:
+            registry.counter("store.frames").add()
+            registry.counter("store.bytes").add(len(frame))
+            registry.histogram("store.flush_us").observe(
+                (time.perf_counter_ns() - t0) // 1000
+            )
+        return len(frame) - _FRAME_HEADER.size
 
     def close(self) -> None:
         if self._fh is not None:
@@ -406,12 +405,14 @@ class DurableArchiveWriter:
     def frames(self) -> dict[int, int]:
         return {rank: w.frames for rank, w in self._writers.items()}
 
-    def append(self, rank: int, chunk: CDCChunk) -> None:
+    def append(self, rank: int, chunk: CDCChunk) -> int:
+        """Append one frame to ``rank``'s file; returns the byte length of
+        its payload (the chunk serialized alone, then deflated)."""
         if self._closed:
             raise RecordFormatError("archive writer already closed")
         if rank not in self._writers:
             raise RecordFormatError(f"rank {rank} out of range")
-        self._writers[rank].append(chunk)
+        return self._writers[rank].append(chunk)
 
     def close(self, meta: dict[str, object] | None = None) -> None:
         """Finish the archive: close rank files, commit the manifest."""

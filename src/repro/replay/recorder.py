@@ -191,10 +191,7 @@ class RecordingController(MFController):
             with span("record.drain", inflight=len(self._inflight)):
                 chunks = self._encoder.drain()
             for rank, chunk in zip(self._inflight, chunks):
-                self.archive.append(rank, chunk)
-                if self.store is not None:
-                    self.store.append(rank, chunk)
-                self._note_chunk(rank, chunk)
+                self._store_chunk(rank, chunk)
             self._inflight.clear()
             if isinstance(self._encoder, SupervisedEncoder):
                 self.encoder_health = self._encoder.health()
@@ -252,20 +249,23 @@ class RecordingController(MFController):
         for sender, ceiling in chunk.epoch.max_clock_by_rank.items():
             if ceilings.get(sender, -1) < ceiling:
                 ceilings[sender] = ceiling
-        self.archive.append(rank, chunk)
-        if self.store is not None:
-            self.store.append(rank, chunk)
-        self._note_chunk(rank, chunk)
+        self._store_chunk(rank, chunk)
 
-    def _note_chunk(self, rank: int, chunk) -> None:
-        """Instant trace marker per stored chunk (the monitor's epoch feed).
+    def _store_chunk(self, rank: int, chunk) -> None:
+        """Keep ``chunk`` in memory and on disk, with an instant trace
+        marker per stored chunk (the monitor's epoch feed).
 
-        Carries the chunk's standalone compressed size so the stream can
-        flag per-chunk compression-ratio anomalies while the run is live.
+        The marker carries the chunk's standalone compressed size so the
+        stream can flag per-chunk compression-ratio anomalies while the run
+        is live: the length of the frame payload the store just wrote, or
+        of the same bytes built here when there is no store.
         """
+        self.archive.append(rank, chunk)
+        stored = None if self.store is None else self.store.append(rank, chunk)
         if not get_registry().enabled:
             return
-        stored = len(zlib.compress(serialize_cdc_chunks([chunk]), ZLIB_LEVEL))
+        if stored is None:
+            stored = len(zlib.compress(serialize_cdc_chunks([chunk]), ZLIB_LEVEL))
         event(
             "record.chunk",
             rank=rank,

@@ -64,15 +64,19 @@ class UnstructuredConfig:
         return graph
 
 
-def partition(config: UnstructuredConfig) -> dict[int, int]:
+def partition(
+    config: UnstructuredConfig, mesh: nx.Graph | None = None
+) -> dict[int, int]:
     """vertex -> owning rank: balanced spatial strips.
 
     Vertices are sorted by position and sliced into contiguous blocks, so
     each rank owns a spatial region and only ranks with adjacent regions
     exchange halos — giving the irregular, locality-driven neighbor graphs
-    the workload exists to exercise.
+    the workload exists to exercise. ``mesh`` is ``config.build_mesh()``,
+    built here unless the caller already holds it.
     """
-    mesh = config.build_mesh()
+    if mesh is None:
+        mesh = config.build_mesh()
     pos = nx.get_node_attributes(mesh, "pos")
     ordered = sorted(range(config.vertices), key=lambda v: (pos[v][0], pos[v][1]))
     owner: dict[int, int] = {}
@@ -86,16 +90,23 @@ def partition(config: UnstructuredConfig) -> dict[int, int]:
     return owner
 
 
-def rank_topology(config: UnstructuredConfig):
+def rank_topology(
+    config: UnstructuredConfig,
+    mesh: nx.Graph | None = None,
+    owner: dict[int, int] | None = None,
+):
     """Per-rank neighbor structure derived from the mesh.
 
     Returns ``(neighbors, shared_edges)`` where ``neighbors[r]`` is the
     sorted list of ranks sharing at least one cut edge with ``r`` and
     ``shared_edges[(r, s)]`` the cut edges between them (both directions
-    present).
+    present). ``mesh`` and ``owner`` default to ``config.build_mesh()`` and
+    its :func:`partition`.
     """
-    mesh = config.build_mesh()
-    owner = partition(config)
+    if mesh is None:
+        mesh = config.build_mesh()
+    if owner is None:
+        owner = partition(config, mesh)
     neighbors: dict[int, set[int]] = {r: set() for r in range(config.nprocs)}
     shared: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for u, v in mesh.edges():
@@ -111,8 +122,10 @@ def rank_topology(config: UnstructuredConfig):
 
 def build_program(config: UnstructuredConfig) -> Callable:
     """Create the per-rank generator implementing the halo pattern."""
-    neighbors, shared = rank_topology(config)
-    owner = partition(config)
+    # the random geometric mesh is the costly part of setup: build it once
+    mesh = config.build_mesh()
+    owner = partition(config, mesh)
+    neighbors, shared = rank_topology(config, mesh, owner)
 
     def program(ctx):
         cfg = config

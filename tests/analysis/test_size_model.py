@@ -83,3 +83,44 @@ class TestAttribution:
         a.add(b)
         assert a.permutation == 12 and a.epoch == 3
         assert a.events == 30 and a.chunks == 3
+
+
+class TestDeclaredLayout:
+    """The breakdown and the ``format.cdc.<table>_bytes`` counters read the
+    serializer's own stream: same numbers as the hand-written walk they
+    replaced (``tests/core/oracles.py``), and they account for every byte."""
+
+    @pytest.fixture(scope="class", params=["mcb", "unstructured"])
+    def archive(self, request):
+        from repro.replay.session import RecordSession
+        from repro.workloads import make_workload
+
+        params = {"mcb": {"particles_per_rank": 40}, "unstructured": {"iterations": 6}}
+        program, _ = make_workload(request.param, 8, **params[request.param])
+        return RecordSession(program, nprocs=8, network_seed=5, chunk_events=32).run().archive
+
+    def test_chunk_breakdown_equals_the_oracle_walk(self, archive):
+        from tests.core.oracles import chunk_breakdown_oracle
+
+        chunks = [c for rank in range(archive.nprocs) for c in archive.chunks(rank)]
+        assert len(chunks) > archive.nprocs
+        for callsite_id, chunk in enumerate(chunks):
+            assert chunk_breakdown(chunk, callsite_id) == chunk_breakdown_oracle(
+                chunk, callsite_id
+            )
+
+    def test_table_counters_and_preamble_sum_to_the_payload(self, archive):
+        from repro.core.formats import CDC_TABLES
+        from repro.obs import TelemetryRegistry, use_registry
+
+        for rank in range(archive.nprocs):
+            for chunk in archive.chunks(rank):
+                registry = TelemetryRegistry()
+                with use_registry(registry):
+                    payload = serialize_cdc_chunks([chunk])
+                counters = registry.counters()
+                tables = {t: counters[f"format.cdc.{t}_bytes"] for t in CDC_TABLES}
+                breakdown = chunk_breakdown(chunk)
+                assert tables == {t: getattr(breakdown, t) for t in CDC_TABLES}
+                preamble = len(payload) - serialized_chunk_bytes(chunk)
+                assert sum(tables.values()) + breakdown.header + preamble == len(payload)

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.replay.session import RecordSession
 from repro.workloads import mcb
+
+
+#: selected with ``--hypothesis-profile=ci`` by the CI step that runs the
+#: codec differential suite on its own: more examples for every property
+#: that does not fix its own count, and no per-example deadline on shared
+#: runners.
+settings.register_profile("ci", max_examples=400, deadline=None)
 
 
 def paper_outcome_stream(callsite: str = "A") -> list[MFOutcome]:

@@ -207,6 +207,69 @@ class TestLPAuto:
         assert decoded[-1] == 3 * 2**62 + 2 * 2**62 + 2**62  # > 2**63
 
 
+class TestStreamKernels:
+    """The whole-stream entry points the CDC frame path is built on."""
+
+    @given(st.lists(st.tuples(st.booleans(), st.booleans(),
+                              st.lists(st.integers(-(2**59), 2**59), max_size=8)),
+                    max_size=10))
+    def test_stream_to_unsigned_matches_per_segment_scalar(self, segments):
+        # every segment behind a one-value unsigned prefix, as in a chunk
+        flat, flags, lengths, expected = [], [], [], []
+        for signed, lp, body in segments:
+            signed = signed or lp  # residuals go negative: LP columns are signed
+            if not signed:
+                body = [abs(v) for v in body]
+            flat += [len(body), *body]
+            flags += [0, signed * varint.SIGNED | lp * varint.LP]
+            lengths += [1, len(body)]
+            coded = lp_encoding.lp_encode(body) if lp else body
+            expected += [len(body), *(map(zigzag_encode, coded) if signed else coded)]
+        flags = np.array(flags, dtype=np.uint8)
+        fast, per_value = varint.stream_to_unsigned(flat, flags, lengths)
+        assert isinstance(fast, np.ndarray) and fast.tolist() == expected
+        assert per_value.tolist() == np.repeat(flags, lengths).tolist()
+        assert varint.encode_uvarint_stream(fast) == varint.encode_uvarint_stream(expected)
+        assert varint.uvarint_stream_sizes(fast).tolist() == (
+            varint.uvarint_stream_sizes(expected).tolist()
+        )
+
+    def test_stream_to_unsigned_beyond_int64_is_the_same_steps_on_ints(self):
+        flat = [3, 2**70, 2**70 + 5, 2**70 + 11, 1, -(2**63)]
+        flags = np.array([0, varint.SIGNED | varint.LP, 0, varint.SIGNED], np.uint8)
+        values, _ = varint.stream_to_unsigned(flat, flags, [1, 3, 1, 1])
+        residuals = lp_encoding.lp_encode(flat[1:4])
+        assert values == [3, *map(zigzag_encode, residuals), 1, zigzag_encode(-(2**63))]
+
+    def test_stream_negative_at_unsigned_position_raises(self):
+        flags = np.array([0, varint.SIGNED, 0], np.uint8)
+        with pytest.raises(ValueError, match="uvarint requires value >= 0, got -7"):
+            varint.stream_to_unsigned([1, -3, -7], flags, [1, 1, 1])
+
+    @given(unsigned_lists, st.binary(max_size=3))
+    def test_decode_stream_matches_scalar(self, values, prefix):
+        # the array encoding's length prefix is just one more value of the stream
+        buf = prefix + encode_uvarint_array_scalar(values)
+        unsigned, signed, ends = varint.decode_varint_stream(buf, len(prefix))
+        expected, pos = [], len(prefix)
+        while pos < len(buf):
+            value, pos = varint.decode_uvarint(buf, pos)
+            expected.append(value)
+            assert ends[len(expected) - 1] == pos - 1
+        assert unsigned == expected
+        assert signed == [zigzag_decode(v) for v in expected]
+
+    def test_decode_stream_leaves_out_a_dangling_tail(self):
+        for tail in (b"\x80", b"\xff" * 30):
+            unsigned, _, ends = varint.decode_varint_stream(b"\x05\x81\x01" + tail, 0)
+            assert unsigned == [5, 129] and list(ends) == [0, 2]
+
+    @given(st.lists(full_unsigned, max_size=60))
+    def test_sizes_bounded_by_the_maximum_still_match_scalar(self, values):
+        sizes = kernels.uvarint_sizes(np.array(values, dtype=np.uint64))
+        assert sizes.tolist() == [varint.uvarint_size(v) for v in values]
+
+
 class TestForcedScalarEquivalence:
     """End-to-end: forcing every kernel fallback must not change one byte."""
 
@@ -215,11 +278,9 @@ class TestForcedScalarEquivalence:
         monkeypatch.setattr(kernels, "svarint_encode_batch", lambda v: None)
         monkeypatch.setattr(kernels, "uvarint_decode_batch", lambda *a: None)
         monkeypatch.setattr(kernels, "svarint_decode_batch", lambda *a: None)
-        import repro.core.formats as formats
+        monkeypatch.setattr(kernels, "stream_to_unsigned", lambda *a: None)
         import repro.core.pipeline as pipeline
 
-        monkeypatch.setattr(formats, "lp_encode_auto", lp_encoding.lp_encode)
-        monkeypatch.setattr(formats, "lp_decode_auto", lp_encoding.lp_decode)
         monkeypatch.setattr(pipeline, "_encode_matched_batch", lambda *a: None)
 
     def test_compress_bytes_identical(self, monkeypatch):

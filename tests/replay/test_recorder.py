@@ -86,6 +86,64 @@ class TestRecording:
         assert controller.archive.total_events() > 0
 
 
+class TestChunkMarkers:
+    """``record.chunk`` trace markers carry each chunk's standalone stored
+    size: the frame payload the durable store just wrote, not a second
+    serialize + deflate of the same chunk."""
+
+    def run(self, monkeypatch, **kwargs):
+        import repro.core.formats as formats
+        import repro.replay.durable_store as durable_store
+        import repro.replay.recorder as recorder
+
+        calls = []
+        real = formats.serialize_cdc_chunks
+
+        def counted(chunks):
+            calls.append(len(chunks))
+            return real(chunks)
+
+        monkeypatch.setattr(durable_store, "serialize_cdc_chunks", counted)
+        monkeypatch.setattr(recorder, "serialize_cdc_chunks", counted)
+        result = RecordSession(
+            fanin_program(12), nprocs=4, network_seed=2, chunk_events=4,
+            telemetry=True, **kwargs,
+        ).run()
+        markers = [e.attrs for e in result.registry.events if e.name == "record.chunk"]
+        return result, markers, calls
+
+    def expected(self, result):
+        import zlib
+
+        from repro.core.compression import ZLIB_LEVEL
+        from repro.core.formats import serialize_cdc_chunks
+
+        return sorted(
+            (rank, chunk.callsite, chunk.num_events,
+             len(zlib.compress(serialize_cdc_chunks([chunk]), ZLIB_LEVEL)))
+            for rank in range(4)
+            for chunk in result.archive.chunks(rank)
+        )
+
+    def observed(self, markers):
+        return sorted(
+            (m["rank"], m["callsite"], m["events"], m["stored_bytes"]) for m in markers
+        )
+
+    def test_one_serialization_per_flushed_chunk_with_a_store(self, tmp_path, monkeypatch):
+        result, markers, calls = self.run(
+            monkeypatch, store_dir=str(tmp_path / "rec"), store_fsync=False
+        )
+        assert len(markers) >= 4
+        assert calls == [1] * len(markers)
+        assert self.observed(markers) == self.expected(result)
+
+    def test_markers_without_a_store_serialize_once_themselves(self, monkeypatch):
+        result, markers, calls = self.run(monkeypatch)
+        assert calls == [1] * len(markers)
+        assert self.observed(markers) == self.expected(result)
+
+
 class TestGzipBaseline:
     def test_storage_accounts_raw_format(self):
         controller = GzipRecordingController(4)

@@ -69,6 +69,28 @@ class TestTopology:
         counts = [list(owner.values()).count(r) for r in range(5)]
         assert max(counts) - min(counts) <= 1
 
+    def test_build_program_generates_the_mesh_once(self, monkeypatch):
+        """The random geometric graph is the costly part of setup (and of a
+        diff, which rebuilds the program per run): one per program, and the
+        mesh/owner handed down give the topology the helpers compute alone."""
+        import networkx as nx
+
+        generated = []
+        real = nx.random_geometric_graph
+
+        def counted(*args, **kwargs):
+            generated.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "random_geometric_graph", counted)
+        cfg = UnstructuredConfig(nprocs=6, vertices=60)
+        build_program(cfg)
+        assert len(generated) == 1
+        mesh = cfg.build_mesh()
+        owner = partition(cfg, mesh)
+        assert owner == partition(cfg)
+        assert rank_topology(cfg, mesh, owner) == rank_topology(cfg)
+
 
 class TestExecution:
     @pytest.fixture(scope="class")
