@@ -25,12 +25,9 @@ import numpy as np
 
 from repro.errors import EncodingError
 
-#: below this length the scalar patience loop wins outright.
+#: from this length ``stable_and_moved`` derives the moved set with one
+#: numpy scatter instead of a Python set + sort.
 _VECTOR_MIN_N = 512
-#: vectorization processes one maximal ascending run per numpy pass, so it
-#: only pays off when runs are long on average (near-sorted inputs — CDC's
-#: common case); heavily disordered inputs fall back to the scalar loop.
-_VECTOR_MIN_AVG_RUN = 4
 
 
 def longest_increasing_subsequence(seq: Sequence[int]) -> list[int]:
@@ -38,25 +35,18 @@ def longest_increasing_subsequence(seq: Sequence[int]) -> list[int]:
 
     Patience sorting with predecessor links. Deterministic: among equal
     length solutions it returns the one patience sorting canonically yields
-    (smallest tail values). Long near-sorted inputs take a vectorized
-    run-at-a-time path that reproduces the scalar selection exactly (the
-    chosen LIS is part of the stored archive format, so the two paths must
-    agree bit-for-bit — see ``tests/core`` equivalence coverage).
+    (smallest tail values) — the chosen LIS is part of the stored archive
+    format.
     """
-    n = len(seq)
-    if n == 0:
+    if len(seq) == 0:
         return []
-    if n >= _VECTOR_MIN_N:
-        arr = np.asarray(seq, dtype=np.int64)
-        run_breaks = np.flatnonzero(arr[1:] <= arr[:-1]) + 1
-        if n >= (len(run_breaks) + 1) * _VECTOR_MIN_AVG_RUN:
-            return _lis_vectorized(arr, run_breaks)
-        seq = arr.tolist()  # plain ints iterate faster than np.int64 scalars
+    if isinstance(seq, np.ndarray):
+        seq = seq.tolist()  # plain ints iterate faster than np.int64 scalars
     return _lis_scalar(seq)
 
 
 def _lis_scalar(seq: Sequence[int]) -> list[int]:
-    """Canonical patience sorting (the reference implementation)."""
+    """Canonical patience sorting over a non-empty sequence of ints."""
     n = len(seq)
     tails: list[int] = []  # tails[k] = index of smallest tail of an IS of length k+1
     tail_values: list[int] = []
@@ -77,76 +67,6 @@ def _lis_scalar(seq: Sequence[int]) -> list[int]:
     while i != -1:
         out.append(i)
         i = prev[i]
-    out.reverse()
-    return out
-
-
-def _lis_vectorized(arr: np.ndarray, run_breaks: np.ndarray) -> list[int]:
-    """Patience sorting one maximal ascending run per numpy pass.
-
-    Within a strictly ascending run ``v_0 < v_1 < ...`` the pile each
-    element lands on has a closed form: with ``k_j`` the pile the *pre-run*
-    tails alone would dictate (``searchsorted``), element ``j`` lands on
-    ``p_j = j + max_{i <= j}(k_i - i)`` — the running max accounts for
-    earlier run elements stacking piles under later ones. ``p`` is strictly
-    increasing, so the per-run tail updates are plain vector scatters, and
-    predecessor links split into two vectorizable cases: element ``j-1``
-    (when ``p_j = p_{j-1} + 1``) or the pre-run occupant of pile
-    ``p_j - 1``. Identical selection to :func:`_lis_scalar` by
-    construction.
-    """
-    n = len(arr)
-    bounds = np.empty(len(run_breaks) + 2, dtype=np.int64)
-    bounds[0] = 0
-    bounds[1:-1] = run_breaks
-    bounds[-1] = n
-    bounds_list = bounds.tolist()
-    offsets_all = np.arange(n, dtype=np.int64)
-    tail_values = np.empty(n, dtype=np.int64)
-    tail_idx = np.empty(n, dtype=np.int64)
-    prev = np.empty(n, dtype=np.int64)
-    piles = 0
-    maximum_accumulate = np.maximum.accumulate
-    start = 0
-    for end in bounds_list[1:]:
-        vals = arr[start:end]
-        m = end - start
-        if piles == 0 or arr[start] > tail_values[piles - 1]:
-            # pure-append run: every element stacks a fresh pile on top —
-            # the dominant shape for near-sorted inputs, O(1) numpy calls
-            p = offsets_all[piles : piles + m]
-            prev[start] = tail_idx[piles - 1] if piles else -1
-            if m > 1:
-                prev[start + 1 : end] = offsets_all[start : end - 1]
-            tail_values[p] = vals
-            tail_idx[p] = offsets_all[start:end]
-            piles += m
-            start = end
-            continue
-        offsets = offsets_all[:m]
-        k_pre = tail_values[:piles].searchsorted(vals, side="left")
-        p = offsets + maximum_accumulate(k_pre - offsets)
-        idx = offsets_all[start:end]
-        # predecessor of element j: the run neighbor j-1 when it sits on the
-        # adjacent pile, else whatever held pile p_j - 1 before the run
-        # (-1 for pile 0). tail_idx reads above `piles` are masked garbage.
-        internal = np.empty(m, dtype=bool)
-        internal[0] = False
-        internal[1:] = p[1:] == p[:-1] + 1
-        pm1 = p - 1
-        pre_occupant = np.where(pm1 >= 0, tail_idx[pm1], -1)
-        prev[start:end] = np.where(internal, idx - 1, pre_occupant)
-        tail_values[p] = vals
-        tail_idx[p] = idx
-        top = int(p[-1]) + 1
-        if top > piles:
-            piles = top
-        start = end
-    out: list[int] = []
-    i = int(tail_idx[piles - 1])
-    while i != -1:
-        out.append(i)
-        i = int(prev[i])
     out.reverse()
     return out
 

@@ -196,18 +196,18 @@ def first_divergence_candidate(controller) -> DivergenceCandidate | None:
     global ``(clock, sender)`` identity, so the returned candidate is the
     causally earliest place the record and the replayed reality disagree.
     """
-    states = getattr(controller, "_states", None)
-    if not states:
+    callsite_states = getattr(controller, "callsite_states", None)
+    if callsite_states is None:
         return None
     blocked = [
         s
-        for s in states.values()
+        for s in callsite_states()
         if s.chunk is not None and any(q > 0 for q in s.quota.values())
     ]
     arrivals: list[tuple[tuple[int, int], Any]] = []
     for state in blocked:
-        for event, _msg in state.overflow:
-            arrivals.append((event.key, state))
+        for msg in state.overflow:
+            arrivals.append(((msg.clock, msg.src), state))
     if arrivals:
         (clock, sender), state = min(arrivals, key=lambda kv: kv[0])
         return DivergenceCandidate(
@@ -273,14 +273,15 @@ def build_stall_report(
     replay = None
     divergence = None
     last_epoch: dict[tuple[int, str], int] = {}
-    states = getattr(controller, "_states", None)
-    if states is not None:  # replay controller
+    callsite_states = getattr(controller, "callsite_states", None)
+    if callsite_states is not None:  # replay controller
         from repro.replay.diagnostics import replay_report
 
         replay = replay_report(engine, controller)
         divergence = first_divergence_candidate(controller)
         last_epoch = {
-            key: state.delivered_events for key, state in states.items()
+            (state.rank, state.callsite): state.delivered_events
+            for state in callsite_states()
         }
     return StallReport(
         mode=mode,
@@ -294,10 +295,10 @@ def build_stall_report(
 
 def replay_progress(controller) -> Callable[[], int]:
     """Progress callable for a replay run: total delivered events."""
-    states = controller._states
+    states = list(controller.callsite_states())
 
     def progress() -> int:
-        return sum(state.delivered_events for state in states.values())
+        return sum(state.delivered_events for state in states)
 
     return progress
 

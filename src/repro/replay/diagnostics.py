@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.obs import get_registry
-from repro.replay.replayer import CallsiteReplayState, ReplayController, _Peek
+from repro.replay.replayer import CallsiteReplayState, ReplayController
 from repro.sim.engine import Engine
 
 
@@ -150,7 +150,7 @@ def _callsite_report(state: CallsiteReplayState, status: str) -> CallsiteReport:
         cursor=state.cursor,
         chunk_events=state.chunk.num_events if state.chunk else None,
         pending_chunks=len(state.pending_chunks),
-        pooled=len(state.pool),
+        pooled=state.pooled_count,
         overflowed=len(state.overflow),
         outstanding_quota={s: q for s, q in state.quota.items() if q > 0},
         horizon=state.certainty_horizon() if state.chunk else None,
@@ -164,14 +164,11 @@ def replay_report(engine: Engine, controller: ReplayController) -> ReplayReport:
     for proc in engine.procs:
         call = proc.pending_call
         callsites = []
-        for (rank, callsite), state in controller._states.items():
-            if rank != proc.rank:
-                continue
+        for state in controller._states[proc.rank].values():
             if state.chunk is None and not state.pending_chunks:
                 status = "idle"
             else:
-                peek, _ = state.peek()
-                status = peek.value if isinstance(peek, _Peek) else str(peek)
+                status = state.status()
             callsites.append(_callsite_report(state, status))
         ranks.append(
             RankReport(

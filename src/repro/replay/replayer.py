@@ -8,8 +8,8 @@ wildcard receive requests differs too. The replayer therefore decouples
 them per ``(rank, callsite)``:
 
 * completed receives whose requests appear in an MF call at the callsite
-  are *stripped*: their message goes into the callsite's pool, the request
-  becomes a free slot;
+  are *stripped*: their message goes into the callsite's pool (the message
+  itself, filed under its sender), the request becomes a free slot;
 * *unexpected* messages (arrived, no matching posted receive — e.g. the
   recorded next message when the app keeps only one outstanding wildcard
   receive) are drained into the pool through the call's receive filters,
@@ -26,7 +26,8 @@ What releases a delivery depends on what the chunk stores:
 * with the replay-assist column (the default), the chunk is a fully
   determined script: position ``p`` is "the ``k``-th arrival from sender
   ``s``". The whole script is laid out as flat lists when the chunk is
-  activated, so an MF call compares one arrival count and pops
+  activated and every sender's arrivals queue in clock order, so an MF
+  call compares one arrival count and takes the message by index
   (DESIGN.md §5.5);
 * without it, delivery follows the paper's Axiom 1: the event at observed
   cursor ``p`` (reference index ``order[p]`` from the stored permutation
@@ -50,7 +51,7 @@ import enum
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.events import MFKind, ReceiveEvent
 from repro.core.permutation import decode_permutation
@@ -101,16 +102,21 @@ def filter_accepts(req: Request, msg: Message) -> bool:
 _CLOCK_INFINITY = 1 << 62
 
 
-class _Peek(enum.Enum):
-    UNMATCHED = "unmatched"
-    GROUP = "group"
-    BLOCKED = "blocked"
-    EXHAUSTED = "exhausted"
+#: what an unmatched poll over a send-less request set decides: deliver
+#: nothing, flag false. ``evaluate`` only reads a decision, so every such
+#: poll — the majority event of a polling application — shares this one.
+_UNMATCHED_POLL: tuple = ((), (), False)
 
 
 @dataclass
 class CallsiteReplayState:
-    """Decoder + delivery gate for one (rank, callsite) record stream."""
+    """Decoder + delivery gate for one (rank, callsite) record stream.
+
+    The state keeps the schedule and the arrivals;
+    :meth:`ReplayController.decide` reads both directly (DESIGN.md §5.5).
+    An assist chunk needs nothing else. An assist-less chunk adds the
+    paper's certainty reasoning (:meth:`certain_group`).
+    """
 
     rank: int
     callsite: str
@@ -123,9 +129,11 @@ class CallsiteReplayState:
     global_floor: dict[int, int] = field(default_factory=dict)
 
     chunk: CDCChunk | None = None
+    #: the active chunk's event count (0 when there is none).
+    num_events: int = 0
     order: list[int] = field(default_factory=list)
     #: the schedule, laid out once per chunk at activation — indexed by
-    #: observed position, so a call only compares and pops.
+    #: observed position, so a call only compares and indexes.
     #: With replay assist: the recorded sender of each position (None for a
     #: chunk without the column, which takes the LMC path instead) ...
     senders: Sequence[int] | None = None
@@ -143,22 +151,28 @@ class CallsiteReplayState:
     #: assist chunks: positions in [cursor, ready) are known to have
     #: arrived, so a re-armed call resumes its check where it blocked.
     ready: int = 0
-    #: assist chunks: per sender, its chunk arrivals in feed (= clock) order.
-    arrived_per_sender: dict[int, list[ReceiveEvent]] = field(default_factory=dict)
+    #: assist chunks: per sender, the messages of its chunk arrivals in
+    #: feed (= clock) order; ``occurrence`` indexes these queues. A
+    #: delivered entry is replaced by None, so the state holds a message
+    #: only from its arrival to its delivery.
+    arrived_per_sender: dict[int, list[Message | None]] = field(default_factory=dict)
     quota: dict[int, int] = field(default_factory=dict)
     #: assist-less chunks: members in reference order so far, sorted by
-    #: (clock, sender) — what the certainty prefix is measured on.
-    arrived_sorted: list[tuple[tuple[int, int], ReceiveEvent]] = field(
+    #: (clock, sender) — what the certainty prefix is measured on — each
+    #: with its message (None once delivered).
+    arrived_sorted: list[tuple[tuple[int, int], Message | None]] = field(
         default_factory=list
     )
-    #: pooled message payloads for arrived events, keyed by (clock, sender).
-    pool: dict[tuple[int, int], Message] = field(default_factory=dict)
+    #: arrivals fed into the active chunk and not delivered yet — the one
+    #: "how much is pooled" figure reports, the watchdog and the
+    #: ``replay.pool_occupancy`` gauge read.
+    pooled_count: int = 0
     #: per-sender clock of the last event fed into the *active* chunk
     #: (reset at activation; within a chunk a sender's members arrive in
     #: clock order, so this doubles as a regression check and LMC floor).
     last_clock_by_sender: dict[int, int] = field(default_factory=dict)
     #: arrivals beyond the active chunk's quota, for later chunks.
-    overflow: deque[tuple[ReceiveEvent, Message]] = field(default_factory=deque)
+    overflow: deque[Message] = field(default_factory=deque)
     #: (rank, clock) pairs claimed by *later* chunks' boundary exceptions —
     #: arrivals that must not be fed into the active chunk even though its
     #: quota and epoch would accept them (DESIGN.md §5.2).
@@ -167,6 +181,11 @@ class CallsiteReplayState:
     #: virtual time at which this callsite first reported BLOCKED since its
     #: last delivery (telemetry: per-callsite replay wait time).
     blocked_since: float | None = None
+    #: the call parked here and the ``(source, tag)`` filters of its
+    #: receives: every arrival re-arms a parked call, and it must not
+    #: rebuild them each time. Kept only while the call is parked.
+    parked_call: MFCall | None = None
+    parked_filters: set[tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
         for chunk in self.pending_chunks:
@@ -185,6 +204,7 @@ class CallsiteReplayState:
         """
         if not self.pending_chunks:
             self.chunk = None
+            self.quota = {}  # nothing is a member: every arrival overflows
             return
         chunk = self.pending_chunks.popleft()
         n = chunk.num_events
@@ -203,6 +223,7 @@ class CallsiteReplayState:
                 )
             unmatched_left[position] = count
         self.chunk = chunk
+        self.num_events = n
         # this chunk's boundary exceptions are now *its own* members
         self.claimed_later.difference_update(chunk.boundary_exceptions)
         self.order = decode_permutation(chunk.diff)
@@ -219,76 +240,91 @@ class CallsiteReplayState:
         self.last_clock_by_sender = {}
         self.quota = dict(chunk.sender_counts)
         self.arrived_sorted = []
-        backlog = list(self.overflow)
-        self.overflow.clear()
-        for event, msg in backlog:
-            self.feed(event, msg)
+        self.pooled_count = 0
+        if self.overflow:
+            backlog = list(self.overflow)
+            self.overflow.clear()
+            registry = get_registry()
+            if not registry.enabled:
+                registry = None
+            for msg in backlog:
+                self.feed(msg, registry)
 
-    def _maybe_advance(self) -> None:
-        chunk = self.chunk
+    def advance(self) -> None:
+        """Step over finished chunks: activate the next one while the
+        active one has no event and no unmatched test left to replay."""
         while (
-            chunk is not None
-            and self.cursor >= chunk.num_events
-            and self.unmatched_left[chunk.num_events] == 0
+            self.chunk is not None
+            and self.cursor >= self.num_events
+            and self.unmatched_left[self.num_events] == 0
         ):
             # note: earlier-chunk ceilings must NOT carry into the next
             # chunk's clock floors — boundary-exception events legitimately
             # sit below them; the per-chunk min-clock hints fill that role.
             self._activate_next()
-            chunk = self.chunk
 
     # -- arrivals ----------------------------------------------------------------
 
-    def feed(self, event: ReceiveEvent, msg: Message) -> None:
+    def feed(self, msg: Message, registry=None) -> None:
         """Pool a message observed for this callsite.
 
         Every membership and divergence check runs on every arrival,
         whichever path delivers it; only the bookkeeping differs — an
-        assist chunk files the arrival under its sender, an assist-less
+        assist chunk queues the message under its sender, an assist-less
         one keeps the reference order the certainty prefix is read from.
+        ``registry`` is the enabled telemetry registry, or None: whoever
+        feeds a batch of arrivals looks it up once.
         """
-        if self.chunk is None:
-            self.overflow.append((event, msg))
-            return
-        sender = event.rank
-        clock = event.clock
+        sender = msg.src
+        clock = msg.clock
         remaining = self.quota.get(sender, 0)
         if remaining <= 0 or (sender, clock) in self.claimed_later:
-            self.overflow.append((event, msg))
+            self.overflow.append(msg)
             return
         prev = self.last_clock_by_sender.get(sender, -1)
         if prev >= 0 and clock <= prev:
             raise ReplayDivergence(
                 self.rank,
                 f"callsite {self.callsite!r}: per-sender clock order violated "
-                f"({event} after clock {prev}); a sender's stream is split "
-                "across callsites in a way the record cannot disambiguate",
+                f"({ReceiveEvent(sender, clock)} after clock {prev}); a sender's "
+                "stream is split across callsites in a way the record cannot "
+                "disambiguate",
             )
         ceiling = self.ceilings.get(sender)
         if ceiling is None or clock > ceiling:
             raise ReplayDivergence(
                 self.rank,
-                f"callsite {self.callsite!r}: arrival {event} exceeds the "
-                f"chunk epoch line ({ceiling}); record/replay clock mismatch",
+                f"callsite {self.callsite!r}: arrival {ReceiveEvent(sender, clock)} "
+                f"exceeds the chunk epoch line ({ceiling}); record/replay clock "
+                "mismatch",
             )
         self.quota[sender] = remaining - 1
-        key = (clock, sender)
         if self.senders is not None:
             arrived = self.arrived_per_sender.get(sender)
             if arrived is None:
-                self.arrived_per_sender[sender] = [event]
+                self.arrived_per_sender[sender] = [msg]
             else:
-                arrived.append(event)
+                arrived.append(msg)
         else:
-            insort(self.arrived_sorted, (key, event))
-        self.pool[key] = msg
+            insort(self.arrived_sorted, ((clock, sender), msg))
+        self.pooled_count += 1
         self.last_clock_by_sender[sender] = clock
         if self.global_floor.get(sender, -1) < clock:
             self.global_floor[sender] = clock
-        registry = get_registry()
-        if registry.enabled:
+        if registry is not None:
             registry.counter("replay.pooled_events").add()
-            registry.gauge("replay.pool_occupancy").set_max(len(self.pool))
+            registry.gauge("replay.pool_occupancy").set_max(self.pooled_count)
+
+    def pooled_clocks(self) -> list[int]:
+        """Clocks of the pooled (fed, undelivered) arrivals, unordered."""
+        if self.senders is None:
+            return [key[0] for key, msg in self.arrived_sorted if msg is not None]
+        return [
+            msg.clock
+            for queue in self.arrived_per_sender.values()
+            for msg in queue
+            if msg is not None
+        ]
 
     # -- certainty / LMC ------------------------------------------------------------
 
@@ -342,55 +378,42 @@ class CallsiteReplayState:
                 hi = mid
         return lo
 
-    # -- the script cursor ------------------------------------------------------------
+    def certain_group(self) -> list[Message] | None:
+        """The assist-less decode step: the messages of the delivery group
+        at the cursor, or None while any of them is not yet *certain* —
+        its reference index (from the stored permutation) lies outside the
+        finalized prefix of the pooled events."""
+        certain = self._certain_count()
+        order = self.order
+        arrived = self.arrived_sorted
+        messages: list[Message] = []
+        for pos in range(self.cursor, self.group_end[self.cursor] + 1):
+            ref_index = order[pos]
+            if ref_index >= certain:
+                return None
+            messages.append(arrived[ref_index][1])
+        return messages
 
-    def peek(self) -> tuple[_Peek, list[ReceiveEvent]]:
-        """What should the next MF call at this callsite do?"""
-        self._maybe_advance()
+    # -- diagnostics ------------------------------------------------------------------
+
+    def status(self) -> str:
+        """What the next MF call here would meet: ``unmatched`` | ``group``
+        | ``blocked`` | ``exhausted``. For reports only — ``decide`` reads
+        the schedule itself."""
+        self.advance()
         if self.chunk is None:
-            return _Peek.EXHAUSTED, []
+            return "exhausted"
         start = self.cursor
         if self.unmatched_left[start] > 0:
-            return _Peek.UNMATCHED, []
-        if start >= self.chunk.num_events:  # pragma: no cover - advance handles
-            return _Peek.EXHAUSTED, []
-        end = self.group_end[start]
+            return "unmatched"
         senders = self.senders
-        if senders is not None:
-            # deterministic identification: position p is the k-th arrival
-            # from its recorded sender. Arrivals only accumulate within a
-            # chunk, so the check resumes at the position it last blocked on.
-            occurrence = self.occurrence
-            arrived = self.arrived_per_sender
-            pos = self.ready if self.ready > start else start
-            while pos <= end:
-                got = arrived.get(senders[pos])
-                if got is None or len(got) < occurrence[pos]:
-                    self.ready = pos
-                    return _Peek.BLOCKED, []
-                pos += 1
-            self.ready = pos
-            return _Peek.GROUP, [
-                arrived[senders[p]][occurrence[p] - 1] for p in range(start, end + 1)
-            ]
-        certain = self._certain_count()
-        events: list[ReceiveEvent] = []
-        for pos in range(start, end + 1):
-            ref_index = self.order[pos]
-            if ref_index >= certain:
-                return _Peek.BLOCKED, []
-            events.append(self.arrived_sorted[ref_index][1])
-        return _Peek.GROUP, events
-
-    def consume_unmatched(self) -> None:
-        self.unmatched_left[self.cursor] -= 1
-
-    def consume_group(self, events: Sequence[ReceiveEvent]) -> list[Message]:
-        """Commit a group delivery; returns the pooled messages in order."""
-        messages = [self.pool.pop(e.key) for e in events]
-        self.cursor += len(events)
-        self.delivered_events += len(events)
-        return messages
+        if senders is None:
+            return "blocked" if self.certain_group() is None else "group"
+        arrived, occurrence = self.arrived_per_sender, self.occurrence
+        for pos in range(start, self.group_end[start] + 1):
+            if len(arrived.get(senders[pos], ())) < occurrence[pos]:
+                return "blocked"
+        return "group"
 
 
 def assign_slots(
@@ -483,20 +506,13 @@ def _backtrack_slots(
     return [slots[i] for i in chosen]
 
 
-def _scan_requests(
-    requests: Sequence[Request],
-) -> tuple[set[tuple[int, int]], list[Request]]:
-    """One pass over a call's requests: the distinct ``(source, tag)``
-    filters of its receives and its deliverable sends, in request order."""
-    filters: set[tuple[int, int]] = set()
-    sends: list[Request] = []
-    completed = RequestState.COMPLETED
-    for req in requests:
-        if req.is_recv:
-            filters.add((req.source, req.tag))
-        elif req.state is completed:
-            sends.append(req)
-    return filters, sends
+_COMPLETED, _PENDING = RequestState.COMPLETED, RequestState.PENDING
+
+
+def _completed_sends(requests: Sequence[Request]) -> list[Request]:
+    """A call's deliverable sends, in request order (``call.has_send``
+    says whether there can be any)."""
+    return [r for r in requests if not r.is_recv and r.state is _COMPLETED]
 
 
 def _accepted(filters: set[tuple[int, int]], msg: Message) -> bool:
@@ -529,12 +545,12 @@ class ReplayController(MFController):
         self._piggyback = piggyback
         self.keep_outcomes = keep_outcomes
         self.outcomes: dict[int, list] = {r: [] for r in range(archive.nprocs)}
-        self._states: dict[tuple[int, str], CallsiteReplayState] = {}
+        #: per rank, its callsites' decoders by callsite label.
+        self._states: list[dict[str, CallsiteReplayState]] = [
+            {} for _ in range(archive.nprocs)
+        ]
         #: events recorded per (rank, callsite), for the delivered summary.
         self._recorded: dict[tuple[int, str], int] = {}
-        #: per rank, the parked call and what one scan of its requests
-        #: found; a call re-armed by an arrival does not scan them again.
-        self._parked: dict[int, tuple[MFCall, set, list[Request]]] = {}
         self._floors: dict[int, dict[int, int]] = {
             r: {} for r in range(archive.nprocs)
         }
@@ -549,13 +565,18 @@ class ReplayController(MFController):
         for rank in range(archive.nprocs):
             for callsite, chunks in archive.chunks_by_callsite(rank).items():
                 self._recorded[(rank, callsite)] = sum(c.num_events for c in chunks)
-                self._states[(rank, callsite)] = CallsiteReplayState(
+                self._states[rank][callsite] = CallsiteReplayState(
                     rank,
                     callsite,
                     deque(chunks),
                     mode=delivery_mode,
                     global_floor=self._floors[rank],
                 )
+
+    def callsite_states(self) -> Iterator[CallsiteReplayState]:
+        """Every (rank, callsite) decoder, ranks ascending."""
+        for by_callsite in self._states:
+            yield from by_callsite.values()
 
     def piggyback_bytes(self) -> int:
         return self._piggyback
@@ -568,65 +589,145 @@ class ReplayController(MFController):
     # -- decision logic -----------------------------------------------------------
 
     def decide(self, proc: SimProcess, call: MFCall):
-        rank = proc.rank
-        parked = self._parked.pop(rank, None)
-        if parked is None or parked[0] is not call:
-            parked = (call, *_scan_requests(call.requests))
-        _, filters, sends = parked
-        if not filters:
-            return super().decide(proc, call)
+        """Return what the record says this call returned, or None to park.
 
-        state = self._states.get((rank, call.callsite))
+        One pass over the callsite's state (DESIGN.md §5.5): absorb what
+        arrived, replay an unmatched test or check the delivery group at
+        the cursor against the per-sender queues, and on a hit hand the
+        queued messages to the call's request slots and release them.
+        """
+        if not call.has_recv:
+            return super().decide(proc, call)
+        rank = proc.rank
+        callsite = call.callsite
+        state = self._states[rank].get(callsite)
         if state is None:
-            raise RecordExhausted(rank, call.callsite)
+            raise RecordExhausted(rank, callsite)
+        requests = call.requests
         mailbox = proc.mailbox
+        filters = None
         if mailbox.completion_log or mailbox.unexpected:
+            if state.parked_call is call:
+                filters = state.parked_filters
+            if filters is None:
+                filters = {(r.source, r.tag) for r in requests if r.is_recv}
             self._absorb_arrivals(mailbox, filters, state)
 
-        kind, events = state.peek()
-        if kind is _Peek.GROUP:
-            if len(events) > 1 and not call.kind.can_match_multiple:
+        cursor = state.cursor
+        unmatched_left = state.unmatched_left
+        if cursor >= state.num_events and not unmatched_left[cursor]:
+            state.advance()
+            if state.chunk is None:
+                raise RecordExhausted(rank, callsite)
+            cursor = state.cursor
+            unmatched_left = state.unmatched_left
+        kind = call.kind
+        if unmatched_left[cursor]:
+            if not kind.is_test:
                 raise ReplayDivergence(
                     rank,
-                    f"record delivers {len(events)} receives to single-completion "
-                    f"{call.kind.value} at {call.callsite!r}",
-                )
-            pool = state.pool
-            messages = [pool[e.key] for e in events]
-            assignment = assign_slots(call.requests, messages)
-            if assignment is not None:
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter("replay.delivered_events").add(len(events))
-                    if state.blocked_since is not None:
-                        wait = max(0.0, self._now(proc) - state.blocked_since)
-                        state.blocked_since = None
-                        registry.histogram(
-                            f"replay.wait_us[{state.callsite}]"
-                        ).observe(int(wait * 1e6))
-                state.consume_group(events)
-                for slot, msg in zip(assignment, messages):
-                    self._occupy_slot(mailbox, slot, msg)
-                return assignment, sends, True
-            # else: a compatible slot is not available yet
-        elif kind is _Peek.UNMATCHED:
-            if not call.kind.is_test:
-                raise ReplayDivergence(
-                    rank,
-                    f"{call.kind.value} at {call.callsite!r} but the record "
+                    f"{kind.value} at {callsite!r} but the record "
                     "expects an unmatched test",
                 )
-            state.consume_unmatched()
-            return self._unmatched_decision(call, sends)
-        elif kind is _Peek.EXHAUSTED:
-            raise RecordExhausted(rank, call.callsite)
-        else:  # BLOCKED
+            unmatched_left[cursor] -= 1
+            if not call.has_send:
+                return _UNMATCHED_POLL
+            return self._unmatched_decision(call, _completed_sends(requests))
+
+        # the delivery group at the cursor: positions cursor..end
+        end = state.group_end[cursor]
+        senders = state.senders
+        if senders is not None:
+            # deterministic identification: position p is the k-th arrival
+            # from its recorded sender. Arrivals only accumulate within a
+            # chunk, so the check resumes at the position it last blocked on.
+            occurrence = state.occurrence
+            arrived = state.arrived_per_sender
+            pos = state.ready
+            if pos < cursor:
+                pos = cursor
+            while pos <= end:
+                queue = arrived.get(senders[pos])
+                if queue is None or len(queue) < occurrence[pos]:
+                    break
+                pos += 1
+            state.ready = pos
+            if pos <= end:
+                messages = None
+            elif end == cursor:
+                messages = [arrived[senders[cursor]][occurrence[cursor] - 1]]
+            else:
+                messages = [
+                    arrived[senders[p]][occurrence[p] - 1]
+                    for p in range(cursor, end + 1)
+                ]
+        else:
+            messages = state.certain_group()
+
+        if messages is None:
             registry = get_registry()
             if registry.enabled:
                 registry.counter("replay.blocked_polls").add()
                 if state.blocked_since is None:
                     state.blocked_since = self._now(proc)
-        self._parked[rank] = parked
+        else:
+            count = end - cursor + 1
+            if count > 1 and not kind.can_match_multiple:
+                raise ReplayDivergence(
+                    rank,
+                    f"record delivers {count} receives to single-completion "
+                    f"{kind.value} at {callsite!r}",
+                )
+            if count == 1 and len(requests) == 1:
+                # one message for the call's one receive: its filter and
+                # state are the whole slot search
+                slot = requests[0]
+                assignment = (
+                    [slot]
+                    if (slot.state is _COMPLETED or slot.state is _PENDING)
+                    and filter_accepts(slot, messages[0])
+                    else None
+                )
+            else:
+                assignment = assign_slots(requests, messages)
+            if assignment is not None:
+                registry = get_registry()
+                if registry.enabled:
+                    registry.counter("replay.delivered_events").add(count)
+                    if state.blocked_since is not None:
+                        wait = max(0.0, self._now(proc) - state.blocked_since)
+                        state.blocked_since = None
+                        registry.histogram(
+                            f"replay.wait_us[{callsite}]"
+                        ).observe(int(wait * 1e6))
+                # commit: the cursor moves past the group and the state lets
+                # go of the delivered messages (the slots hold them now)
+                state.cursor = end + 1
+                state.delivered_events += count
+                state.pooled_count -= count
+                if senders is not None:
+                    for p in range(cursor, end + 1):
+                        arrived[senders[p]][occurrence[p] - 1] = None
+                else:
+                    arrived_sorted, order = state.arrived_sorted, state.order
+                    for p in range(cursor, end + 1):
+                        ref_index = order[p]
+                        arrived_sorted[ref_index] = (arrived_sorted[ref_index][0], None)
+                state.parked_call = state.parked_filters = None
+                for slot, msg in zip(assignment, messages):
+                    if slot.state is _PENDING:
+                        # cannibalize the posted receive: the tool returns
+                        # recorded content through it; whatever would have
+                        # matched it later will surface in the unexpected
+                        # queue and be drained then.
+                        mailbox.cancel(slot)
+                        slot.state = _COMPLETED
+                    slot.message = msg
+                sends = _completed_sends(requests) if call.has_send else ()
+                return assignment, sends, True
+            # else: a compatible slot is not available yet
+        state.parked_call = call
+        state.parked_filters = filters
         return None
 
     def _now(self, proc: SimProcess) -> float:
@@ -659,16 +760,19 @@ class ReplayController(MFController):
         A stripped request keeps state COMPLETED with ``message = None`` —
         a free slot. It needs no other bookkeeping: it left the completion
         log here, a request completes (and so enters the log) only once,
-        and a slot that ``_occupy_slot`` fills is delivered before the log
-        is read again.
+        and a slot that a delivery fills is returned to the application
+        before the log is read again.
         """
+        registry = get_registry()
+        if not registry.enabled:
+            registry = None
+        feed = state.feed
         log = mailbox.completion_log
         if log:
             fresh: list[Request] = []
             remaining_log: list[Request] = []
-            completed = RequestState.COMPLETED
             for req in log:
-                if req.state is not completed:
+                if req.state is not _COMPLETED:
                     continue  # delivered meanwhile: drop from the log
                 if req.message is not None and _accepted(filters, req.message):
                     fresh.append(req)
@@ -680,30 +784,17 @@ class ReplayController(MFController):
             for req in fresh:
                 msg = req.message
                 req.message = None
-                state.feed(ReceiveEvent(msg.src, msg.clock), msg)
+                feed(msg, registry)
 
         unexpected = mailbox.unexpected
         if unexpected:
             kept: list[Message] = []
             for msg in unexpected:
                 if _accepted(filters, msg):
-                    state.feed(ReceiveEvent(msg.src, msg.clock), msg)
+                    feed(msg, registry)
                 else:
                     kept.append(msg)
             unexpected[:] = kept
-
-    # -- slot assignment -----------------------------------------------------------
-
-    @staticmethod
-    def _occupy_slot(mailbox: MailBox, slot: Request, msg: Message) -> None:
-        """Complete ``slot`` in place with the recorded message."""
-        if slot.state is RequestState.PENDING:
-            # cannibalize the posted receive: the tool returns recorded
-            # content through it; whatever would have matched it later will
-            # surface in the unexpected queue and be drained then.
-            mailbox.cancel(slot)
-            slot.state = RequestState.COMPLETED
-        slot.message = msg
 
     @staticmethod
     def _unmatched_decision(call: MFCall, sends: list[Request]):
@@ -731,7 +822,7 @@ class ReplayController(MFController):
         """
         if self.engine is None:
             return
-        state = self._states.get((proc.rank, call.callsite))
+        state = self._states[proc.rank].get(call.callsite)
         if state is None or state.chunk is None:
             return
         if state.senders is not None:
@@ -794,7 +885,7 @@ class ReplayController(MFController):
         if call is None:
             return current
         promise = current + 1
-        state = self._states.get((sender_proc.rank, call.callsite))
+        state = self._states[sender_proc.rank].get(call.callsite)
         if (
             state is not None
             and state.chunk is not None
@@ -812,7 +903,7 @@ class ReplayController(MFController):
                 1 for slot in state.order[: state.cursor] if slot < i_star
             )
             m = i_star + 1 - delivered_below
-            pooled = sorted(key[0] for key in state.pool)
+            pooled = sorted(state.pooled_clocks())
             horizon = state.certainty_horizon()
             if horizon is None:
                 merged = pooled
@@ -842,11 +933,11 @@ class ReplayController(MFController):
     def undelivered_summary(self) -> dict[tuple[int, str], int]:
         """Remaining recorded events per callsite (0 everywhere on success)."""
         out = {}
-        for key, state in self._states.items():
+        for state in self.callsite_states():
             remaining = sum(c.num_events for c in state.pending_chunks)
             if state.chunk is not None:
                 remaining += state.chunk.num_events - state.cursor
-            out[key] = remaining
+            out[(state.rank, state.callsite)] = remaining
         return out
 
     def delivered_summary(self) -> dict[tuple[int, str], tuple[int, int]]:

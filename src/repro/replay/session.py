@@ -232,7 +232,7 @@ class _Session:
                 if self.watchdog is not None:
                     progress = (
                         replay_progress(controller)
-                        if hasattr(controller, "_states")
+                        if hasattr(controller, "callsite_states")
                         else engine_progress(engine, controller)
                     )
                     watchdog = ProgressWatchdog(

@@ -53,29 +53,29 @@ class MFCall:
     kind: MFKind
     requests: tuple[Request, ...]
     callsite: str
-    #: does the set hold a receive request? Learned by the validation pass
-    #: below, so no evaluation of the call scans the requests for it again.
+    #: does the set hold a receive request? a send request? Learned by the
+    #: validation pass below, so no evaluation of the call scans the
+    #: requests for either again.
     has_recv: bool = field(init=False, repr=False, compare=False)
+    has_send: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("MF call needs at least one request")
-        is_test = self.kind.is_test
         has_recv = has_send = False
         for r in self.requests:
             if r.is_recv:
                 has_recv = True
-                if is_test:
-                    break  # only wait-family sets are checked for mixing
             else:
                 has_send = True
-        if has_recv and has_send and not is_test:
+        if has_recv and has_send and not self.kind.is_test:
             raise CommunicatorError(
                 "wait-family calls over mixed send+receive request sets "
                 "are not replayable (a send completion returned instead "
                 "of a receive leaves no record); split the sets"
             )
         object.__setattr__(self, "has_recv", has_recv)
+        object.__setattr__(self, "has_send", has_send)
 
 
 @dataclass(frozen=True, slots=True)

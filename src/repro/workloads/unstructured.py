@@ -19,11 +19,12 @@ quota counts) far harder than a 4-neighbor grid does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable
 
 from repro.sim.datatypes import ANY_SOURCE
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 HALO_TAG = 31
 
@@ -53,7 +54,20 @@ class UnstructuredConfig:
             raise ValueError("need at least one iteration")
 
     def build_mesh(self) -> nx.Graph:
-        """The shared mesh every rank derives its neighbor lists from."""
+        """The shared mesh every rank derives its neighbor lists from.
+
+        networkx is imported here, not with the module: it is an optional
+        dependency (the ``workloads`` extra) that only this workload needs,
+        and ``import repro.workloads`` runs for every CLI command.
+        """
+        try:
+            import networkx as nx
+        except ModuleNotFoundError as exc:
+            raise ModuleNotFoundError(
+                "the 'unstructured' workload builds its mesh with networkx, "
+                "which is not installed; install the extra: "
+                "pip install 'repro[workloads]'"
+            ) from exc
         graph = nx.random_geometric_graph(
             self.vertices, self.radius, seed=self.seed
         )
@@ -77,7 +91,7 @@ def partition(
     """
     if mesh is None:
         mesh = config.build_mesh()
-    pos = nx.get_node_attributes(mesh, "pos")
+    pos = dict(mesh.nodes(data="pos"))
     ordered = sorted(range(config.vertices), key=lambda v: (pos[v][0], pos[v][1]))
     owner: dict[int, int] = {}
     base, extra = divmod(config.vertices, config.nprocs)

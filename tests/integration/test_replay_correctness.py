@@ -77,16 +77,36 @@ class TestJacobi:
 
 
 class TestSynthetic:
-    @pytest.mark.parametrize("style", ["testsome", "waitany"])
-    @pytest.mark.parametrize("disorder", [0.0, 3.0])
-    def test_replay_matches(self, style, disorder):
+    def replay_matches(self, style, disorder, replay_assist):
         cfg = synthetic.SyntheticConfig(
             nprocs=8, messages_per_rank=10, fanout=2, disorder=disorder, poll_style=style
         )
         program = synthetic.build_program(cfg)
-        record = RecordSession(program, nprocs=8, network_seed=21, chunk_events=16).run()
-        replayed = ReplaySession(program, record.archive, network_seed=22).run()
+        record = RecordSession(
+            program, nprocs=8, network_seed=21, chunk_events=16,
+            replay_assist=replay_assist,
+        ).run()
+        assert all(
+            (c.sender_sequence is not None) == replay_assist
+            for c in record.archive.chunks(0)
+        )
+        replayed = ReplaySession(
+            program, record.archive, network_seed=22,
+            # a wedged assist-less replay spins on beacon retries
+            engine_kwargs={"max_events": 20 * record.stats.total_events},
+        ).run()
         assert_replay_matches(record, replayed)
+
+    @pytest.mark.parametrize("style", ["testsome", "waitany"])
+    @pytest.mark.parametrize("disorder", [0.0, 3.0])
+    def test_replay_matches(self, style, disorder):
+        self.replay_matches(style, disorder, replay_assist=True)
+
+    @pytest.mark.parametrize("style", ["testsome", "waitany"])
+    @pytest.mark.parametrize("disorder", [0.0, 3.0])
+    def test_replay_matches_without_assist(self, style, disorder):
+        """The same matrix on the paper-exact record: the LMC path."""
+        self.replay_matches(style, disorder, replay_assist=False)
 
     def test_checksums_depend_on_order_without_replay(self):
         cfg = synthetic.SyntheticConfig(nprocs=8, messages_per_rank=10, disorder=3.0)

@@ -42,20 +42,28 @@ class LogWatchingController(ReplayController):
         ReplayController._absorb_arrivals(mailbox, filters, state)
 
 
+#: case -> (program, ranks, does the record carry the assist column)
 CASES = {
-    "mcb16": lambda: (make_workload("mcb", 16, particles_per_rank=12, seed=5)[0], 16),
+    "mcb16": lambda: (
+        make_workload("mcb", 16, particles_per_rank=12, seed=5)[0], 16, True
+    ),
     "unstructured12": lambda: (
         make_workload("unstructured", 12, vertices=48, iterations=2, seed=5)[0],
         12,
+        True,
     ),
-    "window1": lambda: (window1_program(per_sender=8), 6),
+    "window1": lambda: (window1_program(per_sender=8), 6, True),
+    # the paper-exact record: the LMC path strips and fills the same way
+    "window1-lmc": lambda: (window1_program(per_sender=8), 6, False),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_stripped_requests_never_reenter_the_completion_log(case):
-    program, nprocs = CASES[case]()
-    recorded = RecordSession(program, nprocs=nprocs, network_seed=3).run()
+    program, nprocs, assist = CASES[case]()
+    recorded = RecordSession(
+        program, nprocs=nprocs, network_seed=3, replay_assist=assist
+    ).run()
     LogWatchingController.log_reads = 0
     controller = LogWatchingController(recorded.archive)
     engine, _ = run_program(nprocs, program, network_seed=8, controller=controller)
@@ -64,11 +72,18 @@ def test_stripped_requests_never_reenter_the_completion_log(case):
     assert not any(controller.undelivered_summary().values())
     # What the controller still holds once the run is over is bounded by
     # what is outstanding — not by how many receives the run delivered:
-    # at most one parked call per rank, empty pools, and logs holding only
-    # completions no callsite has claimed yet.
+    # no parked call, empty pools — every queued message was let go at
+    # its delivery — and logs holding only completions no callsite has
+    # claimed yet.
     assert recorded.total_receive_events() > 4 * nprocs
-    assert len(controller._parked) <= nprocs
-    assert sum(len(s.pool) for s in controller._states.values()) == 0
+    for state in controller.callsite_states():
+        assert state.parked_call is None and state.parked_filters is None
+        assert state.pooled_count == 0 and not state.pooled_clocks()
+        assert not any(
+            msg is not None
+            for queue in state.arrived_per_sender.values()
+            for msg in queue
+        )
     for proc in engine.procs:
         for req in proc.mailbox.completion_log:
             assert req.state is RequestState.COMPLETED and req.message is not None

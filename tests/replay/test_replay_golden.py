@@ -143,7 +143,7 @@ def replay_digests(
         except ReproError as exc:
             delivered = sum(
                 state.delivered_events
-                for state in session._engine.controller._states.values()
+                for state in session._engine.controller.callsite_states()
             )
             digests.append(f"raises:{type(exc).__name__}:delivered={delivered}")
     return digests
@@ -260,8 +260,8 @@ class TestStalledAssistArchiveStillReports:
         ]
         assert blocked and all(c.uses_assist for c in blocked)
         for c in blocked:
-            state = controller._states[(c.rank, c.callsite)]
-            assert c.pooled == len(state.pool)
+            state = controller._states[c.rank][c.callsite]
+            assert c.pooled == state.pooled_count == len(state.pooled_clocks())
             assert c.horizon == state.certainty_horizon() is not None
             assert c.outstanding_quota
         text = report.render()

@@ -2,110 +2,40 @@
 
 For any recorded stream and ANY legal replay arrival order (legal = an
 interleaving that preserves each sender's clock order, as FIFO channels
-guarantee), driving :class:`CallsiteReplayState` must emit exactly the
-recorded sequence of unmatched runs and delivery groups — in both the
-assist and the LMC/progressive decode modes.
+guarantee), driving one callsite of a :class:`ReplayController` must emit
+exactly the recorded sequence of unmatched runs and delivery groups — in
+both the assist and the LMC/progressive decode modes.
 """
-
-import random
-from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.core.pipeline import encode_chunk_sequence
 from repro.core.record_table import build_tables
-from repro.replay.replayer import CallsiteReplayState, DeliveryMode, _Peek
-from repro.sim.datatypes import Message
+from repro.replay.replayer import DeliveryMode
 
-
-def msg_for(ev: ReceiveEvent) -> Message:
-    return Message(src=ev.rank, dst=0, tag=1, payload=None, clock=ev.clock, seq=0)
-
-
-@st.composite
-def recorded_streams(draw):
-    """(outcome stream, legal arrival order) pairs."""
-    n_senders = draw(st.integers(1, 4))
-    n_events = draw(st.integers(1, 40))
-    clocks = {s: 0 for s in range(n_senders)}
-    events = []
-    for _ in range(n_events):
-        s = draw(st.integers(0, n_senders - 1))
-        clocks[s] += draw(st.integers(1, 3))
-        events.append(ReceiveEvent(s, clocks[s] * n_senders + s))
-
-    # observed order: a permutation of the events (any observation is legal)
-    observed = list(events)
-    seed = draw(st.integers(0, 10**6))
-    random.Random(seed).shuffle(observed)
-
-    # outcomes with unmatched tests sprinkled in and occasional groups
-    outcomes = []
-    i = 0
-    while i < len(observed):
-        if draw(st.booleans()):
-            outcomes.append(MFOutcome("cs", MFKind.TEST, ()))
-        group = min(len(observed) - i, draw(st.integers(1, 3)))
-        kind = MFKind.TESTSOME if group > 1 else MFKind.TEST
-        outcomes.append(MFOutcome("cs", kind, tuple(observed[i : i + group])))
-        i += group
-
-    # a legal arrival order: random interleave of per-sender FIFO queues
-    per_sender = {}
-    for ev in events:
-        per_sender.setdefault(ev.rank, []).append(ev)
-    for q in per_sender.values():
-        q.sort(key=lambda e: e.clock)
-    arrival = []
-    rng = random.Random(seed + 1)
-    queues = {s: deque(q) for s, q in per_sender.items()}
-    while any(queues.values()):
-        s = rng.choice([s for s, q in queues.items() if q])
-        arrival.append(queues[s].popleft())
-    return outcomes, arrival
-
-
-def drive(state: CallsiteReplayState, arrival):
-    """Feed arrivals lazily and drain the script; return what was emitted."""
-    emitted = []
-    pending = deque(arrival)
-    stall = 0
-    while True:
-        kind, events = state.peek()
-        if kind is _Peek.EXHAUSTED:
-            break
-        if kind is _Peek.UNMATCHED:
-            state.consume_unmatched()
-            emitted.append(())
-            continue
-        if kind is _Peek.GROUP:
-            state.consume_group(events)
-            emitted.append(tuple(events))
-            continue
-        # BLOCKED: feed the next arrival
-        assert pending, "decoder blocked with nothing left to arrive"
-        ev = pending.popleft()
-        state.feed(ev, msg_for(ev))
-        stall += 1
-        assert stall < 10_000
-    return emitted
+from tests.replay.driving import (
+    CALLSITE,
+    CallsiteDriver,
+    events_of,
+    messages_for,
+    recorded_streams,
+)
 
 
 @given(recorded_streams(), st.integers(2, 12), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_decoder_reproduces_recorded_script(case, chunk_events, assist):
     outcomes, arrival = case
-    tables = build_tables(outcomes, chunk_events=chunk_events)["cs"]
-    chunks = deque(encode_chunk_sequence(tables, replay_assist=assist))
-    state = CallsiteReplayState(0, "cs", chunks)
-    emitted = drive(state, arrival)
+    tables = build_tables(outcomes, chunk_events=chunk_events)[CALLSITE]
+    chunks = encode_chunk_sequence(tables, replay_assist=assist)
+    # arrivals are let in lazily: one more whenever the call blocks
+    emitted = CallsiteDriver(chunks).drain(messages_for(arrival))
 
     expected = [tuple(o.matched) for o in outcomes]
     # unmatched runs collapse per-boundary in the record; compare the
     # delivery groups and the unmatched counts separately
-    assert [g for g in emitted if g] == [g for g in expected if g]
+    assert [events_of(g) for g in emitted if g] == [g for g in expected if g]
     assert sum(1 for g in emitted if not g) == sum(1 for g in expected if not g)
 
 
@@ -114,21 +44,11 @@ def test_decoder_reproduces_recorded_script(case, chunk_events, assist):
 def test_barrier_mode_also_reproduces_with_full_arrival(case, chunk_events):
     """Barrier mode needs whole chunks present; feed everything upfront."""
     outcomes, arrival = case
-    tables = build_tables(outcomes, chunk_events=chunk_events)["cs"]
-    chunks = deque(encode_chunk_sequence(tables, replay_assist=False))
-    state = CallsiteReplayState(0, "cs", chunks, mode=DeliveryMode.BARRIER)
-    for ev in arrival:
-        state.feed(ev, msg_for(ev))
-    emitted = []
-    while True:
-        kind, events = state.peek()
-        if kind is _Peek.EXHAUSTED:
-            break
-        if kind is _Peek.UNMATCHED:
-            state.consume_unmatched()
-            continue
-        assert kind is _Peek.GROUP
-        state.consume_group(events)
-        emitted.append(tuple(events))
+    tables = build_tables(outcomes, chunk_events=chunk_events)[CALLSITE]
+    chunks = encode_chunk_sequence(tables, replay_assist=False)
+    driver = CallsiteDriver(chunks, mode=DeliveryMode.BARRIER)
+    for msg in messages_for(arrival):
+        driver.arrive(msg)
+    emitted = driver.drain(())
     expected = [tuple(o.matched) for o in outcomes if o.matched]
-    assert emitted == expected
+    assert [events_of(g) for g in emitted if g] == expected

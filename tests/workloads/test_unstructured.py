@@ -1,5 +1,8 @@
 """Unstructured-mesh workload: topology, numerics, record/replay."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.replay import BaselineSession, RecordSession, ReplaySession, assert_replay_matches
@@ -34,6 +37,25 @@ class TestConfig:
     def test_mesh_deterministic_given_seed(self):
         cfg = UnstructuredConfig(nprocs=4)
         assert sorted(cfg.build_mesh().edges()) == sorted(cfg.build_mesh().edges())
+
+
+class TestNetworkxIsOptional:
+    """numpy is the only declared dependency; networkx is the ``workloads``
+    extra, needed by this workload's mesh and nothing else."""
+
+    def test_importing_the_workloads_does_not_import_networkx(self):
+        code = (
+            "import sys, repro.workloads, repro.cli; "
+            "from repro.workloads import make_workload; "
+            "make_workload('mcb', 4); "
+            "sys.exit('networkx' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    def test_missing_networkx_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)  # import now fails
+        with pytest.raises(ModuleNotFoundError, match=r"repro\[workloads\]"):
+            UnstructuredConfig(nprocs=4).build_mesh()
 
 
 class TestTopology:
