@@ -5,20 +5,15 @@ producing 258 events/s/process, so the bounded observe queue never blocks;
 the 8-byte clock piggyback costs ~1.18% runtime.
 """
 
-import os
 import time
 import warnings
 
 import pytest
 
-from repro.core import build_tables, compress, encode_chunk_sequence, Method
+from repro.core import compress, Method
 from repro.core.columnar import ColumnarTable, encode_columnar_chunk
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
-from repro.replay import (
-    FluidQueueModel,
-    RecordSession,
-    encode_chunk_sequence_sharded,
-)
+from repro.replay import FluidQueueModel, RecordSession
 from repro.replay.cost_model import cdc_cost_model
 from repro.sim import LatencyModel
 from repro.workloads import mcb
@@ -168,12 +163,6 @@ class TestKernelSpeedup:
         assert dec_speedup >= 3.0
 
 
-def _available_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _columnar_stream(n_chunks=128, chunk=4096, nsenders=8, seed=0):
     """Recorder-shaped columnar chunks: near-sorted with local inversions.
 
@@ -199,99 +188,23 @@ def _columnar_stream(n_chunks=128, chunk=4096, nsenders=8, seed=0):
     return tables
 
 
-class TestParallelEncode:
-    def test_parallel_chunk_encode(self, bench_results):
-        """Serial vs process-pool sharded chunk encoding over many callsites.
-
-        Correctness (identical chunks) is asserted on any machine; the
-        ≥2x speedup gate needs real parallel hardware and *skips* — never
-        silently passes — when fewer than 4 cores are available.
-        """
-        outs = synthetic_stream(60_000)
-        # spread the stream over 8 callsites so the pool has independent work
-        outs = [
-            MFOutcome(f"cs{i % 8}", o.kind, o.matched) for i, o in enumerate(outs)
-        ]
-        tables = [
-            t
-            for ts in build_tables(outs, chunk_events=512).values()
-            for t in ts
-        ]
-        by_callsite = {}
-        for t in tables:
-            by_callsite.setdefault(t.callsite, []).append(t)
-
-        def serial():
-            return encode_chunk_sequence_sharded(tables, workers=1)
-
-        def parallel():
-            return encode_chunk_sequence_sharded(tables, workers=4)
-
-        serial_chunks = serial()
-        parallel_chunks = parallel()
-        assert len(serial_chunks) == len(tables)
-        assert parallel_chunks == serial_chunks
-        # and both equal the reference single-callsite sequential encode
-        grouped = {}
-        for c in parallel_chunks:
-            grouped.setdefault(c.callsite, []).append(c)
-        assert grouped == {
-            cs: encode_chunk_sequence(ts) for cs, ts in by_callsite.items()
-        }
-
-        cores = _available_cores()
-        bench_results["cpu_cores"] = cores
-        if cores < 4:
-            pytest.skip(
-                f"parallel ≥2x speedup gate needs ≥4 cores, have {cores}; "
-                "correctness was still asserted above"
-            )
-        t_serial = _best_of(serial, repeats=3)
-        t_parallel = _best_of(parallel, repeats=3)
-        speedup = t_serial / t_parallel
-        bench_results["parallel_encode_speedup"] = round(speedup, 2)
-        bench_results["parallel_encode_workers"] = 4
-        emit(
-            "throughput_parallel_encode",
-            render_table(
-                "Chunk encoding: serial vs 4-worker process pool",
-                ["path", "wall time (s)"],
-                [
-                    ("serial", f"{t_serial:.4f}"),
-                    ("sharded (4 processes)", f"{t_parallel:.4f}"),
-                ],
-                note=f"speedup {speedup:.2f}x on {len(tables)} chunks, "
-                f"{cores} core(s); workers map one shared-memory segment, "
-                "no per-chunk pickling",
-            ),
-        )
-        assert speedup >= 2.0
-
+class TestColumnarEncode:
     def test_columnar_aggregate_throughput(self, bench_results):
-        """Aggregate encode rate on recorder-shaped columnar chunks.
+        """Single-process encode rate on recorder-shaped columnar chunks.
 
         The paper-scale bar: ≥5M events/s through the columnar encode path
-        on near-sorted streams (the recorder's steady state), measured over
-        all available workers — on one core this is the single-process
-        columnar rate itself.
+        on near-sorted streams (the recorder's steady state).
         """
         tables = _columnar_stream()
         total = sum(t.num_events for t in tables)
-        workers = min(4, _available_cores())
 
         def encode_all():
-            if workers <= 1:
-                for t in tables:
-                    encode_columnar_chunk(t, replay_assist=True)
-            else:
-                encode_chunk_sequence_sharded(
-                    tables, replay_assist=True, workers=workers
-                )
+            for t in tables:
+                encode_columnar_chunk(t, replay_assist=True)
 
         best = _best_of(encode_all, repeats=3)
         rate = total / best
         bench_results["encode_events_per_sec_aggregate"] = round(rate)
-        bench_results["encode_aggregate_workers"] = workers
         emit(
             "throughput_columnar_aggregate",
             render_table(
@@ -299,73 +212,14 @@ class TestParallelEncode:
                 ["metric", "value"],
                 [
                     ("events", f"{total:,}"),
-                    ("workers", workers),
                     ("wall time (s)", f"{best:.3f}"),
                     ("events/second", f"{rate:,.0f}"),
                 ],
-                note="bar: ≥5M events/s aggregate so paper-scale rank "
-                "counts stay I/O-bound",
+                note="bar: ≥5M events/s so paper-scale rank counts stay "
+                "I/O-bound",
             ),
         )
         assert rate >= 5_000_000
-
-    def test_supervised_overhead_within_budget(self, bench_results):
-        """Fault-free supervision must cost ≤5% over the bare sharded pool.
-
-        The supervisor adds segment leases, ceiling snapshots, and a retry
-        loop around every batch; on the happy path all of that is
-        bookkeeping. Recorded as an *efficiency ratio* (bare/supervised,
-        higher is better, 1.0 = free) so the regression gate's
-        value-below-mean direction works unchanged.
-        """
-        from repro.replay import ShardedChunkEncoder, SupervisedEncoder
-
-        tables = _columnar_stream(n_chunks=64)
-
-        def bare():
-            with ShardedChunkEncoder(workers=4) as enc:
-                for t in tables:
-                    enc.submit(t, replay_assist=True)
-                return enc.drain()
-
-        def supervised():
-            enc = SupervisedEncoder(workers=4, backend="process")
-            try:
-                for t in tables:
-                    enc.submit(t, replay_assist=True)
-                return enc.drain()
-            finally:
-                enc.close()
-
-        assert supervised() == bare()  # identical chunks on any machine
-        cores = _available_cores()
-        bench_results["cpu_cores"] = cores
-        if cores < 4:
-            pytest.skip(
-                f"supervision ≤5% overhead gate needs ≥4 cores, have "
-                f"{cores}; correctness was still asserted above"
-            )
-        t_bare = _best_of(bare, repeats=3)
-        t_supervised = _best_of(supervised, repeats=3)
-        efficiency = t_bare / t_supervised
-        bench_results["supervised_encode_efficiency"] = round(efficiency, 3)
-        emit(
-            "throughput_supervised_overhead",
-            render_table(
-                "Sharded encode: bare pool vs supervised (fault-free)",
-                ["path", "wall time (s)"],
-                [
-                    ("bare sharded pool", f"{t_bare:.4f}"),
-                    ("supervised", f"{t_supervised:.4f}"),
-                ],
-                note=f"efficiency {efficiency:.3f} (1.0 = free); budget: "
-                "supervision ≤5% overhead on the fault-free path",
-            ),
-        )
-        assert efficiency >= 0.95, (
-            f"supervision overhead {100 * (1 / efficiency - 1):.1f}% "
-            "exceeds the 5% fault-free budget"
-        )
 
 
 #: Welford z-gate: fail when the fresh number sits this many σ below the
@@ -446,36 +300,6 @@ class TestRegressionGuard:
             bench_results,
             load_previous_bench(),
             "encode_events_per_sec_aggregate",
-            float(current),
-        )
-
-    def test_parallel_speedup_not_regressed(self, bench_results):
-        """Welford-gate the sharded speedup whenever it was measured."""
-        current = bench_results.get("parallel_encode_speedup")
-        if current is None:
-            pytest.skip(
-                "parallel speedup was not measured this session "
-                "(needs ≥4 cores)"
-            )
-        self._welford_gate(
-            bench_results,
-            load_previous_bench(),
-            "parallel_encode_speedup",
-            float(current),
-        )
-
-    def test_supervised_efficiency_not_regressed(self, bench_results):
-        """Welford-gate the supervision efficiency ratio (higher=better)."""
-        current = bench_results.get("supervised_encode_efficiency")
-        if current is None:
-            pytest.skip(
-                "supervision overhead was not measured this session "
-                "(needs ≥4 cores)"
-            )
-        self._welford_gate(
-            bench_results,
-            load_previous_bench(),
-            "supervised_encode_efficiency",
             float(current),
         )
 

@@ -70,8 +70,6 @@ def cmd_record(args: argparse.Namespace) -> int:
         network_seed=args.network_seed,
         chunk_events=args.chunk_events,
         replay_assist=not args.no_assist,
-        parallel_workers=args.parallel_workers,
-        parallel_backend=args.parallel_backend,
         store_dir=args.out,
         meta={
             "workload": args.workload,
@@ -96,9 +94,6 @@ def cmd_record(args: argparse.Namespace) -> int:
     print(f"archive: {args.out} ({human_bytes(size)}, "
           f"{size / max(1, events):.3f} bytes/event)")
     print(f"virtual time: {result.stats.virtual_time:.6f} s")
-    if result.encoder_health is not None and result.encoder_health.degraded:
-        print()
-        print(result.encoder_health.render())
     if result.ledger_entry is not None:
         print(f"ledger: {args.ledger} run {result.ledger_entry.run_id}")
     _print_shipping(result, args.telemetry_sink)
@@ -415,32 +410,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 rows_,
             )
         )
-    health_meta = archive.meta.get("encoder_health")
-    if isinstance(health_meta, dict):
-        from repro.replay.supervisor import EncoderHealthReport
-
-        print()
-        print(EncoderHealthReport.from_json(health_meta).render())
     if args.metrics:
-        text, strict_problems = _telemetry_health(args.metrics)
         print()
-        print(text)
-        if args.strict and strict_problems:
-            for problem in strict_problems:
-                print(f"stats --strict: {problem}", file=sys.stderr)
-            return 1
+        print(_telemetry_health(args.metrics))
     return 0
 
 
-def _telemetry_health(metrics_path: str) -> tuple[str, list[str]]:
-    """Summarize a metrics JSONL dump: drops, saturation, schema validity.
-
-    Returns the rendered table plus the list of conditions ``--strict``
-    treats as failures — today, a parallel encode whose workers never
-    reported (the ``unknown ⚠`` row): that telemetry hole means the dump
-    can't vouch for the encode, which is exactly what a gate wants to
-    catch before a silent-zero dashboard ships.
-    """
+def _telemetry_health(metrics_path: str) -> str:
+    """Summarize a metrics JSONL dump: drops, saturation, schema validity."""
     import json
 
     from repro.obs import validate_metrics_lines
@@ -450,10 +427,6 @@ def _telemetry_health(metrics_path: str) -> tuple[str, list[str]]:
     problems = validate_metrics_lines(lines)
     dropped = 0
     saturated: list[str] = []
-    tasks_submitted = 0
-    worker_gauges = 0
-    worker_snapshots = 0
-    worker_task_samples = 0
     for line in lines:
         if not line.strip():
             continue
@@ -465,37 +438,6 @@ def _telemetry_health(metrics_path: str) -> tuple[str, list[str]]:
             dropped = max(dropped, int(obj.get("dropped_events") or 0))
         elif obj.get("saturated"):
             saturated.append(str(obj.get("name")))
-        name = str(obj.get("name", ""))
-        if name == "encoder.tasks_submitted":
-            tasks_submitted = int(obj.get("value") or 0)
-        elif name == "encoder.worker_snapshots":
-            worker_snapshots = int(obj.get("value") or 0)
-        elif name.startswith("encoder.worker") and name.endswith(".utilization"):
-            worker_gauges += 1
-        elif name == "encoder.task_us":
-            worker_task_samples = int(obj.get("count") or 0)
-    # parallel encode without worker telemetry must read as *unknown* —
-    # a silent zero here looks like idle workers when the truth is that
-    # nothing reported (pre-merge dump, dead workers, telemetry off in
-    # the pool). Serial encode is the only case where "none" is fine.
-    strict_problems: list[str] = []
-    if tasks_submitted == 0:
-        worker_row = "n/a (serial encode)"
-    elif worker_gauges or worker_task_samples or worker_snapshots:
-        worker_row = (
-            f"ok ({worker_gauges} worker gauge(s), "
-            f"{worker_task_samples} task sample(s), "
-            f"{worker_snapshots} snapshot(s) merged)"
-        )
-    else:
-        worker_row = (
-            f"unknown ⚠ {tasks_submitted} batch(es) submitted to a pool "
-            "but no worker telemetry reported"
-        )
-        strict_problems.append(
-            f"worker telemetry is unknown: {tasks_submitted} batch(es) "
-            "went to a pool whose workers never reported"
-        )
     rows = [
         ("schema", "ok" if not problems else f"{len(problems)} problem(s)"),
         (
@@ -508,15 +450,13 @@ def _telemetry_health(metrics_path: str) -> tuple[str, list[str]]:
             if saturated
             else "none",
         ),
-        ("worker telemetry", worker_row),
     ]
     note = None
     if problems:
         note = "; ".join(problems[:3])
-    text = render_table(
+    return render_table(
         f"telemetry health ({metrics_path})", ["check", "status"], rows, note=note
     )
-    return text, strict_problems
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -534,7 +474,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         program,
         nprocs=args.nprocs,
         network_seed=args.network_seed,
-        parallel_workers=args.parallel_workers,
         telemetry=registry,
     ).run()
     if args.replay:
@@ -989,15 +928,10 @@ def cmd_dash(args: argparse.Namespace) -> int:
     """Render the single-file HTML perf dashboard (the CI artifact)."""
     from repro.obs.dashboard import build_dashboard, validate_dashboard_html
 
-    health = None
-    if args.archive:
-        archive, _ = load_archive(args.archive, mode="strict")
-        health = archive.meta.get("encoder_health")
     text = build_dashboard(
         ledger=args.ledger,
         bench_dir=args.bench_dir,
         folded=args.folded,
-        health=health,
         fleet_alerts=args.fleet_alerts,
         explain=args.explain,
         title=args.title,
@@ -1218,16 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store the paper-exact format (no replay-assist column)",
     )
     p_record.add_argument(
-        "--parallel-workers", type=int, default=0, metavar="N",
-        help="encode flushed chunks on N supervised pool workers "
-             "(0 = serial in-process encode)",
-    )
-    p_record.add_argument(
-        "--parallel-backend", choices=("thread", "process"), default="thread",
-        help="worker pool for --parallel-workers; on repeated failure the "
-             "supervisor degrades process -> thread -> serial automatically",
-    )
-    p_record.add_argument(
         "--trace-out", metavar="FILE",
         help="additionally export the raw outcome trace as JSON lines",
     )
@@ -1285,11 +1209,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report telemetry health from a metrics JSONL dump "
              "(span-buffer drops, counter/histogram saturation)",
     )
-    p_stats.add_argument(
-        "--strict", action="store_true",
-        help="with --metrics: exit nonzero when telemetry health is "
-             "indeterminate (parallel encode whose workers never reported)",
-    )
     p_stats.set_defaults(func=cmd_stats)
 
     p_trace = sub.add_parser(
@@ -1308,10 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--replay", action="store_true",
         help="also replay the fresh record into the same trace",
-    )
-    p_trace.add_argument(
-        "--parallel-workers", type=int, default=0, metavar="N",
-        help="encode chunks on N worker threads (0 = serial)",
     )
     p_trace.set_defaults(func=cmd_trace)
 
@@ -1549,7 +1464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash = sub.add_parser(
         "dash",
         help="render the single-file HTML perf dashboard (ledger trends, "
-             "bench history, encoder health, flamegraph)",
+             "bench history, flamegraph)",
     )
     p_dash.add_argument("--out", required=True, metavar="FILE")
     p_dash.add_argument(
@@ -1562,10 +1477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash.add_argument(
         "--folded", metavar="FILE",
         help="collapsed-stack file from `repro profile --sample --folded-out`",
-    )
-    p_dash.add_argument(
-        "--archive", metavar="DIR",
-        help="archive whose encoder health report to include",
     )
     p_dash.add_argument(
         "--fleet-alerts", metavar="FILE",

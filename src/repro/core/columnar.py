@@ -304,7 +304,7 @@ def columnar_epoch_line(table: ColumnarTable) -> EpochLine:
 
     Equals ``EpochLine.from_events`` over the equivalent object table;
     computed with one ``np.unique`` + an unordered per-sender max, so it is
-    safe to call before encoding (the parallel-submit ceiling advance).
+    safe to call before encoding.
     """
     n = table.num_events
     if n == 0:

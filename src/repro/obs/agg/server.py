@@ -5,7 +5,7 @@
 :class:`~repro.obs.agg.state.FleetState`; the server only moves frames:
 
 * shipping connections: ``hello`` -> ``welcome``, then sequenced
-  ``delta``/``health``/``end`` frames folded into the fleet state, with
+  ``delta``/``end`` frames folded into the fleet state, with
   one cumulative ``ack`` per read batch (acking the run's high-water
   ``seq``, so retransmitted duplicates still clear the client's buffer);
 * query connections: ``query`` frames answered inline with ``reply``
@@ -129,7 +129,7 @@ class TelemetryAggregator:
                                 }
                             )
                         )
-                    elif kind in ("delta", "health", "end"):
+                    elif kind in ("delta", "end"):
                         if run_id is None:
                             await self._bail(
                                 writer, f"{kind} frame before hello"

@@ -6,13 +6,11 @@ periodically ships
 
 * **snapshot deltas** of the run's :class:`~repro.obs.registry.
   TelemetryRegistry` — what changed since the last shipped snapshot, in
-  ``export_snapshot`` shape, so the server folds them in with the same
-  commutative :meth:`~repro.obs.registry.TelemetryRegistry.merge` the
-  cross-process encoder telemetry uses;
+  ``export_snapshot`` shape, so the server folds them in with the
+  commutative :meth:`~repro.obs.registry.TelemetryRegistry.merge`;
 * the same ``sample``/``chunk`` progress objects the local
   :class:`~repro.obs.monitor.MetricsStreamWriter` writes (one shape, one
-  renderer — ``repro monitor`` parses both);
-* encoder-health transitions, whenever the supervision report changes.
+  renderer — ``repro monitor`` parses both).
 
 Shipping is strictly fire-and-forget. The engine thread never calls into
 the shipper; the shipper thread never blocks longer than its socket
@@ -36,7 +34,6 @@ local registry's final snapshot exactly.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import select
 import socket
@@ -44,7 +41,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.obs.monitor import drain_chunk_objects, sample_object
 from repro.obs.registry import NullRegistry, TelemetryRegistry
@@ -247,7 +244,6 @@ class TelemetryShipper:
         interval: float = DEFAULT_INTERVAL,
         buffer_frames: int = DEFAULT_BUFFER_FRAMES,
         retry: "RetryPolicy | None" = None,
-        health_probe: Callable[[], Any] | None = None,
         connect_timeout: float = 1.0,
         send_timeout: float = 0.5,
         drain_timeout: float = 1.0,
@@ -265,7 +261,6 @@ class TelemetryShipper:
         self.interval = interval
         self.buffer_frames = buffer_frames
         self.retry = retry if retry is not None else _default_retry()
-        self.health_probe = health_probe
         self.connect_timeout = connect_timeout
         self.send_timeout = send_timeout
         self.drain_timeout = drain_timeout
@@ -283,7 +278,6 @@ class TelemetryShipper:
             "counters": {}, "gauges": {}, "histograms": {},
         }
         self._event_cursor = 0
-        self._last_health: str | None = None
         self._t0 = 0.0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -383,24 +377,6 @@ class TelemetryShipper:
             "chunks": chunks,
         }
         self._enqueue(frame)
-        if self.health_probe is not None:
-            self._probe_health()
-
-    def _probe_health(self) -> None:
-        try:
-            report = self.health_probe()
-        except Exception:
-            return  # a failing probe must never hurt the run
-        if report is None:
-            return
-        health = report.to_json() if hasattr(report, "to_json") else dict(report)
-        key = json.dumps(health, sort_keys=True, default=str)
-        if key == self._last_health:
-            return
-        self._last_health = key
-        self._enqueue(
-            {"type": "health", "run_id": self.stats.run_id, "health": health}
-        )
 
     def _enqueue(self, frame: dict[str, Any]) -> None:
         frame["seq"] = self._next_seq

@@ -3,9 +3,8 @@
 This module is the server's brain, kept free of any networking so tests
 drive it with plain frame dicts. :class:`FleetState` owns one
 :class:`RunState` per ``run_id``; each run folds delta frames into its
-own :class:`~repro.obs.registry.TelemetryRegistry` (the same commutative
-merge the cross-process encoder telemetry uses) and feeds the
-``sample``/``chunk`` objects into a :class:`~repro.obs.monitor.
+own :class:`~repro.obs.registry.TelemetryRegistry` (a commutative merge)
+and feeds the ``sample``/``chunk`` objects into a :class:`~repro.obs.monitor.
 MonitorState` — so the server reuses the exact anomaly detection
 (Welford z-score over chunk compression ratios) and epoch ladder the
 local ``repro monitor`` renders, rather than reimplementing either.
@@ -21,8 +20,8 @@ Alert rules are declarative dicts evaluated against each run's summary::
 
 ``op`` is one of ``>``, ``>=``, ``<``, ``<=``, ``==``, ``!=``,
 ``truthy``. The default rule set covers the paper-scale failure modes:
-stalled/lost runs, encoder degradation, compression anomalies, dropped
-shipper frames, and saturated instruments.
+stalled/lost runs, compression anomalies, dropped shipper frames, and
+saturated instruments.
 """
 
 from __future__ import annotations
@@ -74,13 +73,6 @@ DEFAULT_ALERT_RULES: tuple[dict[str, Any], ...] = (
         "op": "truthy",
         "severity": "critical",
         "help": "no frames from the run inside the stall window",
-    },
-    {
-        "name": "encoder-degraded",
-        "signal": "encoder_degraded",
-        "op": "truthy",
-        "severity": "warning",
-        "help": "the supervised encoder downgraded or retried",
     },
     {
         "name": "compression-anomalies",
@@ -213,8 +205,6 @@ class RunState:
         self.monitor = MonitorState()
         #: bounded replay of stream objects for `monitor --remote` drill-down.
         self.replay_objects: list[dict[str, Any]] = []
-        self.health: dict[str, Any] = {}
-        self.health_transitions = 0
 
     # -- frame application ---------------------------------------------------
 
@@ -260,11 +250,6 @@ class RunState:
                 if isinstance(chunk, Mapping):
                     self._replay(dict(chunk))
             self._mark_progress(now)
-        elif kind == "health":
-            health = frame.get("health")
-            if isinstance(health, Mapping):
-                self.health = dict(health)
-                self.health_transitions += 1
         elif kind == "end":
             self.ended = True
             self.connected = False
@@ -318,7 +303,6 @@ class RunState:
             counters.get("sim.events", 0),
             counters.get("replay.delivered_events", 0),
         )
-        health = self.health
         return {
             "run_id": self.run_id,
             "mode": self.mode,
@@ -338,8 +322,6 @@ class RunState:
             "anomalies": len(self.monitor.anomalies),
             "stalled": self.stalled(now, stall_after),
             "lost": self.lost(now, stall_after),
-            "encoder_degraded": bool(health.get("degraded")),
-            "health_transitions": self.health_transitions,
             "frames_dropped": int(self.end_info.get("frames_dropped") or 0),
             "reconnects": int(self.end_info.get("reconnects") or 0),
             "saturated": len(self.registry.saturated_instruments()),
@@ -349,9 +331,7 @@ class RunState:
                 self.registry.gauges().get("explain.critical_path_share", 0.0)
             ),
             "healthy": not (
-                self.stalled(now, stall_after)
-                or self.lost(now, stall_after)
-                or bool(health.get("degraded"))
+                self.stalled(now, stall_after) or self.lost(now, stall_after)
             ),
         }
 
@@ -449,7 +429,6 @@ class FleetState:
             "summary": run.summary(self.clock(), self.stall_after),
             "objects": list(run.replay_objects),
             "instruments": run.registry.export_snapshot(),
-            "health": run.health,
         }
 
 
@@ -487,8 +466,6 @@ def render_fleet(summary: Mapping[str, Any]) -> str:
         flags = []
         if run.get("anomalies"):
             flags.append(f"z⚠×{run['anomalies']}")
-        if run.get("encoder_degraded"):
-            flags.append("enc⚠")
         if run.get("frames_dropped"):
             flags.append(f"drop×{run['frames_dropped']}")
         if run.get("reconnects"):

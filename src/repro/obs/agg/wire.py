@@ -23,8 +23,6 @@ type           direction  payload
                           snapshot_delta`), ``sample`` (cumulative progress
                           counters/gauges), ``chunks`` (fresh per-epoch
                           chunk flush records).
-``health``     c -> s     ``seq``, ``health`` — an encoder-health
-                          transition (the supervision report changed).
 ``end``        c -> s     ``seq``, ``t``, ``frames_sent``,
                           ``frames_dropped`` — the run finished cleanly.
 ``ack``        s -> c     ``seq`` — everything up to ``seq`` is merged; the
@@ -72,11 +70,10 @@ QUERY_WHAT = ("fleet", "alerts", "run", "server")
 _LEN = struct.Struct(">I")
 
 #: frame types that must carry a ``seq`` (the buffered, acked kinds).
-_SEQUENCED = ("delta", "health", "end")
+_SEQUENCED = ("delta", "end")
 
 _KNOWN_TYPES = (
-    "hello", "welcome", "delta", "health", "end", "ack", "query", "reply",
-    "error",
+    "hello", "welcome", "delta", "end", "ack", "query", "reply", "error",
 )
 
 
@@ -180,9 +177,6 @@ def validate_frame(obj: Any) -> list[str]:
             problems.append("delta: chunks is not a list")
         if not isinstance(obj.get("sample", {}), Mapping):
             problems.append("delta: sample is not an object")
-    elif kind == "health":
-        if not isinstance(obj.get("health"), Mapping):
-            problems.append("health: health report missing")
     elif kind == "ack":
         if not isinstance(obj.get("seq"), int):
             problems.append("ack: seq missing")

@@ -10,7 +10,6 @@ assets — that CI uploads on every run and a reviewer opens cold:
 * **benchmark history** — every ``*_history`` series from the repo's
   ``BENCH_*.json`` files (schema-checked by :mod:`repro.obs.bench`),
   plus a table of the current scalars;
-* **encoder health** — the supervision report of the run's archive;
 * **flamegraph** — the latest sampling profile's collapsed stacks
   (:mod:`repro.obs.profiler`), rendered as depth-ramped cells with a
   hover readout and a hotspot table.
@@ -53,7 +52,6 @@ REQUIRED_SECTIONS = (
     "dash-bench",
     "dash-fleet",
     "dash-critical",
-    "dash-health",
     "dash-flame",
     "dash-runs",
 )
@@ -632,35 +630,6 @@ def _critical_section(explain: Mapping[str, Any] | None) -> str:
     return f'{head}<div class="grid">{blame}{slack}</div>'
 
 
-def _health_section(health: Mapping[str, Any] | None) -> str:
-    if not health:
-        return (
-            '<p class="okline">no encoder health report '
-            "(serial encode, or none supplied)</p>"
-        )
-    order = (
-        "backend_requested", "backend_final", "batches", "pool_rebuilds",
-        "batch_retries", "deadline_timeouts", "segment_failures",
-        "inline_fallbacks", "quarantined_batches", "leaked_segments",
-    )
-    rows = []
-    for key in order:
-        if key in health:
-            rows.append(
-                f"<tr><td>{html.escape(key.replace('_', ' '))}</td>"
-                f'<td class="num">{html.escape(str(health[key]))}</td></tr>'
-            )
-    for frm, to, reason in health.get("downgrades", ()):
-        rows.append(
-            "<tr><td>downgrade</td>"
-            f"<td>{html.escape(f'{frm} -> {to} ({reason})')}</td></tr>"
-        )
-    return (
-        '<div class="card" style="max-width:420px">'
-        "<table><tbody>" + "".join(rows) + "</tbody></table></div>"
-    )
-
-
 def _runs_table(entries: Sequence[LedgerEntry], limit: int = 30) -> str:
     if not entries:
         return '<p class="okline">no ledgered runs</p>'
@@ -696,7 +665,6 @@ def build_dashboard(
     ledger: RunLedger | str | Sequence[LedgerEntry] | None = None,
     bench_dir: str = ".",
     folded: str | Sequence[str] | None = None,
-    health: Mapping[str, Any] | Any = None,
     fleet_alerts: Mapping[str, Any] | Sequence[Any] | str | None = None,
     explain: Mapping[str, Any] | str | None = None,
     title: str = "repro perf dashboard",
@@ -706,10 +674,9 @@ def build_dashboard(
     """Render the whole dashboard; returns the HTML text.
 
     ``ledger`` is a :class:`RunLedger`, a JSONL path, or entries;
-    ``folded`` a collapsed-stack file path or lines; ``health`` an
-    :class:`~repro.replay.supervisor.EncoderHealthReport` or its
-    ``to_json()`` dict; ``fleet_alerts`` a ``repro fleet alerts --json``
-    snapshot (the dict, the bare alert list, or a path to either);
+    ``folded`` a collapsed-stack file path or lines; ``fleet_alerts`` a
+    ``repro fleet alerts --json`` snapshot (the dict, the bare alert list,
+    or a path to either);
     ``explain`` a ``repro explain --json`` export (the dict or a path).
     """
     if isinstance(ledger, str):
@@ -731,9 +698,6 @@ def build_dashboard(
     else:
         folded_lines = list(folded or [])
     flame_root = _parse_folded(folded_lines)
-
-    if health is not None and hasattr(health, "to_json"):
-        health = health.to_json()
 
     if isinstance(fleet_alerts, str):
         try:
@@ -791,9 +755,6 @@ def build_dashboard(
 
 <h2 id="dash-critical">Critical path</h2>
 {_critical_section(explain)}
-
-<h2 id="dash-health">Encoder health</h2>
-{_health_section(health)}
 
 <h2 id="dash-flame">Flamegraph (sampling profile)</h2>
 {flame_html}

@@ -8,7 +8,7 @@ Two machine-readable views of one :class:`~repro.obs.registry.TelemetryRegistry`
 * **Chrome trace JSON** — the ``trace_event`` format that
   ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_ load
   directly: complete (``"ph": "X"``) events with microsecond timestamps
-  relative to the registry's start, thread-name metadata so worker pools
+  relative to the registry's start, thread-name metadata so threads
   read as labelled rows, and final counter values as ``"C"`` samples.
 
 Both formats ship a validator (:func:`validate_chrome_trace`,

@@ -310,11 +310,6 @@ def entry_from_result(
     recovery = getattr(result, "recovery", None)
     if recovery is not None and not recovery.clean:
         health["salvaged_archive"] = True
-    encoder_health = getattr(result, "encoder_health", None)
-    if encoder_health is not None and encoder_health.degraded:
-        # the compressed one-liner ("process->thread retries=3 ...") so a
-        # ledger reader sees *how* the encode degraded, not just that it did.
-        health["encoder_degraded"] = encoder_health.summary()
     mode = getattr(result, "mode", "?")
     network_seed = meta.get("network_seed")
     return LedgerEntry(

@@ -7,8 +7,8 @@ interface:
 
 * :class:`TelemetryRegistry` — the real thing. Thread-safe: instrument
   creation takes the registry lock, instrument updates take a per-
-  instrument lock (the parallel chunk encoder hits counters and
-  histograms from every worker thread).
+  instrument lock (the shipper and stream-writer threads snapshot
+  instruments while the engine thread updates them).
 * :class:`NullRegistry` — the disabled fast path. ``counter()`` /
   ``gauge()`` / ``histogram()`` return one shared no-op instrument and
   ``record_span`` drops everything, so instrumented code never allocates
@@ -29,12 +29,12 @@ Semantics worth pinning down:
   ``bit_length(v) == i`` (bucket 0 is ``v <= 0``), 64 buckets total, so
   any non-negative int maps in O(1) with no configuration.
 
-Cross-process telemetry rides on two registry methods: a worker process
-collects into its own registry and ships :meth:`TelemetryRegistry.
-export_snapshot` (a compact, picklable mapping) back with its batch
-result; the producer folds it in with :meth:`TelemetryRegistry.merge`.
-Counter and histogram merges are commutative and associative — merging
-worker snapshots in any arrival order yields the same instruments.
+Cross-process telemetry rides on two registry methods: a run ships
+:meth:`TelemetryRegistry.export_snapshot` mappings (or deltas between
+two of them) to the fleet aggregator, which folds them in with
+:meth:`TelemetryRegistry.merge`. Counter and histogram merges are
+commutative and associative — merging snapshots in any arrival order
+yields the same instruments.
 """
 
 from __future__ import annotations
@@ -464,12 +464,11 @@ class TelemetryRegistry:
         """Fold an :meth:`export_snapshot` mapping into this registry.
 
         Instruments are created on demand (same lazy path as live
-        updates), so a producer registry that never touched a worker-side
+        updates), so a registry that never touched a sender-side
         instrument still ends up with it. Counter and histogram merges
         are commutative and associative; see :meth:`Gauge.merge` for the
         one caveat on gauge last-values. Unknown keys are ignored, which
-        lets callers ride extra routing fields (worker id, busy time) on
-        the same mapping.
+        lets callers ride extra routing fields on the same mapping.
         """
         for name, value in (snapshot.get("counters") or {}).items():
             self.counter(name).merge(value)

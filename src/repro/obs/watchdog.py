@@ -303,24 +303,7 @@ def replay_progress(controller) -> Callable[[], int]:
     return progress
 
 
-def engine_progress(engine, controller=None) -> Callable[[], int]:
-    """Progress callable for record/baseline runs: engine event count.
-
-    A recording controller with a parallel encoder also contributes its
-    finished-batch count (``encode_progress``). During the finalize drain
-    the engine's event count is already static, so without this term a
-    long (but healthy) drain would look like a stall — and a genuinely
-    hung encode batch would never trigger one. Each completed batch is
-    progress; a drain wedged past its per-batch deadlines stops the
-    counter and fires the watchdog.
-    """
+def engine_progress(engine) -> Callable[[], int]:
+    """Progress callable for record/baseline runs: engine event count."""
     stats = engine.stats
-    encode = getattr(controller, "encode_progress", None)
-
-    def progress() -> int:
-        total = stats.total_events
-        if encode is not None:
-            total += encode()
-        return total
-
-    return progress
+    return lambda: stats.total_events

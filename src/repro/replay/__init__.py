@@ -10,26 +10,6 @@ from repro.replay.durable_store import (
     load_archive,
     save_archive,
 )
-from repro.replay.parallel_encoder import (
-    ParallelChunkEncoder,
-    encode_chunk_sequence_parallel,
-)
-from repro.replay.shard_encoder import (
-    ShardedChunkEncoder,
-    encode_chunk_sequence_sharded,
-)
-from repro.replay.shm import (
-    SegmentLease,
-    SegmentRegistry,
-    attach_segment,
-    global_segment_registry,
-)
-from repro.replay.supervisor import (
-    BACKEND_LADDER,
-    DowngradeEvent,
-    EncoderHealthReport,
-    SupervisedEncoder,
-)
 from repro.replay.cost_model import (
     PerRankRecordingState,
     RecordingCostModel,
@@ -82,18 +62,6 @@ __all__ = [
     "ReplaySession",
     "RunResult",
     "SPSCQueue",
-    "BACKEND_LADDER",
-    "DowngradeEvent",
-    "EncoderHealthReport",
-    "ParallelChunkEncoder",
-    "SegmentLease",
-    "SegmentRegistry",
-    "ShardedChunkEncoder",
-    "SupervisedEncoder",
-    "attach_segment",
-    "encode_chunk_sequence_parallel",
-    "encode_chunk_sequence_sharded",
-    "global_segment_registry",
     "assert_replay_matches",
     "bytes_per_event",
     "cdc_cost_model",

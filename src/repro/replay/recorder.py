@@ -21,18 +21,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 from repro.core.columnar import ColumnarTable, ColumnarTableBuilder, encode_table
 from repro.core.compression import ZLIB_LEVEL
 from repro.core.events import MFOutcome, outcomes_to_rows
 from repro.core.formats import serialize_cdc_chunks, serialize_raw_rows
-from repro.core.record_table import RecordTable, RecordTableBuilder
 from repro.replay.chunk_store import RecordArchive
-from repro.replay.durable_store import DurableArchiveWriter, RetryPolicy
-from repro.replay.parallel_encoder import ParallelChunkEncoder, advance_ceilings
-from repro.replay.shard_encoder import ShardedChunkEncoder
-from repro.replay.supervisor import EncoderHealthReport, SupervisedEncoder
+from repro.replay.durable_store import DurableArchiveWriter
 from repro.replay.cost_model import (
     PerRankRecordingState,
     RecordingCostModel,
@@ -54,9 +50,7 @@ class RankRecorderState:
 
     rank: int
     cost: PerRankRecordingState
-    builders: dict[str, RecordTableBuilder | ColumnarTableBuilder] = field(
-        default_factory=dict
-    )
+    builders: dict[str, ColumnarTableBuilder] = field(default_factory=dict)
     outcomes: list[MFOutcome] = field(default_factory=list)
     #: per callsite, per sender: highest clock in already-flushed chunks —
     #: lets flushes mark boundary-exception events (DESIGN.md §5.2).
@@ -78,15 +72,7 @@ class RecordingController(MFController):
         cost_model: RecordingCostModel | None = None,
         keep_outcomes: bool = True,
         replay_assist: bool = True,
-        parallel_workers: int = 0,
-        parallel_backend: str = "thread",
         store: DurableArchiveWriter | None = None,
-        columnar: bool = True,
-        supervised: bool = True,
-        encoder_retry: RetryPolicy | None = None,
-        batch_deadline: float | None = None,
-        encoder_chaos=None,
-        encoder_opts: Mapping[str, Any] | None = None,
     ) -> None:
         super().__init__()
         if chunk_events < 1:
@@ -95,12 +81,6 @@ class RecordingController(MFController):
         self.cost_model = cost_model if cost_model is not None else cdc_cost_model()
         self.keep_outcomes = keep_outcomes
         self.replay_assist = replay_assist
-        #: columnar order buffers (repro.core.columnar): identifier columns
-        #: live in preallocated int64 arrays and encode without per-event
-        #: object churn — byte-identical archives, much faster at scale.
-        #: ``False`` restores the object builders (needed only for clocks
-        #: beyond int64, which the simulator never produces).
-        self.columnar = columnar
         self.archive = RecordArchive(nprocs)
         #: optional durable writer: every flushed chunk also lands on
         #: storage as a CRC'd frame, immediately (Section 3.5 epoch lines
@@ -111,43 +91,6 @@ class RecordingController(MFController):
             r: RankRecorderState(r, PerRankRecordingState(self.cost_model))
             for r in range(nprocs)
         }
-        #: opt-in parallel chunk encoding (Section 4.2 consumer fan-out):
-        #: flushes submit to a worker pool and the archive fills at finalize,
-        #: in flush order — chunk-for-chunk identical to the serial path.
-        #: ``parallel_backend`` picks the pool: ``"thread"`` (shared
-        #: interpreter, cheap submits) or ``"process"`` (GIL-free sharded
-        #: encode over shared-memory columns, see repro.replay.shard_encoder).
-        if parallel_workers < 0:
-            raise ValueError(f"parallel_workers must be >= 0, got {parallel_workers}")
-        if parallel_backend not in ("thread", "process"):
-            raise ValueError(
-                f"parallel_backend must be 'thread' or 'process', "
-                f"got {parallel_backend!r}"
-            )
-        self._encoder = None
-        #: crash-only supervision (repro.replay.supervisor) is the default
-        #: for every parallel backend: worker loss, hung batches, and
-        #: segment failures are retried / quarantined / downgraded instead
-        #: of aborting the recording. ``supervised=False`` keeps the bare
-        #: PR-6 pools for benchmark baselines and pathology repros.
-        if parallel_workers > 0:
-            if supervised:
-                self._encoder = SupervisedEncoder(
-                    workers=parallel_workers,
-                    backend=parallel_backend,
-                    retry=encoder_retry,
-                    batch_deadline=batch_deadline,
-                    chaos=encoder_chaos,
-                    **dict(encoder_opts or {}),
-                )
-            elif parallel_backend == "process":
-                self._encoder = ShardedChunkEncoder(workers=parallel_workers)
-            else:
-                self._encoder = ParallelChunkEncoder(workers=parallel_workers)
-        #: filled at finalize when the supervised encoder ran: what
-        #: supervision had to do (None on serial/unsupervised paths).
-        self.encoder_health: EncoderHealthReport | None = None
-        self._inflight: list[int] = []  # rank of each submitted flush
 
     # -- MFController hooks ---------------------------------------------------
 
@@ -163,10 +106,7 @@ class RecordingController(MFController):
             state.outcomes.append(outcome)
         builder = state.builders.get(outcome.callsite)
         if builder is None:
-            builder_cls = (
-                ColumnarTableBuilder if self.columnar else RecordTableBuilder
-            )
-            builder = state.builders[outcome.callsite] = builder_cls(
+            builder = state.builders[outcome.callsite] = ColumnarTableBuilder(
                 outcome.callsite
             )
         builder.add(outcome)
@@ -187,21 +127,6 @@ class RecordingController(MFController):
             for builder in state.builders.values():
                 if builder.dirty:
                     self._flush(rank, builder)
-        if self._encoder is not None:
-            with span("record.drain", inflight=len(self._inflight)):
-                chunks = self._encoder.drain()
-            for rank, chunk in zip(self._inflight, chunks):
-                self._store_chunk(rank, chunk)
-            self._inflight.clear()
-            if isinstance(self._encoder, SupervisedEncoder):
-                self.encoder_health = self._encoder.health()
-                if self.encoder_health.degraded:
-                    # ride the manifest so `repro stats` (and the ledger)
-                    # can see the degradation from the archive alone.
-                    self.archive.meta["encoder_health"] = (
-                        self.encoder_health.to_json()
-                    )
-            self._encoder.close()
         registry = get_registry()
         if registry.enabled:
             registry.counter("record.payload_bytes").add(self.data_replay_bytes())
@@ -211,9 +136,7 @@ class RecordingController(MFController):
                 registry.gauge("record.queue_occupancy_max").set_max(occupancy)
             registry.gauge("record.queue_stall_seconds").set(total_stall)
 
-    def _flush(
-        self, rank: int, builder: RecordTableBuilder | ColumnarTableBuilder
-    ) -> None:
+    def _flush(self, rank: int, builder: ColumnarTableBuilder) -> None:
         table = builder.flush()
         if not (table.num_events or table.unmatched_runs):
             return
@@ -230,19 +153,8 @@ class RecordingController(MFController):
             return
         self._flush_table(rank, table)
 
-    def _flush_table(self, rank: int, table: RecordTable | ColumnarTable) -> None:
+    def _flush_table(self, rank: int, table: ColumnarTable) -> None:
         ceilings = self.ranks[rank].ceilings.setdefault(table.callsite, {})
-        if self._encoder is not None:
-            # parallel path: snapshot the ceilings into the task, advance
-            # them synchronously from the table's epoch line (cheap), and
-            # let the pool encode; the archive fills at finalize in flush
-            # order, so layout matches the serial path exactly.
-            self._encoder.submit(
-                table, replay_assist=self.replay_assist, prior_ceilings=ceilings
-            )
-            advance_ceilings(ceilings, table)
-            self._inflight.append(rank)
-            return
         chunk = encode_table(
             table, replay_assist=self.replay_assist, prior_ceilings=ceilings
         )
@@ -274,25 +186,6 @@ class RecordingController(MFController):
             stored_bytes=stored,
         )
 
-    def encode_progress(self) -> int:
-        """Encoder batches finished so far — feeds the progress watchdog.
-
-        A recording wedged in ``drain()`` (hung worker, broken pool that
-        somehow evades supervision) stops advancing this counter, which
-        lets the watchdog convert the hang into a stall report instead of
-        an indefinite wait.
-        """
-        if isinstance(self._encoder, SupervisedEncoder):
-            return self._encoder.completed_batches
-        return 0
-
-    def abort(self) -> None:
-        """Crash-path cleanup: kill encoder workers, release shm segments."""
-        if isinstance(self._encoder, SupervisedEncoder):
-            self._encoder.abort()
-        elif self._encoder is not None:
-            self._encoder.close()
-
     # -- results ---------------------------------------------------------------
 
     def outcomes_of(self, rank: int) -> list[MFOutcome]:
@@ -322,39 +215,11 @@ class GzipRecordingController(RecordingController):
 
     mode = "record-gzip"
 
-    def __init__(
-        self,
-        nprocs: int,
-        chunk_events: int = DEFAULT_CHUNK_EVENTS,
-        cost_model: RecordingCostModel | None = None,
-        keep_outcomes: bool = True,
-        replay_assist: bool = True,
-        parallel_workers: int = 0,
-        parallel_backend: str = "thread",
-        store: DurableArchiveWriter | None = None,
-        columnar: bool = True,
-        supervised: bool = True,
-        encoder_retry: RetryPolicy | None = None,
-        batch_deadline: float | None = None,
-        encoder_chaos=None,
-        encoder_opts: Mapping[str, Any] | None = None,
-    ) -> None:
-        super().__init__(
-            nprocs,
-            chunk_events=chunk_events,
-            cost_model=cost_model if cost_model is not None else gzip_cost_model(),
-            keep_outcomes=True,  # the raw format needs the full stream
-            replay_assist=replay_assist,
-            parallel_workers=parallel_workers,
-            parallel_backend=parallel_backend,
-            store=store,
-            columnar=columnar,
-            supervised=supervised,
-            encoder_retry=encoder_retry,
-            batch_deadline=batch_deadline,
-            encoder_chaos=encoder_chaos,
-            encoder_opts=encoder_opts,
-        )
+    def __init__(self, nprocs: int, **kwargs) -> None:
+        if kwargs.get("cost_model") is None:
+            kwargs["cost_model"] = gzip_cost_model()
+        kwargs["keep_outcomes"] = True  # the raw format needs the full stream
+        super().__init__(nprocs, **kwargs)
 
     def storage_bytes(self, rank: int) -> int:
         """gzip'd raw-format record size for one rank."""

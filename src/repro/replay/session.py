@@ -92,10 +92,6 @@ class RunResult:
     #: watchdog post-mortem, when a stall fired and policy degraded to a
     #: partial result instead of raising.
     stall: StallReport | None = None
-    #: record mode with a supervised parallel encoder: what supervision
-    #: had to do (retries, quarantines, backend downgrades). ``degraded``
-    #: False means the encode was fault-free.
-    encoder_health: Any = None
     #: ledger line appended for this run (sessions with ``ledger=`` only).
     ledger_entry: Any = None
     #: stopped sampling profiler, when the session ran with ``profile=`` —
@@ -225,15 +221,12 @@ class _Session:
                         mode=mode,
                         nprocs=self.nprocs,
                         interval=self.sink_interval,
-                        health_probe=lambda: getattr(
-                            controller, "encoder_health", None
-                        ),
                     ).start()
                 if self.watchdog is not None:
                     progress = (
                         replay_progress(controller)
                         if hasattr(controller, "callsite_states")
-                        else engine_progress(engine, controller)
+                        else engine_progress(engine)
                     )
                     watchdog = ProgressWatchdog(
                         engine, progress, self.watchdog
@@ -325,14 +318,6 @@ class RecordSession(_Session):
         keep_outcomes: bool = True,
         gzip_baseline: bool = False,
         replay_assist: bool = True,
-        parallel_workers: int = 0,
-        parallel_backend: str = "thread",
-        columnar: bool = True,
-        supervised: bool = True,
-        encoder_retry: RetryPolicy | None = None,
-        batch_deadline: float | None = None,
-        encoder_chaos: Any = None,
-        encoder_opts: Mapping[str, Any] | None = None,
         latency: LatencyModel | None = None,
         engine_kwargs: Mapping[str, Any] | None = None,
         store_dir: str | None = None,
@@ -373,21 +358,6 @@ class RecordSession(_Session):
         self.keep_outcomes = keep_outcomes
         self.gzip_baseline = gzip_baseline
         self.replay_assist = replay_assist
-        self.parallel_workers = parallel_workers
-        self.parallel_backend = parallel_backend
-        self.columnar = columnar
-        #: crash-only encoder supervision (default on); see
-        #: :class:`repro.replay.supervisor.SupervisedEncoder`.
-        self.supervised = supervised
-        #: pool-rebuild backoff; ``encoder_retry=RetryPolicy(seed=N,
-        #: jitter=...)`` gives fault-injection tests a reproducible
-        #: backoff schedule.
-        self.encoder_retry = encoder_retry
-        self.batch_deadline = batch_deadline
-        self.encoder_chaos = encoder_chaos
-        #: extra :class:`~repro.replay.supervisor.SupervisedEncoder`
-        #: keywords (``quarantine_after``, ``max_pool_failures``, …).
-        self.encoder_opts = encoder_opts
         #: when set, chunks stream to this directory as durable v2 frames
         #: while the run is in flight; the manifest commits at the end.
         self.store_dir = store_dir
@@ -414,24 +384,13 @@ class RecordSession(_Session):
             cost_model=self.cost_model,
             keep_outcomes=self.keep_outcomes,
             replay_assist=self.replay_assist,
-            parallel_workers=self.parallel_workers,
-            parallel_backend=self.parallel_backend,
             store=writer,
-            columnar=self.columnar,
-            supervised=self.supervised,
-            encoder_retry=self.encoder_retry,
-            batch_deadline=self.batch_deadline,
-            encoder_chaos=self.encoder_chaos,
-            encoder_opts=self.encoder_opts,
         )
         controller.archive.meta.update(self.meta)
         try:
             result = self._run(controller, controller.mode)
         except BaseException:
-            # crash path: leave flushed frames on disk, commit no manifest;
-            # the encoder abort kills workers and unlinks every shared
-            # segment so a dying recording leaks nothing into /dev/shm.
-            controller.abort()
+            # crash path: leave flushed frames on disk, commit no manifest
             if writer is not None:
                 writer.abort()
             raise
@@ -439,7 +398,6 @@ class RecordSession(_Session):
             with use_registry(self.registry):  # manifest commit + fsyncs
                 writer.close(controller.archive.meta)
         result.archive = controller.archive
-        result.encoder_health = controller.encoder_health
         if self.keep_outcomes or self.gzip_baseline:
             result.outcomes = {
                 r: controller.outcomes_of(r) for r in range(self.nprocs)

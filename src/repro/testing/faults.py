@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import errno
 import os
-import signal
-import time
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from typing import IO
@@ -181,77 +179,6 @@ class FaultyFile:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-# ---------------------------------------------------------------------------
-# process-level chaos for the supervised parallel encoder
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EncodeChaosPlan:
-    """Declarative process/segment failures for the sharded encode path.
-
-    Worker faults are keyed by exact ``(batch, attempt)`` pairs, so plans
-    are deterministic without any cross-process shared state: a pickled
-    copy of the chaos object inside a pool worker decides purely from its
-    own arguments. ``((0, 0),)`` kills batch 0's first attempt only (the
-    retry succeeds); ``((0, 0), (0, 1))`` is a poison batch that must be
-    quarantined.
-    """
-
-    #: SIGKILL the pool worker running these (batch, attempt) encodes.
-    kill_worker_on: tuple[tuple[int, int], ...] = ()
-    #: make these (batch, attempt) encodes sleep ``hang_seconds`` first.
-    hang_worker_on: tuple[tuple[int, int], ...] = ()
-    #: how long a hung worker sleeps. Process workers are SIGKILL'd on
-    #: deadline, so this can be huge; thread workers cannot be killed and
-    #: run to completion, so thread-rung plans should keep it small.
-    hang_seconds: float = 3600.0
-    #: fail the first K ``SharedMemory`` creates with ENOMEM.
-    fail_segment_creates: int = 0
-    #: unlink these batches' segments right after submit, under the
-    #: consumer — the POSIX name disappears while mappings stay valid.
-    unlink_segment_on: tuple[int, ...] = ()
-
-
-class EncodeChaos:
-    """Hook object the supervised encoder calls at its fault points.
-
-    Producer-side hooks (:meth:`on_segment_create`, :meth:`after_submit`)
-    mutate local counters; :meth:`in_worker` rides the pickled task into
-    pool workers and acts statelessly on ``(batch, attempt)``.
-    """
-
-    def __init__(self, plan: EncodeChaosPlan) -> None:
-        self.plan = plan
-        self.segment_creates = 0
-        self.unlinked: list[int] = []
-
-    def in_worker(self, batch: int, attempt: int, thread: bool = False) -> None:
-        key = (batch, attempt)
-        if key in self.plan.kill_worker_on and not thread:
-            # a thread "worker" shares the producer's process; killing it
-            # would kill the recording itself, which models a node death,
-            # not a worker death — so kill faults only fire in processes.
-            os.kill(os.getpid(), signal.SIGKILL)
-        if key in self.plan.hang_worker_on:
-            time.sleep(self.plan.hang_seconds)
-
-    def on_segment_create(self) -> None:
-        self.segment_creates += 1
-        if self.segment_creates <= self.plan.fail_segment_creates:
-            raise OSError(
-                errno.ENOMEM, "injected ENOMEM on SharedMemory create"
-            )
-
-    def after_submit(self, batch: int, lease) -> None:
-        if batch in self.plan.unlink_segment_on and batch not in self.unlinked:
-            self.unlinked.append(batch)
-            try:
-                lease.shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - lost a race
-                pass
 
 
 class ChaosTelemetryServer:

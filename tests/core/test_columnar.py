@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import build_tables, encode_chunk
+from repro.core import build_tables, encode_chunk, encode_chunk_sequence
 from repro.core.columnar import (
     ColumnarTable,
     ColumnarTableBuilder,
@@ -333,40 +333,42 @@ WORKLOADS = {
 }
 
 
+def assert_archive_matches_object_path(result, chunk_events, label):
+    """The session's archive equals ``build_tables`` + ``encode_chunk_sequence``
+    (the object pipeline, kept as the oracle) over the recorded outcomes,
+    callsite by callsite and byte for byte."""
+    for rank in range(result.nprocs):
+        recorded = {}
+        for chunk in result.archive.chunks(rank):
+            recorded.setdefault(chunk.callsite, []).append(chunk)
+        tables = build_tables(result.outcomes[rank], chunk_events)
+        assert sorted(recorded) == sorted(tables), f"{label} rank {rank} callsites"
+        for callsite, callsite_tables in tables.items():
+            oracle = encode_chunk_sequence(callsite_tables, replay_assist=True)
+            assert serialize_cdc_chunks(
+                recorded[callsite]
+            ) == serialize_cdc_chunks(oracle), (
+                f"{label} rank {rank} {callsite} archive bytes differ"
+            )
+
+
 class TestWorkloadByteIdentity:
-    """Columnar recording serializes byte-identically to the dict path."""
+    """Recording serializes byte-identically to the object pipeline."""
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_archives_byte_identical(self, name):
         program, nprocs = WORKLOADS[name]()
-        runs = {}
-        for columnar in (False, True):
-            runs[columnar] = RecordSession(
-                program,
-                nprocs=nprocs,
-                network_seed=2,
-                chunk_events=64,
-                columnar=columnar,
-            ).run()
-        for rank in range(nprocs):
-            old = serialize_cdc_chunks(runs[False].archive.chunks(rank))
-            new = serialize_cdc_chunks(runs[True].archive.chunks(rank))
-            assert old == new, f"{name} rank {rank} archive bytes differ"
+        result = RecordSession(
+            program, nprocs=nprocs, network_seed=2, chunk_events=64
+        ).run()
+        assert_archive_matches_object_path(result, 64, name)
 
     def test_empty_rank_archives_byte_identical(self):
         """Send-only ranks record zero receives on both paths."""
         from tests.replay.test_recorder import fanin_program
 
-        runs = {}
-        for columnar in (False, True):
-            runs[columnar] = RecordSession(
-                fanin_program(), nprocs=4, network_seed=2, columnar=columnar
-            ).run()
+        result = RecordSession(fanin_program(), nprocs=4, network_seed=2).run()
         for rank in range(1, 4):  # senders never poll: empty archives
-            assert runs[True].archive.chunks(rank) == []
-            assert serialize_cdc_chunks(
-                runs[True].archive.chunks(rank)
-            ) == serialize_cdc_chunks(runs[False].archive.chunks(rank))
-        assert serialize_cdc_chunks(
-            runs[True].archive.chunks(0)
-        ) == serialize_cdc_chunks(runs[False].archive.chunks(0))
+            assert result.archive.chunks(rank) == []
+        assert result.archive.chunks(0)
+        assert_archive_matches_object_path(result, 1024, "fanin")

@@ -98,20 +98,12 @@ class TestDashboard:
             ledger=ledger,
             bench_dir=".",  # the repo's committed BENCH files
             folded=self.FOLDED,
-            health={
-                "backend_requested": "process",
-                "backend_final": "thread",
-                "batches": 4,
-                "pool_rebuilds": 1,
-                "downgrades": [["process", "thread", "worker-lost"]],
-            },
             generated_at="2026-08-07T00:00:00+0000",
         )
         assert validate_dashboard_html(text) == []
         assert "mcb/record @ 4 ranks" in text
         assert "bytes_per_event" in text
         assert "fg-cell" in text and "encode" in text
-        assert "worker-lost" in text
         # charts carry their data for the hover layer
         assert "data-values=" in text
 

@@ -83,28 +83,6 @@ class TestRecordTelemetry:
         assert plain.outcomes == traced.outcomes
 
 
-class TestParallelEncoderTelemetry:
-    def test_worker_threads_report_consistently(self, program):
-        result = record(program, telemetry=True, parallel_workers=2)
-        stats = result.run_stats
-        submitted = stats.counter("encoder.tasks_submitted")
-        assert submitted > 0
-        # every submitted task is timed exactly once, across all workers
-        assert stats.histograms["encoder.task_us"]["count"] == submitted
-        utilization = {
-            name: value
-            for name, value in stats.gauges.items()
-            if name.startswith("encoder.worker")
-        }
-        assert utilization
-        assert all(0.0 <= v <= 1.0 for v in utilization.values())
-
-    def test_parallel_archive_matches_serial(self, program):
-        serial = record(program, telemetry=True)
-        parallel = record(program, telemetry=True, parallel_workers=3)
-        assert serial.archive.total_bytes() == parallel.archive.total_bytes()
-
-
 class TestReplayTelemetry:
     def test_replay_metrics_land_in_shared_registry(self, program):
         registry = TelemetryRegistry()

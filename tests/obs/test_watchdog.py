@@ -72,6 +72,20 @@ class FakeEngine:
 
 
 class TestProgressWatchdog:
+    def test_engine_progress_is_the_engine_event_count(self):
+        from repro.obs.watchdog import engine_progress
+
+        class FakeStats:
+            total_events = 7
+
+        class CountingEngine:
+            stats = FakeStats()
+
+        progress = engine_progress(CountingEngine())
+        assert progress() == 7
+        FakeStats.total_events = 9
+        assert progress() == 9
+
     def test_fires_when_progress_stops(self):
         engine = FakeEngine()
         dog = ProgressWatchdog(

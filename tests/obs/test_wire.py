@@ -120,8 +120,8 @@ class TestFrameSchema:
         assert validate_frame("hi") == ["frame is not an object"]
 
     def test_sequenced_frames_need_positive_seq(self):
-        for kind in ("delta", "health", "end"):
-            base = {"type": kind, "run_id": "r", "delta": {}, "health": {}}
+        for kind in ("delta", "end"):
+            base = {"type": kind, "run_id": "r", "delta": {}}
             assert not any(
                 "seq" in p for p in validate_frame(dict(base, seq=1))
             )
@@ -156,3 +156,54 @@ class TestFrameSchema:
     def test_validate_frames_prefixes_index(self):
         problems = validate_frames([_hello(), {"type": "nope"}])
         assert problems == ["frame 1: unknown frame type 'nope'"]
+
+
+class TestRetiredHealthFrame:
+    """``health`` left the protocol with the encoder pools: it is an
+    unknown type like any other, and a peer that still sends one loses
+    its connection but none of the run's merged ``delta``/``end`` state."""
+
+    HEALTH = {"type": "health", "run_id": "r1", "seq": 2, "health": {}}
+
+    def test_health_is_an_unknown_type(self):
+        assert validate_frame(self.HEALTH) == ["unknown frame type 'health'"]
+
+    def exchange(self, server, frames):
+        """Send ``frames`` on one connection; decoded replies until EOF."""
+        import socket
+
+        decoder, replies = FrameDecoder(), []
+        with socket.create_connection((server.host, server.port), 5.0) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(b"".join(encode_frame(f) for f in frames))
+            sock.shutdown(socket.SHUT_WR)
+            while data := sock.recv(65536):
+                replies.extend(decoder.feed(data))
+        return replies
+
+    def test_rejected_without_disturbing_run_accounting(self):
+        from repro.obs.agg import AggregatorServer
+
+        delta = {
+            "type": "delta", "run_id": "r1", "seq": 1, "t": 0.1,
+            "delta": {"counters": {"sim.events": 40}},
+            "sample": {}, "chunks": [],
+        }
+        end = {
+            "type": "end", "run_id": "r1", "seq": 2, "t": 0.2,
+            "frames_sent": 2, "frames_dropped": 0,
+        }
+        with AggregatorServer() as server:
+            replies = self.exchange(server, [_hello(), delta, self.HEALTH])
+            assert [r["type"] for r in replies] == ["welcome", "error"]
+            assert "unknown frame type 'health'" in replies[1]["message"]
+            run = server.state.runs["r1"]
+            assert (run.last_seq, run.frames_merged) == (1, 1)
+            # the old peer reconnects and finishes: seq 2 is still free
+            replies = self.exchange(server, [_hello(incarnation=2), end])
+            assert [r["type"] for r in replies] == ["welcome", "ack"]
+            assert replies[1]["seq"] == 2
+            assert server.aggregator.protocol_errors == 1
+        assert (run.last_seq, run.frames_merged, run.frames_deduped) == (2, 2, 0)
+        assert run.ended
+        assert run.registry.counters() == {"sim.events": 40}

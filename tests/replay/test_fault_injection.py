@@ -7,12 +7,15 @@ loader -> ``ReplaySession`` — and checks the durability contract:
 * every injected crash point leaves an archive whose salvage is a valid
   epoch-aligned chunk prefix of the fault-free record, and replaying that
   prefix reproduces the recorded delivery order exactly up to the cut;
+* a recording that dies between flushes leaves exactly the chunks flushed
+  before it on disk — every flush streams its frame immediately;
 * archives written with no injected faults are bit-identical to a clean
   ``save_archive`` of the same run;
 * silent bit flips never produce garbage chunks: strict load raises,
   salvage keeps only frames whose CRC verifies.
 """
 
+import functools
 import os
 
 import pytest
@@ -35,8 +38,11 @@ CHUNK_EVENTS = 8
 FAST_RETRY = RetryPolicy(attempts=4, base_delay=0.0)
 
 
-def collector(ctx):
-    """Fan-in: rank 0 polls a wildcard receive; others send N_MESSAGES."""
+def collector(ctx, die_at=None):
+    """Fan-in: rank 0 polls a wildcard receive; others send N_MESSAGES.
+
+    ``die_at``: rank 0 "dies" (:class:`InjectedCrash`) on that receive.
+    """
     n = ctx.nprocs
     if ctx.rank == 0:
         total = N_MESSAGES * (n - 1)
@@ -46,6 +52,8 @@ def collector(ctx):
             res = yield ctx.test(req, callsite="sink")
             if res.flag:
                 got += 1
+                if got == die_at:
+                    raise InjectedCrash(f"killed at receive {got}")
                 req = ctx.irecv(source=ANY_SOURCE, tag=1)
             else:
                 yield ctx.compute(1e-6)
@@ -56,9 +64,9 @@ def collector(ctx):
         ctx.isend(0, k, tag=1)
 
 
-def record_session(store_dir=None, injector=None, **kwargs):
+def record_session(store_dir=None, injector=None, program=collector, **kwargs):
     return RecordSession(
-        collector,
+        program,
         nprocs=NPROCS,
         network_seed=5,
         chunk_events=CHUNK_EVENTS,
@@ -164,6 +172,29 @@ class TestCrashPoints:
         assert recovered.chunks_by_rank == baseline.archive.chunks_by_rank
 
 
+class TestDeathBetweenFlushes:
+    """The run is killed by a BaseException one receive short of flush k:
+    the k-1 chunks flushed before it are on disk, no more and no fewer."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])  # first, mid, last (finalize) flush
+    def test_death_at_flush_k_salvages_k_minus_1_chunks(
+        self, baseline, tmp_path, k
+    ):
+        total = N_MESSAGES * (NPROCS - 1)
+        assert len(baseline.archive.chunks(0)) == 4  # 8 + 8 + 8 + 6 receives
+        die_at = min(k * CHUNK_EVENTS, total) - 1
+        d = str(tmp_path / f"flush{k}")
+        program = functools.partial(collector, die_at=die_at)
+        with pytest.raises(InjectedCrash):
+            record_session(store_dir=d, program=program).run()
+        assert not os.path.exists(os.path.join(d, "MANIFEST"))
+        recovered, report = salvage_as(NPROCS, d)
+        assert not report.clean
+        assert len(recovered.chunks(0)) == k - 1
+        assert_prefix_recovered(baseline, recovered)
+        assert_prefix_replays(baseline, recovered)
+
+
 class TestTornWrites:
     @pytest.mark.parametrize("offset", [3, 9, 21, 64, 150])
     def test_torn_write_salvages_prefix(self, baseline, tmp_path, offset):
@@ -243,10 +274,71 @@ class TestGzipControllerStore:
         assert loaded.chunks_by_rank == result.archive.chunks_by_rank
 
 
-class TestParallelEncoderStore:
-    def test_parallel_workers_store_matches_serial(self, baseline, tmp_path):
-        d = str(tmp_path / "par")
-        record_session(store_dir=d, parallel_workers=2).run()
-        loaded, report = load_archive(d)
-        assert report.clean
-        assert loaded.chunks_by_rank == baseline.archive.chunks_by_rank
+class TestCrashedWorkloadRecording:
+    """A named-workload recording that dies mid-run stays diagnosable:
+    salvage replays its prefix, ``diff`` localizes where it ran out (the
+    other side's manifest names the workload), strict load refuses it."""
+
+    NPROCS = 6
+    META = {
+        "workload": "mcb",
+        "nprocs": NPROCS,
+        "network_seed": 2,
+        "params": {"particles_per_rank": 30, "seed": 13},
+    }
+
+    @classmethod
+    def program(cls):
+        from repro.workloads import mcb
+
+        return mcb.build_program(
+            mcb.MCBConfig(nprocs=cls.NPROCS, particles_per_rank=30, seed=13)
+        )
+
+    def session(self, **kwargs):
+        return RecordSession(
+            self.program(),
+            nprocs=self.NPROCS,
+            network_seed=2,
+            chunk_events=48,
+            meta=self.META,
+            **kwargs,
+        )
+
+    @pytest.fixture(scope="class")
+    def full_run(self):
+        return self.session().run()
+
+    @pytest.fixture(scope="class")
+    def crashed_dir(self, tmp_path_factory):
+        d = str(tmp_path_factory.mktemp("crashed") / "arch")
+        injector = FaultInjector(FaultPlan(crash_after_bytes=600))
+        with pytest.raises(InjectedCrash):
+            self.session(store_dir=d, store_opener=injector.open).run()
+        return d
+
+    def test_salvage_recovers_prefix(self, crashed_dir):
+        archive, recovery = load_archive(crashed_dir, mode="salvage")
+        assert not recovery.clean
+        assert any(archive.chunks(r) for r in range(archive.nprocs))
+        result = ReplaySession(
+            self.program(), archive, network_seed=5, mode="salvage"
+        ).run()
+        assert result.truncated or result.total_receive_events() > 0
+
+    def test_diff_localizes_truncation_not_crash(self, crashed_dir, full_run):
+        from repro.analysis.divergence import diff_runs
+
+        report = diff_runs(full_run, crashed_dir, label_a="full", label_b="crashed")
+        # the crashed run is a strict prefix: the diff must localize where
+        # each rank's record ran out instead of refusing the archive.
+        assert report.events_b < report.events_a
+        assert not report.identical
+        assert report.per_rank  # at least one rank pinpointed
+        assert "crashed" in report.render()
+
+    def test_strict_load_still_refuses(self, crashed_dir):
+        from repro.errors import RecordFormatError
+
+        with pytest.raises(RecordFormatError):
+            load_archive(crashed_dir, mode="strict")

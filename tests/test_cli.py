@@ -1,5 +1,7 @@
 """CLI end-to-end: record / inspect / replay / compare."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -63,6 +65,18 @@ class TestRecord:
                     "--out", str(tmp_path / "x"), "-p", "nope=1",
                 ]
             )
+
+    @pytest.mark.parametrize("command", ["record", "trace"])
+    def test_parallel_workers_flag_is_gone(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    command, "--workload", "synthetic", "--nprocs", "4",
+                    "--out", str(tmp_path / "x"), "--parallel-workers", "2",
+                ]
+            )
+        assert exc.value.code == 2  # argparse's usage error
+        assert "--parallel-workers" in capsys.readouterr().err
 
 
 class TestReplay:
@@ -203,6 +217,33 @@ class TestStats:
         assert "CDC table breakdown" in out
         assert "permutation rates per callsite" in out
         assert "gzip contributes" in out
+
+    def test_stats_ignores_legacy_encoder_health_meta(
+        self, record_dir, tmp_path, capsys
+    ):
+        """Manifests written before the encoder pools were removed may
+        carry ``meta["encoder_health"]``: they load, stats ignores it."""
+        import json
+        import shutil
+
+        legacy = str(tmp_path / "legacy")
+        shutil.copytree(record_dir, legacy)
+        manifest_path = os.path.join(legacy, "MANIFEST")
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["meta"]["encoder_health"] = {
+            "backend_requested": "process", "backend_final": "thread",
+            "batches": 16, "pool_rebuilds": 1, "batch_retries": 1,
+            "downgrades": [["process", "thread", "worker-lost"]],
+            "quarantined_batches": [],
+        }
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        assert main(["stats", legacy]) == 0
+        out = capsys.readouterr().out
+        assert "per-rank storage" in out
+        assert "encoder" not in out and "worker-lost" not in out
+        assert RecordArchive.load(legacy).meta["encoder_health"]["batches"] == 16
 
     def test_stats_rank_truncation(self, record_dir, capsys):
         assert main(["stats", record_dir, "--ranks", "2"]) == 0
@@ -576,63 +617,6 @@ class TestTraceTelemetry:
         assert "run stats [record]" in out
 
 
-class TestWorkerTelemetryRow:
-    """`repro stats --metrics`: worker telemetry is ok / n-a / unknown —
-    a parallel encode that reported nothing must never read as zero."""
-
-    def write_metrics(self, path, extra_lines):
-        import json
-
-        lines = [
-            {"type": "meta", "registry": "t", "enabled": True,
-             "dropped_events": 0},
-        ] + extra_lines
-        with open(path, "w", encoding="utf-8") as fh:
-            for obj in lines:
-                fh.write(json.dumps(obj) + "\n")
-        return path
-
-    def test_serial_encode_is_na(self, record_dir, tmp_path, capsys):
-        metrics = self.write_metrics(str(tmp_path / "m.jsonl"), [])
-        assert main(["stats", record_dir, "--metrics", metrics]) == 0
-        out = capsys.readouterr().out
-        assert "worker telemetry" in out
-        assert "n/a (serial encode)" in out
-
-    def test_pool_without_worker_reports_is_unknown(
-        self, record_dir, tmp_path, capsys
-    ):
-        metrics = self.write_metrics(
-            str(tmp_path / "m.jsonl"),
-            [{"type": "counter", "name": "encoder.tasks_submitted",
-              "value": 6}],
-        )
-        assert main(["stats", record_dir, "--metrics", metrics]) == 0
-        out = capsys.readouterr().out
-        assert "unknown ⚠" in out
-        assert "no worker telemetry" in out
-        assert "6 batch(es)" in out
-
-    def test_pool_with_worker_reports_is_ok(self, record_dir, tmp_path, capsys):
-        metrics = self.write_metrics(
-            str(tmp_path / "m.jsonl"),
-            [
-                {"type": "counter", "name": "encoder.tasks_submitted",
-                 "value": 6},
-                {"type": "counter", "name": "encoder.worker_snapshots",
-                 "value": 6},
-                {"type": "histogram", "name": "encoder.task_us", "count": 6,
-                 "total": 100, "buckets": {"4": 6}},
-                {"type": "gauge", "name": "encoder.worker0.utilization",
-                 "value": 0.4, "max": 0.4},
-            ],
-        )
-        assert main(["stats", record_dir, "--metrics", metrics]) == 0
-        out = capsys.readouterr().out
-        assert "ok (1 worker gauge(s)" in out
-        assert "6 snapshot(s) merged" in out
-
-
 class TestTrendSparkline:
     @pytest.fixture(scope="class")
     def ledgered(self, tmp_path_factory):
@@ -721,68 +705,13 @@ class TestDash:
         assert main(
             [
                 "dash", "--out", out_html, "--ledger", ledger,
-                "--bench-dir", ".", "--archive", archive,
+                "--bench-dir", ".",
             ]
         ) == 0
         assert "self-contained" in capsys.readouterr().out
         text = open(out_html, encoding="utf-8").read()
         assert validate_dashboard_html(text) == []
         assert "synthetic" in text
-
-
-class TestStatsStrict:
-    """`stats --metrics --strict` turns unknown worker telemetry into a
-    nonzero exit — the CI hook for silently-dark parallel encodes."""
-
-    def _metrics(self, path, extra):
-        import json
-
-        lines = [
-            {"type": "meta", "registry": "t", "enabled": True,
-             "dropped_events": 0},
-        ] + extra
-        with open(path, "w", encoding="utf-8") as fh:
-            for obj in lines:
-                fh.write(json.dumps(obj) + "\n")
-        return str(path)
-
-    def test_unknown_worker_telemetry_fails_strict(
-        self, record_dir, tmp_path, capsys
-    ):
-        metrics = self._metrics(
-            tmp_path / "m.jsonl",
-            [{"type": "counter", "name": "encoder.tasks_submitted",
-              "value": 6}],
-        )
-        code = main(["stats", record_dir, "--metrics", metrics, "--strict"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "unknown ⚠" in captured.out  # the table still renders
-        assert "stats --strict:" in captured.err
-        assert "never reported" in captured.err
-
-    def test_ok_worker_telemetry_passes_strict(
-        self, record_dir, tmp_path, capsys
-    ):
-        metrics = self._metrics(
-            tmp_path / "m.jsonl",
-            [
-                {"type": "counter", "name": "encoder.tasks_submitted",
-                 "value": 6},
-                {"type": "counter", "name": "encoder.worker_snapshots",
-                 "value": 6},
-            ],
-        )
-        assert main(
-            ["stats", record_dir, "--metrics", metrics, "--strict"]
-        ) == 0
-        assert capsys.readouterr().err == ""
-
-    def test_serial_encode_passes_strict(self, record_dir, tmp_path):
-        metrics = self._metrics(tmp_path / "m.jsonl", [])
-        assert main(
-            ["stats", record_dir, "--metrics", metrics, "--strict"]
-        ) == 0
 
 
 class TestFleetCLI:
