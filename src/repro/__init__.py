@@ -11,8 +11,8 @@ Quickstart::
     from repro import RecordSession, ReplaySession
     from repro.workloads import mcb
 
-    program = mcb.build_program(nprocs=16, particles_per_rank=200, seed=7)
-    record = RecordSession(program, network_seed=1).run()
+    program = mcb.build_program(mcb.MCBConfig(nprocs=8, particles_per_rank=100, seed=7))
+    record = RecordSession(program, nprocs=8, network_seed=1).run()
     replayed = ReplaySession(program, record, network_seed=2).run()
     assert replayed.observed_orders == record.observed_orders
 """
@@ -53,7 +53,7 @@ _LAZY = {
     "ReplaySession": ("repro.replay.session", "ReplaySession"),
     "RunResult": ("repro.replay.session", "RunResult"),
     "assert_replay_matches": ("repro.replay.session", "assert_replay_matches"),
-    "RecordArchive": ("repro.replay.chunk_store", "RecordArchive"),
+    "RecordArchive": ("repro.replay.durable_store", "RecordArchive"),
 }
 
 

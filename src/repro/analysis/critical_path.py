@@ -46,7 +46,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.analysis.divergence import rehydrate_run, workload_meta
+from repro.analysis.divergence import rehydrate_run
 from repro.analysis.report import render_histogram, render_table
 
 __all__ = [
@@ -321,10 +321,10 @@ def _resolve_flow(
 ) -> tuple[Any, int | None]:
     """(flow recorder, nprocs hint) from any run-shaped source.
 
-    Recorders pass through; a RunResult contributes its attached flow; an
-    archive (or directory path) is rehydrated by deterministic replay
-    with a columnar recorder attached — the analysis never reads archive
-    bytes directly and never writes them.
+    Recorders pass through; a RunResult contributes its attached flow, if
+    any; anything else goes to :func:`rehydrate_run` — a deterministic
+    replay with a columnar recorder attached — so the analysis never reads
+    archive bytes directly and never writes them.
     """
     if hasattr(source, "on_send") and hasattr(source, "on_delivery"):
         return source, None
@@ -335,11 +335,6 @@ def _resolve_flow(
         if archive is not None:
             nprocs = int(getattr(archive, "nprocs", 0)) or None
         return flow, nprocs
-    if hasattr(source, "outcomes") and flow is None and not isinstance(source, str):
-        raise ValueError(
-            "RunResult has no flow recorder attached; re-run with flow= or "
-            "pass the archive so explain can rehydrate it"
-        )
     # lazy: keep obs importable without pulling the replay stack.
     from repro.obs.causal import ColumnarFlowRecorder
 
@@ -351,10 +346,7 @@ def _resolve_flow(
         flow=recorder,
         keep_outcomes=False,  # only the flow columns are consumed
     )
-    nprocs = None
-    if replayed.archive is not None:
-        nprocs = int(getattr(replayed.archive, "nprocs", 0)) or None
-    return recorder, nprocs
+    return recorder, replayed.archive.nprocs or None
 
 
 # -- the vectorized analysis -------------------------------------------------
@@ -371,7 +363,7 @@ def analyze_critical_path(
     ``source`` is a :class:`~repro.obs.causal.FlowRecorder` /
     :class:`~repro.obs.causal.ColumnarFlowRecorder`, a
     :class:`~repro.replay.session.RunResult` with a flow attached, a
-    :class:`~repro.replay.chunk_store.RecordArchive`, or an archive
+    :class:`~repro.replay.durable_store.RecordArchive`, or an archive
     directory path (rehydrated read-only via :func:`rehydrate_run`).
 
     Publishes ``explain.critical_path_share`` / ``explain.max_slack_us``
@@ -666,11 +658,3 @@ def validate_explain_json(obj: Any) -> list[str]:
         ) or not isinstance(entry.get("count"), int):
             problems.append(f"slack_histogram[{i}] must be {{edge_us, count}}")
     return problems
-
-
-def explain_source_meta(source: Any) -> Mapping[str, Any] | None:
-    """Workload metadata of an archive-shaped source, if it has any."""
-    try:
-        return workload_meta(source)
-    except (TypeError, ValueError, OSError):
-        return None

@@ -25,7 +25,7 @@ stable cross-run identity even when clock values differ).
 
 Inputs are per-rank :class:`~repro.core.events.MFOutcome` streams; the
 helpers accept a session :class:`~repro.replay.session.RunResult`, a raw
-outcome mapping, a :class:`~repro.replay.chunk_store.RecordArchive`, or
+outcome mapping, a :class:`~repro.replay.durable_store.RecordArchive`, or
 an archive directory. Archives carry no explicit identifier columns (CDC
 drops them), so they are rehydrated by a deterministic replay — the
 paper's own guarantee makes the diff exact.
@@ -48,6 +48,7 @@ __all__ = [
     "diff_runs",
     "divergence_timeline",
     "kendall_tau_distance",
+    "paired_outcomes",
     "rehydrate_run",
     "run_outcomes",
     "validate_divergence_json",
@@ -356,27 +357,20 @@ class DivergenceReport:
 def workload_meta(source: Any) -> dict[str, Any] | None:
     """Best-effort workload metadata from a run-shaped source, or None.
 
-    Used by :func:`diff_runs` to let one side's committed manifest stand
-    in for the other's: a recording that died mid-batch leaves rank frames
-    but no manifest, so its salvaged archive cannot name its own workload.
+    Lets one side's committed manifest stand in for the other's in a diff:
+    a recording that died mid-run leaves rank frames but no manifest, so
+    its salvaged archive cannot name its own workload.
     """
-    archive = getattr(source, "archive", None)
-    if archive is not None and not isinstance(source, Mapping):
-        source = archive
-    meta = getattr(source, "meta", None)
-    if isinstance(meta, Mapping) and "workload" in meta:
-        return dict(meta)
-    if isinstance(source, str):
-        from repro.replay.durable_store import _read_manifest
+    from repro.errors import RecordFormatError
+    from repro.replay.durable_store import open_run
 
-        try:
-            manifest = _read_manifest(source, open)
-        except Exception:
-            return None
-        if manifest is not None and "workload" in manifest[1]:
-            nprocs, meta, _ = manifest
-            return dict(meta, nprocs=meta.get("nprocs", nprocs))
-    return None
+    try:
+        run = open_run(source)
+    except (TypeError, RecordFormatError, OSError):  # TypeError: not a record
+        return None
+    if "workload" not in run.meta:
+        return None
+    return dict(run.meta, nprocs=run.meta.get("nprocs", run.archive.nprocs))
 
 
 def rehydrate_run(
@@ -389,64 +383,30 @@ def rehydrate_run(
     """Deterministically replay an archive-shaped source; returns the
     :class:`~repro.replay.session.RunResult`.
 
-    ``source`` is a :class:`~repro.replay.chunk_store.RecordArchive` or an
-    archive directory path. Archives store no identifier columns or
-    timestamps, so the run is regenerated by replaying the workload named
-    in the manifest — Theorem 2 makes the regenerated ``(sender, clock)``
-    streams byte-equal to the recorded ones, for any ``network_seed``, and
-    the simulator's virtual clock makes the regenerated timings exact too.
+    ``source`` is anything :func:`~repro.replay.durable_store.open_run`
+    takes. Archives store no identifier columns or timestamps, so the run
+    is regenerated by replaying the workload named in the manifest (or in
+    ``workload_fallback``, for a manifest-less crashed recording) —
+    Theorem 2 makes the regenerated ``(sender, clock)`` streams byte-equal
+    to the recorded ones, for any ``network_seed``, and the simulator's
+    virtual clock makes the regenerated timings exact too. A directory
+    whose recording died mid-flight is opened in salvage mode, so callers
+    localize the truncation point instead of refusing the archive.
     ``flow=`` attaches a flow recorder to the replay, which is how the
     critical-path analysis recovers a causal DAG with edge weights from a
-    bare archive. Callers that only consume the flow recorder should pass
-    ``keep_outcomes=False`` — materializing per-event outcome objects for
-    a million-event archive costs more than the replay itself.
-
-    A directory whose recording died mid-flight (truncated frames, no
-    committed manifest) falls back to salvage: the longest valid chunk
-    prefix per rank is recovered and replayed in ``mode="salvage"``, so
-    callers localize the truncation point instead of refusing the archive
-    outright.
+    bare archive; callers that consume only the recorder should pass
+    ``keep_outcomes=False`` — per-event outcome objects for a million-event
+    archive cost more than the replay itself.
     """
-    from repro.errors import RecordFormatError
-    from repro.replay.chunk_store import RecordArchive
-    from repro.replay.durable_store import load_archive
+    from repro.replay.durable_store import open_run
     from repro.replay.session import ReplaySession
-    from repro.workloads import make_workload
 
-    replay_mode = "strict"
-    if isinstance(source, str):
-        try:
-            source = RecordArchive.load(source)
-        except RecordFormatError:
-            # covers ArchiveCorruptionError (bad frames) and the
-            # manifest-less directory a mid-run crash leaves behind
-            source, _recovery = load_archive(source, mode="salvage")
-            replay_mode = "salvage"
-    if not isinstance(source, RecordArchive):
-        raise TypeError(
-            f"cannot extract outcome streams from {type(source).__name__}"
-        )
-    meta = source.meta
-    if "workload" not in meta:
-        # a mid-crash archive commits no manifest; the caller may supply
-        # the counterpart run's metadata (same workload by construction).
-        if workload_fallback is not None and "workload" in workload_fallback:
-            meta = dict(workload_fallback, nprocs=source.nprocs)
-        else:
-            raise ValueError(
-                "archive has no workload metadata; diff it against a "
-                "RunResult or re-record with the CLI"
-            )
-    program, _ = make_workload(
-        str(meta["workload"]),
-        int(meta.get("nprocs", source.nprocs)),
-        **dict(meta.get("params", {})),
-    )
+    run = open_run(source)
     return ReplaySession(
-        program,
-        source,
+        run.program(workload_fallback),
+        run,
         network_seed=network_seed,
-        mode=replay_mode,
+        mode=run.mode,
         flow=flow,
         keep_outcomes=keep_outcomes,
     ).run()
@@ -461,10 +421,7 @@ def run_outcomes(
 
     Accepts a :class:`~repro.replay.session.RunResult` (or anything with
     an ``outcomes`` mapping), a raw ``{rank: [MFOutcome, ...]}`` mapping,
-    a :class:`~repro.replay.chunk_store.RecordArchive`, or an archive
-    directory path. The archive flavors go through :func:`rehydrate_run`
-    (deterministic replay, salvage fallback for crash-truncated
-    directories).
+    or anything :func:`rehydrate_run` takes, which is replayed.
     """
     outcomes = getattr(source, "outcomes", None)
     if outcomes is not None and not isinstance(source, Mapping):
@@ -477,6 +434,16 @@ def run_outcomes(
         source, network_seed=network_seed, workload_fallback=workload_fallback
     )
     return {r: list(s) for r, s in replayed.outcomes.items()}
+
+
+def paired_outcomes(a: Any, b: Any) -> tuple[dict, dict]:
+    """:func:`run_outcomes` of both sides of a diff: each directory opened
+    and replayed once, either side's :func:`workload_meta` the fallback."""
+    from repro.replay.durable_store import open_run
+
+    a, b = (open_run(s) if isinstance(s, str) else s for s in (a, b))
+    fallback = workload_meta(a) or workload_meta(b)
+    return tuple(run_outcomes(s, workload_fallback=fallback) for s in (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +506,7 @@ def diff_runs(
     its order. The diff is symmetric in *whether* runs diverge, not in the
     bookkeeping conventions.
     """
-    fallback = workload_meta(a) or workload_meta(b)
-    outs_a = run_outcomes(a, workload_fallback=fallback)
-    outs_b = run_outcomes(b, workload_fallback=fallback)
+    outs_a, outs_b = paired_outcomes(a, b)
     ranks = sorted(set(outs_a) | set(outs_b))
     per_rank: list[RankDivergence] = []
     flat_a: dict[int, list[Delivery]] = {}
@@ -791,7 +756,7 @@ def divergence_timeline(
     """
     from repro.obs.causal import FlowRecorder, merged_timeline
 
-    outs = {report.label_a: run_outcomes(a), report.label_b: run_outcomes(b)}
+    outs = dict(zip((report.label_a, report.label_b), paired_outcomes(a, b)))
     windows = {
         d.rank: (max(0, d.position - window), d.position + window + 1)
         for d in report.per_rank

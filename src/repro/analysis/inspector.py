@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.pipeline import CDCChunk
-from repro.replay.chunk_store import RecordArchive
+from repro.replay.durable_store import RecordArchive
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from repro.core.formats import CDC_BUCKETS, cdc_stream, cdc_table_bytes
 from repro.core.pipeline import CDCChunk
 from repro.core.varint import uvarint_size
-from repro.replay.chunk_store import RecordArchive
+from repro.replay.durable_store import RecordArchive
 
 
 @dataclass
@@ -65,21 +65,15 @@ def chunk_breakdown(chunk: CDCChunk, callsite_id: int = 0) -> SizeBreakdown:
 
 
 def archive_breakdown(archive: RecordArchive) -> SizeBreakdown:
-    """Pre-gzip breakdown of a whole archive (all ranks).
+    """Pre-deflate breakdown of a whole archive, frame by frame.
 
-    The per-rank file preambles (magic, string table, chunk count) land in
-    ``header``.
+    ``total`` is :meth:`RecordArchive.total_payload_bytes`; each frame
+    payload's preamble (magic, one-entry string table, chunk count) lands
+    in ``header``.
     """
-    total = SizeBreakdown()
-    for rank in range(archive.nprocs):
-        chunks = archive.chunks(rank)
-        callsites = sorted({c.callsite for c in chunks})
-        ids = {c: i for i, c in enumerate(callsites)}
-        preamble = 4 + uvarint_size(len(callsites))
-        for cs in callsites:
-            raw = cs.encode("utf-8")
-            preamble += uvarint_size(len(raw)) + len(raw)
-        preamble += uvarint_size(len(chunks))
-        total.header += preamble
-        total.add(chunks_breakdown(chunks, ids))
+    chunks = [chunk for _, chunk in archive.iter_all()]
+    # every frame's string table holds its one callsite, so every id is 0
+    total = chunks_breakdown(chunks, dict.fromkeys((c.callsite for c in chunks), 0))
+    for name in (c.callsite.encode("utf-8") for c in chunks):
+        total.header += 4 + 2 * uvarint_size(1) + uvarint_size(len(name)) + len(name)
     return total

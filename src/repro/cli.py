@@ -23,8 +23,8 @@ from typing import Sequence
 
 from repro.analysis import human_bytes, render_table
 from repro.core import ALL_METHODS, aggregate_reports, compare_methods
-from repro.replay.chunk_store import RecordArchive, summarize
-from repro.replay.durable_store import load_archive, save_archive
+from repro.errors import RecordFormatError
+from repro.replay.durable_store import StoredRun, open_run, save_archive, summarize
 from repro.replay.session import (
     RecordSession,
     ReplaySession,
@@ -117,34 +117,26 @@ def _print_shipping(result, sink: str | None) -> None:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    mode = "salvage" if args.salvage else "strict"
-    archive, recovery = load_archive(args.record, mode=mode)
-    if not recovery.clean:
-        print(recovery.render())
-    meta = archive.meta
-    if "workload" not in meta:
-        raise SystemExit(
-            "record has no workload metadata; re-record with this CLI"
-        )
-    program, _ = make_workload(
-        str(meta["workload"]), int(meta["nprocs"]), **dict(meta.get("params", {}))
-    )
-    session = ReplaySession(
+    run = open_run(args.record, salvage=args.salvage)
+    if not run.recovery.clean:
+        print(run.recovery.render())
+    try:
+        program = run.program()
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    result = ReplaySession(
         program,
-        archive,
+        run,
         network_seed=args.network_seed,
-        mode=mode,
+        mode=run.mode,
         telemetry=True if args.verbose else None,
         ledger=args.ledger,
         telemetry_sink=args.telemetry_sink,
         run_id=args.run_id,
-    )
-    session.recovery = recovery
-    session._archive_path = args.record
-    result = session.run()
+    ).run()
     print(
         f"replayed {result.total_receive_events():,} receive events on "
-        f"{archive.nprocs} ranks under network seed {args.network_seed}"
+        f"{run.archive.nprocs} ranks under network seed {args.network_seed}"
     )
     if result.ledger_entry is not None:
         print(f"ledger: {args.ledger} run {result.ledger_entry.run_id}")
@@ -164,8 +156,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.verify:
         reference = RecordSession(
             program,
-            nprocs=int(meta["nprocs"]),
-            network_seed=int(meta["network_seed"]),
+            nprocs=int(run.meta["nprocs"]),
+            network_seed=int(run.meta["network_seed"]),
         ).run()
         assert_replay_matches(reference, result)
         print("verified: outcome streams, clocks and results match the record ✓")
@@ -177,10 +169,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Integrity-check an archive: frame CRCs, tails, manifest counts."""
     try:
-        archive, report = load_archive(args.record, mode="salvage")
+        run = open_run(args.record, salvage=True)
     except Exception as exc:  # unreadable manifest, not an archive, ...
         print(f"verify failed: {exc}")
         return 1
+    archive, report = run.archive, run.recovery
     print(report.render())
     if not report.clean:
         return 1
@@ -193,7 +186,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_salvage(args: argparse.Namespace) -> int:
     """Recover the longest valid chunk prefix of every rank."""
-    archive, report = load_archive(args.record, mode="salvage")
+    run = open_run(args.record, salvage=True)
+    archive, report = run.archive, run.recovery
     print(report.render())
     if args.out:
         save_archive(archive, args.out)
@@ -205,21 +199,57 @@ def cmd_salvage(args: argparse.Namespace) -> int:
     return 0 if report.clean else 2
 
 
+def _open_or_exit(source: str, ledger: str | None = None, salvage=None) -> StoredRun:
+    """:func:`open_run` for ``inspect``/``stats`` (strict unless ``--salvage``)
+    and ``diff``/``explain`` (a directory or, with ``--ledger``, a run id):
+    a source that cannot be opened exits with the reason and what to try."""
+    try:
+        return open_run(source, ledger=ledger, salvage=salvage)
+    except (LookupError, RecordFormatError, OSError) as exc:
+        hint = ""
+        if salvage is False:
+            hint = ("\n(crash-truncated or corrupt archive? retry with "
+                    "--salvage to report on the recoverable prefix)")
+        elif salvage is None and ledger is None:
+            hint = " (pass --ledger FILE to use run ids)"
+        raise SystemExit(f"cannot open {source!r}: {exc}{hint}")
+
+
+def _print_chunk_table(archive, ranks: int) -> None:
+    from repro.analysis.inspector import iter_chunk_stats
+
+    print()
+    print(
+        render_table(
+            f"per-chunk breakdown (first {ranks} ranks)",
+            ["rank", "callsite", "chunk", "events", "permuted", "unmatched"],
+            [
+                (
+                    s.rank,
+                    s.callsite,
+                    s.index,
+                    s.events,
+                    f"{100 * s.permutation_percentage:.1f}%",
+                    s.unmatched_tests,
+                )
+                for s in iter_chunk_stats(archive)
+                if s.rank < ranks
+            ],
+        )
+    )
+
+
+def _report_archive(args: argparse.Namespace):
+    """The archive ``inspect``/``stats`` report on, any losses printed first."""
+    run = _open_or_exit(args.record, salvage=args.salvage)
+    if not run.recovery.clean:
+        print(run.recovery.render())
+        print()
+    return run.archive
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
-    if args.salvage:
-        archive, recovery = load_archive(args.record, mode="salvage")
-        if not recovery.clean:
-            print(recovery.render())
-            print()
-    else:
-        try:
-            archive = RecordArchive.load(args.record)
-        except Exception as exc:
-            raise SystemExit(
-                f"cannot load {args.record}: {exc}\n"
-                "(crash-truncated or corrupt archive? retry with --salvage "
-                "to summarize the recoverable prefix)"
-            )
+    archive = _report_archive(args)
     info = summarize(archive)
     print(
         render_table(
@@ -235,7 +265,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             ],
         )
     )
-    from repro.analysis.inspector import iter_chunk_stats, profile_callsites
+    from repro.analysis.inspector import profile_callsites
 
     profiles = profile_callsites(archive)
     print()
@@ -256,50 +286,17 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             ],
         )
     )
-    rows = [
-        (
-            s.rank,
-            s.callsite,
-            s.index,
-            s.events,
-            f"{100 * s.permutation_percentage:.1f}%",
-            s.unmatched_tests,
-        )
-        for s in iter_chunk_stats(archive)
-        if s.rank < args.ranks
-    ]
-    print()
-    print(
-        render_table(
-            f"per-chunk breakdown (first {args.ranks} ranks)",
-            ["rank", "callsite", "chunk", "events", "permuted", "unmatched"],
-            rows,
-        )
-    )
+    _print_chunk_table(archive, args.ranks)
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Storage statistics of an archive: sizes, stages, permutation rates."""
-    from repro.analysis.inspector import iter_chunk_stats, profile_callsites
+    from repro.analysis.inspector import profile_callsites
     from repro.analysis.size_model import archive_breakdown
     from repro.core.formats import ROW_BITS
 
-    if args.salvage:
-        archive, recovery = load_archive(args.record, mode="salvage")
-        if not recovery.clean:
-            print(recovery.render())
-            print()
-    else:
-        try:
-            archive = RecordArchive.load(args.record)
-        except Exception as exc:
-            raise SystemExit(
-                f"cannot load {args.record}: {exc}\n"
-                "(crash-truncated or corrupt archive? retry with --salvage "
-                "to report on the recoverable prefix)"
-            )
-
+    archive = _report_archive(args)
     per_rank = []
     total_events = total_unmatched = 0
     for rank in range(archive.nprocs):
@@ -390,26 +387,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
     )
     if args.chunks:
-        rows_ = [
-            (
-                s.rank,
-                s.callsite,
-                s.index,
-                s.events,
-                f"{100 * s.permutation_percentage:.1f}%",
-                s.unmatched_tests,
-            )
-            for s in iter_chunk_stats(archive)
-            if s.rank < args.ranks
-        ]
-        print()
-        print(
-            render_table(
-                f"per-chunk breakdown (first {args.ranks} ranks)",
-                ["rank", "callsite", "chunk", "events", "permuted", "unmatched"],
-                rows_,
-            )
-        )
+        _print_chunk_table(archive, args.ranks)
     if args.metrics:
         print()
         print(_telemetry_health(args.metrics))
@@ -732,52 +710,32 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 1 if alerts else 0
 
 
-def _resolve_diff_source(spec: str, ledger_path: str | None) -> tuple:
-    """A ``repro diff`` operand -> (source, label) for ``diff_runs``.
-
-    A spec is tried as a ledger run id first (when ``--ledger`` is given),
-    then as an archive directory, then as a JSON-lines outcome trace.
-    """
-    if ledger_path is not None and not os.path.exists(spec):
-        from repro.obs.ledger import RunLedger
-
-        try:
-            entry = RunLedger(ledger_path).find(spec)
-        except KeyError:
-            raise SystemExit(
-                f"{spec!r} is neither a path nor a run id in {ledger_path}"
-            )
-        if entry.archive is None:
-            raise SystemExit(
-                f"ledger run {spec} recorded no archive path; diff it by "
-                "archive directory instead"
-            )
-        return entry.archive, f"{spec} ({entry.workload} seed "\
-            f"{entry.network_seed})"
-    if os.path.isdir(spec):
-        return spec, spec
-    if os.path.isfile(spec):
-        from repro.core.trace_io import read_trace
-
-        return read_trace(spec), spec
-    raise SystemExit(
-        f"cannot resolve {spec!r}: not an archive directory, trace file, "
-        "or ledger run id (pass --ledger FILE to use run ids)"
-    )
-
-
 def cmd_diff(args: argparse.Namespace) -> int:
-    """Diff two runs: localize the first divergent match per rank."""
+    """Diff two runs: localize the first divergent match per rank.
+
+    An operand is a JSON-lines outcome trace, an archive directory, or
+    (with ``--ledger``) a run id.
+    """
     from repro.analysis.divergence import (
         diff_runs,
+        paired_outcomes,
         write_divergence_json,
         write_divergence_timeline,
     )
+    from repro.core.trace_io import read_trace
 
-    a, label_a = _resolve_diff_source(args.a, args.ledger)
-    b, label_b = _resolve_diff_source(args.b, args.ledger)
+    sides, labels = [], []
+    for spec in (args.a, args.b):
+        if os.path.isfile(spec):
+            sides.append(read_trace(spec))
+            labels.append(spec)
+        else:
+            sides.append(_open_or_exit(spec, args.ledger))
+            labels.append(sides[-1].label)
+    # replayed here, once: the report and the timeline read the same streams
+    a, b = paired_outcomes(*sides)
     report = diff_runs(
-        a, b, label_a=label_a, label_b=label_b, context=args.context
+        a, b, label_a=labels[0], label_b=labels[1], context=args.context
     )
     print(report.render(max_ranks=args.ranks))
     if args.out:
@@ -806,38 +764,15 @@ def cmd_explain(args: argparse.Namespace) -> int:
         analyze_critical_path,
         write_explain_json,
     )
-    from repro.analysis.divergence import rehydrate_run, workload_meta
+    from repro.analysis.divergence import rehydrate_run
     from repro.obs import ColumnarFlowRecorder, validate_chrome_trace, write_timeline
 
-    spec = args.source
-    label = spec
-    source = spec
-    if args.ledger is not None and not os.path.isdir(spec):
-        from repro.obs.ledger import RunLedger
-
-        try:
-            entry = RunLedger(args.ledger).find(spec)
-        except KeyError:
-            raise SystemExit(
-                f"{spec!r} is neither an archive directory nor a run id "
-                f"in {args.ledger}"
-            )
-        if entry.archive is None:
-            raise SystemExit(
-                f"ledger run {spec} recorded no archive path; explain it "
-                "by archive directory instead"
-            )
-        source = entry.archive
-        label = f"{spec} ({entry.workload} seed {entry.network_seed})"
-    elif not os.path.isdir(spec):
-        raise SystemExit(
-            f"cannot resolve {spec!r}: not an archive directory or ledger "
-            "run id (pass --ledger FILE to use run ids)"
-        )
+    run = _open_or_exit(args.source, args.ledger)
+    label = run.label
     started = time.perf_counter()
     flow = ColumnarFlowRecorder(label)
     rehydrate_run(
-        source, network_seed=args.network_seed, flow=flow, keep_outcomes=False
+        run, network_seed=args.network_seed, flow=flow, keep_outcomes=False
     )
     result = analyze_critical_path(flow, label=label)
     wall = time.perf_counter() - started
@@ -867,12 +802,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.ledger is not None:
         from repro.obs.ledger import LedgerEntry, RunLedger
 
-        meta = workload_meta(source) or {}
         entry = RunLedger(args.ledger).append(
             LedgerEntry(
                 run_id="",
                 mode="explain",
-                workload=str(meta.get("workload", "?")),
+                workload=str(run.meta.get("workload", "?")),
                 nprocs=result.nranks,
                 network_seed=args.network_seed,
                 events=result.receives,
@@ -882,7 +816,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 stored_bytes=0,
                 permutation_pct=0.0,
                 wall_seconds=wall,
-                archive=source,
+                archive=run.path,
                 critical_path_share=result.critical_path_share,
                 max_slack_us=result.max_slack_us,
             )

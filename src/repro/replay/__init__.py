@@ -1,14 +1,16 @@
 """Record-and-replay engine built on the CDC core and the MPI simulator."""
 
 from repro.replay.async_queue import FluidQueueModel, SPSCQueue
-from repro.replay.chunk_store import RecordArchive, bytes_per_event, summarize
 from repro.replay.durable_store import (
     DurableArchiveWriter,
     RankRecovery,
+    RecordArchive,
     RecoveryReport,
     RetryPolicy,
+    bytes_per_event,
     load_archive,
     save_archive,
+    summarize,
 )
 from repro.replay.cost_model import (
     PerRankRecordingState,

@@ -1,187 +1,5 @@
-"""Storage for recorded CDC chunks: the node-local record data.
+"""Moved to :mod:`repro.replay.durable_store`; this name stays importable."""
 
-A :class:`RecordArchive` holds one compressed record per rank, mirroring
-the paper's per-process record files on node-local storage (SSD/ramdisk).
-Chunks are kept per ``(rank, callsite)`` in flush order; the on-storage
-bytes are the CDC binary format (Figure 8) under zlib, and the archive can
-round-trip through files for offline replay.
-"""
+from repro.replay.durable_store import RecordArchive, bytes_per_event, summarize
 
-from __future__ import annotations
-
-import json
-import os
-import zlib
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
-
-from repro.core.compression import ZLIB_LEVEL
-from repro.core.formats import serialize_cdc_chunks
-from repro.core.pipeline import CDCChunk
-from repro.errors import RecordFormatError
-
-
-@dataclass
-class RecordArchive:
-    """All ranks' CDC records for one recorded run."""
-
-    nprocs: int
-    #: rank -> chunks in global flush order (callsites interleaved).
-    chunks_by_rank: dict[int, list[CDCChunk]] = field(default_factory=dict)
-    #: metadata preserved for replay bookkeeping.
-    meta: dict[str, object] = field(default_factory=dict)
-    #: memoized per-rank (pre-gzip, compressed) sizes; invalidated by
-    #: :meth:`append`.
-    _size_cache: dict[int, tuple[int, int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def append(self, rank: int, chunk: CDCChunk) -> None:
-        if not 0 <= rank < self.nprocs:
-            raise RecordFormatError(f"rank {rank} out of range")
-        self.chunks_by_rank.setdefault(rank, []).append(chunk)
-        self._size_cache.pop(rank, None)
-
-    def invalidate_size_cache(self, rank: int | None = None) -> None:
-        """Drop memoized sizes after mutating ``chunks_by_rank`` directly."""
-        if rank is None:
-            self._size_cache.clear()
-        else:
-            self._size_cache.pop(rank, None)
-
-    def chunks(self, rank: int) -> list[CDCChunk]:
-        return self.chunks_by_rank.get(rank, [])
-
-    def chunks_by_callsite(self, rank: int) -> dict[str, list[CDCChunk]]:
-        """Per-callsite chunk sequences (flush order preserved)."""
-        out: dict[str, list[CDCChunk]] = {}
-        for chunk in self.chunks(rank):
-            out.setdefault(chunk.callsite, []).append(chunk)
-        return out
-
-    def iter_all(self) -> Iterator[tuple[int, CDCChunk]]:
-        for rank in sorted(self.chunks_by_rank):
-            for chunk in self.chunks_by_rank[rank]:
-                yield rank, chunk
-
-    # -- size accounting -----------------------------------------------------
-
-    def _rank_sizes(self, rank: int) -> tuple[int, int]:
-        """(pre-gzip, compressed) byte sizes of one rank's record.
-
-        Memoized, with one serialization feeding both numbers:
-        recompressing every rank on each accounting call is the dominant
-        cost of :func:`summarize` on large archives. The cache is
-        invalidated by :meth:`append`; direct mutation of
-        ``chunks_by_rank`` must call :meth:`invalidate_size_cache`.
-        """
-        cached = self._size_cache.get(rank)
-        if cached is None:
-            payload = serialize_cdc_chunks(self.chunks(rank))
-            cached = self._size_cache[rank] = (
-                len(payload),
-                len(zlib.compress(payload, ZLIB_LEVEL)),
-            )
-        return cached
-
-    def rank_bytes(self, rank: int) -> int:
-        """Compressed record size of one rank (what its node stores)."""
-        return self._rank_sizes(rank)[1]
-
-    def rank_payload_bytes(self, rank: int) -> int:
-        """Pre-gzip serialized size of one rank's CDC tables (Figure 8)."""
-        return self._rank_sizes(rank)[0]
-
-    def total_bytes(self) -> int:
-        return sum(self.rank_bytes(r) for r in self.chunks_by_rank)
-
-    def total_payload_bytes(self) -> int:
-        return sum(self.rank_payload_bytes(r) for r in self.chunks_by_rank)
-
-    def total_events(self) -> int:
-        return sum(c.num_events for _, c in self.iter_all())
-
-    def per_node_bytes(self, procs_per_node: int = 24) -> dict[int, int]:
-        """Aggregate record bytes per compute node (Figure 15's unit)."""
-        nodes: dict[int, int] = {}
-        for rank in range(self.nprocs):
-            node = rank // procs_per_node
-            nodes[node] = nodes.get(node, 0) + self.rank_bytes(rank)
-        return nodes
-
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, directory: str, format: int = 2) -> None:
-        """Write one ``rank-NNNNN.cdc`` file per rank plus a manifest.
-
-        ``meta`` (JSON-serializable only) rides along in the manifest so a
-        loaded archive knows how it was produced (workload, seeds, ...).
-
-        ``format=2`` (default) writes the durable framed layout with
-        per-chunk CRCs and atomic renames (see
-        :mod:`repro.replay.durable_store`); ``format=1`` writes the legacy
-        monolithic-zlib-blob layout for compatibility testing.
-        """
-        if format == 2:
-            from repro.replay.durable_store import save_archive
-
-            save_archive(self, directory)
-            return
-        if format != 1:
-            raise ValueError(f"unknown archive format {format}")
-        os.makedirs(directory, exist_ok=True)
-        manifest = {"nprocs": self.nprocs, "meta": self.meta}
-        with open(os.path.join(directory, "MANIFEST"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-        for rank in range(self.nprocs):
-            payload = zlib.compress(
-                serialize_cdc_chunks(self.chunks(rank)), ZLIB_LEVEL
-            )
-            with open(os.path.join(directory, f"rank-{rank:05d}.cdc"), "wb") as fh:
-                fh.write(payload)
-
-    @classmethod
-    def load(cls, directory: str) -> "RecordArchive":
-        """Strictly load a v1 or v2 archive directory.
-
-        Any integrity violation — missing rank file, corrupt blob, bad
-        frame CRC, truncated tail — raises a
-        :class:`~repro.errors.RecordFormatError` subclass naming the rank
-        and path; raw ``FileNotFoundError`` / ``zlib.error`` never escape.
-        For damaged archives use
-        :func:`repro.replay.durable_store.load_archive` in salvage mode.
-        """
-        from repro.replay.durable_store import load_archive
-
-        try:
-            archive, _ = load_archive(directory, mode="strict")
-        except FileNotFoundError as exc:  # opener-level surprises
-            raise RecordFormatError(
-                f"record file missing in {directory}: {exc}"
-            ) from exc
-        except zlib.error as exc:
-            raise RecordFormatError(
-                f"corrupt record data in {directory}: {exc}"
-            ) from exc
-        return archive
-
-
-def bytes_per_event(archive: RecordArchive) -> float:
-    """Average storage bytes per receive event across the whole run."""
-    events = archive.total_events()
-    if events == 0:
-        return 0.0
-    return archive.total_bytes() / events
-
-
-def summarize(archive: RecordArchive) -> Mapping[str, object]:
-    """Human-oriented archive summary used by examples and reports."""
-    return {
-        "nprocs": archive.nprocs,
-        "total_bytes": archive.total_bytes(),
-        "total_events": archive.total_events(),
-        "bytes_per_event": bytes_per_event(archive),
-        "callsites": sorted(
-            {c.callsite for _, c in archive.iter_all()}
-        ),
-    }
+__all__ = ["RecordArchive", "bytes_per_event", "summarize"]

@@ -1,13 +1,12 @@
-"""Crash-tolerant archive storage: the framed v2 record format.
+"""A recorded run on storage: the archive, its framed files, and how to open it.
 
-The v1 layout of :mod:`repro.replay.chunk_store` serializes one monolithic
-zlib blob per rank at exit — a crash mid-flush or a single flipped byte
-destroys the whole rank record and surfaces as a raw ``zlib.error``. This
-module is the durable replacement, built around the paper's epoch lines
-(Section 3.5): records leave memory in bounded chunks *during* the run, so
+A :class:`RecordArchive` holds one CDC record per rank, mirroring the
+paper's per-process record files on node-local storage (SSD/ramdisk):
+chunks per ``(rank, callsite)`` in flush order. Records leave memory in
+bounded chunks *during* the run (the paper's epoch lines, Section 3.5), so
 storage must be able to lose a tail without losing the run.
 
-**v2 rank file layout** (``rank-NNNNN.cdc``)::
+**Rank file layout** (``rank-NNNNN.cdc``)::
 
     magic "CDCARC2\\n" (8 bytes)
     frame*                       appended as chunks flush
@@ -19,6 +18,10 @@ Each frame holds exactly one CDC chunk, so any valid frame prefix is an
 epoch-aligned chunk prefix: salvage never has to split a chunk. The
 manifest (written last, atomically) records the expected frame count per
 rank, letting the loader distinguish a clean short record from a crash.
+This is the only layout — a manifest that does not declare it, or a rank
+file without the magic, is an error in every mode — and an archive's size
+(:meth:`RecordArchive.rank_bytes`) is the size of these files, whether it
+was just recorded, loaded, or never stored.
 
 **Durability rules**
 
@@ -28,12 +31,15 @@ rank, letting the loader distinguish a clean short record from a crash.
 * transient ``OSError`` s (EIO, EAGAIN, EINTR, EBUSY) are retried with
   bounded exponential backoff before giving up.
 
-**Recovery** — :func:`load_archive` reads both v1 and v2 directories. In
-``strict`` mode the first integrity violation raises
+**Recovery** — in ``strict`` mode :func:`load_archive` raises
 :class:`~repro.errors.ArchiveCorruptionError` (rank, frame index, epoch
-context of the last good chunk). In ``salvage`` mode it keeps the longest
-valid frame prefix per rank and returns a :class:`RecoveryReport` saying
-exactly what was kept and what was dropped.
+context of the last good chunk) at the first integrity violation. In
+``salvage`` mode it keeps the longest valid frame prefix per rank and
+returns a :class:`RecoveryReport` saying exactly what was kept and what
+was dropped.
+
+**Opening a run** — sessions, analyses and the CLI all go through
+:func:`open_run`.
 """
 
 from __future__ import annotations
@@ -46,26 +52,30 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, IO, Sequence
+from typing import Any, Callable, IO, Iterator, Mapping
 
 from repro.core.compression import ZLIB_LEVEL
 from repro.core.formats import deserialize_cdc_chunks, serialize_cdc_chunks
 from repro.core.pipeline import CDCChunk
 from repro.errors import ArchiveCorruptionError, RecordFormatError
 from repro.obs import get_registry, span
-from repro.replay.chunk_store import RecordArchive
 
 __all__ = [
     "ARCHIVE_MAGIC",
     "ARCHIVE_VERSION",
     "DurableArchiveWriter",
     "RankRecovery",
+    "RecordArchive",
     "RecoveryReport",
     "RetryPolicy",
+    "StoredRun",
+    "bytes_per_event",
     "frame_bytes",
     "load_archive",
+    "open_run",
     "rank_filename",
     "save_archive",
+    "summarize",
 ]
 
 ARCHIVE_MAGIC = b"CDCARC2\n"
@@ -152,18 +162,133 @@ def _retry_io(fn: Callable[[], object], policy: RetryPolicy):
 
 
 # ---------------------------------------------------------------------------
-# frame encoding
+# frames and the archive
 # ---------------------------------------------------------------------------
+
+
+def _encode_frame(chunk: CDCChunk) -> tuple[bytes, int]:
+    """(frame, pre-deflate payload length) for one chunk."""
+    raw = serialize_cdc_chunks([chunk])
+    payload = zlib.compress(raw, ZLIB_LEVEL)
+    return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload, len(raw)
 
 
 def frame_bytes(chunk: CDCChunk) -> bytes:
     """One self-delimiting frame: header + zlib'd single-chunk payload."""
-    payload = zlib.compress(serialize_cdc_chunks([chunk]), ZLIB_LEVEL)
-    return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return _encode_frame(chunk)[0]
 
 
-def _rank_file_bytes(chunks: Sequence[CDCChunk]) -> bytes:
-    return ARCHIVE_MAGIC + b"".join(frame_bytes(c) for c in chunks)
+@dataclass
+class RecordArchive:
+    """All ranks' CDC records for one recorded run."""
+
+    nprocs: int
+    #: rank -> chunks in global flush order (callsites interleaved).
+    chunks_by_rank: dict[int, list[CDCChunk]] = field(default_factory=dict)
+    #: metadata preserved for replay bookkeeping.
+    meta: dict[str, object] = field(default_factory=dict)
+    #: id(chunk) -> (chunk, payload bytes, deflated bytes) of its frame, from
+    #: whoever built the frame (writer, loader) or the first request; per
+    #: chunk object, so editing ``chunks_by_rank`` needs no invalidation.
+    _frame_sizes: dict[int, tuple[CDCChunk, int, int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def append(self, rank: int, chunk: CDCChunk) -> None:
+        if not 0 <= rank < self.nprocs:
+            raise RecordFormatError(f"rank {rank} out of range")
+        self.chunks_by_rank.setdefault(rank, []).append(chunk)
+
+    def chunks(self, rank: int) -> list[CDCChunk]:
+        return self.chunks_by_rank.get(rank, [])
+
+    def chunks_by_callsite(self, rank: int) -> dict[str, list[CDCChunk]]:
+        """Per-callsite chunk sequences (flush order preserved)."""
+        out: dict[str, list[CDCChunk]] = {}
+        for chunk in self.chunks(rank):
+            out.setdefault(chunk.callsite, []).append(chunk)
+        return out
+
+    def iter_all(self) -> Iterator[tuple[int, CDCChunk]]:
+        for rank in sorted(self.chunks_by_rank):
+            for chunk in self.chunks_by_rank[rank]:
+                yield rank, chunk
+
+    # -- size accounting -----------------------------------------------------
+
+    def note_frame(self, chunk: CDCChunk, payload_bytes: int, deflated_bytes: int) -> None:
+        """Take the payload lengths of a frame just built for ``chunk``."""
+        self._frame_sizes[id(chunk)] = (chunk, payload_bytes, deflated_bytes)
+
+    def frame_sizes(self, chunk: CDCChunk) -> tuple[int, int]:
+        """(pre-deflate, deflated) byte lengths of ``chunk``'s frame payload;
+        a chunk nobody has reported is serialized and deflated here, once."""
+        known = self._frame_sizes.get(id(chunk))
+        if known is None or known[0] is not chunk:
+            frame, raw_len = _encode_frame(chunk)
+            known = (chunk, raw_len, len(frame) - _FRAME_HEADER.size)
+            self._frame_sizes[id(chunk)] = known
+        return known[1:]
+
+    def rank_bytes(self, rank: int) -> int:
+        """Size of the rank's record file: magic plus one frame per chunk."""
+        return len(ARCHIVE_MAGIC) + sum(
+            _FRAME_HEADER.size + self.frame_sizes(c)[1] for c in self.chunks(rank)
+        )
+
+    def rank_payload_bytes(self, rank: int) -> int:
+        """Pre-deflate size of the rank's frame payloads (Figure 8 tables)."""
+        return sum(self.frame_sizes(c)[0] for c in self.chunks(rank))
+
+    def total_bytes(self) -> int:
+        """Size of all rank files — what the run left on storage."""
+        return sum(self.rank_bytes(r) for r in range(self.nprocs))
+
+    def total_payload_bytes(self) -> int:
+        return sum(self.rank_payload_bytes(r) for r in range(self.nprocs))
+
+    def total_events(self) -> int:
+        return sum(c.num_events for _, c in self.iter_all())
+
+    def per_node_bytes(self, procs_per_node: int = 24) -> dict[int, int]:
+        """Aggregate record bytes per compute node (Figure 15's unit)."""
+        nodes: dict[int, int] = {}
+        for rank in range(self.nprocs):
+            node = rank // procs_per_node
+            nodes[node] = nodes.get(node, 0) + self.rank_bytes(rank)
+        return nodes
+
+    # -- persistence -----------------------------------------------------------
+
+    def save(self, directory: str) -> None:
+        """:func:`save_archive`: one ``rank-NNNNN.cdc`` per rank plus a
+        manifest, which carries ``meta`` (JSON-serializable only) so a
+        loaded archive knows how it was produced (workload, seeds, ...)."""
+        save_archive(self, directory)
+
+    @classmethod
+    def load(cls, directory: str) -> "RecordArchive":
+        """Strict :func:`load_archive`: any integrity violation raises a
+        :class:`~repro.errors.RecordFormatError` subclass naming the rank
+        and path (salvage mode is the way into a damaged archive)."""
+        return load_archive(directory, mode="strict")[0]
+
+
+def bytes_per_event(archive: RecordArchive) -> float:
+    """Average storage bytes per receive event across the whole run."""
+    events = archive.total_events()
+    return archive.total_bytes() / events if events else 0.0
+
+
+def summarize(archive: RecordArchive) -> Mapping[str, object]:
+    """Human-oriented archive summary used by examples and reports."""
+    return {
+        "nprocs": archive.nprocs,
+        "total_bytes": archive.total_bytes(),
+        "total_events": archive.total_events(),
+        "bytes_per_event": bytes_per_event(archive),
+        "callsites": sorted({c.callsite for _, c in archive.iter_all()}),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +302,12 @@ class RankRecovery:
 
     rank: int
     path: str
-    format: str  # "v2" | "v1" | "missing"
     frames_kept: int = 0
     bytes_kept: int = 0
     bytes_dropped: int = 0
     #: None when the file was clean; otherwise the failure kind:
-    #: "truncated-tail", "crc-mismatch", "frame-decode-error",
-    #: "frame-count-mismatch", "missing-file", "legacy-corrupt".
+    #: "bad-magic", "truncated-tail", "crc-mismatch", "frame-decode-error",
+    #: "frame-count-mismatch", "missing-file".
     failure: str | None = None
     detail: str = ""
 
@@ -307,65 +431,9 @@ def _manifest_bytes(
     return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-class _RankFrameWriter:
-    """Appends frames to one rank file, flushing each one durably."""
-
-    def __init__(
-        self, path: str, opener: Opener, fsync: bool, retry: RetryPolicy
-    ) -> None:
-        self.path = path
-        self.frames = 0
-        self._fsync = fsync
-        self._retry = retry
-        self._fh: IO[bytes] | None = _retry_io(lambda: opener(path, "wb"), retry)
-        self._write_at(0, ARCHIVE_MAGIC)
-
-    def _write_at(self, offset: int, data: bytes) -> None:
-        """Write ``data`` at ``offset``, rewinding cleanly between retries.
-
-        A transient error may leave a partial write behind; seeking back and
-        truncating before each attempt keeps the file frame-aligned, so a
-        retried frame is never duplicated or interleaved.
-        """
-        fh = self._fh
-        assert fh is not None
-
-        def attempt() -> None:
-            fh.seek(offset)
-            fh.truncate(offset)
-            fh.write(data)
-            fh.flush()
-            if self._fsync:
-                _fsync_fh(fh)
-
-        _retry_io(attempt, self._retry)
-
-    def append(self, chunk: CDCChunk) -> int:
-        """Write ``chunk`` as one frame; returns its payload's byte length."""
-        assert self._fh is not None, "writer already closed"
-        registry = get_registry()
-        t0 = time.perf_counter_ns()
-        frame = frame_bytes(chunk)
-        self._write_at(self._fh.tell(), frame)
-        self.frames += 1
-        if registry.enabled:
-            registry.counter("store.frames").add()
-            registry.counter("store.bytes").add(len(frame))
-            registry.histogram("store.flush_us").observe(
-                (time.perf_counter_ns() - t0) // 1000
-            )
-        return len(frame) - _FRAME_HEADER.size
-
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            finally:
-                self._fh = None
-
-
 class DurableArchiveWriter:
-    """Incremental v2 archive writer: one frame per flushed chunk.
+    """Incremental archive writer: one frame per flushed chunk, each one
+    flushed durably as it completes.
 
     Rank files are created eagerly (header only) so a crash at any point
     leaves a salvageable directory; the manifest is written only by
@@ -390,40 +458,64 @@ class DurableArchiveWriter:
         self._opener = opener
         self._fsync = fsync
         os.makedirs(directory, exist_ok=True)
-        self._writers = {
-            rank: _RankFrameWriter(
-                os.path.join(directory, rank_filename(rank)),
-                opener,
-                fsync,
-                self.retry,
-            )
-            for rank in range(nprocs)
-        }
+        #: frames written per rank: the manifest's frame table.
+        self.frames = dict.fromkeys(range(nprocs), 0)
+        self._files: dict[int, IO[bytes]] = {}
+        for rank in range(nprocs):
+            path = os.path.join(directory, rank_filename(rank))
+            self._files[rank] = _retry_io(lambda: opener(path, "wb"), self.retry)
+            self._write_at(rank, 0, ARCHIVE_MAGIC)
         self._closed = False
 
-    @property
-    def frames(self) -> dict[int, int]:
-        return {rank: w.frames for rank, w in self._writers.items()}
+    def _write_at(self, rank: int, offset: int, data: bytes) -> None:
+        """Write ``data`` at ``offset``, rewinding cleanly between retries.
 
-    def append(self, rank: int, chunk: CDCChunk) -> int:
-        """Append one frame to ``rank``'s file; returns the byte length of
-        its payload (the chunk serialized alone, then deflated)."""
+        A transient error may leave a partial write behind; seeking back and
+        truncating before each attempt keeps the file frame-aligned, so a
+        retried frame is never duplicated or interleaved.
+        """
+        fh = self._files[rank]
+
+        def attempt() -> None:
+            fh.seek(offset)
+            fh.truncate(offset)
+            fh.write(data)
+            fh.flush()
+            if self._fsync:
+                _fsync_fh(fh)
+
+        _retry_io(attempt, self.retry)
+
+    def append(self, rank: int, chunk: CDCChunk) -> tuple[int, int]:
+        """Append ``chunk`` to ``rank``'s file as one frame; returns its
+        payload's (pre-deflate, deflated) byte lengths —
+        :meth:`RecordArchive.note_frame`'s."""
         if self._closed:
             raise RecordFormatError("archive writer already closed")
-        if rank not in self._writers:
+        if rank not in self._files:
             raise RecordFormatError(f"rank {rank} out of range")
-        return self._writers[rank].append(chunk)
+        registry = get_registry()
+        t0 = time.perf_counter_ns()
+        frame, raw_len = _encode_frame(chunk)
+        self._write_at(rank, self._files[rank].tell(), frame)
+        self.frames[rank] += 1
+        if registry.enabled:
+            registry.counter("store.frames").add()
+            registry.counter("store.bytes").add(len(frame))
+            registry.histogram("store.flush_us").observe(
+                (time.perf_counter_ns() - t0) // 1000
+            )
+        return raw_len, len(frame) - _FRAME_HEADER.size
 
     def close(self, meta: dict[str, object] | None = None) -> None:
         """Finish the archive: close rank files, commit the manifest."""
         if self._closed:
             return
-        frames = self.frames
-        for writer in self._writers.values():
-            writer.close()
+        for fh in self._files.values():
+            fh.close()
         _atomic_write(
             os.path.join(self.directory, MANIFEST_NAME),
-            _manifest_bytes(self.nprocs, frames, dict(meta or {})),
+            _manifest_bytes(self.nprocs, self.frames, dict(meta or {})),
             self._opener,
             self._fsync,
             self.retry,
@@ -432,8 +524,8 @@ class DurableArchiveWriter:
 
     def abort(self) -> None:
         """Close handles without committing a manifest (crash cleanup)."""
-        for writer in self._writers.values():
-            writer.close()
+        for fh in self._files.values():
+            fh.close()
         self._closed = True
 
     def __enter__(self) -> "DurableArchiveWriter":
@@ -453,7 +545,7 @@ def save_archive(
     fsync: bool = True,
     retry: RetryPolicy | None = None,
 ) -> None:
-    """Write a complete archive in the v2 format, every file atomic.
+    """Write a complete archive, every file atomic.
 
     Unlike the incremental :class:`DurableArchiveWriter`, each rank file is
     assembled in memory and lands via tmp + fsync + rename; a crash during
@@ -469,7 +561,7 @@ def save_archive(
         frames[rank] = len(chunks)
         _atomic_write(
             os.path.join(directory, rank_filename(rank)),
-            _rank_file_bytes(chunks),
+            ARCHIVE_MAGIC + b"".join(map(frame_bytes, chunks)),
             opener,
             fsync,
             policy,
@@ -484,15 +576,15 @@ def save_archive(
 
 
 # ---------------------------------------------------------------------------
-# loader / salvage
+# loading, salvage, and opening a run
 # ---------------------------------------------------------------------------
 
 
 def _parse_rank_frames(
-    data: bytes, recovery: RankRecovery
-) -> list[CDCChunk]:
-    """Decode the longest valid frame prefix; record how it ended."""
-    chunks: list[CDCChunk] = []
+    data: bytes, recovery: RankRecovery, archive: RecordArchive
+) -> None:
+    """Append the longest valid frame prefix (and each frame's sizes) to
+    ``archive``; record in ``recovery`` how it ended."""
     offset = len(ARCHIVE_MAGIC)
     size = len(data)
     while offset < size:
@@ -516,40 +608,37 @@ def _parse_rank_frames(
             recovery.detail = f"frame {recovery.frames_kept}"
             break
         try:
-            decoded = deserialize_cdc_chunks(zlib.decompress(payload))
-        except (zlib.error, RecordFormatError) as exc:
-            # CRC passed but content is bad: written corrupt, not bit rot.
+            raw = zlib.decompress(payload)
+            [chunk] = deserialize_cdc_chunks(raw)
+        except (zlib.error, RecordFormatError, ValueError) as exc:
+            # CRC passed but content is bad (ValueError: not exactly one
+            # chunk): written corrupt, not bit rot.
             recovery.failure = "frame-decode-error"
             recovery.detail = f"frame {recovery.frames_kept}: {exc}"
             break
-        chunks.extend(decoded)
+        archive.append(recovery.rank, chunk)
+        archive.note_frame(chunk, len(raw), length)
         recovery.frames_kept += 1
         offset = end
     recovery.bytes_kept = offset
     recovery.bytes_dropped = size - offset
-    return chunks
 
 
-def _load_rank_v1(
-    data: bytes, recovery: RankRecovery
-) -> list[CDCChunk]:
-    """Legacy path: one zlib blob, all-or-nothing."""
-    try:
-        chunks = deserialize_cdc_chunks(zlib.decompress(data))
-    except (zlib.error, RecordFormatError) as exc:
-        recovery.failure = "legacy-corrupt"
-        recovery.detail = str(exc)
-        recovery.bytes_dropped = len(data)
-        return []
-    recovery.frames_kept = len(chunks)
-    recovery.bytes_kept = len(data)
-    return chunks
+def _json_count(value: Any, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _read_manifest(
     directory: str, opener: Opener
-) -> tuple[int, dict[str, object], dict[int, int] | None] | None:
-    """Return (nprocs, meta, expected frames or None for v1); None if absent."""
+) -> tuple[int, dict[str, object], dict[int, int]] | None:
+    """Return (nprocs, meta, expected frames per rank); None if absent.
+
+    Outside input: every value is type-checked, and the frame table must
+    have ``nprocs`` entries before anything sized by ``nprocs`` is built,
+    so an accepted manifest costs no more than its own length.
+    """
     path = os.path.join(directory, MANIFEST_NAME)
     try:
         with opener(path, "rb") as fh:
@@ -560,27 +649,30 @@ def _read_manifest(
         manifest = json.loads(raw.decode("utf-8"))
         if not isinstance(manifest, dict):
             raise ValueError("manifest is not an object")
-        nprocs = int(manifest["nprocs"])
-        meta = dict(manifest.get("meta", {}))
-        expected: dict[int, int] | None = None
-        if "format" in manifest or "version" in manifest:
-            if manifest.get("format") != "cdc-archive":
-                raise ValueError(f"unknown format {manifest.get('format')!r}")
-            if int(manifest.get("version", 0)) != ARCHIVE_VERSION:
-                raise ValueError(
-                    f"unsupported archive version {manifest.get('version')!r}"
-                )
-            expected = {
-                int(rank): int(count)
-                for rank, count in dict(manifest["frames"]).items()
-            }
-            if sorted(expected) != list(range(nprocs)):
-                raise ValueError(
-                    f"frame table ranks {sorted(expected)} disagree with "
-                    f"nprocs {nprocs}"
-                )
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise RecordFormatError(f"malformed MANIFEST in {directory}: {exc}") from exc
+        layout = (manifest.get("format"), manifest.get("version"))
+        if layout != ("cdc-archive", ARCHIVE_VERSION):
+            raise ValueError(
+                f"unsupported archive layout (format {layout[0]!r}, version "
+                f"{layout[1]!r}): only 'cdc-archive' version {ARCHIVE_VERSION} "
+                "is readable"
+            )
+        nprocs = _json_count(manifest["nprocs"], "nprocs")
+        frames, meta = manifest["frames"], manifest.get("meta", {})
+        if not isinstance(frames, dict) or not isinstance(meta, dict):
+            raise ValueError("frames and meta must be objects")
+        if len(frames) != nprocs:
+            raise ValueError(
+                f"frame table has {len(frames)} rank(s), nprocs is {nprocs}"
+            )
+        expected = {
+            int(rank): _json_count(count, f"frames[{rank!r}]")
+            for rank, count in frames.items()
+        }
+        if set(expected) != set(range(nprocs)):  # nprocs == len(frames) by now
+            raise ValueError(f"frame table ranks disagree with nprocs {nprocs}")
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise RecordFormatError(f"malformed MANIFEST in {directory}: {what}") from exc
     return nprocs, meta, expected
 
 
@@ -604,13 +696,15 @@ def load_archive(
     mode: str = "strict",
     opener: Opener = open,
 ) -> tuple[RecordArchive, RecoveryReport]:
-    """Load a v1 or v2 archive directory.
+    """Load an archive directory.
 
     ``mode="strict"`` raises :class:`~repro.errors.ArchiveCorruptionError`
     at the first integrity violation; ``mode="salvage"`` recovers the
     longest valid epoch-aligned chunk prefix of every rank and reports the
     damage in the returned :class:`RecoveryReport` (which is also returned,
-    all-clean, for intact archives).
+    all-clean, for intact archives). A manifest that is malformed or
+    declares another layout is a :class:`~repro.errors.RecordFormatError`
+    in both modes.
     """
     if mode not in ("strict", "salvage"):
         raise ValueError(f"mode must be 'strict' or 'salvage', got {mode!r}")
@@ -639,43 +733,28 @@ def _load_archive(
     report = RecoveryReport(directory=directory)
 
     manifest = _read_manifest(directory, opener)
-    expected_frames: dict[int, int] | None = None
     if manifest is None:
         # crash before finalize, or not an archive directory at all
         ranks_present = _scan_rank_files(directory)
         if strict or not ranks_present:
             raise RecordFormatError(f"no MANIFEST in {directory}")
+        nprocs, meta, expected_frames = ranks_present[-1] + 1, {}, None
         report.manifest_ok = False
         report.notes.append(
             "MANIFEST missing (crash before finalize?); "
-            f"inferred nprocs={ranks_present[-1] + 1} from rank files"
+            f"inferred nprocs={nprocs} from rank files"
         )
-        nprocs = ranks_present[-1] + 1
-        meta: dict[str, object] = {}
     else:
         nprocs, meta, expected_frames = manifest
-        if expected_frames is None:
-            # v1 manifests carry no redundancy: a corrupted nprocs that
-            # *shrinks* the archive would silently drop ranks. Rank files
-            # beyond nprocs can only mean a bad manifest.
-            stale = [r for r in _scan_rank_files(directory) if r >= nprocs]
-            if stale:
-                raise RecordFormatError(
-                    f"MANIFEST says nprocs={nprocs} but rank file(s) "
-                    f"{stale} exist in {directory}"
-                )
 
     archive = RecordArchive(nprocs=nprocs, meta=meta)
     for rank in range(nprocs):
         path = os.path.join(directory, rank_filename(rank))
-        recovery = RankRecovery(rank=rank, path=path, format="v2")
+        recovery = RankRecovery(rank=rank, path=path)
         report.ranks[rank] = recovery
         try:
-            data = _retry_io(
-                lambda p=path: _read_bytes(p, opener), RetryPolicy()
-            )
+            data = _retry_io(lambda p=path: _read_bytes(p, opener), RetryPolicy())
         except FileNotFoundError as exc:
-            recovery.format = "missing"
             recovery.failure = "missing-file"
             if strict:
                 raise ArchiveCorruptionError(
@@ -683,44 +762,130 @@ def _load_archive(
                 ) from exc
             continue
 
-        if data[: len(ARCHIVE_MAGIC)] == ARCHIVE_MAGIC:
-            chunks = _parse_rank_frames(data, recovery)
-        elif len(data) < len(ARCHIVE_MAGIC) and ARCHIVE_MAGIC.startswith(data):
-            # crash while writing the 8-byte header itself
-            recovery.failure = "truncated-tail"
-            recovery.detail = f"only {len(data)} header byte(s) written"
-            recovery.bytes_dropped = len(data)
-            chunks = []
+        if data.startswith(ARCHIVE_MAGIC):
+            _parse_rank_frames(data, recovery, archive)
         else:
-            recovery.format = "v1"
-            chunks = _load_rank_v1(data, recovery)
+            recovery.bytes_dropped = len(data)
+            if ARCHIVE_MAGIC.startswith(data):
+                # crash while writing the 8-byte header itself
+                recovery.failure = "truncated-tail"
+                recovery.detail = f"only {len(data)} header byte(s) written"
+            else:
+                recovery.failure = "bad-magic"
+                recovery.detail = f"file starts {data[:len(ARCHIVE_MAGIC)]!r}"
 
         if (
             recovery.failure is None
             and expected_frames is not None
-            and recovery.frames_kept != expected_frames.get(rank)
+            and recovery.frames_kept != expected_frames[rank]
         ):
             recovery.failure = "frame-count-mismatch"
             recovery.detail = (
-                f"manifest expects {expected_frames.get(rank)} frame(s), "
+                f"manifest expects {expected_frames[rank]} frame(s), "
                 f"file holds {recovery.frames_kept}"
             )
 
         if strict and recovery.failure is not None:
-            last_good = chunks[-1] if chunks else None
+            chunks = archive.chunks(rank)
             raise ArchiveCorruptionError(
                 rank,
                 recovery.frames_kept,
                 f"{recovery.failure}"
                 + (f" ({recovery.detail})" if recovery.detail else ""),
                 path=path,
-                epoch_context=_epoch_context(last_good),
+                epoch_context=_epoch_context(chunks[-1] if chunks else None),
             )
-        for chunk in chunks:
-            archive.append(rank, chunk)
     return archive, report
 
 
 def _read_bytes(path: str, opener: Opener) -> bytes:
     with opener(path, "rb") as fh:
         return fh.read()
+
+
+@dataclass
+class StoredRun:
+    """A recorded run as :func:`open_run` resolved it."""
+
+    archive: RecordArchive
+    #: how the load went; None when nothing was read from storage.
+    recovery: RecoveryReport | None = None
+    #: the archive directory, if there is one.
+    path: str | None = None
+    #: what to call the run in output: the path, or its ledger line.
+    label: str = "(in memory)"
+    #: ``"salvage"`` when ``archive`` may be a prefix of what was recorded.
+    mode: str = "strict"
+
+    @property
+    def meta(self) -> dict[str, object]:
+        return self.archive.meta
+
+    def program(self, fallback: Mapping[str, Any] | None = None):
+        """The workload program the manifest names. ``fallback`` is a
+        counterpart run's metadata, for the salvaged directory of a crashed
+        recording: no manifest was committed, so it cannot name its own."""
+        from repro.workloads import make_workload
+
+        meta: Mapping[str, Any] = self.meta
+        if "workload" not in meta:
+            meta = dict(fallback or {}, nprocs=self.archive.nprocs)
+        if "workload" not in meta:
+            raise ValueError(
+                f"record {self.label} has no workload metadata: re-record with "
+                "the CLI, or replay it through ReplaySession with its program"
+            )
+        return make_workload(
+            str(meta["workload"]),
+            int(meta.get("nprocs", self.archive.nprocs)),
+            **dict(meta.get("params", {})),
+        )[0]
+
+
+def open_run(source: Any, ledger: Any = None, salvage: bool | None = None) -> StoredRun:
+    """Resolve whatever names a recorded run to a :class:`StoredRun`.
+
+    ``source`` is an archive directory; a ledger run id, when ``ledger`` (a
+    path or a :class:`~repro.obs.ledger.RunLedger`) is given and ``source``
+    is no directory; a :class:`RecordArchive` or a session ``RunResult``,
+    taken as given; or a :class:`StoredRun`, returned as is. A directory is
+    loaded strictly (``salvage=False``), in salvage mode (``True``), or
+    (``None``) strictly with salvage as the fallback — for damaged frames,
+    or the manifest-less directory a mid-run crash leaves — so that
+    analyses localize a truncation instead of refusing the record.
+
+    Raises :class:`~repro.errors.RecordFormatError` for an unreadable
+    directory, ``LookupError`` for a run id the ledger cannot resolve to an
+    archive, ``TypeError`` for any other kind of source.
+    """
+    if isinstance(source, StoredRun):
+        return source
+    mode = "salvage" if salvage else "strict"
+    in_memory = isinstance(source, RecordArchive)
+    archive = source if in_memory else getattr(source, "archive", None)
+    if isinstance(archive, RecordArchive):
+        return StoredRun(archive, getattr(source, "recovery", None), mode=mode)
+    if not isinstance(source, str):
+        raise TypeError(f"cannot open a recorded run from {type(source).__name__}")
+    path = label = source
+    if ledger is not None and not os.path.isdir(source):
+        from repro.obs.ledger import RunLedger
+
+        if isinstance(ledger, str):
+            ledger = RunLedger(ledger)
+        try:
+            entry = ledger.find(source)
+        except KeyError as exc:
+            raise LookupError(exc.args[0]) from None  # the message, unquoted
+        if entry.archive is None:
+            raise LookupError(f"ledger run {source} recorded no archive path")
+        path = entry.archive
+        label = f"{source} ({entry.workload} seed {entry.network_seed})"
+    try:
+        archive, recovery = load_archive(path, mode=mode)
+    except RecordFormatError:
+        if salvage is not None:
+            raise
+        mode = "salvage"
+        archive, recovery = load_archive(path, mode=mode)
+    return StoredRun(archive, recovery, path, label, mode)

@@ -4,7 +4,7 @@ Hooks the PMPI seam (:class:`~repro.sim.pmpi.MFController`) and, for every
 MF outcome, feeds the per-``(rank, callsite)`` record-table builder
 (Section 4.4 MF identification). Builders flush every ``chunk_events``
 matched receives (Section 3.5), each flush CDC-encoding a chunk into the
-:class:`~repro.replay.chunk_store.RecordArchive`.
+:class:`~repro.replay.durable_store.RecordArchive`.
 
 Recording overhead is charged through the
 :class:`~repro.replay.cost_model.RecordingCostModel`: producer-side event
@@ -26,9 +26,8 @@ from typing import Sequence
 from repro.core.columnar import ColumnarTable, ColumnarTableBuilder, encode_table
 from repro.core.compression import ZLIB_LEVEL
 from repro.core.events import MFOutcome, outcomes_to_rows
-from repro.core.formats import serialize_cdc_chunks, serialize_raw_rows
-from repro.replay.chunk_store import RecordArchive
-from repro.replay.durable_store import DurableArchiveWriter
+from repro.core.formats import serialize_raw_rows
+from repro.replay.durable_store import DurableArchiveWriter, RecordArchive
 from repro.replay.cost_model import (
     PerRankRecordingState,
     RecordingCostModel,
@@ -165,25 +164,22 @@ class RecordingController(MFController):
 
     def _store_chunk(self, rank: int, chunk) -> None:
         """Keep ``chunk`` in memory and on disk, with an instant trace
-        marker per stored chunk (the monitor's epoch feed).
-
-        The marker carries the chunk's standalone compressed size so the
-        stream can flag per-chunk compression-ratio anomalies while the run
-        is live: the length of the frame payload the store just wrote, or
-        of the same bytes built here when there is no store.
-        """
+        marker per stored chunk (the monitor's epoch feed) carrying its
+        frame's deflated payload length, so the stream can flag per-chunk
+        compression-ratio anomalies live. The archive takes the sizes of
+        the frame the store just wrote — or, with no store, builds that
+        frame itself, once — so nothing later deflates the chunk again."""
         self.archive.append(rank, chunk)
-        stored = None if self.store is None else self.store.append(rank, chunk)
+        if self.store is not None:
+            self.archive.note_frame(chunk, *self.store.append(rank, chunk))
         if not get_registry().enabled:
             return
-        if stored is None:
-            stored = len(zlib.compress(serialize_cdc_chunks([chunk]), ZLIB_LEVEL))
         event(
             "record.chunk",
             rank=rank,
             callsite=chunk.callsite,
             events=chunk.num_events,
-            stored_bytes=stored,
+            stored_bytes=self.archive.frame_sizes(chunk)[1],
         )
 
     # -- results ---------------------------------------------------------------

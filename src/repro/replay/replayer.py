@@ -58,7 +58,7 @@ from repro.core.permutation import decode_permutation
 from repro.core.pipeline import CDCChunk, assist_occurrence_indices
 from repro.errors import RecordExhausted, RecordFormatError, ReplayDivergence
 from repro.obs import get_registry
-from repro.replay.chunk_store import RecordArchive
+from repro.replay.durable_store import RecordArchive
 from repro.sim.communicator import MailBox, _completion_key
 from repro.sim.datatypes import ANY_SOURCE, ANY_TAG, Message, Request, RequestState
 from repro.sim.pmpi import MFController

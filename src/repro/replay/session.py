@@ -2,11 +2,11 @@
 
 ::
 
-    program = mcb.build_program(nprocs=16, particles_per_rank=200, seed=7)
+    program = mcb.build_program(mcb.MCBConfig(nprocs=8, particles_per_rank=100, seed=7))
 
-    baseline = BaselineSession(program, nprocs=16, network_seed=1).run()
-    record   = RecordSession(program, nprocs=16, network_seed=1).run()
-    replayed = ReplaySession(program, record.archive, network_seed=2).run()
+    baseline = BaselineSession(program, nprocs=8, network_seed=1).run()
+    record   = RecordSession(program, nprocs=8, network_seed=1).run()
+    replayed = ReplaySession(program, record, network_seed=2).run()
 
     assert replayed.outcomes == record.outcomes          # same receive order
     assert replayed.app_results == record.app_results    # same numerics
@@ -40,13 +40,14 @@ from repro.obs import (
 )
 from repro.obs.profiler import SamplingProfiler, resolve_profiler
 from repro.obs.watchdog import engine_progress, replay_progress, resolve_watchdog
-from repro.replay.chunk_store import RecordArchive
 from repro.replay.cost_model import RecordingCostModel
 from repro.replay.durable_store import (
     DurableArchiveWriter,
+    RecordArchive,
     RecoveryReport,
     RetryPolicy,
-    load_archive,
+    StoredRun,
+    open_run,
 )
 from repro.replay.recorder import (
     DEFAULT_CHUNK_EVENTS,
@@ -272,8 +273,7 @@ class _Session:
                     len(result.archive.chunks(r))
                     for r in range(result.archive.nprocs)
                 )
-                with use_registry(self.registry):  # size accounting serializes
-                    stored_bytes = result.archive.total_bytes()
+                stored_bytes = result.archive.total_bytes()
             result.run_stats = build_run_stats(
                 self.registry,
                 mode=result.mode,
@@ -408,9 +408,9 @@ class RecordSession(_Session):
 class ReplaySession(_Session):
     """Run under replay control, forcing the recorded receive order.
 
-    ``archive`` may be an in-memory :class:`RecordArchive` or an archive
-    *directory* path; a path is loaded through the durable store in the
-    requested ``mode``:
+    ``archive`` is whatever :func:`~repro.replay.durable_store.open_run`
+    takes — a :class:`RecordArchive`, a record :class:`RunResult`, or an
+    archive *directory* path, which is loaded in the requested ``mode``:
 
     * ``"strict"`` (default): any corruption — truncated tail, CRC
       mismatch, missing rank file — raises
@@ -428,7 +428,7 @@ class ReplaySession(_Session):
     def __init__(
         self,
         program: Callable | Sequence[Callable],
-        archive: RecordArchive | str,
+        archive: RecordArchive | RunResult | StoredRun | str,
         network_seed: int = 0,
         delivery_mode: DeliveryMode = DeliveryMode.PROGRESSIVE,
         latency: LatencyModel | None = None,
@@ -449,16 +449,12 @@ class ReplaySession(_Session):
         if mode not in ("strict", "salvage"):
             raise ValueError(f"mode must be 'strict' or 'salvage', got {mode!r}")
         self.mode = mode
-        self.recovery: RecoveryReport | None = None
         registry = resolve_registry(telemetry)
-        archive_path = None
-        if isinstance(archive, str):
-            archive_path = archive
-            with use_registry(registry):
-                archive, self.recovery = load_archive(archive, mode=mode)
+        with use_registry(registry):  # a directory load reports store.* metrics
+            run = open_run(archive, salvage=mode == "salvage")
         super().__init__(
             program,
-            archive.nprocs,
+            run.archive.nprocs,
             network_seed,
             latency,
             engine_kwargs,
@@ -473,8 +469,9 @@ class ReplaySession(_Session):
             run_id=run_id,
             profile=profile,
         )
-        self._archive_path = archive_path
-        self.archive = archive
+        self._archive_path = run.path
+        self.archive = run.archive
+        self.recovery: RecoveryReport | None = run.recovery
         self.delivery_mode = delivery_mode
         #: skip materializing per-event outcome objects; analysis passes
         #: that only consume the flow recorder (``repro explain``) turn
@@ -494,21 +491,9 @@ class ReplaySession(_Session):
                 raise
             # the program wants events past the recovered prefix: report
             # where the record ends instead of failing the whole replay.
-            result = RunResult(
-                mode="replay-salvage",
-                nprocs=self.nprocs,
-                stats=self._engine.stats,
-            )
-            result.app_results = {p.rank: p.result for p in self._engine.procs}
-            result.final_clocks = {
-                p.rank: p.clock.value for p in self._engine.procs
-            }
-            result.controller = controller
+            result = self._collect("replay-salvage", controller)
             result.truncated_at = (exc.rank, exc.callsite)
-            result.outcomes = dict(controller.outcomes)
-            result.archive = self.archive
-            result.recovery = self.recovery
-            return self._attach_stats(result)
+            return self._finish(result, controller)
         except ReplayStallError as exc:
             # _run attached exc.report; decide between failing loudly and
             # degrading to a salvage-style partial result.
@@ -516,27 +501,14 @@ class ReplaySession(_Session):
             if policy != "salvage" and self.mode != "salvage":
                 raise
             report = exc.report
-            result = RunResult(
-                mode="replay-stalled",
-                nprocs=self.nprocs,
-                stats=self._engine.stats,
-            )
-            result.app_results = {p.rank: p.result for p in self._engine.procs}
-            result.final_clocks = {
-                p.rank: p.clock.value for p in self._engine.procs
-            }
-            result.controller = controller
+            result = self._collect("replay-stalled", controller)
             result.stall = report
             if report is not None and report.divergence is not None:
                 result.truncated_at = (
                     report.divergence.rank,
                     report.divergence.callsite,
                 )
-            result.outcomes = dict(controller.outcomes)
-            result.archive = self.archive
-            result.recovery = self.recovery
-            result.flow = self.flow
-            return self._attach_stats(result)
+            return self._finish(result, controller)
         except SimulationError as exc:
             # attach a structured post-mortem so the user sees *why*
             from repro.errors import ReplayDivergence
@@ -548,9 +520,6 @@ class ReplaySession(_Session):
                 report.stuck_ranks[0] if report.stuck_ranks else -1,
                 f"{exc}\n{report.render()}",
             ) from exc
-        result.outcomes = dict(controller.outcomes)
-        result.archive = self.archive
-        result.recovery = self.recovery
         leftovers = {
             key: n for key, n in controller.undelivered_summary().items() if n
         }
@@ -558,6 +527,25 @@ class ReplaySession(_Session):
             raise SimulationError(
                 f"replay finished with undelivered recorded events: {leftovers}"
             )
+        return self._finish(result, controller)
+
+    def _collect(self, mode: str, controller: ReplayController) -> RunResult:
+        """What the engine holds after a replay that was cut short: the tail
+        of :meth:`_run`, not shared with it because one more call per record
+        run trips ``tests/sim/test_hot_path_budget.py``."""
+        engine = self._engine
+        result = RunResult(mode=mode, nprocs=self.nprocs, stats=engine.stats)
+        result.app_results = {p.rank: p.result for p in engine.procs}
+        result.final_clocks = {p.rank: p.clock.value for p in engine.procs}
+        result.controller = controller
+        result.flow = self.flow
+        return result
+
+    def _finish(self, result: RunResult, controller: ReplayController) -> RunResult:
+        """Stamp the replay's streams and the stored run it was driven by."""
+        result.outcomes = dict(controller.outcomes)
+        result.archive = self.archive
+        result.recovery = self.recovery
         return self._attach_stats(result)
 
 

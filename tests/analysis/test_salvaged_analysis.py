@@ -62,7 +62,7 @@ class TestSizeModelOnSalvage:
         chunks = [c for r in range(archive.nprocs) for c in archive.chunks(r)]
         assert breakdown.chunks == len(chunks)
         assert breakdown.events == sum(c.num_events for c in chunks)
-        assert breakdown.total > 0  # per-rank preambles exist even when empty
+        assert breakdown.total == archive.total_payload_bytes() > 0
         per_table = breakdown.per_event()
         assert all(v >= 0 for v in per_table.values())
 
@@ -84,14 +84,17 @@ class TestSizeModelOnSalvage:
             r for r in range(archive.nprocs) if not archive.chunks(r)
         )
         assert archive.chunks(empty) == []
-        # a one-rank view of the empty rank: preamble but no tables
+        # a one-rank view of the empty rank: its file is the store's magic
+        # alone, no frame, so there is no payload to attribute
         from repro.replay.chunk_store import RecordArchive
+        from repro.replay.durable_store import ARCHIVE_MAGIC
 
         solo = RecordArchive(nprocs=1)
         breakdown = archive_breakdown(solo)
         assert breakdown.chunks == 0
         assert breakdown.events == 0
-        assert breakdown.total == breakdown.header > 0
+        assert breakdown.total == breakdown.header == 0
+        assert solo.total_bytes() == len(ARCHIVE_MAGIC)
 
 
 class TestSimilarityOnSalvage:
@@ -132,3 +135,86 @@ class TestSimilarityOnSalvage:
         series = clock_series([], rank=0)
         assert series.clocks == ()
         assert series.monotone_fraction == 1.0
+
+
+class TestDiffAgainstCrashedRecording:
+    """``repro diff`` where one side is the manifest-less directory a
+    mid-run crash leaves: the clean side's manifest names the workload for
+    both, and each side is opened and replayed exactly once — with
+    ``--timeline`` too (that pass used to replay both sides again, without
+    the fallback: ``ValueError: archive has no workload metadata``)."""
+
+    META = {
+        "workload": "synthetic",
+        "nprocs": NPROCS,
+        "network_seed": 2,
+        "params": {"seed": 3, **PARAMS},
+    }
+
+    @pytest.fixture(scope="class")
+    def dirs(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("crashed-diff")
+        clean, crashed = str(base / "clean"), str(base / "crashed")
+        RecordSession(
+            _program(), nprocs=NPROCS, network_seed=2, chunk_events=64,
+            store_dir=clean, store_fsync=False, meta=self.META,
+        ).run()
+        injector = FaultInjector(FaultPlan(crash_after_bytes=400))
+        with pytest.raises(InjectedCrash):
+            RecordSession(
+                _program(), nprocs=NPROCS, network_seed=1, chunk_events=64,
+                store_dir=crashed, store_opener=injector.open,
+                store_fsync=False, store_retry=RetryPolicy(attempts=2, base_delay=0.0),
+                meta=dict(self.META, network_seed=1),
+            ).run()
+        return clean, crashed
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        """Counts ``ReplaySession.run`` calls."""
+        calls = []
+        real = ReplaySession.run
+
+        def counted(session):
+            calls.append(session.mode)
+            return real(session)
+
+        monkeypatch.setattr(ReplaySession, "run", counted)
+        return calls
+
+    def test_library_diff_borrows_the_counterpart_manifest(self, dirs, replays):
+        from repro.analysis import diff_runs
+
+        clean, crashed = dirs
+        report = diff_runs(clean, crashed)
+        assert replays == ["strict", "salvage"]
+        assert report.events_a > report.events_b >= 0
+        assert not report.identical
+
+    @pytest.mark.parametrize("crashed_first", [False, True])
+    def test_cli_diff_with_timeline(
+        self, dirs, replays, crashed_first, tmp_path, capsys
+    ):
+        import json
+
+        from repro.cli import main
+        from repro.obs import validate_chrome_trace
+
+        operands = list(reversed(dirs)) if crashed_first else list(dirs)
+        timeline = str(tmp_path / "timeline.json")
+        assert main(["diff", *operands, "--timeline", timeline]) == 0
+        assert sorted(replays) == ["salvage", "strict"]  # one replay per side
+        assert "divergence timeline" in capsys.readouterr().out
+        with open(timeline, encoding="utf-8") as fh:
+            assert validate_chrome_trace(json.load(fh)) == []
+
+    def test_cli_diff_of_two_clean_records_replays_twice(
+        self, dirs, replays, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        clean, _ = dirs
+        timeline = str(tmp_path / "timeline.json")
+        assert main(["diff", clean, clean, "--timeline", timeline]) == 0
+        assert replays == ["strict", "strict"]  # four before: the timeline re-ran both
+        capsys.readouterr()

@@ -47,11 +47,10 @@ class TestExactness:
     def test_archive_breakdown_matches_uncompressed_archive(self, mcb_record):
         _, _, result = mcb_record
         breakdown = archive_breakdown(result.archive)
-        actual = sum(
-            len(serialize_cdc_chunks(result.archive.chunks(r)))
-            for r in range(result.archive.nprocs)
+        actual = sum(  # what the store deflates: one payload per chunk
+            len(serialize_cdc_chunks([chunk])) for _, chunk in result.archive.iter_all()
         )
-        assert breakdown.total == actual
+        assert breakdown.total == actual == result.archive.total_payload_bytes()
 
 
 class TestAttribution:

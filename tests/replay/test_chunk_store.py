@@ -9,6 +9,7 @@ from repro.core.pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.errors import RecordFormatError
 from repro.replay.chunk_store import RecordArchive, bytes_per_event, summarize
+from repro.replay.durable_store import ARCHIVE_MAGIC, frame_bytes, rank_filename
 
 
 def chunk(events, callsite="cs", assist=False):
@@ -63,40 +64,67 @@ class TestAccounting:
         assert info["nprocs"] == 2
         assert info["callsites"] == ["a", "b"]
 
-    def test_rank_bytes_memoized_and_invalidated_on_append(self, archive):
-        import zlib as _zlib
+    def test_rank_bytes_memoized_and_invalidated_on_append(
+        self, archive, monkeypatch
+    ):
+        """Sizes are memoized per chunk: asking again deflates nothing, and
+        an append costs exactly the new chunk's one deflate."""
+        import zlib
 
         before = archive.rank_bytes(0)
-        assert archive._size_cache[0] == (archive.rank_payload_bytes(0), before)
-        real_compress = _zlib.compress
-        calls = {"n": 0}
+        calls = []
+        real_compress = zlib.compress
 
-        def counting(data, level=-1):
-            calls["n"] += 1
-            return real_compress(data, level)
+        def counting(data, *args, **kwargs):
+            calls.append(len(data))
+            return real_compress(data, *args, **kwargs)
 
-        _zlib.compress = counting
-        try:
-            assert archive.rank_bytes(0) == before  # served from cache
-            assert calls["n"] == 0
-            archive.append(0, chunk([ReceiveEvent(1, 9)], "a"))
-            after = archive.rank_bytes(0)
-            assert calls["n"] == 1  # append invalidated rank 0 only
-            assert after != before
-            archive.total_bytes()
-            assert calls["n"] == 2  # rank 1 computed once, then cached
-            archive.per_node_bytes()
-            assert calls["n"] == 2
-        finally:
-            _zlib.compress = real_compress
+        monkeypatch.setattr(zlib, "compress", counting)
+        assert archive.rank_bytes(0) == before  # served from the memo
+        assert archive.rank_payload_bytes(0) > 0  # same memo, other column
+        assert calls == []
+        archive.append(0, chunk([ReceiveEvent(1, 9)], "a"))
+        after = archive.rank_bytes(0)
+        assert len(calls) == 1  # only the appended chunk
+        assert after > before
+        archive.total_bytes()
+        assert len(calls) == 2  # rank 1's one chunk, once
+        archive.per_node_bytes()
+        bytes_per_event(archive)
+        assert len(calls) == 2
 
     def test_invalidate_size_cache_after_direct_mutation(self, archive):
+        """There is no cache to invalidate: the memo is per chunk object,
+        so editing ``chunks_by_rank`` directly moves the size by itself."""
         before = archive.rank_bytes(0)
-        archive.chunks_by_rank[0].pop()
-        archive.invalidate_size_cache(0)
-        assert archive.rank_bytes(0) != before
-        archive.invalidate_size_cache()
-        assert archive._size_cache == {}
+        removed = archive.chunks_by_rank[0].pop()
+        shorter = archive.rank_bytes(0)
+        assert shorter == before - len(frame_bytes(removed))
+        archive.chunks_by_rank[0][0] = chunk(
+            [ReceiveEvent(1, c) for c in range(1, 40, 2)], "a"
+        )
+        assert archive.rank_bytes(0) == len(ARCHIVE_MAGIC) + sum(
+            len(frame_bytes(c)) for c in archive.chunks(0)
+        )
+        assert archive.rank_bytes(0) > shorter
+        assert not hasattr(archive, "invalidate_size_cache")
+
+    def test_in_memory_archive_reports_what_save_then_writes(
+        self, archive, tmp_path
+    ):
+        """An archive that never met a store sizes itself as the files
+        ``save`` writes — empty ranks hold the 8-byte magic."""
+        sizes = [archive.rank_bytes(r) for r in range(archive.nprocs)]
+        total = archive.total_bytes()
+        directory = str(tmp_path / "record")
+        archive.save(directory)
+        on_disk = [
+            os.path.getsize(os.path.join(directory, rank_filename(r)))
+            for r in range(archive.nprocs)
+        ]
+        assert sizes == on_disk
+        assert total == sum(on_disk)
+        assert RecordArchive(nprocs=3).total_bytes() == 3 * len(ARCHIVE_MAGIC)
 
 
 class TestPersistence:

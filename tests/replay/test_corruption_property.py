@@ -49,19 +49,10 @@ def saved(tmp_path_factory):
     return archive, d, files
 
 
-@given(data=st.data(), format=st.sampled_from([1, 2]))
+@given(data=st.data())
 @settings(max_examples=250, deadline=None)
-def test_single_byte_flip_is_never_silent(saved, data, format):
-    archive, d, v2_files = saved
-    if format == 1:
-        # regenerate the legacy layout in-place for this example
-        archive.save(d, format=1)
-        files = {
-            name: open(os.path.join(d, name), "rb").read()
-            for name in sorted(os.listdir(d))
-        }
-    else:
-        files = v2_files
+def test_single_byte_flip_is_never_silent(saved, data):
+    archive, d, files = saved
     try:
         name = data.draw(st.sampled_from(sorted(files)), label="file")
         original = files[name]

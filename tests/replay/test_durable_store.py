@@ -9,6 +9,7 @@ import zlib
 import pytest
 
 from repro.core.events import ReceiveEvent
+from repro.core.formats import serialize_cdc_chunks
 from repro.core.pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.errors import ArchiveCorruptionError, RecordFormatError
@@ -75,14 +76,39 @@ class TestSaveLoadRoundTrip:
         save_archive(archive, d)
         assert open(rank_path(d, 2), "rb").read() == ARCHIVE_MAGIC
 
-    def test_v1_archives_still_load(self, archive, tmp_path):
-        d = str(tmp_path / "legacy")
-        archive.save(d, format=1)
-        loaded, report = load_archive(d)
-        assert report.clean
-        assert all(r.format == "v1" for r in report.ranks.values())
-        assert loaded.chunks_by_rank == archive.chunks_by_rank
-        assert RecordArchive.load(d).chunks_by_rank == archive.chunks_by_rank
+    @pytest.mark.parametrize("mode", ["strict", "salvage"])
+    def test_v1_style_directory_is_rejected_in_both_modes(
+        self, archive, tmp_path, mode
+    ):
+        """The old monolithic layout — a manifest without format/version,
+        one zlib blob per rank — has no reader: a typed error naming the
+        unsupported layout, never a guess."""
+        d = tmp_path / "legacy"
+        d.mkdir()
+        (d / "MANIFEST").write_text(
+            json.dumps({"nprocs": archive.nprocs, "meta": archive.meta})
+        )
+        for rank in range(archive.nprocs):
+            blob = zlib.compress(serialize_cdc_chunks(archive.chunks(rank)))
+            (d / rank_filename(rank)).write_bytes(blob)
+        with pytest.raises(RecordFormatError, match="unsupported archive layout"):
+            load_archive(str(d), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["strict", "salvage"])
+    def test_manifest_stripped_of_format_and_version_does_not_load(
+        self, archive, tmp_path, mode
+    ):
+        """Deleting two keys used to switch the frame-count check off and
+        still load "clean"."""
+        d = str(tmp_path / "rec")
+        save_archive(archive, d)
+        path = os.path.join(d, "MANIFEST")
+        manifest = json.load(open(path))
+        del manifest["format"], manifest["version"]
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(RecordFormatError, match="unsupported archive layout"):
+            load_archive(d, mode=mode)
 
     def test_record_archive_save_defaults_to_v2(self, archive, tmp_path):
         d = str(tmp_path / "rec")
@@ -211,13 +237,44 @@ class TestCorruptionDetection:
             load_archive(d, mode="strict")
         assert "frame-count-mismatch" in str(info.value)
 
-    def test_garbage_rank_file_is_legacy_corrupt(self, archive, tmp_path):
+    def test_garbage_rank_file_is_bad_magic(self, archive, tmp_path):
         d = self.saved(archive, tmp_path)
         open(rank_path(d), "wb").write(b"not an archive at all")
-        with pytest.raises(RecordFormatError):
+        with pytest.raises(ArchiveCorruptionError, match="bad-magic"):
             load_archive(d, mode="strict")
+        recovered, report = load_archive(d, mode="salvage")
+        assert report.ranks[0].failure == "bad-magic"
+        assert report.ranks[0].bytes_dropped == len(b"not an archive at all")
+        assert recovered.chunks(0) == []
+        assert recovered.chunks(1) == archive.chunks(1)
+
+    def test_any_flipped_magic_bit_is_bad_magic(self, archive, tmp_path):
+        """One flipped bit in the magic is reported as what it is; it used
+        to fall through to the v1 reader as ``legacy-corrupt … incorrect
+        header check``."""
+        d = self.saved(archive, tmp_path)
+        intact = open(rank_path(d), "rb").read()
+        for bit in range(8 * len(ARCHIVE_MAGIC)):
+            data = bytearray(intact)
+            data[bit // 8] ^= 1 << (bit % 8)
+            open(rank_path(d), "wb").write(bytes(data))
+            with pytest.raises(ArchiveCorruptionError) as info:
+                load_archive(d, mode="strict")
+            assert info.value.rank == 0 and "bad-magic" in str(info.value), bit
+            _, report = load_archive(d, mode="salvage")
+            assert report.ranks[0].failure == "bad-magic", bit
+            assert "legacy" not in report.render()
+
+    def test_frame_holding_two_chunks_is_a_decode_error(self, archive, tmp_path):
+        """A frame is exactly one chunk (what makes every frame prefix an
+        epoch-aligned chunk prefix, and a frame's size a chunk's size)."""
+        d = self.saved(archive, tmp_path)
+        payload = zlib.compress(serialize_cdc_chunks(archive.chunks(0)[:2]))
+        frame = struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        open(rank_path(d), "wb").write(ARCHIVE_MAGIC + frame)
         _, report = load_archive(d, mode="salvage")
-        assert report.ranks[0].failure == "legacy-corrupt"
+        assert report.ranks[0].failure == "frame-decode-error"
+        assert report.ranks[0].frames_kept == 0
 
     def test_report_render_mentions_damage(self, archive, tmp_path):
         d = self.saved(archive, tmp_path)
@@ -366,20 +423,6 @@ class TestRetryPolicyJitter:
 
 
 class TestManifestNprocsFlip:
-    def test_v1_nprocs_shrink_flip_is_detected(self, archive, tmp_path):
-        """Bit flip turning '"nprocs": 3' into '"nprocs": 1' must not
-        silently drop ranks — the v1 manifest has no frame table, so the
-        loader falls back to spotting rank files beyond nprocs."""
-        d = str(tmp_path / "legacy")
-        archive.save(d, format=1)
-        path = os.path.join(d, "MANIFEST")
-        raw = open(path, "rb").read()
-        i = raw.index(b'"nprocs": 3') + len(b'"nprocs": ')
-        flipped = raw[:i] + bytes([raw[i] ^ 0x02]) + raw[i + 1 :]  # '3' -> '1'
-        open(path, "wb").write(flipped)
-        with pytest.raises(RecordFormatError):
-            load_archive(d, mode="strict")
-
     def test_v2_nprocs_flip_contradicts_frame_table(self, archive, tmp_path):
         d = str(tmp_path / "rec")
         save_archive(archive, d)
@@ -390,18 +433,3 @@ class TestManifestNprocsFlip:
         open(path, "wb").write(flipped)
         with pytest.raises(RecordFormatError):
             load_archive(d, mode="strict")
-
-
-class TestZlibCorruptionWrapped:
-    def test_corrupt_v1_blob_raises_record_format_error(self, archive, tmp_path):
-        d = str(tmp_path / "legacy")
-        archive.save(d, format=1)
-        path = rank_path(d)
-        data = bytearray(open(path, "rb").read())
-        data[len(data) // 2] ^= 0xFF
-        open(path, "wb").write(bytes(data))
-        with pytest.raises(RecordFormatError):
-            RecordArchive.load(d)
-        with pytest.raises(zlib.error):
-            # the raw error the old loader leaked, for contrast
-            zlib.decompress(bytes(data))

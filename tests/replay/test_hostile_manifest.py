@@ -1,0 +1,223 @@
+"""A MANIFEST is outside input: hostile ones cost nothing and fail typed.
+
+Whatever bytes sit in ``MANIFEST``, loading the directory — strict or
+salvage — either succeeds or raises a
+:class:`~repro.errors.RecordFormatError` (never a raw ``OverflowError`` /
+``RecursionError`` / ``TypeError``), within a second, allocating no more
+than a small multiple of the directory's own size: nothing sized by a
+number the manifest merely *claims* is ever built.
+"""
+
+import json
+import os
+import time
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.events import ReceiveEvent
+from repro.core.pipeline import encode_chunk
+from repro.core.record_table import RecordTable
+from repro.errors import RecordFormatError
+from repro.replay.durable_store import RecordArchive, load_archive, save_archive
+
+MODES = ("strict", "salvage")
+DEADLINE_S = 1.0
+
+
+def chunk(events, callsite="cs"):
+    return encode_chunk(RecordTable(callsite, tuple(events), (), ()))
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """(archive, directory, the valid manifest as a dict)."""
+    archive = RecordArchive(nprocs=3, meta={"workload": "hostile", "seed": 3})
+    archive.append(0, chunk([ReceiveEvent(1, 1), ReceiveEvent(1, 4)], "a"))
+    archive.append(0, chunk([ReceiveEvent(2, 6)], "b"))
+    archive.append(1, chunk([ReceiveEvent(0, 2)], "a"))
+    d = str(tmp_path_factory.mktemp("hostile") / "rec")
+    save_archive(archive, d, fsync=False)
+    with open(os.path.join(d, "MANIFEST"), encoding="utf-8") as fh:
+        return archive, d, json.load(fh)
+
+
+def v2(**overrides):
+    manifest = {
+        "format": "cdc-archive",
+        "version": 2,
+        "nprocs": 3,
+        "frames": {"0": 2, "1": 1, "2": 0},
+        "meta": {},
+    }
+    manifest.update(overrides)
+    # json.dumps writes inf as Infinity; the hostile spelling is 1e400
+    return json.dumps(manifest).replace("Infinity", "1e400").encode()
+
+
+#: name -> MANIFEST bytes that must be refused (the first five escaped as
+#: OverflowError x2 / RecursionError / a silent nprocs=1 / 2.1 GB before
+#: this suite existed; the sixth took salvage mode 43 s and 1.0 GB).
+HOSTILE = {
+    "nprocs-overflows-float": v2(nprocs=float("inf")),
+    "frame-count-overflows-float": v2(frames={"0": float("inf"), "1": 1, "2": 0}),
+    "hundred-thousand-brackets": b"[" * 100_000,
+    "nprocs-fractional": v2(nprocs=1.9),
+    "nprocs-30M-one-frame-entry": v2(nprocs=30_000_000, frames={"0": 2}),
+    "no-layout-3M-ranks": b'{"nprocs": 3000000, "meta": {}}',
+    "no-layout-honest": b'{"nprocs": 3, "meta": {}}',
+    "nprocs-negative": v2(nprocs=-1, frames={}),
+    "nprocs-bool": v2(nprocs=True, frames={"0": 2}),
+    "nprocs-string": v2(nprocs="3"),
+    "nprocs-null": v2(nprocs=None),
+    "nprocs-missing": json.dumps(
+        {"format": "cdc-archive", "version": 2, "frames": {}}
+    ).encode(),
+    "nprocs-5000-digits": v2().replace(b'"nprocs": 3', b'"nprocs": ' + b"9" * 5000),
+    "frames-list": v2(frames=[2, 1, 0]),
+    "frames-missing": json.dumps(
+        {"format": "cdc-archive", "version": 2, "nprocs": 3}
+    ).encode(),
+    "frame-count-negative": v2(frames={"0": -2, "1": 1, "2": 0}),
+    "frame-count-bool": v2(frames={"0": True, "1": 1, "2": 0}),
+    "frame-count-fractional": v2(frames={"0": 2.0, "1": 1, "2": 0}),
+    "frame-rank-not-a-number": v2(frames={"zero": 2, "1": 1, "2": 0}),
+    "frame-rank-out-of-range": v2(frames={"0": 2, "1": 1, "7": 0}),
+    "frame-ranks-collapse": v2(frames={"0": 2, "00": 1, "2": 0}),
+    "meta-list": v2(meta=[1, 2]),
+    "version-string": v2(version="2"),
+    "version-3": v2(version=3),
+    "format-other": v2(format="cdc-archive-ng"),
+    "top-level-list": b"[1, 2, 3]",
+    "deep-meta": v2().replace(b'"meta": {}', b'"meta": ' + b"[" * 50_000),
+    "empty-file": b"",
+    "not-utf8": b"\xff\xfe{}",
+}
+
+
+def measured_load(directory, mode):
+    """(outcome, seconds, peak traced bytes) of one load; the outcome is
+    the ``(archive, report)`` pair or the ``RecordFormatError`` raised —
+    any other exception propagates and fails the test."""
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        outcome = load_archive(directory, mode=mode)
+    except RecordFormatError as exc:
+        outcome = exc
+    finally:
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return outcome, elapsed, peak
+
+
+def allocation_bound(directory):
+    size = sum(
+        os.path.getsize(os.path.join(directory, n)) for n in os.listdir(directory)
+    )
+    return 8 * size + 128 * 1024
+
+
+def with_manifest(directory, blob):
+    with open(os.path.join(directory, "MANIFEST"), "wb") as fh:
+        fh.write(blob)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_manifest_is_a_typed_error(saved, name, mode):
+    _, d, valid = saved
+    try:
+        with_manifest(d, HOSTILE[name])
+        outcome, elapsed, peak = measured_load(d, mode)
+        assert isinstance(outcome, RecordFormatError), outcome
+        assert "MANIFEST" in str(outcome)
+        assert elapsed < DEADLINE_S
+        assert peak <= allocation_bound(d), f"{peak:,} B allocated"
+    finally:
+        with_manifest(d, json.dumps(valid).encode())
+
+
+# -- mutated valid manifests -----------------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 1, 2, 3, 4, 10**9, 3 * 10**7, -1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4) | st.sampled_from(["0", "1", "2", "3"]),
+                        inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+KEY_PATHS = [
+    ("format",), ("version",), ("nprocs",), ("frames",), ("meta",),
+    ("frames", "0"), ("frames", "1"), ("frames", "2"), ("frames", "3"),
+    ("meta", "workload"), ("extra",),
+]
+
+
+@st.composite
+def mutated_manifests(draw, valid):
+    """The valid manifest with 1-3 structural edits (a key set to an
+    arbitrary JSON value, or deleted), then 0-2 byte edits of its text."""
+    manifest = json.loads(json.dumps(valid))
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(KEY_PATHS))
+        target = manifest
+        for parent in parents:
+            target = target.get(parent) if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            continue
+        if draw(st.booleans()) and key in target:
+            del target[key]
+        else:
+            target[key] = draw(json_values)
+    blob = bytearray(json.dumps(manifest).replace("Infinity", "1e400").encode())
+    for _ in range(draw(st.integers(0, 2))):
+        offset = draw(st.integers(0, max(0, len(blob) - 1)))
+        edit = draw(st.sampled_from(["flip", "cut", "insert"]))
+        if edit == "flip" and blob:
+            blob[offset] ^= 1 << draw(st.integers(0, 7))
+        elif edit == "cut":
+            del blob[offset:]
+        else:
+            blob[offset:offset] = draw(st.binary(min_size=1, max_size=6))
+    return bytes(blob)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_manifest_loads_or_fails_typed(saved, data):
+    archive, d, valid = saved
+    blob = data.draw(mutated_manifests(valid), label="MANIFEST")
+    try:
+        with_manifest(d, blob)
+        for mode in MODES:
+            outcome, elapsed, peak = measured_load(d, mode)
+            assert elapsed < DEADLINE_S, mode
+            assert peak <= allocation_bound(d), f"{mode}: {peak:,} B allocated"
+            if isinstance(outcome, RecordFormatError):
+                continue
+            # accepted: the manifest was bounded by its own frame table,
+            # and what loaded is a prefix of what was saved, rank by rank
+            loaded, report = outcome
+            assert len(report.ranks) == loaded.nprocs
+            assert loaded.nprocs <= max(len(blob), 3)
+            for rank in range(min(loaded.nprocs, archive.nprocs)):
+                got = loaded.chunks(rank)
+                assert got == archive.chunks(rank)[: len(got)], (mode, rank)
+            if mode == "strict":
+                assert report.clean
+    finally:
+        with_manifest(d, json.dumps(valid).encode())

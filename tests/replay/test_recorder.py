@@ -87,30 +87,40 @@ class TestRecording:
 
 
 class TestChunkMarkers:
-    """``record.chunk`` trace markers carry each chunk's standalone stored
-    size: the frame payload the durable store just wrote, not a second
-    serialize + deflate of the same chunk."""
+    """``record.chunk`` trace markers carry each chunk's deflated frame
+    payload length — the frame the durable store just wrote, or the one
+    the archive builds for itself — and nothing sizes the archive by
+    serializing or deflating a chunk a second time."""
 
     def run(self, monkeypatch, **kwargs):
+        import zlib
+
         import repro.core.formats as formats
         import repro.replay.durable_store as durable_store
-        import repro.replay.recorder as recorder
 
-        calls = []
+        calls, deflates = [], []
         real = formats.serialize_cdc_chunks
+        real_compress = zlib.compress
 
         def counted(chunks):
             calls.append(len(chunks))
             return real(chunks)
 
+        def counted_compress(data, *args, **kw):
+            deflates.append(len(data))
+            return real_compress(data, *args, **kw)
+
         monkeypatch.setattr(durable_store, "serialize_cdc_chunks", counted)
-        monkeypatch.setattr(recorder, "serialize_cdc_chunks", counted)
+        monkeypatch.setattr(zlib, "compress", counted_compress)
         result = RecordSession(
             fanin_program(12), nprocs=4, network_seed=2, chunk_events=4,
             telemetry=True, **kwargs,
         ).run()
+        # RunStats and every later reader of the size: no further work
+        assert result.run_stats.stored_bytes == result.archive.total_bytes()
+        monkeypatch.undo()
         markers = [e.attrs for e in result.registry.events if e.name == "record.chunk"]
-        return result, markers, calls
+        return result, markers, calls, deflates
 
     def expected(self, result):
         import zlib
@@ -131,16 +141,18 @@ class TestChunkMarkers:
         )
 
     def test_one_serialization_per_flushed_chunk_with_a_store(self, tmp_path, monkeypatch):
-        result, markers, calls = self.run(
+        result, markers, calls, deflates = self.run(
             monkeypatch, store_dir=str(tmp_path / "rec"), store_fsync=False
         )
         assert len(markers) >= 4
         assert calls == [1] * len(markers)
+        assert len(deflates) == len(markers)
         assert self.observed(markers) == self.expected(result)
 
     def test_markers_without_a_store_serialize_once_themselves(self, monkeypatch):
-        result, markers, calls = self.run(monkeypatch)
+        result, markers, calls, deflates = self.run(monkeypatch)
         assert calls == [1] * len(markers)
+        assert len(deflates) == len(markers)
         assert self.observed(markers) == self.expected(result)
 
 

@@ -1,0 +1,147 @@
+"""An archive has one size: the bytes of the rank files it is stored as.
+
+``RecordArchive.rank_bytes(r)`` is the length of ``rank-NNNNN.cdc`` —
+magic plus one framed, deflated payload per chunk — for an archive that
+was just recorded to a store, loaded from one, or never stored at all,
+and every reader of "how big is this record" (``record.chunk`` markers,
+``RunStats``, the ledger, ``repro record|inspect|stats``) reports that
+number without deflating anything a second time.
+"""
+
+import os
+import re
+import zlib
+
+import pytest
+
+from repro.analysis import human_bytes
+from repro.cli import main
+from repro.replay.durable_store import (
+    ARCHIVE_MAGIC,
+    load_archive,
+    rank_filename,
+    save_archive,
+)
+from repro.replay.session import RecordSession
+from repro.workloads import make_workload
+
+FRAME_HEADER = 8
+
+#: (workload, nprocs, params) — the benchmark's four shapes, scaled down:
+#: poll-dominated, hidden-deterministic, receive-dense, and few ranks with
+#: streams long enough to fill 1024-event chunks.
+CONFIGS = {
+    "mcb": ("mcb", 8, {"particles_per_rank": 20}),
+    "jacobi": ("jacobi", 8, {"iterations": 6}),
+    "unstructured": ("unstructured", 8, {"vertices": 48, "iterations": 2}),
+    "mcb-long-chunks": ("mcb", 4, {"particles_per_rank": 600}),
+}
+
+
+@pytest.fixture
+def deflates(monkeypatch):
+    """Every ``zlib.compress`` call made while the fixture is live."""
+    calls = []
+    real = zlib.compress
+
+    def counted(data, *args, **kwargs):
+        calls.append(len(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(zlib, "compress", counted)
+    return calls
+
+
+def record(name, **kwargs):
+    workload, nprocs, params = CONFIGS[name]
+    program, _ = make_workload(workload, nprocs, **params)
+    return RecordSession(
+        program, nprocs=nprocs, network_seed=1, store_fsync=False, **kwargs
+    ).run()
+
+
+def file_sizes(directory, nprocs):
+    return [
+        os.path.getsize(os.path.join(directory, rank_filename(r)))
+        for r in range(nprocs)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_durable_record_is_sized_as_its_files(name, tmp_path, deflates):
+    directory = str(tmp_path / "rec")
+    result = record(name, store_dir=directory, telemetry=True)
+    archive = result.archive
+    chunks = sum(len(archive.chunks(r)) for r in range(archive.nprocs))
+    assert chunks > 0
+    # one deflate per flushed chunk — the frame the store wrote — and none
+    # for the marker, RunStats, or any size asked for afterwards
+    sizes = [archive.rank_bytes(r) for r in range(archive.nprocs)]
+    assert len(deflates) == chunks
+
+    assert sizes == file_sizes(directory, archive.nprocs)
+    manifest = os.path.getsize(os.path.join(directory, "MANIFEST"))
+    on_disk = sum(
+        os.path.getsize(os.path.join(directory, n)) for n in os.listdir(directory)
+    )
+    assert archive.total_bytes() + manifest == on_disk
+
+    markers = [e.attrs for e in result.registry.events if e.name == "record.chunk"]
+    assert len(markers) == chunks
+    assert (
+        sum(m["stored_bytes"] for m in markers)
+        + FRAME_HEADER * chunks
+        + len(ARCHIVE_MAGIC) * archive.nprocs
+        == archive.total_bytes()
+    )
+    assert result.run_stats.stored_bytes == archive.total_bytes()
+    if name == "mcb-long-chunks":
+        assert max(c.num_events for _, c in archive.iter_all()) == 1024
+
+    # the loader hands the frame lengths over: same sizes, nothing deflated
+    del deflates[:]
+    loaded, report = load_archive(directory)
+    assert report.clean
+    assert [loaded.rank_bytes(r) for r in range(loaded.nprocs)] == sizes
+    assert loaded.total_bytes() == archive.total_bytes()
+    assert loaded.total_payload_bytes() == archive.total_payload_bytes()
+    assert deflates == []
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_in_memory_record_is_sized_as_save_then_writes(name, tmp_path, deflates):
+    result = record(name, telemetry=True)  # no store: the archive deflates
+    archive = result.archive
+    chunks = sum(len(archive.chunks(r)) for r in range(archive.nprocs))
+    sizes = [archive.rank_bytes(r) for r in range(archive.nprocs)]
+    payload = archive.total_payload_bytes()
+    assert len(deflates) == chunks  # once per flushed chunk, for the marker
+
+    untouched = record(name).archive  # telemetry off: sized on first request
+    assert [untouched.rank_bytes(r) for r in range(untouched.nprocs)] == sizes
+    assert untouched.total_payload_bytes() == payload
+
+    directory = str(tmp_path / "saved")
+    save_archive(archive, directory, fsync=False)
+    assert sizes == file_sizes(directory, archive.nprocs)
+
+
+def test_cli_record_inspect_and_stats_print_the_files_size(tmp_path, capsys):
+    directory = str(tmp_path / "rec")
+    assert main(
+        ["record", "--workload", "mcb", "--nprocs", "8", "--network-seed", "1",
+         "-p", "particles_per_rank=20", "--out", directory]
+    ) == 0
+    recorded = capsys.readouterr().out
+    size = sum(file_sizes(directory, 8))
+    events = int(re.search(r"recorded ([\d,]+) receive", recorded)[1].replace(",", ""))
+    assert f"({human_bytes(size)}, {size / events:.3f} bytes/event)" in recorded
+
+    assert main(["inspect", "--record", directory]) == 0
+    inspected = capsys.readouterr().out
+    assert re.search(rf"stored bytes\s+\|?\s*{re.escape(human_bytes(size))}", inspected)
+    assert f"{size / events:.3f}" in inspected
+
+    assert main(["stats", directory]) == 0
+    stats = capsys.readouterr().out
+    assert re.search(rf"stored \(gzip\)\s+\|?\s*{re.escape(human_bytes(size))}", stats)
