@@ -123,19 +123,22 @@ class TestReplayAssistCost:
         emit(
             "ablation_replay_assist",
             render_table(
-                "DESIGN.md §5.6 — replay-assist column cost",
+                "DESIGN.md §5.6 / §5.9 — what the replay-assist layout costs",
                 ["format", "bytes", "bytes/event", "bits/event"],
                 [
                     ("paper CDC format", a, f"{a / events:.3f}", f"{8 * a / events:.2f}"),
-                    ("+ replay assist", b, f"{b / events:.3f}", f"{8 * b / events:.2f}"),
+                    ("replay-assist layout", b, f"{b / events:.3f}", f"{8 * b / events:.2f}"),
                 ],
                 note=(
-                    f"assist adds {8 * (b - a) / events:.2f} bits/event — the "
-                    "price of online-computable replay (see DESIGN.md §5.6)"
+                    f"assist layout: {8 * (b - a) / events:+.2f} bits/event — the "
+                    "sender column stands in for the clock-order permutation, the "
+                    "epoch ranks/counts and the first-clock hints (DESIGN.md §5.9)"
                 ),
             ),
         )
-        assert a < b <= 2 * a
+        # online-computable replay costs about what the paper's record does:
+        # each layout stores its own facts, neither much more than the other
+        assert b <= 1.25 * a and a <= 1.5 * b
 
 
 class TestPredictorAblation:

@@ -18,8 +18,9 @@ observed:
   the same with_next / unmatched side tables as :class:`RecordTable`;
 * :func:`encode_columnar_chunk` CDC-encodes the arrays directly: no object
   iteration, a vectorized epoch line, and an identity-permutation
-  short-circuit for the near-sorted chunks that dominate hidden-
-  deterministic workloads (Figure 17).
+  short-circuit for chunks already in their reference order — every assist
+  chunk of the shipped workloads, and the near-sorted chunks that dominate
+  hidden-deterministic ones (Figure 17).
 
 The encoded :class:`~repro.core.pipeline.CDCChunk` is **identical** — field
 for field and byte for byte after serialization — to what the object path
@@ -49,7 +50,6 @@ __all__ = [
     "GrowColumn",
     "as_columnar_table",
     "build_columnar_tables",
-    "columnar_epoch_line",
     "encode_columnar_chunk",
     "encode_table",
 ]
@@ -299,22 +299,6 @@ def build_columnar_tables(
     return chunks
 
 
-def columnar_epoch_line(table: ColumnarTable) -> EpochLine:
-    """Per-sender clock ceilings of a columnar chunk (Section 3.5).
-
-    Equals ``EpochLine.from_events`` over the equivalent object table;
-    computed with one ``np.unique`` + an unordered per-sender max, so it is
-    safe to call before encoding.
-    """
-    n = table.num_events
-    if n == 0:
-        return EpochLine({})
-    uniq = np.unique(table.ranks)
-    maxc = np.full(uniq.shape[0], np.iinfo(np.int64).min, dtype=np.int64)
-    np.maximum.at(maxc, uniq.searchsorted(table.ranks), table.clocks)
-    return EpochLine(dict(zip(uniq.tolist(), maxc.tolist())))
-
-
 def encode_columnar_chunk(
     table: ColumnarTable,
     replay_assist: bool = False,
@@ -326,87 +310,81 @@ def encode_columnar_chunk(
     equivalent object table (same diff, same epoch, same hardening columns,
     same serialized bytes). Two array-level fast paths:
 
-    * **presorted**: when the observed ``(clock, rank)`` keys are already
-      strictly ascending the observed order *is* the reference order — the
-      diff is empty by definition and the sort, inverse permutation, and
-      LIS are all skipped (the dominant case for hidden-deterministic
-      streams, Figure 17);
-    * the epoch line falls out of a single scatter over the clock-sorted
-      columns instead of a per-event dict pass.
+    * **already in reference order**: with the assist column, every
+      sender's clocks ascend along one stable argsort by sender (always,
+      over FIFO channels, unless the application observed one sender out of
+      order — Figure 3); without it, the observed ``(clock, rank)`` keys
+      ascend strictly (the dominant case for hidden-deterministic streams,
+      Figure 17). The diff is empty by definition and the second sort, the
+      inverse permutation and the LIS are all skipped;
+    * the epoch line falls out of a single scatter over the sorted columns
+      instead of a per-event dict pass.
     """
-    ranks = table.ranks
-    clocks = table.clocks
+    ranks, clocks = table.ranks, table.clocks
     n = int(ranks.shape[0])
     with span("cdc.encode_chunk", callsite=table.callsite, events=n):
-        if n == 0:
-            chunk = CDCChunk(
-                callsite=table.callsite,
-                num_events=0,
-                diff=PermutationDiff(0, (), ()),
-                with_next_indices=table.with_next_indices,
-                unmatched_runs=table.unmatched_runs,
-                epoch=EpochLine({}),
-                sender_counts=(),
-                sender_min_clocks=(),
-                boundary_exceptions=(),
-                sender_sequence=() if replay_assist else None,
-            )
-        else:
-            presorted = n == 1 or bool(
+        diff = PermutationDiff(n, (), ())
+        epoch, sender_counts, sender_min_clocks, exceptions = EpochLine({}), (), (), ()
+        if n:
+            # The reference order the diff is against: the sender column when
+            # it is stored (DESIGN.md §5.9), Definition 6's otherwise.
+            # ``order`` stays None while the observed order already is it.
+            order = None
+            sorted_ranks, sorted_clocks = ranks, clocks
+            if replay_assist:
+                slots = np.argsort(ranks, kind="stable")
+                sorted_ranks, sorted_clocks = ranks[slots], clocks[slots]
+                descent = sorted_clocks[1:] <= sorted_clocks[:-1]
+                if bool((descent & (sorted_ranks[1:] == sorted_ranks[:-1])).any()):
+                    order = np.lexsort((clocks, ranks))  # Figure 3: rare
+            elif not bool(
                 (
                     (clocks[1:] > clocks[:-1])
                     | ((clocks[1:] == clocks[:-1]) & (ranks[1:] > ranks[:-1]))
                 ).all()
-            )
-            if presorted:
-                # strictly ascending keys: observed == reference, keys unique
-                sorted_ranks = ranks
-                sorted_clocks = clocks
-                diff = PermutationDiff(n, (), ())
-            else:
+            ):
                 order = np.lexsort((ranks, clocks))  # Definition 6
-                sorted_ranks = ranks[order]
-                sorted_clocks = clocks[order]
-                if bool(
-                    (
-                        (sorted_clocks[1:] == sorted_clocks[:-1])
-                        & (sorted_ranks[1:] == sorted_ranks[:-1])
-                    ).any()
-                ):
+                slots = np.arange(n, dtype=np.intp)
+            if order is not None:
+                sorted_ranks, sorted_clocks = ranks[order], clocks[order]
+                repeat = sorted_clocks[1:] == sorted_clocks[:-1]
+                if bool((repeat & (sorted_ranks[1:] == sorted_ranks[:-1])).any()):
                     raise DecodingError("reference keys are not unique")
+                # observed position p holds the event of reference slot inv[p]
                 inv = np.empty(n, dtype=np.intp)
-                inv[order] = np.arange(n, dtype=np.intp)
+                inv[order] = slots
                 diff = encode_permutation(inv.tolist(), validated=True)
             # per-sender stats over dense rank-indexed arrays: sender ranks
             # are small ints (≤ nprocs), so bincount + O(n) scatters beat
-            # np.unique's sort. Scatters run in ascending clock order — the
-            # last write per sender is its max clock, and over the reversed
-            # arrays its min. Huge rank values fall back to np.unique.
+            # np.unique's sort. Each sender's clocks ascend along the sorted
+            # columns — the last write per sender is its max clock, and over
+            # the reversed arrays its min (which an assist chunk does not
+            # store). Huge rank values fall back to np.unique.
             max_rank = int(ranks.max())
             min_rank = int(ranks.min())
             if min_rank >= 0 and max_rank <= 4 * n + 1024:
                 counts_dense = np.bincount(sorted_ranks, minlength=max_rank + 1)
                 uniq = np.flatnonzero(counts_dense)
-                uniq_list = uniq.tolist()
                 rank_counts = counts_dense[uniq]
                 stat = np.empty(max_rank + 1, dtype=np.int64)
-                stat[sorted_ranks[::-1]] = sorted_clocks[::-1]
-                min_by_rank = stat[uniq].tolist()
+                if not replay_assist:
+                    stat[sorted_ranks[::-1]] = sorted_clocks[::-1]
+                    min_by_rank = stat[uniq].tolist()
                 stat[sorted_ranks] = sorted_clocks
                 max_by_rank = stat[uniq].tolist()
             else:
                 uniq, first_idx, rank_counts = np.unique(
                     sorted_ranks, return_index=True, return_counts=True
                 )
-                uniq_list = uniq.tolist()
                 min_by_rank = sorted_clocks[first_idx].tolist()
                 maxc = np.empty(uniq.shape[0], dtype=np.int64)
                 maxc[uniq.searchsorted(sorted_ranks)] = sorted_clocks
                 max_by_rank = maxc.tolist()
+            uniq_list = uniq.tolist()
             sender_counts = tuple(zip(uniq_list, rank_counts.tolist()))
-            sender_min_clocks = tuple(zip(uniq_list, min_by_rank))
+            if not replay_assist:
+                sender_min_clocks = tuple(zip(uniq_list, min_by_rank))
             epoch = EpochLine(dict(zip(uniq_list, max_by_rank)))
-            exceptions: tuple = ()
             if prior_ceilings:
                 ceil = np.fromiter(
                     (prior_ceilings.get(r, -1) for r in uniq_list),
@@ -418,18 +396,18 @@ def encode_columnar_chunk(
                     exceptions = tuple(
                         sorted(zip(ranks[over].tolist(), clocks[over].tolist()))
                     )
-            chunk = CDCChunk(
-                callsite=table.callsite,
-                num_events=n,
-                diff=diff,
-                with_next_indices=table.with_next_indices,
-                unmatched_runs=table.unmatched_runs,
-                epoch=epoch,
-                sender_counts=sender_counts,
-                sender_min_clocks=sender_min_clocks,
-                boundary_exceptions=exceptions,
-                sender_sequence=tuple(ranks.tolist()) if replay_assist else None,
-            )
+        chunk = CDCChunk(
+            callsite=table.callsite,
+            num_events=n,
+            diff=diff,
+            with_next_indices=table.with_next_indices,
+            unmatched_runs=table.unmatched_runs,
+            epoch=epoch,
+            sender_counts=sender_counts,
+            sender_min_clocks=sender_min_clocks,
+            boundary_exceptions=exceptions,
+            sender_sequence=tuple(ranks.tolist()) if replay_assist else None,
+        )
     registry = get_registry()
     if registry.enabled:
         registry.counter("encode.chunks").add()

@@ -17,6 +17,8 @@ All layouts are self-describing streams; gzip (zlib) is applied on top by
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -204,34 +206,39 @@ def deserialize_re_tables(data: bytes) -> list[RecordTable]:
 
 class Column(NamedTuple):
     """One length-prefixed column of a chunk: the table its bytes count
-    towards, zig-zag?, Eq. 3 residuals?, behind a raw 0/1 presence byte?"""
+    towards, zig-zag?, Eq. 3 residuals?, and the layout that carries it —
+    ``None`` both, ``True`` only a chunk with the replay-assist column,
+    ``False`` only one without (the paper's)."""
 
     table: str
     signed: bool = False
     lp: bool = False
-    optional: bool = False
+    assisted: bool | None = None
 
 
 #: The chunk layout, declared once. After the string table a payload is one
-#: run of uvarints (DESIGN.md §6.5): the chunk count, then per chunk its
-#: callsite id, ``num_events`` and these columns, each ``len, values...``.
+#: run of uvarints (DESIGN.md §6.5): the chunk count, then per chunk
+#: ``callsite id << 1 | assist``, ``num_events`` and its layout's columns,
+#: each ``len, values...``. An assist chunk stores each fact once (DESIGN.md
+#: §5.9): its sender column already holds the epoch ranks and counts.
 CDC_COLUMNS = (
     Column("permutation", signed=True, lp=True),  # moved reference indices
     Column("permutation", signed=True),  # their delays
     Column("with_next", signed=True, lp=True),
     Column("unmatched", signed=True, lp=True),  # run positions
     Column("unmatched"),  # run lengths
-    Column("epoch", signed=True, lp=True),  # sender ranks, ascending
-    Column("epoch", signed=True),  # per-sender clock ceiling
-    Column("epoch"),  # per-sender receive count
+    Column("epoch", signed=True, lp=True, assisted=False),  # sender ranks, ascending
+    # per-sender clock ceiling; with assist, its step from the previous sender's
+    Column("epoch", signed=True),
+    Column("epoch", assisted=False),  # per-sender receive count
     # first clock per sender, stored as the (>= 0) gap below the epoch
     # ceiling — zero for single-receive senders, tiny after varints.
-    Column("epoch"),
+    Column("epoch", assisted=False),
     # boundary exceptions (DESIGN.md §5.2): usually both arrays empty
     Column("exceptions"),
     Column("exceptions", signed=True),
     # replay-assist sender column (DESIGN.md §5.6)
-    Column("assist", optional=True),
+    Column("assist", assisted=True),
 )
 
 #: Byte-attribution buckets, in layout order: the ``format.cdc.<table>_bytes``
@@ -240,43 +247,51 @@ CDC_COLUMNS = (
 CDC_TABLES = tuple(dict.fromkeys(c.table for c in CDC_COLUMNS))
 CDC_BUCKETS = CDC_TABLES + ("header",)
 
+#: the columns of a chunk [0] without, [1] with the assist column
+_LAYOUTS = tuple(
+    tuple(c for c in CDC_COLUMNS if c.assisted in (None, flag)) for flag in (False, True)
+)
 
-def _segment_codes() -> tuple[np.ndarray, np.ndarray]:
+
+def _segment_codes(layout: Sequence[Column]) -> np.ndarray:
     """A chunk's segments (header, then each column's prefix and body) as
-    stream flags under a table number: [0] without, [1] with the optional
-    column, whose presence byte shares its prefix's segment."""
+    stream flags under a table number."""
     codes = [CDC_BUCKETS.index("header") << STREAM_FLAG_BITS]
-    for col in CDC_COLUMNS:
+    for col in layout:
         table = CDC_TABLES.index(col.table) << STREAM_FLAG_BITS
         codes += [table, table | col.signed * SIGNED | col.lp * LP]
-    codes = np.array(codes, np.uint8)
-    return codes[:-1], codes
+    return np.array(codes, np.uint8)
 
 
-_SEGMENT_CODES = _segment_codes()
+_SEGMENT_CODES = tuple(map(_segment_codes, _LAYOUTS))
 
 
 def _chunk_columns(chunk: CDCChunk) -> tuple:
-    """A chunk's values in :data:`CDC_COLUMNS` order (``None`` = absent)."""
+    """A chunk's values, in the order of its layout's columns."""
     pairs = chunk.epoch.as_sorted_pairs()
-    counts_by_rank = dict(chunk.sender_counts)
-    mins_by_rank = dict(chunk.sender_min_clocks)
     ranks = [r for r, _ in pairs]
-    if sorted(counts_by_rank) != ranks or sorted(mins_by_rank) != ranks:
-        raise RecordFormatError("epoch / count / min-clock ranks disagree")
+    ceilings = [c for _, c in pairs]
+    senders = chunk.sender_sequence
+    if senders is not None:
+        if sorted(set(senders)) != ranks:
+            raise RecordFormatError("epoch ranks are not the sender column's")
+        epoch = ([c - p for c, p in zip(ceilings, [0] + ceilings)],)
+    else:
+        counts, mins = dict(chunk.sender_counts), dict(chunk.sender_min_clocks)
+        if sorted(counts) != ranks or sorted(mins) != ranks:
+            raise RecordFormatError("epoch / count / min-clock ranks disagree")
+        gaps = [clock - mins[r] for r, clock in pairs]
+        epoch = (ranks, ceilings, [counts[r] for r in ranks], gaps)
     return (
         chunk.diff.indices,
         chunk.diff.delays,
         chunk.with_next_indices,
         [i for i, _ in chunk.unmatched_runs],
         [c for _, c in chunk.unmatched_runs],
-        ranks,
-        [c for _, c in pairs],
-        [counts_by_rank[r] for r in ranks],
-        [clock - mins_by_rank[r] for r, clock in pairs],
+        *epoch,
         [r for r, _ in chunk.boundary_exceptions],
         [c for _, c in chunk.boundary_exceptions],
-        chunk.sender_sequence,
+        *(() if senders is None else (senders,)),
     )
 
 
@@ -287,21 +302,14 @@ def cdc_stream(
     applied), and per value its segment code (above the flags: the bucket)."""
     flat, lengths, codes = [], [], []
     for chunk in chunks:
-        *columns, optional = _chunk_columns(chunk)
-        flat += (cs_id[chunk.callsite], chunk.num_events)
+        assisted = chunk.sender_sequence is not None
+        flat += (cs_id[chunk.callsite] << 1 | assisted, chunk.num_events)
         lengths.append(2)
-        for column in columns:
+        for column in _chunk_columns(chunk):
             flat.append(len(column))
             flat += column
             lengths += (1, len(column))
-        if optional is None:
-            flat.append(0)
-            lengths.append(1)
-        else:
-            flat += (1, len(optional))
-            flat += optional
-            lengths += (2, len(optional))
-        codes.append(_SEGMENT_CODES[optional is not None])
+        codes.append(_SEGMENT_CODES[assisted])
     codes = np.concatenate(codes) if codes else np.empty(0, np.uint8)
     return stream_to_unsigned(flat, codes, lengths)
 
@@ -349,7 +357,7 @@ def _deserialize_cdc_chunks(data: bytes) -> list[CDCChunk]:
     if data[:4] != CDC_MAGIC:
         raise RecordFormatError("bad CDC-record magic")
     callsites, offset = _read_string_table(data, 4)
-    unsigned, signed, ends = decode_varint_stream(data, offset)
+    unsigned, signed = decode_varint_stream(data, offset)
     total = len(unsigned)
     if not total:
         raise RecordFormatError(f"truncated varint at offset {offset}")
@@ -358,24 +366,13 @@ def _deserialize_cdc_chunks(data: bytes) -> list[CDCChunk]:
     for _ in range(unsigned[0]):
         if i + 2 > total:
             raise RecordFormatError(f"chunk header truncated at value {i}")
-        cs, num_events = unsigned[i : i + 2]
+        head, num_events = unsigned[i : i + 2]
+        cs, assisted = head >> 1, head & 1
         if cs >= len(callsites):
             raise RecordFormatError(f"callsite id {cs} out of range")
         i += 2
         columns, rows = [], {}
-        for col in CDC_COLUMNS:
-            if col.optional:
-                # the presence flag is a raw byte, not a varint: 0x80 must
-                # not read as the head of a longer value
-                at = int(ends[i - 1]) + 1
-                if at >= len(data):
-                    raise RecordFormatError("chunk truncated before assist flag")
-                if data[at] > 1:
-                    raise RecordFormatError(f"bad assist flag {data[at]}")
-                i += 1
-                if not data[at]:
-                    columns.append(None)
-                    continue
+        for col in _LAYOUTS[assisted]:
             # a length prefix can promise no more values than bytes arrived
             stop = i + 1 + unsigned[i] if i < total else total + 1
             if stop > total:
@@ -386,8 +383,24 @@ def _deserialize_cdc_chunks(data: bytes) -> list[CDCChunk]:
                 raise RecordFormatError(f"{col.table} columns disagree")
             columns.append(tuple(lp_decode_exact(body) if col.lp else body))
             i = stop
-        (p_idx, p_delay, w_idx, u_idx, u_cnt, e_rank, e_clock, e_count,
-         e_min_gap, x_rank, x_clock, sender_sequence) = columns
+        if assisted:
+            # derived, not stored (DESIGN.md §5.9): the sender column's
+            # distinct values and histogram are the epoch ranks and counts
+            (p_idx, p_delay, w_idx, u_idx, u_cnt, steps, x_rank, x_clock,
+             senders) = columns
+            e_count = sorted(Counter(senders).items())
+            if len(senders) != num_events or len(steps) != len(e_count):
+                raise RecordFormatError(
+                    f"{len(senders)} senders ({len(e_count)} distinct) for "
+                    f"{num_events} events under {len(steps)} epoch ceilings"
+                )
+            e_rank = [r for r, _ in e_count]
+            e_clock, e_min = accumulate(steps), ()
+        else:
+            (p_idx, p_delay, w_idx, u_idx, u_cnt, e_rank, e_clock, e_count,
+             e_min_gap, x_rank, x_clock) = columns
+            senders, e_count = None, zip(e_rank, e_count)
+            e_min = ((r, c - g) for r, c, g in zip(e_rank, e_clock, e_min_gap))
         chunks.append(
             CDCChunk(
                 callsite=callsites[cs],
@@ -396,12 +409,10 @@ def _deserialize_cdc_chunks(data: bytes) -> list[CDCChunk]:
                 with_next_indices=w_idx,
                 unmatched_runs=tuple(zip(u_idx, u_cnt)),
                 epoch=EpochLine(dict(zip(e_rank, e_clock))),
-                sender_counts=tuple(zip(e_rank, e_count)),
-                sender_min_clocks=tuple(
-                    (r, c - g) for r, c, g in zip(e_rank, e_clock, e_min_gap)
-                ),
+                sender_counts=tuple(e_count),
+                sender_min_clocks=tuple(e_min),
                 boundary_exceptions=tuple(zip(x_rank, x_clock)),
-                sender_sequence=sender_sequence,
+                sender_sequence=senders,
             )
         )
     return chunks

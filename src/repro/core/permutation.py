@@ -111,6 +111,8 @@ def encode_permutation(
 def decode_permutation(diff: PermutationDiff) -> list[int]:
     """Rebuild the observed order from a diff table (inverse of encode)."""
     n = diff.size
+    if not diff.indices:
+        return list(range(n))
     if len(diff.indices) > n:
         raise DecodingError("more moved events than chunk events")
     out: list[int | None] = [None] * n

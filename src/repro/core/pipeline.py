@@ -8,7 +8,9 @@ Encoding a :class:`~repro.core.record_table.RecordTable` chunk:
    ``(clock, sender rank)`` into the reference order (Definition 6) and
    keep only the permutation difference to the observed order (Figure 7).
    The ``(rank, clock)`` identifier columns are *dropped entirely* — replay
-   rebuilds them from the actually-received, replayable clocks.
+   rebuilds them from the actually-received, replayable clocks. A chunk
+   that stores the replay-assist sender column takes that column as its
+   reference order instead (DESIGN.md §5.9).
 3. **Epoch line**: per-sender clock ceilings so chunked replay stays
    correct (Section 3.5).
 4. (**Linear predictive encoding** of the monotone index columns and the
@@ -25,13 +27,12 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.epoch import EpochLine
 from repro.core.events import ReceiveEvent
 from repro.core.permutation import (
     PermutationDiff,
     apply_permutation,
+    decode_permutation,
     encode_permutation,
     observed_as_reference_indices,
 )
@@ -54,6 +55,14 @@ class CDCChunk:
     ``r`` are exactly the next ``count_r`` arrivals from ``r`` at this
     callsite — correct even when an application-level inversion (Figure 3)
     spans a chunk boundary, where the clock test alone would misclassify.
+
+    A chunk with the replay-assist column stores each fact once (DESIGN.md
+    §5.9): ``diff`` is against the order ``sender_sequence`` spells out —
+    slot ``q`` holds the next-smallest-clock receive of sender ``s_q`` — so
+    it is empty unless one sender was observed out of clock order; ``epoch``
+    keys and ``sender_counts`` are that column's distinct values and
+    histogram, rebuilt on read; ``sender_min_clocks``, read only by the
+    assist-less replay, is empty.
     """
 
     callsite: str
@@ -83,9 +92,10 @@ class CDCChunk:
     #: on Axiom 1's LMC, which we show is not computable online from the
     #: stored record alone for general workloads (see DESIGN.md §5.6);
     #: with it, the event at observed position p is identified *exactly* as
-    #: the k-th arrival from sender ``r_p`` (k derived from the stored
-    #: permutation), making replay deadlock-free. Costs ~1-2 bits/event
-    #: after gzip; ``None`` reproduces the paper's format byte-for-value.
+    #: the k-th arrival from sender ``r_p`` (k = how often ``r_p`` occurs up
+    #: to slot ``order[p]``), making replay deadlock-free. Costs ~1-2
+    #: bits/event after gzip; ``None`` reproduces the paper's format
+    #: byte-for-value.
     sender_sequence: tuple[int, ...] | None = None
 
     def value_count(self) -> int:
@@ -107,6 +117,7 @@ class CDCChunk:
 #: Definition 6 sort key, precomputed as a C-level attribute fetch instead
 #: of a Python lambda calling the ``key`` property per comparison.
 _REF_KEY = operator.attrgetter("clock", "rank")
+_CLOCK = operator.attrgetter("clock")
 
 
 def reference_order(events: Iterable[ReceiveEvent]) -> list[ReceiveEvent]:
@@ -132,18 +143,38 @@ def encode_chunk(
     ``prior_ceilings`` maps sender rank to the highest clock recorded for
     it in *earlier* chunks of the same callsite; events at or below their
     sender's prior ceiling become boundary exceptions (see CDCChunk).
+
+    Ranks and clocks that fit int64 go through the array encoder; anything
+    larger (arbitrary precision) takes the scalar reference below, whose
+    chunks are identical — asserted by the pipeline property tests.
     """
+    from repro.core.columnar import as_columnar_table, encode_columnar_chunk
+
+    try:
+        columns = as_columnar_table(table)
+    except OverflowError:
+        return _encode_chunk_scalar(table, replay_assist, prior_ceilings)
+    return encode_columnar_chunk(columns, replay_assist, prior_ceilings)
+
+
+def _encode_chunk_scalar(
+    table: RecordTable,
+    replay_assist: bool,
+    prior_ceilings: Mapping[int, int] | None,
+) -> CDCChunk:
+    """Reference implementation of :func:`encode_chunk` on Python ints."""
     matched = table.matched
     with span("cdc.encode_chunk", callsite=table.callsite, events=len(matched)):
-        encoded = _encode_matched_batch(matched, prior_ceilings)
-        if encoded is None:
-            encoded = _encode_matched_scalar(matched, prior_ceilings)
-        observed_indices, sender_counts, sender_min_clocks, exceptions = encoded
+        observed_indices, sender_counts, sender_min_clocks, exceptions = (
+            _encode_matched_scalar(matched, prior_ceilings)
+        )
+        if replay_assist:
+            observed_indices, sender_min_clocks = _sender_order_indices(matched), ()
         chunk = CDCChunk(
             callsite=table.callsite,
             num_events=len(matched),
-            # both index paths construct a valid permutation (inverse argsort /
-            # unique-key lookup), so the O(n) re-validation is skipped
+            # a unique-key lookup constructs a valid permutation, so the O(n)
+            # re-validation is skipped
             diff=encode_permutation(observed_indices, validated=True),
             with_next_indices=table.with_next_indices,
             unmatched_runs=table.unmatched_runs,
@@ -163,67 +194,11 @@ def encode_chunk(
     return chunk
 
 
-def _encode_matched_batch(
-    matched: Sequence[ReceiveEvent],
-    prior_ceilings: Mapping[int, int] | None,
-) -> tuple | None:
-    """Vectorized permutation indices + per-sender stats for one chunk.
-
-    Returns ``None`` when any rank/clock falls outside int64 (arbitrary
-    precision: the scalar path handles it). Results are identical to
-    :func:`_encode_matched_scalar` — asserted by the pipeline property
-    tests.
-    """
-    n = len(matched)
-    if n == 0:
-        return [], (), (), ()
-    try:
-        ranks = np.fromiter((ev.rank for ev in matched), np.int64, count=n)
-        clocks = np.fromiter((ev.clock for ev in matched), np.int64, count=n)
-        order = np.lexsort((ranks, clocks))  # Definition 6: clock, then rank
-        sorted_ranks = ranks[order]
-        sorted_clocks = clocks[order]
-        if n > 1 and bool(
-            (
-                (sorted_clocks[1:] == sorted_clocks[:-1])
-                & (sorted_ranks[1:] == sorted_ranks[:-1])
-            ).any()
-        ):
-            raise DecodingError("reference keys are not unique")
-        # observed position p holds the event at reference slot inv[p]
-        inv = np.empty(n, dtype=np.intp)
-        inv[order] = np.arange(n, dtype=np.intp)
-        # per-sender count and min clock: ``sorted_ranks`` is in ascending
-        # clock order, so each sender's first occurrence is its min clock
-        uniq, first_idx, rank_counts = np.unique(
-            sorted_ranks, return_index=True, return_counts=True
-        )
-        sender_counts = tuple(zip(uniq.tolist(), rank_counts.tolist()))
-        sender_min_clocks = tuple(
-            zip(uniq.tolist(), sorted_clocks[first_idx].tolist())
-        )
-        exceptions: tuple = ()
-        if prior_ceilings:
-            ceil = np.fromiter(
-                (prior_ceilings.get(int(r), -1) for r in uniq),
-                np.int64,
-                count=uniq.shape[0],
-            )
-            over = clocks <= ceil[np.searchsorted(uniq, ranks)]
-            if bool(over.any()):
-                exceptions = tuple(
-                    sorted(zip(ranks[over].tolist(), clocks[over].tolist()))
-                )
-        return inv.tolist(), sender_counts, sender_min_clocks, exceptions
-    except OverflowError:
-        return None
-
-
 def _encode_matched_scalar(
     matched: Sequence[ReceiveEvent],
     prior_ceilings: Mapping[int, int] | None,
 ) -> tuple:
-    """Reference implementation of :func:`_encode_matched_batch`."""
+    """Clock-order permutation indices + per-sender stats for one chunk."""
     ref = reference_order(matched)
     observed_indices = observed_as_reference_indices(
         [ev.key for ev in matched], [ev.key for ev in ref]
@@ -245,6 +220,21 @@ def _encode_matched_scalar(
         tuple(sorted(min_clocks.items())),
         tuple(sorted(exceptions)),
     )
+
+
+def _sender_order_indices(matched: Sequence[ReceiveEvent]) -> list[int]:
+    """Per observed position, its event's slot in an assist chunk's
+    reference order (DESIGN.md §5.9): a sender's k-th-smallest-clock receive
+    belongs where that sender occurs for the k-th time. The identity unless
+    one sender's messages were observed out of clock order (Figure 3)."""
+    own: dict[int, list[int]] = {}
+    for p, ev in enumerate(matched):
+        own.setdefault(ev.rank, []).append(p)
+    indices = list(range(len(matched)))
+    for slots in own.values():
+        for slot, p in zip(slots, sorted(slots, key=lambda p: matched[p].clock)):
+            indices[p] = slot
+    return indices
 
 
 def encode_chunk_sequence(
@@ -276,31 +266,29 @@ def assist_occurrence_indices(
 
     With the replay-assist column, the event at observed position ``p`` is
     the ``k``-th message (1-based) its sender contributes to the chunk *in
-    clock order*. ``k`` is derivable without any clock: a sender's slots in
-    the reference order are its events in clock order, and the stored
-    permutation exposes every position's reference slot — so ``k`` is the
-    rank of ``order[p]`` among the sender's own slots.
+    clock order*. ``k`` needs no clock: slot ``q`` of the chunk's reference
+    order holds the ``k``-th receive of ``senders[q]``, ``k`` counting that
+    sender's occurrences up to ``q``, and the stored permutation says which
+    slot each position holds (its own, when the diff is empty).
 
     ``order`` is the chunk's decoded permutation, for callers that already
     hold it; it is decoded here otherwise.
     """
-    if chunk.sender_sequence is None:
+    senders = chunk.sender_sequence
+    if senders is None:
         raise DecodingError("chunk carries no replay-assist column")
     if order is None:
-        from repro.core.permutation import decode_permutation
-
         order = decode_permutation(chunk.diff)
-    slots_by_sender: dict[int, list[int]] = {}
-    for sender, slot in zip(chunk.sender_sequence, order):
-        slots_by_sender.setdefault(sender, []).append(slot)
-    # ``order`` is a permutation, so one flat list indexed by reference
-    # slot holds every sender's ranking
-    rank_of_slot = [0] * len(order)
-    for slots in slots_by_sender.values():
-        slots.sort()
-        for k, slot in enumerate(slots, start=1):
-            rank_of_slot[slot] = k
-    return [rank_of_slot[slot] for slot in order]
+    seen: dict[int, int] = {}
+    kth = []
+    for sender in senders:
+        seen[sender] = k = seen.get(sender, 0) + 1
+        kth.append(k)
+    if len(order) != len(kth) or (
+        chunk.diff.indices and any(senders[q] != s for s, q in zip(senders, order))
+    ):
+        raise DecodingError("permutation moves an event off its sender's slots")
+    return [kth[q] for q in order]
 
 
 def reconstruct_observed_order(
@@ -310,8 +298,9 @@ def reconstruct_observed_order(
 
     ``received`` is the chunk's matched set as observed during replay, in
     any order. Its clocks must equal the record-time clocks (Theorem 2);
-    the reference order is rebuilt from them and the stored permutation
-    difference is applied.
+    the reference order is rebuilt from them — laid along the sender column
+    when the chunk stores one, Definition 6's otherwise — and the stored
+    permutation difference is applied.
     """
     if len(received) != chunk.num_events:
         raise DecodingError(
@@ -319,12 +308,23 @@ def reconstruct_observed_order(
             f"got {len(received)}"
         )
     with span("cdc.decode_chunk", callsite=chunk.callsite, events=len(received)):
-        keys = {ev.key for ev in received}
-        if len(keys) != len(received):
+        if len(set(map(_REF_KEY, received))) != len(received):
             raise DecodingError(
                 "duplicate (clock, rank) identifiers in chunk receives"
             )
-        ref = reference_order(received)
+        senders = chunk.sender_sequence
+        if senders is None:
+            ref = reference_order(received)
+        else:  # each sender's receives, by clock, laid along its column
+            queues: dict[int, list[ReceiveEvent]] = {}
+            for ev in received:
+                queues.setdefault(ev.rank, []).append(ev)
+            for queue in queues.values():
+                queue.sort(key=_CLOCK, reverse=True)
+            try:
+                ref = [queues[sender].pop() for sender in senders]
+            except (KeyError, IndexError):
+                raise DecodingError("receives do not match the sender column") from None
         observed = apply_permutation(chunk.diff, ref)
     registry = get_registry()
     if registry.enabled:

@@ -188,30 +188,26 @@ def uvarint_stream_sizes(values: np.ndarray | Sequence[int]) -> np.ndarray:
     return np.array([uvarint_size(v) for v in values], dtype=np.intp)
 
 
-def decode_varint_stream(
-    buf: bytes, offset: int
-) -> tuple[list[int], list[int], Sequence[int]]:
+def decode_varint_stream(buf: bytes, offset: int) -> tuple[list[int], list[int]]:
     """Every complete varint of ``buf[offset:]``, read unsigned and read
-    zig-zag, plus the position of each one's last byte.
+    zig-zag.
 
     A tail that is cut short or over-long is left out rather than raised:
     whoever walks the values raises when it needs one that is not there.
     """
     decoded = kernels.uvarint_decode_batch(buf, offset)
     if decoded is not None:
-        raw, ends = decoded
-        return raw.tolist(), kernels.zigzag_decode_array(raw).tolist(), ends
+        raw = decoded[0]
+        return raw.tolist(), kernels.zigzag_decode_array(raw).tolist()
     unsigned: list[int] = []
-    ends = []
     pos = offset
     try:
         while pos < len(buf):
             value, pos = decode_uvarint(buf, pos)
             unsigned.append(value)
-            ends.append(pos - 1)
     except RecordFormatError:
         pass
-    return unsigned, [zigzag_decode(v) for v in unsigned], ends
+    return unsigned, [zigzag_decode(v) for v in unsigned]
 
 
 # -- scalar reference implementations (fallback + kernel test oracle) -------

@@ -76,7 +76,9 @@ class LedgerEntry:
     raw_bytes: int
     cdc_bytes: int
     stored_bytes: int
-    #: moved events / matched events across the archive (Figure 14).
+    #: moved events / matched events across the archive, each chunk against
+    #: its own reference order: Figure 14's for paper-exact chunks, within-
+    #: sender moves (0 over FIFO channels) for assist chunks (DESIGN.md §5.9).
     permutation_pct: float
     wall_seconds: float
     #: archive directory, when the run recorded (or replayed) one on disk.

@@ -8,14 +8,16 @@ storage must be able to lose a tail without losing the run.
 
 **Rank file layout** (``rank-NNNNN.cdc``)::
 
-    magic "CDCARC2\\n" (8 bytes)
+    magic "CDCARC3\\n" (8 bytes)
     frame*                       appended as chunks flush
-    frame := u32 payload length (LE)
-             u32 CRC32 of payload (LE)
-             payload = zlib(serialize_cdc_chunks([chunk]))
+    frame := uvarint length of body (at most 5 bytes)
+             u32 CRC32 of body (LE)
+             body = raw deflate of serialize_cdc_chunks([chunk])
 
-Each frame holds exactly one CDC chunk, so any valid frame prefix is an
-epoch-aligned chunk prefix: salvage never has to split a chunk. The
+Each frame holds exactly one CDC chunk and is a function of that chunk
+alone, so any valid frame prefix is an epoch-aligned chunk prefix: salvage
+never has to split a chunk (DESIGN.md §5.9 on why frames stay stateless and
+carry one checksum). The
 manifest (written last, atomically) records the expected frame count per
 rank, letting the loader distinguish a clean short record from a crash.
 This is the only layout — a manifest that does not declare it, or a rank
@@ -48,7 +50,6 @@ import errno
 import json
 import os
 import random
-import struct
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ from typing import Any, Callable, IO, Iterator, Mapping
 from repro.core.compression import ZLIB_LEVEL
 from repro.core.formats import deserialize_cdc_chunks, serialize_cdc_chunks
 from repro.core.pipeline import CDCChunk
+from repro.core.varint import decode_uvarint, encode_uvarint, uvarint_size
 from repro.errors import ArchiveCorruptionError, RecordFormatError
 from repro.obs import get_registry, span
 
@@ -78,12 +80,13 @@ __all__ = [
     "summarize",
 ]
 
-ARCHIVE_MAGIC = b"CDCARC2\n"
-ARCHIVE_VERSION = 2
+ARCHIVE_MAGIC = b"CDCARC3\n"
+ARCHIVE_VERSION = 3
 MANIFEST_NAME = "MANIFEST"
 
-#: frame header: little-endian payload length, CRC32 of the payload bytes.
-_FRAME_HEADER = struct.Struct("<II")
+#: a frame's header: the varint length of its body (a u32: at most five
+#: bytes), then the body's CRC32 (four bytes, little-endian).
+_MAX_LENGTH_BYTES, _CRC_BYTES = 5, 4
 
 Opener = Callable[..., IO[bytes]]
 
@@ -166,15 +169,20 @@ def _retry_io(fn: Callable[[], object], policy: RetryPolicy):
 # ---------------------------------------------------------------------------
 
 
-def _encode_frame(chunk: CDCChunk) -> tuple[bytes, int]:
-    """(frame, pre-deflate payload length) for one chunk."""
+def _encode_frame(chunk: CDCChunk) -> tuple[bytes, int, int]:
+    """(frame, pre-deflate payload length, deflated length) for one chunk.
+    The deflate stream is raw: the frame's CRC already covers it."""
     raw = serialize_cdc_chunks([chunk])
-    payload = zlib.compress(raw, ZLIB_LEVEL)
-    return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload, len(raw)
+    deflate = zlib.compressobj(ZLIB_LEVEL, zlib.DEFLATED, -15)
+    body = deflate.compress(raw) + deflate.flush()
+    header = bytearray()
+    encode_uvarint(len(body), header)
+    header += zlib.crc32(body).to_bytes(_CRC_BYTES, "little")
+    return bytes(header) + body, len(raw), len(body)
 
 
 def frame_bytes(chunk: CDCChunk) -> bytes:
-    """One self-delimiting frame: header + zlib'd single-chunk payload."""
+    """One self-delimiting frame: header + deflated single-chunk payload."""
     return _encode_frame(chunk)[0]
 
 
@@ -225,16 +233,14 @@ class RecordArchive:
         a chunk nobody has reported is serialized and deflated here, once."""
         known = self._frame_sizes.get(id(chunk))
         if known is None or known[0] is not chunk:
-            frame, raw_len = _encode_frame(chunk)
-            known = (chunk, raw_len, len(frame) - _FRAME_HEADER.size)
+            known = (chunk, *_encode_frame(chunk)[1:])
             self._frame_sizes[id(chunk)] = known
         return known[1:]
 
     def rank_bytes(self, rank: int) -> int:
         """Size of the rank's record file: magic plus one frame per chunk."""
-        return len(ARCHIVE_MAGIC) + sum(
-            _FRAME_HEADER.size + self.frame_sizes(c)[1] for c in self.chunks(rank)
-        )
+        bodies = [self.frame_sizes(c)[1] for c in self.chunks(rank)]
+        return len(ARCHIVE_MAGIC) + sum(uvarint_size(n) + _CRC_BYTES + n for n in bodies)
 
     def rank_payload_bytes(self, rank: int) -> int:
         """Pre-deflate size of the rank's frame payloads (Figure 8 tables)."""
@@ -496,7 +502,7 @@ class DurableArchiveWriter:
             raise RecordFormatError(f"rank {rank} out of range")
         registry = get_registry()
         t0 = time.perf_counter_ns()
-        frame, raw_len = _encode_frame(chunk)
+        frame, raw_len, body_len = _encode_frame(chunk)
         self._write_at(rank, self._files[rank].tell(), frame)
         self.frames[rank] += 1
         if registry.enabled:
@@ -505,7 +511,7 @@ class DurableArchiveWriter:
             registry.histogram("store.flush_us").observe(
                 (time.perf_counter_ns() - t0) // 1000
             )
-        return raw_len, len(frame) - _FRAME_HEADER.size
+        return raw_len, body_len
 
     def close(self, meta: dict[str, object] | None = None) -> None:
         """Finish the archive: close rank files, commit the manifest."""
@@ -588,31 +594,30 @@ def _parse_rank_frames(
     offset = len(ARCHIVE_MAGIC)
     size = len(data)
     while offset < size:
-        if offset + _FRAME_HEADER.size > size:
-            recovery.failure = "truncated-tail"
-            recovery.detail = f"{size - offset} header byte(s) at EOF"
-            break
-        length, crc = _FRAME_HEADER.unpack_from(data, offset)
-        start = offset + _FRAME_HEADER.size
+        try:
+            length, used = decode_uvarint(data[offset : offset + _MAX_LENGTH_BYTES], 0)
+        except RecordFormatError:  # cut inside the length, or no u32's varint
+            length, used = size, 0
+        start = offset + used + _CRC_BYTES
         end = start + length
         if end > size:
             recovery.failure = "truncated-tail"
-            recovery.detail = (
-                f"frame {recovery.frames_kept} declares {length} B, "
-                f"{size - start} B present"
-            )
+            recovery.detail = f"frame {recovery.frames_kept}: {size - offset} B of it present"
             break
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
+        body = data[start:end]
+        if zlib.crc32(body).to_bytes(_CRC_BYTES, "little") != data[start - _CRC_BYTES : start]:
             recovery.failure = "crc-mismatch"
             recovery.detail = f"frame {recovery.frames_kept}"
             break
         try:
-            raw = zlib.decompress(payload)
+            inflate = zlib.decompressobj(-15)
+            raw = inflate.decompress(body)
+            if not inflate.eof or inflate.unused_data:
+                raise ValueError("body is not one complete deflate stream")
             [chunk] = deserialize_cdc_chunks(raw)
         except (zlib.error, RecordFormatError, ValueError) as exc:
             # CRC passed but content is bad (ValueError: not exactly one
-            # chunk): written corrupt, not bit rot.
+            # stream holding one chunk): written corrupt, not bit rot.
             recovery.failure = "frame-decode-error"
             recovery.detail = f"frame {recovery.frames_kept}: {exc}"
             break

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import enum
 from bisect import insort
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -129,6 +129,8 @@ class CallsiteReplayState:
     global_floor: dict[int, int] = field(default_factory=dict)
 
     chunk: CDCChunk | None = None
+    #: its index in this callsite's record (-1 before the first).
+    chunk_index: int = -1
     #: the active chunk's event count (0 when there is none).
     num_events: int = 0
     order: list[int] = field(default_factory=list)
@@ -199,7 +201,7 @@ class CallsiteReplayState:
 
         Everything a call needs to know about the chunk is derived here,
         once: the permutation is decoded a single time and shared with the
-        occurrence ranking, and groups and unmatched runs become lists
+        occurrence count, and groups and unmatched runs become lists
         indexed by observed position.
         """
         if not self.pending_chunks:
@@ -207,6 +209,7 @@ class CallsiteReplayState:
             self.quota = {}  # nothing is a member: every arrival overflows
             return
         chunk = self.pending_chunks.popleft()
+        self.chunk_index += 1
         n = chunk.num_events
         senders = chunk.sender_sequence
         if senders is not None and len(senders) != n:
@@ -228,9 +231,21 @@ class CallsiteReplayState:
         self.claimed_later.difference_update(chunk.boundary_exceptions)
         self.order = decode_permutation(chunk.diff)
         self.senders = senders
-        self.occurrence = (
-            [] if senders is None else assist_occurrence_indices(chunk, self.order)
-        )
+        if senders is None:
+            self.occurrence = []
+            self.quota = dict(chunk.sender_counts)
+        else:
+            # the sender column is the one source of an assist chunk's
+            # quota (DESIGN.md §5.9); a count column that came along with
+            # a hand-built chunk may only repeat it
+            self.occurrence = assist_occurrence_indices(chunk, self.order)
+            self.quota = dict(Counter(senders))
+            if chunk.sender_counts and dict(chunk.sender_counts) != self.quota:
+                raise RecordFormatError(
+                    f"rank {self.rank} callsite {self.callsite!r} chunk "
+                    f"{self.chunk_index}: sender_counts {chunk.sender_counts} "
+                    "contradict the sender column"
+                )
         self.group_end = groups_from_with_next(chunk.with_next_indices, n)
         self.unmatched_left = unmatched_left
         self.ceilings = chunk.epoch.max_clock_by_rank
@@ -238,7 +253,6 @@ class CallsiteReplayState:
         self.ready = 0
         self.arrived_per_sender = {}
         self.last_clock_by_sender = {}
-        self.quota = dict(chunk.sender_counts)
         self.arrived_sorted = []
         self.pooled_count = 0
         if self.overflow:

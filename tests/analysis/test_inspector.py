@@ -6,6 +6,7 @@ from repro.analysis.inspector import (
     profile_callsites,
 )
 from repro.core.events import ReceiveEvent
+from repro.core.metrics import matched_events, permutation_percentage
 from repro.core.pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 
@@ -57,5 +58,15 @@ class TestArchiveIteration:
         ))
         particles = next(p for p in profiles if p.callsite == "mcb:particles")
         assert particles.ranks == result.nprocs
-        assert 0.0 < particles.permutation_percentage < 1.0
+        # the record stores the replay-assist column, so a chunk's diff is
+        # against that column: only one sender's messages observed out of
+        # clock order would move, and FIFO channels deliver none that way
+        # (DESIGN.md §5.9). Figure 14's clock-order disorder is read from
+        # the outcomes instead.
+        assert particles.permutation_percentage == 0.0
+        disorder = [
+            permutation_percentage(matched_events(result.outcomes[r]))
+            for r in range(result.nprocs)
+        ]
+        assert all(0.0 <= d < 1.0 for d in disorder) and max(disorder) > 0.0
         assert particles.polling_ratio > 0.0

@@ -2,12 +2,16 @@
 
 The tentpole claim of the columnar hot path is *exact* equivalence with the
 object pipeline — same :class:`CDCChunk` fields and the same serialized
-bytes for the same outcome stream. These tests pin that claim at the
+bytes for the same outcome stream. (``encode_chunk`` hands int64 tables to
+the array encoder itself now; the independent sides of the comparison are
+its scalar reference, ``_encode_chunk_scalar``, and the parent's encoder in
+``tests/core/oracles.py``.) These tests pin that claim at the
 builder level (grow-by-doubling boundaries, unmatched runs), the encoder
 level (fast paths, fallbacks, hardening columns), and end-to-end on all
 four workloads.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -20,16 +24,17 @@ from repro.core.columnar import (
     GrowColumn,
     as_columnar_table,
     build_columnar_tables,
-    columnar_epoch_line,
     encode_columnar_chunk,
 )
 from repro.core.epoch import EpochLine
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.core.formats import serialize_cdc_chunks
+from repro.core.pipeline import _encode_chunk_scalar
 from repro.core.record_table import RecordTableBuilder
 from repro.errors import DecodingError
 from repro.replay import RecordSession
 from repro.workloads import coupled, jacobi, mcb, unstructured
+from tests.core.oracles import encode_chunk_oracle
 
 
 def outcome(callsite, events):
@@ -155,7 +160,7 @@ class TestEncodeEquivalence:
         chunk = encode_columnar_chunk(table, replay_assist=assist)
         assert chunk == encode_chunk(table.to_record_table(), replay_assist=assist)
         assert chunk.sender_sequence == (() if assist else None)
-        assert columnar_epoch_line(table) == EpochLine({})
+        assert chunk.epoch == EpochLine({})
 
     @pytest.mark.parametrize("assist", [False, True])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -168,8 +173,15 @@ class TestEncodeEquivalence:
         ):
             a = encode_chunk(obj_t, replay_assist=assist)
             b = encode_columnar_chunk(col_t, replay_assist=assist)
-            assert a == b
+            assert a == b == _encode_chunk_scalar(obj_t, assist, None)
             assert serialize_cdc_chunks([a]) == serialize_cdc_chunks([b])
+            # the encoder of the commit before "each fact once": the paper's
+            # layout is untouched, the assist one differs where it says so
+            old = encode_chunk_oracle(obj_t, replay_assist=assist)
+            if assist:
+                assert b.diff.is_identity()  # every sender in clock order here
+                old = dataclasses.replace(old, diff=b.diff, sender_min_clocks=())
+            assert b == old
 
     def test_boundary_exceptions_match(self):
         events = [ReceiveEvent(0, 20), ReceiveEvent(1, 60), ReceiveEvent(0, 70)]
@@ -204,10 +216,12 @@ class TestEncodeEquivalence:
     def test_epoch_line_matches_from_events(self):
         rng = random.Random(9)
         outs = random_stream(rng, 300)
-        for col_t in build_columnar_tables(outs, chunk_events=64)["cs"]:
-            assert columnar_epoch_line(col_t) == EpochLine.from_events(
-                col_t.to_record_table().matched
-            )
+        for assist in (False, True):
+            for col_t in build_columnar_tables(outs, chunk_events=64)["cs"]:
+                chunk = encode_columnar_chunk(col_t, replay_assist=assist)
+                assert chunk.epoch == EpochLine.from_events(
+                    col_t.to_record_table().matched
+                )
 
 
 class TestEncodeEdgeCases:
@@ -222,7 +236,7 @@ class TestEncodeEdgeCases:
         chunk = encode_columnar_chunk(table, replay_assist=assist)
         assert chunk == encode_chunk(table.to_record_table(), replay_assist=assist)
         assert chunk.num_events == 0
-        assert columnar_epoch_line(table) == EpochLine({})
+        assert chunk.epoch == EpochLine({})
 
     @pytest.mark.parametrize("assist", [False, True])
     def test_single_event_table(self, assist):
@@ -234,7 +248,7 @@ class TestEncodeEdgeCases:
         chunk = encode_columnar_chunk(table, replay_assist=assist)
         assert chunk == encode_chunk(table.to_record_table(), replay_assist=assist)
         assert chunk.num_events == 1
-        assert columnar_epoch_line(table) == EpochLine({3: 17})
+        assert chunk.epoch == EpochLine({3: 17})
 
     @pytest.mark.parametrize("assist", [False, True])
     def test_all_senders_one_rank(self, assist):
@@ -248,19 +262,47 @@ class TestEncodeEdgeCases:
         chunk = encode_columnar_chunk(table, replay_assist=assist)
         assert chunk == encode_chunk(table.to_record_table(), replay_assist=assist)
         assert dict(chunk.sender_counts) == {4: len(clocks)}
-        assert columnar_epoch_line(table) == EpochLine({4: max(clocks)})
+        assert chunk.epoch == EpochLine({4: max(clocks)})
 
     def test_all_senders_one_rank_permuted_delivery(self):
-        """One sender observed out of reference order still encodes equally."""
+        """One sender observed out of reference order still encodes equally
+        — with the assist column too, whose reference order is that column
+        (one sender: the two reference orders coincide)."""
         table = ColumnarTable(
             "cs",
             np.full(4, 2, dtype=np.int64),
             np.array([9, 3, 30, 12], dtype=np.int64),
         )
-        chunk = encode_columnar_chunk(table)
-        assert chunk == encode_chunk(table.to_record_table())
-        assert chunk.diff.num_moved > 0
-        assert columnar_epoch_line(table) == EpochLine({2: 30})
+        for assist in (False, True):
+            chunk = encode_columnar_chunk(table, replay_assist=assist)
+            assert chunk == _encode_chunk_scalar(table.to_record_table(), assist, None)
+            assert chunk.diff == encode_columnar_chunk(table).diff
+            assert chunk.diff.num_moved > 0
+            assert chunk.epoch == EpochLine({2: 30})
+            assert chunk.sender_min_clocks == (() if assist else ((2, 3),))
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_shuffled_chunks_match_object_encoder(self, seed):
+        """Arbitrary observed orders — senders out of clock order inside a
+        chunk, the case no shipped workload produces — through both
+        encoders and both layouts."""
+        rng = random.Random(seed)
+        events = [
+            ev for o in random_stream(rng, 200, nsenders=4) for ev in o.matched
+        ]
+        rng.shuffle(events)
+        tables = build_tables([outcome("cs", [ev]) for ev in events], chunk_events=40)
+        for obj_t in tables["cs"]:
+            plain = _encode_chunk_scalar(obj_t, False, None)
+            assisted = _encode_chunk_scalar(obj_t, True, None)
+            assert encode_columnar_chunk(as_columnar_table(obj_t)) == plain
+            assert plain == encode_chunk(obj_t) == encode_chunk_oracle(obj_t)
+            assert (
+                encode_columnar_chunk(as_columnar_table(obj_t), replay_assist=True)
+                == assisted
+                == encode_chunk(obj_t, replay_assist=True)
+            )
+            assert assisted.diff.num_moved > 0 and assisted.sender_min_clocks == ()
 
 
 class TestGrowColumn:

@@ -6,8 +6,9 @@ The per-column code they replaced lives on in ``tests/core/oracles.py``,
 bound to the scalar varint and LP references, and every property here is
 differential: random chunk lists must serialize to the oracle's bytes and
 decode to the oracle's chunks, and hostile bytes — truncations, bit flips,
-splices, inflated counts, bad presence flags, dangling tails — must make
-both decoders return equal chunks or both raise a ``RecordFormatError``.
+splices, inflated counts, a flipped layout bit, an assist chunk whose
+columns contradict its sender column, dangling tails — must make both
+decoders return equal chunks or both raise a ``RecordFormatError``.
 Anything else (another exception type, one side accepting what the other
 refuses, memory or time out of proportion to the input) fails.
 
@@ -17,6 +18,7 @@ Example counts come from the hypothesis profile: the default locally, the
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -34,7 +36,7 @@ from repro.core.formats import (
 )
 from repro.core.permutation import PermutationDiff
 from repro.core.pipeline import CDCChunk
-from repro.core.varint import decode_uvarint, encode_uvarint, encode_uvarint_array_scalar
+from repro.core.varint import decode_uvarint, encode_uvarint
 from repro.errors import RecordFormatError
 from tests.core.oracles import deserialize_cdc_chunks_oracle, serialize_cdc_chunks_oracle
 
@@ -72,10 +74,20 @@ def chunks(draw, value=wide, callsites=("a", "b", "mcb:poll")):
     run_lengths = draw(
         st.lists(_unsigned(value), min_size=len(run_starts), max_size=len(run_starts))
     )
-    ranks = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
+    # the layout bit: an assist chunk stores each fact once, so its event
+    # count, epoch ranks and per-sender counts are its sender column's
+    senders = draw(st.one_of(st.none(), st.just(()), st.builds(
+        tuple, st.lists(st.integers(0, 200), max_size=12))))
+    if senders is None:
+        ranks = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
+        num_events = draw(st.integers(0, 2000))
+        counts = tuple((rank, draw(st.integers(0, 300))) for rank in ranks)
+    else:
+        ranks = sorted(set(senders))
+        num_events = len(senders)
+        counts = tuple((rank, senders.count(rank)) for rank in ranks)
     ceilings = {rank: draw(value) for rank in ranks}
     exception_ranks = column(st.integers(0, 40))
-    num_events = draw(st.integers(0, 2000))
     return CDCChunk(
         callsite=draw(st.sampled_from(callsites)),
         num_events=num_events,
@@ -84,13 +96,12 @@ def chunks(draw, value=wide, callsites=("a", "b", "mcb:poll")):
         with_next_indices=column(value),
         unmatched_runs=tuple(zip(run_starts, run_lengths)),
         epoch=EpochLine(ceilings),
-        sender_counts=tuple((rank, draw(st.integers(0, 300))) for rank in ranks),
-        sender_min_clocks=tuple(
+        sender_counts=counts,
+        sender_min_clocks=() if senders is not None else tuple(
             (rank, ceilings[rank] - draw(_unsigned(value))) for rank in ranks
         ),
         boundary_exceptions=tuple((rank, draw(value)) for rank in exception_ranks),
-        sender_sequence=draw(st.one_of(st.none(), st.just(()), st.builds(
-            tuple, st.lists(st.integers(0, 200), max_size=12)))),
+        sender_sequence=senders,
     )
 
 
@@ -132,8 +143,7 @@ def assert_same_outcome(data: bytes):
 
 def value_spans(data: bytes) -> list[tuple[int, int]]:
     """``(start, end)`` of every complete varint after the string table —
-    chunk count, ids, length prefixes and values alike (and, as one-byte
-    varints, the presence flags)."""
+    chunk count, headers, length prefixes and values alike."""
     count, offset = decode_uvarint(data, len(CDC_MAGIC))
     for _ in range(count):
         length, offset = decode_uvarint(data, offset)
@@ -149,11 +159,23 @@ def value_spans(data: bytes) -> list[tuple[int, int]]:
     return spans
 
 
-def flag_offset(chunk: CDCChunk, data: bytes) -> int:
-    """Where the presence flag of a one-chunk payload's only chunk sits."""
-    if chunk.sender_sequence is None:
-        return len(data) - 1
-    return len(data) - len(encode_uvarint_array_scalar(chunk.sender_sequence)) - 1
+def assist_payload(chunk: CDCChunk, edit) -> bytes:
+    """``[chunk]`` serialized, after ``edit`` changed the values a one-chunk
+    assist payload carries: ``[head, num_events, *columns]`` with each
+    column a list (LP columns are empty or left alone here)."""
+    data = serialize_cdc_chunks([chunk])
+    spans = value_spans(data)
+    flat = [decode_uvarint(data, start)[0] for start, _ in spans]
+    values, i = flat[1:3], 3  # flat[0] is the chunk count
+    while i < len(flat):
+        values.append(flat[i + 1 : i + 1 + flat[i]])
+        i += 1 + flat[i]
+    edit(values)
+    out = bytearray(data[: spans[1][0]])
+    for value in values:
+        for v in [len(value), *value] if isinstance(value, list) else [value]:
+            encode_uvarint(v, out)
+    return bytes(out)
 
 
 # -- differential: well-formed payloads ----------------------------------------------
@@ -190,9 +212,12 @@ class TestSameBytesSameChunks:
         empty = CDCChunk("a", 0, PermutationDiff(0, (), ()), (), (), EpochLine({}), ())
         single = CDCChunk(
             "b", 1, PermutationDiff(1, (0,), (-1,)), (0,), ((0, 3),),
-            EpochLine({2: 9}), ((2, 1),), ((2, 9),), ((2, 4),), (2,),
+            EpochLine({2: 9}), ((2, 1),), (), ((2, 4),), (2,),
         )
-        for chunk_list in ([], [empty], [single], [empty, single, empty]):
+        paper = dataclasses.replace(
+            single, sender_min_clocks=((2, 9),), sender_sequence=None
+        )
+        for chunk_list in ([], [empty], [single], [paper], [empty, single, paper]):
             data = serialize_cdc_chunks(chunk_list)
             assert data == serialize_cdc_chunks_oracle(chunk_list)
             assert assert_same_outcome(data) == chunk_list
@@ -248,14 +273,54 @@ class TestHostileBytes:
         assert_same_outcome(data[:start] + bytes(inflated) + data[end:])
 
     @unhurried
-    @given(chunks(), st.sampled_from([2, 0x80, 0xFF]))
-    def test_bad_presence_flag(self, chunk, flag):
-        """The flag is a raw byte: 0x80 is not the head of a longer varint."""
+    @given(chunks())
+    def test_flipped_layout_bit(self, chunk):
+        """The header's low bit picks the layout. Set on a paper-exact
+        chunk, three columns are read as others and the sender column is
+        whatever comes next; cleared on an assist chunk, three columns are
+        missing and the sender column is left over. Whatever comes out,
+        comes out of both decoders."""
         data = bytearray(serialize_cdc_chunks([chunk]))
-        data[flag_offset(chunk, data)] = flag
-        assert assert_same_outcome(bytes(data)) is RecordFormatError
-        with pytest.raises(RecordFormatError, match=f"bad assist flag {flag}"):
-            deserialize_cdc_chunks(bytes(data))
+        head = value_spans(bytes(data))[1][0]
+        assert data[head] & 1 == (chunk.sender_sequence is not None)
+        data[head] ^= 1
+        assert_same_outcome(bytes(data))
+
+    @unhurried
+    @given(
+        chunks().filter(lambda c: c.sender_sequence),
+        st.sampled_from([
+            ("no sender column", "column truncated"),
+            ("one sender fewer", "senders .* for .* events"),
+            ("one event more", "senders .* for .* events"),
+            ("one ceiling more", "distinct.* under .* epoch ceilings"),
+            ("one ceiling fewer", "distinct.* under .* epoch ceilings"),
+        ]),
+    )
+    def test_assist_columns_that_contradict_the_sender_column(self, chunk, case):
+        """An assist chunk's epoch ranks, counts and event count are read
+        off its sender column: a header bit with no such column behind it,
+        a ceiling column of another length, or a sender column that is not
+        ``num_events`` long, is refused."""
+        damage, message = case
+
+        def edit(values):
+            steps, senders = values[7], values[-1]
+            if damage == "no sender column":
+                del values[-1]
+            elif damage == "one sender fewer":
+                del senders[0]
+            elif damage == "one event more":
+                values[1] += 1
+            elif damage == "one ceiling more":
+                steps.append(2)
+            else:
+                del steps[-1]
+
+        data = assist_payload(chunk, edit)
+        assert assert_same_outcome(data) is RecordFormatError
+        with pytest.raises(RecordFormatError, match=message):
+            deserialize_cdc_chunks(data)
 
     @unhurried
     @given(chunk_lists(huge), st.sampled_from([b"\x80", b"\xff\xff", b"\x81" * 12]))

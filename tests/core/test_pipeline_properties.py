@@ -106,16 +106,20 @@ class TestFullPipeline:
     @given(outcome_streams(), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_batch_matched_stats_equal_scalar(self, outcomes, with_ceilings):
+        """The array encoder ``encode_chunk`` hands int64 tables to, against
+        the scalar reference it keeps for anything larger: the same chunk,
+        with and without the assist column."""
         from repro.core import pipeline
+        from repro.core.columnar import as_columnar_table, encode_columnar_chunk
 
         for chunk_list in build_tables(outcomes, chunk_events=12).values():
             ceilings: dict[int, int] = {}
             for table in chunk_list:
                 prior = dict(ceilings) if with_ceilings else None
-                batch = pipeline._encode_matched_batch(table.matched, prior)
-                scalar = pipeline._encode_matched_scalar(table.matched, prior)
-                assert batch is not None
-                assert batch == scalar
+                for assist in (False, True):
+                    batch = encode_columnar_chunk(as_columnar_table(table), assist, prior)
+                    scalar = pipeline._encode_chunk_scalar(table, assist, prior)
+                    assert batch == scalar == encode_chunk(table, assist, prior)
                 for ev in table.matched:
                     if ev.clock > ceilings.get(ev.rank, -1):
                         ceilings[ev.rank] = ev.clock

@@ -17,11 +17,13 @@ from typing import Mapping, Sequence
 
 from repro.core.events import ReceiveEvent
 from repro.core.permutation import decode_permutation
-from repro.core.pipeline import CDCChunk, assist_occurrence_indices
+from repro.core.pipeline import CDCChunk
 from repro.errors import RecordFormatError, ReplayDivergence
 from repro.obs import get_registry
 from repro.replay.replayer import DeliveryMode
 from repro.sim.datatypes import ANY_SOURCE, ANY_TAG, Message, Request, RequestState
+
+from tests.core.oracles import assist_occurrence_indices_oracle as assist_occurrence_indices
 
 
 def filter_accepts(req: Request, msg: Message) -> bool:
@@ -88,6 +90,10 @@ def assign_slots_oracle(
 # with ``consume_unmatched`` / ``consume_group``. Everything from here to
 # the end of the file is that code verbatim; only the class is renamed (the
 # ``DeliveryMode`` enum is the production one, so tests pass one value to both).
+# It reads chunks as the encoder of its day wrote them: an assist chunk's
+# ``diff`` is against Definition 6's clock order and its quota is the stored
+# ``sender_counts`` — feed it ``tests/core/oracles.py::encode_chunk_oracle``'s
+# chunks, with the slot ranking kept beside that encoder.
 # ---------------------------------------------------------------------------
 
 

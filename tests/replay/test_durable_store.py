@@ -1,9 +1,10 @@
-"""Durable v2 archive format: framing, atomicity, salvage, retries."""
+"""Durable archive format (version 3): framing, atomicity, salvage, retries."""
 
 import errno
 import json
 import os
 import struct
+import time
 import zlib
 
 import pytest
@@ -12,6 +13,7 @@ from repro.core.events import ReceiveEvent
 from repro.core.formats import serialize_cdc_chunks
 from repro.core.pipeline import encode_chunk
 from repro.core.record_table import RecordTable
+from repro.core.varint import encode_uvarint
 from repro.errors import ArchiveCorruptionError, RecordFormatError
 from repro.replay.chunk_store import RecordArchive
 from repro.replay.durable_store import (
@@ -20,6 +22,7 @@ from repro.replay.durable_store import (
     RetryPolicy,
     frame_bytes,
     load_archive,
+    open_run,
     rank_filename,
     save_archive,
 )
@@ -44,6 +47,36 @@ def archive():
 
 def rank_path(directory, rank=0):
     return os.path.join(directory, rank_filename(rank))
+
+
+def framed(body: bytes) -> bytes:
+    """``body`` behind a frame header: varint length, CRC-32."""
+    header = bytearray()
+    encode_uvarint(len(body), header)
+    return bytes(header) + struct.pack("<I", zlib.crc32(body)) + body
+
+
+def raw_deflate(data: bytes) -> bytes:
+    return zlib.compress(data)[2:-4]  # zlib's header and Adler-32 off
+
+
+#: a two-rank directory written by the parent commit (7b1d829, version 2:
+#: ``CDCARC2\n``, u32 length + u32 CRC headers, zlib-wrapped payloads, clock-
+#: order diffs and the epoch rank/count/first-clock columns on assist chunks)
+V2_DIRECTORY = {
+    "MANIFEST": (
+        b'{\n  "format": "cdc-archive",\n  "frames": {\n    "0": 1,\n    "1": 1\n  },'
+        b'\n  "meta": {\n    "workload": "unit"\n  },\n  "nprocs": 2,\n  "version": 2\n}\n'
+    ),
+    "rank-00000.cdc": bytes.fromhex(
+        "434443415243320a1d000000c54dea7a789c7376713664644c64646062000146"
+        "264636206602b31801250a0177"
+    ),
+    "rank-00001.cdc": bytes.fromhex(
+        "434443415243320a1e0000001f432273789c7376713664644c64646064600062"
+        "46262066616404f11800235a016e"
+    ),
+}
 
 
 class TestSaveLoadRoundTrip:
@@ -110,11 +143,32 @@ class TestSaveLoadRoundTrip:
         with pytest.raises(RecordFormatError, match="unsupported archive layout"):
             load_archive(d, mode=mode)
 
-    def test_record_archive_save_defaults_to_v2(self, archive, tmp_path):
+    def test_record_archive_save_writes_the_one_layout(self, archive, tmp_path):
         d = str(tmp_path / "rec")
         archive.save(d)
+        assert ARCHIVE_MAGIC == b"CDCARC3\n"
         assert open(rank_path(d), "rb").read().startswith(ARCHIVE_MAGIC)
+        assert json.load(open(os.path.join(d, "MANIFEST")))["version"] == 3
         assert RecordArchive.load(d).chunks_by_rank == archive.chunks_by_rank
+
+    @pytest.mark.parametrize("mode", ["strict", "salvage"])
+    def test_version_2_directory_is_rejected_in_both_modes(self, tmp_path, mode):
+        """The previous layout has no reader either: bytes the parent commit
+        wrote are refused by name, at once, however they are opened."""
+        for name, data in V2_DIRECTORY.items():
+            (tmp_path / name).write_bytes(data)
+        started = time.perf_counter()
+        with pytest.raises(RecordFormatError, match="unsupported archive layout") as info:
+            load_archive(str(tmp_path), mode=mode)
+        assert "version 2" in str(info.value)
+        with pytest.raises(RecordFormatError, match="version 2"):
+            open_run(str(tmp_path), salvage=(mode == "salvage") or None)
+        assert time.perf_counter() - started < 1.0
+        # without its manifest a salvage finds no frame it can read
+        os.remove(tmp_path / "MANIFEST")
+        recovered, report = load_archive(str(tmp_path), mode="salvage")
+        assert [r.failure for r in report.ranks.values()] == ["bad-magic"] * 2
+        assert recovered.total_events() == 0
 
 
 class TestIncrementalWriter:
@@ -206,8 +260,8 @@ class TestCorruptionDetection:
         path = rank_path(d)
         data = bytearray(open(path, "rb").read())
         # flip one payload bit of the second frame
-        first_len = struct.unpack_from("<I", data, len(ARCHIVE_MAGIC))[0]
-        second_payload = len(ARCHIVE_MAGIC) + 8 + first_len + 8
+        first_len = len(frame_bytes(archive.chunks(0)[0]))
+        second_payload = len(ARCHIVE_MAGIC) + first_len + 5
         data[second_payload] ^= 0x10
         open(path, "wb").write(bytes(data))
         with pytest.raises(ArchiveCorruptionError) as info:
@@ -269,12 +323,62 @@ class TestCorruptionDetection:
         """A frame is exactly one chunk (what makes every frame prefix an
         epoch-aligned chunk prefix, and a frame's size a chunk's size)."""
         d = self.saved(archive, tmp_path)
-        payload = zlib.compress(serialize_cdc_chunks(archive.chunks(0)[:2]))
-        frame = struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
-        open(rank_path(d), "wb").write(ARCHIVE_MAGIC + frame)
+        body = raw_deflate(serialize_cdc_chunks(archive.chunks(0)[:2]))
+        open(rank_path(d), "wb").write(ARCHIVE_MAGIC + framed(body))
         _, report = load_archive(d, mode="salvage")
         assert report.ranks[0].failure == "frame-decode-error"
         assert report.ranks[0].frames_kept == 0
+
+    @pytest.mark.parametrize(
+        "damage", ["zlib-wrapped", "trailing-bytes", "cut-stream", "two-streams", "empty"]
+    )
+    def test_crc_valid_body_that_is_not_one_deflate_stream(
+        self, archive, tmp_path, damage
+    ):
+        """The CRC covers whatever was written: a body that is not exactly
+        one complete raw-deflate stream was written wrong, and is a decode
+        error at that frame — the frames before it are kept."""
+        d = self.saved(archive, tmp_path)
+        first, second = map(frame_bytes, archive.chunks(0)[:2])
+        raw = serialize_cdc_chunks(archive.chunks(0)[1:2])
+        body = {
+            "zlib-wrapped": zlib.compress(raw),  # what version 2 stored
+            "trailing-bytes": raw_deflate(raw) + b"\x00",
+            "cut-stream": raw_deflate(raw)[:-1],
+            "two-streams": raw_deflate(raw) * 2,
+            "empty": b"",
+        }[damage]
+        assert framed(raw_deflate(raw)) == second  # the helper builds real frames
+        open(rank_path(d), "wb").write(ARCHIVE_MAGIC + first + framed(body))
+        with pytest.raises(ArchiveCorruptionError, match="frame-decode-error") as info:
+            load_archive(d, mode="strict")
+        assert info.value.frame_index == 1
+        recovered, report = load_archive(d, mode="salvage")
+        assert report.ranks[0].failure == "frame-decode-error"
+        assert recovered.chunks(0) == archive.chunks(0)[:1]
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"\x80\x80\x80\x80\x80\x01",  # over-long: six bytes
+            b"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f",  # overflows any length
+            b"\xff\xff\xff\xff\x7f",  # 2**35 - 1: past any u32, past EOF
+            b"\x7f",  # length past EOF
+            b"\x80",  # cut inside the length
+            b"\x05\x01\x02",  # cut inside the CRC
+        ],
+    )
+    def test_bad_frame_length_is_a_truncated_tail(self, archive, tmp_path, header):
+        d = self.saved(archive, tmp_path)
+        first = frame_bytes(archive.chunks(0)[0])
+        open(rank_path(d), "wb").write(ARCHIVE_MAGIC + first + header + b"\x00" * 3)
+        with pytest.raises(ArchiveCorruptionError, match="truncated-tail") as info:
+            load_archive(d, mode="strict")
+        assert info.value.frame_index == 1
+        recovered, report = load_archive(d, mode="salvage")
+        assert report.ranks[0].failure == "truncated-tail"
+        assert report.ranks[0].bytes_kept == len(ARCHIVE_MAGIC) + len(first)
+        assert recovered.chunks(0) == archive.chunks(0)[:1]
 
     def test_report_render_mentions_damage(self, archive, tmp_path):
         d = self.saved(archive, tmp_path)
@@ -423,7 +527,7 @@ class TestRetryPolicyJitter:
 
 
 class TestManifestNprocsFlip:
-    def test_v2_nprocs_flip_contradicts_frame_table(self, archive, tmp_path):
+    def test_nprocs_flip_contradicts_frame_table(self, archive, tmp_path):
         d = str(tmp_path / "rec")
         save_archive(archive, d)
         path = os.path.join(d, "MANIFEST")

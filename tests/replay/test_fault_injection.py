@@ -35,6 +35,10 @@ from repro.testing import FaultInjector, FaultPlan, InjectedCrash
 NPROCS = 4
 N_MESSAGES = 10  # per sender -> 30 receives at rank 0 -> 4 chunks of <= 8
 CHUNK_EVENTS = 8
+#: a file:function label, as a PMPI tool would take one from the call stack;
+#: every frame carries it, which keeps rank 0's file past the byte offsets
+#: the torn-write and bit-flip cases below name (it is 256 bytes)
+CALLSITE = "examples/fan_in_collector.py:collect"
 FAST_RETRY = RetryPolicy(attempts=4, base_delay=0.0)
 
 
@@ -49,7 +53,7 @@ def collector(ctx, die_at=None):
         req = ctx.irecv(source=ANY_SOURCE, tag=1)
         got = 0
         while got < total:
-            res = yield ctx.test(req, callsite="sink")
+            res = yield ctx.test(req, callsite=CALLSITE)
             if res.flag:
                 got += 1
                 if got == die_at:

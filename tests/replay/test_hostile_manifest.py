@@ -44,10 +44,10 @@ def saved(tmp_path_factory):
         return archive, d, json.load(fh)
 
 
-def v2(**overrides):
+def manifest_bytes(**overrides):
     manifest = {
         "format": "cdc-archive",
-        "version": 2,
+        "version": 3,
         "nprocs": 3,
         "frames": {"0": 2, "1": 1, "2": 0},
         "meta": {},
@@ -61,37 +61,38 @@ def v2(**overrides):
 #: OverflowError x2 / RecursionError / a silent nprocs=1 / 2.1 GB before
 #: this suite existed; the sixth took salvage mode 43 s and 1.0 GB).
 HOSTILE = {
-    "nprocs-overflows-float": v2(nprocs=float("inf")),
-    "frame-count-overflows-float": v2(frames={"0": float("inf"), "1": 1, "2": 0}),
+    "nprocs-overflows-float": manifest_bytes(nprocs=float("inf")),
+    "frame-count-overflows-float": manifest_bytes(frames={"0": float("inf"), "1": 1, "2": 0}),
     "hundred-thousand-brackets": b"[" * 100_000,
-    "nprocs-fractional": v2(nprocs=1.9),
-    "nprocs-30M-one-frame-entry": v2(nprocs=30_000_000, frames={"0": 2}),
+    "nprocs-fractional": manifest_bytes(nprocs=1.9),
+    "nprocs-30M-one-frame-entry": manifest_bytes(nprocs=30_000_000, frames={"0": 2}),
     "no-layout-3M-ranks": b'{"nprocs": 3000000, "meta": {}}',
     "no-layout-honest": b'{"nprocs": 3, "meta": {}}',
-    "nprocs-negative": v2(nprocs=-1, frames={}),
-    "nprocs-bool": v2(nprocs=True, frames={"0": 2}),
-    "nprocs-string": v2(nprocs="3"),
-    "nprocs-null": v2(nprocs=None),
+    "nprocs-negative": manifest_bytes(nprocs=-1, frames={}),
+    "nprocs-bool": manifest_bytes(nprocs=True, frames={"0": 2}),
+    "nprocs-string": manifest_bytes(nprocs="3"),
+    "nprocs-null": manifest_bytes(nprocs=None),
     "nprocs-missing": json.dumps(
-        {"format": "cdc-archive", "version": 2, "frames": {}}
+        {"format": "cdc-archive", "version": 3, "frames": {}}
     ).encode(),
-    "nprocs-5000-digits": v2().replace(b'"nprocs": 3', b'"nprocs": ' + b"9" * 5000),
-    "frames-list": v2(frames=[2, 1, 0]),
+    "nprocs-5000-digits": manifest_bytes().replace(b'"nprocs": 3', b'"nprocs": ' + b"9" * 5000),
+    "frames-list": manifest_bytes(frames=[2, 1, 0]),
     "frames-missing": json.dumps(
-        {"format": "cdc-archive", "version": 2, "nprocs": 3}
+        {"format": "cdc-archive", "version": 3, "nprocs": 3}
     ).encode(),
-    "frame-count-negative": v2(frames={"0": -2, "1": 1, "2": 0}),
-    "frame-count-bool": v2(frames={"0": True, "1": 1, "2": 0}),
-    "frame-count-fractional": v2(frames={"0": 2.0, "1": 1, "2": 0}),
-    "frame-rank-not-a-number": v2(frames={"zero": 2, "1": 1, "2": 0}),
-    "frame-rank-out-of-range": v2(frames={"0": 2, "1": 1, "7": 0}),
-    "frame-ranks-collapse": v2(frames={"0": 2, "00": 1, "2": 0}),
-    "meta-list": v2(meta=[1, 2]),
-    "version-string": v2(version="2"),
-    "version-3": v2(version=3),
-    "format-other": v2(format="cdc-archive-ng"),
+    "frame-count-negative": manifest_bytes(frames={"0": -2, "1": 1, "2": 0}),
+    "frame-count-bool": manifest_bytes(frames={"0": True, "1": 1, "2": 0}),
+    "frame-count-fractional": manifest_bytes(frames={"0": 2.0, "1": 1, "2": 0}),
+    "frame-rank-not-a-number": manifest_bytes(frames={"zero": 2, "1": 1, "2": 0}),
+    "frame-rank-out-of-range": manifest_bytes(frames={"0": 2, "1": 1, "7": 0}),
+    "frame-ranks-collapse": manifest_bytes(frames={"0": 2, "00": 1, "2": 0}),
+    "meta-list": manifest_bytes(meta=[1, 2]),
+    "version-string": manifest_bytes(version="3"),
+    "version-2": manifest_bytes(version=2),  # the layout this one replaced
+    "version-4": manifest_bytes(version=4),
+    "format-other": manifest_bytes(format="cdc-archive-ng"),
     "top-level-list": b"[1, 2, 3]",
-    "deep-meta": v2().replace(b'"meta": {}', b'"meta": ' + b"[" * 50_000),
+    "deep-meta": manifest_bytes().replace(b'"meta": {}', b'"meta": ' + b"[" * 50_000),
     "empty-file": b"",
     "not-utf8": b"\xff\xfe{}",
 }

@@ -11,10 +11,13 @@ and on (telemetry must not move a byte or a virtual nanosecond). The
 way: it shares the engine and the MF-call path with record and replay but
 has no recorder hook, so a change that only holds under recording shows.
 
-The digests were generated at the commit *before* the fused MF-call path;
-regenerate (only after an intentional behaviour change) with::
+Everything but the ``archive`` digests was generated at the commit *before*
+the fused MF-call path; the archive digests moved once since, with the
+version-3 layout ("each fact once", DESIGN.md §5.9), and with them blanked
+the file is identical to its predecessor. Regenerate (only after an
+intentional behaviour change) with::
 
-    PYTHONPATH=src python tests/replay/test_record_golden.py
+    PYTHONPATH=src:. python tests/replay/test_record_golden.py
 """
 
 from __future__ import annotations

@@ -1,0 +1,375 @@
+"""Is each stored field necessary? — first instalment of the necessity engine.
+
+ROADMAP item 2 asks of every field of the record what "Optimal Record and
+Replay under Causal Consistency" (PAPERS.md) asks of any record: is it
+load-bearing, or is it derivable from what is stored beside it? The
+version-3 assist layout ("each fact once", DESIGN.md §5.9) was cut along
+that line, and both halves are checked here on five 8-rank workloads
+recorded at ``chunk_events=24``:
+
+*Kept means load-bearing.* For each column an assist chunk still stores, a
+minimal perturbation of one chunk — one value changed, the chunk otherwise
+consistent — must make replay raise a typed error or end with an outcome
+stream, final clocks or application results different from the record's
+on at least one workload. A column no perturbation of which matters
+anywhere would be dead weight.
+
+*Dropped means derivable.* What an assist chunk no longer stores — epoch
+ranks, per-sender counts, first clocks, and a diff against Definition 6's
+clock order — equals, chunk for chunk, what the parent's encoder (kept in
+``tests/core/oracles.py``) computed from the events, or is provably unread:
+the replayer's schedule after activation (occurrence, quota, ceilings,
+groups, unmatched runs) is the parent decoder's over the parent's chunk,
+and putting the first-clock hints back replays bit-identically.
+
+The table in EXPERIMENTS.md ("Each fact once": column × workload → raises /
+differs / unaffected) is this module run as a script::
+
+    PYTHONPATH=src:. python tests/replay/test_record_necessity.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import time
+from collections import deque
+
+import pytest
+
+from repro.core.epoch import EpochLine
+from repro.core.permutation import decode_permutation, encode_permutation
+from repro.core.record_table import build_tables
+from repro.errors import RecordFormatError, ReplayDivergence, ReproError
+from repro.replay.durable_store import RecordArchive, frame_bytes, load_archive
+from repro.replay.replayer import CallsiteReplayState
+from repro.replay.session import RecordSession, ReplaySession
+from repro.workloads import make_workload
+from tests.core.oracles import encode_chunk_sequence_oracle
+from tests.replay import test_replay_golden as golden
+from tests.replay.oracles import CallsiteReplayStateOracle
+
+NPROCS = 8
+CHUNK_EVENTS = 24
+RECORD_SEED, REPLAY_SEED = 5, 9
+WALL_BOUND_S = 5.0
+WORKLOADS = {
+    "mcb": {"particles_per_rank": 20, "seed": 3},
+    "jacobi": {"iterations": 12, "seed": 3},
+    "unstructured": {"vertices": 48, "iterations": 4, "seed": 3},
+    "coupled": {"epochs": 2, "seed": 3},
+    "synthetic": {"messages_per_rank": 12, "fanout": 2, "seed": 3},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def recorded(workload: str):
+    """(program, record result) of one necessity workload."""
+    program, _ = make_workload(workload, NPROCS, **WORKLOADS[workload])
+    result = RecordSession(
+        program, nprocs=NPROCS, network_seed=RECORD_SEED, chunk_events=CHUNK_EVENTS
+    ).run()
+    return program, result
+
+
+def replay(program, archive, record):
+    """``raises`` | ``differs`` | ``unaffected``, and what was raised."""
+    started = time.perf_counter()
+    try:
+        result = ReplaySession(
+            program, archive, network_seed=REPLAY_SEED,
+            engine_kwargs={"max_events": 500_000},
+        ).run()
+    except ReproError as exc:
+        verdict = "raises", type(exc).__name__
+    else:
+        same = (
+            result.outcomes == record.outcomes
+            and result.final_clocks == record.final_clocks
+            and result.app_results == record.app_results
+        )
+        verdict = ("unaffected" if same else "differs"), None
+    assert time.perf_counter() - started < WALL_BOUND_S
+    return verdict
+
+
+# -- minimal perturbations, one per stored column -----------------------------------
+# Each takes one callsite's chunks at one rank and returns them with one
+# value of one chunk changed, or None where this stream offers no site.
+
+
+def _replace(chunks, k, **changes):
+    return chunks[:k] + [dataclasses.replace(chunks[k], **changes)] + chunks[k + 1 :]
+
+
+def swap_two_receives_of_one_sender(chunks):
+    """permutation rows: one sender's first two receives change places."""
+    for k, chunk in enumerate(chunks):
+        seen: dict[int, int] = {}
+        for q, sender in enumerate(chunk.sender_sequence):
+            if sender in seen:
+                order = decode_permutation(chunk.diff)
+                p = seen[sender]
+                order[p], order[q] = order[q], order[p]
+                return _replace(chunks, k, diff=encode_permutation(order))
+            seen[sender] = q
+    return None
+
+
+def add_a_with_next(chunks):
+    for k, chunk in enumerate(chunks):
+        free = set(range(chunk.num_events - 1)) - set(chunk.with_next_indices)
+        if free:
+            joined = tuple(sorted((*chunk.with_next_indices, min(free))))
+            return _replace(chunks, k, with_next_indices=joined)
+    return None
+
+
+def drop_a_with_next(chunks):
+    for k, chunk in enumerate(chunks):
+        if chunk.with_next_indices:
+            return _replace(chunks, k, with_next_indices=chunk.with_next_indices[1:])
+    return None
+
+
+def _edit_first_run(chunks, edit):
+    for k, chunk in enumerate(chunks):
+        if chunk.unmatched_runs:
+            edited = edit(chunk, *chunk.unmatched_runs[0])
+            if edited is not None:
+                return _replace(chunks, k, unmatched_runs=(edited, *chunk.unmatched_runs[1:]))
+    return None
+
+
+def one_more_unmatched_test(chunks):
+    return _edit_first_run(chunks, lambda chunk, position, count: (position, count + 1))
+
+
+def one_fewer_unmatched_test(chunks):
+    return _edit_first_run(
+        chunks, lambda chunk, position, count: (position, count - 1) if count > 1 else None
+    )
+
+
+def shift_an_unmatched_run(chunks):
+    def later(chunk, position, count):
+        taken = {p for p, _ in chunk.unmatched_runs}
+        if position + 1 <= chunk.num_events and position + 1 not in taken:
+            return position + 1, count
+        return None
+
+    return _edit_first_run(chunks, later)
+
+
+def lower_a_ceiling(chunks):
+    """ceilings: one sender's, to one below its last clock in the chunk."""
+    for k, chunk in enumerate(chunks):
+        for sender, ceiling in chunk.epoch.as_sorted_pairs():
+            lowered = {**chunk.epoch.max_clock_by_rank, sender: ceiling - 1}
+            return _replace(chunks, k, epoch=EpochLine(lowered))
+    return None
+
+
+def claim_a_member_as_an_exception(chunks):
+    """boundary exceptions: the next chunk claims a member of this one (its
+    sender's last receive, the one event a chunk names: the epoch pair)."""
+    for k, chunk in enumerate(chunks[:-1]):
+        if chunk.num_events:
+            member = chunk.epoch.as_sorted_pairs()[0]
+            claimed = tuple(sorted((*chunks[k + 1].boundary_exceptions, member)))
+            return _replace(chunks, k + 1, boundary_exceptions=claimed)
+    return None
+
+
+def swap_two_adjacent_senders(chunks):
+    """sender column: two neighbouring receives of distinct senders."""
+    for k, chunk in enumerate(chunks):
+        senders = list(chunk.sender_sequence)
+        for p in range(len(senders) - 1):
+            if senders[p] != senders[p + 1]:
+                senders[p], senders[p + 1] = senders[p + 1], senders[p]
+                return _replace(chunks, k, sender_sequence=tuple(senders))
+    return None
+
+
+#: stored column -> its perturbations
+PERTURBATIONS = {
+    "permutation": [swap_two_receives_of_one_sender],
+    "with_next": [add_a_with_next, drop_a_with_next],
+    "unmatched counts": [one_more_unmatched_test, one_fewer_unmatched_test],
+    "unmatched positions": [shift_an_unmatched_run],
+    "epoch ceilings": [lower_a_ceiling],
+    "boundary exceptions": [claim_a_member_as_an_exception],
+    "sender column": [swap_two_adjacent_senders],
+}
+
+
+def perturbed_archive(archive: RecordArchive, perturb) -> RecordArchive | None:
+    """``archive`` with ``perturb`` applied at the first stream that has a
+    site for it; flush order within the rank is kept."""
+    for rank in range(archive.nprocs):
+        for callsite, chunks in archive.chunks_by_callsite(rank).items():
+            edited = perturb(list(chunks))
+            if edited is None:
+                continue
+            swap = {id(old): new for old, new in zip(chunks, edited)}
+            changed = RecordArchive(archive.nprocs, meta=dict(archive.meta))
+            for r, chunk in archive.iter_all():
+                changed.append(r, swap.get(id(chunk), chunk))
+            return changed
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def verdict(workload: str, perturb) -> tuple[str, str | None]:
+    program, record = recorded(workload)
+    archive = perturbed_archive(record.archive, perturb)
+    if archive is None:
+        return "no site", None
+    return replay(program, archive, record)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_the_unperturbed_record_replays(workload):
+    program, record = recorded(workload)
+    assert all(c.sender_sequence is not None for _, c in record.archive.iter_all())
+    assert replay(program, record.archive, record) == ("unaffected", None)
+
+
+@pytest.mark.parametrize("column", sorted(PERTURBATIONS))
+def test_kept_means_load_bearing(column):
+    for perturb in PERTURBATIONS[column]:
+        verdicts = {w: verdict(w, perturb)[0] for w in WORKLOADS}
+        assert {"raises", "differs"} & set(verdicts.values()), (perturb.__name__, verdicts)
+
+
+# -- dropped means derivable -------------------------------------------------------------
+
+
+def parent_chunks(record, rank: int, chunk_events: int = CHUNK_EVENTS):
+    """callsite -> the chunks the parent's encoder makes of ``rank``'s stream."""
+    tables = build_tables(record.outcomes[rank], chunk_events=chunk_events)
+    return {
+        callsite: encode_chunk_sequence_oracle(ts, replay_assist=True)
+        for callsite, ts in tables.items()
+    }
+
+
+def assert_derivable(archive: RecordArchive, record, chunk_events: int = CHUNK_EVENTS):
+    """Every chunk of ``archive`` against the parent encoder's chunk for the
+    same events, and the replayer's schedule against the parent decoder's."""
+    compared = 0
+    for rank in range(archive.nprocs):
+        old_by_callsite = parent_chunks(record, rank, chunk_events)
+        for callsite, chunks in archive.chunks_by_callsite(rank).items():
+            olds = old_by_callsite[callsite]
+            assert len(chunks) == len(olds)
+            for new, old in zip(chunks, olds):
+                # derived on read: the parent stored these
+                assert new.sender_counts == old.sender_counts
+                assert new.epoch == old.epoch
+                assert list(new.epoch.max_clock_by_rank) == [r for r, _ in new.sender_counts]
+                # dropped: only the assist-less replay reads them
+                assert new.sender_min_clocks == () and (
+                    len(old.sender_min_clocks) == len(old.sender_counts)
+                )
+                # everything else is the same record
+                assert dataclasses.replace(
+                    old, diff=new.diff, sender_min_clocks=()
+                ) == new
+                # FIFO channels: no sender is observed out of clock order
+                assert new.diff.is_identity()
+                state = CallsiteReplayState(rank, callsite, deque([new]))
+                oracle = CallsiteReplayStateOracle(rank, callsite, deque([old]))
+                for field in ("occurrence", "quota", "ceilings", "group_end", "unmatched_left"):
+                    assert getattr(state, field) == getattr(oracle, field), field
+                compared += 1
+    assert compared == sum(len(archive.chunks(r)) for r in range(archive.nprocs)) > 0
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_dropped_means_derivable(workload, tmp_path):
+    _, record = recorded(workload)
+    record.archive.save(str(tmp_path))
+    decoded, report = load_archive(str(tmp_path))
+    assert report.clean and decoded.chunks_by_rank == record.archive.chunks_by_rank
+    assert_derivable(decoded, record)
+
+
+@pytest.mark.parametrize("workload", sorted(golden.WORKLOADS))
+def test_schedules_of_the_golden_workloads_equal_the_parents(workload):
+    """The acceptance differential on the configurations ``golden_replay.json``
+    pins: replay decisions are unchanged by construction."""
+    _, record = golden.record(workload, assist=True)
+    assert_derivable(record.archive, record, golden.CHUNK_SIZES[0])
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_first_clock_hints_are_not_read(workload):
+    """Put back what the parent stored: the replay is the same to the bit."""
+    program, record = recorded(workload)
+    hinted = RecordArchive(NPROCS)
+    for rank in range(NPROCS):
+        olds = {cs: iter(chunks) for cs, chunks in parent_chunks(record, rank).items()}
+        for chunk in record.archive.chunks(rank):
+            hints = next(olds[chunk.callsite]).sender_min_clocks
+            hinted.append(rank, dataclasses.replace(chunk, sender_min_clocks=hints))
+    assert any(c.sender_min_clocks for _, c in hinted.iter_all())
+    runs = [
+        ReplaySession(program, archive, network_seed=REPLAY_SEED).run()
+        for archive in (record.archive, hinted)
+    ]
+    for run in runs:
+        assert run.outcomes == record.outcomes
+        assert run.final_clocks == record.final_clocks
+    assert runs[0].stats.virtual_time == runs[1].stats.virtual_time
+    assert runs[0].stats.total_events == runs[1].stats.total_events
+
+
+# -- one source for an assist chunk's quota ------------------------------------------------
+
+
+@pytest.mark.parametrize("step", [+1, -1])
+def test_sender_counts_that_contradict_the_sender_column_are_refused(step):
+    """At the parent the quota was the stored count column: one count raised
+    by 1 replayed "clean", lowered by 1 it ended as an engine-level deadlock
+    whose report named no chunk. The quota is the sender column's now, the
+    contradiction cannot be serialized, and a hand-built chunk carrying it is
+    refused where it is activated — by rank, callsite and chunk index."""
+    program, _ = make_workload("mcb", NPROCS, particles_per_rank=20, seed=3)
+    record = RecordSession(program, nprocs=NPROCS, network_seed=RECORD_SEED).run()
+    rank, victim = next(
+        (r, c) for r, c in record.archive.iter_all() if c.callsite == "mcb:particles"
+    )
+    (sender, count), *rest = victim.sender_counts
+    wrong = dataclasses.replace(victim, sender_counts=((sender, count + step), *rest))
+    archive = RecordArchive(NPROCS)
+    for r, chunk in record.archive.iter_all():
+        archive.append(r, wrong if chunk is victim else chunk)
+    with pytest.raises(RecordFormatError) as info:
+        ReplaySession(program, archive, network_seed=REPLAY_SEED).run()
+    assert not isinstance(info.value, ReplayDivergence)
+    message = str(info.value)
+    assert f"rank {rank} callsite 'mcb:particles' chunk 0" in message
+    assert "contradict the sender column" in message
+    # what reaches storage cannot disagree: the count column is not written
+    assert frame_bytes(wrong) == frame_bytes(victim)
+
+
+def _table() -> str:
+    header = ["column", "perturbation", *WORKLOADS]
+    rows = [header]
+    for column, perturbs in PERTURBATIONS.items():
+        for perturb in perturbs:
+            cells = []
+            for workload in WORKLOADS:
+                kind, error = verdict(workload, perturb)
+                cells.append(f"{kind} ({error})" if error else kind)
+            rows.append([column, perturb.__name__.replace("_", " "), *cells])
+    lines = ["| " + " | ".join(row) + " |" for row in rows]
+    lines.insert(1, "|" + "---|" * len(header))
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(_table())

@@ -5,12 +5,16 @@ inside ``ReplayController.decide``. The first half of this file checks it
 call by call against the callsite decoder it replaced (``pool`` +
 ``peek`` + ``consume_group``, kept verbatim in ``tests/replay/oracles.py``):
 hypothesis draws recorded streams — groups, unmatched runs including the
-trailing one, boundary exceptions, two or more chunks so quota overflow
+trailing one, senders observed out of clock order inside a chunk and
+across a flush (boundary exceptions), two or more chunks so quota overflow
 feeds the next activation — and an interleaving of arrivals and calls, and
 both sides must deliver the same message objects, block at the same
-positions and raise the same typed errors. The LMC path runs through the
-same harness, which pins it unchanged. The rest are example tests of the
-state itself.
+positions and raise the same typed errors. Each side reads the record its
+own encoder wrote: the controller the chunks of ``encode_chunk_sequence``
+(an assist chunk's diff against its sender column, quota from that column),
+the old decoder those of the parent's clock-order encoder kept in
+``tests/core/oracles.py``. The LMC path runs through the same harness, which
+pins it unchanged. The rest are example tests of the state itself.
 """
 
 import dataclasses
@@ -42,6 +46,7 @@ from tests.replay.driving import (
     messages_for,
     recorded_streams,
 )
+from tests.core.oracles import encode_chunk_sequence_oracle
 from tests.replay.oracles import CallsiteReplayStateOracle, _Peek
 
 
@@ -89,11 +94,15 @@ def typed(fn):
         return type(exc)
 
 
-def assert_same_calls(chunks, arrival, calls_before, assist):
-    """Drive the controller and the oracle through the same arrivals and
-    calls; every call must come back the same on both sides."""
+def assert_same_calls(chunks, arrival, calls_before, assist, old_chunks=None):
+    """Drive the controller (over ``chunks``) and the oracle (over
+    ``old_chunks``: the same tables through the parent's encoder) through
+    the same arrivals and calls; every call must come back the same on
+    both sides."""
     built = typed(lambda: CallsiteDriver(chunks))
-    oracle = typed(lambda: CallsiteReplayStateOracle(0, CALLSITE, deque(chunks)))
+    oracle = typed(
+        lambda: CallsiteReplayStateOracle(0, CALLSITE, deque(old_chunks or chunks))
+    )
     if isinstance(built, type) or isinstance(oracle, type):
         assert built is oracle  # the first chunk is refused by both
         return
@@ -148,7 +157,10 @@ class TestAgainstTheOldDecoder:
         outcomes, arrival, chunk_events, calls_before = script
         tables = build_tables(outcomes, chunk_events=chunk_events)[CALLSITE]
         chunks = encode_chunk_sequence(tables, replay_assist=assist)
-        assert_same_calls(chunks, messages_for(arrival), calls_before, assist)
+        old = encode_chunk_sequence_oracle(tables, replay_assist=assist)
+        if not assist:
+            assert chunks == old  # the paper-exact layout is untouched
+        assert_same_calls(chunks, messages_for(arrival), calls_before, assist, old)
 
     @given(scripts(), st.booleans(), st.data())
     @settings(deadline=None)  # example count: the profile's ("ci": 400)
@@ -159,6 +171,7 @@ class TestAgainstTheOldDecoder:
         outcomes, arrival, chunk_events, calls_before = script
         tables = build_tables(outcomes, chunk_events=chunk_events)[CALLSITE]
         chunks = list(encode_chunk_sequence(tables, replay_assist=assist))
+        old = list(encode_chunk_sequence_oracle(tables, replay_assist=assist))
         messages = messages_for(arrival)
         damage = data.draw(st.sampled_from(["regress", "breach", "assist", "runs"]))
         if damage == "regress" and not assist:
@@ -177,7 +190,8 @@ class TestAgainstTheOldDecoder:
             else:
                 changes = {"unmatched_runs": ((chunk.num_events + 1, 1),)}
             chunks[k] = dataclasses.replace(chunk, **changes)
-        assert_same_calls(chunks, messages, calls_before, assist)
+            old[k] = dataclasses.replace(old[k], **changes)
+        assert_same_calls(chunks, messages, calls_before, assist, old)
 
     def test_two_chunks_trailing_run_and_boundary_exception(self):
         """The features the properties above rely on drawing, once by hand:
@@ -193,7 +207,8 @@ class TestAgainstTheOldDecoder:
         assert [ch.boundary_exceptions for ch in chunks] == [(), ((0, 2),)]
         assert chunks[1].unmatched_runs == ((0, 2), (1, 1))
         messages = messages_for([c, a, b])  # the exception arrives first
-        assert_same_calls(chunks, messages, [0, 1, 2], assist=True)
+        old = encode_chunk_sequence_oracle(tables, replay_assist=True)
+        assert_same_calls(chunks, messages, [0, 1, 2], assist=True, old_chunks=old)
         driver = CallsiteDriver(chunks)
         driver.arrive(messages[0])
         assert driver.call() is BLOCKED
@@ -263,14 +278,15 @@ class TestAssistDelivery:
     def test_activation_decodes_the_permutation_once(self):
         observed = [ReceiveEvent(1, 9), ReceiveEvent(0, 2), ReceiveEvent(1, 4)]
         chunk = encode_chunk(RecordTable("cs", tuple(observed), (), ()), True)
-        # the occurrence ranking is handed the decoded order: its own
-        # decode (looked up in the permutation module) must not run
+        # the occurrence count is handed the decoded order: its own decode
+        # must not run
         with mock.patch(
-            "repro.core.permutation.decode_permutation",
+            "repro.core.pipeline.decode_permutation",
             side_effect=AssertionError("decoded twice"),
         ):
             st = CallsiteReplayState(0, "cs", deque([chunk]))
-        assert st.order == [2, 0, 1] and st.occurrence == [2, 1, 1]
+        # against the sender column [1, 0, 1]: sender 1's receives swapped
+        assert st.order == [2, 1, 0] and st.occurrence == [2, 1, 1]
 
     def test_only_the_structure_the_path_reads_is_maintained(self):
         observed = [ReceiveEvent(0, 2), ReceiveEvent(1, 10)]

@@ -1,7 +1,8 @@
 """An archive has one size: the bytes of the rank files it is stored as.
 
 ``RecordArchive.rank_bytes(r)`` is the length of ``rank-NNNNN.cdc`` —
-magic plus one framed, deflated payload per chunk — for an archive that
+magic plus one framed, deflated payload per chunk (a one- or two-byte
+varint length, a CRC-32, a raw deflate stream) — for an archive that
 was just recorded to a store, loaded from one, or never stored at all,
 and every reader of "how big is this record" (``record.chunk`` markers,
 ``RunStats``, the ledger, ``repro record|inspect|stats``) reports that
@@ -16,6 +17,7 @@ import pytest
 
 from repro.analysis import human_bytes
 from repro.cli import main
+from repro.core.varint import uvarint_size
 from repro.replay.durable_store import (
     ARCHIVE_MAGIC,
     load_archive,
@@ -25,7 +27,8 @@ from repro.replay.durable_store import (
 from repro.replay.session import RecordSession
 from repro.workloads import make_workload
 
-FRAME_HEADER = 8
+#: behind a frame's varint length: the CRC-32 of its body
+FRAME_CRC = 4
 
 #: (workload, nprocs, params) — the benchmark's four shapes, scaled down:
 #: poll-dominated, hidden-deterministic, receive-dense, and few ranks with
@@ -40,15 +43,15 @@ CONFIGS = {
 
 @pytest.fixture
 def deflates(monkeypatch):
-    """Every ``zlib.compress`` call made while the fixture is live."""
+    """Every deflate stream opened while the fixture is live."""
     calls = []
-    real = zlib.compress
+    real = zlib.compressobj
 
-    def counted(data, *args, **kwargs):
-        calls.append(len(data))
-        return real(data, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(zlib, "compress", counted)
+    monkeypatch.setattr(zlib, "compressobj", counted)
     return calls
 
 
@@ -89,8 +92,8 @@ def test_durable_record_is_sized_as_its_files(name, tmp_path, deflates):
     markers = [e.attrs for e in result.registry.events if e.name == "record.chunk"]
     assert len(markers) == chunks
     assert (
-        sum(m["stored_bytes"] for m in markers)
-        + FRAME_HEADER * chunks
+        sum(m["stored_bytes"] + uvarint_size(m["stored_bytes"]) for m in markers)
+        + FRAME_CRC * chunks
         + len(ARCHIVE_MAGIC) * archive.nprocs
         == archive.total_bytes()
     )
