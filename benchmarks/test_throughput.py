@@ -89,12 +89,8 @@ class TestKernelSpeedup:
         return [rng.randrange(-300, 300) for _ in range(self.N)]
 
     def test_svarint_batch_speedup(self, bench_results):
-        from repro.core.varint import (
-            decode_svarint_array,
-            decode_svarint_array_scalar,
-            encode_svarint_array,
-            encode_svarint_array_scalar,
-        )
+        from repro.core.varint import decode_svarint_array, encode_svarint_array
+        from tests.core.oracles import decode_svarint_array_scalar, encode_svarint_array_scalar
 
         values = self._values()
         buf = encode_svarint_array(values)
@@ -126,12 +122,8 @@ class TestKernelSpeedup:
         assert dec_speedup >= 3.0
 
     def test_lp_batch_speedup(self, bench_results):
-        from repro.core.lp_encoding import (
-            lp_decode,
-            lp_decode_auto,
-            lp_encode,
-            lp_encode_auto,
-        )
+        from repro.core.lp_encoding import lp_decode, lp_encode
+        from tests.core.oracles import lp_decode_auto, lp_encode_auto
 
         values = sorted(abs(v) * 7 for v in self._values())  # clock-like
         errors = lp_encode(values)

@@ -1,8 +1,8 @@
 """Exact byte attribution for the CDC chunk format.
 
 Answers "where do the record's bytes actually go?" with the serialized size
-of every table in a chunk, read off the declared layout and varint stream
-:func:`repro.core.formats.serialize_cdc_chunks` writes. The breakdown
+of every table in a chunk as :mod:`repro.core.formats` writes it: varints and
+plane bytes in their column's table, flags and counts in the header. The breakdown
 explains the evaluation: MCB's bytes sit in the permutation table, Jacobi's
 in the epoch/sender tables, unmatched-heavy polls in the unmatched runs.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.formats import CDC_BUCKETS, cdc_stream, cdc_table_bytes
+from repro.core.formats import CDC_BUCKETS, cdc_record_sizes
 from repro.core.pipeline import CDCChunk
 from repro.core.varint import uvarint_size
 from repro.replay.durable_store import RecordArchive
@@ -48,12 +48,11 @@ class SizeBreakdown:
 def chunks_breakdown(
     chunks: Sequence[CDCChunk], callsite_ids: Mapping[str, int]
 ) -> SizeBreakdown:
-    """Exact serialized bytes of the chunks' tables: the sizes of the varints
-    ``serialize_cdc_chunks`` writes, summed per table. A payload's magic,
-    string table and chunk count are :func:`archive_breakdown`'s."""
-    sizes = cdc_table_bytes(*cdc_stream(chunks, callsite_ids))
+    """Exact serialized bytes of the chunks' records, summed per table. The
+    callsite a frame payload opens with is :func:`archive_breakdown`'s."""
+    sizes = cdc_record_sizes(chunks, callsite_ids)
     return SizeBreakdown(
-        **dict(zip(CDC_BUCKETS, sizes)),
+        **dict(zip(CDC_BUCKETS, sizes.tolist())),
         chunks=len(chunks),
         events=sum(c.num_events for c in chunks),
     )
@@ -67,13 +66,12 @@ def chunk_breakdown(chunk: CDCChunk, callsite_id: int = 0) -> SizeBreakdown:
 def archive_breakdown(archive: RecordArchive) -> SizeBreakdown:
     """Pre-deflate breakdown of a whole archive, frame by frame.
 
-    ``total`` is :meth:`RecordArchive.total_payload_bytes`; each frame
-    payload's preamble (magic, one-entry string table, chunk count) lands
-    in ``header``.
+    ``total`` is :meth:`RecordArchive.total_payload_bytes`; the callsite
+    each frame payload opens with lands in ``header``.
     """
     chunks = [chunk for _, chunk in archive.iter_all()]
-    # every frame's string table holds its one callsite, so every id is 0
+    # a frame names its callsite inline, so every id is 0
     total = chunks_breakdown(chunks, dict.fromkeys((c.callsite for c in chunks), 0))
     for name in (c.callsite.encode("utf-8") for c in chunks):
-        total.header += 4 + 2 * uvarint_size(1) + uvarint_size(len(name)) + len(name)
+        total.header += uvarint_size(len(name)) + len(name)
     return total

@@ -18,7 +18,7 @@ from repro.core.compression import (
 from repro.core import kernels
 from repro.core.epoch import EpochLine
 from repro.core.events import MFKind, MFOutcome, QuintupleRow, ReceiveEvent
-from repro.core.lp_encoding import lp_decode, lp_decode_auto, lp_encode, lp_encode_auto
+from repro.core.lp_encoding import lp_decode, lp_encode
 from repro.core.metrics import (
     ValueCountBreakdown,
     matched_events,
@@ -80,9 +80,7 @@ __all__ = [
     "encode_permutation",
     "kernels",
     "lp_decode",
-    "lp_decode_auto",
     "lp_encode",
-    "lp_encode_auto",
     "matched_events",
     "monotonic_fraction",
     "permutation_percentage",

@@ -9,7 +9,8 @@ Three on-storage layouts back the Figure 13 comparison:
   columns still present, as varint arrays.
 * **CDC**: the Figure 8 format — permutation difference, with_next,
   unmatched-test and epoch tables, with every monotone index column passed
-  through the Eq. 3 linear predictor before varint packing.
+  through the Eq. 3 linear predictor before varint packing; a chunk with the
+  replay-assist sender column codes each column as what it is instead.
 
 All layouts are self-describing streams; gzip (zlib) is applied on top by
 :mod:`repro.core.compression` where the method calls for it.
@@ -17,14 +18,14 @@ All layouts are self-describing streams; gzip (zlib) is applied on top by
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.epoch import EpochLine
-from repro.core.events import QuintupleRow, ReceiveEvent
+from repro.core.events import QuintupleRow
 from repro.core.lp_encoding import lp_decode_exact
 from repro.core.permutation import PermutationDiff
 from repro.core.pipeline import CDCChunk
@@ -33,9 +34,7 @@ from repro.core.varint import (
     LP,
     SIGNED,
     STREAM_FLAG_BITS,
-    decode_svarint_array,
     decode_uvarint,
-    decode_uvarint_array,
     decode_varint_stream,
     encode_svarint_array,
     encode_uvarint,
@@ -45,7 +44,7 @@ from repro.core.varint import (
     uvarint_stream_sizes,
 )
 from repro.errors import RecordFormatError
-from repro.obs import get_registry, span
+from repro.obs import get_registry
 
 RAW_MAGIC = b"CDR0"
 RE_MAGIC = b"CDR1"
@@ -60,49 +59,8 @@ CLOCK_BITS = 64
 ROW_BITS = COUNT_BITS + FLAG_BITS + WITH_NEXT_BITS + RANK_BITS + CLOCK_BITS
 
 
-class BitWriter:
-    """Append-only MSB-first bit packer."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._bitpos = 0  # bits already used in the last byte
-
-    def write(self, value: int, bits: int) -> None:
-        if value < 0 or value >= (1 << bits):
-            raise ValueError(f"value {value} does not fit in {bits} bits")
-        for shift in range(bits - 1, -1, -1):
-            bit = (value >> shift) & 1
-            if self._bitpos == 0:
-                self._buf.append(0)
-            self._buf[-1] |= bit << (7 - self._bitpos)
-            self._bitpos = (self._bitpos + 1) % 8
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buf)
-
-    @property
-    def bit_length(self) -> int:
-        return (len(self._buf) - 1) * 8 + (self._bitpos or 8) if self._buf else 0
-
-
-class BitReader:
-    """MSB-first bit reader matching :class:`BitWriter`."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0  # absolute bit position
-
-    def read(self, bits: int) -> int:
-        end = self._pos + bits
-        if end > len(self._data) * 8:
-            raise RecordFormatError("bit stream truncated")
-        value = 0
-        for p in range(self._pos, end):
-            byte = self._data[p // 8]
-            value = (value << 1) | ((byte >> (7 - p % 8)) & 1)
-        self._pos = end
-        return value
-
+#: the fields of a row, in order, at the widths above
+_ROW_FIELDS = (COUNT_BITS, FLAG_BITS, WITH_NEXT_BITS, RANK_BITS, CLOCK_BITS)
 
 # ---------------------------------------------------------------------------
 # Raw (Figure 4) format
@@ -111,41 +69,18 @@ class BitReader:
 
 def serialize_raw_rows(rows: Sequence[QuintupleRow]) -> bytes:
     """Bit-pack quintuple rows at the paper's 162 bits/row."""
-    writer = BitWriter()
-    for row in rows:
-        writer.write(row.count, COUNT_BITS)
-        writer.write(int(row.flag), FLAG_BITS)
-        writer.write(int(bool(row.with_next)), WITH_NEXT_BITS)
-        writer.write(row.rank if row.rank is not None else 0, RANK_BITS)
-        writer.write(row.clock if row.clock is not None else 0, CLOCK_BITS)
-    header = bytearray(RAW_MAGIC)
-    encode_uvarint(len(rows), header)
-    return bytes(header) + writer.getvalue()
-
-
-def deserialize_raw_rows(data: bytes) -> list[QuintupleRow]:
-    """Inverse of :func:`serialize_raw_rows`."""
-    if data[:4] != RAW_MAGIC:
-        raise RecordFormatError("bad raw-record magic")
-    n, offset = decode_uvarint(data, 4)
-    reader = BitReader(data[offset:])
-    rows: list[QuintupleRow] = []
-    for _ in range(n):
-        count = reader.read(COUNT_BITS)
-        flag = bool(reader.read(FLAG_BITS))
-        with_next = bool(reader.read(WITH_NEXT_BITS))
-        rank = reader.read(RANK_BITS)
-        clock = reader.read(CLOCK_BITS)
-        if flag:
-            rows.append(QuintupleRow(count, True, with_next, rank, clock))
-        else:
-            rows.append(QuintupleRow(count, False, None, None, None))
-    return rows
-
-
-def raw_size_bits(rows: Sequence[QuintupleRow]) -> int:
-    """Exact payload size in bits (the paper's 162 * rows accounting)."""
-    return ROW_BITS * len(rows)
+    out = bytearray(RAW_MAGIC)
+    encode_uvarint(len(rows), out)
+    for start in range(0, len(rows), 512):  # blocks end on a byte: four rows are 81
+        block = rows[start : start + 512]
+        cells = [(r.count, r.flag, bool(r.with_next), r.rank or 0, r.clock or 0) for r in block]
+        planes = []
+        for column, width in zip(zip(*cells), _ROW_FIELDS):
+            if min(column) < 0 or max(column) >> width:
+                raise ValueError(f"a value does not fit in {width} bits")
+            planes.append(kernels.to_bits(column, width).reshape(len(block), width))
+        out += kernels.packbits(np.hstack(planes))
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -170,64 +105,46 @@ def serialize_re_tables(tables: Sequence[RecordTable]) -> bytes:
     return bytes(out)
 
 
-def deserialize_re_tables(data: bytes) -> list[RecordTable]:
-    """Inverse of :func:`serialize_re_tables`."""
-    if data[:4] != RE_MAGIC:
-        raise RecordFormatError("bad RE-record magic")
-    callsites, offset = _read_string_table(data, 4)
-    n, offset = decode_uvarint(data, offset)
-    tables: list[RecordTable] = []
-    for _ in range(n):
-        cs, offset = decode_uvarint(data, offset)
-        if cs >= len(callsites):
-            raise RecordFormatError(f"callsite id {cs} out of range")
-        ranks, offset = decode_uvarint_array(data, offset)
-        clocks, offset = decode_svarint_array(data, offset)
-        with_next, offset = decode_uvarint_array(data, offset)
-        u_idx, offset = decode_uvarint_array(data, offset)
-        u_cnt, offset = decode_uvarint_array(data, offset)
-        if len(ranks) != len(clocks) or len(u_idx) != len(u_cnt):
-            raise RecordFormatError("RE table column lengths disagree")
-        tables.append(
-            RecordTable(
-                callsites[cs],
-                tuple(ReceiveEvent(r, c) for r, c in zip(ranks, clocks)),
-                tuple(with_next),
-                tuple(zip(u_idx, u_cnt)),
-            )
-        )
-    return tables
-
-
 # ---------------------------------------------------------------------------
 # CDC (Figure 8) format
 # ---------------------------------------------------------------------------
 
 
+#: how a column is coded: as varints of the chunk's varint run, or as a plane of
+#: its bit section — a bit per event, Rice codes (unary + remainder), a packed index
+VARINT, BITMAP, RICE, PACKED = "varint", "bitmap", "rice", "packed"
+
+
 class Column(NamedTuple):
-    """One length-prefixed column of a chunk: the table its bytes count
-    towards, zig-zag?, Eq. 3 residuals?, and the layout that carries it —
-    ``None`` both, ``True`` only a chunk with the replay-assist column,
+    """One column of a chunk: the table its bytes count towards; how it is
+    coded (a varint: zig-zag? Eq. 3 residuals?); and the layout that carries
+    it — ``None`` both, ``True`` only a chunk with the replay-assist column,
     ``False`` only one without (the paper's)."""
 
     table: str
     signed: bool = False
     lp: bool = False
     assisted: bool | None = None
+    coder: str = VARINT
 
 
-#: The chunk layout, declared once. After the string table a payload is one
-#: run of uvarints (DESIGN.md §6.5): the chunk count, then per chunk
-#: ``callsite id << 1 | assist``, ``num_events`` and its layout's columns,
-#: each ``len, values...``. An assist chunk stores each fact once (DESIGN.md
-#: §5.9): its sender column already holds the epoch ranks and counts.
+#: The chunk layouts, declared once. A paper-exact chunk is one run of
+#: uvarints (DESIGN.md §6.5): ``callsite id << 1``, ``num_events`` and its
+#: columns, each ``len, values...``, every index column through Eq. 3. An
+#: assist chunk stores each fact once (§5.9), each column coded as what it is
+#: (§5.10): flags, ``num_events``, the sender count, the Rice scalars; the
+#: planes; then its varint columns, with no length a neighbour already gives.
 CDC_COLUMNS = (
     Column("permutation", signed=True, lp=True),  # moved reference indices
     Column("permutation", signed=True),  # their delays
-    Column("with_next", signed=True, lp=True),
-    Column("unmatched", signed=True, lp=True),  # run positions
-    Column("unmatched"),  # run lengths
+    Column("with_next", signed=True, lp=True, assisted=False),
+    Column("with_next", assisted=True, coder=BITMAP),  # one bit per event
+    Column("unmatched", signed=True, lp=True, assisted=False),  # run positions
+    Column("unmatched", assisted=False),  # run lengths
+    Column("unmatched", assisted=True, coder=RICE),  # gaps between runs, less one
+    Column("unmatched", assisted=True, coder=RICE),  # run lengths, less one
     Column("epoch", signed=True, lp=True, assisted=False),  # sender ranks, ascending
+    Column("epoch", assisted=True),  # ... as gaps, less one
     # per-sender clock ceiling; with assist, its step from the previous sender's
     Column("epoch", signed=True),
     Column("epoch", assisted=False),  # per-sender receive count
@@ -237,142 +154,267 @@ CDC_COLUMNS = (
     # boundary exceptions (DESIGN.md §5.2): usually both arrays empty
     Column("exceptions"),
     Column("exceptions", signed=True),
-    # replay-assist sender column (DESIGN.md §5.6)
-    Column("assist", assisted=True),
+    # replay-assist sender column (DESIGN.md §5.6): an index into the ranks above
+    Column("assist", assisted=True, coder=PACKED),
 )
 
 #: Byte-attribution buckets, in layout order: the ``format.cdc.<table>_bytes``
-#: telemetry counters, and with the chunk headers (callsite id, num_events)
-#: the fields of ``analysis.size_model.SizeBreakdown``.
+#: counters and, with the chunk headers, ``analysis.size_model.SizeBreakdown``.
 CDC_TABLES = tuple(dict.fromkeys(c.table for c in CDC_COLUMNS))
 CDC_BUCKETS = CDC_TABLES + ("header",)
+#: where a serializer adds its bytes per bucket, when asked
+Sizes = np.ndarray | None
 
 #: the columns of a chunk [0] without, [1] with the assist column
 _LAYOUTS = tuple(
     tuple(c for c in CDC_COLUMNS if c.assisted in (None, flag)) for flag in (False, True)
 )
+_ASSIST_VARINTS = tuple(c for c in _LAYOUTS[True] if c.coder == VARINT)
+
+#: an assist record's first varint: the layout bit, then a bit per optional table
+_HAS = _HAS_PERMUTATION, _HAS_WITH_NEXT, _HAS_UNMATCHED, _HAS_EXCEPTIONS = 2, 4, 8, 16
+#: the frame-payload cap — no frame is written, inflated, or a plane built, past
+#: it (1,024 events fill a few KiB, a million a few MiB); the largest Rice parameter
+MAX_PAYLOAD_BYTES, MAX_RICE_K = 1 << 22, 15
 
 
-def _segment_codes(layout: Sequence[Column]) -> np.ndarray:
-    """A chunk's segments (header, then each column's prefix and body) as
-    stream flags under a table number."""
-    codes = [CDC_BUCKETS.index("header") << STREAM_FLAG_BITS]
-    for col in layout:
-        table = CDC_TABLES.index(col.table) << STREAM_FLAG_BITS
-        codes += [table, table | col.signed * SIGNED | col.lp * LP]
-    return np.array(codes, np.uint8)
+def _code(col: Column) -> int:
+    """A varint column as stream flags under its table's number."""
+    return CDC_TABLES.index(col.table) << STREAM_FLAG_BITS | col.signed * SIGNED | col.lp * LP
 
 
-_SEGMENT_CODES = tuple(map(_segment_codes, _LAYOUTS))
+#: a paper-exact chunk's segments: its header, then each column's length and body
+_PAPER_CODES = np.array(
+    [len(CDC_TABLES) << STREAM_FLAG_BITS]
+    + [code for col in _LAYOUTS[False] for code in (_code(Column(col.table)), _code(col))],
+    np.uint8,
+)
+#: an assist chunk's varint run: the permutation's row count, then its columns
+_ASSIST_CODES = np.array([_code(Column("permutation")), *map(_code, _ASSIST_VARINTS)], np.uint8)
 
 
 def _chunk_columns(chunk: CDCChunk) -> tuple:
-    """A chunk's values, in the order of its layout's columns."""
+    """A paper-exact chunk's values, in the order of its layout's columns."""
     pairs = chunk.epoch.as_sorted_pairs()
     ranks = [r for r, _ in pairs]
-    ceilings = [c for _, c in pairs]
-    senders = chunk.sender_sequence
-    if senders is not None:
-        if sorted(set(senders)) != ranks:
-            raise RecordFormatError("epoch ranks are not the sender column's")
-        epoch = ([c - p for c, p in zip(ceilings, [0] + ceilings)],)
-    else:
-        counts, mins = dict(chunk.sender_counts), dict(chunk.sender_min_clocks)
-        if sorted(counts) != ranks or sorted(mins) != ranks:
-            raise RecordFormatError("epoch / count / min-clock ranks disagree")
-        gaps = [clock - mins[r] for r, clock in pairs]
-        epoch = (ranks, ceilings, [counts[r] for r in ranks], gaps)
+    counts, mins = dict(chunk.sender_counts), dict(chunk.sender_min_clocks)
+    if sorted(counts) != ranks or sorted(mins) != ranks:
+        raise RecordFormatError("epoch / count / min-clock ranks disagree")
     return (
         chunk.diff.indices,
         chunk.diff.delays,
         chunk.with_next_indices,
         [i for i, _ in chunk.unmatched_runs],
         [c for _, c in chunk.unmatched_runs],
-        *epoch,
+        ranks,
+        [c for _, c in pairs],
+        [counts[r] for r in ranks],
+        [clock - mins[r] for r, clock in pairs],
         [r for r, _ in chunk.boundary_exceptions],
         [c for _, c in chunk.boundary_exceptions],
-        *(() if senders is None else (senders,)),
     )
 
 
-def cdc_stream(
-    chunks: Sequence[CDCChunk], cs_id: Mapping[str, int]
-) -> tuple[np.ndarray | list[int], np.ndarray]:
-    """The chunks as the unsigned values their varints carry (LP and zig-zag
-    applied), and per value its segment code (above the flags: the bucket)."""
-    flat, lengths, codes = [], [], []
+def _varint_run(flat: list[int], codes: np.ndarray, lengths: Sequence[int], sizes: Sizes) -> bytes:
+    """A run of varints laid out as segments of one code each (LP and zig-zag
+    applied)."""
+    values = stream_to_unsigned(flat, codes, lengths)
+    if sizes is not None:
+        tables = np.repeat(codes >> STREAM_FLAG_BITS, lengths)
+        sizes += np.bincount(tables, uvarint_stream_sizes(values), len(sizes)).astype(np.int64)
+    return encode_uvarint_stream(values)
+
+
+def _paper_records(chunks: Sequence[CDCChunk], cs_id: Mapping[str, int], sizes: Sizes) -> bytes:
+    """Paper-exact chunks, back to back, as one varint run."""
+    flat, lengths = [], []
     for chunk in chunks:
-        assisted = chunk.sender_sequence is not None
-        flat += (cs_id[chunk.callsite] << 1 | assisted, chunk.num_events)
+        flat += (cs_id[chunk.callsite] << 1, chunk.num_events)
         lengths.append(2)
         for column in _chunk_columns(chunk):
             flat.append(len(column))
             flat += column
             lengths += (1, len(column))
-        codes.append(_SEGMENT_CODES[assisted])
-    codes = np.concatenate(codes) if codes else np.empty(0, np.uint8)
-    return stream_to_unsigned(flat, codes, lengths)
+    return _varint_run(flat, np.tile(_PAPER_CODES, len(chunks)), lengths, sizes)
 
 
-def cdc_table_bytes(values: np.ndarray | list[int], code: np.ndarray) -> list[int]:
-    """Serialized bytes per :data:`CDC_BUCKETS` entry."""
-    sizes = uvarint_stream_sizes(values)
-    buckets = np.bincount(code >> STREAM_FLAG_BITS, sizes, minlength=len(CDC_BUCKETS))
-    return buckets.astype(np.int64).tolist()
+def _flags(chunk: CDCChunk) -> int:
+    """An assist record's first varint, read off the chunk."""
+    tables = chunk.diff.indices, chunk.with_next_indices, chunk.unmatched_runs
+    return 1 + sum(has for has, table in zip(_HAS, (*tables, chunk.boundary_exceptions)) if table)
+
+
+def _assist_record(chunk: CDCChunk, sizes: Sizes) -> bytes:
+    """An assist chunk from its flags on (DESIGN.md §5.10)."""
+    n, senders, with_next = chunk.num_events, chunk.sender_sequence, chunk.with_next_indices
+    pairs = chunk.epoch.as_sorted_pairs()
+    ranks = [r for r, _ in pairs]
+    ceilings = [c for _, c in pairs]
+    if len(senders) != n or sorted(set(senders)) != ranks:
+        raise RecordFormatError("event count or epoch ranks are not the sender column's")
+    scalars = [_flags(chunk), n, len(ranks)]
+    planes: list[tuple[str, np.ndarray]] = []  # (table, bits), in section order
+    if with_next:
+        if sorted(set(with_next)) != list(with_next) or not 0 <= with_next[0] <= with_next[-1] < n:
+            raise ValueError("with_next indices must ascend within the chunk")
+        bitmap = np.zeros(n, np.uint8)
+        bitmap[list(with_next)] = 1
+        planes.append(("with_next", bitmap))
+    if chunk.unmatched_runs:
+        m = len(chunk.unmatched_runs)
+        positions, lengths = zip(*chunk.unmatched_runs)
+        values = np.array(positions + lengths, dtype=np.int64)
+        values[1:m] -= values[: m - 1]  # m positions, then m lengths: each as
+        values[1:] -= 1  # what it adds to the least it can be
+        if int(values.min()) < 0:
+            raise ValueError("unmatched runs must ascend and hold a test each")
+        # k = floor(log2 mean) per column: a quotient then averages under two
+        ks = [
+            min(MAX_RICE_K, max(1, total // m).bit_length() - 1)
+            for total in np.add.reduceat(values, (0, m)).tolist()
+        ]
+        zeros = values >> np.repeat(ks, m)  # each code: its quotient in ones, then a zero
+        zeros += 1
+        zeros = zeros.cumsum() - 1
+        unary_bits = int(zeros[-1]) + 1
+        scalars += [m, *ks, unary_bits]
+        if unary_bits > 8 * MAX_PAYLOAD_BYTES:
+            raise ValueError("an unmatched run too long for the layout")
+        unary = np.ones(unary_bits, np.uint8)
+        unary[zeros] = 0
+        remainders = kernels.to_bits(values[:m], ks[0]), kernels.to_bits(values[m:], ks[1])
+        planes += [("unmatched", plane) for plane in (unary, *remainders)]
+    if len(ranks) > 1:
+        index = np.array(ranks).searchsorted(senders)
+        planes.append(("assist", kernels.to_bits(index, (len(ranks) - 1).bit_length())))
+    else:  # the one sender's index: a zero per event
+        planes.append(("assist", np.zeros(n, np.uint8)))
+    out = bytearray()
+    for scalar in scalars:
+        encode_uvarint(scalar, out)
+    if sizes is not None:
+        sizes[-1] += len(out)
+        # a plane's bytes are the byte ends its bits cross; the pad is the last one's
+        ends = -(-np.cumsum([len(bits) for _, bits in planes]) // 8)
+        for (table, _), size in zip(planes, np.diff(ends, prepend=0).tolist()):
+            sizes[CDC_TABLES.index(table)] += size
+    out += kernels.packbits(np.concatenate([bits for _, bits in planes]))
+    diff, exceptions = chunk.diff, chunk.boundary_exceptions
+    columns = (
+        diff.indices,
+        diff.delays,
+        [r - p - 1 for r, p in zip(ranks, [-1] + ranks)],
+        [c - p for c, p in zip(ceilings, [0] + ceilings)],
+        [r for r, _ in exceptions],
+        [c for _, c in exceptions],
+    )
+    flat = [len(diff.indices)] if diff.indices else []
+    for column in columns:
+        flat += column
+    return bytes(out) + _varint_run(
+        flat, _ASSIST_CODES, [bool(diff.indices), *map(len, columns)], sizes
+    )
+
+
+def cdc_record_sizes(chunks: Sequence[CDCChunk], cs_id: Mapping[str, int]) -> np.ndarray:
+    """Bytes per :data:`CDC_BUCKETS` entry of the chunks' records."""
+    sizes = np.zeros(len(CDC_BUCKETS), np.int64)
+    _paper_records([c for c in chunks if c.sender_sequence is None], cs_id, sizes)
+    for chunk in chunks:
+        if chunk.sender_sequence is not None:
+            _assist_record(chunk, sizes)
+    return sizes
+
+
+def _records(out: bytearray, chunks: Sequence[CDCChunk], cs_id: Mapping, heads: bool) -> bytes:
+    """``out`` + the records; ``heads``: assist ones behind ``id << 1 | 1`` and a length."""
+    registry = get_registry()
+    sizes = np.zeros(len(CDC_BUCKETS), np.int64) if registry.enabled else None
+    for assisted, run in groupby(chunks, lambda c: c.sender_sequence is not None):
+        if not assisted:
+            out += _paper_records(list(run), cs_id, sizes)
+            continue
+        for chunk in run:
+            record = _assist_record(chunk, sizes)
+            if heads:
+                encode_uvarint(cs_id[chunk.callsite] << 1 | 1, out)
+                encode_uvarint(len(record), out)
+            out += record
+    if sizes is not None:
+        registry.counter("format.cdc.serialize_calls").add()
+        registry.counter("format.cdc.chunks_out").add(len(chunks))
+        registry.counter("format.cdc.bytes_out").add(len(out))
+        for table, size in zip(CDC_TABLES, sizes.tolist()):
+            registry.counter(f"format.cdc.{table}_bytes").add(size)
+    return bytes(out)
 
 
 def serialize_cdc_chunks(chunks: Sequence[CDCChunk]) -> bytes:
-    """Serialize fully-encoded CDC chunks (LP-encoded index columns)."""
+    """Serialize fully-encoded CDC chunks: a string table, the chunk count,
+    then the records, each assist chunk's behind a head and its length."""
     out = bytearray(CDC_MAGIC)
     callsites = sorted({c.callsite for c in chunks})
     _write_string_table(out, callsites)
     encode_uvarint(len(chunks), out)
-    values, code = cdc_stream(chunks, {c: i for i, c in enumerate(callsites)})
-    out += encode_uvarint_stream(values)
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("format.cdc.serialize_calls").add()
-        registry.counter("format.cdc.chunks_out").add(len(chunks))
-        registry.counter("format.cdc.bytes_out").add(len(out))
-        for table, n in zip(CDC_TABLES, cdc_table_bytes(values, code)):
-            registry.counter(f"format.cdc.{table}_bytes").add(n)
-    return bytes(out)
+    return _records(out, chunks, {c: i for i, c in enumerate(callsites)}, heads=True)
+
+
+def encode_frame_payload(chunk: CDCChunk) -> bytes:
+    """What an archive frame deflates: the callsite, then the chunk's record
+    to the end of the payload."""
+    out = bytearray()
+    _write_string(out, chunk.callsite)
+    return _records(out, [chunk], {chunk.callsite: 0}, heads=False)
+
+
+def decode_frame_payload(data: bytes) -> CDCChunk:
+    """Inverse of :func:`encode_frame_payload`: exactly one chunk."""
+    callsite, offset = _read_string(data, 0)
+    if decode_uvarint(data, offset)[0] & 1:
+        return _decode_assist(callsite, data, offset, len(data))
+    chunks: list[CDCChunk] = []
+    if _decode_paper_run([callsite], data, offset, 1, chunks) != len(data) or not chunks:
+        raise RecordFormatError("frame payload is not exactly one chunk")
+    return chunks[0]
 
 
 def deserialize_cdc_chunks(data: bytes) -> list[CDCChunk]:
     """Inverse of :func:`serialize_cdc_chunks`."""
-    registry = get_registry()
-    if not registry.enabled:
-        return _deserialize_cdc_chunks(data)
-    with span("format.deserialize_cdc", bytes_in=len(data)) as sp:
-        chunks = _deserialize_cdc_chunks(data)
-        sp.set(chunks=len(chunks))
-    registry.counter("format.cdc.deserialize_calls").add()
-    registry.counter("format.cdc.chunks_in").add(len(chunks))
-    registry.counter("format.cdc.bytes_in").add(len(data))
-    return chunks
-
-
-def _deserialize_cdc_chunks(data: bytes) -> list[CDCChunk]:
     if data[:4] != CDC_MAGIC:
         raise RecordFormatError("bad CDC-record magic")
     callsites, offset = _read_string_table(data, 4)
-    unsigned, signed = decode_varint_stream(data, offset)
-    total = len(unsigned)
-    if not total:
-        raise RecordFormatError(f"truncated varint at offset {offset}")
+    count, offset = decode_uvarint(data, offset)
     chunks: list[CDCChunk] = []
-    i = 1  # next unread value; unsigned[0] is the chunk count
-    for _ in range(unsigned[0]):
+    while len(chunks) < count:
+        head, start = decode_uvarint(data, offset)
+        if not head & 1:
+            offset = _decode_paper_run(callsites, data, offset, count - len(chunks), chunks)
+            continue
+        length, start = decode_uvarint(data, start)
+        offset = start + length
+        if head >> 1 >= len(callsites) or offset > len(data):
+            raise RecordFormatError(f"callsite id {head >> 1} out of range, or record truncated")
+        chunks.append(_decode_assist(callsites[head >> 1], data, start, offset))
+    return chunks
+
+
+def _decode_paper_run(
+    callsites: Sequence[str], data: bytes, offset: int, limit: int, chunks: list[CDCChunk]
+) -> int:
+    """Append up to ``limit`` consecutive paper-exact chunks read from
+    ``offset`` — one varint pass — and return where the next record starts."""
+    unsigned, signed, ends = decode_varint_stream(data, offset)
+    total = len(unsigned)
+    i = 0  # next unread value
+    while limit and i < total and not unsigned[i] & 1:
         if i + 2 > total:
             raise RecordFormatError(f"chunk header truncated at value {i}")
-        head, num_events = unsigned[i : i + 2]
-        cs, assisted = head >> 1, head & 1
+        cs, num_events = unsigned[i] >> 1, unsigned[i + 1]
         if cs >= len(callsites):
             raise RecordFormatError(f"callsite id {cs} out of range")
         i += 2
         columns, rows = [], {}
-        for col in _LAYOUTS[assisted]:
+        for col in _LAYOUTS[False]:
             # a length prefix can promise no more values than bytes arrived
             stop = i + 1 + unsigned[i] if i < total else total + 1
             if stop > total:
@@ -383,24 +425,8 @@ def _deserialize_cdc_chunks(data: bytes) -> list[CDCChunk]:
                 raise RecordFormatError(f"{col.table} columns disagree")
             columns.append(tuple(lp_decode_exact(body) if col.lp else body))
             i = stop
-        if assisted:
-            # derived, not stored (DESIGN.md §5.9): the sender column's
-            # distinct values and histogram are the epoch ranks and counts
-            (p_idx, p_delay, w_idx, u_idx, u_cnt, steps, x_rank, x_clock,
-             senders) = columns
-            e_count = sorted(Counter(senders).items())
-            if len(senders) != num_events or len(steps) != len(e_count):
-                raise RecordFormatError(
-                    f"{len(senders)} senders ({len(e_count)} distinct) for "
-                    f"{num_events} events under {len(steps)} epoch ceilings"
-                )
-            e_rank = [r for r, _ in e_count]
-            e_clock, e_min = accumulate(steps), ()
-        else:
-            (p_idx, p_delay, w_idx, u_idx, u_cnt, e_rank, e_clock, e_count,
-             e_min_gap, x_rank, x_clock) = columns
-            senders, e_count = None, zip(e_rank, e_count)
-            e_min = ((r, c - g) for r, c, g in zip(e_rank, e_clock, e_min_gap))
+        (p_idx, p_delay, w_idx, u_idx, u_cnt, e_rank, e_clock, e_count,
+         e_min_gap, x_rank, x_clock) = columns
         chunks.append(
             CDCChunk(
                 callsite=callsites[cs],
@@ -409,13 +435,85 @@ def _deserialize_cdc_chunks(data: bytes) -> list[CDCChunk]:
                 with_next_indices=w_idx,
                 unmatched_runs=tuple(zip(u_idx, u_cnt)),
                 epoch=EpochLine(dict(zip(e_rank, e_clock))),
-                sender_counts=tuple(e_count),
-                sender_min_clocks=tuple(e_min),
+                sender_counts=tuple(zip(e_rank, e_count)),
+                sender_min_clocks=tuple(
+                    (r, c - g) for r, c, g in zip(e_rank, e_clock, e_min_gap)
+                ),
                 boundary_exceptions=tuple(zip(x_rank, x_clock)),
-                sender_sequence=senders,
             )
         )
-    return chunks
+        limit -= 1
+    return int(ends[i - 1]) + 1 if i else offset
+
+
+def _decode_assist(callsite: str, data: bytes, offset: int, stop: int) -> CDCChunk:
+    """The assist chunk whose record is ``data[offset:stop]``. Every plane is
+    sized from the scalars and checked against the bytes present before any
+    is unpacked; what the encoder cannot have written is refused."""
+    flags, offset = decode_uvarint(data, offset)
+    scalars = [0] * 6  # events, senders; runs, two Rice parameters, bits of the unary plane
+    for j in range(6 if flags & _HAS_UNMATCHED else 2):
+        scalars[j], offset = decode_uvarint(data, offset)
+    n, d, m, k_gap, k_len, unary_bits = scalars
+    width = max(1, (d - 1).bit_length())
+    planes = (n * bool(flags & _HAS_WITH_NEXT), unary_bits, m * k_gap, m * k_len, n * width)
+    bounds = list(accumulate(planes, initial=0))
+    run = offset + -(-bounds[-1] // 8)  # where the varint run starts
+    if run > stop or not (d <= n and (d or not n)) or max(k_gap, k_len) > MAX_RICE_K:
+        raise RecordFormatError(f"planes of {bounds[-1]} bits ({n} events, {d} senders, {m} runs "
+                                f"at Rice {k_gap}/{k_len}) in a record of {stop - offset} bytes")
+    if run > offset and data[run - 1] & (1 << -bounds[-1] % 8) - 1:
+        raise RecordFormatError("pad bits behind the planes are not zero")
+    bits = kernels.unpackbits(data, offset, run - offset)
+    with_next, unary, low_gap, low_len, index = (bits[a:b] for a, b in zip(bounds, bounds[1:]))
+    runs: tuple = ()
+    if m:
+        zeros = (unary == 0).nonzero()[0]
+        if len(zeros) != 2 * m or zeros[-1] != unary_bits - 1:
+            raise RecordFormatError(f"unary plane holds {len(zeros)} codes for {m} runs")
+        zeros[1:] -= zeros[:-1]  # each code's length: its quotient and a zero
+        zeros[0] += 1
+        gaps = (zeros[:m] - 1 << k_gap) + kernels.from_bits(low_gap, m, k_gap)
+        lengths = (zeros[m:] - 1 << k_len) + kernels.from_bits(low_len, m, k_len) + 1
+        runs = tuple(zip((np.cumsum(gaps + 1) - 1).tolist(), lengths.tolist()))
+    unsigned, signed, ends = decode_varint_stream(data[run:stop], 0)
+    total = len(unsigned)
+    i = bool(flags & _HAS_PERMUTATION)
+    moved = unsigned[0] if i and total else 0
+    pairs, odd = divmod(total - i - 2 * moved - 2 * d, 2)
+    if pairs < 0 or odd or (int(ends[-1]) + 1 if total else 0) != stop - run:
+        raise RecordFormatError(f"varint run of {total} values for {moved} moved, {d} senders")
+    rows = {"permutation": moved, "epoch": d, "exceptions": pairs}
+    columns = []
+    for col in _ASSIST_VARINTS:
+        body = (signed if col.signed else unsigned)[i : i + rows[col.table]]
+        columns.append(tuple(lp_decode_exact(body) if col.lp else body))
+        i += len(body)
+    p_idx, p_delay, rank_gaps, steps, x_rank, x_clock = columns
+    ranks = list(accumulate(rank_gaps, lambda rank, gap: rank + gap + 1))
+    if d > 1:
+        index = kernels.from_bits(index, n, width)
+        counts = np.bincount(index, minlength=d).tolist()
+    else:  # at most one sender: its index is a zero per event
+        counts = [0] if index.any() else [n] * d
+    if len(counts) != d or not all(counts):
+        raise RecordFormatError("sender index past the sender list, or a sender no event names")
+    chunk = CDCChunk(
+        callsite=callsite,
+        num_events=n,
+        diff=PermutationDiff(n, p_idx, p_delay),
+        with_next_indices=tuple(with_next.nonzero()[0].tolist()),
+        unmatched_runs=runs,
+        # derived, not stored (DESIGN.md §5.9): the sender column's distinct
+        # values and histogram are the epoch ranks and counts
+        epoch=EpochLine(dict(zip(ranks, accumulate(steps)))),
+        sender_counts=tuple(zip(ranks, counts)),
+        boundary_exceptions=tuple(zip(x_rank, x_clock)),
+        sender_sequence=tuple(np.array(ranks)[index].tolist() if d > 1 else ranks * n),
+    )
+    if _flags(chunk) != flags:
+        raise RecordFormatError(f"record flags {flags:#x} name a table the record does not hold")
+    return chunk
 
 
 # ---------------------------------------------------------------------------
@@ -423,24 +521,32 @@ def _deserialize_cdc_chunks(data: bytes) -> list[CDCChunk]:
 # ---------------------------------------------------------------------------
 
 
+def _write_string(out: bytearray, string: str) -> None:
+    raw = string.encode("utf-8")
+    encode_uvarint(len(raw), out)
+    out += raw
+
+
+def _read_string(data: bytes, offset: int) -> tuple[str, int]:
+    length, offset = decode_uvarint(data, offset)
+    if offset + length > len(data):
+        raise RecordFormatError("string table truncated")
+    try:
+        return data[offset : offset + length].decode("utf-8"), offset + length
+    except UnicodeDecodeError as exc:
+        raise RecordFormatError(f"string table: {exc}") from None
+
+
 def _write_string_table(out: bytearray, strings: Sequence[str]) -> None:
     encode_uvarint(len(strings), out)
-    for s in strings:
-        raw = s.encode("utf-8")
-        encode_uvarint(len(raw), out)
-        out += raw
+    for string in strings:
+        _write_string(out, string)
 
 
 def _read_string_table(data: bytes, offset: int) -> tuple[list[str], int]:
     n, offset = decode_uvarint(data, offset)
     strings: list[str] = []
     for _ in range(n):
-        length, offset = decode_uvarint(data, offset)
-        if offset + length > len(data):
-            raise RecordFormatError("string table truncated")
-        try:
-            strings.append(data[offset : offset + length].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise RecordFormatError(f"string table: {exc}") from None
-        offset += length
+        string, offset = _read_string(data, offset)
+        strings.append(string)
     return strings, offset

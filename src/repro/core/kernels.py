@@ -48,6 +48,8 @@ __all__ = [
     "uvarint_sizes",
     "lp_encode_segments",
     "stream_to_unsigned",
+    "packbits", "unpackbits",
+    "to_bits", "from_bits",
 ]
 
 #: Accepted column types: any int sequence or a numpy integer array.
@@ -250,6 +252,39 @@ def stream_to_unsigned(
     if int(z.min()) < 0:
         raise ValueError(f"uvarint requires value >= 0, got {int(x[z < 0][0])}")
     return z.view(np.uint64)
+
+
+# ---------------------------------------------------------------------------
+# bit planes: what a CDC frame (DESIGN.md §5.10) or a raw row is not a varint of
+# ---------------------------------------------------------------------------
+
+#: shift of each bit of a value, most significant first
+_BIT_SHIFTS = np.arange(63, -1, -1, dtype=np.uint64)
+
+
+def packbits(bits: np.ndarray) -> bytes:
+    """A 0/1 uint8 array as bytes, first bit highest, zero-padded to a byte."""
+    return np.packbits(bits).tobytes()
+
+
+def unpackbits(buf: bytes, offset: int, count: int) -> np.ndarray:
+    """The ``8 * count`` bits of ``buf[offset : offset + count]``."""
+    return np.unpackbits(np.frombuffer(buf, np.uint8, count, offset))
+
+
+def to_bits(values: IntArray, width: int) -> np.ndarray:
+    """The low ``width`` bits of each value, high bit first: one flat plane."""
+    v = np.asarray(values, dtype=np.uint64)
+    if width <= 1:  # nothing to spread: the plane is empty, or the low bits themselves
+        return (v & _U1).astype(np.uint8) if width else np.empty(0, np.uint8)
+    return (v[:, None] >> _BIT_SHIFTS[64 - width :] & _U1).astype(np.uint8).ravel()
+
+
+def from_bits(bits: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """Inverse of :func:`to_bits` over ``rows * width`` bits, as int64 values."""
+    if width <= 1:
+        return np.zeros(rows, np.int64) if not width else bits.astype(np.int64)
+    return (bits.reshape(rows, width) @ (_U1 << _BIT_SHIFTS[64 - width :])).view(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -95,15 +95,19 @@ def decode_svarint(buf: bytes, offset: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def encode_uvarint_array(values: Iterable[int]) -> bytes:
-    """Length-prefixed array of unsigned varints."""
+def _encode_array(values: Iterable[int], signed: bool) -> bytes:
     vals = values if isinstance(values, (list, tuple, np.ndarray)) else list(values)
     out = bytearray()
     encode_uvarint(len(vals), out)
-    body = kernels.uvarint_encode_batch(vals)
-    if body is None:
-        return bytes(out) + _encode_uvarint_body_scalar(vals)
+    body = (kernels.svarint_encode_batch if signed else kernels.uvarint_encode_batch)(vals)
+    if body is None:  # beyond the kernels' range: the scalar reference
+        body = _encode_uvarint_body_scalar(map(zigzag_encode, map(int, vals)) if signed else vals)
     return bytes(out) + body
+
+
+def encode_uvarint_array(values: Iterable[int]) -> bytes:
+    """Length-prefixed array of unsigned varints."""
+    return _encode_array(values, signed=False)
 
 
 def _decode_array(buf: bytes, offset: int, signed: bool) -> tuple[list[int], int]:
@@ -123,13 +127,7 @@ def decode_uvarint_array(buf: bytes, offset: int) -> tuple[list[int], int]:
 
 def encode_svarint_array(values: Iterable[int]) -> bytes:
     """Length-prefixed array of signed varints."""
-    vals = values if isinstance(values, (list, tuple, np.ndarray)) else list(values)
-    out = bytearray()
-    encode_uvarint(len(vals), out)
-    body = kernels.svarint_encode_batch(vals)
-    if body is None:
-        return bytes(out) + _encode_svarint_body_scalar(vals)
-    return bytes(out) + body
+    return _encode_array(values, signed=True)
 
 
 def decode_svarint_array(buf: bytes, offset: int) -> tuple[list[int], int]:
@@ -146,31 +144,40 @@ def decode_svarint_array(buf: bytes, offset: int) -> tuple[list[int], int]:
 #: from ``STREAM_FLAG_BITS`` up belong to the caller (the CDC layout keeps
 #: a table number there).
 SIGNED, LP, STREAM_FLAG_BITS = 1, 2, 2
+#: A kernel pass costs what some hundred scalar steps do whatever its length:
+#: a stream shorter than this many values (or bytes) takes the scalar producer,
+#: whose output is the same to the byte.
+KERNEL_MIN_VALUES = 128
 
 
 def stream_to_unsigned(
     values: list[int], segment_flags: np.ndarray, segment_lengths: Sequence[int]
-) -> tuple[np.ndarray | list[int], np.ndarray]:
+) -> np.ndarray | list[int]:
     """Apply LP and zig-zag to a stream laid out as consecutive segments of
-    uniform flags; returns the unsigned values to pack and per-value flags.
+    uniform flags; returns the unsigned values to pack.
 
     An LP segment must follow a non-LP one (its length prefix). The values
-    come back as one uint64 array — or, when any is too large for int64
-    arithmetic to be exact, as a list from the same steps on Python ints.
+    come back as one uint64 array — or, when the stream is short or any value
+    is too large for int64 arithmetic to be exact, as a list from the same
+    steps on Python ints.
     """
-    flags = np.repeat(segment_flags, segment_lengths)
-    unsigned = kernels.stream_to_unsigned(
-        values, (flags & SIGNED).view(bool), (flags & LP).astype(bool)
-    )
+    unsigned = None
+    if len(values) >= KERNEL_MIN_VALUES:
+        flags = np.repeat(segment_flags, segment_lengths)
+        unsigned = kernels.stream_to_unsigned(
+            values, (flags & SIGNED).view(bool), (flags & LP).astype(bool)
+        )
     if unsigned is None:
         unsigned, start = [], 0
         for seg, n in zip(segment_flags.tolist(), segment_lengths):
+            if not n:
+                continue
             body = values[start : start + n]
             start += n
             if seg & LP:
                 body = lp_encode(body)
             unsigned += map(zigzag_encode, body) if seg & SIGNED else body
-    return unsigned, flags
+    return unsigned
 
 
 def encode_uvarint_stream(values: np.ndarray | Sequence[int]) -> bytes:
@@ -188,26 +195,29 @@ def uvarint_stream_sizes(values: np.ndarray | Sequence[int]) -> np.ndarray:
     return np.array([uvarint_size(v) for v in values], dtype=np.intp)
 
 
-def decode_varint_stream(buf: bytes, offset: int) -> tuple[list[int], list[int]]:
+def decode_varint_stream(buf: bytes, offset: int) -> tuple[list[int], list[int], Sequence[int]]:
     """Every complete varint of ``buf[offset:]``, read unsigned and read
-    zig-zag.
+    zig-zag, and the position of each one's last byte.
 
     A tail that is cut short or over-long is left out rather than raised:
     whoever walks the values raises when it needs one that is not there.
     """
-    decoded = kernels.uvarint_decode_batch(buf, offset)
+    short = len(buf) - offset < KERNEL_MIN_VALUES
+    decoded = None if short else kernels.uvarint_decode_batch(buf, offset)
     if decoded is not None:
-        raw = decoded[0]
-        return raw.tolist(), kernels.zigzag_decode_array(raw).tolist()
+        raw, ends = decoded
+        return raw.tolist(), kernels.zigzag_decode_array(raw).tolist(), ends
     unsigned: list[int] = []
+    ends: list[int] = []
     pos = offset
     try:
         while pos < len(buf):
             value, pos = decode_uvarint(buf, pos)
             unsigned.append(value)
+            ends.append(pos - 1)
     except RecordFormatError:
         pass
-    return unsigned, [zigzag_decode(v) for v in unsigned]
+    return unsigned, [zigzag_decode(v) for v in unsigned], ends
 
 
 # -- scalar reference implementations (fallback + kernel test oracle) -------
@@ -216,31 +226,14 @@ def decode_varint_stream(buf: bytes, offset: int) -> tuple[list[int], list[int]]
 def _encode_uvarint_body_scalar(vals: Sequence[int]) -> bytes:
     out = bytearray()
     for v in vals:
-        encode_uvarint(int(v), out)
+        v = int(v)
+        if v < 0:
+            raise ValueError(f"uvarint requires value >= 0, got {v}")
+        while v > _PAYLOAD:  # encode_uvarint, without a call per value
+            out.append(v & _PAYLOAD | _CONT)
+            v >>= 7
+        out.append(v)
     return bytes(out)
-
-
-def _encode_svarint_body_scalar(vals: Sequence[int]) -> bytes:
-    out = bytearray()
-    for v in vals:
-        encode_svarint(int(v), out)
-    return bytes(out)
-
-
-def encode_uvarint_array_scalar(values: Iterable[int]) -> bytes:
-    """Scalar reference for :func:`encode_uvarint_array` (kernel oracle)."""
-    vals = list(values)
-    out = bytearray()
-    encode_uvarint(len(vals), out)
-    return bytes(out) + _encode_uvarint_body_scalar(vals)
-
-
-def encode_svarint_array_scalar(values: Iterable[int]) -> bytes:
-    """Scalar reference for :func:`encode_svarint_array` (kernel oracle)."""
-    vals = list(values)
-    out = bytearray()
-    encode_uvarint(len(vals), out)
-    return bytes(out) + _encode_svarint_body_scalar(vals)
 
 
 def _decode_varints_scalar(
@@ -252,18 +245,6 @@ def _decode_varints_scalar(
         v, pos = decode(buf, pos)
         values.append(v)
     return values, pos
-
-
-def decode_uvarint_array_scalar(buf: bytes, offset: int) -> tuple[list[int], int]:
-    """Scalar reference for :func:`decode_uvarint_array` (kernel oracle)."""
-    n, pos = decode_uvarint(buf, offset)
-    return _decode_varints_scalar(buf, pos, n, signed=False)
-
-
-def decode_svarint_array_scalar(buf: bytes, offset: int) -> tuple[list[int], int]:
-    """Scalar reference for :func:`decode_svarint_array` (kernel oracle)."""
-    n, pos = decode_uvarint(buf, offset)
-    return _decode_varints_scalar(buf, pos, n, signed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -280,28 +261,3 @@ def uvarint_size(value: int) -> int:
         value >>= 7
         size += 1
     return size
-
-
-def svarint_size(value: int) -> int:
-    """Byte length :func:`encode_svarint` would produce for ``value``."""
-    return uvarint_size(zigzag_encode(value))
-
-
-def array_payload_size(values: Sequence[int], signed: bool) -> int:
-    """Total encoded size of a length-prefixed varint array."""
-    header = uvarint_size(len(values))
-    if signed:
-        try:
-            x = np.asarray(values, dtype=np.int64)
-        except (OverflowError, ValueError):
-            return header + sum(svarint_size(v) for v in values)
-        return header + int(kernels.uvarint_sizes(kernels.zigzag_encode_array(x)).sum())
-    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        if values.size and bool((values < 0).any()):
-            raise ValueError("uvarint requires value >= 0")
-    try:
-        v = np.asarray(values, dtype=np.uint64)
-    except (OverflowError, ValueError):
-        # negatives raise from uvarint_size; arbitrary precision falls back
-        return header + sum(uvarint_size(v) for v in values)
-    return header + int(kernels.uvarint_sizes(v).sum())

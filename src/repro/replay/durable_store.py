@@ -8,18 +8,19 @@ storage must be able to lose a tail without losing the run.
 
 **Rank file layout** (``rank-NNNNN.cdc``)::
 
-    magic "CDCARC3\\n" (8 bytes)
+    magic "CDCARC4\\n" (8 bytes)
     frame*                       appended as chunks flush
     frame := uvarint length of body (at most 5 bytes)
              u32 CRC32 of body (LE)
-             body = raw deflate of serialize_cdc_chunks([chunk])
+             body = raw deflate of encode_frame_payload(chunk), a payload
+                    of at most MAX_PAYLOAD_BYTES
 
 Each frame holds exactly one CDC chunk and is a function of that chunk
 alone, so any valid frame prefix is an epoch-aligned chunk prefix: salvage
 never has to split a chunk (DESIGN.md §5.9 on why frames stay stateless and
-carry one checksum). The
-manifest (written last, atomically) records the expected frame count per
-rank, letting the loader distinguish a clean short record from a crash.
+carry one checksum). The one-line manifest (written last, atomically) lists
+the expected frame count per rank, letting the loader tell a clean short
+record from a crash.
 This is the only layout — a manifest that does not declare it, or a rank
 file without the magic, is an error in every mode — and an archive's size
 (:meth:`RecordArchive.rank_bytes`) is the size of these files, whether it
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, IO, Iterator, Mapping
 
 from repro.core.compression import ZLIB_LEVEL
-from repro.core.formats import deserialize_cdc_chunks, serialize_cdc_chunks
+from repro.core.formats import MAX_PAYLOAD_BYTES, decode_frame_payload, encode_frame_payload
 from repro.core.pipeline import CDCChunk
 from repro.core.varint import decode_uvarint, encode_uvarint, uvarint_size
 from repro.errors import ArchiveCorruptionError, RecordFormatError
@@ -80,13 +81,16 @@ __all__ = [
     "summarize",
 ]
 
-ARCHIVE_MAGIC = b"CDCARC3\n"
-ARCHIVE_VERSION = 3
+ARCHIVE_MAGIC = b"CDCARC4\n"
+ARCHIVE_VERSION = 4
 MANIFEST_NAME = "MANIFEST"
 
 #: a frame's header: the varint length of its body (a u32: at most five
 #: bytes), then the body's CRC32 (four bytes, little-endian).
 _MAX_LENGTH_BYTES, _CRC_BYTES = 5, 4
+#: a manifest-less directory may miss this many rank files below its highest
+#: one: past that, a file name does not say how many ranks there were
+MAX_ABSENT_RANKS = 64
 
 Opener = Callable[..., IO[bytes]]
 
@@ -172,7 +176,9 @@ def _retry_io(fn: Callable[[], object], policy: RetryPolicy):
 def _encode_frame(chunk: CDCChunk) -> tuple[bytes, int, int]:
     """(frame, pre-deflate payload length, deflated length) for one chunk.
     The deflate stream is raw: the frame's CRC already covers it."""
-    raw = serialize_cdc_chunks([chunk])
+    raw = encode_frame_payload(chunk)
+    if len(raw) > MAX_PAYLOAD_BYTES:
+        raise RecordFormatError(f"frame payload of {len(raw)} bytes is over the cap")
     deflate = zlib.compressobj(ZLIB_LEVEL, zlib.DEFLATED, -15)
     body = deflate.compress(raw) + deflate.flush()
     header = bytearray()
@@ -424,17 +430,16 @@ def _atomic_write(
         _fsync_dir(os.path.dirname(path) or ".")
 
 
-def _manifest_bytes(
-    nprocs: int, frames: dict[int, int], meta: dict[str, object]
-) -> bytes:
+def _manifest_bytes(frames: list[int], meta: dict[str, object]) -> bytes:
+    """The manifest: one line of JSON, rank ``r``'s frame count at ``frames[r]``."""
     manifest = {
         "format": "cdc-archive",
         "version": ARCHIVE_VERSION,
-        "nprocs": nprocs,
-        "frames": {str(rank): count for rank, count in sorted(frames.items())},
+        "nprocs": len(frames),
+        "frames": frames,
         "meta": meta,
     }
-    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 class DurableArchiveWriter:
@@ -465,7 +470,7 @@ class DurableArchiveWriter:
         self._fsync = fsync
         os.makedirs(directory, exist_ok=True)
         #: frames written per rank: the manifest's frame table.
-        self.frames = dict.fromkeys(range(nprocs), 0)
+        self.frames = [0] * nprocs
         self._files: dict[int, IO[bytes]] = {}
         for rank in range(nprocs):
             path = os.path.join(directory, rank_filename(rank))
@@ -521,7 +526,7 @@ class DurableArchiveWriter:
             fh.close()
         _atomic_write(
             os.path.join(self.directory, MANIFEST_NAME),
-            _manifest_bytes(self.nprocs, self.frames, dict(meta or {})),
+            _manifest_bytes(self.frames, dict(meta or {})),
             self._opener,
             self._fsync,
             self.retry,
@@ -561,20 +566,18 @@ def save_archive(
     """
     policy = retry if retry is not None else RetryPolicy()
     os.makedirs(directory, exist_ok=True)
-    frames: dict[int, int] = {}
     for rank in range(archive.nprocs):
-        chunks = archive.chunks(rank)
-        frames[rank] = len(chunks)
         _atomic_write(
             os.path.join(directory, rank_filename(rank)),
-            ARCHIVE_MAGIC + b"".join(map(frame_bytes, chunks)),
+            ARCHIVE_MAGIC + b"".join(map(frame_bytes, archive.chunks(rank))),
             opener,
             fsync,
             policy,
         )
+    frames = [len(archive.chunks(rank)) for rank in range(archive.nprocs)]
     _atomic_write(
         os.path.join(directory, MANIFEST_NAME),
-        _manifest_bytes(archive.nprocs, frames, dict(archive.meta)),
+        _manifest_bytes(frames, dict(archive.meta)),
         opener,
         fsync,
         policy,
@@ -611,13 +614,13 @@ def _parse_rank_frames(
             break
         try:
             inflate = zlib.decompressobj(-15)
-            raw = inflate.decompress(body)
-            if not inflate.eof or inflate.unused_data:
-                raise ValueError("body is not one complete deflate stream")
-            [chunk] = deserialize_cdc_chunks(raw)
+            raw = inflate.decompress(body, MAX_PAYLOAD_BYTES)
+            if not inflate.eof or inflate.unused_data:  # cut, over the cap, or trailed
+                raise ValueError("body is not one complete deflate stream under the cap")
+            chunk = decode_frame_payload(raw)
         except (zlib.error, RecordFormatError, ValueError) as exc:
             # CRC passed but content is bad (ValueError: not exactly one
-            # stream holding one chunk): written corrupt, not bit rot.
+            # stream): written corrupt, not bit rot.
             recovery.failure = "frame-decode-error"
             recovery.detail = f"frame {recovery.frames_kept}: {exc}"
             break
@@ -637,7 +640,7 @@ def _json_count(value: Any, what: str) -> int:
 
 def _read_manifest(
     directory: str, opener: Opener
-) -> tuple[int, dict[str, object], dict[int, int]] | None:
+) -> tuple[int, dict[str, object], list[int]] | None:
     """Return (nprocs, meta, expected frames per rank); None if absent.
 
     Outside input: every value is type-checked, and the frame table must
@@ -663,18 +666,13 @@ def _read_manifest(
             )
         nprocs = _json_count(manifest["nprocs"], "nprocs")
         frames, meta = manifest["frames"], manifest.get("meta", {})
-        if not isinstance(frames, dict) or not isinstance(meta, dict):
-            raise ValueError("frames and meta must be objects")
+        if not isinstance(frames, list) or not isinstance(meta, dict):
+            raise ValueError("frames must be a list and meta an object")
         if len(frames) != nprocs:
             raise ValueError(
                 f"frame table has {len(frames)} rank(s), nprocs is {nprocs}"
             )
-        expected = {
-            int(rank): _json_count(count, f"frames[{rank!r}]")
-            for rank, count in frames.items()
-        }
-        if set(expected) != set(range(nprocs)):  # nprocs == len(frames) by now
-            raise ValueError(f"frame table ranks disagree with nprocs {nprocs}")
+        expected = [_json_count(count, f"frames[{rank}]") for rank, count in enumerate(frames)]
     except (ValueError, LookupError, TypeError, RecursionError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise RecordFormatError(f"malformed MANIFEST in {directory}: {what}") from exc
@@ -682,18 +680,13 @@ def _read_manifest(
 
 
 def _scan_rank_files(directory: str) -> list[int]:
-    ranks = []
     try:
         entries = os.listdir(directory)
     except FileNotFoundError:
         return []
-    for name in entries:
-        if name.startswith("rank-") and name.endswith(".cdc"):
-            try:
-                ranks.append(int(name[len("rank-"): -len(".cdc")]))
-            except ValueError:
-                continue
-    return sorted(ranks)
+    names = (n for n in entries if n.startswith("rank-") and n.endswith(".cdc"))
+    numbers = (n.removeprefix("rank-").removesuffix(".cdc") for n in names)
+    return sorted(int(n) for n in numbers if n.isdecimal())
 
 
 def load_archive(
@@ -744,6 +737,11 @@ def _load_archive(
         if strict or not ranks_present:
             raise RecordFormatError(f"no MANIFEST in {directory}")
         nprocs, meta, expected_frames = ranks_present[-1] + 1, {}, None
+        if nprocs - len(ranks_present) > MAX_ABSENT_RANKS:
+            raise RecordFormatError(
+                f"no MANIFEST in {directory} and {len(ranks_present)} rank file(s) "
+                f"below rank {nprocs}: too sparse to infer the rank count"
+            )
         report.manifest_ok = False
         report.notes.append(
             "MANIFEST missing (crash before finalize?); "

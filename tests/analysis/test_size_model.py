@@ -12,19 +12,25 @@ from repro.analysis.size_model import (
     chunk_breakdown,
 )
 from repro.core.events import ReceiveEvent
-from repro.core.formats import serialize_cdc_chunks
+from repro.core.formats import encode_frame_payload, serialize_cdc_chunks
+from repro.core.varint import uvarint_size
 from repro.core.pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from tests.core.test_pipeline import random_events
 
 
 def serialized_chunk_bytes(chunk):
-    """Actual bytes one chunk occupies in a single-chunk stream, minus the
-    stream preamble (magic + string table + count)."""
-    data = serialize_cdc_chunks([chunk])
+    """Actual bytes of one chunk's record: what a frame payload holds behind
+    its callsite — and a single-chunk container behind its preamble (magic +
+    string table + count) and, for an assist chunk, the head and length it
+    puts in front of the record."""
     raw_cs = chunk.callsite.encode("utf-8")
+    record = len(encode_frame_payload(chunk)) - 1 - len(raw_cs)
     preamble = 4 + 1 + 1 + len(raw_cs) + 1  # magic, n_cs, len, cs, n_chunks
-    return len(data) - preamble
+    if chunk.sender_sequence is not None:
+        preamble += 1 + uvarint_size(record)
+    assert len(serialize_cdc_chunks([chunk])) - preamble == record
+    return record
 
 
 class TestExactness:
@@ -48,7 +54,7 @@ class TestExactness:
         _, _, result = mcb_record
         breakdown = archive_breakdown(result.archive)
         actual = sum(  # what the store deflates: one payload per chunk
-            len(serialize_cdc_chunks([chunk])) for _, chunk in result.archive.iter_all()
+            len(encode_frame_payload(chunk)) for _, chunk in result.archive.iter_all()
         )
         assert breakdown.total == actual == result.archive.total_payload_bytes()
 
@@ -86,8 +92,8 @@ class TestAttribution:
 
 class TestDeclaredLayout:
     """The breakdown and the ``format.cdc.<table>_bytes`` counters read the
-    serializer's own stream: same numbers as the hand-written walk they
-    replaced (``tests/core/oracles.py``), and they account for every byte."""
+    serializer's own varint run and planes: same numbers as the hand-written
+    walks in ``tests/core/oracles.py``, and they account for every byte."""
 
     @pytest.fixture(scope="class", params=["mcb", "unstructured"])
     def archive(self, request):
@@ -114,12 +120,14 @@ class TestDeclaredLayout:
 
         for rank in range(archive.nprocs):
             for chunk in archive.chunks(rank):
-                registry = TelemetryRegistry()
-                with use_registry(registry):
-                    payload = serialize_cdc_chunks([chunk])
-                counters = registry.counters()
-                tables = {t: counters[f"format.cdc.{t}_bytes"] for t in CDC_TABLES}
                 breakdown = chunk_breakdown(chunk)
-                assert tables == {t: getattr(breakdown, t) for t in CDC_TABLES}
-                preamble = len(payload) - serialized_chunk_bytes(chunk)
-                assert sum(tables.values()) + breakdown.header + preamble == len(payload)
+                for serializer in (encode_frame_payload, lambda c: serialize_cdc_chunks([c])):
+                    registry = TelemetryRegistry()
+                    with use_registry(registry):
+                        payload = serializer(chunk)
+                    counters = registry.counters()
+                    tables = {t: counters[f"format.cdc.{t}_bytes"] for t in CDC_TABLES}
+                    assert tables == {t: getattr(breakdown, t) for t in CDC_TABLES}
+                    assert counters["format.cdc.bytes_out"] == len(payload)
+                    framing = len(payload) - serialized_chunk_bytes(chunk)
+                    assert sum(tables.values()) + breakdown.header + framing == len(payload)

@@ -1,42 +1,54 @@
 """Reference implementations the CDC frame path is checked against.
 
-These are *oracles*: the per-column serializer, deserializer and size
-walk that used to be the production path, kept only so tests can assert
-the one-stream replacements give the same bytes, the same chunks and the
-same errors. They live under ``tests/`` on purpose — nothing on the import
-path may call them. So that they share no kernel with what they check,
-every helper name the bodies call is bound here to the *scalar* reference
-implementation (one Python step per byte). They follow the layout — the
-version-3 edits (header bit instead of a presence byte; an assist chunk
-stores ceiling steps and no epoch ranks, counts or first-clock gaps) are
-made here column by column, independently of ``formats.CDC_COLUMNS``.
+These are *oracles*: code that used to be the production path, or that
+spells the format out one Python step per byte or bit, kept only so tests
+can assert the production codec gives the same bytes, the same chunks and
+the same errors. They live under ``tests/`` on purpose — nothing on the
+import path may call them — and they share no kernel with what they check.
 
-The second half is the *parent's encoder*, bodies verbatim from the
-commit before "each fact once" (7b1d829): ``encode_chunk`` with its batch
-and scalar helpers, ``encode_chunk_sequence`` and the per-sender slot
-ranking of ``assist_occurrence_indices``. It still computes every column
-an assist chunk no longer stores, and its ``diff`` is against Definition
-6's ``(clock, rank)`` order, so tests can show that what the new layout
-derives equals what the old one stored and that both schedules deliver
-the same messages.
+* The **scalar varint / LP references** (``*_array_scalar``, ``svarint_size``,
+  ``array_payload_size``, ``lp_encode_array`` / ``lp_decode_array`` and the
+  range-switching ``lp_encode_auto`` / ``lp_decode_auto``) left ``src/`` when
+  their last caller there did.
+* The **paper-exact chunk layout**, column by column, as PR 14's per-column
+  serializer wrote it: one length-prefixed varint array per column.
+* The **version-4 assist record** (DESIGN.md §5.10), bit by bit: flags,
+  counts and Rice scalars as varints; the plane section built and read one
+  bit at a time as a string of ``0``/``1``; the varint run value by value.
+  It follows the layout's prose, independently of ``formats.CDC_COLUMNS``.
+* The **parent's encoder** of the commit before "each fact once" (7b1d829),
+  bodies verbatim: ``encode_chunk`` with its batch and scalar helpers,
+  ``encode_chunk_sequence`` and the per-sender slot ranking of
+  ``assist_occurrence_indices``. It still computes every column an assist
+  chunk no longer stores, and its ``diff`` is against Definition 6's
+  ``(clock, rank)`` order, so tests can show that what the new layout
+  derives equals what the old one stored and that both schedules deliver
+  the same messages.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.analysis.size_model import SizeBreakdown
 from repro.core.epoch import EpochLine
 from repro.core.events import ReceiveEvent
+from repro.core.events import QuintupleRow
 from repro.core.formats import (
     CDC_MAGIC,
+    CLOCK_BITS,
+    COUNT_BITS,
+    FLAG_BITS,
+    RANK_BITS,
+    RAW_MAGIC,
+    RE_MAGIC,
+    WITH_NEXT_BITS,
     _read_string_table,
-    _write_string_table,
 )
-from repro.core.lp_encoding import lp_decode as lp_decode_auto
-from repro.core.lp_encoding import lp_encode as lp_encode_auto
+from repro.core.lp_encoding import lp_decode, lp_encode
 from repro.core.permutation import (
     PermutationDiff,
     encode_permutation,
@@ -44,17 +56,246 @@ from repro.core.permutation import (
 )
 from repro.core.pipeline import CDCChunk, reference_order
 from repro.core.record_table import RecordTable
-from repro.core.varint import decode_svarint_array_scalar as decode_svarint_array
-from repro.core.varint import decode_uvarint
-from repro.core.varint import decode_uvarint_array_scalar as decode_uvarint_array
-from repro.core.varint import encode_svarint_array_scalar as encode_svarint_array
-from repro.core.varint import encode_uvarint
-from repro.core.varint import encode_uvarint_array_scalar as encode_uvarint_array
-from repro.core.varint import svarint_size, uvarint_size
+from repro.core.varint import (
+    decode_svarint,
+    decode_uvarint,
+    encode_svarint,
+    encode_uvarint,
+    uvarint_size,
+    zigzag_decode,
+    zigzag_encode,
+)
 from repro.errors import DecodingError, RecordFormatError
 from repro.obs import get_registry, span
 
-decode_svarint_array_np = decode_svarint_array
+# ---------------------------------------------------------------------------
+# scalar varint / LP references (moved out of src/repro/core)
+# ---------------------------------------------------------------------------
+
+
+def _encode_body_scalar(vals: Sequence[int], encode) -> bytes:
+    out = bytearray()
+    for v in vals:
+        encode(int(v), out)
+    return bytes(out)
+
+
+def _decode_varints_scalar(buf: bytes, pos: int, n: int, signed: bool) -> tuple[list[int], int]:
+    decode = decode_svarint if signed else decode_uvarint
+    values = []
+    for _ in range(n):
+        v, pos = decode(buf, pos)
+        values.append(v)
+    return values, pos
+
+
+def encode_uvarint_array_scalar(values: Iterable[int]) -> bytes:
+    """Scalar reference for :func:`encode_uvarint_array` (kernel oracle)."""
+    vals = list(values)
+    out = bytearray()
+    encode_uvarint(len(vals), out)
+    return bytes(out) + _encode_body_scalar(vals, encode_uvarint)
+
+
+def encode_svarint_array_scalar(values: Iterable[int]) -> bytes:
+    """Scalar reference for :func:`encode_svarint_array` (kernel oracle)."""
+    vals = list(values)
+    out = bytearray()
+    encode_uvarint(len(vals), out)
+    return bytes(out) + _encode_body_scalar(vals, encode_svarint)
+
+
+def decode_uvarint_array_scalar(buf: bytes, offset: int) -> tuple[list[int], int]:
+    """Scalar reference for :func:`decode_uvarint_array` (kernel oracle)."""
+    n, pos = decode_uvarint(buf, offset)
+    return _decode_varints_scalar(buf, pos, n, signed=False)
+
+
+def decode_svarint_array_scalar(buf: bytes, offset: int) -> tuple[list[int], int]:
+    """Scalar reference for :func:`decode_svarint_array` (kernel oracle)."""
+    n, pos = decode_uvarint(buf, offset)
+    return _decode_varints_scalar(buf, pos, n, signed=True)
+
+
+def svarint_size(value: int) -> int:
+    """Byte length :func:`encode_svarint` would produce for ``value``."""
+    return uvarint_size(zigzag_encode(value))
+
+
+def array_payload_size(values: Sequence[int], signed: bool) -> int:
+    """Total encoded size of a length-prefixed varint array."""
+    size = svarint_size if signed else uvarint_size
+    return uvarint_size(len(values)) + sum(size(v) for v in values)
+
+
+def lp_encode_array(values: np.ndarray) -> np.ndarray:
+    """Vectorized order-2 paper predictor for int64 arrays.
+
+    Equivalent to :func:`lp_encode` with :data:`PAPER_COEFFS`; used on hot
+    paths (index columns can contain millions of entries).
+    """
+    x = np.asarray(values, dtype=np.int64)
+    e = np.empty_like(x)
+    if x.size == 0:
+        return e
+    e[0] = x[0]
+    if x.size > 1:
+        e[1] = x[1] - 2 * x[0]
+    if x.size > 2:
+        e[2:] = x[2:] - 2 * x[1:-1] + x[:-2]
+    return e
+
+
+def lp_decode_array(errors: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`lp_encode_array`.
+
+    The recurrence ``x_n = e_n + 2*x_{n-1} - x_{n-2}`` telescopes: the first
+    difference ``d_n = x_n - x_{n-1}`` satisfies ``d_n = d_{n-1} + e_n``, so
+    ``x = cumsum(cumsum(e))`` — fully vectorized.
+    """
+    e = np.asarray(errors, dtype=np.int64)
+    if e.size == 0:
+        return e.copy()
+    return np.cumsum(np.cumsum(e))
+
+
+#: values with |x| below this bound cannot overflow int64 through the
+#: order-2 predictor (|e| = |x - 2x' + x''| <= 4 * max|x|).
+_ENCODE_SAFE_BOUND = 1 << 61
+
+#: float64 shadow-decode threshold: if the reconstructed magnitudes stay
+#: below this, the int64 cumsum path is provably exact (2x margin to 2**63,
+#: far above float64 rounding error on the shadow).
+_DECODE_SAFE_BOUND = float(1 << 62)
+
+
+def lp_encode_auto(values: Sequence[int] | np.ndarray) -> np.ndarray | list[int]:
+    """Order-2 LP encode, batched when safe.
+
+    Returns the numpy fast path (:func:`lp_encode_array`) whenever the
+    values provably cannot overflow int64 through the predictor, and the
+    arbitrary-precision scalar path (:func:`lp_encode`) otherwise. Both
+    produce identical value sequences; callers only see the container type.
+    """
+    try:
+        x = np.asarray(values, dtype=np.int64)
+    except (OverflowError, ValueError, TypeError):
+        return lp_encode(_as_int_list(values))
+    if x.size and max(int(x.max()), -int(x.min())) >= _ENCODE_SAFE_BOUND:
+        return lp_encode(_as_int_list(values))
+    return lp_encode_array(x)
+
+
+def lp_decode_auto(errors: Sequence[int] | np.ndarray) -> np.ndarray | list[int]:
+    """Order-2 LP decode, batched when safe (inverse of :func:`lp_encode_auto`).
+
+    The double cumsum wraps silently on int64 overflow, so a float64 shadow
+    decode bounds the reconstructed magnitudes first; anything close to the
+    int64 limit takes the exact scalar path.
+    """
+    try:
+        e = np.asarray(errors, dtype=np.int64)
+    except (OverflowError, ValueError, TypeError):
+        return lp_decode(_as_int_list(errors))
+    if e.size:
+        shadow = np.cumsum(np.cumsum(e.astype(np.float64)))
+        if float(np.abs(shadow).max()) >= _DECODE_SAFE_BOUND:
+            return lp_decode(_as_int_list(errors))
+    return lp_decode_array(e)
+
+
+def _as_int_list(values: Sequence[int] | np.ndarray) -> list[int]:
+    # numpy int64 scalars wrap on overflow inside the pure-Python loops, so
+    # the scalar fallback must see true Python ints
+    if isinstance(values, np.ndarray):
+        return values.tolist()
+    return [int(v) for v in values]
+
+
+encode_uvarint_array = encode_uvarint_array_scalar
+encode_svarint_array = encode_svarint_array_scalar
+decode_uvarint_array = decode_uvarint_array_scalar
+decode_svarint_array = decode_svarint_array_scalar
+
+# ---------------------------------------------------------------------------
+# readers of the two baseline formats: nothing in src/ reads what
+# ``Method.RAW`` / ``GZIP`` / ``CDC_RE`` write — they exist to be sized
+# (Figure 13) — so their inverses live here. The raw reader is the per-bit
+# one the writer's numpy planes replaced: an independent check of its bytes.
+# ---------------------------------------------------------------------------
+
+
+class BitReader:
+    """MSB-first bit reader matching :class:`BitWriter`."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._pos = 0  # absolute bit position
+
+    def read(self, bits: int) -> int:
+        end = self._pos + bits
+        if end > len(self._data) * 8:
+            raise RecordFormatError("bit stream truncated")
+        value = 0
+        for p in range(self._pos, end):
+            byte = self._data[p // 8]
+            value = (value << 1) | ((byte >> (7 - p % 8)) & 1)
+        self._pos = end
+        return value
+
+
+def deserialize_raw_rows(data: bytes) -> list[QuintupleRow]:
+    """Inverse of :func:`serialize_raw_rows`."""
+    if data[:4] != RAW_MAGIC:
+        raise RecordFormatError("bad raw-record magic")
+    n, offset = decode_uvarint(data, 4)
+    reader = BitReader(data[offset:])
+    rows: list[QuintupleRow] = []
+    for _ in range(n):
+        count = reader.read(COUNT_BITS)
+        flag = bool(reader.read(FLAG_BITS))
+        with_next = bool(reader.read(WITH_NEXT_BITS))
+        rank = reader.read(RANK_BITS)
+        clock = reader.read(CLOCK_BITS)
+        if flag:
+            rows.append(QuintupleRow(count, True, with_next, rank, clock))
+        else:
+            rows.append(QuintupleRow(count, False, None, None, None))
+    return rows
+
+
+def deserialize_re_tables(data: bytes) -> list[RecordTable]:
+    """Inverse of :func:`serialize_re_tables`."""
+    if data[:4] != RE_MAGIC:
+        raise RecordFormatError("bad RE-record magic")
+    callsites, offset = _read_string_table(data, 4)
+    n, offset = decode_uvarint(data, offset)
+    tables: list[RecordTable] = []
+    for _ in range(n):
+        cs, offset = decode_uvarint(data, offset)
+        if cs >= len(callsites):
+            raise RecordFormatError(f"callsite id {cs} out of range")
+        ranks, offset = decode_uvarint_array(data, offset)
+        clocks, offset = decode_svarint_array(data, offset)
+        with_next, offset = decode_uvarint_array(data, offset)
+        u_idx, offset = decode_uvarint_array(data, offset)
+        u_cnt, offset = decode_uvarint_array(data, offset)
+        if len(ranks) != len(clocks) or len(u_idx) != len(u_cnt):
+            raise RecordFormatError("RE table column lengths disagree")
+        tables.append(
+            RecordTable(
+                callsites[cs],
+                tuple(ReceiveEvent(r, c) for r, c in zip(ranks, clocks)),
+                tuple(with_next),
+                tuple(zip(u_idx, u_cnt)),
+            )
+        )
+    return tables
+
+
+# ---------------------------------------------------------------------------
+# the two chunk layouts, spelled out
+# ---------------------------------------------------------------------------
 
 _CDC_TABLE_COUNTERS = (
     "permutation",
@@ -66,204 +307,361 @@ _CDC_TABLE_COUNTERS = (
 )
 
 
-def _as_list(column) -> list[int]:
-    return column
+def _write_string(out: bytearray, string: str) -> None:
+    raw = string.encode("utf-8")
+    encode_uvarint(len(raw), out)
+    out += raw
 
 
-def array_payload_size(values: Sequence[int], signed: bool) -> int:
-    size = svarint_size if signed else uvarint_size
-    return uvarint_size(len(values)) + sum(size(v) for v in values)
+def _read_string(data: bytes, offset: int) -> tuple[str, int]:
+    length, offset = decode_uvarint(data, offset)
+    if offset + length > len(data):
+        raise RecordFormatError("string table truncated")
+    try:
+        return data[offset : offset + length].decode("utf-8"), offset + length
+    except UnicodeDecodeError as exc:
+        raise RecordFormatError(f"string table: {exc}") from None
+
+
+def _paper_columns(chunk: CDCChunk) -> tuple[list, list]:
+    """(table, array bytes) per column of a paper-exact chunk, in order."""
+    pairs = chunk.epoch.as_sorted_pairs()
+    ranks = [r for r, _ in pairs]
+    counts_by_rank = dict(chunk.sender_counts)
+    mins_by_rank = dict(chunk.sender_min_clocks)
+    if sorted(counts_by_rank) != ranks or sorted(mins_by_rank) != ranks:
+        raise RecordFormatError("epoch / count / min-clock ranks disagree")
+    return [
+        ("permutation", encode_svarint_array(lp_encode(chunk.diff.indices))),
+        ("permutation", encode_svarint_array(chunk.diff.delays)),
+        ("with_next", encode_svarint_array(lp_encode(chunk.with_next_indices))),
+        ("unmatched", encode_svarint_array(lp_encode([i for i, _ in chunk.unmatched_runs]))),
+        ("unmatched", encode_uvarint_array([c for _, c in chunk.unmatched_runs])),
+        ("epoch", encode_svarint_array(lp_encode(ranks))),
+        ("epoch", encode_svarint_array([c for _, c in pairs])),
+        ("epoch", encode_uvarint_array([counts_by_rank[r] for r in ranks])),
+        # first clock per sender, stored as the (>= 0) gap below the epoch
+        # ceiling — zero for single-receive senders, tiny after varints.
+        ("epoch", encode_uvarint_array([clock - mins_by_rank[r] for r, clock in pairs])),
+        # boundary exceptions (DESIGN.md §5.2): usually both arrays empty
+        ("exceptions", encode_uvarint_array([r for r, _ in chunk.boundary_exceptions])),
+        ("exceptions", encode_svarint_array([c for _, c in chunk.boundary_exceptions])),
+    ]
+
+
+def _paper_record_oracle(chunk: CDCChunk, callsite_id: int, sizes: dict) -> bytes:
+    out = bytearray()
+    encode_uvarint(callsite_id << 1, out)
+    encode_uvarint(chunk.num_events, out)
+    sizes["header"] += len(out)
+    for table, column in _paper_columns(chunk):
+        sizes[table] += len(column)
+        out += column
+    return bytes(out)
+
+
+#: the largest Rice parameter and unary plane the layout allows (§5.10)
+MAX_RICE_K, MAX_UNARY_BITS = 15, 8 << 22
+
+
+def rice_parameter(values: Sequence[int]) -> int:
+    """floor(log2(mean)), closed form, capped."""
+    return min(MAX_RICE_K, max(1, sum(values) // len(values)).bit_length() - 1)
+
+
+def _assist_flags(chunk: CDCChunk) -> int:
+    return (
+        1
+        + 2 * bool(chunk.diff.indices)
+        + 4 * bool(chunk.with_next_indices)
+        + 8 * bool(chunk.unmatched_runs)
+        + 16 * bool(chunk.boundary_exceptions)
+    )
+
+
+def assist_record_oracle(chunk: CDCChunk, sizes: dict | None = None) -> bytes:
+    """A version-4 assist record (DESIGN.md §5.10), one bit at a time: the
+    plane section is built as a string of ``0``/``1``."""
+    sizes = sizes if sizes is not None else dict.fromkeys((*_CDC_TABLE_COUNTERS, "header"), 0)
+    n, senders = chunk.num_events, chunk.sender_sequence
+    pairs = chunk.epoch.as_sorted_pairs()
+    ranks = [r for r, _ in pairs]
+    if len(senders) != n or sorted(set(senders)) != ranks:
+        raise RecordFormatError("event count or epoch ranks are not the sender column's")
+    out = bytearray()
+    for scalar in (_assist_flags(chunk), n, len(ranks)):
+        encode_uvarint(scalar, out)
+    planes: list[tuple[str, str]] = []  # (table, bits)
+    with_next = chunk.with_next_indices
+    if with_next:
+        if any(a >= b for a, b in zip(with_next, with_next[1:])) or not (
+            0 <= with_next[0] and with_next[-1] < n
+        ):
+            raise ValueError("with_next indices must ascend within the chunk")
+        planes.append(("with_next", "".join("01"[p in with_next] for p in range(n))))
+    if chunk.unmatched_runs:
+        gaps, previous = [], -1
+        for position, _ in chunk.unmatched_runs:
+            gaps.append(position - previous - 1)
+            previous = position
+        lengths = [count - 1 for _, count in chunk.unmatched_runs]
+        if min(gaps + lengths) < 0:
+            raise ValueError("unmatched runs must ascend and hold a test each")
+        k_gap, k_len = rice_parameter(gaps), rice_parameter(lengths)
+        unary_bits = sum((g >> k_gap) + 1 for g in gaps) + sum((c >> k_len) + 1 for c in lengths)
+        for scalar in (len(gaps), k_gap, k_len, unary_bits):
+            encode_uvarint(scalar, out)
+        if unary_bits > MAX_UNARY_BITS:
+            raise ValueError("an unmatched run too long for the layout")
+        unary = "".join("1" * (g >> k_gap) + "0" for g in gaps)
+        unary += "".join("1" * (c >> k_len) + "0" for c in lengths)
+        low = "".join(format(g, "b").zfill(k_gap)[-k_gap:] for g in gaps) if k_gap else ""
+        low += "".join(format(c, "b").zfill(k_len)[-k_len:] for c in lengths) if k_len else ""
+        planes.append(("unmatched", unary + low))
+    width = max(1, (len(ranks) - 1).bit_length())
+    planes.append(("assist", "".join(format(ranks.index(s), "b").zfill(width) for s in senders)))
+    sizes["header"] += len(out)
+    section = "".join(bits for _, bits in planes)
+    section += "0" * (-len(section) % 8)
+    out += bytes(int(section[i : i + 8], 2) for i in range(0, len(section), 8))
+    # a plane's bytes are the byte ends its bits cross; the pad is the last one's
+    crossed = total = 0
+    for table, bits in planes:
+        total += len(bits)
+        sizes[table] += -(-total // 8) - crossed
+        crossed = -(-total // 8)
+    mark = len(out)
+    if chunk.diff.indices:
+        encode_uvarint(len(chunk.diff.indices), out)
+        for value in (*lp_encode(chunk.diff.indices), *chunk.diff.delays):
+            encode_svarint(value, out)
+    sizes["permutation"] += len(out) - mark
+    mark = len(out)
+    for rank, below in zip(ranks, [-1] + ranks):
+        encode_uvarint(rank - below - 1, out)
+    for (_, ceiling), (_, below) in zip(pairs, [(None, 0)] + pairs):
+        encode_svarint(ceiling - below, out)
+    sizes["epoch"] += len(out) - mark
+    mark = len(out)
+    for rank, _ in chunk.boundary_exceptions:
+        encode_uvarint(rank, out)
+    for _, clock in chunk.boundary_exceptions:
+        encode_svarint(clock, out)
+    sizes["exceptions"] += len(out) - mark
+    return bytes(out)
+
+
+def assist_chunk_oracle(callsite: str, data: bytes, offset: int, stop: int) -> CDCChunk:
+    """Inverse of :func:`assist_record_oracle` over ``data[offset:stop]``."""
+    flags, offset = decode_uvarint(data, offset)
+    n, offset = decode_uvarint(data, offset)
+    d, offset = decode_uvarint(data, offset)
+    m = k_gap = k_len = unary_bits = 0
+    if flags & 8:
+        m, offset = decode_uvarint(data, offset)
+        k_gap, offset = decode_uvarint(data, offset)
+        k_len, offset = decode_uvarint(data, offset)
+        unary_bits, offset = decode_uvarint(data, offset)
+    width = max(1, (d - 1).bit_length())
+    total = (n if flags & 4 else 0) + unary_bits + m * (k_gap + k_len) + n * width
+    run = offset + -(-total // 8)
+    if run > stop or d > n or (n and not d) or k_gap > MAX_RICE_K or k_len > MAX_RICE_K:
+        raise RecordFormatError("planes do not fit the record, or its scalars are off")
+    section = "".join(format(byte, "08b") for byte in data[offset:run])
+    if "1" in section[total:]:
+        raise RecordFormatError("pad bits behind the planes are not zero")
+    cursor = 0
+
+    def take(count: int) -> str:
+        nonlocal cursor
+        cursor += count
+        return section[cursor - count : cursor]
+
+    with_next = tuple(p for p, bit in enumerate(take(n if flags & 4 else 0)) if bit == "1")
+    unary = take(unary_bits)
+    runs = []
+    if m:
+        if unary.count("0") != 2 * m or not unary.endswith("0"):
+            raise RecordFormatError("unary plane does not hold two codes per run")
+        quotients = [len(ones) for ones in unary.split("0")[:-1]]
+        gaps = [(q << k_gap) + int(take(k_gap) or "0", 2) for q in quotients[:m]]
+        lengths = [(q << k_len) + int(take(k_len) or "0", 2) + 1 for q in quotients[m:]]
+        position = -1
+        for gap, length in zip(gaps, lengths):
+            position += gap + 1
+            runs.append((position, length))
+    else:
+        take(m * (k_gap + k_len))
+    index = [int(take(width), 2) for _ in range(n)]
+    values = []  # (unsigned reading, zig-zag reading) of the varint run
+    while run < stop:
+        try:
+            value, after = decode_uvarint(data, run)
+        except RecordFormatError:
+            break
+        if after > stop:
+            break
+        values.append((value, zigzag_decode(value)))
+        run = after
+    if run != stop:
+        raise RecordFormatError("bytes behind the varint run")
+    values.reverse()
+    moved = values.pop()[0] if flags & 2 and values else 0
+    exceptions, odd = divmod(len(values) - 2 * moved - 2 * d, 2)
+    if exceptions < 0 or odd:
+        raise RecordFormatError("varint run does not hold its columns")
+    p_idx = lp_decode([values.pop()[1] for _ in range(moved)])
+    p_delay = [values.pop()[1] for _ in range(moved)]
+    ranks, rank = [], -1
+    for _ in range(d):
+        rank += values.pop()[0] + 1
+        ranks.append(rank)
+    ceilings = list(accumulate(values.pop()[1] for _ in range(d)))
+    x_rank = [values.pop()[0] for _ in range(exceptions)]
+    x_clock = [values.pop()[1] for _ in range(exceptions)]
+    if any(i >= d for i in index) or set(index) != set(range(d)):
+        raise RecordFormatError("sender index past the sender list, or a sender unused")
+    chunk = CDCChunk(
+        callsite=callsite,
+        num_events=n,
+        diff=PermutationDiff(n, tuple(p_idx), tuple(p_delay)),
+        with_next_indices=with_next,
+        unmatched_runs=tuple(runs),
+        epoch=EpochLine(dict(zip(ranks, ceilings))),
+        sender_counts=tuple((rank, index.count(i)) for i, rank in enumerate(ranks)),
+        boundary_exceptions=tuple(zip(x_rank, x_clock)),
+        sender_sequence=tuple(ranks[i] for i in index),
+    )
+    if _assist_flags(chunk) != flags:
+        raise RecordFormatError("record flags name a table the record does not hold")
+    return chunk
+
+
+def _paper_chunk_oracle(callsites: Sequence[str], data: bytes, offset: int) -> tuple[CDCChunk, int]:
+    head, offset = decode_uvarint(data, offset)
+    cs = head >> 1
+    if cs >= len(callsites):
+        raise RecordFormatError(f"callsite id {cs} out of range")
+    num_events, offset = decode_uvarint(data, offset)
+    p_idx_lp, offset = decode_svarint_array(data, offset)
+    p_delay, offset = decode_svarint_array(data, offset)
+    w_idx_lp, offset = decode_svarint_array(data, offset)
+    u_idx_lp, offset = decode_svarint_array(data, offset)
+    u_cnt, offset = decode_uvarint_array(data, offset)
+    e_rank_lp, offset = decode_svarint_array(data, offset)
+    e_clock, offset = decode_svarint_array(data, offset)
+    e_count, offset = decode_uvarint_array(data, offset)
+    e_min_gap, offset = decode_uvarint_array(data, offset)
+    x_rank, offset = decode_uvarint_array(data, offset)
+    x_clock, offset = decode_svarint_array(data, offset)
+    if len(x_rank) != len(x_clock):
+        raise RecordFormatError("boundary-exception columns disagree")
+    p_idx = lp_decode(p_idx_lp)
+    if len(p_idx) != len(p_delay):
+        raise RecordFormatError("permutation columns disagree")
+    u_idx = lp_decode(u_idx_lp)
+    if len(u_idx) != len(u_cnt):
+        raise RecordFormatError("unmatched columns disagree")
+    e_rank = lp_decode(e_rank_lp)
+    if not (len(e_rank) == len(e_clock) == len(e_count) == len(e_min_gap)):
+        raise RecordFormatError("epoch columns disagree")
+    chunk = CDCChunk(
+        callsite=callsites[cs],
+        num_events=num_events,
+        diff=PermutationDiff(num_events, tuple(p_idx), tuple(p_delay)),
+        with_next_indices=tuple(lp_decode(w_idx_lp)),
+        unmatched_runs=tuple(zip(u_idx, u_cnt)),
+        epoch=EpochLine(dict(zip(e_rank, e_clock))),
+        sender_counts=tuple(zip(e_rank, e_count)),
+        sender_min_clocks=tuple((r, c - g) for r, c, g in zip(e_rank, e_clock, e_min_gap)),
+        boundary_exceptions=tuple(zip(x_rank, x_clock)),
+    )
+    return chunk, offset
 
 
 def serialize_cdc_chunks_oracle(chunks: Sequence[CDCChunk]) -> bytes:
-    """Serialize fully-encoded CDC chunks (LP-encoded index columns)."""
-    registry = get_registry()
-    track = registry.enabled
-    table_bytes = dict.fromkeys(_CDC_TABLE_COUNTERS, 0) if track else None
+    """The multi-chunk container: magic, string table, chunk count, then per
+    chunk ``callsite id << 1 | assist`` — a paper-exact chunk's columns follow
+    its head; an assist chunk's record follows its length."""
+    sizes = dict.fromkeys((*_CDC_TABLE_COUNTERS, "header"), 0)
     out = bytearray(CDC_MAGIC)
     callsites = sorted({c.callsite for c in chunks})
-    _write_string_table(out, callsites)
-    cs_id = {c: i for i, c in enumerate(callsites)}
+    encode_uvarint(len(callsites), out)
+    for callsite in callsites:
+        _write_string(out, callsite)
     encode_uvarint(len(chunks), out)
     for chunk in chunks:
-        assist = chunk.sender_sequence is not None
-        encode_uvarint(cs_id[chunk.callsite] << 1 | assist, out)
-        encode_uvarint(chunk.num_events, out)
-        mark = len(out)
-        out += encode_svarint_array(lp_encode_auto(chunk.diff.indices))
-        out += encode_svarint_array(chunk.diff.delays)
-        if track:
-            table_bytes["permutation"] += len(out) - mark
-            mark = len(out)
-        out += encode_svarint_array(lp_encode_auto(chunk.with_next_indices))
-        if track:
-            table_bytes["with_next"] += len(out) - mark
-            mark = len(out)
-        out += encode_svarint_array(lp_encode_auto([i for i, _ in chunk.unmatched_runs]))
-        out += encode_uvarint_array([c for _, c in chunk.unmatched_runs])
-        if track:
-            table_bytes["unmatched"] += len(out) - mark
-            mark = len(out)
-        pairs = chunk.epoch.as_sorted_pairs()
-        ranks = [r for r, _ in pairs]
-        if assist:
-            if ranks != sorted(set(chunk.sender_sequence)):
-                raise RecordFormatError("epoch ranks are not the sender column's")
-            steps, previous = [], 0
-            for _, ceiling in pairs:
-                steps.append(ceiling - previous)
-                previous = ceiling
-            out += encode_svarint_array(steps)
+        callsite_id = callsites.index(chunk.callsite)
+        if chunk.sender_sequence is None:
+            out += _paper_record_oracle(chunk, callsite_id, sizes)
         else:
-            counts_by_rank = dict(chunk.sender_counts)
-            mins_by_rank = dict(chunk.sender_min_clocks)
-            if sorted(counts_by_rank) != ranks or sorted(mins_by_rank) != ranks:
-                raise RecordFormatError("epoch / count / min-clock ranks disagree")
-            out += encode_svarint_array(lp_encode_auto(ranks))
-            out += encode_svarint_array([c for _, c in pairs])
-            out += encode_uvarint_array([counts_by_rank[r] for r in ranks])
-            # first clock per sender, stored as the (>= 0) gap below the epoch
-            # ceiling — zero for single-receive senders, tiny after varints.
-            out += encode_uvarint_array(
-                [clock - mins_by_rank[r] for r, clock in pairs]
-            )
-        if track:
-            table_bytes["epoch"] += len(out) - mark
-            mark = len(out)
-        # boundary exceptions (DESIGN.md §5.2): usually both arrays empty
-        out += encode_uvarint_array([r for r, _ in chunk.boundary_exceptions])
-        out += encode_svarint_array([c for _, c in chunk.boundary_exceptions])
-        if track:
-            table_bytes["exceptions"] += len(out) - mark
-            mark = len(out)
-        # replay-assist sender column (DESIGN.md §5.6), when the header says so
-        if assist:
-            out += encode_uvarint_array(chunk.sender_sequence)
-        if track:
-            table_bytes["assist"] += len(out) - mark
-    if track:
+            record = assist_record_oracle(chunk, sizes)
+            encode_uvarint(callsite_id << 1 | 1, out)
+            encode_uvarint(len(record), out)
+            out += record
+    registry = get_registry()
+    if registry.enabled:
         registry.counter("format.cdc.serialize_calls").add()
         registry.counter("format.cdc.chunks_out").add(len(chunks))
         registry.counter("format.cdc.bytes_out").add(len(out))
-        for table, n in table_bytes.items():
-            registry.counter(f"format.cdc.{table}_bytes").add(n)
+        for table in _CDC_TABLE_COUNTERS:
+            registry.counter(f"format.cdc.{table}_bytes").add(sizes[table])
     return bytes(out)
-
 
 
 def deserialize_cdc_chunks_oracle(data: bytes) -> list[CDCChunk]:
     if data[:4] != CDC_MAGIC:
         raise RecordFormatError("bad CDC-record magic")
-    callsites, offset = _read_string_table(data, 4)
+    count, offset = decode_uvarint(data, 4)
+    callsites = []
+    for _ in range(count):
+        callsite, offset = _read_string(data, offset)
+        callsites.append(callsite)
     n, offset = decode_uvarint(data, offset)
     chunks: list[CDCChunk] = []
     for _ in range(n):
-        head, offset = decode_uvarint(data, offset)
-        cs, assist = head >> 1, head & 1
-        if cs >= len(callsites):
-            raise RecordFormatError(f"callsite id {cs} out of range")
-        num_events, offset = decode_uvarint(data, offset)
-        p_idx_lp, offset = decode_svarint_array_np(data, offset)
-        p_delay, offset = decode_svarint_array(data, offset)
-        w_idx_lp, offset = decode_svarint_array_np(data, offset)
-        u_idx_lp, offset = decode_svarint_array_np(data, offset)
-        u_cnt, offset = decode_uvarint_array(data, offset)
-        if assist:
-            e_step, offset = decode_svarint_array(data, offset)
+        head, after = decode_uvarint(data, offset)
+        if not head & 1:
+            chunk, offset = _paper_chunk_oracle(callsites, data, offset)
         else:
-            e_rank_lp, offset = decode_svarint_array_np(data, offset)
-            e_clock, offset = decode_svarint_array(data, offset)
-            e_count, offset = decode_uvarint_array(data, offset)
-            e_min_gap, offset = decode_uvarint_array(data, offset)
-        x_rank, offset = decode_uvarint_array(data, offset)
-        x_clock, offset = decode_svarint_array(data, offset)
-        if len(x_rank) != len(x_clock):
-            raise RecordFormatError("boundary-exception columns disagree")
-        p_idx = _as_list(lp_decode_auto(p_idx_lp))
-        if len(p_idx) != len(p_delay):
-            raise RecordFormatError("permutation columns disagree")
-        u_idx = _as_list(lp_decode_auto(u_idx_lp))
-        if len(u_idx) != len(u_cnt):
-            raise RecordFormatError("unmatched columns disagree")
-        sender_sequence: tuple[int, ...] | None = None
-        if assist:
-            seq, offset = decode_uvarint_array(data, offset)
-            sender_sequence = tuple(seq)
-            if len(seq) != num_events:
-                raise RecordFormatError("sender column length is not num_events")
-            e_rank = sorted(set(seq))
-            if len(e_step) != len(e_rank):
-                raise RecordFormatError("one ceiling per distinct sender")
-            e_clock, e_count, e_min = [], [], ()
-            for rank, step in zip(e_rank, e_step):
-                e_clock.append(step + (e_clock[-1] if e_clock else 0))
-                e_count.append(seq.count(rank))
-        else:
-            e_rank = _as_list(lp_decode_auto(e_rank_lp))
-            if not (len(e_rank) == len(e_clock) == len(e_count) == len(e_min_gap)):
-                raise RecordFormatError("epoch columns disagree")
-            e_min = tuple((r, c - g) for r, c, g in zip(e_rank, e_clock, e_min_gap))
-        chunks.append(
-            CDCChunk(
-                callsite=callsites[cs],
-                num_events=num_events,
-                diff=PermutationDiff(num_events, tuple(p_idx), tuple(p_delay)),
-                with_next_indices=tuple(_as_list(lp_decode_auto(w_idx_lp))),
-                unmatched_runs=tuple(zip(u_idx, u_cnt)),
-                epoch=EpochLine(dict(zip(e_rank, e_clock))),
-                sender_counts=tuple(zip(e_rank, e_count)),
-                sender_min_clocks=e_min,
-                boundary_exceptions=tuple(zip(x_rank, x_clock)),
-                sender_sequence=sender_sequence,
-            )
-        )
+            length, start = decode_uvarint(data, after)
+            offset = start + length
+            if head >> 1 >= len(callsites) or offset > len(data):
+                raise RecordFormatError("callsite id out of range, or record truncated")
+            chunk = assist_chunk_oracle(callsites[head >> 1], data, start, offset)
+        chunks.append(chunk)
     return chunks
 
 
+def encode_frame_payload_oracle(chunk: CDCChunk) -> bytes:
+    """What a frame deflates: the callsite, then the chunk's record."""
+    out = bytearray()
+    _write_string(out, chunk.callsite)
+    sizes = dict.fromkeys((*_CDC_TABLE_COUNTERS, "header"), 0)
+    if chunk.sender_sequence is None:
+        return bytes(out) + _paper_record_oracle(chunk, 0, sizes)
+    return bytes(out) + assist_record_oracle(chunk, sizes)
+
+
+def decode_frame_payload_oracle(data: bytes) -> CDCChunk:
+    callsite, offset = _read_string(data, 0)
+    if decode_uvarint(data, offset)[0] & 1:
+        return assist_chunk_oracle(callsite, data, offset, len(data))
+    chunk, end = _paper_chunk_oracle([callsite], data, offset)
+    if end != len(data):
+        raise RecordFormatError("frame payload is not exactly one chunk")
+    return chunk
+
 
 def chunk_breakdown_oracle(chunk: CDCChunk, callsite_id: int = 0) -> SizeBreakdown:
-    """Exact serialized byte counts of one chunk's tables.
-
-    Mirrors the layout of :func:`repro.core.formats.serialize_cdc_chunks`
-    (per-chunk part; the file-level magic and string table are accounted
-    separately by :func:`archive_breakdown`).
-    """
-    b = SizeBreakdown(chunks=1, events=chunk.num_events)
-    assist = chunk.sender_sequence is not None
-    b.header = uvarint_size(callsite_id << 1 | assist) + uvarint_size(chunk.num_events)
-    b.permutation = array_payload_size(
-        lp_encode_auto(chunk.diff.indices), signed=True
-    ) + array_payload_size(chunk.diff.delays, signed=True)
-    b.with_next = array_payload_size(
-        lp_encode_auto(chunk.with_next_indices), signed=True
-    )
-    u_idx = [i for i, _ in chunk.unmatched_runs]
-    u_cnt = [c for _, c in chunk.unmatched_runs]
-    b.unmatched = array_payload_size(
-        lp_encode_auto(u_idx), signed=True
-    ) + array_payload_size(u_cnt, signed=False)
-    pairs = chunk.epoch.as_sorted_pairs()
-    if assist:
-        ceilings = [c for _, c in pairs]
-        b.epoch = array_payload_size(
-            [c - p for c, p in zip(ceilings, [0] + ceilings)], signed=True
-        )
+    """Exact serialized byte counts of one chunk's record, table by table
+    (the callsite a frame payload opens with is ``archive_breakdown``'s)."""
+    sizes = dict.fromkeys((*_CDC_TABLE_COUNTERS, "header"), 0)
+    if chunk.sender_sequence is None:
+        _paper_record_oracle(chunk, callsite_id, sizes)
     else:
-        counts = dict(chunk.sender_counts)
-        mins = dict(chunk.sender_min_clocks)
-        ranks = [r for r, _ in pairs]
-        b.epoch = (
-            array_payload_size(lp_encode_auto(ranks), signed=True)
-            + array_payload_size([c for _, c in pairs], signed=True)
-            + array_payload_size([counts[r] for r in ranks], signed=False)
-            + array_payload_size([c - mins[r] for r, c in pairs], signed=False)
-        )
-    b.exceptions = array_payload_size(
-        [r for r, _ in chunk.boundary_exceptions], signed=False
-    ) + array_payload_size([c for _, c in chunk.boundary_exceptions], signed=True)
-    if assist:
-        b.assist = array_payload_size(chunk.sender_sequence, signed=False)
-    return b
+        assist_record_oracle(chunk, sizes)
+    return SizeBreakdown(chunks=1, events=chunk.num_events, **sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,41 +6,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from repro.core import kernels
 from repro.core.events import QuintupleRow, ReceiveEvent
 from repro.core.formats import (
     ROW_BITS,
-    BitReader,
-    BitWriter,
     deserialize_cdc_chunks,
-    deserialize_raw_rows,
-    deserialize_re_tables,
-    raw_size_bits,
     serialize_cdc_chunks,
     serialize_raw_rows,
     serialize_re_tables,
 )
 from repro.core.pipeline import encode_chunk
 from repro.errors import RecordFormatError
+from tests.core.oracles import deserialize_raw_rows, deserialize_re_tables
 from tests.core.test_pipeline import random_events, table_of
 
 
 class TestBitPacking:
+    """The Figure 4 rows go through the bit-plane helpers the CDC frames use
+    (``kernels.to_bits`` / ``packbits`` and back): same bytes as the per-bit
+    writer they replaced."""
+
     @given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 24)), max_size=40))
     def test_writer_reader_roundtrip(self, fields):
-        writer = BitWriter()
+        planes = [kernels.to_bits([value], bits) for value, bits in fields]
+        packed = kernels.packbits(np.concatenate(planes)) if planes else b""
+        assert len(packed) == (sum(bits for _, bits in fields) + 7) // 8
+        unpacked, start = kernels.unpackbits(packed, 0, len(packed)), 0
         for value, bits in fields:
-            writer.write(value % (1 << bits), bits)
-        reader = BitReader(writer.getvalue())
-        for value, bits in fields:
-            assert reader.read(bits) == value % (1 << bits)
+            field = unpacked[start : start + bits]
+            # high bit first, as the writer shifted them in
+            assert field.tolist() == [int(b) for b in format(value % (1 << bits), f"0{bits}b")]
+            assert kernels.from_bits(field, 1, bits).tolist() == [value % (1 << bits)]
+            start += bits
+        assert not unpacked[start:].any()
 
     def test_value_too_wide_rejected(self):
-        with pytest.raises(ValueError):
-            BitWriter().write(2, 1)
+        for row in (
+            QuintupleRow(1, True, False, 2**32, 5),
+            QuintupleRow(2**64, True, False, 1, 5),
+            QuintupleRow(1, True, False, 1, -5),
+        ):
+            with pytest.raises(ValueError, match="does not fit"):
+                serialize_raw_rows([row])
 
     def test_read_past_end_raises(self):
-        with pytest.raises(RecordFormatError):
-            BitReader(b"\x00").read(9)
+        data = serialize_raw_rows([QuintupleRow(1, True, False, 2, 5)] * 3)
+        for cut in range(5, len(data)):
+            with pytest.raises(RecordFormatError, match="truncated"):
+                deserialize_raw_rows(data[:cut])
+        # a row count no byte backs up is refused before anything is unpacked
+        with pytest.raises(RecordFormatError, match="truncated"):
+            deserialize_raw_rows(data[:4] + b"\xff\xff\xff\xff\x7f")
+
+    def test_row_bytes_are_the_per_bit_writers(self):
+        """The exact bytes the old ``BitWriter`` produced for one row."""
+        row = QuintupleRow(3, True, True, 7, 2**40 + 1)
+        bits = (
+            format(3, "064b") + "1" + "1" + format(7, "032b") + format(2**40 + 1, "064b")
+        ).ljust(168, "0")
+        expected = int(bits, 2).to_bytes(21, "big")
+        assert serialize_raw_rows([row]) == b"CDR0\x01" + expected
 
 
 class TestRawFormat:
@@ -58,13 +85,13 @@ class TestRawFormat:
 
     def test_row_costs_paper_bits(self):
         assert ROW_BITS == 162
-        assert raw_size_bits(self.rows()) == 4 * 162
+        assert ROW_BITS * len(self.rows()) == 4 * 162
 
     def test_payload_size_matches_bit_accounting(self):
         rows = self.rows()
         data = serialize_raw_rows(rows)
         header = 4 + 1  # magic + count varint
-        assert len(data) - header == (raw_size_bits(rows) + 7) // 8
+        assert len(data) - header == (ROW_BITS * len(rows) + 7) // 8
 
     def test_bad_magic_rejected(self):
         data = serialize_raw_rows(self.rows())

@@ -1,16 +1,20 @@
 """The CDC frame path against its oracles: same bytes, same chunks, same errors.
 
-``serialize_cdc_chunks`` / ``deserialize_cdc_chunks`` treat a payload body
-as one varint stream driven by the declared column layout (DESIGN.md §6.5).
-The per-column code they replaced lives on in ``tests/core/oracles.py``,
-bound to the scalar varint and LP references, and every property here is
+``serialize_cdc_chunks`` / ``deserialize_cdc_chunks`` (the multi-chunk
+container) and ``encode_frame_payload`` / ``decode_frame_payload`` (what an
+archive frame deflates) code a paper-exact chunk as one varint stream driven
+by the declared column layout (DESIGN.md §6.5) and an assist chunk as
+flags, a plane section and a short varint run (§5.10). What they are
+checked against lives in ``tests/core/oracles.py``: the per-column code the
+stream replaced, bound to the scalar varint and LP references, and a
+bit-by-bit reference of the version-4 record. Every property here is
 differential: random chunk lists must serialize to the oracle's bytes and
 decode to the oracle's chunks, and hostile bytes — truncations, bit flips,
-splices, inflated counts, a flipped layout bit, an assist chunk whose
-columns contradict its sender column, dangling tails — must make both
-decoders return equal chunks or both raise a ``RecordFormatError``.
-Anything else (another exception type, one side accepting what the other
-refuses, memory or time out of proportion to the input) fails.
+splices, inflated counts, a flipped layout bit, planes whose scalars lie,
+dangling tails — must make both decoders return equal chunks or both raise
+a ``RecordFormatError``. Anything else (another exception type, one side
+accepting what the other refuses, memory or time out of proportion to the
+input) fails.
 
 Example counts come from the hypothesis profile: the default locally, the
 ``ci`` profile registered in ``tests/conftest.py`` in the named CI step.
@@ -26,19 +30,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernels
+from repro.core import kernels, varint
 from repro.core.epoch import EpochLine
 from repro.core.formats import (
     CDC_MAGIC,
+    MAX_RICE_K,
     _write_string_table,
+    decode_frame_payload,
     deserialize_cdc_chunks,
+    encode_frame_payload,
     serialize_cdc_chunks,
 )
 from repro.core.permutation import PermutationDiff
 from repro.core.pipeline import CDCChunk
 from repro.core.varint import decode_uvarint, encode_uvarint
 from repro.errors import RecordFormatError
-from tests.core.oracles import deserialize_cdc_chunks_oracle, serialize_cdc_chunks_oracle
+from tests.core.oracles import (
+    decode_frame_payload_oracle,
+    deserialize_cdc_chunks_oracle,
+    encode_frame_payload_oracle,
+    rice_parameter,
+    serialize_cdc_chunks_oracle,
+)
 
 #: decoding may hold this many bytes per input byte, plus a fixed floor for
 #: the chunk objects and numpy's per-array overhead ...
@@ -63,17 +76,25 @@ def _unsigned(values):
     return values.map(abs)
 
 
+def ascending(draw, steps, first=0):
+    """Strictly ascending ints: ``first`` or more, then one more than each step."""
+    out, value = [], first - 1
+    for step in steps:
+        value += 1 + step
+        out.append(value)
+    return out
+
+
 @st.composite
 def chunks(draw, value=wide, callsites=("a", "b", "mcb:poll")):
     """One structurally valid chunk (the replayer's invariants between the
-    columns are not the codec's business and are not generated)."""
+    columns are not the codec's business and are not generated). A
+    paper-exact chunk's columns are arbitrary; an assist chunk's are what
+    its planes can say: ``with_next`` indices ascend within the chunk,
+    unmatched runs ascend and hold a test each."""
     column = lambda elements, **kw: tuple(draw(st.lists(elements, max_size=6, **kw)))
     moved = column(value)
     delays = draw(st.lists(value, min_size=len(moved), max_size=len(moved)))
-    run_starts = column(value)
-    run_lengths = draw(
-        st.lists(_unsigned(value), min_size=len(run_starts), max_size=len(run_starts))
-    )
     # the layout bit: an assist chunk stores each fact once, so its event
     # count, epoch ranks and per-sender counts are its sender column's
     senders = draw(st.one_of(st.none(), st.just(()), st.builds(
@@ -82,10 +103,20 @@ def chunks(draw, value=wide, callsites=("a", "b", "mcb:poll")):
         ranks = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
         num_events = draw(st.integers(0, 2000))
         counts = tuple((rank, draw(st.integers(0, 300))) for rank in ranks)
+        with_next = column(value)
+        run_starts = column(value)
+        run_lengths = draw(
+            st.lists(_unsigned(value), min_size=len(run_starts), max_size=len(run_starts))
+        )
     else:
         ranks = sorted(set(senders))
         num_events = len(senders)
         counts = tuple((rank, senders.count(rank)) for rank in ranks)
+        with_next = tuple(sorted(draw(st.sets(st.integers(0, max(0, num_events - 1)),
+                                              max_size=6)))) if num_events else ()
+        gap = st.one_of(st.integers(0, 3), st.integers(0, 2**20))
+        run_starts = ascending(draw, column(gap))
+        run_lengths = [1 + draw(gap) for _ in run_starts]
     ceilings = {rank: draw(value) for rank in ranks}
     exception_ranks = column(st.integers(0, 40))
     return CDCChunk(
@@ -93,7 +124,7 @@ def chunks(draw, value=wide, callsites=("a", "b", "mcb:poll")):
         num_events=num_events,
         # the diff's size is not stored: decoding sets it to num_events
         diff=PermutationDiff(num_events, moved, tuple(delays)),
-        with_next_indices=column(value),
+        with_next_indices=with_next,
         unmatched_runs=tuple(zip(run_starts, run_lengths)),
         epoch=EpochLine(ceilings),
         sender_counts=counts,
@@ -109,6 +140,57 @@ def chunk_lists(value=wide, max_size=4):
     return st.lists(chunks(value), max_size=max_size)
 
 
+#: event counts around every byte boundary of a plane, and a full chunk
+PLANE_EVENTS = (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1023, 1024)
+#: distinct senders at index widths 1 (twice), 2 and 8
+PLANE_SENDERS = (1, 2, 3, 129)
+
+
+@st.composite
+def plane_chunks(draw):
+    """An assist chunk that puts a plane at its edges: events at the byte
+    boundaries, one to 129 senders, no ``with_next`` / all / none but one,
+    no unmatched runs or runs whose Rice parameters are 0 or the cap."""
+    n = draw(st.sampled_from(PLANE_EVENTS))
+    d = min(n, draw(st.sampled_from(PLANE_SENDERS)))
+    # every sender once, then any of them; ranks spread so a gap takes two bytes
+    ranks = ascending(draw, [draw(st.sampled_from([0, 1, 300])) for _ in range(d)])
+    senders = ranks + [draw(st.sampled_from(ranks)) for _ in range(n - d)]
+    senders = tuple(draw(st.permutations(senders))) if n <= 65 else tuple(senders)
+    bitmap = draw(st.sampled_from(["none", "all", "random"]))
+    with_next = {
+        "none": (),
+        "all": tuple(range(n)),
+        "random": tuple(p for p in range(n) if draw(st.booleans())) if n <= 65 else (n // 2,),
+    }[bitmap]
+    m = draw(st.sampled_from([0, 1, 2, 9]))
+    # Rice parameters 0 (means under two) and the cap (means of 2**15 and up)
+    gaps = [draw(st.sampled_from([st.integers(0, 1), st.integers(2**15, 2**17)]))] * m
+    lengths = [draw(st.sampled_from([st.integers(0, 1), st.integers(2**16, 2**20)]))] * m
+    run_starts = ascending(draw, [draw(g) for g in gaps])
+    runs = tuple((start, 1 + draw(length)) for start, length in zip(run_starts, lengths))
+    return CDCChunk(
+        callsite=draw(st.sampled_from(["a", "mcb:poll"])),
+        num_events=n,
+        diff=PermutationDiff(n, (), ()),
+        with_next_indices=with_next,
+        unmatched_runs=runs,
+        epoch=EpochLine({rank: draw(small) for rank in ranks}),
+        sender_counts=tuple((rank, senders.count(rank)) for rank in ranks),
+        sender_sequence=senders,
+    )
+
+
+def paper_twin(chunk: CDCChunk) -> CDCChunk:
+    """The same columns in the paper's layout: no sender column, every
+    epoch column stored."""
+    return dataclasses.replace(
+        chunk,
+        sender_sequence=None,
+        sender_min_clocks=tuple(chunk.epoch.as_sorted_pairs()),
+    )
+
+
 # -- running a decoder under the bounds ------------------------------------------
 
 
@@ -120,12 +202,12 @@ def outcome(decoder, data: bytes):
         return RecordFormatError
 
 
-def bounded_outcome(data: bytes):
+def bounded_outcome(data: bytes, decoder=deserialize_cdc_chunks):
     """:func:`outcome` of the new decoder, held to the memory and time bounds."""
     tracemalloc.start()
     started = time.perf_counter()
     try:
-        result = outcome(deserialize_cdc_chunks, data)
+        result = outcome(decoder, data)
         elapsed = time.perf_counter() - started
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -138,12 +220,16 @@ def bounded_outcome(data: bytes):
 def assert_same_outcome(data: bytes):
     got = bounded_outcome(data)
     assert got == outcome(deserialize_cdc_chunks_oracle, data)
+    # the same bytes as a frame payload: both frame decoders agree too
+    as_frame = bounded_outcome(data[len(CDC_MAGIC) :], decode_frame_payload)
+    assert as_frame == outcome(decode_frame_payload_oracle, data[len(CDC_MAGIC) :])
     return got
 
 
 def value_spans(data: bytes) -> list[tuple[int, int]]:
     """``(start, end)`` of every complete varint after the string table —
-    chunk count, headers, length prefixes and values alike."""
+    chunk count, heads, length prefixes and values alike; inside an assist
+    record's planes, whatever reads as one."""
     count, offset = decode_uvarint(data, len(CDC_MAGIC))
     for _ in range(count):
         length, offset = decode_uvarint(data, offset)
@@ -159,54 +245,86 @@ def value_spans(data: bytes) -> list[tuple[int, int]]:
     return spans
 
 
-def assist_payload(chunk: CDCChunk, edit) -> bytes:
-    """``[chunk]`` serialized, after ``edit`` changed the values a one-chunk
-    assist payload carries: ``[head, num_events, *columns]`` with each
-    column a list (LP columns are empty or left alone here)."""
-    data = serialize_cdc_chunks([chunk])
-    spans = value_spans(data)
-    flat = [decode_uvarint(data, start)[0] for start, _ in spans]
-    values, i = flat[1:3], 3  # flat[0] is the chunk count
-    while i < len(flat):
-        values.append(flat[i + 1 : i + 1 + flat[i]])
-        i += 1 + flat[i]
-    edit(values)
-    out = bytearray(data[: spans[1][0]])
-    for value in values:
-        for v in [len(value), *value] if isinstance(value, list) else [value]:
-            encode_uvarint(v, out)
+def assist_payload(callsite="a", flags=1, n=0, d=0, rice=(), planes="", run=()) -> bytes:
+    """A frame payload holding one assist record, field by field: the
+    scalars as given, ``planes`` a string of ``0``/``1`` (padded with
+    zeros to a byte unless it says otherwise), ``run`` the varint run's
+    unsigned values."""
+    out = bytearray()
+    for scalar in (len(callsite), *callsite.encode(), flags, n, d, *rice):
+        encode_uvarint(scalar, out)
+    planes += "0" * (-len(planes) % 8)
+    out += bytes(int(planes[i : i + 8], 2) for i in range(0, len(planes), 8))
+    for value in run:
+        encode_uvarint(value, out)
     return bytes(out)
 
 
+#: flag bits of an assist record's first varint
+ASSIST, MOVED, WITH_NEXT, UNMATCHED, EXCEPTIONS = 1, 2, 4, 8, 16
+
 # -- differential: well-formed payloads ----------------------------------------------
+
+
+def assert_round_trips(chunk_list):
+    data = serialize_cdc_chunks(chunk_list)
+    assert data == serialize_cdc_chunks_oracle(chunk_list)
+    assert deserialize_cdc_chunks(data) == chunk_list
+    assert deserialize_cdc_chunks_oracle(data) == chunk_list
+    for chunk in chunk_list:
+        payload = encode_frame_payload(chunk)
+        assert payload == encode_frame_payload_oracle(chunk)
+        assert decode_frame_payload(payload) == chunk == decode_frame_payload_oracle(payload)
+    return data
 
 
 class TestSameBytesSameChunks:
     @unhurried
     @given(chunk_lists())
     def test_int64_range(self, chunk_list):
-        data = serialize_cdc_chunks(chunk_list)
-        assert data == serialize_cdc_chunks_oracle(chunk_list)
-        assert deserialize_cdc_chunks(data) == chunk_list
-        assert deserialize_cdc_chunks_oracle(data) == chunk_list
+        assert_round_trips(chunk_list)
 
     @unhurried
     @given(chunk_lists(huge))
     def test_beyond_int64_takes_the_scalar_producer(self, chunk_list):
-        data = serialize_cdc_chunks(chunk_list)
-        assert data == serialize_cdc_chunks_oracle(chunk_list)
-        assert deserialize_cdc_chunks(data) == chunk_list
-        assert deserialize_cdc_chunks_oracle(data) == chunk_list
+        assert_round_trips(chunk_list)
 
     @unhurried
     @given(chunk_lists())
     def test_forced_scalar_producers_change_nothing(self, chunk_list):
+        """A short varint run takes the scalar steps, a long one the kernel
+        (``varint.KERNEL_MIN_VALUES``): all kernel, and all scalar, write and
+        read the same bytes."""
         data = serialize_cdc_chunks(chunk_list)
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(varint, "KERNEL_MIN_VALUES", 0)
+            assert serialize_cdc_chunks(chunk_list) == data
+            assert deserialize_cdc_chunks(data) == chunk_list
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(varint, "KERNEL_MIN_VALUES", 0)
             patch.setattr(kernels, "stream_to_unsigned", lambda *a: None)
             patch.setattr(kernels, "uvarint_decode_batch", lambda *a: None)
             assert serialize_cdc_chunks(chunk_list) == data
             assert deserialize_cdc_chunks(data) == chunk_list
+
+    @unhurried
+    @given(plane_chunks())
+    def test_planes_at_their_edges(self, chunk):
+        """Events at every byte boundary of a plane, index widths 1, 2 and
+        8, empty and full bitmaps, no runs and runs at Rice parameter 0 and
+        at the cap: both layouts round-trip and the bit-by-bit reference
+        writes the same bytes."""
+        if chunk.unmatched_runs:
+            gaps = [b - a - 1 for (a, _), (b, _) in zip(((-1, 0), *chunk.unmatched_runs),
+                                                        chunk.unmatched_runs)]
+            parameters = {rice_parameter(gaps),
+                          rice_parameter([c - 1 for _, c in chunk.unmatched_runs])}
+            assert parameters <= {0, MAX_RICE_K}
+        assert_round_trips([chunk])
+        assert_round_trips([paper_twin(chunk)])
+        assert assert_same_outcome(serialize_cdc_chunks([chunk, paper_twin(chunk)])) == [
+            chunk, paper_twin(chunk)
+        ]
 
     def test_shapes_the_strategies_rarely_draw(self):
         empty = CDCChunk("a", 0, PermutationDiff(0, (), ()), (), (), EpochLine({}), ())
@@ -217,9 +335,10 @@ class TestSameBytesSameChunks:
         paper = dataclasses.replace(
             single, sender_min_clocks=((2, 9),), sender_sequence=None
         )
-        for chunk_list in ([], [empty], [single], [paper], [empty, single, paper]):
-            data = serialize_cdc_chunks(chunk_list)
-            assert data == serialize_cdc_chunks_oracle(chunk_list)
+        assisted_empty = dataclasses.replace(empty, sender_sequence=())
+        for chunk_list in ([], [empty], [single], [paper], [assisted_empty],
+                           [empty, single, paper, assisted_empty, paper, single]):
+            data = assert_round_trips(chunk_list)
             assert assert_same_outcome(data) == chunk_list
 
     def test_negative_in_an_unsigned_column_raises_like_the_oracle(self):
@@ -229,6 +348,31 @@ class TestSameBytesSameChunks:
         for serializer in (serialize_cdc_chunks, serialize_cdc_chunks_oracle):
             with pytest.raises(ValueError, match="uvarint requires value >= 0"):
                 serializer([bad])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"with_next_indices": (1, 0)}, "with_next indices must ascend"),
+        ({"with_next_indices": (0, 0)}, "with_next indices must ascend"),
+        ({"with_next_indices": (2,)}, "with_next indices must ascend"),
+        ({"with_next_indices": (-1,)}, "with_next indices must ascend"),
+        ({"unmatched_runs": ((1, 1), (1, 2))}, "unmatched runs must ascend"),
+        ({"unmatched_runs": ((-1, 1),)}, "unmatched runs must ascend"),
+        ({"unmatched_runs": ((0, 0),)}, "unmatched runs must ascend"),
+        ({"unmatched_runs": ((0, 1), (1, 2**59))}, "too long for the layout"),
+    ])
+    def test_what_a_plane_cannot_say_is_refused_by_both_serializers(self, change, message):
+        """An assist chunk's planes hold ascending positions and non-empty
+        runs; a chunk that is neither is not written as something else."""
+        base = CDCChunk(
+            "a", 2, PermutationDiff(2, (), ()), (), (), EpochLine({3: 5}), ((3, 2),),
+            sender_sequence=(3, 3),
+        )
+        for serializer in (serialize_cdc_chunks, serialize_cdc_chunks_oracle):
+            with pytest.raises(ValueError, match=message):
+                serializer([dataclasses.replace(base, **change)])
+        for change in ({"num_events": 3}, {"epoch": EpochLine({3: 5, 4: 1})}):
+            for serializer in (serialize_cdc_chunks, serialize_cdc_chunks_oracle):
+                with pytest.raises(RecordFormatError, match="not the sender column's"):
+                    serializer([dataclasses.replace(base, **change)])
 
 
 # -- differential: hostile bytes ------------------------------------------------------
@@ -254,6 +398,17 @@ class TestHostileBytes:
         assert_same_outcome(bytes(data))
 
     @unhurried
+    @given(chunks(huge), st.data())
+    def test_bit_flips_in_a_frame_payload(self, chunk, draw):
+        data = bytearray(encode_frame_payload(chunk))
+        for _ in range(draw.draw(st.integers(1, 3))):
+            data[draw.draw(st.integers(0, len(data) - 1))] ^= 1 << draw.draw(
+                st.integers(0, 7)
+            )
+        got = bounded_outcome(bytes(data), decode_frame_payload)
+        assert got == outcome(decode_frame_payload_oracle, bytes(data))
+
+    @unhurried
     @given(chunk_lists(), chunk_lists(huge), st.data())
     def test_spliced_payloads(self, first, second, draw):
         a, b = serialize_cdc_chunks(first), serialize_cdc_chunks(second)
@@ -264,8 +419,9 @@ class TestHostileBytes:
     @unhurried
     @given(chunk_lists(), st.data())
     def test_inflated_value(self, chunk_list, draw):
-        """Any varint — chunk count, callsite id, a length prefix — swapped
-        for one up to 2**62: refused, and never sized an allocation."""
+        """Any varint — chunk count, callsite id, a length prefix, a plane
+        size — swapped for one up to 2**62: refused, and never sized an
+        allocation."""
         data = serialize_cdc_chunks(chunk_list)
         start, end = draw.draw(st.sampled_from(value_spans(data)))
         inflated = bytearray()
@@ -275,10 +431,10 @@ class TestHostileBytes:
     @unhurried
     @given(chunks())
     def test_flipped_layout_bit(self, chunk):
-        """The header's low bit picks the layout. Set on a paper-exact
-        chunk, three columns are read as others and the sender column is
-        whatever comes next; cleared on an assist chunk, three columns are
-        missing and the sender column is left over. Whatever comes out,
+        """A head's low bit picks the layout. Set on a paper-exact chunk,
+        its event count is read as a record's length and its columns as
+        flags and planes; cleared on an assist chunk, the record's length
+        is an event count and the planes are columns. Whatever comes out,
         comes out of both decoders."""
         data = bytearray(serialize_cdc_chunks([chunk]))
         head = value_spans(bytes(data))[1][0]
@@ -286,47 +442,115 @@ class TestHostileBytes:
         data[head] ^= 1
         assert_same_outcome(bytes(data))
 
-    @unhurried
-    @given(
-        chunks().filter(lambda c: c.sender_sequence),
-        st.sampled_from([
-            ("no sender column", "column truncated"),
-            ("one sender fewer", "senders .* for .* events"),
-            ("one event more", "senders .* for .* events"),
-            ("one ceiling more", "distinct.* under .* epoch ceilings"),
-            ("one ceiling fewer", "distinct.* under .* epoch ceilings"),
-        ]),
-    )
-    def test_assist_columns_that_contradict_the_sender_column(self, chunk, case):
+    @pytest.mark.parametrize("payload, message", [
+        # d = 3 at two bits an event: index 3 names no sender
+        (assist_payload(n=3, d=3, planes="00" "01" "11", run=(0, 0, 0, 2, 2, 2)),
+         "sender index past the sender list"),
+        # two senders, every event the first one's
+        (assist_payload(n=3, d=2, planes="000", run=(0, 0, 2, 2)), "a sender no event names"),
+        # one sender, and an index bit set
+        (assist_payload(n=3, d=1, planes="010", run=(5, 2)), "sender index past the sender list"),
+        # more senders than events; events and no sender
+        (assist_payload(n=1, d=2, planes="0", run=(0, 0, 2, 2)), "1 events, 2 senders"),
+        (assist_payload(n=2, d=0, planes="00"), "2 events, 0 senders"),
+        # a ceiling more, a ceiling fewer, than senders
+        (assist_payload(n=2, d=1, planes="00", run=(5, 2, 2)), "varint run of 3 values"),
+        (assist_payload(n=2, d=1, planes="00", run=(5,)), "varint run of 1 values"),
+    ])
+    def test_assist_columns_that_contradict_the_sender_column(self, payload, message):
         """An assist chunk's epoch ranks, counts and event count are read
-        off its sender column: a header bit with no such column behind it,
-        a ceiling column of another length, or a sender column that is not
-        ``num_events`` long, is refused."""
-        damage, message = case
-
-        def edit(values):
-            steps, senders = values[7], values[-1]
-            if damage == "no sender column":
-                del values[-1]
-            elif damage == "one sender fewer":
-                del senders[0]
-            elif damage == "one event more":
-                values[1] += 1
-            elif damage == "one ceiling more":
-                steps.append(2)
-            else:
-                del steps[-1]
-
-        data = assist_payload(chunk, edit)
-        assert assert_same_outcome(data) is RecordFormatError
+        off its sender column — here, off the packed index and the sender
+        list it points into: an index past the list, a sender no event
+        names, more senders than events or a ceiling column of another
+        length is refused."""
+        assert bounded_outcome(payload, decode_frame_payload) is RecordFormatError
+        assert outcome(decode_frame_payload_oracle, payload) is RecordFormatError
         with pytest.raises(RecordFormatError, match=message):
-            deserialize_cdc_chunks(data)
+            decode_frame_payload(payload)
+
+    #: two runs at Rice 1/0 — gaps, less one, of 2 and 3 ("10" low "0", "10"
+    #: low "1"), lengths, less one, of 0 and 1 ("0", "10") — then one event's
+    #: index bit: runs at positions 2 and 6, of 1 and 2 tests
+    RUNS = dict(n=1, d=1, run=(7, 4))
+
+    @pytest.mark.parametrize("payload, message", [
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(2, 1, 0, 7), planes="1010" "010" "01" "0", **RUNS),
+         None),  # the well-formed one
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(2, 1, 0, 7), planes="1110" "010" "01" "0", **RUNS),
+         "unary plane holds 3 codes for 2 runs"),
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(2, 1, 0, 7), planes="1000" "010" "01" "0", **RUNS),
+         "unary plane holds 5 codes for 2 runs"),
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(2, 1, 0, 8), planes="1010" "010" "1" "01" "0", **RUNS),
+         "unary plane holds 4 codes for 2 runs"),  # four zeros, then a one no code owns
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(2, 16, 0, 7), planes="1" * 48, **RUNS),
+         "at Rice 16/0"),
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(2, 0, 16, 7), planes="1" * 48, **RUNS),
+         "at Rice 0/16"),
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(2, 1, 0, 7), planes="1010" "010" "01" "0" "0001", **RUNS),
+         "pad bits behind the planes are not zero"),
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(2, 1, 0, 7), planes="1010" "010" "01", **RUNS)[:-3],
+         "in a record of"),  # the last plane byte and the run cut off
+        # a run count no plane bit backs up, at Rice 0: nothing is sized by it
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(2**40, 0, 0, 7), planes="1010" "010" "0", **RUNS),
+         "unary plane holds 4 codes"),
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(2, 1, 0, 2**50), planes="1", **RUNS),
+         "in a record of"),
+        # an event count no plane byte backs up
+        (assist_payload(n=2**40, d=1, planes="0" * 64, run=(7, 4)), "in a record of"),
+        (assist_payload(flags=ASSIST | WITH_NEXT, n=2**33, d=2**33, planes="0" * 64), "in a record of"),
+        # a flagged table that is not there; a flag no table has
+        (assist_payload(flags=ASSIST | WITH_NEXT, n=1, d=1, planes="0" "0", run=(7, 4)),
+         "name a table the record does not hold"),
+        (assist_payload(flags=ASSIST | UNMATCHED, rice=(0, 0, 0, 0), n=1, d=1, planes="0", run=(7, 4)),
+         "name a table the record does not hold"),
+        (assist_payload(flags=ASSIST | MOVED, n=1, d=1, planes="0", run=(0, 7, 4)),
+         "name a table the record does not hold"),
+        (assist_payload(flags=ASSIST | EXCEPTIONS, n=1, d=1, planes="0", run=(7, 4)),
+         "name a table the record does not hold"),
+        (assist_payload(flags=ASSIST | 32, n=1, d=1, planes="0", run=(7, 4)),
+         "name a table the record does not hold"),
+        # the varint run: a moved-event count past its values, an odd rest,
+        # a cut varint behind it
+        (assist_payload(flags=ASSIST | MOVED, n=1, d=1, planes="0", run=(9, 7, 4)),
+         "varint run of 3 values for 9 moved"),
+        (assist_payload(n=1, d=1, planes="0", run=(7, 4, 1)), "varint run of 3 values"),
+        (assist_payload(n=1, d=1, planes="0", run=(7, 4)) + b"\x80", "varint run of 2 values"),
+    ])
+    def test_malformed_planes_are_refused_before_they_are_unpacked(self, payload, message):
+        """Every plane is sized from the record's scalars and checked
+        against the bytes present before anything is unpacked; what the
+        encoder cannot have written — a unary plane without its 2m zeros, a
+        Rice parameter past the cap, pad bits, a flag without its table —
+        is refused. (Non-ascending senders cannot be written down at all:
+        the list is stored as gaps, less one.) Allocation stays bounded by
+        the payload's length whatever its scalars claim."""
+        got = bounded_outcome(payload, decode_frame_payload)
+        assert got == outcome(decode_frame_payload_oracle, payload)
+        if message is None:
+            assert got.unmatched_runs == ((2, 1), (6, 2)) and got.sender_sequence == (7,)
+            assert encode_frame_payload(got) == payload
+            return
+        assert got is RecordFormatError
+        with pytest.raises(RecordFormatError, match=message):
+            decode_frame_payload(payload)
+        # inside the multi-chunk container the same record is refused too
+        record = payload[2:]
+        container = bytearray(serialize_cdc_chunks([]))
+        container[4:] = b"\x01\x01a" b"\x01" b"\x01"
+        encode_uvarint(len(record), container)
+        assert assert_same_outcome(bytes(container) + record) is RecordFormatError
 
     @unhurried
     @given(chunk_lists(huge), st.sampled_from([b"\x80", b"\xff\xff", b"\x81" * 12]))
     def test_trailing_partial_varint_is_ignored(self, chunk_list, tail):
+        """Behind the container's last chunk; a frame payload is exactly one
+        chunk, and anything behind it is refused."""
         data = serialize_cdc_chunks(chunk_list)
         assert assert_same_outcome(data + tail) == chunk_list
+        for chunk in chunk_list:
+            payload = encode_frame_payload(chunk) + tail
+            assert bounded_outcome(payload, decode_frame_payload) is RecordFormatError
+            assert outcome(decode_frame_payload_oracle, payload) is RecordFormatError
 
     @unhurried
     @given(st.binary(max_size=80))

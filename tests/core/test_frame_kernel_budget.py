@@ -1,20 +1,23 @@
-"""Deterministic budget for the frame path: varint kernel calls per frame.
+"""Deterministic budget for the frame path: kernel calls per frame.
 
 A durable record writes one frame per flushed chunk and a load reads each
-back. With a frame's payload treated as one varint stream (DESIGN.md §6.5)
-each direction makes exactly one call into the LEB128 kernel per frame —
-the per-column code made twelve — and the read path inverts the linear
-predictor on Python ints without reaching ``lp_decode_auto``. Call counts
-repeat exactly on any machine, so this gates the per-frame cost where a
-wall-clock check on a shared runner could not (the style of
-``tests/sim/test_hot_path_budget.py``).
+back. An assist frame (DESIGN.md §5.10) is one bit pass and one varint pass
+in each direction: its planes go through ``kernels.packbits`` /
+``kernels.unpackbits`` exactly once, and its varint run — the few values
+left once the per-event columns are planes — through the LEB128 kernel at
+most once: a run under ``varint.KERNEL_MIN_VALUES`` values takes the scalar
+steps instead (a kernel call costs what some hundred of them do), and with
+the threshold at zero every frame makes exactly one kernel call. The
+per-column code made twelve. Call counts repeat exactly on any machine, so
+this gates the per-frame cost where a wall-clock check on a shared runner
+could not (the style of ``tests/sim/test_hot_path_budget.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import kernels, lp_encoding
+from repro.core import kernels, varint
 from repro.replay import RecordSession
 from repro.replay.durable_store import load_archive
 from repro.workloads import make_workload
@@ -39,12 +42,21 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("telemetry", [False, True])
-def test_one_kernel_call_per_frame_in_each_direction(tmp_path, monkeypatch, telemetry):
+def test_one_kernel_call_per_frame_in_each_direction(tmp_path, telemetry):
+    for always_kernel in (False, True):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if always_kernel:
+                monkeypatch.setattr(varint, "KERNEL_MIN_VALUES", 0)
+            store = str(tmp_path / f"rec-{always_kernel}")
+            check_frame_budget(monkeypatch, store, telemetry, always_kernel)
+
+
+def check_frame_budget(monkeypatch, store, telemetry, always_kernel):
     encodes = count_calls(monkeypatch, kernels, "_encode_u64")
     decodes = count_calls(monkeypatch, kernels, "uvarint_decode_batch")
-    lp_autos = count_calls(monkeypatch, lp_encoding, "lp_decode_auto")
+    packs = count_calls(monkeypatch, kernels, "packbits")
+    unpacks = count_calls(monkeypatch, kernels, "unpackbits")
     program, _ = make_workload("mcb", NPROCS, particles_per_rank=40, seed=3)
-    store = str(tmp_path / "rec")
     recorded = RecordSession(
         program,
         nprocs=NPROCS,
@@ -58,17 +70,18 @@ def test_one_kernel_call_per_frame_in_each_direction(tmp_path, monkeypatch, tele
     assert frames > 4 * NPROCS  # many small frames: the case being gated
     # with telemetry on too: the rollup reads the sizes of the frames the
     # store wrote, it does not serialize each rank's record again
-    assert len(encodes) == frames, (
+    assert len(packs) == frames, f"{len(packs) / frames:.1f} bit passes per frame written"
+    assert len(encodes) == (frames if always_kernel else 0), (
         f"{len(encodes) / frames:.1f} encode kernel calls per frame "
-        f"(one stream: 1, one array per column: {PER_COLUMN_CALLS})"
+        f"(one run: at most 1, one array per column: {PER_COLUMN_CALLS})"
     )
-    assert not decodes
+    assert not decodes and not unpacks
 
     archive, report = load_archive(store, mode="strict")
     assert report.clean and archive.chunks_by_rank == recorded.archive.chunks_by_rank
-    assert len(decodes) == frames, (
+    assert len(unpacks) == frames, f"{len(unpacks) / frames:.1f} bit passes per frame read"
+    assert len(decodes) == (frames if always_kernel else 0), (
         f"{len(decodes) / frames:.1f} decode kernel calls per frame "
-        f"(one stream: 1, one array per column: {PER_COLUMN_CALLS})"
+        f"(one run: at most 1, one array per column: {PER_COLUMN_CALLS})"
     )
-    assert len(encodes) == frames
-    assert not lp_autos, "load_archive reached lp_decode_auto"
+    assert len(packs) == frames and len(encodes) == (frames if always_kernel else 0)

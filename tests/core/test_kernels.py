@@ -20,17 +20,20 @@ from repro.core import lp_encoding
 from repro.core import varint
 from repro.core.varint import (
     decode_svarint_array,
-    decode_svarint_array_scalar,
     decode_uvarint_array,
-    decode_uvarint_array_scalar,
     encode_svarint_array,
-    encode_svarint_array_scalar,
     encode_uvarint_array,
-    encode_uvarint_array_scalar,
-    svarint_size,
     zigzag_decode,
     zigzag_encode,
     _zigzag_big,
+)
+from tests.core import oracles
+from tests.core.oracles import (
+    decode_svarint_array_scalar,
+    decode_uvarint_array_scalar,
+    encode_svarint_array_scalar,
+    encode_uvarint_array_scalar,
+    svarint_size,
 )
 
 # distributions matching what the chunk format sees: LP residuals cluster
@@ -161,13 +164,13 @@ class TestBatchByteIdentity:
 
     @given(st.lists(full_unsigned, max_size=120))
     def test_size_accounting_matches_bytes(self, values):
-        assert varint.array_payload_size(values, signed=False) == len(
+        assert oracles.array_payload_size(values, signed=False) == len(
             encode_uvarint_array(values)
         )
 
     @given(st.lists(st.one_of(full_signed, big_signed), max_size=120))
     def test_signed_size_accounting_matches_bytes(self, values):
-        assert varint.array_payload_size(values, signed=True) == len(
+        assert oracles.array_payload_size(values, signed=True) == len(
             encode_svarint_array(values)
         )
 
@@ -175,34 +178,34 @@ class TestBatchByteIdentity:
 class TestLPAuto:
     @given(st.lists(st.integers(min_value=-(2**48), max_value=2**48), max_size=200))
     def test_lp_auto_matches_scalar(self, values):
-        enc = lp_encoding.lp_encode_auto(values)
+        enc = oracles.lp_encode_auto(values)
         as_list = enc.tolist() if isinstance(enc, np.ndarray) else enc
         assert as_list == lp_encoding.lp_encode(values)
-        dec = lp_encoding.lp_decode_auto(enc)
+        dec = oracles.lp_decode_auto(enc)
         as_list = dec.tolist() if isinstance(dec, np.ndarray) else dec
         assert as_list == values
 
     @given(st.lists(big_signed, min_size=1, max_size=30))
     def test_lp_auto_exact_beyond_int64(self, values):
-        enc = lp_encoding.lp_encode_auto(values)
+        enc = oracles.lp_encode_auto(values)
         enc_list = enc.tolist() if isinstance(enc, np.ndarray) else enc
         assert enc_list == lp_encoding.lp_encode(values)
-        dec = lp_encoding.lp_decode_auto(enc_list)
+        dec = oracles.lp_decode_auto(enc_list)
         dec_list = dec.tolist() if isinstance(dec, np.ndarray) else dec
         assert dec_list == values
 
     def test_lp_auto_falls_back_beyond_int64(self):
         values = [2**70, 2**70 + 3, 5, -(2**70)]
-        enc = lp_encoding.lp_encode_auto(values)
+        enc = oracles.lp_encode_auto(values)
         assert isinstance(enc, list)  # scalar fallback engaged
         assert enc == lp_encoding.lp_encode(values)
-        assert lp_encoding.lp_decode_auto(enc) == values
+        assert oracles.lp_decode_auto(enc) == values
 
     def test_lp_decode_overflow_guard(self):
         # residuals whose reconstruction crosses int64: the float64 shadow
         # must reroute to the exact scalar path instead of wrapping
         errors = [2**62, 2**62, 2**62]
-        decoded = lp_encoding.lp_decode_auto(errors)
+        decoded = oracles.lp_decode_auto(errors)
         assert decoded == lp_encoding.lp_decode(errors)
         assert decoded[-1] == 3 * 2**62 + 2 * 2**62 + 2**62  # > 2**63
 
@@ -226,42 +229,59 @@ class TestStreamKernels:
             coded = lp_encoding.lp_encode(body) if lp else body
             expected += [len(body), *(map(zigzag_encode, coded) if signed else coded)]
         flags = np.array(flags, dtype=np.uint8)
-        fast, per_value = varint.stream_to_unsigned(flat, flags, lengths)
-        assert isinstance(fast, np.ndarray) and fast.tolist() == expected
-        assert per_value.tolist() == np.repeat(flags, lengths).tolist()
-        assert varint.encode_uvarint_stream(fast) == varint.encode_uvarint_stream(expected)
-        assert varint.uvarint_stream_sizes(fast).tolist() == (
-            varint.uvarint_stream_sizes(expected).tolist()
-        )
+        # both producers: the scalar steps a short stream takes, and the
+        # kernel (one array) from KERNEL_MIN_VALUES values on
+        for threshold in (len(flat) + 1, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(varint, "KERNEL_MIN_VALUES", threshold)
+                fast = varint.stream_to_unsigned(flat, flags, lengths)
+            assert isinstance(fast, np.ndarray) == (threshold == 0)
+            assert list(fast) == expected
+            assert varint.encode_uvarint_stream(fast) == varint.encode_uvarint_stream(expected)
+            assert varint.uvarint_stream_sizes(fast).tolist() == (
+                varint.uvarint_stream_sizes(expected).tolist()
+            )
 
     def test_stream_to_unsigned_beyond_int64_is_the_same_steps_on_ints(self):
         flat = [3, 2**70, 2**70 + 5, 2**70 + 11, 1, -(2**63)]
         flags = np.array([0, varint.SIGNED | varint.LP, 0, varint.SIGNED], np.uint8)
-        values, _ = varint.stream_to_unsigned(flat, flags, [1, 3, 1, 1])
+        values = varint.stream_to_unsigned(flat, flags, [1, 3, 1, 1])
         residuals = lp_encoding.lp_encode(flat[1:4])
         assert values == [3, *map(zigzag_encode, residuals), 1, zigzag_encode(-(2**63))]
 
     def test_stream_negative_at_unsigned_position_raises(self):
         flags = np.array([0, varint.SIGNED, 0], np.uint8)
-        with pytest.raises(ValueError, match="uvarint requires value >= 0, got -7"):
-            varint.stream_to_unsigned([1, -3, -7], flags, [1, 1, 1])
+        # from whichever producer the stream's length picks: the scalar one
+        # raises where it packs the value, the kernel before it packs any
+        for pad in (0, varint.KERNEL_MIN_VALUES):
+            with pytest.raises(ValueError, match="uvarint requires value >= 0, got -7"):
+                varint.encode_uvarint_stream(
+                    varint.stream_to_unsigned([0] * pad + [1, -3, -7], flags, [pad + 1, 1, 1])
+                )
 
     @given(unsigned_lists, st.binary(max_size=3))
     def test_decode_stream_matches_scalar(self, values, prefix):
         # the array encoding's length prefix is just one more value of the stream
         buf = prefix + encode_uvarint_array_scalar(values)
-        unsigned, signed = varint.decode_varint_stream(buf, len(prefix))
-        expected, pos = [], len(prefix)
+        expected, last_bytes, pos = [], [], len(prefix)
         while pos < len(buf):
             value, pos = varint.decode_uvarint(buf, pos)
             expected.append(value)
-        assert unsigned == expected
-        assert signed == [zigzag_decode(v) for v in expected]
+            last_bytes.append(pos - 1)
+        for threshold in (len(buf) + 1, 0):  # the scalar loop, the kernel
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(varint, "KERNEL_MIN_VALUES", threshold)
+                unsigned, signed, ends = varint.decode_varint_stream(buf, len(prefix))
+            assert unsigned == expected
+            assert signed == [zigzag_decode(v) for v in expected]
+            assert list(ends) == last_bytes
 
     def test_decode_stream_leaves_out_a_dangling_tail(self):
         for tail in (b"\x80", b"\xff" * 30):
-            unsigned, _ = varint.decode_varint_stream(b"\x05\x81\x01" + tail, 0)
-            assert unsigned == [5, 129]
+            for filler in (b"", b"\x00" * varint.KERNEL_MIN_VALUES):  # scalar, kernel
+                unsigned, _, ends = varint.decode_varint_stream(filler + b"\x05\x81\x01" + tail, 0)
+                assert unsigned[len(filler) :] == [5, 129]
+                assert list(ends)[len(filler) :] == [len(filler), len(filler) + 2]
 
     @given(st.lists(full_unsigned, max_size=60))
     def test_sizes_bounded_by_the_maximum_still_match_scalar(self, values):

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.lp_encoding import (
-    PAPER_COEFFS,
-    lp_decode,
-    lp_decode_array,
-    lp_encode,
-    lp_encode_array,
-    prediction_quality,
-)
+from repro.core.lp_encoding import PAPER_COEFFS, lp_decode, lp_encode, prediction_quality
+from tests.core.oracles import lp_decode_array, lp_encode_array
 
 
 class TestPaperExample:

@@ -25,12 +25,11 @@ from repro.core import (
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent, outcomes_to_rows
 from repro.core.formats import (
     deserialize_cdc_chunks,
-    deserialize_raw_rows,
-    deserialize_re_tables,
     serialize_cdc_chunks,
     serialize_raw_rows,
     serialize_re_tables,
 )
+from tests.core.oracles import deserialize_raw_rows, deserialize_re_tables
 
 
 @st.composite

@@ -60,7 +60,7 @@ def record_session(tmp_path, injector=None, metrics=None, **kwargs):
 class TestStreamSurvivesCrash:
     def test_crash_leaves_schema_valid_stream(self, tmp_path):
         metrics = tmp_path / "metrics.jsonl"
-        injector = FaultInjector(FaultPlan(crash_after_bytes=400))
+        injector = FaultInjector(FaultPlan(crash_after_bytes=260))
         session = record_session(tmp_path, injector=injector, metrics=metrics)
         with pytest.raises(InjectedCrash):
             session.run()
@@ -75,7 +75,7 @@ class TestStreamSurvivesCrash:
 
     def test_every_line_is_complete_json(self, tmp_path):
         metrics = tmp_path / "metrics.jsonl"
-        injector = FaultInjector(FaultPlan(crash_after_bytes=700))
+        injector = FaultInjector(FaultPlan(crash_after_bytes=450))
         with pytest.raises(InjectedCrash):
             record_session(tmp_path, injector=injector, metrics=metrics).run()
         for line in metrics.read_text().splitlines():

@@ -1,16 +1,17 @@
-"""Durable archive format (version 3): framing, atomicity, salvage, retries."""
+"""Durable archive format (version 4): framing, atomicity, salvage, retries."""
 
 import errno
 import json
 import os
 import struct
 import time
+import tracemalloc
 import zlib
 
 import pytest
 
 from repro.core.events import ReceiveEvent
-from repro.core.formats import serialize_cdc_chunks
+from repro.core.formats import encode_frame_payload, serialize_cdc_chunks
 from repro.core.pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.core.varint import encode_uvarint
@@ -18,6 +19,8 @@ from repro.errors import ArchiveCorruptionError, RecordFormatError
 from repro.replay.chunk_store import RecordArchive
 from repro.replay.durable_store import (
     ARCHIVE_MAGIC,
+    MAX_ABSENT_RANKS,
+    MAX_PAYLOAD_BYTES,
     DurableArchiveWriter,
     RetryPolicy,
     frame_bytes,
@@ -60,7 +63,7 @@ def raw_deflate(data: bytes) -> bytes:
     return zlib.compress(data)[2:-4]  # zlib's header and Adler-32 off
 
 
-#: a two-rank directory written by the parent commit (7b1d829, version 2:
+#: a two-rank directory written by an earlier commit (7b1d829, version 2:
 #: ``CDCARC2\n``, u32 length + u32 CRC headers, zlib-wrapped payloads, clock-
 #: order diffs and the epoch rank/count/first-clock columns on assist chunks)
 V2_DIRECTORY = {
@@ -75,6 +78,23 @@ V2_DIRECTORY = {
     "rank-00001.cdc": bytes.fromhex(
         "434443415243320a1e0000001f432273789c7376713664644c64646064600062"
         "46262066616404f11800235a016e"
+    ),
+}
+
+#: a two-rank directory written by the parent commit (d575b0d, version 3:
+#: ``CDCARC3\n``, an indented manifest with ``frames`` an object, payloads
+#: that open with ``CDC1`` and a string table and write every column of an
+#: assist chunk as varints)
+V3_DIRECTORY = {
+    "MANIFEST": (
+        b'{\n  "format": "cdc-archive",\n  "frames": {\n    "0": 1,\n    "1": 1\n  },'
+        b'\n  "meta": {\n    "workload": "unit"\n  },\n  "nprocs": 2,\n  "version": 3\n}\n'
+    ),
+    "rank-00000.cdc": bytes.fromhex(
+        "434443415243330a15f0adf3887376713664644c6464606200014626463620067200"
+    ),
+    "rank-00001.cdc": bytes.fromhex(
+        "434443415243330a16a89155177376713664644c646464660001262e46060620931100"
     ),
 }
 
@@ -146,22 +166,32 @@ class TestSaveLoadRoundTrip:
     def test_record_archive_save_writes_the_one_layout(self, archive, tmp_path):
         d = str(tmp_path / "rec")
         archive.save(d)
-        assert ARCHIVE_MAGIC == b"CDCARC3\n"
+        assert ARCHIVE_MAGIC == b"CDCARC4\n"
         assert open(rank_path(d), "rb").read().startswith(ARCHIVE_MAGIC)
-        assert json.load(open(os.path.join(d, "MANIFEST")))["version"] == 3
+        manifest = open(os.path.join(d, "MANIFEST"), "rb").read()
+        assert manifest.count(b"\n") == 1 and b" " not in manifest  # one compact line
+        assert json.loads(manifest)["version"] == 4
+        assert json.loads(manifest)["frames"] == [3, 1, 0]
         assert RecordArchive.load(d).chunks_by_rank == archive.chunks_by_rank
 
     @pytest.mark.parametrize("mode", ["strict", "salvage"])
     def test_version_2_directory_is_rejected_in_both_modes(self, tmp_path, mode):
-        """The previous layout has no reader either: bytes the parent commit
-        wrote are refused by name, at once, however they are opened."""
-        for name, data in V2_DIRECTORY.items():
+        self.assert_rejected_by_name(tmp_path, mode, V2_DIRECTORY, "version 2")
+
+    @pytest.mark.parametrize("mode", ["strict", "salvage"])
+    def test_version_3_directory_is_rejected_in_both_modes(self, tmp_path, mode):
+        self.assert_rejected_by_name(tmp_path, mode, V3_DIRECTORY, "version 3")
+
+    def assert_rejected_by_name(self, tmp_path, mode, directory, version):
+        """A replaced layout has no reader: bytes an earlier commit wrote are
+        refused by name, at once, however they are opened."""
+        for name, data in directory.items():
             (tmp_path / name).write_bytes(data)
         started = time.perf_counter()
         with pytest.raises(RecordFormatError, match="unsupported archive layout") as info:
             load_archive(str(tmp_path), mode=mode)
-        assert "version 2" in str(info.value)
-        with pytest.raises(RecordFormatError, match="version 2"):
+        assert version in str(info.value)
+        with pytest.raises(RecordFormatError, match=version):
             open_run(str(tmp_path), salvage=(mode == "salvage") or None)
         assert time.perf_counter() - started < 1.0
         # without its manifest a salvage finds no frame it can read
@@ -284,7 +314,7 @@ class TestCorruptionDetection:
     def test_frame_count_mismatch_vs_manifest(self, archive, tmp_path):
         d = self.saved(archive, tmp_path)
         manifest = json.load(open(os.path.join(d, "MANIFEST")))
-        manifest["frames"]["0"] = 7
+        manifest["frames"][0] = 7
         with open(os.path.join(d, "MANIFEST"), "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ArchiveCorruptionError) as info:
@@ -323,11 +353,17 @@ class TestCorruptionDetection:
         """A frame is exactly one chunk (what makes every frame prefix an
         epoch-aligned chunk prefix, and a frame's size a chunk's size)."""
         d = self.saved(archive, tmp_path)
-        body = raw_deflate(serialize_cdc_chunks(archive.chunks(0)[:2]))
-        open(rank_path(d), "wb").write(ARCHIVE_MAGIC + framed(body))
-        _, report = load_archive(d, mode="salvage")
-        assert report.ranks[0].failure == "frame-decode-error"
-        assert report.ranks[0].frames_kept == 0
+        first, second = map(encode_frame_payload, archive.chunks(0)[:2])
+        for payload in (
+            first + second,  # two payloads back to back
+            first + second[2:],  # two records behind one callsite
+            serialize_cdc_chunks(archive.chunks(0)[:2]),  # the multi-chunk container
+            first + b"\x00",
+        ):
+            open(rank_path(d), "wb").write(ARCHIVE_MAGIC + framed(raw_deflate(payload)))
+            _, report = load_archive(d, mode="salvage")
+            assert report.ranks[0].failure == "frame-decode-error"
+            assert report.ranks[0].frames_kept == 0
 
     @pytest.mark.parametrize(
         "damage", ["zlib-wrapped", "trailing-bytes", "cut-stream", "two-streams", "empty"]
@@ -340,7 +376,7 @@ class TestCorruptionDetection:
         error at that frame — the frames before it are kept."""
         d = self.saved(archive, tmp_path)
         first, second = map(frame_bytes, archive.chunks(0)[:2])
-        raw = serialize_cdc_chunks(archive.chunks(0)[1:2])
+        raw = encode_frame_payload(archive.chunks(0)[1])
         body = {
             "zlib-wrapped": zlib.compress(raw),  # what version 2 stored
             "trailing-bytes": raw_deflate(raw) + b"\x00",
@@ -394,6 +430,87 @@ class TestCorruptionDetection:
         _, report = load_archive(d, mode="salvage")
         assert report.clean
         assert "clean" in report.render()
+
+
+class TestHostileDirectories:
+    """Bytes a directory merely *holds* size nothing: a frame inflates to at
+    most the frame-payload cap, and a file name does not set the rank count
+    (ROADMAP item 6)."""
+
+    def measured(self, directory, mode):
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            outcome = load_archive(directory, mode=mode)
+        except RecordFormatError as exc:
+            outcome = exc
+        finally:
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert elapsed < 1.0, elapsed
+        return outcome, peak
+
+    @pytest.mark.parametrize("mode", ["strict", "salvage"])
+    def test_deflate_bomb_inflates_no_further_than_the_cap(self, archive, tmp_path, mode):
+        """64 MiB of zeros deflate to a CRC-valid 64 KiB frame: it is a
+        decode error at the cap, not 64 MiB of payload to parse."""
+        d = str(tmp_path / "rec")
+        save_archive(archive, d)
+        deflate = zlib.compressobj(9, zlib.DEFLATED, -15)
+        megabyte = bytes(1 << 20)
+        body = b"".join(deflate.compress(megabyte) for _ in range(64)) + deflate.flush()
+        assert len(body) < 80 * 1024 and 64 << 20 > 3 * MAX_PAYLOAD_BYTES
+        first = frame_bytes(archive.chunks(0)[0])
+        open(rank_path(d), "wb").write(ARCHIVE_MAGIC + first + framed(body))
+        outcome, peak = self.measured(d, mode)
+        # zlib grows its output by doubling, then copies it out once
+        assert peak < 2 * MAX_PAYLOAD_BYTES + (1 << 20), f"{peak:,} B allocated"
+        if mode == "strict":
+            assert isinstance(outcome, ArchiveCorruptionError)
+            assert "frame-decode-error" in str(outcome) and outcome.frame_index == 1
+        else:
+            recovered, report = outcome
+            assert report.ranks[0].failure == "frame-decode-error"
+            assert "under the cap" in report.ranks[0].detail
+            assert recovered.chunks(0) == archive.chunks(0)[:1]
+
+    def test_a_payload_over_the_cap_is_not_written(self, monkeypatch):
+        import repro.replay.durable_store as durable_store
+
+        monkeypatch.setattr(durable_store, "MAX_PAYLOAD_BYTES", 8)
+        with pytest.raises(RecordFormatError, match="over the cap"):
+            frame_bytes(chunk([ReceiveEvent(1, 1)], "a-long-callsite-name"))
+
+    def test_one_file_name_does_not_set_the_rank_count(self, archive, tmp_path):
+        """``rank-99999999.cdc`` in a manifest-less directory used to cost
+        10**8 per-rank reports; it is refused, typed, at once."""
+        d = str(tmp_path / "rec")
+        save_archive(archive, d)
+        os.remove(os.path.join(d, "MANIFEST"))
+        open(os.path.join(d, rank_filename(99_999_999)), "wb").close()
+        outcome, peak = self.measured(d, "salvage")
+        assert isinstance(outcome, RecordFormatError) and "too sparse" in str(outcome)
+        assert peak < 1 << 20
+        with pytest.raises(RecordFormatError, match="no MANIFEST"):
+            load_archive(d, mode="strict")
+        with pytest.raises(RecordFormatError, match="too sparse"):
+            open_run(d)
+
+    def test_a_few_absent_rank_files_are_reported(self, archive, tmp_path):
+        d = str(tmp_path / "rec")
+        save_archive(archive, d)
+        os.remove(os.path.join(d, "MANIFEST"))
+        os.remove(rank_path(d, 1))
+        highest = MAX_ABSENT_RANKS + 1  # ranks 0 and highest present: the rest absent
+        os.rename(rank_path(d, 2), rank_path(d, highest))
+        (recovered, report), _ = self.measured(d, "salvage")
+        assert recovered.nprocs == highest + 1 == len(report.ranks)
+        assert recovered.chunks(0) == archive.chunks(0)
+        missing = [r for r, rec in report.ranks.items() if rec.failure == "missing-file"]
+        assert missing == list(range(1, highest))
+        os.rename(rank_path(d, highest), rank_path(d, highest + 1))
+        assert isinstance(self.measured(d, "salvage")[0], RecordFormatError)
 
 
 class TestRetries:
@@ -532,7 +649,7 @@ class TestManifestNprocsFlip:
         save_archive(archive, d)
         path = os.path.join(d, "MANIFEST")
         raw = open(path, "rb").read()
-        i = raw.index(b'"nprocs": 3') + len(b'"nprocs": ')
+        i = raw.index(b'"nprocs":3') + len(b'"nprocs":')
         flipped = raw[:i] + bytes([raw[i] ^ 0x02]) + raw[i + 1 :]
         open(path, "wb").write(flipped)
         with pytest.raises(RecordFormatError):

@@ -47,9 +47,9 @@ def saved(tmp_path_factory):
 def manifest_bytes(**overrides):
     manifest = {
         "format": "cdc-archive",
-        "version": 3,
+        "version": 4,
         "nprocs": 3,
-        "frames": {"0": 2, "1": 1, "2": 0},
+        "frames": [2, 1, 0],
         "meta": {},
     }
     manifest.update(overrides)
@@ -62,34 +62,40 @@ def manifest_bytes(**overrides):
 #: this suite existed; the sixth took salvage mode 43 s and 1.0 GB).
 HOSTILE = {
     "nprocs-overflows-float": manifest_bytes(nprocs=float("inf")),
-    "frame-count-overflows-float": manifest_bytes(frames={"0": float("inf"), "1": 1, "2": 0}),
+    "frame-count-overflows-float": manifest_bytes(frames=[float("inf"), 1, 0]),
     "hundred-thousand-brackets": b"[" * 100_000,
     "nprocs-fractional": manifest_bytes(nprocs=1.9),
-    "nprocs-30M-one-frame-entry": manifest_bytes(nprocs=30_000_000, frames={"0": 2}),
+    "nprocs-30M-one-frame-entry": manifest_bytes(nprocs=30_000_000, frames=[2]),
     "no-layout-3M-ranks": b'{"nprocs": 3000000, "meta": {}}',
     "no-layout-honest": b'{"nprocs": 3, "meta": {}}',
-    "nprocs-negative": manifest_bytes(nprocs=-1, frames={}),
-    "nprocs-bool": manifest_bytes(nprocs=True, frames={"0": 2}),
+    "nprocs-negative": manifest_bytes(nprocs=-1, frames=[]),
+    "nprocs-bool": manifest_bytes(nprocs=True, frames=[2]),
     "nprocs-string": manifest_bytes(nprocs="3"),
     "nprocs-null": manifest_bytes(nprocs=None),
     "nprocs-missing": json.dumps(
-        {"format": "cdc-archive", "version": 3, "frames": {}}
+        {"format": "cdc-archive", "version": 4, "frames": []}
     ).encode(),
     "nprocs-5000-digits": manifest_bytes().replace(b'"nprocs": 3', b'"nprocs": ' + b"9" * 5000),
-    "frames-list": manifest_bytes(frames=[2, 1, 0]),
+    "frames-dict": manifest_bytes(frames={"0": 2, "1": 1, "2": 0}),  # version 3's shape
     "frames-missing": json.dumps(
-        {"format": "cdc-archive", "version": 3, "nprocs": 3}
+        {"format": "cdc-archive", "version": 4, "nprocs": 3}
     ).encode(),
-    "frame-count-negative": manifest_bytes(frames={"0": -2, "1": 1, "2": 0}),
-    "frame-count-bool": manifest_bytes(frames={"0": True, "1": 1, "2": 0}),
-    "frame-count-fractional": manifest_bytes(frames={"0": 2.0, "1": 1, "2": 0}),
+    "frames-null": manifest_bytes(frames=None),
+    "frame-count-negative": manifest_bytes(frames=[-2, 1, 0]),
+    "frame-count-bool": manifest_bytes(frames=[True, 1, 0]),
+    "frame-count-fractional": manifest_bytes(frames=[2.0, 1, 0]),
+    "frame-count-string": manifest_bytes(frames=["2", 1, 0]),
+    "frame-count-nested": manifest_bytes(frames=[[2], 1, 0]),
+    # a frame table keyed by rank is not a list, whatever its keys say
     "frame-rank-not-a-number": manifest_bytes(frames={"zero": 2, "1": 1, "2": 0}),
-    "frame-rank-out-of-range": manifest_bytes(frames={"0": 2, "1": 1, "7": 0}),
-    "frame-ranks-collapse": manifest_bytes(frames={"0": 2, "00": 1, "2": 0}),
+    "frame-rank-out-of-range": manifest_bytes(frames=[2, 1, 0, 0]),  # an entry for rank 3 of 3
+    "frame-ranks-collapse": manifest_bytes(frames=[2, 1]),  # two entries for three ranks
     "meta-list": manifest_bytes(meta=[1, 2]),
-    "version-string": manifest_bytes(version="3"),
-    "version-2": manifest_bytes(version=2),  # the layout this one replaced
-    "version-4": manifest_bytes(version=4),
+    "version-string": manifest_bytes(version="4"),
+    "version-2": manifest_bytes(version=2),
+    "version-3": manifest_bytes(version=3),  # the layout this one replaced
+    "version-3-as-written": manifest_bytes(version=3, frames={"0": 2, "1": 1, "2": 0}),
+    "version-5": manifest_bytes(version=5),
     "format-other": manifest_bytes(format="cdc-archive-ng"),
     "top-level-list": b"[1, 2, 3]",
     "deep-meta": manifest_bytes().replace(b'"meta": {}', b'"meta": ' + b"[" * 50_000),
@@ -163,7 +169,7 @@ json_values = st.recursive(
 )
 KEY_PATHS = [
     ("format",), ("version",), ("nprocs",), ("frames",), ("meta",),
-    ("frames", "0"), ("frames", "1"), ("frames", "2"), ("frames", "3"),
+    ("frames", 0), ("frames", 1), ("frames", 2), ("frames", 3),
     ("meta", "workload"), ("extra",),
 ]
 
@@ -178,6 +184,13 @@ def mutated_manifests(draw, valid):
         target = manifest
         for parent in parents:
             target = target.get(parent) if isinstance(target, dict) else None
+        if isinstance(target, list) and isinstance(key, int):
+            # the frame table: drop an entry, set one, or append one
+            if draw(st.booleans()) and key < len(target):
+                del target[key]
+            else:
+                target[key:key + 1] = [draw(json_values)]
+            continue
         if not isinstance(target, dict):
             continue
         if draw(st.booleans()) and key in target:

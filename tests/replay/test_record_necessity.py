@@ -3,9 +3,12 @@
 ROADMAP item 2 asks of every field of the record what "Optimal Record and
 Replay under Causal Consistency" (PAPERS.md) asks of any record: is it
 load-bearing, or is it derivable from what is stored beside it? The
-version-3 assist layout ("each fact once", DESIGN.md §5.9) was cut along
-that line, and both halves are checked here on five 8-rank workloads
-recorded at ``chunk_events=24``:
+assist layout ("each fact once", DESIGN.md §5.9) was cut along that line,
+version 4 (§5.10) re-coded what was kept — a bit per event for
+``with_next``, an index into the chunk's sender list, gaps between
+unmatched runs, steps between ceilings — and both halves are checked here,
+for the columns and for the fields version 4 writes them as, on five 8-rank
+workloads recorded at ``chunk_events=24``:
 
 *Kept means load-bearing.* For each column an assist chunk still stores, a
 minimal perturbation of one chunk — one value changed, the chunk otherwise
@@ -192,7 +195,115 @@ def swap_two_adjacent_senders(chunks):
     return None
 
 
-#: stored column -> its perturbations
+# -- the same, in the fields version 4 stores (DESIGN.md §5.10) ---------------------
+# A set or cleared bit of the ``with_next`` plane is ``add`` / ``drop_a_with_next``
+# above, a run length (stored less one) ``one_more`` / ``one_fewer_unmatched_test``.
+# The rest are deltas: one stored value changed moves everything behind it.
+
+
+def _bump_a_sender_index(chunks, step):
+    """packed sender index: one event's, to the next (previous) of the
+    chunk's senders — both still named by other events."""
+    for k, chunk in enumerate(chunks):
+        ranks = [rank for rank, _ in chunk.sender_counts]
+        counts = dict(chunk.sender_counts)
+        for p, sender in enumerate(chunk.sender_sequence):
+            index = ranks.index(sender) + step
+            if 0 <= index < len(ranks) and counts[sender] > 1:
+                senders = list(chunk.sender_sequence)
+                senders[p] = ranks[index]
+                counts[sender] -= 1
+                counts[ranks[index]] += 1
+                return _replace(chunks, k, sender_sequence=tuple(senders),
+                                sender_counts=tuple(sorted(counts.items())))
+    return None
+
+
+def raise_a_sender_index(chunks):
+    return _bump_a_sender_index(chunks, +1)
+
+
+def lower_a_sender_index(chunks):
+    return _bump_a_sender_index(chunks, -1)
+
+
+def _relabel(chunk, names):
+    """``chunk`` with its senders renamed by ``names``; ceilings, counts and
+    exceptions follow their sender."""
+    rename = lambda pairs: tuple(sorted((names.get(r, r), v) for r, v in pairs))
+    return dataclasses.replace(
+        chunk,
+        sender_sequence=tuple(names.get(s, s) for s in chunk.sender_sequence),
+        epoch=EpochLine(dict(rename(chunk.epoch.max_clock_by_rank.items()))),
+        sender_counts=rename(chunk.sender_counts),
+        boundary_exceptions=rename(chunk.boundary_exceptions),
+    )
+
+
+def exchange_two_sender_entries(chunks):
+    """sender list: two entries change places — every event of the one
+    sender is the other's, with its ceiling."""
+    for k, chunk in enumerate(chunks):
+        if len(chunk.sender_counts) > 1:
+            (a, _), (b, _) = chunk.sender_counts[:2]
+            return chunks[:k] + [_relabel(chunk, {a: b, b: a})] + chunks[k + 1 :]
+    return None
+
+
+def widen_a_sender_gap(chunks):
+    """sender list: one stored gap, +1 — that sender and every one after it
+    is the next rank up."""
+    for k, chunk in enumerate(chunks):
+        if chunk.sender_counts:
+            ranks = [rank for rank, _ in chunk.sender_counts]
+            names = {rank: rank + 1 for rank in ranks[len(ranks) // 2 :]}
+            return chunks[:k] + [_relabel(chunk, names)] + chunks[k + 1 :]
+    return None
+
+
+def _move_runs_from(chunks, step):
+    """unmatched gaps: one stored gap, +-1 — that run and every one after
+    it starts one event later (earlier)."""
+    for k, chunk in enumerate(chunks):
+        runs = chunk.unmatched_runs
+        for i, (position, _) in enumerate(runs):
+            floor = runs[i - 1][0] + 1 if i else 0
+            if floor <= position + step and runs[-1][0] + step <= chunk.num_events:
+                moved = tuple((p + step, c) for p, c in runs[i:])
+                return _replace(chunks, k, unmatched_runs=runs[:i] + moved)
+    return None
+
+
+def widen_an_unmatched_gap(chunks):
+    return _move_runs_from(chunks, +1)
+
+
+def narrow_an_unmatched_gap(chunks):
+    return _move_runs_from(chunks, -1)
+
+
+def _step_the_ceilings_from(chunks, step):
+    """ceiling steps: one stored step, +-1 — that sender's ceiling and every
+    later sender's moves with it."""
+    for k, chunk in enumerate(chunks):
+        pairs = chunk.epoch.as_sorted_pairs()
+        if pairs:
+            start = len(pairs) // 2
+            stepped = dict(pairs[:start] + [(r, c + step) for r, c in pairs[start:]])
+            return _replace(chunks, k, epoch=EpochLine(stepped))
+    return None
+
+
+def raise_a_ceiling_step(chunks):
+    return _step_the_ceilings_from(chunks, +1)
+
+
+def lower_a_ceiling_step(chunks):
+    return _step_the_ceilings_from(chunks, -1)
+
+
+#: stored column -> its perturbations; from "sender index" on, the fields
+#: version 4 writes the columns as
 PERTURBATIONS = {
     "permutation": [swap_two_receives_of_one_sender],
     "with_next": [add_a_with_next, drop_a_with_next],
@@ -201,7 +312,17 @@ PERTURBATIONS = {
     "epoch ceilings": [lower_a_ceiling],
     "boundary exceptions": [claim_a_member_as_an_exception],
     "sender column": [swap_two_adjacent_senders],
+    "sender index": [raise_a_sender_index, lower_a_sender_index],
+    "sender list": [exchange_two_sender_entries, widen_a_sender_gap],
+    "unmatched gaps": [widen_an_unmatched_gap, narrow_an_unmatched_gap],
+    "ceiling steps": [lower_a_ceiling_step],
 }
+#: ... and the one direction of one field no replay notices: an assist
+#: chunk's members are its sender column's (the k-th arrival of sender s, by
+#: FIFO), so a ceiling is only ever an upper bound that is *checked* — one
+#: that is too high checks less, and changes nothing (ROADMAP item 6 asks
+#: what the clock buys; this is the first cell of that answer)
+ONE_SIDED = {"ceiling steps": [raise_a_ceiling_step]}
 
 
 def perturbed_archive(archive: RecordArchive, perturb) -> RecordArchive | None:
@@ -241,6 +362,14 @@ def test_kept_means_load_bearing(column):
     for perturb in PERTURBATIONS[column]:
         verdicts = {w: verdict(w, perturb)[0] for w in WORKLOADS}
         assert {"raises", "differs"} & set(verdicts.values()), (perturb.__name__, verdicts)
+
+
+@pytest.mark.parametrize("column", sorted(ONE_SIDED))
+def test_a_bound_that_is_too_loose_goes_unnoticed(column):
+    """Pinned as found, not as wished: if a replay starts to notice, the
+    EXPERIMENTS.md table and DESIGN.md §5.10 have a sentence to lose."""
+    for perturb in ONE_SIDED[column]:
+        assert {verdict(w, perturb)[0] for w in WORKLOADS} == {"unaffected"}, perturb.__name__
 
 
 # -- dropped means derivable -------------------------------------------------------------
@@ -359,7 +488,7 @@ def test_sender_counts_that_contradict_the_sender_column_are_refused(step):
 def _table() -> str:
     header = ["column", "perturbation", *WORKLOADS]
     rows = [header]
-    for column, perturbs in PERTURBATIONS.items():
+    for column, perturbs in [*PERTURBATIONS.items(), *ONE_SIDED.items()]:
         for perturb in perturbs:
             cells = []
             for workload in WORKLOADS:

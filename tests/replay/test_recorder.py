@@ -111,18 +111,18 @@ class TestChunkMarkers:
         import repro.replay.durable_store as durable_store
 
         calls, deflates = [], []
-        real = formats.serialize_cdc_chunks
+        real = formats.encode_frame_payload
         real_deflate = zlib.compressobj
 
-        def counted(chunks):
-            calls.append(len(chunks))
-            return real(chunks)
+        def counted(chunk):
+            calls.append(1)
+            return real(chunk)
 
         def counted_deflate(*args, **kw):
             deflates.append(args)
             return real_deflate(*args, **kw)
 
-        monkeypatch.setattr(durable_store, "serialize_cdc_chunks", counted)
+        monkeypatch.setattr(durable_store, "encode_frame_payload", counted)
         monkeypatch.setattr(zlib, "compressobj", counted_deflate)
         result = RecordSession(
             fanin_program(12), nprocs=4, network_seed=2, chunk_events=4,
@@ -138,13 +138,13 @@ class TestChunkMarkers:
         import zlib
 
         from repro.core.compression import ZLIB_LEVEL
-        from repro.core.formats import serialize_cdc_chunks
+        from repro.core.formats import encode_frame_payload
 
         # a frame's body is a raw deflate stream: zlib's, less its 2-byte
         # header and 4-byte Adler-32
         return sorted(
             (rank, chunk.callsite, chunk.num_events,
-             len(zlib.compress(serialize_cdc_chunks([chunk]), ZLIB_LEVEL)) - 6)
+             len(zlib.compress(encode_frame_payload(chunk), ZLIB_LEVEL)) - 6)
             for rank in range(4)
             for chunk in result.archive.chunks(rank)
         )

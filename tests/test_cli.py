@@ -375,7 +375,7 @@ class TestStatsSalvage:
         program, _ = make_workload(
             "synthetic", 4, seed="3", messages_per_rank="40", fanout="2"
         )
-        injector = FaultInjector(FaultPlan(crash_after_bytes=300))
+        injector = FaultInjector(FaultPlan(crash_after_bytes=200))
         session = RecordSession(
             program, nprocs=4, network_seed=1, chunk_events=64,
             store_dir=directory, store_opener=injector.open,
@@ -445,7 +445,7 @@ class TestInspectSalvage:
         program, _ = make_workload(
             "synthetic", 4, seed="3", messages_per_rank="40", fanout="2"
         )
-        injector = FaultInjector(FaultPlan(crash_after_bytes=400))
+        injector = FaultInjector(FaultPlan(crash_after_bytes=260))
         session = RecordSession(
             program, nprocs=4, network_seed=1, chunk_events=64,
             store_dir=directory, store_opener=injector.open,
