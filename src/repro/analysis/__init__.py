@@ -5,6 +5,7 @@ from repro.analysis.clock_study import (
     ClockStudyResult,
     run_clock_study,
 )
+from repro.analysis.columns import RehydratedRun, rehydrate
 from repro.analysis.critical_path import (
     CriticalPathResult,
     analyze_critical_path,
@@ -67,6 +68,7 @@ __all__ = [
     "MethodRate",
     "PermutationHistogram",
     "RankDivergence",
+    "RehydratedRun",
     "SeedSweep",
     "SizeBreakdown",
     "analyze_critical_path",
@@ -83,6 +85,7 @@ __all__ = [
     "kendall_tau_distance",
     "permutation_histogram",
     "profile_callsites",
+    "rehydrate",
     "rehydrate_run",
     "render_histogram",
     "render_table",

@@ -26,10 +26,10 @@ arrays (``lexsort`` for per-rank program order, key-matched
 ``searchsorted`` for receive→send joins, ``bincount`` for attribution)
 — no per-event Python objects — so a 256-rank, million-event archive
 analyzes in seconds. Archives carry no timestamps; they are rehydrated
-by a deterministic replay with a :class:`~repro.obs.causal.ColumnarFlowRecorder`
-attached (Theorem 2 makes the regenerated streams — and the simulator's
-virtual clock — exact), so the analysis is read-only: the archive bytes
-are never touched.
+by one deterministic replay (:func:`repro.analysis.columns.rehydrate`:
+Theorem 2 makes the regenerated streams — and the simulator's virtual
+clock — exact), so the analysis is read-only: the archive bytes are
+never touched.
 
 One caveat pinned by the causal-test suite: per-rank virtual clocks are
 *not* globally synchronized, so a receiver's local delivery time may
@@ -40,14 +40,13 @@ attribution deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
-from repro.analysis.divergence import rehydrate_run
-from repro.analysis.report import render_histogram, render_table
+from repro.analysis.columns import RehydratedRun, rehydrate
+from repro.analysis.report import render_histogram, render_table, write_json
 
 __all__ = [
     "CriticalPathResult",
@@ -260,95 +259,6 @@ class CriticalPathResult:
         }
 
 
-# -- flow extraction ---------------------------------------------------------
-
-
-def _flow_arrays(rec: Any) -> dict[str, Any]:
-    """Columnar send/receive endpoint arrays from either recorder flavor."""
-    if hasattr(rec, "send_src") and hasattr(rec.send_src, "values"):
-        # ColumnarFlowRecorder: already columnar, zero-copy views.
-        return {
-            "label": rec.label,
-            "send_src": np.asarray(rec.send_src.values, dtype=np.int64),
-            "send_clock": np.asarray(rec.send_clock.values, dtype=np.int64),
-            "send_t": np.asarray(rec.send_t.values, dtype=np.float64),
-            "recv_rank": np.asarray(rec.recv_rank.values, dtype=np.int64),
-            "recv_cs": np.asarray(rec.recv_callsite.values, dtype=np.int64),
-            "recv_sender": np.asarray(rec.recv_sender.values, dtype=np.int64),
-            "recv_clock": np.asarray(rec.recv_clock.values, dtype=np.int64),
-            "recv_t": np.asarray(rec.recv_t.values, dtype=np.float64),
-            "callsites": list(rec.callsites),
-            "kinds": list(rec.kinds),
-        }
-    # FlowRecorder: object records; intern (callsite, kind) to dense ids.
-    sends = rec.sends
-    receives = rec.receives
-    cs_ids: dict[tuple[str, str], int] = {}
-    callsites: list[str] = []
-    kinds: list[str] = []
-    recv_cs = np.empty(len(receives), dtype=np.int64)
-    for i, r in enumerate(receives):
-        key = (r.callsite, r.kind)
-        cs = cs_ids.get(key)
-        if cs is None:
-            cs = cs_ids[key] = len(callsites)
-            callsites.append(r.callsite)
-            kinds.append(r.kind)
-        recv_cs[i] = cs
-    return {
-        "label": rec.label,
-        "send_src": np.fromiter((s.src for s in sends), np.int64, len(sends)),
-        "send_clock": np.fromiter((s.clock for s in sends), np.int64, len(sends)),
-        "send_t": np.fromiter((s.t for s in sends), np.float64, len(sends)),
-        "recv_rank": np.fromiter((r.rank for r in receives), np.int64, len(receives)),
-        "recv_cs": recv_cs,
-        "recv_sender": np.fromiter(
-            (r.sender for r in receives), np.int64, len(receives)
-        ),
-        "recv_clock": np.fromiter(
-            (r.clock for r in receives), np.int64, len(receives)
-        ),
-        "recv_t": np.fromiter((r.t for r in receives), np.float64, len(receives)),
-        "callsites": callsites,
-        "kinds": kinds,
-    }
-
-
-def _resolve_flow(
-    source: Any,
-    network_seed: int = 0,
-    workload_fallback: Mapping[str, Any] | None = None,
-) -> tuple[Any, int | None]:
-    """(flow recorder, nprocs hint) from any run-shaped source.
-
-    Recorders pass through; a RunResult contributes its attached flow, if
-    any; anything else goes to :func:`rehydrate_run` — a deterministic
-    replay with a columnar recorder attached — so the analysis never reads
-    archive bytes directly and never writes them.
-    """
-    if hasattr(source, "on_send") and hasattr(source, "on_delivery"):
-        return source, None
-    flow = getattr(source, "flow", None)
-    if flow is not None and hasattr(flow, "on_send"):
-        nprocs = None
-        archive = getattr(source, "archive", None)
-        if archive is not None:
-            nprocs = int(getattr(archive, "nprocs", 0)) or None
-        return flow, nprocs
-    # lazy: keep obs importable without pulling the replay stack.
-    from repro.obs.causal import ColumnarFlowRecorder
-
-    recorder = ColumnarFlowRecorder(label="explain")
-    replayed = rehydrate_run(
-        source,
-        network_seed=network_seed,
-        workload_fallback=workload_fallback,
-        flow=recorder,
-        keep_outcomes=False,  # only the flow columns are consumed
-    )
-    return recorder, replayed.archive.nprocs or None
-
-
 # -- the vectorized analysis -------------------------------------------------
 
 
@@ -360,21 +270,29 @@ def analyze_critical_path(
 ) -> CriticalPathResult:
     """Critical path + wait-state attribution for any run-shaped source.
 
-    ``source`` is a :class:`~repro.obs.causal.FlowRecorder` /
+    ``source`` is a :class:`~repro.analysis.columns.RehydratedRun`, a
+    :class:`~repro.obs.causal.FlowRecorder` /
     :class:`~repro.obs.causal.ColumnarFlowRecorder`, a
-    :class:`~repro.replay.session.RunResult` with a flow attached, a
-    :class:`~repro.replay.durable_store.RecordArchive`, or an archive
-    directory path (rehydrated read-only via :func:`rehydrate_run`).
+    :class:`~repro.replay.session.RunResult` with a flow attached, or a
+    record — a :class:`~repro.replay.durable_store.RecordArchive`, an
+    archive directory — which one :func:`~repro.analysis.columns.rehydrate`
+    turns into columns, read-only.
 
     Publishes ``explain.critical_path_share`` / ``explain.max_slack_us``
     gauges to the active telemetry registry so fleet alert rules can fire
     on critical-path concentration.
     """
-    rec, nprocs = _resolve_flow(
-        source, network_seed=network_seed, workload_fallback=workload_fallback
-    )
-    arrays = _flow_arrays(rec)
-    result = _analyze(arrays, nprocs=nprocs, label=label or arrays["label"])
+    if isinstance(source, RehydratedRun):
+        run = source
+    elif hasattr(source, "on_send") and hasattr(source, "on_delivery"):
+        run = RehydratedRun.from_flow(source)
+    elif hasattr(getattr(source, "flow", None), "on_send"):
+        archive = getattr(source, "archive", None)
+        run = RehydratedRun.from_flow(source.flow, int(getattr(archive, "nprocs", 0)))
+    else:
+        label = label or "explain"
+        run = rehydrate(source, network_seed, workload_fallback)
+    result = _analyze(run, label=label or run.label)
     # lazy import for the same core->obs->core reason as the recorders.
     from repro.obs.registry import get_registry
 
@@ -387,19 +305,11 @@ def analyze_critical_path(
     return result
 
 
-def _analyze(
-    arrays: Mapping[str, Any], nprocs: int | None, label: str
-) -> CriticalPathResult:
-    send_src = arrays["send_src"]
-    send_clock = arrays["send_clock"]
-    send_t = arrays["send_t"]
-    recv_rank = arrays["recv_rank"]
-    recv_cs = arrays["recv_cs"]
-    recv_sender = arrays["recv_sender"]
-    recv_clock = arrays["recv_clock"]
-    recv_t = arrays["recv_t"]
-    callsites: list[str] = arrays["callsites"]
-    kinds: list[str] = arrays["kinds"]
+def _analyze(run: RehydratedRun, label: str) -> CriticalPathResult:
+    send_src, send_clock, send_t = run.send_src, run.send_clock, run.send_t
+    recv_rank, recv_cs, recv_t = run.recv_rank, run.recv_cs, run.recv_t
+    recv_sender, recv_clock = run.recv_sender, run.recv_clock
+    callsites, kinds = run.callsites, run.kinds
 
     n_s = send_src.shape[0]
     n_r = recv_rank.shape[0]
@@ -408,7 +318,7 @@ def _analyze(
     for a in (send_src, recv_rank, recv_sender):
         if a.shape[0]:
             hi = max(hi, int(a.max()))
-    nranks = max(hi + 1, nprocs or 0)
+    nranks = max(hi + 1, run.nprocs)
     ncs = len(callsites)
     if n == 0:
         zr = np.zeros(nranks, dtype=np.float64)
@@ -587,11 +497,7 @@ def _analyze(
 
 
 def write_explain_json(result: CriticalPathResult, path: str) -> dict[str, Any]:
-    obj = result.to_json()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return obj
+    return write_json(result.to_json(), path)
 
 
 def validate_explain_json(obj: Any) -> list[str]:

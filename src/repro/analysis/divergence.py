@@ -23,28 +23,38 @@ aligned by their per-sender arrival ordinal (FIFO channels + strictly
 increasing piggybacked clocks make "the k-th message from sender r" a
 stable cross-run identity even when clock values differ).
 
-Inputs are per-rank :class:`~repro.core.events.MFOutcome` streams; the
-helpers accept a session :class:`~repro.replay.session.RunResult`, a raw
-outcome mapping, a :class:`~repro.replay.durable_store.RecordArchive`, or
-an archive directory. Archives carry no explicit identifier columns (CDC
-drops them), so they are rehydrated by a deterministic replay — the
-paper's own guarantee makes the diff exact.
+Both operands become :class:`~repro.analysis.columns.RehydratedRun` columns
+first (:func:`~repro.analysis.columns.rehydrate_pair`): a record — an
+archive directory, a :class:`~repro.replay.durable_store.RecordArchive` — by
+one deterministic replay (archives carry no identifier columns; the paper's
+own guarantee makes the diff exact), outcome streams held in memory — a
+session result, a raw outcome mapping, a loaded trace — by one conversion.
+The compare (:func:`compare_columns`) is numpy passes over those columns; a
+:class:`Delivery` object exists only for what a report shows.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.analysis.report import render_table
-from repro.core.events import MFOutcome
+import numpy as np
+
+from repro.analysis.columns import (  # the last three: re-exported wrappers
+    RehydratedRun,
+    rehydrate_pair,
+    paired_outcomes,
+    rehydrate_run,
+    run_outcomes,
+)
+from repro.analysis.report import render_table, write_json
 
 __all__ = [
     "CallsiteProfileDiff",
     "DivergenceReport",
     "RankDivergence",
     "Delivery",
+    "compare_columns",
     "diff_runs",
     "divergence_timeline",
     "kendall_tau_distance",
@@ -90,15 +100,6 @@ class Delivery:
             f"#{self.position} @ {self.callsite}: sender {self.sender}, "
             f"clock {self.clock}"
         )
-
-
-def _flatten(stream: Sequence[MFOutcome]) -> list[Delivery]:
-    """A rank's outcome stream as its matched-receive delivery sequence."""
-    out: list[Delivery] = []
-    for outcome in stream:
-        for ev in outcome.matched:
-            out.append(Delivery(len(out), outcome.callsite, ev.rank, ev.clock))
-    return out
 
 
 @dataclass(frozen=True)
@@ -350,103 +351,6 @@ class DivergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# input adaptation
-# ---------------------------------------------------------------------------
-
-
-def workload_meta(source: Any) -> dict[str, Any] | None:
-    """Best-effort workload metadata from a run-shaped source, or None.
-
-    Lets one side's committed manifest stand in for the other's in a diff:
-    a recording that died mid-run leaves rank frames but no manifest, so
-    its salvaged archive cannot name its own workload.
-    """
-    from repro.errors import RecordFormatError
-    from repro.replay.durable_store import open_run
-
-    try:
-        run = open_run(source)
-    except (TypeError, RecordFormatError, OSError):  # TypeError: not a record
-        return None
-    if "workload" not in run.meta:
-        return None
-    return dict(run.meta, nprocs=run.meta.get("nprocs", run.archive.nprocs))
-
-
-def rehydrate_run(
-    source: Any,
-    network_seed: int = 0,
-    workload_fallback: Mapping[str, Any] | None = None,
-    flow: Any = None,
-    keep_outcomes: bool = True,
-):
-    """Deterministically replay an archive-shaped source; returns the
-    :class:`~repro.replay.session.RunResult`.
-
-    ``source`` is anything :func:`~repro.replay.durable_store.open_run`
-    takes. Archives store no identifier columns or timestamps, so the run
-    is regenerated by replaying the workload named in the manifest (or in
-    ``workload_fallback``, for a manifest-less crashed recording) —
-    Theorem 2 makes the regenerated ``(sender, clock)`` streams byte-equal
-    to the recorded ones, for any ``network_seed``, and the simulator's
-    virtual clock makes the regenerated timings exact too. A directory
-    whose recording died mid-flight is opened in salvage mode, so callers
-    localize the truncation point instead of refusing the archive.
-    ``flow=`` attaches a flow recorder to the replay, which is how the
-    critical-path analysis recovers a causal DAG with edge weights from a
-    bare archive; callers that consume only the recorder should pass
-    ``keep_outcomes=False`` — per-event outcome objects for a million-event
-    archive cost more than the replay itself.
-    """
-    from repro.replay.durable_store import open_run
-    from repro.replay.session import ReplaySession
-
-    run = open_run(source)
-    return ReplaySession(
-        run.program(workload_fallback),
-        run,
-        network_seed=network_seed,
-        mode=run.mode,
-        flow=flow,
-        keep_outcomes=keep_outcomes,
-    ).run()
-
-
-def run_outcomes(
-    source: Any,
-    network_seed: int = 0,
-    workload_fallback: Mapping[str, Any] | None = None,
-) -> dict[int, list[MFOutcome]]:
-    """Per-rank outcome streams from any run-shaped source.
-
-    Accepts a :class:`~repro.replay.session.RunResult` (or anything with
-    an ``outcomes`` mapping), a raw ``{rank: [MFOutcome, ...]}`` mapping,
-    or anything :func:`rehydrate_run` takes, which is replayed.
-    """
-    outcomes = getattr(source, "outcomes", None)
-    if outcomes is not None and not isinstance(source, Mapping):
-        source = outcomes
-    if isinstance(source, Mapping) and (
-        not source or isinstance(next(iter(source.values())), (list, tuple))
-    ):
-        return {int(r): list(stream) for r, stream in source.items()}
-    replayed = rehydrate_run(
-        source, network_seed=network_seed, workload_fallback=workload_fallback
-    )
-    return {r: list(s) for r, s in replayed.outcomes.items()}
-
-
-def paired_outcomes(a: Any, b: Any) -> tuple[dict, dict]:
-    """:func:`run_outcomes` of both sides of a diff: each directory opened
-    and replayed once, either side's :func:`workload_meta` the fallback."""
-    from repro.replay.durable_store import open_run
-
-    a, b = (open_run(s) if isinstance(s, str) else s for s in (a, b))
-    fallback = workload_meta(a) or workload_meta(b)
-    return tuple(run_outcomes(s, workload_fallback=fallback) for s in (a, b))
-
-
-# ---------------------------------------------------------------------------
 # order statistics
 # ---------------------------------------------------------------------------
 
@@ -461,28 +365,30 @@ def kendall_tau_distance(order: Sequence[int]) -> float:
     n = len(order)
     if n < 2:
         return 0.0
-    inversions = _count_inversions(list(order))
-    return inversions / (n * (n - 1) / 2)
+    return _count_inversions(order) / (n * (n - 1) / 2)
 
 
-def _count_inversions(values: list[int]) -> int:
-    """Merge-sort inversion count — O(n log n)."""
-    if len(values) < 2:
+def _count_inversions(values: Sequence[int]) -> int:
+    """Pairs ``i < j`` with ``values[i] > values[j]``: a bottom-up merge
+    sort in numpy — per level one ``searchsorted`` of every right half into
+    its left half (rows kept apart by an offset) and one sort of the rows."""
+    v = np.asarray(values, dtype=np.int64)
+    n = v.shape[0]
+    if n < 2 or not (v[1:] < v[:-1]).any():
         return 0
-    mid = len(values) // 2
-    left, right = values[:mid], values[mid:]
-    count = _count_inversions(left) + _count_inversions(right)
-    i = j = k = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            values[k] = left[i]
-            i += 1
-        else:
-            values[k] = right[j]
-            j += 1
-            count += len(left) - i
-        k += 1
-    values[k:] = left[i:] or right[j:]
+    size = 1 << (n - 1).bit_length()
+    blocks = np.full(size, n, dtype=np.int64)  # padding sorts last: never inverted
+    blocks[:n] = np.unique(v, return_inverse=True)[1]  # dense ranks; ties stay ties
+    count, width = 0, 1
+    while width < size:
+        blocks = blocks.reshape(-1, 2 * width)
+        rows = np.arange(1, blocks.shape[0] + 1)
+        apart = (rows[:, None] - 1) * (n + 1)
+        left, right = blocks[:, :width] + apart, blocks[:, width:] + apart
+        not_larger = np.searchsorted(left.ravel(), right.ravel(), side="right")
+        count += int((rows.repeat(width) * width - not_larger).sum())
+        blocks = np.sort(blocks, axis=1, kind="stable")
+        width *= 2
     return count
 
 
@@ -492,190 +398,183 @@ def _count_inversions(values: list[int]) -> int:
 
 
 def diff_runs(
-    a: Any,
-    b: Any,
-    label_a: str = "A",
-    label_b: str = "B",
-    context: int = CONTEXT_EVENTS,
-    pool_window: int = POOL_WINDOW,
-) -> DivergenceReport:
+    a: Any, b: Any, label_a: str = "A", label_b: str = "B",
+    context: int = CONTEXT_EVENTS, pool_window: int = POOL_WINDOW,
+) -> DivergenceReport:  # fmt: skip
     """Align two runs and localize where (and how much) they disagree.
 
-    ``a`` / ``b`` are anything :func:`run_outcomes` accepts. Run A is the
+    ``a`` / ``b`` are anything :func:`rehydrate_pair` accepts. Run A is the
     reference: epoch lines and permutation distances are expressed against
     its order. The diff is symmetric in *whether* runs diverge, not in the
     bookkeeping conventions.
     """
-    outs_a, outs_b = paired_outcomes(a, b)
-    ranks = sorted(set(outs_a) | set(outs_b))
-    per_rank: list[RankDivergence] = []
-    flat_a: dict[int, list[Delivery]] = {}
-    flat_b: dict[int, list[Delivery]] = {}
-    for rank in ranks:
-        seq_a = _flatten(outs_a.get(rank, []))
-        seq_b = _flatten(outs_b.get(rank, []))
-        flat_a[rank], flat_b[rank] = seq_a, seq_b
-        divergence = _first_divergence(rank, seq_a, seq_b, context, pool_window)
-        if divergence is not None:
-            per_rank.append(divergence)
-    profiles = _callsite_profiles(flat_a, flat_b, {d.rank for d in per_rank})
+    return compare_columns(*rehydrate_pair(a, b), label_a, label_b, context, pool_window)
+
+
+def _shared_names(*runs: RehydratedRun) -> dict[str, int]:
+    """callsite -> index into the sorted callsite names of ``runs``: each
+    run interns ``(callsite, kind)`` in its own order; a diff compares names."""
+    return {n: i for i, n in enumerate(sorted({c for r in runs for c in r.callsites}))}
+
+
+class _Streams:
+    """One operand's receive columns grouped by rank — a stable sort, so rows
+    ``start[r] : start[r] + count[r]`` are the delivery stream of rank index
+    ``r`` (into ``ranks``) in order — with callsites as indices into ``names``."""
+
+    def __init__(self, run: RehydratedRun, ranks: np.ndarray, names: dict[str, int]):
+        order = np.argsort(run.recv_rank, kind="stable")
+        by_rank = run.recv_rank[order]
+        shared = np.array([names[c] for c in run.callsites], dtype=np.int64)
+        self.names = list(names)
+        self.callsite = shared[run.recv_cs[order]]
+        self.sender = run.recv_sender[order]
+        self.clock = run.recv_clock[order]
+        self.start = np.searchsorted(by_rank, ranks, side="left")
+        self.count = np.searchsorted(by_rank, ranks, side="right") - self.start
+
+    def window(self, r: int, lo: int, hi: int) -> list[Delivery]:
+        """Deliveries ``lo .. hi-1`` of rank index ``r``, clipped to its stream."""
+        start, n = int(self.start[r]), int(self.count[r])
+        lo, hi = min(lo, n), min(hi, n)
+        rows = slice(start + lo, start + hi)
+        columns = (self.callsite[rows], self.sender[rows], self.clock[rows])
+        return [
+            Delivery(p, self.names[c], s, k)
+            for p, c, s, k in zip(range(lo, hi), *map(np.ndarray.tolist, columns))
+        ]
+
+
+def compare_columns(
+    a: RehydratedRun, b: RehydratedRun, label_a: str = "A", label_b: str = "B",
+    context: int = CONTEXT_EVENTS, pool_window: int = POOL_WINDOW,
+) -> DivergenceReport:  # fmt: skip
+    """The compare step of :func:`diff_runs` alone: columns in, report out."""
+    ranks = np.array(sorted({*a.ranks, *b.ranks}), dtype=np.int64)
+    names = _shared_names(a, b)
+    sa, sb = _Streams(a, ranks, names), _Streams(b, ranks, names)
+    # all ranks' common prefixes end to end: row i is position offset[i] of rank index owner[i]
+    limit = np.minimum(sa.count, sb.count)
+    owner = np.repeat(np.arange(ranks.shape[0]), limit)
+    offset = np.arange(owner.shape[0]) - np.repeat(np.cumsum(limit) - limit, limit)
+    ia, ib = sa.start[owner] + offset, sb.start[owner] + offset
+    differ = np.flatnonzero(
+        (sa.callsite[ia] != sb.callsite[ib])
+        | (sa.sender[ia] != sb.sender[ib])
+        | (sa.clock[ia] != sb.clock[ib])
+    )
+    position = limit.copy()  # no mismatch: a strict prefix parts where it ends
+    hit, first = np.unique(owner[differ], return_index=True)
+    position[hit] = offset[differ[first]]
+    diverged = np.flatnonzero((position < limit) | (sa.count != sb.count))
+    per_rank = tuple(
+        _rank_divergence(int(ranks[r]), r, int(position[r]), sa, sb, context, pool_window)
+        for r in diverged.tolist()
+    )
+    profiles = tuple(_callsite_profiles(sa, sb, diverged))
     return DivergenceReport(
-        label_a=label_a,
-        label_b=label_b,
-        nprocs=len(ranks),
-        per_rank=tuple(per_rank),
-        profiles=tuple(profiles),
-        events_a=sum(len(s) for s in flat_a.values()),
-        events_b=sum(len(s) for s in flat_b.values()),
+        label_a, label_b, ranks.shape[0], per_rank, profiles, sa.clock.shape[0], sb.clock.shape[0]
     )
 
 
-def _first_divergence(
-    rank: int,
-    seq_a: list[Delivery],
-    seq_b: list[Delivery],
-    context: int,
-    pool_window: int,
-) -> RankDivergence | None:
-    limit = min(len(seq_a), len(seq_b))
-    pos = next(
-        (
-            p
-            for p in range(limit)
-            if (seq_a[p].callsite, seq_a[p].identity)
-            != (seq_b[p].callsite, seq_b[p].identity)
-        ),
-        None,
-    )
-    if pos is None:
-        if len(seq_a) == len(seq_b):
-            return None
-        pos = limit  # one stream is a strict prefix of the other
-    a = seq_a[pos] if pos < len(seq_a) else None
-    b = seq_b[pos] if pos < len(seq_b) else None
+def _rank_divergence(
+    rank: int, r: int, pos: int, sa: _Streams, sb: _Streams, context: int, pool_window: int
+) -> RankDivergence:
+    """What the report shows of rank index ``r``, which parts at ``pos``."""
     lo = max(0, pos - context)
-    hi = pos + context + 1
-    epoch: dict[int, int] = {}
-    for d in seq_a[:pos]:
-        if epoch.get(d.sender, -1) < d.clock:
-            epoch[d.sender] = d.clock
+    context_a, context_b = (s.window(r, lo, pos + context + 1) for s in (sa, sb))
+    a, b = context_a[pos - lo :][:1], context_b[pos - lo :][:1]  # [] where a stream ended
+    # epoch line: per-sender max clock over what run A delivered before
+    before = slice(int(sa.start[r]), int(sa.start[r]) + pos)
+    senders, which = np.unique(sa.sender[before], return_inverse=True)
+    ceiling = np.full(senders.shape[0], -1, dtype=np.int64)
+    np.maximum.at(ceiling, which, sa.clock[before])
     # the eligible pool: identities both runs still deliver within the
     # lookahead window — the same sends were in flight; the runs merely
     # ordered them differently. Reference order makes the set readable.
-    pending_a = {d.identity for d in seq_a[pos: pos + pool_window]}
-    pending_b = {d.identity for d in seq_b[pos: pos + pool_window]}
-    eligible = sorted(pending_a & pending_b, key=lambda sc: (sc[1], sc[0]))
+    pending_a, pending_b = (
+        {(d.sender, d.clock) for d in s.window(r, pos, pos + pool_window)} for s in (sa, sb)
+    )
     return RankDivergence(
         rank=rank,
-        callsite=(a or b).callsite,
+        callsite=(a or b)[0].callsite,
         position=pos,
-        a=a,
-        b=b,
-        context_a=tuple(seq_a[lo:hi]),
-        context_b=tuple(seq_b[lo:hi]),
-        epoch=epoch,
-        eligible=tuple(eligible),
+        a=a[0] if a else None,
+        b=b[0] if b else None,
+        context_a=tuple(context_a),
+        context_b=tuple(context_b),
+        epoch={s: c for s, c in zip(senders.tolist(), ceiling.tolist()) if c > -1},
+        eligible=tuple(sorted(pending_a & pending_b, key=lambda sc: (sc[1], sc[0]))),
     )
 
 
-@dataclass
-class _ProfileAccumulator:
-    ranks: set = field(default_factory=set)
-    diverged: set = field(default_factory=set)
-    events_a: int = 0
-    events_b: int = 0
-    common: int = 0
-    pairs: int = 0
-    discordant: float = 0.0
-    moved: int = 0
-    skew_sum: int = 0
-    skew_max: int = 0
+def _callsite_profiles(sa: _Streams, sb: _Streams, diverged: np.ndarray) -> list:
+    """Per callsite, over all ranks. A *site* is one rank's stream at one
+    callsite, a *channel* one sender's receives at a site; events align by
+    per-sender arrival ordinal: the k-th receive on a channel is the same
+    *message* in both runs (FIFO channels, strictly increasing per-sender
+    clocks), even if its clock value drifted."""
+    from repro.core.edit_distance import lis_length
 
+    ncs, na = len(sa.names), sa.clock.shape[0]
+    if not ncs:
+        return []
+    rank_index = np.arange(sa.count.shape[0])
+    site = np.concatenate(
+        [np.repeat(rank_index, sa.count), np.repeat(rank_index, sb.count)]
+    ) * ncs + np.concatenate([sa.callsite, sb.callsite])
+    senders, sender = np.unique(np.concatenate([sa.sender, sb.sender]), return_inverse=True)
+    channels, channel = np.unique(site * senders.shape[0] + sender, return_inverse=True)
+    held_a, held_b = (
+        np.bincount(c, minlength=channels.shape[0]) for c in (channel[:na], channel[na:])
+    )
 
-def _callsite_profiles(
-    flat_a: Mapping[int, list[Delivery]],
-    flat_b: Mapping[int, list[Delivery]],
-    diverged_ranks: set,
-) -> list[CallsiteProfileDiff]:
-    from repro.core.permutation import encode_permutation
+    def common(chan: np.ndarray, mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
+        """Rows the other run has too, ordered by (channel, ordinal)."""
+        order = np.argsort(chan, kind="stable")
+        chan = chan[order]
+        ordinal = np.arange(chan.shape[0]) - (np.cumsum(mine) - mine)[chan]
+        return order[ordinal < theirs[chan]]
 
-    acc: dict[str, _ProfileAccumulator] = {}
-    for rank in sorted(set(flat_a) | set(flat_b)):
-        by_cs_a = _by_callsite(flat_a.get(rank, []))
-        by_cs_b = _by_callsite(flat_b.get(rank, []))
-        for cs in sorted(set(by_cs_a) | set(by_cs_b)):
-            entry = acc.setdefault(cs, _ProfileAccumulator())
-            entry.ranks.add(rank)
-            if rank in diverged_ranks:
-                entry.diverged.add(rank)
-            a_seq = by_cs_a.get(cs, [])
-            b_seq = by_cs_b.get(cs, [])
-            entry.events_a += len(a_seq)
-            entry.events_b += len(b_seq)
-            # align by per-sender arrival ordinal: the k-th receive from
-            # sender r is the same *message* in both runs (FIFO channels,
-            # strictly increasing per-sender clocks), even if its clock
-            # value drifted.
-            a_ids = _ordinal_identities(a_seq)
-            b_ids = _ordinal_identities(b_seq)
-            common = set(a_ids) & set(b_ids)
-            n = len(common)
-            entry.common += n
-            if n >= 2:
-                index_a = {
-                    ident: i
-                    for i, ident in enumerate(
-                        ident for ident in a_ids if ident in common
-                    )
-                }
-                order = [
-                    index_a[ident] for ident in b_ids if ident in common
-                ]
-                entry.pairs += n * (n - 1) // 2
-                entry.discordant += _count_inversions(list(order))
-                entry.moved += encode_permutation(order).num_moved
-            clocks_a = dict(zip(a_ids, (d.clock for d in a_seq)))
-            clocks_b = dict(zip(b_ids, (d.clock for d in b_seq)))
-            for ident in common:
-                skew = abs(clocks_b[ident] - clocks_a[ident])
-                entry.skew_sum += skew
-                if skew > entry.skew_max:
-                    entry.skew_max = skew
-    profiles = [
-        CallsiteProfileDiff(
-            callsite=cs,
-            ranks=len(e.ranks),
-            diverged_ranks=len(e.diverged),
-            events_a=e.events_a,
-            events_b=e.events_b,
-            common=e.common,
-            kendall_tau=(e.discordant / e.pairs) if e.pairs else 0.0,
-            permutation_distance=(e.moved / e.common) if e.common else 0.0,
-            mean_clock_skew=(e.skew_sum / e.common) if e.common else 0.0,
-            max_clock_skew=e.skew_max,
+    ia = common(channel[:na], held_a, held_b)
+    ib = common(channel[na:], held_b, held_a)
+    cs = sa.callsite[ia]
+    skew = np.abs(sb.clock[ib] - sa.clock[ia])
+    skew_sum, skew_max, pairs = (np.zeros(ncs, dtype=np.int64) for _ in range(3))
+    np.add.at(skew_sum, cs, skew)
+    np.maximum.at(skew_max, cs, skew)
+    shared_sites, per_site = np.unique(site[:na][ia], return_counts=True)
+    np.add.at(pairs, shared_sites % ncs, per_site * (per_site - 1) // 2)
+    sites = np.unique(site)
+    ranks = np.bincount(sites % ncs, minlength=ncs)
+    split = np.bincount((sites % ncs)[np.isin(sites // ncs, diverged)], minlength=ncs)
+    counts = [np.bincount(c, minlength=ncs) for c in (sa.callsite, sb.callsite, cs)]
+    # run B's order of the common events as their positions in run A's: rows
+    # are grouped by rank in both, so over one callsite this is every site's
+    # permutation end to end, ascending site by site — its inversions and
+    # its longest increasing subsequence are the sums of the sites'.
+    by_b = np.lexsort((ib, cs))
+    in_a = ia[by_b]
+    bounds = np.searchsorted(cs[by_b], np.arange(ncs + 1)).tolist()
+    table = np.stack([ranks, split, *counts, pairs, skew_sum, skew_max], axis=1).tolist()
+    profiles = []
+    for c, (n_ranks, n_split, events_a, events_b, n, n_pairs, skew, skew_top) in enumerate(table):
+        if not events_a + events_b:
+            continue
+        order = in_a[bounds[c] : bounds[c + 1]]
+        discordant = _count_inversions(order)
+        moved = n - lis_length(order.tolist()) if discordant else 0
+        profiles.append(
+            CallsiteProfileDiff(
+                sa.names[c], n_ranks, n_split, events_a, events_b, n,
+                kendall_tau=discordant / n_pairs if n_pairs else 0.0,
+                permutation_distance=moved / n if n else 0.0,
+                mean_clock_skew=skew / n if n else 0.0,
+                max_clock_skew=skew_top,
+            )  # fmt: skip
         )
-        for cs, e in acc.items()
-    ]
     profiles.sort(key=lambda p: (-max(p.events_a, p.events_b), p.callsite))
     return profiles
-
-
-def _by_callsite(seq: list[Delivery]) -> dict[str, list[Delivery]]:
-    out: dict[str, list[Delivery]] = {}
-    for d in seq:
-        out.setdefault(d.callsite, []).append(d)
-    return out
-
-
-def _ordinal_identities(seq: list[Delivery]) -> list[tuple[int, int]]:
-    """(sender, k) identity of each delivery: its per-sender arrival ordinal."""
-    seen: dict[int, int] = {}
-    out: list[tuple[int, int]] = []
-    for d in seq:
-        k = seen.get(d.sender, 0) + 1
-        seen[d.sender] = k
-        out.append((d.sender, k))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +583,7 @@ def _ordinal_identities(seq: list[Delivery]) -> list[tuple[int, int]]:
 
 
 def write_divergence_json(report: DivergenceReport, path: str) -> dict[str, Any]:
-    obj = report.to_json()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return obj
+    return write_json(report.to_json(), path)
 
 
 def validate_divergence_json(obj: Any) -> list[str]:
@@ -750,42 +645,32 @@ def divergence_timeline(
     on the sender's row at the delivery's own identity, so each receive
     gets exactly one flow arrow — run A and run B side by side as process
     groups, arrows drawn only where the runs disagree. Timestamps are
-    delivery positions in virtual microseconds (outcome streams carry no
-    wall clock), which preserves relative order — the property the diff is
-    about.
+    delivery positions in virtual microseconds, which preserves relative
+    order — the property the diff is about. ``a`` / ``b`` are what
+    :func:`diff_runs` took; hand in the :class:`RehydratedRun` pair it was
+    given and nothing is replayed again.
     """
-    from repro.obs.causal import FlowRecorder, merged_timeline
+    from repro.obs.causal import FlowReceive, FlowRecorder, merged_timeline
 
-    outs = dict(zip((report.label_a, report.label_b), paired_outcomes(a, b)))
-    windows = {
-        d.rank: (max(0, d.position - window), d.position + window + 1)
-        for d in report.per_rank
-    }
+    diverged = sorted(report.per_rank, key=lambda d: d.rank)
+    ranks = np.array([d.rank for d in diverged], dtype=np.int64)
+    runs = dict(zip((report.label_a, report.label_b), rehydrate_pair(a, b)))
     recorders = []
-    for label, streams in outs.items():
+    for label, run in runs.items():
         rec = FlowRecorder(f"{label} (divergent region)")
-        for rank, (lo, hi) in sorted(windows.items()):
-            for d in _flatten(streams.get(rank, []))[lo:hi]:
-                t = (d.position + 1) * 1e-6  # +1 keeps send slices at ts >= 0
-                rec.on_send(d.sender, rank, 0, d.clock, t - 0.5e-6)
+        streams = _Streams(run, ranks, _shared_names(run))
+        for r, d in enumerate(diverged):
+            lo = max(0, d.position - window)
+            for hop in streams.window(r, lo, d.position + window + 1):
+                t = (hop.position + 1) * 1e-6  # +1 keeps send slices at ts >= 0
+                rec.on_send(hop.sender, d.rank, 0, hop.clock, t - 0.5e-6)
                 rec.receives.append(
-                    _flow_receive(rank, d.callsite, d.sender, d.clock, t)
+                    FlowReceive(d.rank, hop.callsite, "recv", hop.sender, hop.clock, t)
                 )
         recorders.append(rec)
     return merged_timeline(recorders, flow_category="divergence")
 
-
-def _flow_receive(rank: int, callsite: str, sender: int, clock: int, t: float):
-    from repro.obs.causal import FlowReceive
-
-    return FlowReceive(rank, callsite, "recv", sender, clock, t)
-
-
 def write_divergence_timeline(
     report: DivergenceReport, a: Any, b: Any, path: str, window: int = CONTEXT_EVENTS
 ) -> dict[str, Any]:
-    trace = divergence_timeline(report, a, b, window=window)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return trace
+    return write_json(divergence_timeline(report, a, b, window=window), path)

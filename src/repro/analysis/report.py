@@ -7,7 +7,16 @@ point, aligned columns, no plotting dependencies.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import json
+from typing import Any, Iterable, Sequence
+
+
+def write_json(obj: Any, path: str) -> Any:
+    """``obj`` as indented, key-sorted JSON plus a newline; returns ``obj``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return obj
 
 
 def render_table(

@@ -718,7 +718,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     """
     from repro.analysis.divergence import (
         diff_runs,
-        paired_outcomes,
+        rehydrate_pair,
         write_divergence_json,
         write_divergence_timeline,
     )
@@ -732,12 +732,16 @@ def cmd_diff(args: argparse.Namespace) -> int:
         else:
             sides.append(_open_or_exit(spec, args.ledger))
             labels.append(sides[-1].label)
-    # replayed here, once: the report and the timeline read the same streams
-    a, b = paired_outcomes(*sides)
+    # rehydrated here, once: the report and the timeline read the same columns
+    a, b = rehydrate_pair(*sides)
     report = diff_runs(
         a, b, label_a=labels[0], label_b=labels[1], context=args.context
     )
     print(report.render(max_ranks=args.ranks))
+    replays = len({id(run) for run in (a, b) if run.result is not None})
+    how = ("nothing replayed", "replayed once", "replayed twice")[replays]
+    records = "1 distinct record" if replays == 1 else f"{replays} distinct records"
+    print(f"\n2 operands, {records}: {how}{' (Theorem 2)' if a is b else ''}")
     if args.out:
         write_divergence_json(report, args.out)
         print(f"\ndivergence report: {args.out}")
@@ -764,17 +768,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
         analyze_critical_path,
         write_explain_json,
     )
-    from repro.analysis.divergence import rehydrate_run
-    from repro.obs import ColumnarFlowRecorder, validate_chrome_trace, write_timeline
+    from repro.analysis.columns import rehydrate
+    from repro.obs import validate_chrome_trace, write_timeline
 
     run = _open_or_exit(args.source, args.ledger)
-    label = run.label
     started = time.perf_counter()
-    flow = ColumnarFlowRecorder(label)
-    rehydrate_run(
-        run, network_seed=args.network_seed, flow=flow, keep_outcomes=False
-    )
-    result = analyze_critical_path(flow, label=label)
+    columns = rehydrate(run, network_seed=args.network_seed)
+    result = analyze_critical_path(columns)
     wall = time.perf_counter() - started
     print(result.render(top=args.top))
     print(
@@ -786,7 +786,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(f"explain report: {args.json}")
     if args.timeline:
         trace = write_timeline(
-            [flow], args.timeline, critical_path=result.timeline_slices()
+            [columns.result.flow], args.timeline, critical_path=result.timeline_slices()
         )
         print(
             f"explain timeline: {args.timeline} "

@@ -12,8 +12,8 @@ subsequence (LIS) of ``B`` and moves everything else. Hence:
 The paper reaches ``O(N + D)`` by chasing Manhattan-shortest paths between
 consecutive backslashes; we use patience sorting (``O(N log N)`` worst case,
 and ``O(N)``-ish when ``B`` is nearly sorted because the rightmost-pile
-binary search degenerates), plus a textbook Myers diff used by the tests to
-cross-validate the distance on arbitrary inputs.
+binary search degenerates); the textbook Myers diff the tests cross-validate
+the distance with on arbitrary inputs lives in ``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
@@ -134,73 +134,3 @@ def stable_and_moved(
     stable_set = set(stable)
     moved = sorted(x for x in b if x not in stable_set)
     return stable, moved
-
-
-# ---------------------------------------------------------------------------
-# Generic Myers diff (test oracle)
-# ---------------------------------------------------------------------------
-
-
-def myers_edit_distance(a: Sequence, b: Sequence) -> int:
-    """Insert/delete edit distance between arbitrary sequences (Myers O(ND)).
-
-    Used as an oracle: for a permutation ``b`` vs the identity this must
-    agree with :func:`permutation_edit_distance`.
-    """
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return n + m
-    max_d = n + m
-    # v[k] = furthest x on diagonal k (offset by max_d)
-    v = [0] * (2 * max_d + 1)
-    for d in range(max_d + 1):
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and v[max_d + k - 1] < v[max_d + k + 1]):
-                x = v[max_d + k + 1]  # move down (insert from b)
-            else:
-                x = v[max_d + k - 1] + 1  # move right (delete from a)
-            y = x - k
-            while x < n and y < m and a[x] == b[y]:
-                x += 1
-                y += 1
-            v[max_d + k] = x
-            if x >= n and y >= m:
-                return d
-    raise AssertionError("unreachable: Myers diff must terminate")  # pragma: no cover
-
-
-def myers_edit_script(a: Sequence, b: Sequence) -> list[tuple[str, object]]:
-    """Full insert/delete edit script ('=', '<' delete, '>' insert).
-
-    A simple LCS-DP implementation (O(N*M)); only used on small inputs by
-    tests and the worked-example benchmark, where clarity beats speed.
-    """
-    n, m = len(a), len(b)
-    # lcs[i][j] = LCS length of a[i:], b[j:]
-    lcs = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row = lcs[i]
-        nxt = lcs[i + 1]
-        for j in range(m - 1, -1, -1):
-            if a[i] == b[j]:
-                row[j] = nxt[j + 1] + 1
-            else:
-                row[j] = max(nxt[j], row[j + 1])
-    script: list[tuple[str, object]] = []
-    i = j = 0
-    while i < n and j < m:
-        if a[i] == b[j]:
-            script.append(("=", a[i]))
-            i += 1
-            j += 1
-        elif lcs[i + 1][j] >= lcs[i][j + 1]:
-            script.append(("<", a[i]))
-            i += 1
-        else:
-            script.append((">", b[j]))
-            j += 1
-    for k in range(i, n):
-        script.append(("<", a[k]))
-    for k in range(j, m):
-        script.append((">", b[k]))
-    return script

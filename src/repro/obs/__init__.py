@@ -23,20 +23,8 @@ Typical use::
     write_metrics_jsonl(reg, "metrics.jsonl")
 """
 
-from repro.obs.agg import (
-    AggregatorServer,
-    FleetState,
-    TelemetryAggregator,
-    TelemetryShipper,
-    query_aggregator,
-    render_fleet,
-    snapshot_delta,
-)
-from repro.obs.bench import (
-    bench_histories,
-    load_bench_files,
-    validate_bench_json,
-)
+import importlib
+
 from repro.obs.causal import (
     ColumnarFlowRecorder,
     FlowMatchStats,
@@ -45,11 +33,6 @@ from repro.obs.causal import (
     FlowSend,
     merged_timeline,
     write_timeline,
-)
-from repro.obs.dashboard import (
-    build_dashboard,
-    validate_dashboard_html,
-    write_dashboard,
 )
 from repro.obs.export import (
     chrome_trace,
@@ -76,41 +59,36 @@ from repro.obs.registry import (
     telemetry_enabled,
     use_registry,
 )
-from repro.obs.ledger import (
-    LedgerEntry,
-    RunLedger,
-    TrendFlag,
-    entry_from_result,
-    render_run,
-    render_runs,
-    render_trend,
-    trend_report,
-    validate_ledger_lines,
-)
-from repro.obs.profiler import (
-    SamplingProfiler,
-    resolve_profiler,
-    validate_collapsed_stacks,
-    validate_speedscope,
-)
-from repro.obs.monitor import (
-    MetricsStreamWriter,
-    MonitorState,
-    drain_chunk_objects,
-    render_monitor,
-    sample_object,
-    sparkline,
-)
 from repro.obs.spans import NOOP_SPAN, Span, event, span
 from repro.obs.stats import RunStats, build_run_stats
-from repro.obs.watchdog import (
-    DivergenceCandidate,
-    ProgressWatchdog,
-    StallReport,
-    WatchdogConfig,
-    build_stall_report,
-    first_divergence_candidate,
-)
+
+#: names resolved on first use (PEP 562), by the module that defines them:
+#: together a fifth of what ``import repro.obs`` used to cost, and every
+#: core module imports this package for ``get_registry`` / ``span``.
+_LAZY = {
+    "agg.server": "AggregatorServer TelemetryAggregator query_aggregator",
+    "agg.shipper": "TelemetryShipper snapshot_delta",
+    "agg.state": "FleetState render_fleet",
+    "bench": "bench_histories load_bench_files validate_bench_json",
+    "dashboard": "build_dashboard validate_dashboard_html write_dashboard",
+    "ledger": "LedgerEntry RunLedger TrendFlag entry_from_result render_run render_runs "
+    "render_trend trend_report validate_ledger_lines",
+    "profiler": "SamplingProfiler resolve_profiler validate_collapsed_stacks validate_speedscope",
+    "monitor": "MetricsStreamWriter MonitorState drain_chunk_objects render_monitor "
+    "sample_object sparkline",
+    "watchdog": "DivergenceCandidate ProgressWatchdog StallReport WatchdogConfig "
+    "build_stall_report first_divergence_candidate",
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"repro.obs.{_HOME[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
 
 __all__ = [
     "AggregatorServer",

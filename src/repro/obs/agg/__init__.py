@@ -8,11 +8,6 @@ and answers the queries behind ``repro monitor --remote`` and
 ``repro fleet status/alerts``.
 """
 
-from repro.obs.agg.server import (
-    AggregatorServer,
-    TelemetryAggregator,
-    query_aggregator,
-)
 from repro.obs.agg.shipper import (
     ShipperStats,
     TelemetryShipper,
@@ -36,6 +31,16 @@ from repro.obs.agg.wire import (
     validate_frame,
     validate_frames,
 )
+
+def __getattr__(name: str):
+    # the asyncio server is resolved on first use (PEP 562): a session that
+    # ships telemetry imports this package for the shipper alone.
+    if name not in ("AggregatorServer", "TelemetryAggregator", "query_aggregator"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.obs.agg import server
+
+    return getattr(server, name)
+
 
 __all__ = [
     "AggregatorServer",

@@ -3,8 +3,8 @@
 MCB and Jacobi live on regular grids; many production codes (finite
 elements, AMR) exchange halos over an *irregular* partition graph where
 neighbor counts and message sizes vary per rank. This workload builds a
-random geometric graph with networkx, partitions vertices over ranks, and
-iterates a Jacobi-like smoothing where each rank:
+random geometric graph, partitions vertices over ranks, and iterates a
+Jacobi-like smoothing where each rank:
 
 * posts one wildcard-source receive per neighbor (expected halo count),
 * sends its boundary values to each neighbor,
@@ -18,8 +18,11 @@ quota counts) far harder than a 4-neighbor grid does.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from repro.sim.datatypes import ANY_SOURCE
 
@@ -27,6 +30,8 @@ if TYPE_CHECKING:
     import networkx as nx
 
 HALO_TAG = 31
+#: ``(pos, adj)``: vertex positions and adjacency lists (see ``UnstructuredConfig.mesh``).
+Mesh = tuple[list[list[float]], list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -53,45 +58,78 @@ class UnstructuredConfig:
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
 
-    def build_mesh(self) -> nx.Graph:
-        """The shared mesh every rank derives its neighbor lists from.
+    def mesh(self) -> Mesh:
+        """``(pos, adj)`` of the shared mesh every rank derives its neighbor
+        lists from: what ``networkx.random_geometric_graph(vertices, radius,
+        seed=seed)`` builds — positions from ``random.Random(seed)`` in node
+        order, an edge per pair within ``radius``, added in sorted ``u < v``
+        order — without importing it; ``adj[v]`` is in the order added."""
+        rng = random.Random(self.seed)
+        pos = [[rng.random(), rng.random()] for _ in range(self.vertices)]
+        xy = np.array(pos)
+        square = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
+        adj: list[list[int]] = [[] for _ in pos]
+        for u, v in np.argwhere(np.triu(square <= self.radius * self.radius, k=1)).tolist():
+            adj[u].append(v)
+            adj[v].append(u)
+        # guarantee connectivity so every rank participates: each component
+        # is chained to the next through its first vertex — first out of a
+        # breadth-first *set*, as ``networkx.connected_components`` builds
+        # it, so that every archive recorded over a networkx mesh replays.
+        firsts: list[int] = []
+        seen: set[int] = set()
+        for source in range(self.vertices):
+            if source in seen:
+                continue
+            component, level = {source}, [source]
+            while level:
+                reached, level = [w for v in level for w in adj[v]], []
+                for w in reached:
+                    if w not in component:
+                        component.add(w)
+                        level.append(w)
+            seen |= component
+            firsts.append(next(iter(component)))
+        for a, b in zip(firsts, firsts[1:]):
+            adj[a].append(b)
+            adj[b].append(a)
+        return pos, adj
 
-        networkx is imported here, not with the module: it is an optional
-        dependency (the ``workloads`` extra) that only this workload needs,
-        and ``import repro.workloads`` runs for every CLI command.
-        """
+    def build_mesh(self) -> nx.Graph:
+        """:meth:`mesh` as a ``networkx.Graph`` (node attribute ``pos``), for
+        tests and diagnostics. networkx is an optional dependency (the
+        ``workloads`` extra) and only this method imports it."""
         try:
             import networkx as nx
         except ModuleNotFoundError as exc:
             raise ModuleNotFoundError(
-                "the 'unstructured' workload builds its mesh with networkx, "
-                "which is not installed; install the extra: "
+                "the 'unstructured' workload hands its mesh out as a networkx "
+                "graph, which is not installed; install the extra: "
                 "pip install 'repro[workloads]'"
             ) from exc
-        graph = nx.random_geometric_graph(
-            self.vertices, self.radius, seed=self.seed
-        )
-        # guarantee connectivity so every rank participates
-        components = list(nx.connected_components(graph))
-        for a, b in zip(components, components[1:]):
-            graph.add_edge(next(iter(a)), next(iter(b)))
+        pos, adj = self.mesh()
+        graph = nx.empty_graph(self.vertices)
+        nx.set_node_attributes(graph, dict(enumerate(pos)), "pos")
+        graph.add_edges_from(mesh_edges(adj))
         return graph
 
 
-def partition(
-    config: UnstructuredConfig, mesh: nx.Graph | None = None
-) -> dict[int, int]:
+def mesh_edges(adj: list[list[int]]) -> list[tuple[int, int]]:
+    """Each edge of :meth:`UnstructuredConfig.mesh` once, ``u < v``, in the
+    order ``networkx.Graph.edges`` walks them: by ``u``, then as added."""
+    return [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u]
+
+
+def partition(config: UnstructuredConfig, mesh: Mesh | None = None) -> dict[int, int]:
     """vertex -> owning rank: balanced spatial strips.
 
     Vertices are sorted by position and sliced into contiguous blocks, so
     each rank owns a spatial region and only ranks with adjacent regions
     exchange halos — giving the irregular, locality-driven neighbor graphs
-    the workload exists to exercise. ``mesh`` is ``config.build_mesh()``,
-    built here unless the caller already holds it.
+    the workload exists to exercise. ``mesh`` is ``config.mesh()``, built
+    here unless the caller already holds it.
     """
-    if mesh is None:
-        mesh = config.build_mesh()
-    pos = dict(mesh.nodes(data="pos"))
+    pos, _ = mesh or config.mesh()
     ordered = sorted(range(config.vertices), key=lambda v: (pos[v][0], pos[v][1]))
     owner: dict[int, int] = {}
     base, extra = divmod(config.vertices, config.nprocs)
@@ -106,7 +144,7 @@ def partition(
 
 def rank_topology(
     config: UnstructuredConfig,
-    mesh: nx.Graph | None = None,
+    mesh: Mesh | None = None,
     owner: dict[int, int] | None = None,
 ):
     """Per-rank neighbor structure derived from the mesh.
@@ -114,16 +152,16 @@ def rank_topology(
     Returns ``(neighbors, shared_edges)`` where ``neighbors[r]`` is the
     sorted list of ranks sharing at least one cut edge with ``r`` and
     ``shared_edges[(r, s)]`` the cut edges between them (both directions
-    present). ``mesh`` and ``owner`` default to ``config.build_mesh()`` and
-    its :func:`partition`.
+    present). ``mesh`` and ``owner`` default to ``config.mesh()`` and its
+    :func:`partition`.
     """
     if mesh is None:
-        mesh = config.build_mesh()
+        mesh = config.mesh()
     if owner is None:
         owner = partition(config, mesh)
     neighbors: dict[int, set[int]] = {r: set() for r in range(config.nprocs)}
     shared: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v in mesh.edges():
+    for u, v in mesh_edges(mesh[1]):
         ru, rv = owner[u], owner[v]
         if ru == rv:
             continue
@@ -137,7 +175,7 @@ def rank_topology(
 def build_program(config: UnstructuredConfig) -> Callable:
     """Create the per-rank generator implementing the halo pattern."""
     # the random geometric mesh is the costly part of setup: build it once
-    mesh = config.build_mesh()
+    mesh = config.mesh()
     owner = partition(config, mesh)
     neighbors, shared = rank_topology(config, mesh, owner)
 

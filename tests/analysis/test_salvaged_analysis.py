@@ -169,19 +169,6 @@ class TestDiffAgainstCrashedRecording:
             ).run()
         return clean, crashed
 
-    @pytest.fixture
-    def replays(self, monkeypatch):
-        """Counts ``ReplaySession.run`` calls."""
-        calls = []
-        real = ReplaySession.run
-
-        def counted(session):
-            calls.append(session.mode)
-            return real(session)
-
-        monkeypatch.setattr(ReplaySession, "run", counted)
-        return calls
-
     def test_library_diff_borrows_the_counterpart_manifest(self, dirs, replays):
         from repro.analysis import diff_runs
 
@@ -208,7 +195,7 @@ class TestDiffAgainstCrashedRecording:
         with open(timeline, encoding="utf-8") as fh:
             assert validate_chrome_trace(json.load(fh)) == []
 
-    def test_cli_diff_of_two_clean_records_replays_twice(
+    def test_cli_diff_of_two_clean_records_replays_once(
         self, dirs, replays, tmp_path, capsys
     ):
         from repro.cli import main
@@ -216,5 +203,7 @@ class TestDiffAgainstCrashedRecording:
         clean, _ = dirs
         timeline = str(tmp_path / "timeline.json")
         assert main(["diff", clean, clean, "--timeline", timeline]) == 0
-        assert replays == ["strict", "strict"]  # four before: the timeline re-ran both
-        capsys.readouterr()
+        # four before PR 17 (the timeline re-ran both), two until PR 22: the
+        # same record on both sides is one replay (Theorem 2)
+        assert replays == ["strict"]
+        assert "1 distinct record: replayed once (Theorem 2)" in capsys.readouterr().out

@@ -855,3 +855,73 @@ def assist_occurrence_indices_oracle(
         for k, slot in enumerate(slots, start=1):
             rank_of_slot[slot] = k
     return [rank_of_slot[slot] for slot in order]
+
+
+# ---------------------------------------------------------------------------
+# Generic Myers diff: the cross-check of the LIS edit distance (left src/ in PR 22)
+# ---------------------------------------------------------------------------
+
+
+def myers_edit_distance(a: Sequence, b: Sequence) -> int:
+    """Insert/delete edit distance between arbitrary sequences (Myers O(ND)).
+
+    Used as an oracle: for a permutation ``b`` vs the identity this must
+    agree with :func:`permutation_edit_distance`.
+    """
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        return n + m
+    max_d = n + m
+    # v[k] = furthest x on diagonal k (offset by max_d)
+    v = [0] * (2 * max_d + 1)
+    for d in range(max_d + 1):
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and v[max_d + k - 1] < v[max_d + k + 1]):
+                x = v[max_d + k + 1]  # move down (insert from b)
+            else:
+                x = v[max_d + k - 1] + 1  # move right (delete from a)
+            y = x - k
+            while x < n and y < m and a[x] == b[y]:
+                x += 1
+                y += 1
+            v[max_d + k] = x
+            if x >= n and y >= m:
+                return d
+    raise AssertionError("unreachable: Myers diff must terminate")  # pragma: no cover
+
+
+def myers_edit_script(a: Sequence, b: Sequence) -> list[tuple[str, object]]:
+    """Full insert/delete edit script ('=', '<' delete, '>' insert).
+
+    A simple LCS-DP implementation (O(N*M)); only used on small inputs by
+    tests and the worked-example benchmark, where clarity beats speed.
+    """
+    n, m = len(a), len(b)
+    # lcs[i][j] = LCS length of a[i:], b[j:]
+    lcs = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row = lcs[i]
+        nxt = lcs[i + 1]
+        for j in range(m - 1, -1, -1):
+            if a[i] == b[j]:
+                row[j] = nxt[j + 1] + 1
+            else:
+                row[j] = max(nxt[j], row[j + 1])
+    script: list[tuple[str, object]] = []
+    i = j = 0
+    while i < n and j < m:
+        if a[i] == b[j]:
+            script.append(("=", a[i]))
+            i += 1
+            j += 1
+        elif lcs[i + 1][j] >= lcs[i][j + 1]:
+            script.append(("<", a[i]))
+            i += 1
+        else:
+            script.append((">", b[j]))
+            j += 1
+    for k in range(i, n):
+        script.append(("<", a[k]))
+    for k in range(j, m):
+        script.append((">", b[k]))
+    return script

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from repro.core.edit_distance import (
     lis_length,
     longest_increasing_subsequence,
-    myers_edit_distance,
-    myers_edit_script,
     permutation_edit_distance,
     stable_and_moved,
     validate_permutation,
 )
 from repro.errors import EncodingError
+from tests.core.oracles import myers_edit_distance, myers_edit_script
 
 permutations = st.integers(0, 40).map(
     lambda n: random.Random(n).sample(range(n), n)

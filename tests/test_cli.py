@@ -523,6 +523,32 @@ class TestDiffAndRuns:
         assert main(["diff", dirs["a"], dirs["a"]]) == 0
         assert "identical" in capsys.readouterr().out
 
+    def test_diff_says_how_many_records_it_replayed(
+        self, two_seed_setup, tmp_path, capsys
+    ):
+        from repro.core.trace_io import save_trace
+        from repro.replay import ReplaySession
+        from repro.workloads import make_workload
+
+        dirs, ledger = two_seed_setup
+        assert main(["diff", dirs["a"], dirs["b"]]) == 0
+        assert "2 operands, 2 distinct records: replayed twice" in capsys.readouterr().out
+        # one record under two names: Theorem 2 makes the second replay redundant
+        assert main(["diff", "r0001", dirs["a"], "--ledger", ledger]) == 0
+        out = capsys.readouterr().out
+        assert "2 operands, 1 distinct record: replayed once (Theorem 2)" in out
+        assert "identical" in out
+        # a trace is compared as it is: only the record is replayed
+        trace = str(tmp_path / "a.trace.jsonl")
+        program, _ = make_workload("synthetic", 6, messages_per_rank=8, fanout=2)
+        save_trace(ReplaySession(program, dirs["a"]).run().outcomes, trace)
+        assert main(["diff", trace, dirs["a"]]) == 0
+        out = capsys.readouterr().out
+        assert "2 operands, 1 distinct record: replayed once\n" in out
+        assert "identical" in out
+        assert main(["diff", trace, trace]) == 0
+        assert "2 operands, 0 distinct records: nothing replayed" in capsys.readouterr().out
+
     def test_diff_json_and_timeline_validate(
         self, two_seed_setup, tmp_path, capsys
     ):

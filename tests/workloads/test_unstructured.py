@@ -9,6 +9,7 @@ from repro.replay import BaselineSession, RecordSession, ReplaySession, assert_r
 from repro.workloads.unstructured import (
     UnstructuredConfig,
     build_program,
+    mesh_edges,
     partition,
     rank_topology,
 )
@@ -41,7 +42,8 @@ class TestConfig:
 
 class TestNetworkxIsOptional:
     """numpy is the only declared dependency; networkx is the ``workloads``
-    extra, needed by this workload's mesh and nothing else."""
+    extra, needed by ``build_mesh`` (the mesh as a graph object) and nothing
+    else."""
 
     def test_importing_the_workloads_does_not_import_networkx(self):
         code = (
@@ -92,26 +94,68 @@ class TestTopology:
         assert max(counts) - min(counts) <= 1
 
     def test_build_program_generates_the_mesh_once(self, monkeypatch):
-        """The random geometric graph is the costly part of setup (and of a
-        diff, which rebuilds the program per run): one per program, and the
-        mesh/owner handed down give the topology the helpers compute alone."""
-        import networkx as nx
-
+        """The random geometric graph is the costly part of setup: one per
+        program, and the mesh/owner handed down give the topology the
+        helpers compute alone."""
         generated = []
-        real = nx.random_geometric_graph
+        real = UnstructuredConfig.mesh
 
-        def counted(*args, **kwargs):
-            generated.append(args)
-            return real(*args, **kwargs)
+        def counted(config):
+            generated.append(config)
+            return real(config)
 
-        monkeypatch.setattr(nx, "random_geometric_graph", counted)
+        monkeypatch.setattr(UnstructuredConfig, "mesh", counted)
         cfg = UnstructuredConfig(nprocs=6, vertices=60)
         build_program(cfg)
         assert len(generated) == 1
-        mesh = cfg.build_mesh()
+        mesh = cfg.mesh()
         owner = partition(cfg, mesh)
         assert owner == partition(cfg)
         assert rank_topology(cfg, mesh, owner) == rank_topology(cfg)
+
+
+class TestMeshWithoutNetworkx:
+    """``UnstructuredConfig.mesh`` is ``nx.random_geometric_graph`` plus the
+    component chaining, rebuilt from ``random`` and one numpy distance
+    matrix: every archive recorded before it existed must still replay."""
+
+    @staticmethod
+    def networkx_mesh(cfg):
+        """The mesh as ``build_mesh`` built it before PR 22."""
+        import networkx as nx
+
+        graph = nx.random_geometric_graph(cfg.vertices, cfg.radius, seed=cfg.seed)
+        components = list(nx.connected_components(graph))
+        for a, b in zip(components, components[1:]):
+            graph.add_edge(next(iter(a)), next(iter(b)))
+        return graph, len(components)
+
+    @pytest.mark.parametrize(
+        "vertices, radius",
+        [(96, 0.35), (256, 0.35), (40, 0.15), (64, 0.08), (300, 0.05), (200, 0.02)],
+    )
+    def test_same_mesh_as_networkx(self, vertices, radius):
+        split = 0
+        for seed in range(12):
+            cfg = UnstructuredConfig(nprocs=4, vertices=vertices, radius=radius, seed=seed)
+            graph, components = self.networkx_mesh(cfg)
+            split += components > 1
+            pos, adj = cfg.mesh()
+            assert dict(enumerate(pos)) == dict(graph.nodes(data="pos"))
+            assert dict(enumerate(adj)) == {v: list(graph.adj[v]) for v in graph}
+            assert mesh_edges(adj) == list(graph.edges())
+            rebuilt = cfg.build_mesh()
+            assert list(rebuilt.edges()) == list(graph.edges())
+            assert dict(rebuilt.nodes(data="pos")) == dict(graph.nodes(data="pos"))
+        assert split or radius > 0.1  # the sparse rows exercise the chaining
+
+    def test_building_the_program_does_not_import_networkx(self):
+        code = (
+            "import sys; from repro.workloads import make_workload; "
+            "make_workload('unstructured', 4, vertices=32); "
+            "sys.exit('networkx' in sys.modules or 'scipy' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestExecution:
