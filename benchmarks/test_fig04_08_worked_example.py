@@ -4,9 +4,8 @@ Regenerates every intermediate representation of Section 3's example table
 and benchmarks the full encode pipeline on it.
 """
 
-from repro.core import encode_chunk, reference_order, value_count_breakdown
+from repro.core import build_columnar_tables, encode_table, reference_order, value_count_breakdown
 from repro.core.events import outcomes_to_rows
-from repro.core.record_table import build_tables
 from repro.analysis import render_table
 from benchmarks.conftest import emit
 from tests.conftest import paper_outcome_stream
@@ -14,9 +13,10 @@ from tests.conftest import paper_outcome_stream
 
 def test_fig04_08_worked_example(benchmark):
     outcomes = paper_outcome_stream()
-    table = build_tables(outcomes)["A"][0]
+    columns = build_columnar_tables(outcomes)["A"][0]
+    table = columns.to_record_table()
 
-    chunk = benchmark(encode_chunk, table)
+    chunk = benchmark(encode_table, columns)
 
     rows = list(outcomes_to_rows(outcomes))
     fig4 = render_table(

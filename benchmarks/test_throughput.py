@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 from repro.core import compress, Method
-from repro.core.columnar import ColumnarTable, encode_columnar_chunk
+from repro.core.columnar import ColumnarTable, encode_table
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.replay import FluidQueueModel, RecordSession
 from repro.replay.cost_model import cdc_cost_model
@@ -89,7 +89,7 @@ class TestKernelSpeedup:
         return [rng.randrange(-300, 300) for _ in range(self.N)]
 
     def test_svarint_batch_speedup(self, bench_results):
-        from repro.core.varint import decode_svarint_array, encode_svarint_array
+        from repro.core.varint import decode_varint_stream, encode_svarint_array
         from tests.core.oracles import decode_svarint_array_scalar, encode_svarint_array_scalar
 
         values = self._values()
@@ -101,7 +101,8 @@ class TestKernelSpeedup:
         enc_speedup = t_scalar / t_batch
 
         t_scalar_d = _best_of(lambda: decode_svarint_array_scalar(buf, 0))
-        t_batch_d = _best_of(lambda: decode_svarint_array(buf, 0))
+        assert decode_varint_stream(buf, 0)[1][1:] == values  # behind the length prefix
+        t_batch_d = _best_of(lambda: decode_varint_stream(buf, 0))
         dec_speedup = t_scalar_d / t_batch_d
 
         bench_results["kernel_svarint_encode_speedup"] = round(enc_speedup, 2)
@@ -192,7 +193,7 @@ class TestColumnarEncode:
 
         def encode_all():
             for t in tables:
-                encode_columnar_chunk(t, replay_assist=True)
+                encode_table(t, replay_assist=True)
 
         best = _best_of(encode_all, repeats=3)
         rate = total / best

@@ -245,7 +245,7 @@ class TestEncoderThroughputGuard:
         the telemetry-off rate. ``encoder_guard_ratio`` is that on/off
         ratio, measured like-for-like in one process.
         """
-        from repro.core.columnar import build_columnar_tables, encode_columnar_chunk
+        from repro.core.columnar import build_columnar_tables, encode_table
         from repro.obs import TelemetryRegistry, use_registry
 
         outs = synthetic_stream(20_000)
@@ -258,7 +258,7 @@ class TestEncoderThroughputGuard:
 
         def encode_all():
             for t in tables:
-                encode_columnar_chunk(t, replay_assist=True)
+                encode_table(t, replay_assist=True)
 
         t_off = _best_of(encode_all, repeats=5)
         registry = TelemetryRegistry("bench")

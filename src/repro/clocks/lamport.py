@@ -18,7 +18,7 @@ Two consequences drive CDC correctness and are enforced/tested here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,10 @@ class LamportClock:
     Parameters
     ----------
     value:
-        Initial clock value (0 in the paper's examples).
+        Initial clock value (0 in the paper's examples). A clock is a signed
+        64-bit quantity (the paper's 8-byte piggyback): the batch receive rule
+        does its arithmetic in int64, and the record format stores no clock
+        at or past 2**60 (``repro.core.kernels.VALUE_LIMIT``, DESIGN.md §5.12).
 
     Examples
     --------
@@ -46,13 +49,11 @@ class LamportClock:
     """
 
     value: int = 0
-    _send_history: list[int] = field(default_factory=list, repr=False)
 
     def on_send(self) -> int:
         """Apply send rule (i); return the clock value to piggyback."""
         attached = self.value
         self.value += 1
-        self._send_history.append(attached)
         return attached
 
     def on_receive(self, piggybacked: int) -> None:
@@ -97,16 +98,9 @@ class LamportClock:
         """
         return self.value
 
-    @property
-    def send_history(self) -> tuple[int, ...]:
-        """All clock values attached to sends so far (strictly increasing)."""
-        return tuple(self._send_history)
-
     def fork(self) -> "LamportClock":
         """Independent copy (used by tests comparing record/replay clocks)."""
-        clone = LamportClock(self.value)
-        clone._send_history = list(self._send_history)
-        return clone
+        return LamportClock(self.value)
 
 
 def is_strictly_increasing(values) -> bool:

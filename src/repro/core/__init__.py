@@ -35,8 +35,6 @@ from repro.core.permutation import (
 from repro.core.pipeline import (
     CDCChunk,
     chunk_members,
-    encode_chunk,
-    encode_chunk_sequence,
     reconstruct_observed_order,
     reconstruct_table,
     reference_order,
@@ -45,9 +43,9 @@ from repro.core.columnar import (
     ColumnarTable,
     ColumnarTableBuilder,
     build_columnar_tables,
-    encode_columnar_chunk,
+    encode_table,
 )
-from repro.core.record_table import RecordTable, RecordTableBuilder, build_tables
+from repro.core.record_table import RecordTable
 
 __all__ = [
     "ALL_METHODS",
@@ -64,20 +62,16 @@ __all__ = [
     "QuintupleRow",
     "ReceiveEvent",
     "RecordTable",
-    "RecordTableBuilder",
     "ValueCountBreakdown",
     "aggregate_reports",
     "apply_permutation",
     "build_columnar_tables",
-    "build_tables",
     "chunk_members",
     "compare_methods",
     "compress",
     "decode_permutation",
-    "encode_chunk",
-    "encode_columnar_chunk",
-    "encode_chunk_sequence",
     "encode_permutation",
+    "encode_table",
     "kernels",
     "lp_decode",
     "lp_encode",

@@ -1,33 +1,26 @@
-"""Columnar record buffers — the paper-scale recording hot path.
+"""Columnar record buffers — the one way a chunk is built and encoded.
 
-The object pipeline (:mod:`repro.core.record_table` →
-:func:`repro.core.pipeline.encode_chunk`) builds a Python list of
-:class:`~repro.core.events.ReceiveEvent` objects per chunk and converts it
-to numpy arrays with ``np.fromiter`` at encode time. At paper-scale rank
-counts that conversion — plus the per-event object churn feeding it — is
-the dominant recording cost.
-
-This module keeps the ``(sender rank, piggybacked clock)`` identifier
-columns in preallocated int64 numpy arrays from the moment an MF outcome is
-observed:
+The ``(sender rank, piggybacked clock)`` identifier columns live in
+preallocated int64 numpy arrays from the moment an MF outcome is observed:
 
 * :class:`ColumnarTableBuilder` appends into grow-by-doubling arrays (the
   backing capacity survives flushes, so a steady-state rank allocates
   nothing per chunk);
 * :class:`ColumnarTable` is the sealed chunk — two contiguous arrays plus
-  the same with_next / unmatched side tables as :class:`RecordTable`;
-* :func:`encode_columnar_chunk` CDC-encodes the arrays directly: no object
+  the Figure 6 with_next / unmatched side tables
+  (:meth:`ColumnarTable.to_record_table` hands out the object form);
+* :func:`encode_table` CDC-encodes the arrays directly: no object
   iteration, a vectorized epoch line, and an identity-permutation
   short-circuit for chunks already in their reference order — every assist
   chunk of the shipped workloads, and the near-sorted chunks that dominate
   hidden-deterministic ones (Figure 17).
 
-The encoded :class:`~repro.core.pipeline.CDCChunk` is **identical** — field
-for field and byte for byte after serialization — to what the object path
-produces for the same outcome stream; ``tests/core`` asserts this on every
-workload. The one restriction: clocks and ranks must fit int64 (the object
-path's arbitrary-precision fallback has no columnar analogue; the recorder
-keeps the object path available for that corner).
+A clock and a rank are int64 values under ``kernels.VALUE_LIMIT`` (2**60,
+DESIGN.md §5.12): the builder and the encoder raise
+:class:`~repro.errors.EncodingError` on one that is not, so no frame holding
+it is written. The object-at-a-time builder and encoder this module replaced
+are test references now (``tests/core/oracles.py``); ``tests/core`` holds the
+two equal, field for field and byte for byte.
 """
 
 from __future__ import annotations
@@ -38,19 +31,18 @@ import numpy as np
 
 from repro.core.epoch import EpochLine
 from repro.core.events import MFOutcome, ReceiveEvent
-from repro.core.pipeline import CDCChunk, encode_chunk
+from repro.core.kernels import VALUE_LIMIT
+from repro.core.pipeline import CDCChunk
 from repro.core.permutation import PermutationDiff, encode_permutation
 from repro.core.record_table import RecordTable
-from repro.errors import DecodingError
+from repro.errors import DecodingError, EncodingError
 from repro.obs import get_registry, span
 
 __all__ = [
     "ColumnarTable",
     "ColumnarTableBuilder",
     "GrowColumn",
-    "as_columnar_table",
     "build_columnar_tables",
-    "encode_columnar_chunk",
     "encode_table",
 ]
 
@@ -165,12 +157,9 @@ class ColumnarTable:
 
 
 class ColumnarTableBuilder:
-    """Streaming builder: MF outcomes in, :class:`ColumnarTable` chunks out.
-
-    Drop-in for :class:`~repro.core.record_table.RecordTableBuilder` (same
-    ``add`` / ``flush`` / ``num_events`` / ``dirty`` surface); the flushed
-    chunks feed :func:`encode_columnar_chunk` instead of ``encode_chunk``.
-    """
+    """Streaming builder: MF outcomes in, :class:`ColumnarTable` chunks out
+    (``add`` / ``flush`` / ``num_events`` / ``dirty``); the flushed chunks
+    feed :func:`encode_table`."""
 
     __slots__ = (
         "callsite",
@@ -194,7 +183,7 @@ class ColumnarTableBuilder:
         self._pending_unmatched = 0
 
     def add(self, outcome: MFOutcome) -> None:
-        """Record one MF call outcome (same semantics as the object builder)."""
+        """Record one MF call outcome."""
         if outcome.callsite != self.callsite:
             raise ValueError(
                 f"outcome for callsite {outcome.callsite!r} fed to builder "
@@ -213,17 +202,20 @@ class ColumnarTableBuilder:
             self._grow(end)
         ranks = self._ranks
         clocks = self._clocks
-        if len(events) == 1:  # the overwhelmingly common case
-            ev = events[0]
-            ranks[n] = ev.rank
-            clocks[n] = ev.clock
-            self._count = end
-            return
-        self.with_next_indices.extend(range(n, end - 1))
-        for ev in events:
-            ranks[n] = ev.rank
-            clocks[n] = ev.clock
-            n += 1
+        try:
+            if len(events) == 1:  # the overwhelmingly common case
+                ev = events[0]
+                ranks[n] = ev.rank
+                clocks[n] = ev.clock
+                self._count = end
+                return
+            self.with_next_indices.extend(range(n, end - 1))
+            for ev in events:
+                ranks[n] = ev.rank
+                clocks[n] = ev.clock
+                n += 1
+        except OverflowError:  # no int64: past the limit encode_table holds the rest to
+            raise _past_limit(self.callsite, ev.rank, ev.clock) from None
         self._count = end
 
     def _grow(self, need: int) -> None:
@@ -263,24 +255,18 @@ class ColumnarTableBuilder:
         return table
 
 
-def as_columnar_table(table: "RecordTable | ColumnarTable") -> ColumnarTable:
-    """Coerce an object table to columns (no-op for columnar input)."""
-    if isinstance(table, ColumnarTable):
-        return table
-    n = len(table.matched)
-    return ColumnarTable(
-        table.callsite,
-        np.fromiter((ev.rank for ev in table.matched), np.int64, count=n),
-        np.fromiter((ev.clock for ev in table.matched), np.int64, count=n),
-        table.with_next_indices,
-        table.unmatched_runs,
+def _past_limit(callsite: str, rank: int, clock: int) -> EncodingError:
+    return EncodingError(
+        f"callsite {callsite!r}: the receive from rank {rank} at clock {clock} is at or "
+        f"past the format's limit of 2**60"
     )
 
 
 def build_columnar_tables(
     outcomes: Sequence[MFOutcome], chunk_events: int | None = None
 ) -> dict[str, list[ColumnarTable]]:
-    """Columnar analogue of :func:`repro.core.record_table.build_tables`."""
+    """Group an outcome stream by callsite and build chunked tables (the
+    offline form of what :mod:`repro.replay.recorder` does per rank)."""
     builders: dict[str, ColumnarTableBuilder] = {}
     chunks: dict[str, list[ColumnarTable]] = {}
     for outcome in outcomes:
@@ -299,16 +285,23 @@ def build_columnar_tables(
     return chunks
 
 
-def encode_columnar_chunk(
+def encode_table(
     table: ColumnarTable,
     replay_assist: bool = False,
     prior_ceilings: Mapping[int, int] | None = None,
 ) -> CDCChunk:
-    """CDC-encode one columnar chunk — array-native :func:`encode_chunk`.
+    """CDC-encode one chunk.
 
-    Produces a :class:`CDCChunk` equal to ``encode_chunk`` over the
-    equivalent object table (same diff, same epoch, same hardening columns,
-    same serialized bytes). Two array-level fast paths:
+    ``replay_assist=True`` additionally stores the observed-order sender
+    column, enabling deterministic online replay (DESIGN.md §5.6); the
+    default reproduces the paper's format exactly.
+
+    ``prior_ceilings`` maps sender rank to the highest clock recorded for
+    it in *earlier* chunks of the same callsite; events at or below their
+    sender's prior ceiling become boundary exceptions (see CDCChunk).
+
+    A rank or clock at or past ``kernels.VALUE_LIMIT`` in magnitude is an
+    :class:`~repro.errors.EncodingError`. Two array-level fast paths:
 
     * **already in reference order**: with the assist column, every
       sender's clocks ascend along one stable argsort by sender (always,
@@ -380,6 +373,13 @@ def encode_columnar_chunk(
                 maxc = np.empty(uniq.shape[0], dtype=np.int64)
                 maxc[uniq.searchsorted(sorted_ranks)] = sorted_clocks
                 max_by_rank = maxc.tolist()
+            # the format's value budget, read off what is computed anyway (a
+            # clock is not negative; one that were is not stored, or refused
+            # where it would be: ``varint.stream_to_unsigned``)
+            if max(max_rank, -min_rank, *max_by_rank) >= VALUE_LIMIT:
+                fits = (-VALUE_LIMIT < ranks) & (ranks < VALUE_LIMIT) & (clocks < VALUE_LIMIT)
+                first = int(fits.argmin())
+                raise _past_limit(table.callsite, int(ranks[first]), int(clocks[first]))
             uniq_list = uniq.tolist()
             sender_counts = tuple(zip(uniq_list, rank_counts.tolist()))
             if not replay_assist:
@@ -414,18 +414,3 @@ def encode_columnar_chunk(
         registry.counter("encode.events").add(n)
         registry.counter("encode.moved_events").add(chunk.diff.num_moved)
     return chunk
-
-
-def encode_table(
-    table: ColumnarTable | RecordTable,
-    replay_assist: bool = False,
-    prior_ceilings: Mapping[int, int] | None = None,
-) -> CDCChunk:
-    """Encode either table flavor (dispatch point for mixed callers)."""
-    if isinstance(table, ColumnarTable):
-        return encode_columnar_chunk(
-            table, replay_assist=replay_assist, prior_ceilings=prior_ceilings
-        )
-    return encode_chunk(
-        table, replay_assist=replay_assist, prior_ceilings=prior_ceilings
-    )

@@ -21,14 +21,13 @@ import zlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from repro.core.columnar import build_columnar_tables, encode_table
 from repro.core.events import MFOutcome, outcomes_to_rows
 from repro.core.formats import (
     serialize_cdc_chunks,
     serialize_raw_rows,
     serialize_re_tables,
 )
-from repro.core.pipeline import encode_chunk
-from repro.core.record_table import build_tables
 from repro.obs import get_registry, span
 
 #: Callsite label used when MF identification is disabled (merged tables).
@@ -99,18 +98,18 @@ def _compress_parts(
         raw = serialize_raw_rows(list(outcomes_to_rows(outcomes)))
         return len(raw), zlib.compress(raw, ZLIB_LEVEL)
     if method is Method.CDC_RE:
-        tables = build_tables(_merge_callsites(outcomes), chunk_events)
-        flat = [t for ts in tables.values() for t in ts]
+        tables = build_columnar_tables(_merge_callsites(outcomes), chunk_events)
+        flat = [t.to_record_table() for ts in tables.values() for t in ts]
         payload = serialize_re_tables(flat)
         return len(payload), zlib.compress(payload, ZLIB_LEVEL)
     if method is Method.CDC_RE_PE_LPE:
-        tables = build_tables(_merge_callsites(outcomes), chunk_events)
-        chunks = [encode_chunk(t) for ts in tables.values() for t in ts]
+        tables = build_columnar_tables(_merge_callsites(outcomes), chunk_events)
+        chunks = [encode_table(t) for ts in tables.values() for t in ts]
         payload = serialize_cdc_chunks(chunks)
         return len(payload), zlib.compress(payload, ZLIB_LEVEL)
     if method is Method.CDC:
-        tables = build_tables(list(outcomes), chunk_events)
-        chunks = [encode_chunk(t) for ts in tables.values() for t in ts]
+        tables = build_columnar_tables(outcomes, chunk_events)
+        chunks = [encode_table(t) for ts in tables.values() for t in ts]
         payload = serialize_cdc_chunks(chunks)
         return len(payload), zlib.compress(payload, ZLIB_LEVEL)
     raise ValueError(f"unknown method {method!r}")  # pragma: no cover

@@ -491,6 +491,8 @@ def _decode_assist(callsite: str, data: bytes, offset: int, stop: int) -> CDCChu
         i += len(body)
     p_idx, p_delay, rank_gaps, steps, x_rank, x_clock = columns
     ranks = list(accumulate(rank_gaps, lambda rank, gap: rank + gap + 1))
+    if ranks and ranks[-1] >= kernels.VALUE_LIMIT:  # (and numpy would index them as floats)
+        raise RecordFormatError(f"sender rank {ranks[-1]} is past the format's limit")
     if d > 1:
         index = kernels.from_bits(index, n, width)
         counts = np.bincount(index, minlength=d).tolist()

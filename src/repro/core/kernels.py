@@ -12,16 +12,15 @@ iteration.
 
 Contract
 --------
-* **Byte-identical output.** For every input the scalar reference accepts,
+* **Byte-identical output.** For every input the scalar producer accepts,
   the batch encoder produces the exact same byte stream and the batch
   decoder consumes the exact same bytes. This is asserted by property tests
   (``tests/core/test_kernels.py``) and is what lets the serialization layer
-  switch paths freely.
-* **Graceful fallback.** Values outside the int64/uint64 range (the formats
-  must not silently corrupt arbitrary-precision Python ints) and varints
-  longer than 9 bytes fall back to the scalar implementations in
-  :mod:`repro.core.varint`. The fallback is the correctness reference, not
-  an error path.
+  pick a producer from the length of its input.
+* **One value budget.** A stored value is below :data:`VALUE_LIMIT` in
+  magnitude and a varint at most :data:`MAX_VARINT_LEN` bytes (DESIGN.md
+  §5.12): a value past the limit is an :class:`~repro.errors.EncodingError`,
+  a longer varint is not a value. There is no second, wider implementation.
 
 The kernels are pure functions over ``bytes`` / ``numpy.ndarray``; all
 policy (length prefixes, column layout) stays in the callers, who hand the
@@ -34,20 +33,19 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.errors import RecordFormatError
+from repro.errors import EncodingError
 from repro.obs import get_registry
 
 __all__ = [
     "IntArray",
-    "zigzag_encode_array",
+    "MAX_VARINT_LEN",
+    "VALUE_LIMIT",
     "zigzag_decode_array",
-    "uvarint_encode_batch",
-    "svarint_encode_batch",
     "uvarint_decode_batch",
-    "svarint_decode_batch",
     "uvarint_sizes",
     "lp_encode_segments",
     "stream_to_unsigned",
+    "value_past_limit",
     "packbits", "unpackbits",
     "to_bits", "from_bits",
 ]
@@ -60,10 +58,13 @@ _U1 = np.uint64(1)
 _PAYLOAD_MASK = np.uint64(0x7F)
 _CONT_BIT = np.uint8(0x80)
 
-#: Longest varint the numpy path handles: 9 bytes = 63 payload bits. The
-#: 10-byte case (top uint64 bit set) and the scalar decoder's tolerance for
-#: over-long encodings (up to shift 128) go through the scalar fallback.
-_MAX_FAST_LEN = 9
+#: The format's value budget (DESIGN.md §5.12): every clock, rank, index and
+#: count a record stores is below this in magnitude. Under it Eq. 3
+#: (|e| <= 4 max|x|) and the zig-zag doubling stay inside int64 with the sign
+#: bit clear, so a stored varint has at most 63 payload bits ...
+VALUE_LIMIT = 1 << 60
+#: ... which is 9 bytes: a longer varint is not a value of the format.
+MAX_VARINT_LEN = 9
 
 #: Thresholds for vectorized byte-length computation: value >= 2**(7k)
 #: needs at least k+1 bytes.
@@ -74,25 +75,10 @@ _LEN_THRESHOLDS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64
 _GROUP_SHIFTS = np.arange(10, dtype=np.uint64) * _U7
 _GROUPS = np.arange(10, dtype=np.intp)
 
-#: Magnitudes below this survive Eq. 3 (|e| <= 4 max|x|) and the zig-zag
-#: doubling inside int64 with the sign bit still clear.
-_STREAM_SAFE_BOUND = 1 << 60
-
 
 # ---------------------------------------------------------------------------
-# zig-zag (vectorized int64 <-> uint64)
+# zig-zag (vectorized uint64 -> int64)
 # ---------------------------------------------------------------------------
-
-
-def zigzag_encode_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized zig-zag map: int64 array -> uint64 array.
-
-    Matches :func:`repro.core.varint.zigzag_encode` for every int64.
-    """
-    x = np.ascontiguousarray(values, dtype=np.int64)
-    u = x.view(np.uint64)
-    sign = (x >> np.int64(63)).view(np.uint64)  # 0 or 0xFFF...F
-    return ((u << _U1) ^ sign).astype(np.uint64, copy=False)
 
 
 def zigzag_decode_array(values: np.ndarray) -> np.ndarray:
@@ -123,13 +109,6 @@ def uvarint_sizes(values: np.ndarray) -> np.ndarray:
     return sizes
 
 
-def _fallback(direction: str) -> None:
-    """Count a scalar-fallback event (rare path: out-of-range values)."""
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter(f"kernels.{direction}_fallbacks").add()
-
-
 def _encode_u64(v: np.ndarray) -> bytes:
     """Concatenated LEB128 varints for a uint64 array (no length prefix)."""
     registry = get_registry()
@@ -153,64 +132,6 @@ def _encode_u64(v: np.ndarray) -> bytes:
     return out.ravel().compress(keep.ravel()).tobytes()
 
 
-def uvarint_encode_batch(values: IntArray) -> bytes | None:
-    """Encode a column of unsigned ints as concatenated LEB128 varints.
-
-    Returns ``None`` when any value is outside uint64 (caller must use the
-    scalar fallback). Negative values raise, matching the scalar encoder.
-    """
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind == "i":
-            if values.size and bool((values < 0).any()):
-                first_bad = int(values[values < 0][0])
-                raise ValueError(f"uvarint requires value >= 0, got {first_bad}")
-            v = values.astype(np.uint64)
-        elif values.dtype.kind == "u":
-            v = values.astype(np.uint64, copy=False)
-        else:
-            return None
-        return _encode_u64(v)
-    try:
-        v = np.asarray(values, dtype=np.uint64)
-    except OverflowError:
-        # either a negative (must raise like the scalar encoder) or a value
-        # beyond uint64 (arbitrary precision: scalar fallback)
-        for x in values:
-            if x < 0:
-                raise ValueError(f"uvarint requires value >= 0, got {x}")
-        _fallback("encode")
-        return None
-    except (ValueError, TypeError):
-        _fallback("encode")
-        return None
-    return _encode_u64(v)
-
-
-def svarint_encode_batch(values: IntArray) -> bytes | None:
-    """Encode a column of signed ints as zig-zag LEB128 varints.
-
-    Returns ``None`` when any value is outside int64.
-    """
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind == "u":
-            if values.size and bool((values >= np.uint64(1) << np.uint64(63)).any()):
-                _fallback("encode")
-                return None
-            x = values.astype(np.int64)
-        elif values.dtype.kind == "i":
-            x = values.astype(np.int64, copy=False)
-        else:
-            _fallback("encode")
-            return None
-        return _encode_u64(zigzag_encode_array(x))
-    try:
-        x = np.asarray(values, dtype=np.int64)
-    except (OverflowError, ValueError, TypeError):
-        _fallback("encode")
-        return None
-    return _encode_u64(zigzag_encode_array(x))
-
-
 def lp_encode_segments(x: np.ndarray, lp: np.ndarray) -> None:
     """Eq. 3 residuals, in place, over every run of ``lp``-marked positions.
 
@@ -227,31 +148,33 @@ def lp_encode_segments(x: np.ndarray, lp: np.ndarray) -> None:
     np.copyto(x, second, where=lp)
 
 
-def stream_to_unsigned(
-    values: Sequence[int], signed: np.ndarray, lp: np.ndarray
-) -> np.ndarray | None:
+def stream_to_unsigned(values: Sequence[int], signed: np.ndarray, lp: np.ndarray) -> np.ndarray:
     """One varint stream's values as the uint64 array ``_encode_u64`` packs.
 
     ``signed`` / ``lp`` mark, per value, the zig-zag and linear-predicted
-    positions. Returns ``None`` when a value is too large for the int64
-    arithmetic to be exact (the caller runs the same steps on Python ints);
-    a negative value at an unsigned position raises like the scalar encoder.
+    positions. A value at or past :data:`VALUE_LIMIT` is an
+    :class:`EncodingError`; a negative value at an unsigned position raises
+    like the scalar encoder.
     """
     try:
         x = np.array(values, dtype=np.int64)
     except OverflowError:
-        _fallback("encode")
-        return None
+        raise value_past_limit(values) from None
     if x.size == 0:
         return x.view(np.uint64)
-    if int(x.max()) >= _STREAM_SAFE_BOUND or int(x.min()) <= -_STREAM_SAFE_BOUND:
-        _fallback("encode")
-        return None
+    if int(x.max()) >= VALUE_LIMIT or int(x.min()) <= -VALUE_LIMIT:
+        raise value_past_limit(values)
     lp_encode_segments(x, lp)
     z = np.where(signed, (x << 1) ^ (x >> 63), x)
     if int(z.min()) < 0:
         raise ValueError(f"uvarint requires value >= 0, got {int(x[z < 0][0])}")
     return z.view(np.uint64)
+
+
+def value_past_limit(values: Sequence[int]) -> EncodingError:
+    """The error for the first of ``values`` the format has no room for."""
+    worst = next(v for v in values if not -VALUE_LIMIT < v < VALUE_LIMIT)
+    return EncodingError(f"value {worst} is at or past the format's limit of 2**60")
 
 
 # ---------------------------------------------------------------------------
@@ -292,42 +215,16 @@ def from_bits(bits: np.ndarray, rows: int, width: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _find_terminators(arr: np.ndarray, offset: int, count: int) -> np.ndarray:
-    """Absolute positions of the first ``count`` varint-final bytes.
+def uvarint_decode_batch(buf: bytes, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode every complete LEB128 varint of ``buf[offset:]``, up to the
+    first one longer than :data:`MAX_VARINT_LEN` bytes — that is not a value,
+    and nothing behind it can be placed.
 
-    Scans an exponentially growing window so decoding one short array out of
-    a long buffer stays O(bytes consumed), not O(buffer).
-    """
-    total = arr.shape[0]
-    window = min(total, offset + max(64, 2 * count + 16))
-    while True:
-        term = np.flatnonzero(arr[offset:window] < _CONT_BIT)
-        if term.shape[0] >= count or window >= total:
-            break
-        window = min(total, offset + 2 * (window - offset))
-    if term.shape[0] < count:
-        raise RecordFormatError(f"truncated varint at offset {offset}")
-    return term[:count] + offset
-
-
-def uvarint_decode_batch(
-    buf: bytes, offset: int, count: int | None = None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Decode ``count`` consecutive LEB128 varints starting at ``offset``;
-    with ``count=None``, every complete varint up to the end of ``buf``.
-
-    Returns ``(uint64 values, position of each value's last byte)``, or
-    ``None`` when a varint is longer than the 9-byte fast-path limit (caller
-    decodes scalar — this covers 10-byte uint64 values and the over-long
-    encodings the scalar decoder tolerates). With a ``count``, raises
-    :class:`RecordFormatError` on truncation, same as the scalar decoder.
+    Returns ``(uint64 values, position of each value's last byte)``.
     """
     arr = np.frombuffer(buf, dtype=np.uint8)
-    if count is None:
-        ends = (arr[offset:] < _CONT_BIT).nonzero()[0]
-        ends += offset
-    else:
-        ends = _find_terminators(arr, offset, count)
+    ends = (arr[offset:] < _CONT_BIT).nonzero()[0]
+    ends += offset
     count = ends.shape[0]
     if count == 0:
         return np.empty(0, dtype=np.uint64), ends
@@ -336,9 +233,8 @@ def uvarint_decode_batch(
     np.add(ends[:-1], 1, out=starts[1:])
     extra = ends - starts
     width = int(extra.max()) + 1
-    if width > _MAX_FAST_LEN:
-        _fallback("decode")
-        return None
+    if width > MAX_VARINT_LEN:
+        return uvarint_decode_batch(buf[: starts[(extra >= MAX_VARINT_LEN).argmax()]], offset)
     registry = get_registry()
     if registry.enabled:
         registry.counter("kernels.decode_batches").add()
@@ -357,17 +253,3 @@ def uvarint_decode_batch(
         wide <<= _GROUP_SHIFTS[1:width]
         values[multi] |= np.bitwise_or.reduce(wide, axis=1)
     return values, ends
-
-
-def svarint_decode_batch(
-    buf: bytes, offset: int, count: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Decode ``count`` zig-zag varints; ``(int64 values, last-byte positions)``.
-
-    Same fallback contract as :func:`uvarint_decode_batch`.
-    """
-    decoded = uvarint_decode_batch(buf, offset, count)
-    if decoded is None:
-        return None
-    raw, ends = decoded
-    return zigzag_decode_array(raw), ends

@@ -63,15 +63,15 @@ class ValueCountBreakdown:
 
 def value_count_breakdown(outcomes: Sequence[MFOutcome]) -> ValueCountBreakdown:
     """Compute the worked-example accounting for any outcome stream."""
+    from repro.core.columnar import build_columnar_tables, encode_table
     from repro.core.compression import _merge_callsites
-    from repro.core.pipeline import encode_chunk
-    from repro.core.record_table import build_tables
 
-    tables = build_tables(_merge_callsites(outcomes), chunk_events=None)
+    tables = build_columnar_tables(_merge_callsites(outcomes), chunk_events=None)
     flat = [t for ts in tables.values() for t in ts]
-    raw = sum(t.raw_value_count() for t in flat)
-    after_re = sum(t.encoded_value_count() for t in flat)
-    after_cdc = sum(encode_chunk(t).value_count() for t in flat)
+    records = [t.to_record_table() for t in flat]
+    raw = sum(r.raw_value_count() for r in records)
+    after_re = sum(r.encoded_value_count() for r in records)
+    after_cdc = sum(encode_table(t).value_count() for t in flat)
     return ValueCountBreakdown(raw, after_re, after_cdc)
 
 

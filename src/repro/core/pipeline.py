@@ -1,6 +1,8 @@
 """End-to-end CDC encoding pipeline (Figure 5) and its inverse.
 
-Encoding a :class:`~repro.core.record_table.RecordTable` chunk:
+Encoding one chunk of a callsite's matched receives
+(:func:`repro.core.columnar.encode_table` is the encoder; this module holds
+the encoded :class:`CDCChunk` and everything that reads one back):
 
 1. **Redundancy elimination** already happened structurally when the table
    was built (matched / with_next / unmatched split, Figure 6).
@@ -25,17 +27,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.epoch import EpochLine
 from repro.core.events import ReceiveEvent
-from repro.core.permutation import (
-    PermutationDiff,
-    apply_permutation,
-    decode_permutation,
-    encode_permutation,
-    observed_as_reference_indices,
-)
+from repro.core.permutation import PermutationDiff, apply_permutation, decode_permutation
 from repro.core.record_table import RecordTable
 from repro.errors import DecodingError
 from repro.obs import get_registry, span
@@ -127,136 +123,6 @@ def reference_order(events: Iterable[ReceiveEvent]) -> list[ReceiveEvent]:
     message from a smaller rank is earlier than ones from bigger ranks").
     """
     return sorted(events, key=_REF_KEY)
-
-
-def encode_chunk(
-    table: RecordTable,
-    replay_assist: bool = False,
-    prior_ceilings: Mapping[int, int] | None = None,
-) -> CDCChunk:
-    """CDC-encode one record-table chunk.
-
-    ``replay_assist=True`` additionally stores the observed-order sender
-    column, enabling deterministic online replay (DESIGN.md §5.6); the
-    default reproduces the paper's format exactly.
-
-    ``prior_ceilings`` maps sender rank to the highest clock recorded for
-    it in *earlier* chunks of the same callsite; events at or below their
-    sender's prior ceiling become boundary exceptions (see CDCChunk).
-
-    Ranks and clocks that fit int64 go through the array encoder; anything
-    larger (arbitrary precision) takes the scalar reference below, whose
-    chunks are identical — asserted by the pipeline property tests.
-    """
-    from repro.core.columnar import as_columnar_table, encode_columnar_chunk
-
-    try:
-        columns = as_columnar_table(table)
-    except OverflowError:
-        return _encode_chunk_scalar(table, replay_assist, prior_ceilings)
-    return encode_columnar_chunk(columns, replay_assist, prior_ceilings)
-
-
-def _encode_chunk_scalar(
-    table: RecordTable,
-    replay_assist: bool,
-    prior_ceilings: Mapping[int, int] | None,
-) -> CDCChunk:
-    """Reference implementation of :func:`encode_chunk` on Python ints."""
-    matched = table.matched
-    with span("cdc.encode_chunk", callsite=table.callsite, events=len(matched)):
-        observed_indices, sender_counts, sender_min_clocks, exceptions = (
-            _encode_matched_scalar(matched, prior_ceilings)
-        )
-        if replay_assist:
-            observed_indices, sender_min_clocks = _sender_order_indices(matched), ()
-        chunk = CDCChunk(
-            callsite=table.callsite,
-            num_events=len(matched),
-            # a unique-key lookup constructs a valid permutation, so the O(n)
-            # re-validation is skipped
-            diff=encode_permutation(observed_indices, validated=True),
-            with_next_indices=table.with_next_indices,
-            unmatched_runs=table.unmatched_runs,
-            epoch=EpochLine.from_events(matched),
-            sender_counts=sender_counts,
-            sender_min_clocks=sender_min_clocks,
-            boundary_exceptions=exceptions,
-            sender_sequence=tuple(ev.rank for ev in matched)
-            if replay_assist
-            else None,
-        )
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("encode.chunks").add()
-        registry.counter("encode.events").add(len(matched))
-        registry.counter("encode.moved_events").add(chunk.diff.num_moved)
-    return chunk
-
-
-def _encode_matched_scalar(
-    matched: Sequence[ReceiveEvent],
-    prior_ceilings: Mapping[int, int] | None,
-) -> tuple:
-    """Clock-order permutation indices + per-sender stats for one chunk."""
-    ref = reference_order(matched)
-    observed_indices = observed_as_reference_indices(
-        [ev.key for ev in matched], [ev.key for ev in ref]
-    )
-    counts: dict[int, int] = {}
-    min_clocks: dict[int, int] = {}
-    for ev in matched:
-        counts[ev.rank] = counts.get(ev.rank, 0) + 1
-        if ev.rank not in min_clocks or ev.clock < min_clocks[ev.rank]:
-            min_clocks[ev.rank] = ev.clock
-    exceptions: list[tuple[int, int]] = []
-    if prior_ceilings:
-        for ev in matched:
-            if ev.clock <= prior_ceilings.get(ev.rank, -1):
-                exceptions.append((ev.rank, ev.clock))
-    return (
-        observed_indices,
-        tuple(sorted(counts.items())),
-        tuple(sorted(min_clocks.items())),
-        tuple(sorted(exceptions)),
-    )
-
-
-def _sender_order_indices(matched: Sequence[ReceiveEvent]) -> list[int]:
-    """Per observed position, its event's slot in an assist chunk's
-    reference order (DESIGN.md §5.9): a sender's k-th-smallest-clock receive
-    belongs where that sender occurs for the k-th time. The identity unless
-    one sender's messages were observed out of clock order (Figure 3)."""
-    own: dict[int, list[int]] = {}
-    for p, ev in enumerate(matched):
-        own.setdefault(ev.rank, []).append(p)
-    indices = list(range(len(matched)))
-    for slots in own.values():
-        for slot, p in zip(slots, sorted(slots, key=lambda p: matched[p].clock)):
-            indices[p] = slot
-    return indices
-
-
-def encode_chunk_sequence(
-    tables: Sequence[RecordTable], replay_assist: bool = False
-) -> list[CDCChunk]:
-    """Encode consecutive chunks of ONE callsite with boundary tracking.
-
-    Mirrors what the online recorder does: each chunk is encoded against
-    the running per-sender ceilings of its predecessors so boundary
-    exceptions are marked (DESIGN.md §5.2).
-    """
-    ceilings: dict[int, int] = {}
-    chunks: list[CDCChunk] = []
-    for table in tables:
-        chunk = encode_chunk(
-            table, replay_assist=replay_assist, prior_ceilings=ceilings
-        )
-        for sender, ceiling in chunk.epoch.max_clock_by_rank.items():
-            if ceilings.get(sender, -1) < ceiling:
-                ceilings[sender] = ceiling
-        chunks.append(chunk)
-    return chunks
 
 
 def assist_occurrence_indices(

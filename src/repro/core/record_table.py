@@ -1,7 +1,9 @@
 """Per-callsite record tables — Figure 4 and the Figure 6 decomposition.
 
-A :class:`RecordTableBuilder` consumes the MF outcome stream of one callsite
-and materializes :class:`RecordTable` chunks. A chunk holds:
+A :class:`RecordTable` is one sealed chunk of a callsite's MF outcome stream
+as objects — what ``ColumnarTable.to_record_table``, ``reconstruct_table`` and
+``eliminate_redundancy`` hand out; recording builds columns
+(:mod:`repro.core.columnar`). A chunk holds:
 
 * ``matched`` — the matched receives in observed (delivery) order;
 * ``with_next_indices`` — observed indices whose receive was returned in the
@@ -18,8 +20,8 @@ cost nothing — no ``Testsome``/``Waitall`` ⇒ empty with_next table, no
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.events import MFOutcome, QuintupleRow, ReceiveEvent, outcomes_to_rows
 
@@ -113,90 +115,3 @@ class RecordTable:
             groups.append((start, i))
             i += 1
         return groups
-
-
-@dataclass
-class RecordTableBuilder:
-    """Streaming builder: MF outcomes in, :class:`RecordTable` chunks out."""
-
-    callsite: str
-    matched: list[ReceiveEvent] = field(default_factory=list)
-    with_next_indices: list[int] = field(default_factory=list)
-    unmatched_runs: list[tuple[int, int]] = field(default_factory=list)
-    _pending_unmatched: int = 0
-
-    def add(self, outcome: MFOutcome) -> None:
-        """Record one MF call outcome."""
-        if outcome.callsite != self.callsite:
-            raise ValueError(
-                f"outcome for callsite {outcome.callsite!r} fed to builder "
-                f"for {self.callsite!r}"
-            )
-        events = outcome.matched
-        if not events:
-            self._pending_unmatched += 1
-            return
-        matched = self.matched
-        if self._pending_unmatched:
-            self.unmatched_runs.append((len(matched), self._pending_unmatched))
-            self._pending_unmatched = 0
-        if len(events) == 1:  # the overwhelmingly common case
-            matched.append(events[0])
-            return
-        base = len(matched)
-        self.with_next_indices.extend(range(base, base + len(events) - 1))
-        matched.extend(events)
-
-    @property
-    def num_events(self) -> int:
-        return len(self.matched)
-
-    def flush(self) -> RecordTable:
-        """Seal the current chunk and reset the builder.
-
-        Trailing unmatched tests are attached to the sealed chunk (index ==
-        num_events) so that replay reproduces them before the next chunk's
-        first receive.
-        """
-        if self._pending_unmatched:
-            self.unmatched_runs.append((len(self.matched), self._pending_unmatched))
-            self._pending_unmatched = 0
-        table = RecordTable(
-            self.callsite,
-            tuple(self.matched),
-            tuple(self.with_next_indices),
-            tuple(self.unmatched_runs),
-        )
-        self.matched.clear()
-        self.with_next_indices.clear()
-        self.unmatched_runs.clear()
-        return table
-
-    @property
-    def dirty(self) -> bool:
-        """True if the builder holds unflushed events."""
-        return bool(self.matched or self._pending_unmatched)
-
-
-def build_tables(
-    outcomes: Sequence[MFOutcome], chunk_events: int | None = None
-) -> dict[str, list[RecordTable]]:
-    """Group an outcome stream by callsite and build chunked tables.
-
-    Convenience for tests and offline analysis; the online path lives in
-    :mod:`repro.replay.recorder`.
-    """
-    builders: dict[str, RecordTableBuilder] = {}
-    chunks: dict[str, list[RecordTable]] = {}
-    for outcome in outcomes:
-        builder = builders.get(outcome.callsite)
-        if builder is None:
-            builder = builders[outcome.callsite] = RecordTableBuilder(outcome.callsite)
-            chunks[outcome.callsite] = []
-        builder.add(outcome)
-        if chunk_events is not None and builder.num_events >= chunk_events:
-            chunks[outcome.callsite].append(builder.flush())
-    for callsite, builder in builders.items():
-        if builder.dirty:
-            chunks[callsite].append(builder.flush())
-    return chunks

@@ -1,7 +1,7 @@
 """Redundancy elimination (Section 3.2) as an explicit, testable transform.
 
-The structural split already happens in :class:`~repro.core.record_table.
-RecordTableBuilder`; this module exposes the forward/backward transform
+The structural split already happens in :class:`~repro.core.columnar.
+ColumnarTableBuilder`; this module exposes the forward/backward transform
 between the Figure 4 quintuple rows and the Figure 6 three-table form, so
 the stage can be verified in isolation (and so the worked-example benchmark
 can print each intermediate representation).

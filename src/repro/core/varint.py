@@ -5,10 +5,12 @@ the permutation + linear-predictive stages), so LEB128 varints with zig-zag
 mapping for signed values give a compact pre-gzip byte stream: values in
 [-64, 63] cost a single byte.
 
-The array functions route whole columns, and the stream functions a whole
-payload body, through the batched numpy kernels in
-:mod:`repro.core.kernels`; the scalar implementations here remain the
-correctness reference and the fallback for values outside int64/uint64.
+A stored value is below ``kernels.VALUE_LIMIT`` (2**60) in magnitude and a
+varint at most ``kernels.MAX_VARINT_LEN`` (9) bytes — the format's one value
+budget, DESIGN.md §5.12. A run of values has two producers with the same
+bytes, picked from its length: the scalar steps here under
+:data:`KERNEL_MIN_VALUES`, the batched numpy kernels of
+:mod:`repro.core.kernels` from there on.
 """
 
 from __future__ import annotations
@@ -23,23 +25,16 @@ from repro.errors import RecordFormatError
 
 _CONT = 0x80
 _PAYLOAD = 0x7F
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
+#: the shift of a varint's last allowed 7-bit group
+_MAX_SHIFT = 7 * (kernels.MAX_VARINT_LEN - 1)
 
 
 def zigzag_encode(value: int) -> int:
-    """Map a signed int to an unsigned one with small absolute values first.
+    """Map a signed 64-bit int to an unsigned one, small magnitudes first.
 
     0 -> 0, -1 -> 1, 1 -> 2, -2 -> 3, ...
     """
-    return (value << 1) ^ (value >> 63) if _INT64_MIN <= value <= _INT64_MAX else _zigzag_big(value)
-
-
-def _zigzag_big(value: int) -> int:
-    # Arbitrary-precision fallback (Python ints are unbounded; clocks stay
-    # well under 2**63 in practice but the format must not silently corrupt).
-    return value << 1 if value >= 0 else ((-value) << 1) - 1
+    return (value << 1) ^ (value >> 63)
 
 
 def zigzag_decode(value: int) -> int:
@@ -62,7 +57,8 @@ def encode_uvarint(value: int, out: bytearray) -> None:
 
 
 def decode_uvarint(buf: bytes, offset: int) -> tuple[int, int]:
-    """Decode an unsigned varint at ``offset``; return (value, next offset)."""
+    """Decode an unsigned varint at ``offset``; return (value, next offset).
+    One longer than ``kernels.MAX_VARINT_LEN`` bytes is refused."""
     result = 0
     shift = 0
     pos = offset
@@ -75,7 +71,7 @@ def decode_uvarint(buf: bytes, offset: int) -> tuple[int, int]:
         if not byte & _CONT:
             return result, pos
         shift += 7
-        if shift > 128:
+        if shift > _MAX_SHIFT:
             raise RecordFormatError(f"varint too long at offset {offset}")
 
 
@@ -88,51 +84,6 @@ def decode_svarint(buf: bytes, offset: int) -> tuple[int, int]:
     """Decode a signed (zig-zag) varint; return (value, next offset)."""
     raw, pos = decode_uvarint(buf, offset)
     return zigzag_decode(raw), pos
-
-
-# ---------------------------------------------------------------------------
-# array codecs (batched kernels + scalar reference/fallback)
-# ---------------------------------------------------------------------------
-
-
-def _encode_array(values: Iterable[int], signed: bool) -> bytes:
-    vals = values if isinstance(values, (list, tuple, np.ndarray)) else list(values)
-    out = bytearray()
-    encode_uvarint(len(vals), out)
-    body = (kernels.svarint_encode_batch if signed else kernels.uvarint_encode_batch)(vals)
-    if body is None:  # beyond the kernels' range: the scalar reference
-        body = _encode_uvarint_body_scalar(map(zigzag_encode, map(int, vals)) if signed else vals)
-    return bytes(out) + body
-
-
-def encode_uvarint_array(values: Iterable[int]) -> bytes:
-    """Length-prefixed array of unsigned varints."""
-    return _encode_array(values, signed=False)
-
-
-def _decode_array(buf: bytes, offset: int, signed: bool) -> tuple[list[int], int]:
-    n, pos = decode_uvarint(buf, offset)
-    batch = kernels.svarint_decode_batch if signed else kernels.uvarint_decode_batch
-    decoded = batch(buf, pos, n)
-    if decoded is None:
-        return _decode_varints_scalar(buf, pos, n, signed)
-    values, ends = decoded
-    return values.tolist(), int(ends[-1]) + 1 if n else pos
-
-
-def decode_uvarint_array(buf: bytes, offset: int) -> tuple[list[int], int]:
-    """Inverse of :func:`encode_uvarint_array`; returns (values, next offset)."""
-    return _decode_array(buf, offset, signed=False)
-
-
-def encode_svarint_array(values: Iterable[int]) -> bytes:
-    """Length-prefixed array of signed varints."""
-    return _encode_array(values, signed=True)
-
-
-def decode_svarint_array(buf: bytes, offset: int) -> tuple[list[int], int]:
-    """Inverse of :func:`encode_svarint_array`."""
-    return _decode_array(buf, offset, signed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +107,27 @@ def stream_to_unsigned(
     """Apply LP and zig-zag to a stream laid out as consecutive segments of
     uniform flags; returns the unsigned values to pack.
 
-    An LP segment must follow a non-LP one (its length prefix). The values
-    come back as one uint64 array — or, when the stream is short or any value
-    is too large for int64 arithmetic to be exact, as a list from the same
-    steps on Python ints.
+    An LP segment must follow a non-LP one (its length prefix). A long stream
+    comes back as one uint64 array, a short one as a list from the same steps
+    on Python ints; a value at or past ``kernels.VALUE_LIMIT`` is an
+    :class:`~repro.errors.EncodingError` from either.
     """
-    unsigned = None
     if len(values) >= KERNEL_MIN_VALUES:
         flags = np.repeat(segment_flags, segment_lengths)
-        unsigned = kernels.stream_to_unsigned(
+        return kernels.stream_to_unsigned(
             values, (flags & SIGNED).view(bool), (flags & LP).astype(bool)
         )
-    if unsigned is None:
-        unsigned, start = [], 0
-        for seg, n in zip(segment_flags.tolist(), segment_lengths):
-            if not n:
-                continue
-            body = values[start : start + n]
-            start += n
-            if seg & LP:
-                body = lp_encode(body)
-            unsigned += map(zigzag_encode, body) if seg & SIGNED else body
+    if values and not -kernels.VALUE_LIMIT < min(values) <= max(values) < kernels.VALUE_LIMIT:
+        raise kernels.value_past_limit(values)
+    unsigned, start = [], 0
+    for seg, n in zip(segment_flags.tolist(), segment_lengths):
+        if not n:
+            continue
+        body = values[start : start + n]
+        start += n
+        if seg & LP:
+            body = lp_encode(body)
+        unsigned += map(zigzag_encode, body) if seg & SIGNED else body
     return unsigned
 
 
@@ -202,10 +153,8 @@ def decode_varint_stream(buf: bytes, offset: int) -> tuple[list[int], list[int],
     A tail that is cut short or over-long is left out rather than raised:
     whoever walks the values raises when it needs one that is not there.
     """
-    short = len(buf) - offset < KERNEL_MIN_VALUES
-    decoded = None if short else kernels.uvarint_decode_batch(buf, offset)
-    if decoded is not None:
-        raw, ends = decoded
+    if len(buf) - offset >= KERNEL_MIN_VALUES:
+        raw, ends = kernels.uvarint_decode_batch(buf, offset)
         return raw.tolist(), kernels.zigzag_decode_array(raw).tolist(), ends
     unsigned: list[int] = []
     ends: list[int] = []
@@ -220,7 +169,21 @@ def decode_varint_stream(buf: bytes, offset: int) -> tuple[list[int], list[int],
     return unsigned, [zigzag_decode(v) for v in unsigned], ends
 
 
-# -- scalar reference implementations (fallback + kernel test oracle) -------
+def _encode_array(values: Iterable[int], signed: bool) -> bytes:
+    """``len, values...``: a stream of two segments."""
+    vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    flags = np.array([0, signed * SIGNED], np.uint8)
+    return encode_uvarint_stream(stream_to_unsigned([len(vals), *vals], flags, (1, len(vals))))
+
+
+def encode_uvarint_array(values: Iterable[int]) -> bytes:
+    """Length-prefixed array of unsigned varints."""
+    return _encode_array(values, signed=False)
+
+
+def encode_svarint_array(values: Iterable[int]) -> bytes:
+    """Length-prefixed array of signed varints."""
+    return _encode_array(values, signed=True)
 
 
 def _encode_uvarint_body_scalar(vals: Sequence[int]) -> bytes:
@@ -234,17 +197,6 @@ def _encode_uvarint_body_scalar(vals: Sequence[int]) -> bytes:
             v >>= 7
         out.append(v)
     return bytes(out)
-
-
-def _decode_varints_scalar(
-    buf: bytes, pos: int, n: int, signed: bool
-) -> tuple[list[int], int]:
-    decode = decode_svarint if signed else decode_uvarint
-    values = []
-    for _ in range(n):
-        v, pos = decode(buf, pos)
-        values.append(v)
-    return values, pos
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.analysis.inspector import (
 )
 from repro.core.events import ReceiveEvent
 from repro.core.metrics import matched_events, permutation_percentage
-from repro.core.pipeline import encode_chunk
+from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 
 

@@ -14,7 +14,7 @@ from repro.analysis.size_model import (
 from repro.core.events import ReceiveEvent
 from repro.core.formats import encode_frame_payload, serialize_cdc_chunks
 from repro.core.varint import uvarint_size
-from repro.core.pipeline import encode_chunk
+from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from tests.core.test_pipeline import random_events
 

@@ -24,10 +24,15 @@ import path may call them — and they share no kernel with what they check.
   ``(clock, rank)`` order, so tests can show that what the new layout
   derives equals what the old one stored and that both schedules deliver
   the same messages.
+* The **object pipeline** that left ``src/`` when a chunk came to be built
+  one way (``ColumnarTableBuilder`` → ``encode_table``): ``RecordTableBuilder``
+  / ``build_tables`` and ``encode_chunk_scalar`` / ``encode_chunk_sequence``,
+  one ``ReceiveEvent`` and one Python step per receive.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
@@ -35,8 +40,7 @@ import numpy as np
 
 from repro.analysis.size_model import SizeBreakdown
 from repro.core.epoch import EpochLine
-from repro.core.events import ReceiveEvent
-from repro.core.events import QuintupleRow
+from repro.core.events import MFOutcome, QuintupleRow, ReceiveEvent
 from repro.core.formats import (
     CDC_MAGIC,
     CLOCK_BITS,
@@ -516,6 +520,8 @@ def assist_chunk_oracle(callsite: str, data: bytes, offset: int, stop: int) -> C
     for _ in range(d):
         rank += values.pop()[0] + 1
         ranks.append(rank)
+    if rank >= 1 << 60:
+        raise RecordFormatError("sender rank past the format's limit")
     ceilings = list(accumulate(values.pop()[1] for _ in range(d)))
     x_rank = [values.pop()[0] for _ in range(exceptions)]
     x_clock = [values.pop()[1] for _ in range(exceptions)]
@@ -855,6 +861,176 @@ def assist_occurrence_indices_oracle(
         for k, slot in enumerate(slots, start=1):
             rank_of_slot[slot] = k
     return [rank_of_slot[slot] for slot in order]
+
+
+# ---------------------------------------------------------------------------
+# The object pipeline: one ``ReceiveEvent`` per receive, a Python pass per
+# column. Left src/ (``core/record_table.py``, ``core/pipeline.py``) when
+# ``core/compression.py`` stopped being its last caller there; bodies
+# verbatim, ``_encode_matched_scalar`` being the one above. What
+# ``columnar.ColumnarTableBuilder`` / ``build_columnar_tables`` /
+# ``encode_table`` are held equal to.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RecordTableBuilder:
+    """Streaming builder: MF outcomes in, :class:`RecordTable` chunks out."""
+
+    callsite: str
+    matched: list[ReceiveEvent] = field(default_factory=list)
+    with_next_indices: list[int] = field(default_factory=list)
+    unmatched_runs: list[tuple[int, int]] = field(default_factory=list)
+    _pending_unmatched: int = 0
+
+    def add(self, outcome: MFOutcome) -> None:
+        """Record one MF call outcome."""
+        if outcome.callsite != self.callsite:
+            raise ValueError(
+                f"outcome for callsite {outcome.callsite!r} fed to builder "
+                f"for {self.callsite!r}"
+            )
+        events = outcome.matched
+        if not events:
+            self._pending_unmatched += 1
+            return
+        matched = self.matched
+        if self._pending_unmatched:
+            self.unmatched_runs.append((len(matched), self._pending_unmatched))
+            self._pending_unmatched = 0
+        if len(events) == 1:  # the overwhelmingly common case
+            matched.append(events[0])
+            return
+        base = len(matched)
+        self.with_next_indices.extend(range(base, base + len(events) - 1))
+        matched.extend(events)
+
+    @property
+    def num_events(self) -> int:
+        return len(self.matched)
+
+    def flush(self) -> RecordTable:
+        """Seal the current chunk and reset the builder.
+
+        Trailing unmatched tests are attached to the sealed chunk (index ==
+        num_events) so that replay reproduces them before the next chunk's
+        first receive.
+        """
+        if self._pending_unmatched:
+            self.unmatched_runs.append((len(self.matched), self._pending_unmatched))
+            self._pending_unmatched = 0
+        table = RecordTable(
+            self.callsite,
+            tuple(self.matched),
+            tuple(self.with_next_indices),
+            tuple(self.unmatched_runs),
+        )
+        self.matched.clear()
+        self.with_next_indices.clear()
+        self.unmatched_runs.clear()
+        return table
+
+    @property
+    def dirty(self) -> bool:
+        """True if the builder holds unflushed events."""
+        return bool(self.matched or self._pending_unmatched)
+
+
+def build_tables(
+    outcomes: Sequence[MFOutcome], chunk_events: int | None = None
+) -> dict[str, list[RecordTable]]:
+    """Group an outcome stream by callsite and build chunked tables.
+
+    Convenience for tests and offline analysis; the online path lives in
+    :mod:`repro.replay.recorder`.
+    """
+    builders: dict[str, RecordTableBuilder] = {}
+    chunks: dict[str, list[RecordTable]] = {}
+    for outcome in outcomes:
+        builder = builders.get(outcome.callsite)
+        if builder is None:
+            builder = builders[outcome.callsite] = RecordTableBuilder(outcome.callsite)
+            chunks[outcome.callsite] = []
+        builder.add(outcome)
+        if chunk_events is not None and builder.num_events >= chunk_events:
+            chunks[outcome.callsite].append(builder.flush())
+    for callsite, builder in builders.items():
+        if builder.dirty:
+            chunks[callsite].append(builder.flush())
+    return chunks
+
+
+def encode_chunk_scalar(
+    table: RecordTable,
+    replay_assist: bool = False,
+    prior_ceilings: Mapping[int, int] | None = None,
+) -> CDCChunk:
+    """Reference implementation of ``columnar.encode_table`` on Python ints."""
+    matched = table.matched
+    with span("cdc.encode_chunk", callsite=table.callsite, events=len(matched)):
+        observed_indices, sender_counts, sender_min_clocks, exceptions = (
+            _encode_matched_scalar(matched, prior_ceilings)
+        )
+        if replay_assist:
+            observed_indices, sender_min_clocks = _sender_order_indices(matched), ()
+        chunk = CDCChunk(
+            callsite=table.callsite,
+            num_events=len(matched),
+            # a unique-key lookup constructs a valid permutation, so the O(n)
+            # re-validation is skipped
+            diff=encode_permutation(observed_indices, validated=True),
+            with_next_indices=table.with_next_indices,
+            unmatched_runs=table.unmatched_runs,
+            epoch=EpochLine.from_events(matched),
+            sender_counts=sender_counts,
+            sender_min_clocks=sender_min_clocks,
+            boundary_exceptions=exceptions,
+            sender_sequence=tuple(ev.rank for ev in matched)
+            if replay_assist
+            else None,
+        )
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter("encode.chunks").add()
+        registry.counter("encode.events").add(len(matched))
+        registry.counter("encode.moved_events").add(chunk.diff.num_moved)
+    return chunk
+
+
+def _sender_order_indices(matched: Sequence[ReceiveEvent]) -> list[int]:
+    """Per observed position, its event's slot in an assist chunk's
+    reference order (DESIGN.md §5.9): a sender's k-th-smallest-clock receive
+    belongs where that sender occurs for the k-th time. The identity unless
+    one sender's messages were observed out of clock order (Figure 3)."""
+    own: dict[int, list[int]] = {}
+    for p, ev in enumerate(matched):
+        own.setdefault(ev.rank, []).append(p)
+    indices = list(range(len(matched)))
+    for slots in own.values():
+        for slot, p in zip(slots, sorted(slots, key=lambda p: matched[p].clock)):
+            indices[p] = slot
+    return indices
+
+
+def encode_chunk_sequence(
+    tables: Sequence[RecordTable], replay_assist: bool = False, encode=encode_chunk_scalar
+) -> list[CDCChunk]:
+    """Encode consecutive chunks of ONE callsite with boundary tracking.
+
+    Mirrors what the online recorder does: each chunk is encoded against
+    the running per-sender ceilings of its predecessors so boundary
+    exceptions are marked (DESIGN.md §5.2). ``encode`` is the chunk encoder:
+    the scalar reference, or a test's adapter to ``encode_table``.
+    """
+    ceilings: dict[int, int] = {}
+    chunks: list[CDCChunk] = []
+    for table in tables:
+        chunk = encode(table, replay_assist=replay_assist, prior_ceilings=ceilings)
+        for sender, ceiling in chunk.epoch.max_clock_by_rank.items():
+            if ceilings.get(sender, -1) < ceiling:
+                ceilings[sender] = ceiling
+        chunks.append(chunk)
+    return chunks
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The tentpole claim of the columnar hot path is *exact* equivalence with the
 object pipeline — same :class:`CDCChunk` fields and the same serialized
-bytes for the same outcome stream. (``encode_chunk`` hands int64 tables to
-the array encoder itself now; the independent sides of the comparison are
-its scalar reference, ``_encode_chunk_scalar``, and the parent's encoder in
+bytes for the same outcome stream. (The object pipeline is a test reference:
+``RecordTableBuilder`` / ``build_tables`` / ``encode_chunk_scalar`` /
+``encode_chunk_sequence`` and the parent's ``encode_chunk_oracle`` live in
 ``tests/core/oracles.py``.) These tests pin that claim at the
 builder level (grow-by-doubling boundaries, unmatched runs), the encoder
 level (fast paths, fallbacks, hardening columns), and end-to-end on all
@@ -17,24 +17,27 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import build_tables, encode_chunk, encode_chunk_sequence
 from repro.core.columnar import (
     ColumnarTable,
     ColumnarTableBuilder,
     GrowColumn,
-    as_columnar_table,
     build_columnar_tables,
-    encode_columnar_chunk,
+    encode_table,
 )
 from repro.core.epoch import EpochLine
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.core.formats import serialize_cdc_chunks
-from repro.core.pipeline import _encode_chunk_scalar
-from repro.core.record_table import RecordTableBuilder
 from repro.errors import DecodingError
 from repro.replay import RecordSession
 from repro.workloads import coupled, jacobi, mcb, unstructured
-from tests.core.oracles import encode_chunk_oracle
+from tests.core.test_pipeline import as_columnar_table
+from tests.core.oracles import (
+    RecordTableBuilder,
+    build_tables,
+    encode_chunk_oracle,
+    encode_chunk_scalar,
+    encode_chunk_sequence,
+)
 
 
 def outcome(callsite, events):
@@ -137,8 +140,8 @@ class TestBuilderEquivalence:
         col = build_columnar_tables(outs, chunk_events=64)
         assert set(obj) == set(col)
         for cs in obj:
-            assert [encode_chunk(t) for t in obj[cs]] == [
-                encode_columnar_chunk(t) for t in col[cs]
+            assert [encode_chunk_scalar(t) for t in obj[cs]] == [
+                encode_table(t) for t in col[cs]
             ]
 
 
@@ -157,8 +160,8 @@ class TestEncodeEquivalence:
             np.empty(0, dtype=np.int64),
             unmatched_runs=((0, 3),),
         )
-        chunk = encode_columnar_chunk(table, replay_assist=assist)
-        assert chunk == encode_chunk(table.to_record_table(), replay_assist=assist)
+        chunk = encode_table(table, replay_assist=assist)
+        assert chunk == encode_chunk_scalar(table.to_record_table(), replay_assist=assist)
         assert chunk.sender_sequence == (() if assist else None)
         assert chunk.epoch == EpochLine({})
 
@@ -171,9 +174,9 @@ class TestEncodeEquivalence:
             build_tables(outs, chunk_events=96)["cs"],
             build_columnar_tables(outs, chunk_events=96)["cs"],
         ):
-            a = encode_chunk(obj_t, replay_assist=assist)
-            b = encode_columnar_chunk(col_t, replay_assist=assist)
-            assert a == b == _encode_chunk_scalar(obj_t, assist, None)
+            a = encode_chunk_scalar(obj_t, replay_assist=assist)
+            b = encode_table(col_t, replay_assist=assist)
+            assert a == b
             assert serialize_cdc_chunks([a]) == serialize_cdc_chunks([b])
             # the encoder of the commit before "each fact once": the paper's
             # layout is untouched, the assist one differs where it says so
@@ -189,9 +192,9 @@ class TestEncodeEquivalence:
             build_tables([outcome("cs", events)])["cs"][0]
         )
         ceilings = {0: 50}
-        chunk = encode_columnar_chunk(table, prior_ceilings=ceilings)
+        chunk = encode_table(table, prior_ceilings=ceilings)
         assert chunk.boundary_exceptions == ((0, 20),)
-        assert chunk == encode_chunk(
+        assert chunk == encode_chunk_scalar(
             table.to_record_table(), prior_ceilings=ceilings
         )
 
@@ -200,8 +203,8 @@ class TestEncodeEquivalence:
         big = 10**9
         events = [ReceiveEvent(big, 5), ReceiveEvent(2, 9), ReceiveEvent(big, 11)]
         table = as_columnar_table(build_tables([outcome("cs", events)])["cs"][0])
-        chunk = encode_columnar_chunk(table, replay_assist=True)
-        assert chunk == encode_chunk(table.to_record_table(), replay_assist=True)
+        chunk = encode_table(table, replay_assist=True)
+        assert chunk == encode_chunk_scalar(table.to_record_table(), replay_assist=True)
         assert dict(chunk.sender_counts) == {2: 1, big: 2}
 
     def test_duplicate_reference_keys_raise(self):
@@ -211,14 +214,14 @@ class TestEncodeEquivalence:
             np.array([7, 7], dtype=np.int64),
         )
         with pytest.raises(DecodingError):
-            encode_columnar_chunk(table)
+            encode_table(table)
 
     def test_epoch_line_matches_from_events(self):
         rng = random.Random(9)
         outs = random_stream(rng, 300)
         for assist in (False, True):
             for col_t in build_columnar_tables(outs, chunk_events=64)["cs"]:
-                chunk = encode_columnar_chunk(col_t, replay_assist=assist)
+                chunk = encode_table(col_t, replay_assist=assist)
                 assert chunk.epoch == EpochLine.from_events(
                     col_t.to_record_table().matched
                 )
@@ -233,8 +236,8 @@ class TestEncodeEdgeCases:
         table = ColumnarTable(
             "cs", np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
-        chunk = encode_columnar_chunk(table, replay_assist=assist)
-        assert chunk == encode_chunk(table.to_record_table(), replay_assist=assist)
+        chunk = encode_table(table, replay_assist=assist)
+        assert chunk == encode_chunk_scalar(table.to_record_table(), replay_assist=assist)
         assert chunk.num_events == 0
         assert chunk.epoch == EpochLine({})
 
@@ -245,8 +248,8 @@ class TestEncodeEdgeCases:
             np.array([3], dtype=np.int64),
             np.array([17], dtype=np.int64),
         )
-        chunk = encode_columnar_chunk(table, replay_assist=assist)
-        assert chunk == encode_chunk(table.to_record_table(), replay_assist=assist)
+        chunk = encode_table(table, replay_assist=assist)
+        assert chunk == encode_chunk_scalar(table.to_record_table(), replay_assist=assist)
         assert chunk.num_events == 1
         assert chunk.epoch == EpochLine({3: 17})
 
@@ -259,8 +262,8 @@ class TestEncodeEdgeCases:
             np.full(len(clocks), 4, dtype=np.int64),
             np.array(clocks, dtype=np.int64),
         )
-        chunk = encode_columnar_chunk(table, replay_assist=assist)
-        assert chunk == encode_chunk(table.to_record_table(), replay_assist=assist)
+        chunk = encode_table(table, replay_assist=assist)
+        assert chunk == encode_chunk_scalar(table.to_record_table(), replay_assist=assist)
         assert dict(chunk.sender_counts) == {4: len(clocks)}
         assert chunk.epoch == EpochLine({4: max(clocks)})
 
@@ -274,9 +277,9 @@ class TestEncodeEdgeCases:
             np.array([9, 3, 30, 12], dtype=np.int64),
         )
         for assist in (False, True):
-            chunk = encode_columnar_chunk(table, replay_assist=assist)
-            assert chunk == _encode_chunk_scalar(table.to_record_table(), assist, None)
-            assert chunk.diff == encode_columnar_chunk(table).diff
+            chunk = encode_table(table, replay_assist=assist)
+            assert chunk == encode_chunk_scalar(table.to_record_table(), assist)
+            assert chunk.diff == encode_table(table).diff
             assert chunk.diff.num_moved > 0
             assert chunk.epoch == EpochLine({2: 30})
             assert chunk.sender_min_clocks == (() if assist else ((2, 3),))
@@ -293,15 +296,10 @@ class TestEncodeEdgeCases:
         rng.shuffle(events)
         tables = build_tables([outcome("cs", [ev]) for ev in events], chunk_events=40)
         for obj_t in tables["cs"]:
-            plain = _encode_chunk_scalar(obj_t, False, None)
-            assisted = _encode_chunk_scalar(obj_t, True, None)
-            assert encode_columnar_chunk(as_columnar_table(obj_t)) == plain
-            assert plain == encode_chunk(obj_t) == encode_chunk_oracle(obj_t)
-            assert (
-                encode_columnar_chunk(as_columnar_table(obj_t), replay_assist=True)
-                == assisted
-                == encode_chunk(obj_t, replay_assist=True)
-            )
+            plain = encode_chunk_scalar(obj_t)
+            assisted = encode_chunk_scalar(obj_t, replay_assist=True)
+            assert encode_table(as_columnar_table(obj_t)) == plain == encode_chunk_oracle(obj_t)
+            assert encode_table(as_columnar_table(obj_t), replay_assist=True) == assisted
             assert assisted.diff.num_moved > 0 and assisted.sender_min_clocks == ()
 
 

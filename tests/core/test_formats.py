@@ -17,10 +17,9 @@ from repro.core.formats import (
     serialize_raw_rows,
     serialize_re_tables,
 )
-from repro.core.pipeline import encode_chunk
 from repro.errors import RecordFormatError
 from tests.core.oracles import deserialize_raw_rows, deserialize_re_tables
-from tests.core.test_pipeline import random_events, table_of
+from tests.core.test_pipeline import encode_chunk, random_events, table_of
 
 
 class TestBitPacking:

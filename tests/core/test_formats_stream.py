@@ -11,10 +11,14 @@ bit-by-bit reference of the version-4 record. Every property here is
 differential: random chunk lists must serialize to the oracle's bytes and
 decode to the oracle's chunks, and hostile bytes — truncations, bit flips,
 splices, inflated counts, a flipped layout bit, planes whose scalars lie,
-dangling tails — must make both decoders return equal chunks or both raise
-a ``RecordFormatError``. Anything else (another exception type, one side
-accepting what the other refuses, memory or time out of proportion to the
-input) fails.
+dangling tails, a ten-byte varint at any position — must make both decoders
+return equal chunks or both raise a ``RecordFormatError``. Anything else
+(another exception type, one side accepting what the other refuses, memory
+or time out of proportion to the input) fails. The format's value budget
+(DESIGN.md §5.12) is held at both ends: the largest value under
+``kernels.VALUE_LIMIT`` round-trips, the limit itself is an ``EncodingError``
+before anything is written, and what a reader meets in nine bytes comes back
+exact or refused.
 
 Example counts come from the hypothesis profile: the default locally, the
 ``ci`` profile registered in ``tests/conftest.py`` in the named CI step.
@@ -25,13 +29,17 @@ from __future__ import annotations
 import dataclasses
 import time
 import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels, varint
+from repro.core.columnar import ColumnarTable, encode_table
 from repro.core.epoch import EpochLine
+from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.core.formats import (
     CDC_MAGIC,
     MAX_RICE_K,
@@ -44,7 +52,9 @@ from repro.core.formats import (
 from repro.core.permutation import PermutationDiff
 from repro.core.pipeline import CDCChunk
 from repro.core.varint import decode_uvarint, encode_uvarint
-from repro.errors import RecordFormatError
+from repro.errors import EncodingError, RecordFormatError
+from repro.replay.durable_store import DurableArchiveWriter
+from repro.replay.recorder import RecordingController
 from tests.core.oracles import (
     decode_frame_payload_oracle,
     deserialize_cdc_chunks_oracle,
@@ -65,11 +75,12 @@ unhurried = settings(deadline=None)
 
 # -- random chunks -------------------------------------------------------------
 
+LIMIT = kernels.VALUE_LIMIT
 small = st.integers(-70, 70)
-#: int64-range values, where the kernels do the work
-wide = st.one_of(small, st.integers(-(2**40), 2**40), st.integers(-(2**59), 2**59))
-#: clocks at and beyond 2**63: only the scalar producer is exact there
-huge = st.one_of(wide, st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63)))
+#: magnitudes up to half the limit: a column stored as steps between signed
+#: values (an assist chunk's ceilings) then stays under it; the last value under
+#: the limit itself is ``test_the_value_limit_on_both_producers_and_layouts``'s
+wide = st.one_of(small, st.integers(-(2**40), 2**40), st.integers(1 - LIMIT // 2, LIMIT // 2 - 1))
 
 
 def _unsigned(values):
@@ -263,6 +274,64 @@ def assist_payload(callsite="a", flags=1, n=0, d=0, rice=(), planes="", run=()) 
 #: flag bits of an assist record's first varint
 ASSIST, MOVED, WITH_NEXT, UNMATCHED, EXCEPTIONS = 1, 2, 4, 8, 16
 
+#: senders of a chunk whose varint runs the scalar steps produce and read
+#: (under ``varint.KERNEL_MIN_VALUES`` values and bytes), and the kernels
+SENDERS_SHORT_AND_LONG = (4, 80)
+
+
+def table_up_to(top: int, senders: int) -> ColumnarTable:
+    """Two receives per sender with clocks ascending to ``top`` — but for
+    sender 0's, observed in the other order, so both layouts store a move."""
+    ranks = np.arange(2 * senders, dtype=np.int64) % senders
+    clocks = top - np.arange(2 * senders, dtype=np.int64)[::-1]
+    clocks[[0, senders]] = clocks[[senders, 0]]
+    return ColumnarTable("cs", ranks, clocks, (1,), ((0, 2), (3, 1)))
+
+
+def used_the_kernels(fn) -> bool:
+    """Run ``fn()``; did a varint run of it go through a kernel?"""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("stream_to_unsigned", "uvarint_decode_batch"):
+            real = getattr(kernels, name)
+            patch.setattr(kernels, name, lambda *a, real=real: calls.append(1) or real(*a))
+        fn()
+    return bool(calls)
+
+
+def frame_value_spans(payload: bytes, chunk: CDCChunk) -> list[tuple[int, int]]:
+    """``(start, end)`` of every varint of a frame payload behind its
+    callsite: each column position of a paper-exact record; an assist
+    record's scalars and its varint run, the planes between them skipped."""
+    length, offset = decode_uvarint(payload, 0)
+    offset += length
+    spans, scalars = [], []
+    if chunk.sender_sequence is not None:
+        for _ in range(7 if chunk.unmatched_runs else 3):
+            value, end = decode_uvarint(payload, offset)
+            spans.append((offset, end))
+            scalars.append(value)
+            offset = end
+        _, n, d, m, k_gap, k_len, unary_bits = (*scalars, 0, 0, 0, 0)[:7]
+        bits = n * bool(chunk.with_next_indices) + unary_bits + m * (k_gap + k_len)
+        offset += -(-(bits + n * max(1, (d - 1).bit_length())) // 8)
+    while offset < len(payload):
+        _, end = decode_uvarint(payload, offset)
+        spans.append((offset, end))
+        offset = end
+    return spans
+
+
+def as_container(payload: bytes, assisted: bool) -> bytes:
+    """The multi-chunk container holding a frame payload's one record."""
+    length, offset = decode_uvarint(payload, 0)
+    record = payload[offset + length :]
+    out = bytearray(CDC_MAGIC + b"\x01" + payload[: offset + length] + b"\x01")
+    if assisted:
+        out += b"\x01"
+        encode_uvarint(len(record), out)
+    return bytes(out) + record
+
 # -- differential: well-formed payloads ----------------------------------------------
 
 
@@ -285,11 +354,6 @@ class TestSameBytesSameChunks:
         assert_round_trips(chunk_list)
 
     @unhurried
-    @given(chunk_lists(huge))
-    def test_beyond_int64_takes_the_scalar_producer(self, chunk_list):
-        assert_round_trips(chunk_list)
-
-    @unhurried
     @given(chunk_lists())
     def test_forced_scalar_producers_change_nothing(self, chunk_list):
         """A short varint run takes the scalar steps, a long one the kernel
@@ -301,11 +365,48 @@ class TestSameBytesSameChunks:
             assert serialize_cdc_chunks(chunk_list) == data
             assert deserialize_cdc_chunks(data) == chunk_list
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(varint, "KERNEL_MIN_VALUES", 0)
-            patch.setattr(kernels, "stream_to_unsigned", lambda *a: None)
-            patch.setattr(kernels, "uvarint_decode_batch", lambda *a: None)
+            patch.setattr(varint, "KERNEL_MIN_VALUES", 10**9)
             assert serialize_cdc_chunks(chunk_list) == data
             assert deserialize_cdc_chunks(data) == chunk_list
+
+    @pytest.mark.parametrize("assist", [False, True])
+    @pytest.mark.parametrize("senders", SENDERS_SHORT_AND_LONG)
+    def test_the_value_limit_on_both_producers_and_layouts(self, senders, assist):
+        """The last clock under ``kernels.VALUE_LIMIT`` is written and read
+        back by the scalar steps (a short run) and by the kernels (a long
+        one), in both layouts; the limit itself is an ``EncodingError`` from
+        ``encode_table`` and from either producer of a hand-built chunk."""
+        chunk = encode_table(table_up_to(LIMIT - 1, senders), replay_assist=assist)
+        assert max(chunk.epoch.max_clock_by_rank.values()) == LIMIT - 1 and chunk.diff.num_moved
+        long = senders == max(SENDERS_SHORT_AND_LONG)
+        assert used_the_kernels(lambda: assert_round_trips([chunk])) == long
+        assert used_the_kernels(lambda: assert_same_outcome(serialize_cdc_chunks([chunk]))) == long
+        with pytest.raises(EncodingError, match=f"rank {senders - 1} at clock {LIMIT} .* limit"):
+            encode_table(table_up_to(LIMIT, senders), replay_assist=assist)
+        for past in (LIMIT, -LIMIT, 2**63, 2**70):
+            hand_built = dataclasses.replace(chunk, boundary_exceptions=((0, past),))
+            for write in (encode_frame_payload, lambda c: serialize_cdc_chunks([c])):
+                with pytest.raises(EncodingError, match=f"value {past} .* limit"):
+                    write(hand_built)
+
+    @pytest.mark.parametrize("clock", [LIMIT, 2**63, 2**70])
+    @pytest.mark.parametrize("assist", [False, True])
+    def test_the_recording_path_refuses_a_clock_at_the_limit(self, clock, assist, tmp_path):
+        """``RecordingController.on_outcome`` fed a receive at the limit —
+        or past int64, where the builder's columns cannot hold it — raises
+        ``EncodingError`` naming it, and no chunk holding it is stored."""
+        store = DurableArchiveWriter(str(tmp_path / "rec"), nprocs=1, fsync=False)
+        recorder = RecordingController(1, chunk_events=2, replay_assist=assist, store=store)
+        proc, message = SimpleNamespace(rank=0, time=0.0), SimpleNamespace(nbytes=8)
+        fed = lambda c: recorder.on_outcome(
+            proc, MFOutcome("cs", MFKind.TEST, (ReceiveEvent(3, c),)), [message]
+        )
+        fed(LIMIT - 2), fed(LIMIT - 1)  # one full chunk, flushed
+        assert len(recorder.archive.chunks(0)) == 1
+        with pytest.raises(EncodingError, match=f"'cs'.* rank 3 at clock {clock} .* limit"):
+            fed(7), fed(clock)
+        store.close()
+        assert store.frames == [1] and len(recorder.archive.chunks(0)) == 1
 
     @unhurried
     @given(plane_chunks())
@@ -381,14 +482,14 @@ class TestSameBytesSameChunks:
 class TestHostileBytes:
     # an example is a few hundred inputs: a quarter of the profile's count
     @settings(unhurried, max_examples=settings.default.max_examples // 4)
-    @given(chunk_lists(huge, max_size=2))
+    @given(chunk_lists(max_size=2))
     def test_truncation_at_every_offset(self, chunk_list):
         data = serialize_cdc_chunks(chunk_list)
         for cut in range(len(data)):
             assert_same_outcome(data[:cut])
 
     @unhurried
-    @given(chunk_lists(huge), st.data())
+    @given(chunk_lists(), st.data())
     def test_bit_flips(self, chunk_list, draw):
         data = bytearray(serialize_cdc_chunks(chunk_list))
         for _ in range(draw.draw(st.integers(1, 4))):
@@ -398,7 +499,7 @@ class TestHostileBytes:
         assert_same_outcome(bytes(data))
 
     @unhurried
-    @given(chunks(huge), st.data())
+    @given(chunks(), st.data())
     def test_bit_flips_in_a_frame_payload(self, chunk, draw):
         data = bytearray(encode_frame_payload(chunk))
         for _ in range(draw.draw(st.integers(1, 3))):
@@ -409,7 +510,7 @@ class TestHostileBytes:
         assert got == outcome(decode_frame_payload_oracle, bytes(data))
 
     @unhurried
-    @given(chunk_lists(), chunk_lists(huge), st.data())
+    @given(chunk_lists(), chunk_lists(), st.data())
     def test_spliced_payloads(self, first, second, draw):
         a, b = serialize_cdc_chunks(first), serialize_cdc_chunks(second)
         cut_a = draw.draw(st.integers(0, len(a)))
@@ -427,6 +528,36 @@ class TestHostileBytes:
         inflated = bytearray()
         encode_uvarint(draw.draw(st.integers(2**20, 2**62)), inflated)
         assert_same_outcome(data[:start] + bytes(inflated) + data[end:])
+
+    @pytest.mark.parametrize("assist", [False, True])
+    @pytest.mark.parametrize("senders", SENDERS_SHORT_AND_LONG)
+    def test_a_varint_past_nine_bytes_at_every_column_position(self, senders, assist):
+        """A varint of ten bytes is not a value of the format: spliced in
+        for any scalar or column value of a valid frame — one the scalar loop
+        reads, one the kernel does — it is refused by ``decode_frame_payload``
+        and, the same record in the container, by ``deserialize_cdc_chunks``.
+        Nine bytes holding a value at or past ``VALUE_LIMIT`` come back as
+        the exact value (the bit-by-bit reference works on unbounded ints)
+        or are refused: never another error, never a wrapped value."""
+        chunk = encode_table(table_up_to(LIMIT - 1, senders), replay_assist=assist)
+        payload = encode_frame_payload(chunk)
+        spans = frame_value_spans(payload, chunk)
+        assert spans[-1][1] == len(payload) and len(spans) > 2 * senders
+        for start, end in spans:
+            value = decode_uvarint(payload, start)[0]
+            groups = [value >> 7 * k & 0x7F | 0x80 for k in range(9)]
+            for spliced in (bytes(groups) + b"\x00", bytes(groups) + b"\x01"):
+                hostile = payload[:start] + spliced + payload[end:]
+                assert bounded_outcome(hostile, decode_frame_payload) is RecordFormatError
+                assert outcome(decode_frame_payload_oracle, hostile) is RecordFormatError
+                assert assert_same_outcome(as_container(hostile, assist)) is RecordFormatError
+            for big in (LIMIT, 2**62 + 5, 2**63 - 1):
+                nine = bytearray()
+                encode_uvarint(big, nine)
+                hostile = payload[:start] + bytes(nine) + payload[end:]
+                got = bounded_outcome(hostile, decode_frame_payload)
+                assert got == outcome(decode_frame_payload_oracle, hostile)
+                assert assert_same_outcome(as_container(hostile, assist)) in ([got], got)
 
     @unhurried
     @given(chunks())
@@ -541,10 +672,12 @@ class TestHostileBytes:
         assert assert_same_outcome(bytes(container) + record) is RecordFormatError
 
     @unhurried
-    @given(chunk_lists(huge), st.sampled_from([b"\x80", b"\xff\xff", b"\x81" * 12]))
+    @given(chunk_lists(), st.sampled_from([b"\x80", b"\xff\xff", b"\x81" * 12,
+                                                  b"\x81" * 9 + b"\x01"]))
     def test_trailing_partial_varint_is_ignored(self, chunk_list, tail):
-        """Behind the container's last chunk; a frame payload is exactly one
-        chunk, and anything behind it is refused."""
+        """Behind the container's last chunk — cut short, unterminated, or
+        ten bytes long; a frame payload is exactly one chunk, and anything
+        behind it is refused."""
         data = serialize_cdc_chunks(chunk_list)
         assert assert_same_outcome(data + tail) == chunk_list
         for chunk in chunk_list:

@@ -1,11 +1,14 @@
 """Batch kernels vs scalar reference: byte identity and losslessness.
 
 The contract of :mod:`repro.core.kernels` is that the batched numpy paths
-are *indistinguishable* from the scalar implementations — identical bytes
-out of the encoders, identical values out of the decoders, graceful
-fallback outside int64/uint64. Hypothesis drives the distributions the
-format actually sees (zeros, small signed residuals, full-range clocks)
-plus the adversarial ones (int64 boundaries, arbitrary-precision ints).
+are *indistinguishable* from the scalar producers — identical bytes out of
+the encoders, identical values out of the decoders — for every value of the
+format (magnitude below ``kernels.VALUE_LIMIT``, at most nine bytes as a
+varint); which of the two runs is picked from the input's length
+(``varint.KERNEL_MIN_VALUES``), so every property here runs under both.
+Hypothesis drives the distributions the format actually sees (zeros, small
+signed residuals, clocks up to the limit) plus the int64 boundaries the
+zig-zag map is defined on.
 """
 
 from __future__ import annotations
@@ -19,14 +22,12 @@ from repro.core import kernels
 from repro.core import lp_encoding
 from repro.core import varint
 from repro.core.varint import (
-    decode_svarint_array,
-    decode_uvarint_array,
     encode_svarint_array,
     encode_uvarint_array,
     zigzag_decode,
     zigzag_encode,
-    _zigzag_big,
 )
+from repro.errors import RecordFormatError
 from tests.core import oracles
 from tests.core.oracles import (
     decode_svarint_array_scalar,
@@ -36,68 +37,78 @@ from tests.core.oracles import (
     svarint_size,
 )
 
+LIMIT = kernels.VALUE_LIMIT
 # distributions matching what the chunk format sees: LP residuals cluster
-# around zero, clocks span the full positive range, plus >2-byte varints
+# around zero, clocks span the range up to the limit, plus >2-byte varints
 small_signed = st.integers(min_value=-64, max_value=63)
 full_signed = st.integers(min_value=-(2**63), max_value=2**63 - 1)
-full_unsigned = st.integers(min_value=0, max_value=2**64 - 1)
-big_signed = st.integers(min_value=-(2**80), max_value=2**80)
+stored_signed = st.integers(min_value=1 - LIMIT, max_value=LIMIT - 1)
+stored_unsigned = st.integers(min_value=0, max_value=LIMIT - 1)
+#: what nine bytes hold: every unsigned value a reader can meet
+nine_bytes = st.integers(min_value=0, max_value=2**63 - 1)
 
 signed_lists = st.one_of(
     st.lists(small_signed, max_size=300),
-    st.lists(full_signed, max_size=100),
-    st.lists(st.one_of(small_signed, full_signed, big_signed), max_size=60),
+    st.lists(stored_signed, max_size=100),
+    st.lists(st.one_of(small_signed, stored_signed), max_size=60),
 )
 unsigned_lists = st.one_of(
     st.lists(st.integers(min_value=0, max_value=200), max_size=300),
-    st.lists(full_unsigned, max_size=100),
-    st.lists(st.integers(min_value=0, max_value=2**80), max_size=60),
+    st.lists(stored_unsigned, max_size=100),
 )
+
+
+def both_producers(fn) -> list:
+    """``fn()`` with every run on the kernels, then with every run on the
+    scalar steps: the two results."""
+    results = []
+    for threshold in (0, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(varint, "KERNEL_MIN_VALUES", threshold)
+            results.append(fn())
+    return results
 
 
 class TestZigzag:
     @given(full_signed)
     def test_fast_path_matches_big_within_int64(self, value):
-        assert zigzag_encode(value) == _zigzag_big(value)
+        # the map by its arithmetic definition, on unbounded ints
+        assert zigzag_encode(value) == (value << 1 if value >= 0 else ((-value) << 1) - 1)
 
     def test_boundary_consistency(self):
-        """Satellite check: fast path and arbitrary-precision fallback agree
-        at and around the int64 boundary, and the fallback continues the
-        same mapping beyond it."""
+        """The map is a bijection at and around the int64 boundary, the
+        whole domain it is defined on."""
         boundary = [
-            -(1 << 63) - 1, -(1 << 63), -(1 << 63) + 1,
-            (1 << 63) - 2, (1 << 63) - 1, 1 << 63,
-            -(1 << 64), 1 << 64, 0, -1, 1,
+            -(1 << 63), -(1 << 63) + 1, (1 << 63) - 2, (1 << 63) - 1,
+            -LIMIT, LIMIT, 0, -1, 1,
         ]
         for v in boundary:
             assert zigzag_decode(zigzag_encode(v)) == v
-            if -(1 << 63) <= v < (1 << 63):
-                assert zigzag_encode(v) == _zigzag_big(v)
-        # the mapping is a bijection onto [0, 2n): order of |v| preserved
+        # order of |v| preserved, onto [0, 2**64)
         encoded = sorted(zigzag_encode(v) for v in boundary)
-        assert len(set(encoded)) == len(boundary)
+        assert len(set(encoded)) == len(boundary) and 0 <= encoded[0] and encoded[-1] < 1 << 64
 
     @given(st.lists(full_signed, max_size=200))
     def test_array_matches_scalar(self, values):
-        x = np.array(values, dtype=np.int64)
-        z = kernels.zigzag_encode_array(x)
-        assert z.tolist() == [zigzag_encode(v) for v in values]
+        z = np.array([zigzag_encode(v) for v in values], dtype=np.uint64)
         assert kernels.zigzag_decode_array(z).tolist() == values
 
 
 class TestSvarintFastPath:
-    """encode_svarint / svarint_size route through the int64 fast path."""
+    """encode_svarint / svarint_size over what nine bytes hold."""
 
-    @given(full_signed)
+    @given(st.integers(-(2**62), 2**62 - 1))
     def test_scalar_svarint_round_trip(self, value):
         out = bytearray()
         varint.encode_svarint(value, out)
         decoded, pos = varint.decode_svarint(bytes(out), 0)
         assert decoded == value and pos == len(out)
-        assert svarint_size(value) == len(out)
+        assert svarint_size(value) == len(out) <= kernels.MAX_VARINT_LEN
 
-    @given(big_signed)
+    @given(st.one_of(st.integers(LIMIT, 2**62 - 1), st.integers(-(2**62), -LIMIT)))
     def test_big_values_still_exact(self, value):
+        # past the limit a writer holds itself to, inside what nine bytes
+        # hold: a reader that meets one gets the value, not a wrapped one
         out = bytearray()
         varint.encode_svarint(value, out)
         assert varint.decode_svarint(bytes(out), 0)[0] == value
@@ -107,68 +118,82 @@ class TestBatchByteIdentity:
     @given(unsigned_lists)
     @settings(max_examples=200)
     def test_uvarint_encode_identical(self, values):
-        assert encode_uvarint_array(values) == encode_uvarint_array_scalar(values)
+        expected = encode_uvarint_array_scalar(values)
+        assert both_producers(lambda: encode_uvarint_array(values)) == [expected, expected]
 
     @given(signed_lists)
     @settings(max_examples=200)
     def test_svarint_encode_identical(self, values):
-        assert encode_svarint_array(values) == encode_svarint_array_scalar(values)
+        expected = encode_svarint_array_scalar(values)
+        assert both_producers(lambda: encode_svarint_array(values)) == [expected, expected]
 
     @given(unsigned_lists)
     @settings(max_examples=200)
     def test_uvarint_round_trip(self, values):
-        buf = encode_uvarint_array(values)
-        batch, pos_b = decode_uvarint_array(buf, 0)
-        scalar, pos_s = decode_uvarint_array_scalar(buf, 0)
-        assert batch == scalar == values
-        assert pos_b == pos_s == len(buf)
+        def check():
+            buf = encode_uvarint_array(values)
+            assert decode_uvarint_array_scalar(buf, 0) == (values, len(buf))
+            unsigned, _, ends = varint.decode_varint_stream(buf, 0)
+            assert unsigned == [len(values), *values] and ends[-1] == len(buf) - 1
+
+        both_producers(check)
 
     @given(signed_lists)
     @settings(max_examples=200)
     def test_svarint_round_trip(self, values):
-        buf = encode_svarint_array(values)
-        batch, pos_b = decode_svarint_array(buf, 0)
-        scalar, pos_s = decode_svarint_array_scalar(buf, 0)
-        assert batch == scalar == values
-        assert pos_b == pos_s == len(buf)
+        def check():
+            buf = encode_svarint_array(values)
+            assert decode_svarint_array_scalar(buf, 0) == (values, len(buf))
+            _, signed, ends = varint.decode_varint_stream(buf, 0)
+            assert signed[1:] == values and ends[-1] == len(buf) - 1
 
-    @given(st.lists(full_unsigned, max_size=50), st.binary(max_size=20))
+        both_producers(check)
+
+    @given(st.lists(stored_unsigned, max_size=50), st.binary(max_size=20))
     def test_decode_at_offset_with_trailing_bytes(self, values, suffix):
         prefix = b"\xff\x01"  # a 2-byte varint before the array
         buf = prefix + encode_uvarint_array(values) + suffix
-        decoded, pos = decode_uvarint_array(buf, len(prefix))
-        assert decoded == values
-        assert pos == len(buf) - len(suffix)
+
+        def check():
+            unsigned, _, ends = varint.decode_varint_stream(buf, len(prefix))
+            assert unsigned[: len(values) + 1] == [len(values), *values]
+            assert ends[len(values)] == len(buf) - len(suffix) - 1
+
+        both_producers(check)
 
     def test_ndarray_input_matches_list_input(self):
         values = [0, 1, -1, 300, -300, 2**40, -(2**40)]
         arr = np.array(values, dtype=np.int64)
         assert encode_svarint_array(arr) == encode_svarint_array(values)
-        uvals = [0, 5, 127, 128, 2**63, 2**64 - 1]
+        uvals = [0, 5, 127, 128, 2**59, LIMIT - 1]
         uarr = np.array(uvals, dtype=np.uint64)
         assert encode_uvarint_array(uarr) == encode_uvarint_array(uvals)
 
     def test_negative_raises_like_scalar(self):
-        with pytest.raises(ValueError, match="uvarint requires value >= 0"):
-            encode_uvarint_array([1, 2, -3])
-        with pytest.raises(ValueError, match="uvarint requires value >= 0"):
-            encode_uvarint_array(np.array([1, 2, -3], dtype=np.int64))
+        def check():
+            with pytest.raises(ValueError, match="uvarint requires value >= 0"):
+                encode_uvarint_array([1, 2, -3])
+            with pytest.raises(ValueError, match="uvarint requires value >= 0"):
+                encode_uvarint_array(np.array([1, 2, -3], dtype=np.int64))
+
+        both_producers(check)
 
     def test_truncated_raises(self):
-        from repro.errors import RecordFormatError
-
         buf = encode_uvarint_array([1, 300, 70000])
         for cut in range(1, len(buf)):
             with pytest.raises(RecordFormatError):
-                decode_uvarint_array(buf[:cut], 0)
+                decode_uvarint_array_scalar(buf[:cut], 0)
+            # the stream reader leaves the cut value out; its walker raises
+            for unsigned, _, _ in both_producers(lambda: varint.decode_varint_stream(buf[:cut], 0)):
+                assert unsigned == [3, 1, 300, 70000][: len(unsigned)] and len(unsigned) < 4
 
-    @given(st.lists(full_unsigned, max_size=120))
+    @given(st.lists(stored_unsigned, max_size=120))
     def test_size_accounting_matches_bytes(self, values):
         assert oracles.array_payload_size(values, signed=False) == len(
             encode_uvarint_array(values)
         )
 
-    @given(st.lists(st.one_of(full_signed, big_signed), max_size=120))
+    @given(st.lists(stored_signed, max_size=120))
     def test_signed_size_accounting_matches_bytes(self, values):
         assert oracles.array_payload_size(values, signed=True) == len(
             encode_svarint_array(values)
@@ -184,22 +209,6 @@ class TestLPAuto:
         dec = oracles.lp_decode_auto(enc)
         as_list = dec.tolist() if isinstance(dec, np.ndarray) else dec
         assert as_list == values
-
-    @given(st.lists(big_signed, min_size=1, max_size=30))
-    def test_lp_auto_exact_beyond_int64(self, values):
-        enc = oracles.lp_encode_auto(values)
-        enc_list = enc.tolist() if isinstance(enc, np.ndarray) else enc
-        assert enc_list == lp_encoding.lp_encode(values)
-        dec = oracles.lp_decode_auto(enc_list)
-        dec_list = dec.tolist() if isinstance(dec, np.ndarray) else dec
-        assert dec_list == values
-
-    def test_lp_auto_falls_back_beyond_int64(self):
-        values = [2**70, 2**70 + 3, 5, -(2**70)]
-        enc = oracles.lp_encode_auto(values)
-        assert isinstance(enc, list)  # scalar fallback engaged
-        assert enc == lp_encoding.lp_encode(values)
-        assert oracles.lp_decode_auto(enc) == values
 
     def test_lp_decode_overflow_guard(self):
         # residuals whose reconstruction crosses int64: the float64 shadow
@@ -242,13 +251,6 @@ class TestStreamKernels:
                 varint.uvarint_stream_sizes(expected).tolist()
             )
 
-    def test_stream_to_unsigned_beyond_int64_is_the_same_steps_on_ints(self):
-        flat = [3, 2**70, 2**70 + 5, 2**70 + 11, 1, -(2**63)]
-        flags = np.array([0, varint.SIGNED | varint.LP, 0, varint.SIGNED], np.uint8)
-        values = varint.stream_to_unsigned(flat, flags, [1, 3, 1, 1])
-        residuals = lp_encoding.lp_encode(flat[1:4])
-        assert values == [3, *map(zigzag_encode, residuals), 1, zigzag_encode(-(2**63))]
-
     def test_stream_negative_at_unsigned_position_raises(self):
         flags = np.array([0, varint.SIGNED, 0], np.uint8)
         # from whichever producer the stream's length picks: the scalar one
@@ -259,7 +261,7 @@ class TestStreamKernels:
                     varint.stream_to_unsigned([0] * pad + [1, -3, -7], flags, [pad + 1, 1, 1])
                 )
 
-    @given(unsigned_lists, st.binary(max_size=3))
+    @given(st.lists(nine_bytes, max_size=100), st.binary(max_size=3))
     def test_decode_stream_matches_scalar(self, values, prefix):
         # the array encoding's length prefix is just one more value of the stream
         buf = prefix + encode_uvarint_array_scalar(values)
@@ -277,35 +279,23 @@ class TestStreamKernels:
             assert list(ends) == last_bytes
 
     def test_decode_stream_leaves_out_a_dangling_tail(self):
-        for tail in (b"\x80", b"\xff" * 30):
+        # cut short; unterminated; ten bytes — not a value — and one behind it
+        for tail in (b"\x80", b"\xff" * 30, b"\x80" * 9 + b"\x01\x07"):
             for filler in (b"", b"\x00" * varint.KERNEL_MIN_VALUES):  # scalar, kernel
                 unsigned, _, ends = varint.decode_varint_stream(filler + b"\x05\x81\x01" + tail, 0)
                 assert unsigned[len(filler) :] == [5, 129]
                 assert list(ends)[len(filler) :] == [len(filler), len(filler) + 2]
 
-    @given(st.lists(full_unsigned, max_size=60))
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=60))
     def test_sizes_bounded_by_the_maximum_still_match_scalar(self, values):
         sizes = kernels.uvarint_sizes(np.array(values, dtype=np.uint64))
         assert sizes.tolist() == [varint.uvarint_size(v) for v in values]
 
 
 class TestForcedScalarEquivalence:
-    """End-to-end: forcing every kernel fallback must not change one byte."""
+    """End-to-end: which producer a run takes must not change one byte."""
 
-    def _force_scalar(self, monkeypatch):
-        monkeypatch.setattr(kernels, "uvarint_encode_batch", lambda v: None)
-        monkeypatch.setattr(kernels, "svarint_encode_batch", lambda v: None)
-        monkeypatch.setattr(kernels, "uvarint_decode_batch", lambda *a: None)
-        monkeypatch.setattr(kernels, "svarint_decode_batch", lambda *a: None)
-        monkeypatch.setattr(kernels, "stream_to_unsigned", lambda *a: None)
-        import repro.core.columnar as columnar
-
-        def beyond_int64(table):  # encode_chunk's cue for the scalar reference
-            raise OverflowError
-
-        monkeypatch.setattr(columnar, "as_columnar_table", beyond_int64)
-
-    def test_compress_bytes_identical(self, monkeypatch):
+    def test_compress_bytes_identical(self):
         import random
 
         from repro.core import ALL_METHODS, compress
@@ -327,13 +317,13 @@ class TestForcedScalarEquivalence:
                     (ReceiveEvent(s, clocks[s] * 6 + s),),
                 )
             )
-        fast = {m: compress(outs, m, 256) for m in ALL_METHODS}
-        self._force_scalar(monkeypatch)
-        for m in ALL_METHODS:
-            assert compress(outs, m, 256) == fast[m], m
+        by_length = {m: compress(outs, m, 256) for m in ALL_METHODS}
+        assert both_producers(lambda: {m: compress(outs, m, 256) for m in ALL_METHODS}) == [
+            by_length, by_length
+        ]
 
-    def test_deserialize_scalar_path_round_trips(self, monkeypatch):
-        from repro.core import build_tables, encode_chunk
+    def test_deserialize_scalar_path_round_trips(self):
+        from repro.core import build_columnar_tables, encode_table
         from repro.core.events import MFKind, MFOutcome, ReceiveEvent
         from repro.core.formats import deserialize_cdc_chunks, serialize_cdc_chunks
 
@@ -341,9 +331,9 @@ class TestForcedScalarEquivalence:
             MFOutcome("x", MFKind.TEST, (ReceiveEvent(r % 3, 10 * r + 7),))
             for r in range(50)
         ]
-        tables = build_tables(outs)
-        chunks = [encode_chunk(t, replay_assist=True) for ts in tables.values() for t in ts]
+        tables = build_columnar_tables(outs)
+        chunks = [encode_table(t, replay_assist=a) for ts in tables.values() for t in ts
+                  for a in (False, True)]
         blob = serialize_cdc_chunks(chunks)
-        fast = deserialize_cdc_chunks(blob)
-        self._force_scalar(monkeypatch)
-        assert deserialize_cdc_chunks(blob) == fast == chunks
+        assert both_producers(lambda: serialize_cdc_chunks(chunks)) == [blob, blob]
+        assert both_producers(lambda: deserialize_cdc_chunks(blob)) == [chunks, chunks]

@@ -7,14 +7,9 @@ artifact to the paper's numbers.
 
 import pytest
 
-from repro.core import (
-    build_tables,
-    encode_chunk,
-    reconstruct_table,
-    reference_order,
-    value_count_breakdown,
-)
+from repro.core import reconstruct_table, reference_order, value_count_breakdown
 from repro.core.events import ReceiveEvent, outcomes_to_rows
+from tests.core.test_pipeline import build_tables, encode_chunk
 
 
 @pytest.fixture

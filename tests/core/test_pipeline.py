@@ -1,23 +1,27 @@
 """End-to-end chunk encode/decode (Figure 5 pipeline)."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from repro.core.columnar import ColumnarTable, build_columnar_tables, encode_table
 from repro.core.events import ReceiveEvent
 from repro.core.permutation import decode_permutation
 from repro.core.pipeline import (
     assist_occurrence_indices,
     chunk_members,
-    encode_chunk,
     reconstruct_observed_order,
     reconstruct_table,
     reference_order,
 )
 from repro.core.record_table import RecordTable
 from repro.errors import DecodingError
+from tests.core import oracles
 
 
 def random_events(n_senders, n_events, seed, shuffle=True):
@@ -40,6 +44,36 @@ def table_of(events, with_next=(), unmatched=(), callsite="cs"):
     return RecordTable(callsite, tuple(events), tuple(with_next), tuple(unmatched))
 
 
+# Object tables in, object tables out, the production builder and encoder in
+# between: what the tests here and in the neighbouring files build chunks with.
+
+
+def as_columnar_table(table):
+    """An object table's receives as columns."""
+    return ColumnarTable(
+        table.callsite,
+        np.array([ev.rank for ev in table.matched], dtype=np.int64),
+        np.array([ev.clock for ev in table.matched], dtype=np.int64),
+        table.with_next_indices,
+        table.unmatched_runs,
+    )
+
+
+def encode_chunk(table, replay_assist=False, prior_ceilings=None):
+    """``encode_table`` over an object table."""
+    return encode_table(as_columnar_table(table), replay_assist, prior_ceilings)
+
+
+#: consecutive chunks of one callsite, each against its predecessors' ceilings
+encode_chunk_sequence = functools.partial(oracles.encode_chunk_sequence, encode=encode_chunk)
+
+
+def build_tables(outcomes, chunk_events=None):
+    """``build_columnar_tables``' chunks as object tables."""
+    tables = build_columnar_tables(outcomes, chunk_events)
+    return {cs: [t.to_record_table() for t in ts] for cs, ts in tables.items()}
+
+
 class TestReferenceOrder:
     def test_sorts_by_clock_then_rank(self):
         events = [ReceiveEvent(2, 8), ReceiveEvent(1, 8), ReceiveEvent(0, 2)]
@@ -50,8 +84,6 @@ class TestReferenceOrder:
         ]
 
     def test_figure7_reference(self, paper_outcomes):
-        from repro.core.record_table import build_tables
-
         table = build_tables(paper_outcomes)["A"][0]
         ref = reference_order(table.matched)
         assert [(e.rank, e.clock) for e in ref] == [
@@ -61,8 +93,6 @@ class TestReferenceOrder:
 
 class TestChunkEncode:
     def test_identifiers_are_dropped(self, paper_outcomes):
-        from repro.core.record_table import build_tables
-
         table = build_tables(paper_outcomes)["A"][0]
         chunk = encode_chunk(table)
         assert chunk.value_count() == 19  # the paper's 55 -> 19
@@ -93,8 +123,6 @@ class TestReconstruction:
         assert reconstruct_observed_order(chunk, scrambled) == events
 
     def test_full_table_roundtrip(self, paper_outcomes):
-        from repro.core.record_table import build_tables
-
         table = build_tables(paper_outcomes)["A"][0]
         chunk = encode_chunk(table)
         rebuilt = reconstruct_table(chunk, list(table.matched))
@@ -131,8 +159,6 @@ class TestChunkMembers:
         per-sender count misassign arrivals: chunk 1 observed (r,17) while
         (r,16) belongs to chunk 2. The later chunk's boundary exception
         pins (r,16) to it."""
-        from repro.core.pipeline import encode_chunk_sequence
-
         tables = [
             table_of([ReceiveEvent(0, 17)]),
             table_of([ReceiveEvent(0, 16)]),
@@ -147,8 +173,6 @@ class TestChunkMembers:
         assert rest == [ReceiveEvent(0, 16)]
 
     def test_no_exceptions_without_spanning(self):
-        from repro.core.pipeline import encode_chunk_sequence
-
         tables = [
             table_of([ReceiveEvent(0, 3), ReceiveEvent(1, 9)]),
             table_of([ReceiveEvent(0, 8), ReceiveEvent(1, 12)]),

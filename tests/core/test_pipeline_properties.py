@@ -14,14 +14,7 @@ match groups) and check, for arbitrary inputs:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    Method,
-    build_tables,
-    compare_methods,
-    encode_chunk,
-    reconstruct_table,
-    value_count_breakdown,
-)
+from repro.core import Method, compare_methods, reconstruct_table, value_count_breakdown
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent, outcomes_to_rows
 from repro.core.formats import (
     deserialize_cdc_chunks,
@@ -29,7 +22,9 @@ from repro.core.formats import (
     serialize_raw_rows,
     serialize_re_tables,
 )
+from tests.core import oracles
 from tests.core.oracles import deserialize_raw_rows, deserialize_re_tables
+from tests.core.test_pipeline import build_tables, encode_chunk
 
 
 @st.composite
@@ -105,20 +100,18 @@ class TestFullPipeline:
     @given(outcome_streams(), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_batch_matched_stats_equal_scalar(self, outcomes, with_ceilings):
-        """The array encoder ``encode_chunk`` hands int64 tables to, against
-        the scalar reference it keeps for anything larger: the same chunk,
-        with and without the assist column."""
-        from repro.core import pipeline
-        from repro.core.columnar import as_columnar_table, encode_columnar_chunk
-
-        for chunk_list in build_tables(outcomes, chunk_events=12).values():
+        """The array builder and encoder against the object pipeline they
+        replaced (``tests/core/oracles.py``): the same tables and the same
+        chunk, with and without the assist column."""
+        reference = oracles.build_tables(outcomes, chunk_events=12)
+        assert reference == build_tables(outcomes, chunk_events=12)
+        for chunk_list in reference.values():
             ceilings: dict[int, int] = {}
             for table in chunk_list:
                 prior = dict(ceilings) if with_ceilings else None
                 for assist in (False, True):
-                    batch = encode_columnar_chunk(as_columnar_table(table), assist, prior)
-                    scalar = pipeline._encode_chunk_scalar(table, assist, prior)
-                    assert batch == scalar == encode_chunk(table, assist, prior)
+                    scalar = oracles.encode_chunk_scalar(table, assist, prior)
+                    assert encode_chunk(table, assist, prior) == scalar
                 for ev in table.matched:
                     if ev.clock > ceilings.get(ev.rank, -1):
                         ceilings[ev.rank] = ev.clock

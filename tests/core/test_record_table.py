@@ -1,11 +1,14 @@
-"""Record tables: the Figure 6 decomposition and streaming builder."""
+"""Record tables: the Figure 6 decomposition, as the streaming builder
+(``ColumnarTableBuilder``) seals it and ``to_record_table`` hands it out."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.columnar import ColumnarTableBuilder
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
-from repro.core.record_table import RecordTable, RecordTableBuilder, build_tables
+from repro.core.record_table import RecordTable
+from tests.core.test_pipeline import build_tables
 
 
 def outcome_stream(seed_events):
@@ -20,36 +23,36 @@ def outcome_stream(seed_events):
 
 class TestBuilder:
     def test_figure6_decomposition(self, paper_outcomes):
-        builder = RecordTableBuilder("A")
+        builder = ColumnarTableBuilder("A")
         for o in paper_outcomes:
             builder.add(o)
-        table = builder.flush()
+        table = builder.flush().to_record_table()
         assert len(table.matched) == 8
         assert table.with_next_indices == (1,)  # event (0,13) chains to (2,8)
         assert table.unmatched_runs == ((1, 2), (6, 3), (7, 1))
 
     def test_value_counts_match_paper(self, paper_outcomes):
-        builder = RecordTableBuilder("A")
+        builder = ColumnarTableBuilder("A")
         for o in paper_outcomes:
             builder.add(o)
-        table = builder.flush()
+        table = builder.flush().to_record_table()
         assert table.raw_value_count() == 55
         assert table.encoded_value_count() == 23
 
     def test_wrong_callsite_rejected(self):
-        builder = RecordTableBuilder("A")
+        builder = ColumnarTableBuilder("A")
         with pytest.raises(ValueError):
             builder.add(MFOutcome("B", MFKind.TEST, ()))
 
     def test_flush_resets(self):
-        builder = RecordTableBuilder("A")
+        builder = ColumnarTableBuilder("A")
         builder.add(MFOutcome("A", MFKind.TEST, (ReceiveEvent(0, 1),)))
         builder.flush()
         assert not builder.dirty
         assert builder.flush().num_events == 0
 
     def test_trailing_unmatched_attach_to_flush(self):
-        builder = RecordTableBuilder("A")
+        builder = ColumnarTableBuilder("A")
         builder.add(MFOutcome("A", MFKind.TEST, (ReceiveEvent(0, 1),)))
         builder.add(MFOutcome("A", MFKind.TEST, ()))
         table = builder.flush()

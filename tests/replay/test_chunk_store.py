@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.core.events import ReceiveEvent
-from repro.core.pipeline import encode_chunk
+from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.errors import RecordFormatError
 from repro.replay.chunk_store import RecordArchive, bytes_per_event, summarize

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.events import ReceiveEvent
 from repro.core.formats import encode_frame_payload, serialize_cdc_chunks
-from repro.core.pipeline import encode_chunk
+from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.core.varint import encode_uvarint
 from repro.errors import ArchiveCorruptionError, RecordFormatError

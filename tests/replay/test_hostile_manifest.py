@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import ReceiveEvent
-from repro.core.pipeline import encode_chunk
+from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.errors import RecordFormatError
 from repro.replay.durable_store import RecordArchive, load_archive, save_archive

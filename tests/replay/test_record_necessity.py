@@ -42,7 +42,7 @@ import pytest
 
 from repro.core.epoch import EpochLine
 from repro.core.permutation import decode_permutation, encode_permutation
-from repro.core.record_table import build_tables
+from tests.core.test_pipeline import build_tables
 from repro.errors import RecordFormatError, ReplayDivergence, ReproError
 from repro.replay.durable_store import RecordArchive, frame_bytes, load_archive
 from repro.replay.replayer import CallsiteReplayState

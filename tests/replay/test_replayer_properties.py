@@ -17,12 +17,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import as_columnar_table, encode_table
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.core.permutation import decode_permutation
-from repro.core.pipeline import encode_chunk_sequence, reconstruct_table
-from repro.core.record_table import build_tables
+from repro.core.pipeline import reconstruct_table
 from repro.replay.replayer import DeliveryMode
+
+from tests.core.oracles import encode_chunk_scalar
+from tests.core.test_pipeline import build_tables, encode_chunk, encode_chunk_sequence
 
 from tests.replay.driving import (
     CALLSITE,
@@ -67,17 +68,17 @@ def test_barrier_mode_also_reproduces_with_full_arrival(case, chunk_events):
 @given(recorded_streams(), st.integers(2, 12), st.integers(0, 10**6))
 @settings(max_examples=150, deadline=None)
 def test_tables_survive_encode_and_reconstruct(case, chunk_events, seed):
-    """``reconstruct_table(encode_table(t), t.matched) == t`` for object and
-    columnar tables, with and without the assist column, whatever order the
-    receives are handed back in."""
+    """``reconstruct_table(encode(t), t.matched) == t`` for ``encode_table``
+    and the scalar reference, with and without the assist column, whatever
+    order the receives are handed back in."""
     outcomes, _ = case
     for table in build_tables(outcomes, chunk_events=chunk_events)[CALLSITE]:
         received = list(table.matched)
         random.Random(seed).shuffle(received)
-        for flavour in (table, as_columnar_table(table)):
+        for encode in (encode_chunk, encode_chunk_scalar):
             for assist in (False, True):
-                chunk = encode_table(flavour, replay_assist=assist)
-                assert reconstruct_table(chunk, received) == table, (assist, flavour)
+                chunk = encode(table, replay_assist=assist)
+                assert reconstruct_table(chunk, received) == table, (assist, encode)
 
 
 def test_one_sender_out_of_clock_order_by_hand():
@@ -89,7 +90,7 @@ def test_one_sender_out_of_clock_order_by_hand():
     observed = [ReceiveEvent(1, 7), ReceiveEvent(0, 5), ReceiveEvent(0, 2)]
     outcomes = [MFOutcome(CALLSITE, MFKind.TEST, (ev,)) for ev in observed]
     (table,) = build_tables(outcomes, chunk_events=8)[CALLSITE]
-    assisted, plain = (encode_table(table, replay_assist=a) for a in (True, False))
+    assisted, plain = (encode_chunk(table, replay_assist=a) for a in (True, False))
     assert decode_permutation(assisted.diff) == [0, 2, 1] and assisted.diff.num_moved == 1
     assert decode_permutation(plain.diff) == [2, 1, 0] and plain.diff.num_moved == 2
     for chunk in (assisted, plain):

@@ -27,8 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
-from repro.core.pipeline import encode_chunk, encode_chunk_sequence
-from repro.core.record_table import RecordTable, build_tables
+from repro.core.record_table import RecordTable
 from repro.errors import RecordExhausted, RecordFormatError, ReplayDivergence
 from repro.replay.replayer import (
     CallsiteReplayState,
@@ -47,6 +46,7 @@ from tests.replay.driving import (
     recorded_streams,
 )
 from tests.core.oracles import encode_chunk_sequence_oracle
+from tests.core.test_pipeline import build_tables, encode_chunk, encode_chunk_sequence
 from tests.replay.oracles import CallsiteReplayStateOracle, _Peek
 
 
