@@ -119,7 +119,9 @@ class RecordingController(MFController):
                 self._flush(proc.rank, builder)
         else:
             rows = 1  # an unmatched test
-        return state.cost.charge(proc.time, rows)
+        cost = state.cost  # cost.charge(proc.time, rows), inlined: once per outcome
+        cost.events_recorded += rows
+        return cost.model.enqueue_cost * rows + cost.queue.enqueue(proc.time, rows)
 
     def finalize(self, procs: Sequence[SimProcess]) -> None:
         for rank, state in self.ranks.items():

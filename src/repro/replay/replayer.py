@@ -86,8 +86,9 @@ def groups_from_with_next(with_next_indices: Sequence[int], n: int) -> list[int]
 def filter_accepts(req: Request, msg: Message) -> bool:
     """Would this receive request's (source, tag) filter accept ``msg``?
 
-    State-independent — used for slot reassignment, unlike
-    :meth:`Request.matches` which only applies to pending requests.
+    State-independent — used for slot reassignment, unlike MPI matching
+    (:meth:`MailBox.deliver <repro.sim.communicator.MailBox.deliver>`),
+    which only considers pending requests.
     """
     if not req.is_recv:
         return False
@@ -529,18 +530,6 @@ def _completed_sends(requests: Sequence[Request]) -> list[Request]:
     return [r for r in requests if not r.is_recv and r.state is _COMPLETED]
 
 
-def _accepted(filters: set[tuple[int, int]], msg: Message) -> bool:
-    """Does any of a call's receive filters accept ``msg``? At most four
-    probes, however many requests share the filters."""
-    src, tag = msg.src, msg.tag
-    return (
-        (ANY_SOURCE, tag) in filters
-        or (src, tag) in filters
-        or (ANY_SOURCE, ANY_TAG) in filters
-        or (src, ANY_TAG) in filters
-    )
-
-
 class ReplayController(MFController):
     """Force every MF call to return the recorded outcome."""
 
@@ -678,9 +667,9 @@ class ReplayController(MFController):
         else:
             messages = state.certain_group()
 
+        registry = self.registry
         if messages is None:
-            registry = get_registry()
-            if registry.enabled:
+            if registry is not None:
                 registry.counter("replay.blocked_polls").add()
                 if state.blocked_since is None:
                     state.blocked_since = self._now(proc)
@@ -695,18 +684,18 @@ class ReplayController(MFController):
             if count == 1 and len(requests) == 1:
                 # one message for the call's one receive: its filter and
                 # state are the whole slot search
-                slot = requests[0]
+                slot, msg = requests[0], messages[0]
                 assignment = (
                     [slot]
                     if (slot.state is _COMPLETED or slot.state is _PENDING)
-                    and filter_accepts(slot, messages[0])
+                    and (slot.source == ANY_SOURCE or slot.source == msg.src)
+                    and (slot.tag == ANY_TAG or slot.tag == msg.tag)
                     else None
                 )
             else:
                 assignment = assign_slots(requests, messages)
             if assignment is not None:
-                registry = get_registry()
-                if registry.enabled:
+                if registry is not None:
                     registry.counter("replay.delivered_events").add(count)
                     if state.blocked_since is not None:
                         wait = max(0.0, self._now(proc) - state.blocked_since)
@@ -751,11 +740,8 @@ class ReplayController(MFController):
 
     # -- pooling -----------------------------------------------------------------
 
-    @staticmethod
     def _absorb_arrivals(
-        mailbox: MailBox,
-        filters: set[tuple[int, int]],
-        state: CallsiteReplayState,
+        self, mailbox: MailBox, filters: set[tuple[int, int]], state: CallsiteReplayState
     ) -> None:
         """Strip matching completed receives and drain unexpected ones.
 
@@ -765,7 +751,8 @@ class ReplayController(MFController):
         been MPI-matched to a sibling request of the same pool, not
         necessarily one in this very call's set. (This is why replayability
         requires callsites to use disjoint receive filters; overlap is
-        detected by the per-sender clock checks in ``feed``.)
+        detected by the per-sender clock checks in ``feed``.) A filter test
+        is at most four set probes, however many requests share the filters.
 
         Both sources feed the pool in per-sender clock order: completions
         in completion order (FIFO channels keep that clock-ordered per
@@ -777,9 +764,7 @@ class ReplayController(MFController):
         and a slot that a delivery fills is returned to the application
         before the log is read again.
         """
-        registry = get_registry()
-        if not registry.enabled:
-            registry = None
+        registry = self.registry
         feed = state.feed
         log = mailbox.completion_log
         if log:
@@ -788,7 +773,11 @@ class ReplayController(MFController):
             for req in log:
                 if req.state is not _COMPLETED:
                     continue  # delivered meanwhile: drop from the log
-                if req.message is not None and _accepted(filters, req.message):
+                msg = req.message
+                if msg is not None and (
+                    (ANY_SOURCE, msg.tag) in filters or (msg.src, msg.tag) in filters
+                    or (ANY_SOURCE, ANY_TAG) in filters or (msg.src, ANY_TAG) in filters
+                ):
                     fresh.append(req)
                 else:
                     remaining_log.append(req)
@@ -804,7 +793,10 @@ class ReplayController(MFController):
         if unexpected:
             kept: list[Message] = []
             for msg in unexpected:
-                if _accepted(filters, msg):
+                if (
+                    (ANY_SOURCE, msg.tag) in filters or (msg.src, msg.tag) in filters
+                    or (ANY_SOURCE, ANY_TAG) in filters or (msg.src, ANY_TAG) in filters
+                ):
                     feed(msg, registry)
                 else:
                     kept.append(msg)

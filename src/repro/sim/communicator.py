@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass, field
 
 from repro.errors import CommunicatorError
-from repro.sim.datatypes import Message, Request, RequestState
+from repro.sim.datatypes import ANY_SOURCE, ANY_TAG, Message, Request, RequestState
 
 _completion_counter = itertools.count()
 
@@ -49,8 +49,11 @@ class MailBox:
             raise CommunicatorError("post_recv requires a receive request")
         if req.state is not RequestState.PENDING:
             raise CommunicatorError("cannot repost a used request")
+        source, tag = req.source, req.tag
         for i, msg in enumerate(self.unexpected):
-            if req.matches(msg):
+            if (source == ANY_SOURCE or source == msg.src) and (
+                tag == ANY_TAG or tag == msg.tag
+            ):
                 del self.unexpected[i]
                 self._complete(req, msg, msg.arrival_time)
                 return
@@ -69,8 +72,11 @@ class MailBox:
             )
         self._last_seq_by_src[msg.src] = msg.seq
         msg.arrival_time = time
+        src, tag, pending = msg.src, msg.tag, RequestState.PENDING
         for i, req in enumerate(self.posted):
-            if req.matches(msg):
+            if req.is_recv and req.state is pending and (
+                req.source == ANY_SOURCE or req.source == src
+            ) and (req.tag == ANY_TAG or req.tag == tag):
                 del self.posted[i]
                 self._complete(req, msg, time)
                 return req
@@ -119,7 +125,3 @@ class MailBox:
             if req.state is not completed:
                 raise CommunicatorError("delivering a non-completed request")
             req.state = RequestState.DELIVERED
-
-    @property
-    def has_unexpected(self) -> bool:
-        return bool(self.unexpected)

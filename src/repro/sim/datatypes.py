@@ -99,16 +99,6 @@ class Request:
     completion_seq: int = 0
     req_id: int = field(default_factory=_request_ids.__next__)
 
-    def matches(self, msg: Message) -> bool:
-        """Would this posted receive accept ``msg``? (wildcard-aware)"""
-        if not self.is_recv or self.state is not RequestState.PENDING:
-            return False
-        if self.source != ANY_SOURCE and self.source != msg.src:
-            return False
-        if self.tag != ANY_TAG and self.tag != msg.tag:
-            return False
-        return True
-
     @property
     def completed(self) -> bool:
         return self.state is RequestState.COMPLETED
@@ -119,6 +109,3 @@ class Request:
 
     def __hash__(self) -> int:
         return self.req_id
-
-    def __eq__(self, other: object) -> bool:
-        return self is other

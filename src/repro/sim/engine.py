@@ -169,16 +169,17 @@ class Engine:
 
     def _run_loop(self) -> SimStats:
         controller = self.controller
+        registry = get_registry()
+        track = registry.enabled
         # handed over here, not in attach(): the attribute is assigned after
         # the controller attaches and may be replaced until the run starts
         controller.flow_recorder = self.flow_recorder
+        controller.registry = registry if track else None
         for proc in self.procs:
             proc.start(self)
             self._push(0.0, _RESUME, (proc, None))
         remaining = self.nprocs
 
-        registry = get_registry()
-        track = registry.enabled
         if track:
             # sampled step timing: wall time per STEP_SAMPLE_EVENTS-event
             # block, so the histogram costs ~nothing per event.

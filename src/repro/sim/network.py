@@ -69,18 +69,23 @@ class Network:
         """One message sent now on (src, dst): ``(channel seq, arrival time)``.
 
         The sequence number lets the receiving mailbox check FIFO delivery;
-        the arrival is :meth:`delivery_time`'s, under the same channel key.
+        the arrival is :meth:`delivery_time`'s, inlined in its float order
+        (``LatencyModel.sample``, ``send_time +``, the clamp): it runs per send.
         """
         key = (src, dst)
         seq = self._channel_seq.get(key, 0)
         self._channel_seq[key] = seq + 1
-        return seq, self._arrival(key, send_time, nbytes)
+        model = self.latency
+        latency = model.base + model.per_byte * (nbytes + self.piggyback_bytes)
+        if model.jitter_mean > 0.0:
+            latency += self._rng.expovariate(1.0 / model.jitter_mean)
+        arrival = max(send_time + latency, self._last_delivery.get(key, 0.0))
+        self._last_delivery[key] = arrival
+        return seq, arrival
 
     def delivery_time(self, src: int, dst: int, send_time: float, nbytes: int) -> float:
         """When a message sent now on (src, dst) arrives, FIFO-clamped."""
-        return self._arrival((src, dst), send_time, nbytes)
-
-    def _arrival(self, key: tuple[int, int], send_time: float, nbytes: int) -> float:
+        key = (src, dst)
         raw = send_time + self.latency.sample(self._rng, nbytes + self.piggyback_bytes)
         clamped = max(raw, self._last_delivery.get(key, 0.0))
         self._last_delivery[key] = clamped

@@ -95,7 +95,7 @@ def finalize_delivery(
             # request of the call per delivery (Request.__hash__ is Python)
             # cost more than the delivery itself on wide Waitsome sets
             index_of = dict(zip(map(id, requests), range(len(requests))))
-            indices = tuple([index_of[id(r)] for r in delivered])
+            indices = tuple(map(index_of.__getitem__, map(id, delivered)))
     MailBox.mark_delivered(delivered)
     result = MFResult(flag, indices, tuple(map(_message_of, delivered)))
 
@@ -125,6 +125,8 @@ class MFController:
         #: the engine's causal flow recorder; the engine hands it over when
         #: the run starts (it may be set any time before that).
         self.flow_recorder = None
+        #: ... and the run's telemetry registry if enabled, else None.
+        self.registry = None
         #: per callsite, the outcome of an unmatched poll there. It says
         #: only "this callsite, this kind, nothing matched" and is frozen,
         #: so every such poll reports the same validated instance.
@@ -171,9 +173,10 @@ class MFController:
             # Causal flow hook lives here rather than in any one
             # controller: every mode (baseline/record/replay) reports
             # matched receives the same way, so merged record+replay
-            # timelines come out structurally comparable.
+            # timelines come out structurally comparable. (``_value_`` is
+            # ``.value`` without the two Python frames of enum's property.)
             self.flow_recorder.on_delivery(
-                proc.rank, call.callsite, call.kind.value, proc.time, outcome.matched
+                proc.rank, call.callsite, call.kind._value_, proc.time, outcome.matched
             )
         return result, overhead
 

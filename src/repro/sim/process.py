@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 from repro.clocks.lamport import LamportClock
 from repro.core.events import MFKind
@@ -46,9 +46,10 @@ class Compute:
             raise ValueError("compute time must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class MFCall:
-    """Yieldable: one matching-function invocation."""
+    """Yieldable: one matching-function invocation; never assigned to after
+    ``__init__``, but not ``frozen``, which made it 2.5x as dear to build."""
 
     kind: MFKind
     requests: tuple[Request, ...]
@@ -59,23 +60,23 @@ class MFCall:
     has_recv: bool = field(init=False, repr=False, compare=False)
     has_send: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.requests:
+    def __init__(self, kind: MFKind, requests: tuple[Request, ...], callsite: str) -> None:
+        if not requests:
             raise ValueError("MF call needs at least one request")
         has_recv = has_send = False
-        for r in self.requests:
+        for r in requests:
             if r.is_recv:
                 has_recv = True
             else:
                 has_send = True
-        if has_recv and has_send and not self.kind.is_test:
+        if has_recv and has_send and not kind.is_test:
             raise CommunicatorError(
                 "wait-family calls over mixed send+receive request sets "
                 "are not replayable (a send completion returned instead "
                 "of a receive leaves no record); split the sets"
             )
-        object.__setattr__(self, "has_recv", has_recv)
-        object.__setattr__(self, "has_send", has_send)
+        self.kind, self.requests, self.callsite = kind, requests, callsite
+        self.has_recv, self.has_send = has_recv, has_send
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,8 +388,3 @@ class SimProcess:
 
     def start(self, engine) -> None:
         self.gen = self.program(Ctx(self, engine))
-
-
-def sends_only(requests: Iterable[Request]) -> bool:
-    """True when an MF call involves no receive requests."""
-    return all(not r.is_recv for r in requests)

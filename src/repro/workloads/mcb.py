@@ -132,9 +132,10 @@ def build_program(config: MCBConfig) -> Callable:
         retired_unreported = 0
         done = False
 
+        track, idle = ctx.compute(cfg.track_cost), ctx.compute(cfg.idle_cost)
+
         # one pre-posted particle receive per neighbor, reposted on receipt
         particle_reqs = [ctx.irecv(source=n, tag=PARTICLE_TAG) for n in nbrs]
-        slot_of = {req: i for i, req in enumerate(particle_reqs)}
 
         # binary termination tree: counts flow up, DONE cascades down
         parent = (rank - 1) // 2 if rank else None
@@ -142,6 +143,11 @@ def build_program(config: MCBConfig) -> Callable:
         ctrl_req = ctx.irecv(source=ANY_SOURCE, tag=CTRL_TAG) if children else None
         done_req = ctx.irecv(source=parent, tag=DONE_TAG) if rank else None
         retired_subtree = 0
+        # the MF calls a batch polls with: rebuilt only when a receive is
+        # reposted, not per poll
+        particles = ctx.testsome(particle_reqs, callsite="mcb:particles")
+        ctrl_poll = ctx.test(ctrl_req, callsite="mcb:ctrl") if children else None
+        done_poll = ctx.test(done_req, callsite="mcb:done") if rank else None
 
         outgoing: dict[int, list[tuple[float, int]]] = {n: [] for n in nbrs}
 
@@ -150,7 +156,7 @@ def build_program(config: MCBConfig) -> Callable:
             batch = 0
             while queue and batch < cfg.batch_size:
                 energy, steps = queue.pop()
-                yield ctx.compute(cfg.track_cost)
+                yield track
                 tracked += 1
                 steps -= 1
                 if steps <= 0:
@@ -164,7 +170,7 @@ def build_program(config: MCBConfig) -> Callable:
                     queue.append((energy * 0.999, steps))
                 batch += 1
             if not queue:
-                yield ctx.compute(cfg.idle_cost)
+                yield idle
 
             # -- flush boundary crossings ------------------------------------
             for dest, batch_particles in outgoing.items():
@@ -173,7 +179,7 @@ def build_program(config: MCBConfig) -> Callable:
                     batch_particles.clear()
 
             # -- absorb incoming particles (first-come, first-served) --------
-            res = yield ctx.testsome(particle_reqs, callsite="mcb:particles")
+            res = yield particles
             for req_index, msg in zip(res.indices, res.messages):
                 if msg is None:
                     continue
@@ -182,21 +188,21 @@ def build_program(config: MCBConfig) -> Callable:
                     # receive-order-sensitive contribution
                     tally = tally * (1.0 + 1e-12) + 1e-6 * energy
                 # repost the slot for the next message from that neighbor
-                new_req = ctx.irecv(source=msg.src, tag=PARTICLE_TAG)
-                slot = slot_of.pop(particle_reqs[req_index])
-                particle_reqs[slot] = new_req
-                slot_of[new_req] = slot
+                particle_reqs[req_index] = ctx.irecv(source=msg.src, tag=PARTICLE_TAG)
+            if res.indices:
+                particles = ctx.testsome(particle_reqs, callsite="mcb:particles")
 
             # -- termination protocol (binary counting tree) -----------------
             retired_subtree += retired_unreported
             retired_unreported = 0
             if ctrl_req is not None:
                 while True:
-                    res = yield ctx.test(ctrl_req, callsite="mcb:ctrl")
+                    res = yield ctrl_poll
                     if not res.flag:
                         break
                     retired_subtree += res.message.payload
                     ctrl_req = ctx.irecv(source=ANY_SOURCE, tag=CTRL_TAG)
+                    ctrl_poll = ctx.test(ctrl_req, callsite="mcb:ctrl")
             if rank == 0:
                 if retired_subtree >= cfg.total_particles:
                     for child in children:
@@ -206,7 +212,7 @@ def build_program(config: MCBConfig) -> Callable:
                 if retired_subtree:
                     ctx.isend(parent, retired_subtree, tag=CTRL_TAG)
                     retired_subtree = 0
-                res = yield ctx.test(done_req, callsite="mcb:done")
+                res = yield done_poll
                 if res.flag:
                     for child in children:
                         ctx.isend(child, True, tag=DONE_TAG)

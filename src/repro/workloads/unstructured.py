@@ -68,10 +68,10 @@ class UnstructuredConfig:
         pos = [[rng.random(), rng.random()] for _ in range(self.vertices)]
         xy = np.array(pos)
         square = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
-        adj: list[list[int]] = [[] for _ in pos]
-        for u, v in np.argwhere(np.triu(square <= self.radius * self.radius, k=1)).tolist():
-            adj[u].append(v)
-            adj[v].append(u)
+        within = square <= self.radius * self.radius
+        np.fill_diagonal(within, False)
+        # edges added in sorted u < v order leave each list ascending: its row
+        adj: list[list[int]] = [np.flatnonzero(row).tolist() for row in within]
         # guarantee connectivity so every rank participates: each component
         # is chained to the next through its first vertex — first out of a
         # breadth-first *set*, as ``networkx.connected_components`` builds
@@ -159,33 +159,45 @@ def rank_topology(
         mesh = config.mesh()
     if owner is None:
         owner = partition(config, mesh)
-    neighbors: dict[int, set[int]] = {r: set() for r in range(config.nprocs)}
     shared: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v in mesh_edges(mesh[1]):
-        ru, rv = owner[u], owner[v]
-        if ru == rv:
-            continue
-        neighbors[ru].add(rv)
-        neighbors[rv].add(ru)
-        shared.setdefault((ru, rv), []).append((u, v))
-        shared.setdefault((rv, ru), []).append((v, u))
+    for u, adjacent in enumerate(mesh[1]):  # the edges in mesh_edges order
+        ru = owner[u]
+        for v in adjacent:
+            if v > u and owner[v] != ru:
+                rv = owner[v]
+                shared.setdefault((ru, rv), []).append((u, v))
+                shared.setdefault((rv, ru), []).append((v, u))
+    neighbors: dict[int, list[int]] = {r: [] for r in range(config.nprocs)}
+    for r, s in shared:
+        neighbors[r].append(s)
     return {r: sorted(s) for r, s in neighbors.items()}, shared
 
 
 def build_program(config: UnstructuredConfig) -> Callable:
-    """Create the per-rank generator implementing the halo pattern."""
+    """Create the per-rank generator implementing the halo pattern; what is
+    fixed about the ranks is derived here, once, in O(vertices + cut edges)."""
     # the random geometric mesh is the costly part of setup: build it once
     mesh = config.mesh()
     owner = partition(config, mesh)
     neighbors, shared = rank_topology(config, mesh, owner)
+    ghost_sources = {r: {} for r in range(config.nprocs)}
+    for v in range(config.vertices):
+        ghost_sources[owner[v]][v] = []
+    for rank, nbrs in neighbors.items():
+        sources = ghost_sources[rank]  # owned vertex -> the ghosts it averages
+        for nbr in nbrs:
+            for a, b in shared[(nbr, rank)]:
+                sources[b].append(a)
 
     def program(ctx):
         cfg = config
         rank = ctx.rank
         nbrs = neighbors[rank]
-        mine = sorted(v for v, r in owner.items() if r == rank)
-        values = {v: float((v * 2654435761) % 1000) / 1000.0 for v in mine}
+        mine = ghost_sources[rank].items()
+        values = {v: float((v * 2654435761) % 1000) / 1000.0 for v, _ in mine}
         ghost: dict[int, float] = {}
+        ghost_value, keep = ghost.__getitem__, 1 - cfg.smoothing
+        step = ctx.compute(cfg.compute_cost)
 
         checksum = 0.0
         for it in range(cfg.iterations):
@@ -195,10 +207,7 @@ def build_program(config: UnstructuredConfig) -> Callable:
             tag = HALO_TAG + it
             reqs = [ctx.irecv(source=ANY_SOURCE, tag=tag) for _ in nbrs]
             for nbr in nbrs:
-                boundary = [
-                    (u, values[u]) for u, v in shared[(rank, nbr)]
-                ]
-                ctx.isend(nbr, boundary, tag=tag)
+                ctx.isend(nbr, [(u, values[u]) for u, _ in shared[(rank, nbr)]], tag=tag)
 
             got = 0
             while got < len(reqs):
@@ -211,21 +220,15 @@ def build_program(config: UnstructuredConfig) -> Callable:
                     for u, value in msg.payload:
                         ghost[u] = value
                         checksum = checksum * (1.0 + 1e-12) + value
-            yield ctx.compute(cfg.compute_cost)
+            yield step
 
-            # smooth owned vertices toward neighbor averages
+            # smooth owned vertices toward neighbor averages (every halo of
+            # this iteration arrived: each ghost source is present)
             new_values = {}
-            for v in mine:
-                nbr_vals = []
-                for nbr in nbrs:
-                    for a, b in shared[(nbr, rank)]:
-                        if b == v and a in ghost:
-                            nbr_vals.append(ghost[a])
-                if nbr_vals:
-                    avg = sum(nbr_vals) / len(nbr_vals)
-                    new_values[v] = (
-                        (1 - cfg.smoothing) * values[v] + cfg.smoothing * avg
-                    )
+            for v, sources in mine:
+                if sources:
+                    avg = sum(map(ghost_value, sources)) / len(sources)
+                    new_values[v] = keep * values[v] + cfg.smoothing * avg
                 else:
                     new_values[v] = values[v]
             values = new_values

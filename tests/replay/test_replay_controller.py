@@ -32,14 +32,13 @@ class LogWatchingController(ReplayController):
 
     log_reads = 0
 
-    @staticmethod
-    def _absorb_arrivals(mailbox, filters, state):
+    def _absorb_arrivals(self, mailbox, filters, state):
         LogWatchingController.log_reads += 1
         for req in mailbox.completion_log:
             assert not (
                 req.state is RequestState.COMPLETED and req.message is None
             ), "a stripped request re-entered the completion log"
-        ReplayController._absorb_arrivals(mailbox, filters, state)
+        super()._absorb_arrivals(mailbox, filters, state)
 
 
 #: case -> (program, ranks, does the record carry the assist column)

@@ -35,7 +35,7 @@ class TestPostedMatching:
     def test_unmatched_arrival_goes_unexpected(self):
         box = MailBox(0)
         box.deliver(msg(), 1.0)
-        assert box.has_unexpected
+        assert box.unexpected
 
 
 class TestUnexpectedMatching:
@@ -90,7 +90,7 @@ class TestLifecycle:
         box.cancel(r)
         assert r.state is RequestState.INACTIVE
         box.deliver(msg(), 1.0)
-        assert box.has_unexpected  # nothing matched
+        assert box.unexpected  # nothing matched
 
     def test_completed_undelivered_sorts_by_completion(self):
         box = MailBox(0)

@@ -4,16 +4,20 @@ Wall-clock gates are noise on shared CI runners; the number of Python-level
 function calls a seeded run makes is not — it repeats exactly. This test
 counts ``call`` events (``sys.setprofile``: one per Python function entry
 and per generator resumption; C functions are not counted) over an 8-rank
-MCB record and its replay and holds them to a budget: record to 85% of
-what the commit *before* the fused MF-call path made, replay to 8.5 calls
-per engine event (it makes 8.2 since the replayer hands messages out of
-per-sender queues inside ``decide``; 10.4 before). Every Python call put
-back on the per-event path (a wrapper around ``evaluate``, a property in
-the recorder hook, a generator expression per poll, a ``peek``/``consume``
-pair per MF call) moves the count by thousands — the failure message
-prints the distance to the reference counts — and a return to an old
-chain fails here, on any machine. Record's count may not rise at all:
-that side was not meant to move when replay's did.
+MCB record and its replay and holds both to 6.5 calls per engine event
+(5.75 and 5.38 since the simulator layer was finished: the workload
+generators yield shared ``Compute`` and ``MFCall`` instances and build
+their fixed structure once, the mailbox tests its filters inline,
+``Network.post`` is one frame, ``MFCall`` validates in its ``__init__``
+and the engine hands the controller its telemetry registry; 8.24 and
+8.08 before). An 8-rank
+``unstructured`` run pins the wide-``Waitsome`` replay path
+(``assign_slots``, ``_absorb_arrivals``) the same way: its counts may not
+rise. Every Python call put back on the per-event path (a wrapper around
+``evaluate``, a property in the recorder hook, a generator expression per
+poll, a filter method per posted receive) moves the counts by thousands —
+the failure message prints the distance to the reference counts — and a
+return to an old chain fails here, on any machine.
 
 Counts were taken on CPython 3.11; later versions inline comprehensions
 and only count fewer. To re-measure after an intended change run::
@@ -32,21 +36,30 @@ from repro.replay import RecordSession, ReplaySession
 from repro.workloads import make_workload
 
 NPROCS = 8
-ENGINE_EVENTS = 7707
-
-#: Python calls for the whole run at the parent commit (15.6 and 16.8 per
-#: engine event) ...
-PARENT_CALLS = {"record": 120_080, "replay": 129_428}
-#: ... with the fused path (8.3 and 10.4 per event) ...
-FUSED_CALLS = {"record": 64_067, "replay": 79_890}
-#: ... and with the replayer's per-sender queues (replay 8.2 per event;
-#: record untouched — ``MFCall.has_send`` is learned in the loop that
-#: already learned ``has_recv``, so it adds no call)
-QUEUED_CALLS = {"record": 64_067, "replay": 62_936}
-BUDGET = {
-    "record": int(0.85 * PARENT_CALLS["record"]),
-    "replay": int(8.5 * ENGINE_EVENTS),
+#: the runs counted, by workload: its parameters and its engine events
+#: (record and replay make the same number)
+RUNS = {
+    "mcb": ({"particles_per_rank": 40, "seed": 3}, 7707),
+    "unstructured": ({"vertices": 256, "iterations": 10, "seed": 3}, 801),
 }
+ENGINE_EVENTS = RUNS["mcb"][1]
+
+#: MCB: Python calls for the whole run before the fused MF-call path (15.6
+#: and 16.8 per engine event) ...
+PARENT_CALLS = {"record": 120_080, "replay": 129_428}
+#: ... with it (8.3 and 10.4 per event) ...
+FUSED_CALLS = {"record": 64_067, "replay": 79_890}
+#: ... with the replayer's per-sender queues (8.3 and 8.2; 63,513 and
+#: 62,254 by the time the simulator layer was finished) ...
+QUEUED_CALLS = {"record": 64_067, "replay": 62_936}
+#: ... and with the simulator layer finished (5.75 and 5.38)
+SIMULATOR_CALLS = {"record": 44_328, "replay": 41_496}
+BUDGET = {"record": int(6.5 * ENGINE_EVENTS), "replay": int(6.5 * ENGINE_EVENTS)}
+
+#: unstructured: before the simulator layer was finished (20.3 and 21.2 per
+#: event: a halo message is more engine work than a poll) and after
+UNSTRUCTURED_BEFORE = {"record": 16_292, "replay": 16_979}
+UNSTRUCTURED_CALLS = {"record": 13_806, "replay": 13_333}
 
 
 def count_calls(fn):
@@ -77,23 +90,25 @@ def count_calls(fn):
     return calls, result
 
 
-def measure() -> dict[str, tuple[int, int]]:
-    """mode -> (Python calls, engine events) for one record and its replay."""
-    program, _ = make_workload("mcb", NPROCS, particles_per_rank=40, seed=3)
-    record_calls, recorded = count_calls(
-        lambda: RecordSession(
-            program, nprocs=NPROCS, network_seed=5, keep_outcomes=False
-        ).run()
-    )
-    replay_calls, replayed = count_calls(
-        lambda: ReplaySession(
-            program, recorded.archive, network_seed=9, keep_outcomes=False
-        ).run()
-    )
-    return {
-        "record": (record_calls, recorded.stats.total_events),
-        "replay": (replay_calls, replayed.stats.total_events),
-    }
+def measure() -> dict[tuple[str, str], tuple[int, int]]:
+    """(workload, mode) -> (Python calls, engine events) for one record of
+    each workload and its replay."""
+    counts = {}
+    for workload, (params, _) in RUNS.items():
+        program, _ = make_workload(workload, NPROCS, **params)
+        record_calls, recorded = count_calls(
+            lambda: RecordSession(
+                program, nprocs=NPROCS, network_seed=5, keep_outcomes=False
+            ).run()
+        )
+        replay_calls, replayed = count_calls(
+            lambda: ReplaySession(
+                program, recorded.archive, network_seed=9, keep_outcomes=False
+            ).run()
+        )
+        counts[workload, "record"] = (record_calls, recorded.stats.total_events)
+        counts[workload, "replay"] = (replay_calls, replayed.stats.total_events)
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -113,25 +128,33 @@ class TestHotPathBudget:
 
     @pytest.mark.parametrize("mode", ["record", "replay"])
     def test_calls_per_event_within_budget(self, measured, mode):
-        calls, events = measured[mode]
+        calls, events = measured["mcb", mode]
         assert events == ENGINE_EVENTS  # same run as the one that was sized
         assert calls <= BUDGET[mode], (
             f"{mode}: {calls} Python calls for {events} engine events "
             f"({calls / events:.2f}/event); budget {BUDGET[mode]}; references: "
             f"{PARENT_CALLS[mode]} before the fused MF-call path, "
             f"{FUSED_CALLS[mode]} with it, {QUEUED_CALLS[mode]} with the "
-            "replayer's per-sender queues"
+            f"replayer's per-sender queues, {SIMULATOR_CALLS[mode]} with the "
+            "simulator layer finished"
         )
 
     def test_record_count_did_not_move(self, measured):
         # equal on CPython 3.11, where the counts were taken; fewer later
-        assert measured["record"][0] <= QUEUED_CALLS["record"]
+        assert measured["mcb", "record"][0] <= SIMULATOR_CALLS["record"]
+
+    @pytest.mark.parametrize("mode", ["record", "replay"])
+    def test_unstructured_count_did_not_rise(self, measured, mode):
+        calls, events = measured["unstructured", mode]
+        assert events == RUNS["unstructured"][1]
+        assert calls <= UNSTRUCTURED_CALLS[mode], (
+            f"unstructured {mode}: {calls} Python calls for {events} engine "
+            f"events ({calls / events:.2f}/event); pinned at "
+            f"{UNSTRUCTURED_CALLS[mode]}, {UNSTRUCTURED_BEFORE[mode]} before "
+            "the simulator layer was finished"
+        )
 
 
 if __name__ == "__main__":
-    for mode, (calls, events) in measure().items():
-        print(
-            f"{mode}: {calls} calls / {events} events = {calls / events:.2f} per event "
-            f"(references {PARENT_CALLS[mode]} / {FUSED_CALLS[mode]} / "
-            f"{QUEUED_CALLS[mode]}, budget {BUDGET[mode]})"
-        )
+    for (workload, mode), (calls, events) in measure().items():
+        print(f"{workload} {mode}: {calls} calls / {events} events = {calls / events:.2f} per event")

@@ -61,6 +61,26 @@ class TestNetwork:
             _, arrival = posted.post(0, 1, i * 1e-7, 32)
             assert arrival == timed.delivery_time(0, 1, i * 1e-7, 32)
 
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([0.0, 1e-7, 4.0e-6]),
+        st.sampled_from([0, 8]),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 5000)), max_size=40
+        ),
+    )
+    def test_post_inlines_sample_in_its_float_order(self, seed, jitter, piggyback, sends):
+        """``post`` computes the latency itself; bit for bit what
+        ``LatencyModel.sample`` + the FIFO clamp give, on every channel."""
+        latency = LatencyModel(base=2.5e-6, per_byte=1.3e-9, jitter_mean=jitter)
+        posted = Network(seed=seed, latency=latency, piggyback_bytes=piggyback)
+        timed = Network(seed=seed, latency=latency, piggyback_bytes=piggyback)
+        for i, (src, dst, nbytes) in enumerate(sends):
+            send_time = i * 3.7e-7
+            assert posted.post(src, dst, send_time, nbytes)[1] == timed.delivery_time(
+                src, dst, send_time, nbytes
+            )
+
     def test_piggyback_increases_latency(self):
         lat = LatencyModel(base=0.0, per_byte=1e-6, jitter_mean=0.0)
         bare = Network(seed=0, latency=lat, piggyback_bytes=0)

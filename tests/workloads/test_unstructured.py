@@ -87,6 +87,36 @@ class TestTopology:
         nbrs2, _ = rank_topology(cfg2)
         assert len({len(n) for n in nbrs2.values()}) > 1
 
+    @staticmethod
+    def rank_topology_oracle(cfg):
+        """``rank_topology`` as it was first written: one pass over
+        ``mesh_edges`` with a set of neighbors per rank."""
+        mesh = cfg.mesh()
+        owner = partition(cfg, mesh)
+        neighbors = {r: set() for r in range(cfg.nprocs)}
+        shared = {}
+        for u, v in mesh_edges(mesh[1]):
+            ru, rv = owner[u], owner[v]
+            if ru == rv:
+                continue
+            neighbors[ru].add(rv)
+            neighbors[rv].add(ru)
+            shared.setdefault((ru, rv), []).append((u, v))
+            shared.setdefault((rv, ru), []).append((v, u))
+        return {r: sorted(s) for r, s in neighbors.items()}, shared
+
+    @pytest.mark.parametrize(
+        "nprocs, vertices, radius",
+        [(2, 2, 1.5), (4, 40, 0.15), (6, 60, 0.35), (16, 200, 0.05), (64, 256, 0.35)],
+    )
+    def test_topology_matches_the_edge_loop(self, nprocs, vertices, radius):
+        for seed in (1, 404):
+            cfg = UnstructuredConfig(nprocs, vertices=vertices, radius=radius, seed=seed)
+            neighbors, shared = rank_topology(cfg)
+            expected = self.rank_topology_oracle(cfg)
+            assert (neighbors, shared) == expected
+            assert list(shared) == list(expected[1])  # the same key order too
+
     def test_partition_balanced(self):
         cfg = UnstructuredConfig(nprocs=5, vertices=50)
         owner = partition(cfg)
