@@ -4,7 +4,8 @@ Measures what ISSUE 4's tentpole costs when it is on — and proves it
 costs nothing when it is off:
 
 * flow-correlation overhead — a record+replay pair with
-  :class:`~repro.obs.FlowRecorder` attached vs the same pair bare;
+  :class:`~repro.obs.ColumnarFlowRecorder` (what every session attaches)
+  vs the same pair bare;
 * watchdog overhead — a polling progress watchdog on a healthy run;
 * a sample merged timeline artifact (``benchmarks/output/``) that CI
   uploads, validated before it is written;
@@ -30,7 +31,7 @@ from repro.analysis import render_table
 from repro.core import Method, compress
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.obs import (
-    FlowRecorder,
+    ColumnarFlowRecorder,
     WatchdogConfig,
     merged_timeline,
     validate_chrome_trace,
@@ -78,12 +79,12 @@ def _best_of(fn, repeats=3):
 
 def record_replay(flow=False, watchdog=None):
     program = make_program()
-    rec_flow = FlowRecorder("record") if flow else None
+    rec_flow = ColumnarFlowRecorder("record") if flow else None
     record = RecordSession(
         program, nprocs=NPROCS, network_seed=1, keep_outcomes=False,
         flow=rec_flow, watchdog=watchdog,
     ).run()
-    rep_flow = FlowRecorder("replay") if flow else None
+    rep_flow = ColumnarFlowRecorder("replay") if flow else None
     ReplaySession(
         program, record.archive, network_seed=2,
         flow=rep_flow, watchdog=watchdog,
@@ -109,10 +110,10 @@ class TestFlowCorrelationOverhead:
                     ("flow recorders attached", f"{t_flow:.4f}"),
                 ],
                 note=f"overhead {100 * (ratio - 1):+.1f}% "
-                     "(append-only dataclass capture)",
+                     "(columnar capture, one list extend per endpoint)",
             ),
         )
-        # capture is two list appends per event; anything past 2x is a bug
+        # capture is one list extend per endpoint; anything past 2x is a bug
         assert ratio < 2.0
 
     def test_watchdog_overhead(self, timeline_results):
@@ -149,7 +150,7 @@ class TestTimelineArtifact:
         path = os.path.join(out_dir, "timeline_sample.json")
         write_timeline([rec_flow, rep_flow], path)
         flows = trace["otherData"]["flows"]
-        receives = len(rec_flow.receives) + len(rep_flow.receives)
+        receives = rec_flow.num_receives + rep_flow.num_receives
         timeline_results["timeline_events"] = len(trace["traceEvents"])
         timeline_results["timeline_flow_arrows"] = flows
         emit(
@@ -167,8 +168,9 @@ class TestTimelineArtifact:
             ),
         )
         assert flows > 0
-        assert flows == len({r.key for r in rec_flow.receives}) + len(
-            {r.key for r in rep_flow.receives}
+        assert flows == sum(
+            len(set(zip(rec.recv_clock.values.tolist(), rec.recv_sender.values.tolist())))
+            for rec in (rec_flow, rep_flow)
         )
 
 

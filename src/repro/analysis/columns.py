@@ -57,21 +57,11 @@ class RehydratedRun:
 
     @classmethod
     def from_flow(cls, rec: Any, nprocs: int = 0, result: Any = None) -> RehydratedRun:
-        """Columns of either recorder flavor; a columnar one is not copied."""
-        if hasattr(rec, "send_src"):  # ColumnarFlowRecorder
-            sends = [getattr(rec, "send_" + c).values for c in _SEND]
-            receives = [getattr(rec, "recv_" + c).values for c in _RECV]
-            callsites, kinds = list(rec.callsites), list(rec.kinds)
-        else:  # FlowRecorder: object records; intern (callsite, kind)
-            ids: dict[tuple[str, str], int] = {}
-            cs = [ids.setdefault((r.callsite, r.kind), len(ids)) for r in rec.receives]
-            callsites, kinds = [k[0] for k in ids], [k[1] for k in ids]
-            sends = [[getattr(s, c) for s in rec.sends] for c in _SEND]
-            receives = [[getattr(r, c) for r in rec.receives] for c in _RECV]
-            receives[1] = cs
-
-        dtypes = (np.int64,) * 4 + (np.float64,)
-        columns = [np.asarray(c, dtype=d) for c, d in zip(sends + receives, dtypes * 2)]
+        """Views of a :class:`~repro.obs.causal.ColumnarFlowRecorder`'s
+        columns, not copies."""
+        columns = [getattr(rec, "send_" + c).values for c in _SEND]
+        columns += [getattr(rec, "recv_" + c).values for c in _RECV]
+        callsites, kinds = list(rec.callsites), list(rec.kinds)
         return cls(rec.label, nprocs, *columns, callsites, kinds, tuple(range(nprocs)), result)
 
     @classmethod
@@ -174,15 +164,6 @@ def _same_record(a: Any, b: Any) -> bool:
     )
 
 
-def _opened(a: Any, b: Any) -> tuple[Any, Any, dict[str, Any] | None]:
-    """Both operands, a directory opened once, and the workload metadata
-    either side can lend the other."""
-    from repro.replay.durable_store import open_run
-
-    a, b = (open_run(s) if isinstance(s, str) else s for s in (a, b))
-    return a, b, workload_meta(a) or workload_meta(b)
-
-
 def rehydrate_pair(a: Any, b: Any) -> tuple[RehydratedRun, RehydratedRun]:
     """Both operands of a diff as columns: a :class:`RehydratedRun` passes
     through, outcome streams held in memory are converted, a record is
@@ -192,7 +173,8 @@ def rehydrate_pair(a: Any, b: Any) -> tuple[RehydratedRun, RehydratedRun]:
     (:func:`_same_record`) the second one *is* the first (Theorem 2)."""
     from repro.replay.durable_store import open_run
 
-    a, b, fallback = _opened(a, b)
+    a, b = (open_run(s) if isinstance(s, str) else s for s in (a, b))  # a directory once
+    fallback = workload_meta(a) or workload_meta(b)
     out: list[RehydratedRun] = []
     first: tuple | None = None  # (stored run, workload, program) of the first replay
     for source in (a, b):
@@ -237,10 +219,3 @@ def run_outcomes(
     if streams is None:
         streams = rehydrate_run(source, network_seed, workload_fallback).outcomes
     return {int(r): list(stream) for r, stream in streams.items()}
-
-
-def paired_outcomes(a: Any, b: Any) -> tuple[dict, dict]:
-    """Wrapper: :func:`run_outcomes` of both sides of a diff (no replay-once:
-    that is :func:`rehydrate_pair`)."""
-    a, b, fallback = _opened(a, b)
-    return tuple(run_outcomes(s, workload_fallback=fallback) for s in (a, b))

@@ -271,7 +271,6 @@ def analyze_critical_path(
     """Critical path + wait-state attribution for any run-shaped source.
 
     ``source`` is a :class:`~repro.analysis.columns.RehydratedRun`, a
-    :class:`~repro.obs.causal.FlowRecorder` /
     :class:`~repro.obs.causal.ColumnarFlowRecorder`, a
     :class:`~repro.replay.session.RunResult` with a flow attached, or a
     record — a :class:`~repro.replay.durable_store.RecordArchive`, an

@@ -40,10 +40,9 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.analysis.columns import (  # the last three: re-exported wrappers
+from repro.analysis.columns import (  # the last two: re-exported wrappers
     RehydratedRun,
     rehydrate_pair,
-    paired_outcomes,
     rehydrate_run,
     run_outcomes,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "diff_runs",
     "divergence_timeline",
     "kendall_tau_distance",
-    "paired_outcomes",
     "rehydrate_run",
     "run_outcomes",
     "validate_divergence_json",
@@ -640,35 +638,44 @@ def divergence_timeline(
 ) -> dict[str, Any]:
     """Merged Perfetto trace of *only* the divergent region of both runs.
 
-    Reuses the causal flow machinery of :mod:`repro.obs.causal`: for every
-    delivery inside the divergence window a synthetic send slice is placed
-    on the sender's row at the delivery's own identity, so each receive
-    gets exactly one flow arrow — run A and run B side by side as process
-    groups, arrows drawn only where the runs disagree. Timestamps are
-    delivery positions in virtual microseconds, which preserves relative
-    order — the property the diff is about. ``a`` / ``b`` are what
-    :func:`diff_runs` took; hand in the :class:`RehydratedRun` pair it was
-    given and nothing is replayed again.
+    Reuses the causal flow machinery of :mod:`repro.obs.causal`: each run's
+    region is a :class:`RehydratedRun` with a receive row per delivery inside
+    the divergence window and a synthetic send row on the sender's track at
+    the delivery's own identity, so each receive gets exactly one flow arrow
+    — run A and run B side by side as process groups, arrows drawn only
+    where the runs disagree. Timestamps are delivery positions in virtual
+    microseconds, which preserves relative order — the property the diff is
+    about. ``a`` / ``b`` are what :func:`diff_runs` took; hand in the
+    :class:`RehydratedRun` pair it was given and nothing is replayed again.
     """
-    from repro.obs.causal import FlowReceive, FlowRecorder, merged_timeline
+    from repro.obs.causal import merged_timeline
 
     diverged = sorted(report.per_rank, key=lambda d: d.rank)
     ranks = np.array([d.rank for d in diverged], dtype=np.int64)
-    runs = dict(zip((report.label_a, report.label_b), rehydrate_pair(a, b)))
-    recorders = []
-    for label, run in runs.items():
-        rec = FlowRecorder(f"{label} (divergent region)")
+    parted = np.array([d.position for d in diverged], dtype=np.int64)
+    regions = []
+    for label, run in zip((report.label_a, report.label_b), rehydrate_pair(a, b)):
         streams = _Streams(run, ranks, _shared_names(run))
-        for r, d in enumerate(diverged):
-            lo = max(0, d.position - window)
-            for hop in streams.window(r, lo, d.position + window + 1):
-                t = (hop.position + 1) * 1e-6  # +1 keeps send slices at ts >= 0
-                rec.on_send(hop.sender, d.rank, 0, hop.clock, t - 0.5e-6)
-                rec.receives.append(
-                    FlowReceive(d.rank, hop.callsite, "recv", hop.sender, hop.clock, t)
-                )
-        recorders.append(rec)
-    return merged_timeline(recorders, flow_category="divergence")
+        # every rank's window, clipped to its stream, end to end: row i is
+        # position[i] of rank index owner[i]
+        hi = np.minimum(parted + window + 1, streams.count)
+        lo = np.minimum(np.maximum(parted - window, 0), hi)
+        count = hi - lo
+        owner = np.repeat(np.arange(ranks.shape[0]), count)
+        position = lo[owner] + np.arange(owner.shape[0]) - (np.cumsum(count) - count)[owner]
+        rows = streams.start[owner] + position
+        sender, clock, receiver = streams.sender[rows], streams.clock[rows], ranks[owner]
+        t = (position + 1) * 1e-6  # +1 keeps send slices at ts >= 0
+        regions.append(
+            RehydratedRun(
+                f"{label} (divergent region)", 0,
+                sender, receiver, np.zeros_like(sender), clock, t - 0.5e-6,
+                receiver, streams.callsite[rows], sender, clock, t,
+                streams.names, ["recv"] * len(streams.names), tuple(ranks.tolist()),
+            )  # fmt: skip
+        )
+    return merged_timeline(regions, flow_category="divergence")
+
 
 def write_divergence_timeline(
     report: DivergenceReport, a: Any, b: Any, path: str, window: int = CONTEXT_EVENTS

@@ -476,13 +476,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_timeline(args: argparse.Namespace) -> int:
     """Record then replay a workload, emitting one causally-linked timeline.
 
-    Both runs attach a :class:`~repro.obs.FlowRecorder`, so the output is a
-    single Chrome ``trace_event`` JSON in which every matched receive has a
-    flow arrow from the ``MPI_Isend`` that caused it — across ranks, and
-    with record and replay side by side as separate process groups.
+    Both runs attach a :class:`~repro.obs.ColumnarFlowRecorder`, so the
+    output is a single Chrome ``trace_event`` JSON in which every matched
+    receive has a flow arrow from the ``MPI_Isend`` that caused it — across
+    ranks, and with record and replay side by side as separate process
+    groups.
     """
     from repro.obs import (
-        FlowRecorder,
+        ColumnarFlowRecorder,
         TelemetryRegistry,
         validate_chrome_trace,
         write_metrics_jsonl,
@@ -492,7 +493,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
     program, _ = make_workload(args.workload, args.nprocs, **params)
     registry = TelemetryRegistry() if args.metrics_out else None
-    rec_flow = FlowRecorder("record")
+    rec_flow = ColumnarFlowRecorder("record")
     record = RecordSession(
         program,
         nprocs=args.nprocs,
@@ -502,7 +503,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     ).run()
     recorders = [rec_flow]
     if not args.no_replay:
-        rep_flow = FlowRecorder("replay")
+        rep_flow = ColumnarFlowRecorder("replay")
         ReplaySession(
             program,
             record.archive,
@@ -512,12 +513,12 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         ).run()
         recorders.append(rep_flow)
     trace = write_timeline(recorders, args.out)
-    unmatched = []
+    unhealthy = []
     for rec in recorders:
         stats = rec.match_stats()
         print(stats.describe())
-        if stats.match_rate < 1.0:
-            unmatched.append(stats)
+        if stats.match_rate < 1.0 or stats.duplicate_sends:
+            unhealthy.append(stats)
     print(
         f"timeline: {args.out} ({len(trace['traceEvents']):,} events, "
         f"{trace['otherData']['flows']} flow arrows) — load in "
@@ -531,12 +532,13 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         for problem in problems[:10]:
             print(f"  ⚠ {problem}")
         return 1
-    if args.strict and unmatched:
-        for stats in unmatched:
+    if args.strict and unhealthy:
+        for stats in unhealthy:
             print(
-                f"  ⚠ strict: {stats.label} correlated only "
+                f"  ⚠ strict: {stats.label} correlated "
                 f"{100 * stats.match_rate:.1f}% of receives "
-                f"({stats.matched}/{stats.receives})"
+                f"({stats.matched}/{stats.receives}) and repeated "
+                f"{stats.duplicate_sends} send identities"
             )
         return 1
     return 0
@@ -786,7 +788,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(f"explain report: {args.json}")
     if args.timeline:
         trace = write_timeline(
-            [columns.result.flow], args.timeline, critical_path=result.timeline_slices()
+            [columns], args.timeline, critical_path=result.timeline_slices()
         )
         print(
             f"explain timeline: {args.timeline} "
@@ -883,17 +885,12 @@ def cmd_dash(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_transcode(args: argparse.Namespace) -> int:
-    """Compress a portable JSON-lines trace with every Figure 13 method."""
-    from repro.core.trace_io import read_trace
-
-    outcomes = read_trace(args.trace)
-    reports = [compare_methods(stream) for stream in outcomes.values() if stream]
+def _print_methods(subject: str, reports: list, extra: str = "") -> int:
+    """Print the Figure 13 methods table of per-rank method reports."""
     agg = aggregate_reports(reports)
     print(
         render_table(
-            f"compression methods on trace {args.trace} "
-            f"({agg.num_receive_events:,} events, {len(outcomes)} ranks)",
+            f"compression methods on {subject} ({agg.num_receive_events:,} events{extra})",
             ["method", "size", "bytes/event", "rate vs raw"],
             [
                 (
@@ -908,6 +905,15 @@ def cmd_transcode(args: argparse.Namespace) -> int:
         )
     )
     return 0
+
+
+def cmd_transcode(args: argparse.Namespace) -> int:
+    """Compress a portable JSON-lines trace with every Figure 13 method."""
+    from repro.core.trace_io import read_trace
+
+    outcomes = read_trace(args.trace)
+    reports = [compare_methods(stream) for stream in outcomes.values() if stream]
+    return _print_methods(f"trace {args.trace}", reports, f", {len(outcomes)} ranks")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -916,27 +922,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     run = RecordSession(
         program, nprocs=args.nprocs, network_seed=args.network_seed
     ).run()
-    agg = aggregate_reports(
-        [compare_methods(run.outcomes[r]) for r in range(args.nprocs)]
-    )
-    print(
-        render_table(
-            f"compression methods on {args.workload} at {args.nprocs} ranks "
-            f"({agg.num_receive_events:,} events)",
-            ["method", "size", "bytes/event", "rate vs raw"],
-            [
-                (
-                    m.value,
-                    human_bytes(agg.sizes[m]),
-                    f"{agg.bytes_per_event(m):.3f}",
-                    f"{agg.compression_rate(m):.1f}x",
-                )
-                for m in ALL_METHODS
-            ],
-            note=f"CDC vs gzip: {agg.rate_vs_gzip():.2f}x",
-        )
-    )
-    return 0
+    reports = [compare_methods(run.outcomes[r]) for r in range(args.nprocs)]
+    return _print_methods(f"{args.workload} at {args.nprocs} ranks", reports)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -1185,7 +1172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_timeline.add_argument(
         "--strict", action="store_true",
         help="exit nonzero when any run correlates < 100%% of its receives "
-             "(FlowMatchStats.match_rate < 1.0)",
+             "or repeats a send identity (FlowMatchStats.match_rate < 1.0 or "
+             "duplicate_sends > 0)",
     )
     p_timeline.set_defaults(func=cmd_timeline)
 

@@ -28,9 +28,6 @@ import importlib
 from repro.obs.causal import (
     ColumnarFlowRecorder,
     FlowMatchStats,
-    FlowRecorder,
-    FlowReceive,
-    FlowSend,
     merged_timeline,
     write_timeline,
 )
@@ -99,9 +96,6 @@ __all__ = [
     "Counter",
     "DivergenceCandidate",
     "FlowMatchStats",
-    "FlowReceive",
-    "FlowRecorder",
-    "FlowSend",
     "Gauge",
     "Histogram",
     "LedgerEntry",

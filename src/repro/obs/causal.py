@@ -3,8 +3,8 @@
 The paper's piggybacked Lamport clocks give every message a globally
 unique identity for free: channels are FIFO and a sender's attached
 clocks strictly increase, so ``(sender rank, clock)`` names exactly one
-message (Definition 4). A :class:`FlowRecorder` captures both ends of
-that identity as the engine runs — ``MPI_Isend`` on the sender
+message (Definition 4). A :class:`ColumnarFlowRecorder` captures both
+ends of that identity as the engine runs — ``MPI_Isend`` on the sender
 (:meth:`~repro.sim.engine.Engine.isend` computes the clock) and the
 matching-function completion on the receiver (the PMPI seam reports every
 matched :class:`~repro.core.events.ReceiveEvent`) — and
@@ -27,14 +27,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.obs.registry import get_registry
-
 __all__ = [
     "ColumnarFlowRecorder",
     "FlowMatchStats",
-    "FlowRecorder",
-    "FlowReceive",
-    "FlowSend",
     "merged_timeline",
     "write_timeline",
 ]
@@ -45,37 +40,6 @@ _RECV_DUR_US = 0.5
 
 
 @dataclass(frozen=True)
-class FlowSend:
-    """One ``MPI_Isend``: the flow's origin."""
-
-    src: int
-    dst: int
-    tag: int
-    clock: int
-    t: float  # virtual seconds at post time
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.clock, self.src)
-
-
-@dataclass(frozen=True)
-class FlowReceive:
-    """One matched receive inside an MF completion: the flow's target."""
-
-    rank: int
-    callsite: str
-    kind: str
-    sender: int
-    clock: int
-    t: float  # virtual seconds at delivery time
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.clock, self.sender)
-
-
-@dataclass(frozen=True)
 class FlowMatchStats:
     """How many send/receive pairs a recorder correlated."""
 
@@ -83,112 +47,40 @@ class FlowMatchStats:
     sends: int
     receives: int
     matched: int
+    #: sends whose (clock, sender) identity an earlier send already took.
+    #: Always 0 for a healthy engine: Definition 4 makes the piggybacked
+    #: clocks strictly increasing per sender.
+    duplicate_sends: int
 
     @property
     def match_rate(self) -> float:
         return self.matched / self.receives if self.receives else 0.0
 
     def describe(self) -> str:
-        return (
+        text = (
             f"{self.label}: {self.sends} sends, {self.receives} matched "
             f"receives, {self.matched} flow arrows "
             f"({100 * self.match_rate:.1f}% correlated)"
         )
-
-
-class FlowRecorder:
-    """Collects send and delivery endpoints for one engine run.
-
-    Attach via ``Engine(flow_recorder=...)`` or the sessions' ``flow=``
-    parameter; the engine calls :meth:`on_send`, the PMPI seam calls
-    :meth:`on_delivery`. Recording is append-only plain data — cheap
-    enough to leave on for any traced run.
-    """
-
-    def __init__(self, label: str = "run") -> None:
-        self.label = label
-        self.sends: list[FlowSend] = []
-        self.receives: list[FlowReceive] = []
-        #: sends whose (clock, sender) identity was already taken — each one
-        #: would silently corrupt the flow graph, so they are counted (and
-        #: telemetered as ``flow.duplicate_send``) instead of winning the
-        #: index. Always 0 for a healthy engine: Definition 4 makes the
-        #: piggybacked clocks strictly increasing per sender.
-        self.duplicate_sends = 0
-        self._send_keys: set[tuple[int, int]] = set()
-
-    # -- engine hooks --------------------------------------------------------
-
-    def on_send(self, src: int, dst: int, tag: int, clock: int, t: float) -> None:
-        send = FlowSend(src, dst, tag, clock, t)
-        if send.key in self._send_keys:
-            self.duplicate_sends += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("flow.duplicate_send").add()
-        else:
-            self._send_keys.add(send.key)
-        self.sends.append(send)
-
-    def on_delivery(
-        self,
-        rank: int,
-        callsite: str,
-        kind: str,
-        t: float,
-        events: Sequence[Any],
-    ) -> None:
-        """Record matched receives (anything with ``.rank`` and ``.clock``).
-
-        Duck-typed on :class:`~repro.core.events.ReceiveEvent` rather than
-        importing it — ``repro.core`` imports ``repro.obs`` for its span
-        instrumentation, so the obs package must not import back.
-        """
-        for ev in events:
-            self.receives.append(
-                FlowReceive(rank, callsite, kind, ev.rank, ev.clock, t)
-            )
-
-    # -- correlation ---------------------------------------------------------
-
-    def send_index(self) -> dict[tuple[int, int], FlowSend]:
-        """Map ``(clock, sender)`` identity -> send record.
-
-        On a duplicate key the *first* send wins: channels are FIFO, so the
-        first post under an identity is the message a matched receive can
-        actually name. Duplicates are visible in :attr:`duplicate_sends`
-        and the ``flow.duplicate_send`` counter rather than silently
-        replacing earlier records.
-        """
-        index: dict[tuple[int, int], FlowSend] = {}
-        for s in self.sends:
-            index.setdefault(s.key, s)
-        return index
-
-    def match_stats(self) -> FlowMatchStats:
-        index = self.send_index()
-        matched = sum(1 for r in self.receives if r.key in index)
-        return FlowMatchStats(
-            label=self.label,
-            sends=len(self.sends),
-            receives=len(self.receives),
-            matched=matched,
-        )
+        if self.duplicate_sends:
+            text += f", {self.duplicate_sends} duplicate send identities"
+        return text
 
 
 class ColumnarFlowRecorder:
-    """Flow capture as columnar arrays — no per-event Python objects.
+    """Collects send and delivery endpoints for one engine run, as columns.
 
-    Same duck-typed hook surface as :class:`FlowRecorder` (attach via the
-    sessions' ``flow=`` parameter), but every endpoint lands in
-    grow-by-doubling int64/float64 columns
-    (:class:`~repro.core.columnar.GrowColumn`) instead of a dataclass per
-    event. This is what makes ``repro explain`` viable at paper scale: a
-    256-rank, million-event run is one list extend per endpoint during
-    capture (endpoints are staged flat and moved into the columns a block
-    at a time, or when a column is read), and the critical-path analysis
-    then runs vectorized passes over the views — the same columnar
-    discipline the CDC encoder uses for its identifier columns.
+    Attach via ``Engine(flow_recorder=...)`` or the sessions' ``flow=``
+    parameter; the engine calls :meth:`on_send`, the PMPI seam calls
+    :meth:`on_delivery`. Every endpoint lands in grow-by-doubling
+    int64/float64 columns (:class:`~repro.core.columnar.GrowColumn`), no
+    Python object per event. This is what makes ``repro explain`` viable
+    at paper scale: a 256-rank, million-event run is one list extend per
+    endpoint during capture (endpoints are staged flat and moved into the
+    columns a block at a time, or when a column is read), and the
+    critical-path analysis then runs vectorized passes over the views —
+    the same columnar discipline the CDC encoder uses for its identifier
+    columns.
 
     Callsite strings are interned to dense ids (``callsites[id]`` /
     ``kinds[id]``), so per-callsite attribution is a ``bincount``, not a
@@ -243,6 +135,12 @@ class ColumnarFlowRecorder:
         t: float,
         events: Sequence[Any],
     ) -> None:
+        """Record matched receives (anything with ``.rank`` and ``.clock``).
+
+        Duck-typed on :class:`~repro.core.events.ReceiveEvent` rather than
+        importing it — ``repro.core`` imports ``repro.obs`` for its span
+        instrumentation, so the obs package must not import back.
+        """
         cs = self._callsite_ids.get((callsite, kind))
         if cs is None:
             cs = self._callsite_ids[(callsite, kind)] = len(self.callsites)
@@ -330,30 +228,8 @@ class ColumnarFlowRecorder:
             sends=self.num_sends,
             receives=self.num_receives,
             matched=matched,
+            duplicate_sends=self.duplicate_send_count(),
         )
-
-    def to_flow_recorder(self) -> FlowRecorder:
-        """Materialize object records (timeline export of human-scale runs)."""
-        rec = FlowRecorder(self.label)
-        for src, dst, tag, clock, t in zip(
-            self.send_src.values.tolist(),
-            self.send_dst.values.tolist(),
-            self.send_tag.values.tolist(),
-            self.send_clock.values.tolist(),
-            self.send_t.values.tolist(),
-        ):
-            rec.on_send(src, dst, tag, clock, t)
-        rec.receives = [
-            FlowReceive(rank, self.callsites[cs], self.kinds[cs], sender, clock, t)
-            for rank, cs, sender, clock, t in zip(
-                self.recv_rank.values.tolist(),
-                self.recv_callsite.values.tolist(),
-                self.recv_sender.values.tolist(),
-                self.recv_clock.values.tolist(),
-                self.recv_t.values.tolist(),
-            )
-        ]
-        return rec
 
 
 def _us(t: float) -> float:
@@ -361,19 +237,21 @@ def _us(t: float) -> float:
 
 
 def merged_timeline(
-    recorders: Sequence[FlowRecorder],
+    recorders: Sequence[Any],
     flow_category: str = "flow",
     critical_path: Sequence[Mapping[str, Any]] | None = None,
 ) -> dict[str, Any]:
     """Join one or more runs into a single causally-linked Chrome trace.
 
-    Each recorder becomes a process group (``pid`` = position + 1, named
-    by its label) whose threads are the ranks; sends and deliveries render
-    as short complete slices, and every receive whose ``(clock, sender)``
-    identity appears among the run's sends gets a flow-event pair (``ph:
-    "s"`` at the send, ``ph: "f"`` with ``bp: "e"`` at the delivery).
-    Flow ids are unique across the whole merged trace, so record and
-    replay arrows never alias.
+    Each run — a :class:`ColumnarFlowRecorder` or a
+    :class:`~repro.analysis.columns.RehydratedRun` — becomes a process group
+    (``pid`` = position + 1, named by its label) whose threads are the
+    ranks; sends and deliveries render as short complete slices, and every
+    receive whose ``(clock, sender)`` identity appears among the run's
+    sends gets a flow-event pair (``ph: "s"`` at the send, ``ph: "f"`` with
+    ``bp: "e"`` at the delivery). Flow ids are unique across the whole
+    merged trace, so record and replay arrows never alias; on a duplicate
+    identity the first post takes the id (channels are FIFO).
 
     ``critical_path`` highlights a run's longest weighted causal chain as
     a distinct track: a dedicated "critical path" process group whose
@@ -383,28 +261,28 @@ def merged_timeline(
     ``"callsite"`` / ``"from_rank"`` args (see
     :meth:`repro.analysis.critical_path.CriticalPathResult.timeline_slices`).
     """
+    # lazy, for the same core->obs->core reason as GrowColumn above.
+    from repro.analysis.columns import RehydratedRun
+
     events: list[dict[str, Any]] = []
     metadata: list[dict[str, Any]] = []
     next_flow_id = 1
-    recorders = [
-        rec.to_flow_recorder() if isinstance(rec, ColumnarFlowRecorder) else rec
-        for rec in recorders
-    ]
-    for run_idx, rec in enumerate(recorders):
-        pid = run_idx + 1
+    runs = [r if isinstance(r, RehydratedRun) else RehydratedRun.from_flow(r) for r in recorders]
+    for pid, run in enumerate(runs, start=1):
         metadata.append(
             {
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
                 "tid": 0,
-                "args": {"name": rec.label},
+                "args": {"name": run.label},
             }
         )
-        ranks = sorted(
-            {s.src for s in rec.sends} | {r.rank for r in rec.receives}
-        )
-        for rank in ranks:
+        sends = [getattr(run, "send_" + c).tolist() for c in ("src", "dst", "tag", "clock", "t")]
+        receives = [
+            getattr(run, "recv_" + c).tolist() for c in ("rank", "cs", "sender", "clock", "t")
+        ]
+        for rank in sorted({*sends[0], *receives[0]}):
             metadata.append(
                 {
                     "name": "thread_name",
@@ -415,24 +293,23 @@ def merged_timeline(
                 }
             )
         flow_ids: dict[tuple[int, int], int] = {}
-        matched_keys = {r.key for r in rec.receives}
-        index = rec.send_index()
-        for s in rec.sends:
-            ts = _us(s.t)
+        matched_keys = set(zip(receives[3], receives[2]))
+        for src, dst, tag, clock, t in zip(*sends):
+            ts = _us(t)
             events.append(
                 {
-                    "name": f"isend → {s.dst}",
+                    "name": f"isend → {dst}",
                     "cat": "send",
                     "ph": "X",
                     "ts": ts,
                     "dur": _SEND_DUR_US,
                     "pid": pid,
-                    "tid": s.src,
-                    "args": {"dst": s.dst, "tag": s.tag, "clock": s.clock},
+                    "tid": src,
+                    "args": {"dst": dst, "tag": tag, "clock": clock},
                 }
             )
-            if s.key in matched_keys:
-                flow_id = flow_ids.setdefault(s.key, next_flow_id)
+            if (clock, src) in matched_keys:
+                flow_id = flow_ids.setdefault((clock, src), next_flow_id)
                 if flow_id == next_flow_id:
                     next_flow_id += 1
                 events.append(
@@ -443,30 +320,31 @@ def merged_timeline(
                         "id": flow_id,
                         "ts": ts,
                         "pid": pid,
-                        "tid": s.src,
-                        "args": {"clock": s.clock, "sender": s.src},
+                        "tid": src,
+                        "args": {"clock": clock, "sender": src},
                     }
                 )
-        for r in rec.receives:
-            ts = _us(r.t)
+        for rank, cs, sender, clock, t in zip(*receives):
+            ts = _us(t)
+            callsite = run.callsites[cs]
             events.append(
                 {
-                    "name": f"{r.kind} @ {r.callsite}",
+                    "name": f"{run.kinds[cs]} @ {callsite}",
                     "cat": "recv",
                     "ph": "X",
                     "ts": ts,
                     "dur": _RECV_DUR_US,
                     "pid": pid,
-                    "tid": r.rank,
+                    "tid": rank,
                     "args": {
-                        "sender": r.sender,
-                        "clock": r.clock,
-                        "callsite": r.callsite,
+                        "sender": sender,
+                        "clock": clock,
+                        "callsite": callsite,
                     },
                 }
             )
-            flow_id = flow_ids.get(r.key)
-            if flow_id is not None and r.key in index:
+            flow_id = flow_ids.get((clock, sender))
+            if flow_id is not None:
                 events.append(
                     {
                         "name": "msg",
@@ -476,13 +354,13 @@ def merged_timeline(
                         "id": flow_id,
                         "ts": ts,
                         "pid": pid,
-                        "tid": r.rank,
-                        "args": {"clock": r.clock, "sender": r.sender},
+                        "tid": rank,
+                        "args": {"clock": clock, "sender": sender},
                     }
                 )
     path_edges = 0
     if critical_path:
-        pid = len(recorders) + 1
+        pid = len(runs) + 1
         metadata.append(
             {
                 "name": "process_name",
@@ -531,7 +409,7 @@ def merged_timeline(
         "traceEvents": metadata + events,
         "displayTimeUnit": "ms",
         "otherData": {
-            "runs": [rec.label for rec in recorders],
+            "runs": [run.label for run in runs],
             "flows": next_flow_id - 1,
         },
     }
@@ -541,7 +419,7 @@ def merged_timeline(
 
 
 def write_timeline(
-    recorders: Sequence[FlowRecorder],
+    recorders: Sequence[Any],
     path: str,
     critical_path: Sequence[Mapping[str, Any]] | None = None,
 ) -> dict[str, Any]:

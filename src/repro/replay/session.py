@@ -24,7 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.core.events import MFOutcome
 from repro.errors import RecordExhausted, ReplayStallError, SimulationError
 from repro.obs import (
-    FlowRecorder,
+    ColumnarFlowRecorder,
     MetricsStreamWriter,
     NullRegistry,
     ProgressWatchdog,
@@ -89,7 +89,7 @@ class RunResult:
     registry: TelemetryRegistry | NullRegistry | None = None
     #: causal flow capture, when the session ran with ``flow=`` — feed to
     #: :func:`repro.obs.merged_timeline` for the cross-rank Chrome trace.
-    flow: FlowRecorder | None = None
+    flow: ColumnarFlowRecorder | None = None
     #: watchdog post-mortem, when a stall fired and policy degraded to a
     #: partial result instead of raising.
     stall: StallReport | None = None
@@ -133,7 +133,7 @@ class _Session:
         latency: LatencyModel | None = None,
         engine_kwargs: Mapping[str, Any] | None = None,
         telemetry: Any = None,
-        flow: FlowRecorder | None = None,
+        flow: ColumnarFlowRecorder | None = None,
         watchdog: Any = None,
         metrics_stream: str | None = None,
         metrics_interval: float = 0.05,
@@ -152,7 +152,7 @@ class _Session:
         #: True = fresh private registry, False = force off, or pass a
         #: :class:`~repro.obs.TelemetryRegistry` to share one across runs.
         self.registry = resolve_registry(telemetry)
-        #: optional causal flow capture (repro.obs.causal.FlowRecorder).
+        #: optional causal flow capture (repro.obs.causal.ColumnarFlowRecorder).
         self.flow = flow
         #: ``watchdog``: None = off, a float = deadline in wall seconds,
         #: or a :class:`~repro.obs.WatchdogConfig` for policy control.
@@ -326,7 +326,7 @@ class RecordSession(_Session):
         store_retry: RetryPolicy | None = None,
         meta: Mapping[str, Any] | None = None,
         telemetry: Any = None,
-        flow: FlowRecorder | None = None,
+        flow: ColumnarFlowRecorder | None = None,
         watchdog: Any = None,
         metrics_stream: str | None = None,
         metrics_interval: float = 0.05,
@@ -436,7 +436,7 @@ class ReplaySession(_Session):
         mode: str = "strict",
         keep_outcomes: bool = True,
         telemetry: Any = None,
-        flow: FlowRecorder | None = None,
+        flow: ColumnarFlowRecorder | None = None,
         watchdog: Any = None,
         metrics_stream: str | None = None,
         metrics_interval: float = 0.05,

@@ -93,7 +93,7 @@ class Engine:
         self.stats = SimStats(nprocs)
         #: optional EngineTracer flight recorder (see repro.sim.tracing).
         self.tracer = tracer
-        #: optional FlowRecorder capturing send/delivery pairs for causal
+        #: optional ColumnarFlowRecorder capturing send/delivery pairs for causal
         #: cross-rank tracing (see repro.obs.causal).
         self.flow_recorder = flow_recorder
         #: abort channel: another thread (the progress watchdog) stores an

@@ -4,9 +4,9 @@ The per-event object compare that ``diff_runs`` ran before it worked on
 columns, moved here verbatim (PR 22): every matched receive becomes a
 :class:`~repro.analysis.divergence.Delivery`, the first divergence is a
 Python scan, the per-callsite profile dicts of tuples and a recursive
-merge-sort inversion count. It takes per-rank outcome mappings (what the
-old ``paired_outcomes`` produced); ``oracle_outcomes`` gets them from
-anything the production function accepts, by its own replay.
+merge-sort inversion count. It takes per-rank outcome mappings, one per
+side; ``oracle_outcomes`` gets them from anything the production function
+accepts, by its own replay.
 """
 
 from __future__ import annotations
@@ -273,9 +273,11 @@ def divergence_timeline_oracle(
     groups, arrows drawn only where the runs disagree. Timestamps are
     delivery positions in virtual microseconds (outcome streams carry no
     wall clock), which preserves relative order — the property the diff is
-    about.
+    about. The region is fed hop by hop through the recorder's engine hooks.
     """
-    from repro.obs.causal import FlowRecorder, merged_timeline
+    from types import SimpleNamespace
+
+    from repro.obs.causal import ColumnarFlowRecorder, merged_timeline
 
     outs = dict(
         zip((report.label_a, report.label_b), (oracle_outcomes(a), oracle_outcomes(b)))
@@ -286,19 +288,12 @@ def divergence_timeline_oracle(
     }
     recorders = []
     for label, streams in outs.items():
-        rec = FlowRecorder(f"{label} (divergent region)")
+        rec = ColumnarFlowRecorder(f"{label} (divergent region)")
         for rank, (lo, hi) in sorted(windows.items()):
             for d in _flatten(streams.get(rank, []))[lo:hi]:
                 t = (d.position + 1) * 1e-6  # +1 keeps send slices at ts >= 0
                 rec.on_send(d.sender, rank, 0, d.clock, t - 0.5e-6)
-                rec.receives.append(
-                    _flow_receive(rank, d.callsite, d.sender, d.clock, t)
-                )
+                hop = SimpleNamespace(rank=d.sender, clock=d.clock)
+                rec.on_delivery(rank, d.callsite, "recv", t, [hop])
         recorders.append(rec)
     return merged_timeline(recorders, flow_category="divergence")
-
-
-def _flow_receive(rank: int, callsite: str, sender: int, clock: int, t: float):
-    from repro.obs.causal import FlowReceive
-
-    return FlowReceive(rank, callsite, "recv", sender, clock, t)

@@ -27,7 +27,7 @@ from repro.analysis.divergence import (
     run_outcomes,
 )
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
-from repro.obs import ColumnarFlowRecorder, FlowRecorder
+from repro.obs import ColumnarFlowRecorder
 from repro.replay.durable_store import RecordArchive, open_run
 from repro.replay.session import RecordSession
 from repro.workloads import make_workload
@@ -286,7 +286,7 @@ class TestRehydrate:
 
     def test_wrappers_keep_their_signatures(self, recorded, replays):
         path, kept = recorded
-        flow = FlowRecorder("mine")
+        flow = ColumnarFlowRecorder("mine")
         result = rehydrate_run(path, network_seed=4, flow=flow)
         assert result.flow is flow and result.outcomes == kept.outcomes
         assert run_outcomes(path) == kept.outcomes
@@ -299,9 +299,9 @@ class TestRehydrate:
         by_columns = analyze_critical_path(run, label="explain").to_json()
         assert analyze_critical_path(path).to_json() == by_columns
         assert analyze_critical_path(run.result.flow, label="explain").to_json() == by_columns
-        objects = FlowRecorder("explain")
-        rehydrate_run(path, flow=objects, keep_outcomes=False)
-        assert analyze_critical_path(objects).to_json() == by_columns
+        mine = ColumnarFlowRecorder("explain")
+        rehydrate_run(path, flow=mine, keep_outcomes=False)
+        assert analyze_critical_path(mine).to_json() == by_columns
         assert replays == ["strict"] * 3
 
     def test_outcome_columns(self):

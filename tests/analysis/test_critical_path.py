@@ -1,12 +1,11 @@
-"""Critical-path & wait-state analysis: units, parity, golden blame.
+"""Critical-path & wait-state analysis: units, golden blame.
 
 The wait-state decomposition is pinned on hand-built two-rank flow graphs
 where every quantity is computable by eye (late-sender vs in-flight vs
-local binding), the vectorized pipeline is held equal between the object
-and columnar recorders and between a live run and its archive
-rehydration, the analysis is proven read-only (archive bytes identical
-before/after), and the 8-rank MCB blame attribution is pinned as a
-golden JSON file — top rank, critical-path share, slack ordering and all.
+local binding), with the recorder's endpoints staged and unstaged; the
+analysis is proven read-only (archive bytes identical before/after), and
+the 8-rank MCB blame attribution is pinned as a golden JSON file — top
+rank, critical-path share, slack ordering and all.
 """
 
 import hashlib
@@ -26,7 +25,6 @@ from repro.analysis.critical_path import (
 )
 from repro.obs import (
     ColumnarFlowRecorder,
-    FlowRecorder,
     TelemetryRegistry,
     merged_timeline,
     use_registry,
@@ -53,7 +51,11 @@ class Ev:
 
 
 def both_recorders():
-    return [FlowRecorder("unit"), ColumnarFlowRecorder("unit")]
+    """The flow recorder as sessions attach it, and one that moves every
+    endpoint into its columns as it arrives (no staging)."""
+    unstaged = ColumnarFlowRecorder("unit")
+    unstaged.STAGE_ENTRIES = 5
+    return [ColumnarFlowRecorder("unit"), unstaged]
 
 
 def feed_late_sender(rec):
@@ -122,7 +124,7 @@ class TestWaitDecomposition:
 
     def test_clock_skew_clips_at_zero(self):
         """Receiver's virtual clock may trail the sender's: no negative edges."""
-        rec = FlowRecorder("skew")
+        rec = ColumnarFlowRecorder("skew")
         rec.on_send(0, 1, 0, 5, 4.0)  # posted 'after' the delivery time
         rec.on_delivery(1, "cs", "test", 3.0, [Ev(0, 5)])
         r = analyze_critical_path(rec)
@@ -130,7 +132,7 @@ class TestWaitDecomposition:
         assert all(e["t1_us"] >= e["t0_us"] for e in r.path)
 
     def test_empty_recorder(self):
-        r = analyze_critical_path(FlowRecorder("empty"))
+        r = analyze_critical_path(ColumnarFlowRecorder("empty"))
         assert r.path == []
         assert r.critical_path_share == 0.0
         assert r.max_slack_us == 0.0
@@ -138,7 +140,7 @@ class TestWaitDecomposition:
 
     def test_first_send_wins_duplicate_identity(self):
         """A duplicated (clock, sender) key matches the first post (FIFO)."""
-        rec = FlowRecorder("dup")
+        rec = ColumnarFlowRecorder("dup")
         rec.on_send(1, 0, 0, 1, 1.0)  # rank 1's local predecessor
         rec.on_send(0, 1, 0, 5, 1.0)
         rec.on_send(0, 1, 0, 5, 9.0)  # corrupt duplicate, posted later
@@ -147,23 +149,6 @@ class TestWaitDecomposition:
         # in-flight measured from the first post at 1.0, not 9.0 (which
         # would clip the whole gap away)
         assert r.rank_in_flight_us[1] == pytest.approx(2.0e6)
-
-
-class TestRecorderParity:
-    def test_columnar_equals_object_on_mcb(self):
-        program, _ = make_workload(
-            "mcb", GOLDEN_NPROCS, seed="3", **GOLDEN_PARAMS
-        )
-        obj, col = FlowRecorder("run"), ColumnarFlowRecorder("run")
-        RecordSession(
-            program, nprocs=GOLDEN_NPROCS, network_seed=GOLDEN_SEED, flow=obj
-        ).run()
-        RecordSession(
-            program, nprocs=GOLDEN_NPROCS, network_seed=GOLDEN_SEED, flow=col
-        ).run()
-        assert analyze_critical_path(obj).to_json() == analyze_critical_path(
-            col
-        ).to_json()
 
 
 def _tree_digest(root: str) -> str:
@@ -271,7 +256,7 @@ class TestArchiveRoute:
 
 class TestTelemetry:
     def test_gauges_published_when_enabled(self):
-        rec = FlowRecorder("gauged")
+        rec = ColumnarFlowRecorder("gauged")
         feed_late_sender(rec)
         registry = TelemetryRegistry()
         with use_registry(registry):
@@ -287,7 +272,7 @@ class TestTelemetry:
 
 class TestBlameTables:
     def test_top_ranks_ordering_and_shares(self):
-        rec = FlowRecorder("order")
+        rec = ColumnarFlowRecorder("order")
         feed_late_sender(rec)
         r = analyze_critical_path(rec)
         rows = r.top_ranks(10)
@@ -297,7 +282,7 @@ class TestBlameTables:
         assert sum(shares) == pytest.approx(1.0)
 
     def test_render_mentions_top_rank_and_callsite(self):
-        rec = FlowRecorder("render")
+        rec = ColumnarFlowRecorder("render")
         feed_late_sender(rec)
         text = analyze_critical_path(rec).render(top=3)
         assert "blame by rank" in text

@@ -1,25 +1,24 @@
-"""Causal cross-rank tracing: flow recorders and the merged timeline.
+"""Causal cross-rank tracing: the flow recorder and the merged timeline.
 
 The simulator's virtual clock makes the merged timeline of a seeded
 workload byte-deterministic, so a golden file pins the exact serialized
 trace — phases, flow ids, sort order and all. The structural tests then
-assert the ISSUE-level contract directly: every matched (wildcard)
-receive in a recorded-then-replayed 8-rank workload gets at least one
-flow arrow, and the result passes the Chrome-trace validator.
+assert the contract directly: every matched (wildcard) receive in a
+recorded-then-replayed 8-rank workload gets at least one flow arrow, and
+the result passes the Chrome-trace validator.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.analysis.columns import RehydratedRun
 from repro.obs import (
     ColumnarFlowRecorder,
-    FlowRecorder,
-    FlowReceive,
-    FlowSend,
     merged_timeline,
     validate_chrome_trace,
     write_timeline,
@@ -35,24 +34,36 @@ GOLDEN_TIMELINE_PATH = os.path.join(
 NPROCS = 8
 
 
-def golden_recorders() -> list[FlowRecorder]:
+class Ev:
+    def __init__(self, rank, clock):
+        self.rank, self.clock = rank, clock
+
+
+def golden_recorders() -> list[ColumnarFlowRecorder]:
     """The fixed record+replay pair the golden file pins (8 ranks)."""
     program, _ = make_workload(
         "synthetic", NPROCS, seed="3", messages_per_rank="8", fanout="2"
     )
-    rec_flow = FlowRecorder("record")
+    rec_flow = ColumnarFlowRecorder("record")
     record = RecordSession(
         program, nprocs=NPROCS, network_seed=1, flow=rec_flow
     ).run()
-    rep_flow = FlowRecorder("replay")
+    rep_flow = ColumnarFlowRecorder("replay")
     ReplaySession(
         program, record.archive, network_seed=2, flow=rep_flow
     ).run()
     return [rec_flow, rep_flow]
 
 
+def identities(rec: ColumnarFlowRecorder) -> tuple[set, set]:
+    """The ``(clock, sender)`` identities of a run's sends and receives."""
+    sends = zip(rec.send_clock.values.tolist(), rec.send_src.values.tolist())
+    receives = zip(rec.recv_clock.values.tolist(), rec.recv_sender.values.tolist())
+    return set(sends), set(receives)
+
+
 @pytest.fixture(scope="module")
-def recorders() -> list[FlowRecorder]:
+def recorders() -> list[ColumnarFlowRecorder]:
     return golden_recorders()
 
 
@@ -63,36 +74,30 @@ def timeline(recorders):
 
 class TestFlowRecorder:
     def test_send_and_receive_keys_agree(self):
-        send = FlowSend(src=2, dst=5, tag=0, clock=17, t=1.5)
-        recv = FlowReceive(
-            rank=5, callsite="cs", kind="testsome", sender=2, clock=17, t=2.0
-        )
-        assert send.key == recv.key == (17, 2)
+        rec = ColumnarFlowRecorder()
+        rec.on_send(2, 5, 0, 17, 1.5)
+        rec.on_delivery(5, "cs", "testsome", 2.0, [Ev(2, 17)])
+        keys, k = rec.send_keys()
+        assert divmod(int(keys[0]), int(k)) == (17, 2)
+        assert keys.tolist() == (rec.recv_clock.values * k + rec.recv_sender.values).tolist()
 
     def test_on_delivery_duck_types_events(self):
-        class Ev:
-            rank = 3
-            clock = 9
-
-        rec = FlowRecorder()
-        rec.on_delivery(1, "cs", "testsome", 0.5, [Ev(), Ev()])
-        assert len(rec.receives) == 2
-        assert rec.receives[0].sender == 3
-        assert rec.receives[0].clock == 9
+        rec = ColumnarFlowRecorder()
+        rec.on_delivery(1, "cs", "testsome", 0.5, [Ev(3, 9), Ev(3, 9)])
+        assert rec.num_receives == 2
+        assert rec.recv_sender.values.tolist() == [3, 3]
+        assert rec.recv_clock.values.tolist() == [9, 9]
+        assert (rec.callsites, rec.kinds) == (["cs"], ["testsome"])
 
     def test_match_stats_counts_correlated_pairs(self):
-        rec = FlowRecorder("unit")
+        rec = ColumnarFlowRecorder("unit")
         rec.on_send(0, 1, 0, 5, 0.1)
         rec.on_send(0, 1, 0, 6, 0.2)
-
-        class Ev:
-            rank, clock = 0, 5
-
-        rec.on_delivery(1, "cs", "testsome", 0.3, [Ev()])
+        rec.on_delivery(1, "cs", "testsome", 0.3, [Ev(0, 5)])
         stats = rec.match_stats()
         assert (stats.sends, stats.receives, stats.matched) == (2, 1, 1)
-        assert stats.match_rate == 1.0
-        assert "unit" in stats.describe()
+        assert stats.match_rate == 1.0 and stats.duplicate_sends == 0
+        assert "unit" in stats.describe() and "duplicate" not in stats.describe()
 
     def test_sessions_capture_both_endpoints(self, recorders):
         for rec in recorders:
@@ -104,83 +109,11 @@ class TestFlowRecorder:
 
     def test_record_and_replay_observe_the_same_flow_set(self, recorders):
         record, replay = recorders
-        assert set(record.send_index()) == set(replay.send_index())
-        assert {r.key for r in record.receives} == {r.key for r in replay.receives}
-
-
-class TestDuplicateSends:
-    """Colliding (clock, sender) identities are counted, never silently kept."""
-
-    def test_first_send_wins_the_index(self):
-        rec = FlowRecorder("dup")
-        rec.on_send(0, 1, 0, 5, 1.0)
-        rec.on_send(0, 2, 0, 5, 9.0)  # same (clock=5, src=0) identity
-        assert rec.duplicate_sends == 1
-        assert len(rec.sends) == 2  # raw capture keeps both
-        winner = rec.send_index()[(5, 0)]
-        assert (winner.dst, winner.t) == (1, 1.0)
-
-    def test_duplicate_counter_fires_with_registry(self):
-        with use_registry(TelemetryRegistry()) as registry:
-            rec = FlowRecorder("dup")
-            rec.on_send(0, 1, 0, 5, 1.0)
-            rec.on_send(0, 1, 0, 5, 2.0)
-            rec.on_send(0, 1, 0, 6, 3.0)
-            assert registry.counters().get("flow.duplicate_send") == 1
-        assert rec.duplicate_sends == 1
-
-    def test_no_counter_traffic_when_registry_disabled(self):
-        rec = FlowRecorder("dup")
-        rec.on_send(0, 1, 0, 5, 1.0)
-        rec.on_send(0, 1, 0, 5, 2.0)
-        assert rec.duplicate_sends == 1  # local count still works
-
-    def test_columnar_recorder_counts_duplicates(self):
-        rec = ColumnarFlowRecorder("dup")
-        rec.on_send(0, 1, 0, 5, 1.0)
-        rec.on_send(0, 1, 0, 5, 2.0)
-        rec.on_send(1, 0, 0, 5, 3.0)  # different sender: not a duplicate
-        assert rec.duplicate_send_count() == 1
-
-    def test_healthy_run_has_zero_duplicates(self, recorders):
-        for rec in recorders:
-            assert rec.duplicate_sends == 0
-
-
-class TestColumnarParity:
-    """ColumnarFlowRecorder is a drop-in for FlowRecorder on the hooks."""
-
-    def columnar_recorders(self) -> list[ColumnarFlowRecorder]:
-        program, _ = make_workload(
-            "synthetic", NPROCS, seed="3", messages_per_rank="8", fanout="2"
-        )
-        rec_flow = ColumnarFlowRecorder("record")
-        record = RecordSession(
-            program, nprocs=NPROCS, network_seed=1, flow=rec_flow
-        ).run()
-        rep_flow = ColumnarFlowRecorder("replay")
-        ReplaySession(
-            program, record.archive, network_seed=2, flow=rep_flow
-        ).run()
-        return [rec_flow, rep_flow]
-
-    def test_match_stats_agree_with_object_recorder(self, recorders):
-        for obj, col in zip(recorders, self.columnar_recorders()):
-            assert obj.match_stats() == col.match_stats()
-
-    def test_merged_timeline_accepts_columnar(self, recorders, timeline):
-        columnar_trace = merged_timeline(self.columnar_recorders())
-        assert validate_chrome_trace(columnar_trace) == []
-        assert columnar_trace == timeline
+        assert identities(record) == identities(replay)
 
     def test_staging_block_size_does_not_show(self):
         """Endpoints reach the columns a block at a time or when a column
         is read; neither the block size nor a mid-capture read may show."""
-
-        class Ev:
-            def __init__(self, rank, clock):
-                self.rank, self.clock = rank, clock
-
         tiny, default = ColumnarFlowRecorder("a"), ColumnarFlowRecorder("a")
         tiny.STAGE_ENTRIES = 15  # three endpoints
         for rec in (tiny, default):
@@ -208,11 +141,53 @@ class TestColumnarParity:
         assert default.recv_clock.values.tolist() == [c for i in range(10) for c in (i, -i)]
         assert default.recv_t.values.dtype == float and default.send_src.values.dtype == "int64"
 
-    def test_send_keys_match_object_index(self, recorders):
-        for obj, col in zip(recorders, self.columnar_recorders()):
-            keys, k = col.send_keys()
-            decomposed = {(int(key // k), int(key % k)) for key in keys}
-            assert decomposed == set(obj.send_index())
+
+class TestDuplicateSends:
+    """Colliding (clock, sender) identities are counted, never silently kept."""
+
+    def test_first_send_wins_the_index(self):
+        rec = ColumnarFlowRecorder("dup")
+        rec.on_send(0, 1, 0, 5, 1.0)
+        rec.on_send(0, 2, 0, 5, 9.0)  # same (clock=5, src=0) identity
+        rec.on_delivery(1, "cs", "test", 3.0, [Ev(0, 5)])
+        assert rec.num_sends == 2  # raw capture keeps both
+        flows = [ev for ev in merged_timeline([rec])["traceEvents"] if ev["ph"] in "sf"]
+        # the id is taken at the first post (1.0 s); the later post joins it
+        assert [(ev["ph"], ev["ts"], ev["id"]) for ev in flows] == [
+            ("s", 1e6, 1), ("f", 3e6, 1), ("s", 9e6, 1),
+        ]  # fmt: skip
+
+    def test_match_stats_reports_duplicate_sends(self):
+        rec = ColumnarFlowRecorder("dup")
+        rec.on_send(0, 1, 0, 5, 1.0)
+        rec.on_send(0, 1, 0, 5, 2.0)
+        rec.on_send(0, 1, 0, 6, 3.0)
+        stats = rec.match_stats()
+        assert stats.duplicate_sends == 1
+        assert stats.describe().endswith(", 1 duplicate send identities")
+
+    def test_no_counter_traffic_when_registry_disabled(self):
+        """The count is the recorder's own: it needs no registry, and an
+        enabled one sees no counter either."""
+        rec = ColumnarFlowRecorder("dup")
+        rec.on_send(0, 1, 0, 5, 1.0)
+        rec.on_send(0, 1, 0, 5, 2.0)
+        assert rec.match_stats().duplicate_sends == 1  # local count still works
+        with use_registry(TelemetryRegistry()) as registry:
+            rec.on_send(0, 1, 0, 5, 3.0)
+            assert rec.match_stats().duplicate_sends == 2
+        assert registry.counters() == {}
+
+    def test_columnar_recorder_counts_duplicates(self):
+        rec = ColumnarFlowRecorder("dup")
+        rec.on_send(0, 1, 0, 5, 1.0)
+        rec.on_send(0, 1, 0, 5, 2.0)
+        rec.on_send(1, 0, 0, 5, 3.0)  # different sender: not a duplicate
+        assert rec.duplicate_send_count() == 1
+
+    def test_healthy_run_has_zero_duplicates(self, recorders):
+        for rec in recorders:
+            assert rec.match_stats().duplicate_sends == 0
 
 
 class TestCriticalPathTrack:
@@ -260,7 +235,7 @@ class TestCriticalPathTrack:
         )
 
     def test_backward_edge_is_clipped_to_zero_duration(self):
-        rec = FlowRecorder("clip")
+        rec = ColumnarFlowRecorder("clip")
         rec.on_send(0, 1, 0, 1, 1.0)
         trace = merged_timeline(
             [rec],
@@ -281,7 +256,7 @@ class TestMergedTimeline:
         finishes = [
             ev for ev in timeline["traceEvents"] if ev.get("ph") == "f"
         ]
-        total_receives = sum(len(rec.receives) for rec in recorders)
+        total_receives = sum(rec.num_receives for rec in recorders)
         assert total_receives > 0
         assert len(finishes) == total_receives
         for ev in finishes:
@@ -324,14 +299,11 @@ class TestMergedTimeline:
     def test_timestamps_are_virtual_microseconds(self, recorders, timeline):
         slices = [ev for ev in timeline["traceEvents"] if ev.get("ph") == "X"]
         assert slices
-        max_virtual_us = max(
-            max((s.t for s in rec.sends), default=0.0)
-            for rec in recorders
-        ) * 1e6
+        max_virtual_us = max(rec.send_t.values.max() for rec in recorders) * 1e6
         assert all(0 <= ev["ts"] <= max_virtual_us * 2 for ev in slices)
 
     def test_unmatched_send_gets_no_flow_start(self):
-        rec = FlowRecorder("lonely")
+        rec = ColumnarFlowRecorder("lonely")
         rec.on_send(0, 1, 0, 5, 0.1)
         trace = merged_timeline([rec])
         phases = [ev["ph"] for ev in trace["traceEvents"]]
@@ -339,9 +311,30 @@ class TestMergedTimeline:
         assert trace["otherData"]["flows"] == 0
 
     def test_empty_recorder_produces_valid_trace(self):
-        trace = merged_timeline([FlowRecorder("empty")])
+        trace = merged_timeline([ColumnarFlowRecorder("empty")])
         assert validate_chrome_trace(trace) == []
         assert trace["otherData"]["flows"] == 0
+
+    def test_edge_cases_render_the_pinned_bytes(self):
+        """A duplicate identity, an unmatched send and receive, an empty
+        run: the bytes the object recorder rendered for the same inputs,
+        from the recorders and from their :class:`RehydratedRun` views."""
+        dup = ColumnarFlowRecorder("dup")
+        dup.on_send(1, 0, 0, 3, 0.5)
+        dup.on_send(0, 1, 0, 5, 1.0)
+        dup.on_send(0, 2, 4, 5, 9.0)  # same (clock 5, sender 0) identity, posted later
+        dup.on_delivery(1, "cs", "testsome", 3.0, [Ev(0, 5)])
+        dup.on_delivery(2, "cs", "testsome", 9.5, [Ev(0, 5)])
+        dup.on_delivery(0, "other", "waitany", 2.0, [Ev(1, 3), Ev(2, 99)])
+        lonely = ColumnarFlowRecorder("lonely")
+        lonely.on_send(0, 1, 0, 5, 0.1)
+        runs = [dup, lonely, ColumnarFlowRecorder("empty")]
+        for source in (runs, [RehydratedRun.from_flow(rec) for rec in runs]):
+            text = json.dumps(merged_timeline(source), indent=1, sort_keys=True) + "\n"
+            assert validate_chrome_trace(json.loads(text)) == []
+            assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (
+                3559, "a6affe8ff60a7fe61075be7d3b4eaadc83ccfb62589c1473caf6935d56e439b4",
+            )  # fmt: skip
 
 
 class TestGoldenTimeline:

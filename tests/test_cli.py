@@ -856,11 +856,11 @@ class TestTimelineStrict:
     def test_strict_fails_when_receives_cannot_correlate(
         self, tmp_path, capsys, monkeypatch
     ):
-        from repro.obs.causal import FlowRecorder
+        from repro.obs.causal import ColumnarFlowRecorder
 
         # drop every send capture: receives can no longer correlate
         monkeypatch.setattr(
-            FlowRecorder, "on_send", lambda self, *a, **k: None
+            ColumnarFlowRecorder, "on_send", lambda self, *a, **k: None
         )
         out_path = str(tmp_path / "timeline.json")
         assert main(self.ARGS + ["--out", out_path, "--strict"]) == 1
@@ -868,13 +868,33 @@ class TestTimelineStrict:
         assert "strict" in out
         assert "0.0% of receives" in out
 
+    def test_strict_fails_on_a_duplicate_send_identity(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.obs.causal import ColumnarFlowRecorder
+
+        on_send = ColumnarFlowRecorder.on_send
+
+        def twice(self, *args):  # every send posted twice under one identity
+            on_send(self, *args)
+            on_send(self, *args)
+
+        monkeypatch.setattr(ColumnarFlowRecorder, "on_send", twice)
+        out_path = str(tmp_path / "timeline.json")
+        assert main(self.ARGS + ["--out", out_path]) == 0
+        assert main(self.ARGS + ["--out", out_path, "--strict"]) == 1
+        out = capsys.readouterr().out
+        assert "100.0% correlated" in out
+        assert "16 duplicate send identities" in out  # describe()
+        assert "⚠ strict: record correlated 100.0% of receives (16/16) and repeated 16" in out
+
     def test_without_strict_same_run_still_exits_zero(
         self, tmp_path, monkeypatch, capsys
     ):
-        from repro.obs.causal import FlowRecorder
+        from repro.obs.causal import ColumnarFlowRecorder
 
         monkeypatch.setattr(
-            FlowRecorder, "on_send", lambda self, *a, **k: None
+            ColumnarFlowRecorder, "on_send", lambda self, *a, **k: None
         )
         out_path = str(tmp_path / "timeline.json")
         assert main(self.ARGS + ["--out", out_path]) == 0
