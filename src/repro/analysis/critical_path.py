@@ -278,8 +278,7 @@ def analyze_critical_path(
     turns into columns, read-only.
 
     Publishes ``explain.critical_path_share`` / ``explain.max_slack_us``
-    gauges to the active telemetry registry so fleet alert rules can fire
-    on critical-path concentration.
+    gauges to the active telemetry registry, when one is enabled.
     """
     if isinstance(source, RehydratedRun):
         run = source

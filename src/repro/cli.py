@@ -78,7 +78,6 @@ def cmd_record(args: argparse.Namespace) -> int:
             "params": params,
         },
         ledger=args.ledger,
-        telemetry_sink=args.telemetry_sink,
         run_id=args.run_id,
     )
     result = session.run()
@@ -96,24 +95,7 @@ def cmd_record(args: argparse.Namespace) -> int:
     print(f"virtual time: {result.stats.virtual_time:.6f} s")
     if result.ledger_entry is not None:
         print(f"ledger: {args.ledger} run {result.ledger_entry.run_id}")
-    _print_shipping(result, args.telemetry_sink)
     return 0
-
-
-def _print_shipping(result, sink: str | None) -> None:
-    """One status line for ``--telemetry-sink`` runs (never an error)."""
-    s = result.shipping
-    if s is None:
-        return
-    state = (
-        "delivered"
-        if s.delivered
-        else f"lossy ({s.frames_dropped} dropped, {s.unacked_at_close} unacked)"
-    )
-    print(
-        f"telemetry: shipped {s.frames_sent} frame(s) to {sink} "
-        f"as {s.run_id} — {state}"
-    )
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -131,7 +113,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         mode=run.mode,
         telemetry=True if args.verbose else None,
         ledger=args.ledger,
-        telemetry_sink=args.telemetry_sink,
         run_id=args.run_id,
     ).run()
     print(
@@ -140,7 +121,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     )
     if result.ledger_entry is not None:
         print(f"ledger: {args.ledger} run {result.ledger_entry.run_id}")
-    _print_shipping(result, args.telemetry_sink)
     if args.verbose and result.run_stats is not None:
         print()
         print(result.run_stats.render())
@@ -545,171 +525,30 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    """Render run progress from a metrics stream or a fleet server.
+    """Render run progress from a session's ``metrics_stream=`` JSONL.
 
-    One view, two sources: a local metrics JSONL file (sessions started
-    with ``metrics_stream=FILE``) or a fleet aggregation server
-    (``--remote HOST:PORT``, sessions shipping via ``telemetry_sink=``).
-    ``--remote`` alone shows the fleet table; add ``--run RUN_ID`` to
-    drill into one run — the server replays that run's progress objects
-    through the *same* MonitorState/render_monitor path the local file
-    view uses, so both sources render identically. Without ``--follow``
-    the current state renders once; with it the view refreshes until the
-    run(s) end or ``--timeout`` wall seconds pass.
+    Without ``--follow`` the current state renders once; with it the file
+    is tailed into one MonitorState until the stream's end line arrives
+    or ``--timeout`` wall seconds pass.
     """
-    import time as _time
-
-    if (args.metrics is None) == (args.remote is None):
-        raise SystemExit(
-            "monitor: pass a metrics JSONL file or --remote HOST:PORT "
-            "(exactly one)"
-        )
-    if args.run and args.remote is None:
-        raise SystemExit("monitor: --run needs --remote HOST:PORT")
-    poll = (
-        _local_monitor_poller(args)
-        if args.metrics is not None
-        else _remote_monitor_poller(args)
-    )
-    start = _time.monotonic()
-    while True:
-        text, done, failed = poll()
-        if not args.follow or done:
-            break
-        if args.timeout and _time.monotonic() - start > args.timeout:
-            print(text)
-            print(f"monitor: gave up after {args.timeout:g}s without an end")
-            return 1
-        _time.sleep(args.interval)
-    print(text)
-    return 1 if failed else 0
-
-
-def _local_monitor_poller(args: argparse.Namespace):
-    """Tail a metrics JSONL file into a MonitorState, incrementally."""
     from repro.obs import MonitorState, render_monitor
 
     state = MonitorState()
-    fh = open(args.metrics, "r", encoding="utf-8")
-    pending = {"buffer": ""}
-
-    def poll() -> tuple[str, bool, bool]:
-        chunk = fh.read()
-        if chunk:
-            buffer = pending["buffer"] + chunk
-            *complete, pending["buffer"] = buffer.split("\n")
+    pending = ""
+    start = time.monotonic()
+    with open(args.metrics, "r", encoding="utf-8") as fh:
+        while True:
+            *complete, pending = (pending + fh.read()).split("\n")
             state.feed_lines([ln for ln in complete if ln.strip()])
-        return render_monitor(state), state.ended, bool(state.problems)
-
-    return poll
-
-
-def _remote_monitor_poller(args: argparse.Namespace):
-    """Query a fleet server: fleet table, or one run re-rendered locally."""
-    from repro.obs import MonitorState, render_monitor
-    from repro.obs.agg import parse_sink, query_aggregator, render_fleet
-
-    host, port = parse_sink(args.remote)
-
-    def poll() -> tuple[str, bool, bool]:
-        try:
-            if args.run:
-                detail = query_aggregator(host, port, "run", run_id=args.run)
-                if detail.get("missing"):
-                    raise SystemExit(
-                        f"monitor: no run {args.run!r} on {args.remote}"
-                    )
-                # same objects, same state machine, same renderer as the
-                # local file view — the server just stored the stream.
-                state = MonitorState()
-                for obj in detail.get("objects", []):
-                    state.update(obj)
-                summary = detail.get("summary", {})
-                done = bool(summary.get("ended"))
-                failed = bool(state.problems) or not summary.get("healthy", True)
-                return render_monitor(state), done, failed
-            fleet = query_aggregator(host, port, "fleet")
-            runs = fleet.get("runs", [])
-            done = bool(runs) and all(r.get("ended") for r in runs)
-            failed = any(not r.get("healthy", True) for r in runs)
-            return render_fleet(fleet), done, failed
-        except (ConnectionError, OSError) as exc:
-            raise SystemExit(f"monitor: cannot reach {args.remote}: {exc}")
-
-    return poll
-
-
-def cmd_serve_telemetry(args: argparse.Namespace) -> int:
-    """Run the fleet telemetry aggregation server in the foreground.
-
-    Sessions ship to it via ``telemetry_sink="tcp://host:port"`` (or the
-    ``--telemetry-sink`` CLI flag); ``repro monitor --remote`` and
-    ``repro fleet status/alerts`` query it. Ctrl-C stops it cleanly.
-    """
-    import asyncio
-    import json
-
-    from repro.obs.agg import FleetState, TelemetryAggregator
-
-    rules = None
-    if args.rules:
-        with open(args.rules, "r", encoding="utf-8") as fh:
-            rules = json.load(fh)
-    try:
-        state = FleetState(stall_after=args.stall_after, rules=rules)
-    except ValueError as exc:
-        raise SystemExit(f"serve-telemetry: bad alert rules: {exc}")
-
-    async def _serve() -> None:
-        aggregator = TelemetryAggregator(args.host, args.port, state=state)
-        await aggregator.start()
-        print(f"serving telemetry on {aggregator.host}:{aggregator.port}",
-              flush=True)
-        await aggregator.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("fleet server stopped")
-    return 0
-
-
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """Query a fleet server: run table (``status``) or fired ``alerts``.
-
-    ``status`` exits 1 when any run is unhealthy, ``alerts`` when any
-    alert fired — both are CI-gateable with or without ``--json``.
-    """
-    import json
-
-    from repro.obs.agg import parse_sink, query_aggregator, render_fleet
-
-    host, port = parse_sink(args.remote)
-    what = "fleet" if args.fleet_command == "status" else "alerts"
-    try:
-        data = query_aggregator(host, port, what)
-    except (ConnectionError, OSError) as exc:
-        raise SystemExit(f"fleet: cannot reach {args.remote}: {exc}")
-    if args.json:
-        print(json.dumps(data, indent=2, sort_keys=True))
-    if args.fleet_command == "status":
-        if not args.json:
-            print(render_fleet(data))
-        unhealthy = [
-            r for r in data.get("runs", []) if not r.get("healthy", True)
-        ]
-        return 1 if unhealthy else 0
-    alerts = data.get("alerts", [])
-    if not args.json:
-        if not alerts:
-            print(f"no alerts ({len(data.get('rules', []))} rule(s) armed)")
-        for alert in alerts:
-            print(
-                f"[{alert.get('severity', '?'):>8}] {alert.get('rule')} "
-                f"run={alert.get('run_id')} {alert.get('signal')}="
-                f"{alert.get('observed')} — {alert.get('help', '')}"
-            )
-    return 1 if alerts else 0
+            if not args.follow or state.ended:
+                break
+            if args.timeout and time.monotonic() - start > args.timeout:
+                print(render_monitor(state))
+                print(f"monitor: gave up after {args.timeout:g}s without an end")
+                return 1
+            time.sleep(args.interval)
+    print(render_monitor(state))
+    return 1 if state.problems else 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -868,7 +707,6 @@ def cmd_dash(args: argparse.Namespace) -> int:
         ledger=args.ledger,
         bench_dir=args.bench_dir,
         folded=args.folded,
-        fleet_alerts=args.fleet_alerts,
         explain=args.explain,
         title=args.title,
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -1044,19 +882,6 @@ def _cmd_profile_sample(args: argparse.Namespace, program) -> int:
     return 0
 
 
-def _add_sink_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--telemetry-sink", metavar="HOST:PORT",
-        help="ship live telemetry to a fleet aggregation server "
-             "(repro serve-telemetry); fire-and-forget — an unreachable "
-             "server never slows or fails the run",
-    )
-    parser.add_argument(
-        "--run-id", default="", metavar="ID",
-        help="fleet run id for --telemetry-sink (default: auto-generated)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1080,7 +905,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--ledger", metavar="FILE",
         help="append this run's summary line to a JSONL run ledger",
     )
-    _add_sink_args(p_record)
+    p_record.add_argument(
+        "--run-id", default="", metavar="ID",
+        help="name of this run's --ledger entry (default: the next rNNNN)",
+    )
     p_record.set_defaults(func=cmd_record)
 
     p_replay = sub.add_parser("replay", help="replay a recorded archive")
@@ -1104,7 +932,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--ledger", metavar="FILE",
         help="append this run's summary line to a JSONL run ledger",
     )
-    _add_sink_args(p_replay)
+    p_replay.add_argument(
+        "--run-id", default="", metavar="ID",
+        help="name of this run's --ledger entry (default: the next rNNNN)",
+    )
     p_replay.set_defaults(func=cmd_replay)
 
     p_stats = sub.add_parser(
@@ -1180,21 +1011,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor = sub.add_parser(
         "monitor",
         help="render live progress from a metrics JSONL stream "
-             "(sessions started with metrics_stream=FILE) or a fleet "
-             "server (--remote HOST:PORT)",
+             "(sessions started with metrics_stream=FILE)",
     )
-    p_monitor.add_argument(
-        "metrics", nargs="?", default=None,
-        help="metrics JSONL stream file (or use --remote)",
-    )
-    p_monitor.add_argument(
-        "--remote", metavar="HOST:PORT",
-        help="query a fleet aggregation server instead of a local file",
-    )
-    p_monitor.add_argument(
-        "--run", metavar="RUN_ID",
-        help="with --remote: drill into one run instead of the fleet table",
-    )
+    p_monitor.add_argument("metrics", help="metrics JSONL stream file")
     p_monitor.add_argument(
         "--follow", action="store_true",
         help="keep polling until the stream's end line arrives",
@@ -1208,49 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="give up following after this many wall seconds (0 = never)",
     )
     p_monitor.set_defaults(func=cmd_monitor)
-
-    p_serve = sub.add_parser(
-        "serve-telemetry",
-        help="run the fleet telemetry aggregation server (sessions ship "
-             "to it with --telemetry-sink / telemetry_sink=)",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument(
-        "--port", type=int, default=9170,
-        help="TCP port to listen on (0 = ephemeral, printed at startup)",
-    )
-    p_serve.add_argument(
-        "--stall-after", type=float, default=10.0, metavar="SECONDS",
-        help="mark a connected run stalled after this long without "
-             "progress counters moving",
-    )
-    p_serve.add_argument(
-        "--rules", metavar="FILE",
-        help="JSON alert-rule list replacing the built-in default set",
-    )
-    p_serve.set_defaults(func=cmd_serve_telemetry)
-
-    p_fleet = sub.add_parser(
-        "fleet", help="query a fleet telemetry server (status / alerts)"
-    )
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-    p_fleet_status = fleet_sub.add_parser(
-        "status", help="run table + fleet totals (exit 1 on unhealthy runs)"
-    )
-    p_fleet_alerts = fleet_sub.add_parser(
-        "alerts", help="fired alert rules (exit 1 when any fire)"
-    )
-    for p_sub in (p_fleet_status, p_fleet_alerts):
-        p_sub.add_argument(
-            "--remote", required=True, metavar="HOST:PORT",
-            help="fleet server address",
-        )
-        p_sub.add_argument(
-            "--json", action="store_true",
-            help="print the raw JSON reply instead of the rendered view",
-        )
-    p_fleet_status.set_defaults(func=cmd_fleet)
-    p_fleet_alerts.set_defaults(func=cmd_fleet)
 
     p_verify = sub.add_parser(
         "verify", help="integrity-check a recorded archive (CRCs, tails)"
@@ -1399,11 +1175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash.add_argument(
         "--folded", metavar="FILE",
         help="collapsed-stack file from `repro profile --sample --folded-out`",
-    )
-    p_dash.add_argument(
-        "--fleet-alerts", metavar="FILE",
-        help="fleet-alerts snapshot JSON (from repro fleet alerts --json) "
-             "for the Fleet telemetry section",
     )
     p_dash.add_argument(
         "--explain", metavar="FILE",

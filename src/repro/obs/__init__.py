@@ -63,9 +63,6 @@ from repro.obs.stats import RunStats, build_run_stats
 #: together a fifth of what ``import repro.obs`` used to cost, and every
 #: core module imports this package for ``get_registry`` / ``span``.
 _LAZY = {
-    "agg.server": "AggregatorServer TelemetryAggregator query_aggregator",
-    "agg.shipper": "TelemetryShipper snapshot_delta",
-    "agg.state": "FleetState render_fleet",
     "bench": "bench_histories load_bench_files validate_bench_json",
     "dashboard": "build_dashboard validate_dashboard_html write_dashboard",
     "ledger": "LedgerEntry RunLedger TrendFlag entry_from_result render_run render_runs "
@@ -88,10 +85,8 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "AggregatorServer",
     "COUNTER_MAX",
     "ColumnarFlowRecorder",
-    "FleetState",
     "HISTOGRAM_BUCKETS",
     "Counter",
     "DivergenceCandidate",
@@ -110,9 +105,7 @@ __all__ = [
     "SamplingProfiler",
     "Span",
     "StallReport",
-    "TelemetryAggregator",
     "TelemetryRegistry",
-    "TelemetryShipper",
     "TraceEvent",
     "TrendFlag",
     "WatchdogConfig",
@@ -130,8 +123,6 @@ __all__ = [
     "load_bench_files",
     "merged_timeline",
     "metrics_lines",
-    "query_aggregator",
-    "render_fleet",
     "render_monitor",
     "render_run",
     "render_runs",
@@ -140,7 +131,6 @@ __all__ = [
     "resolve_registry",
     "sample_object",
     "set_registry",
-    "snapshot_delta",
     "span",
     "sparkline",
     "telemetry_enabled",

@@ -50,7 +50,6 @@ __all__ = [
 REQUIRED_SECTIONS = (
     "dash-ledger",
     "dash-bench",
-    "dash-fleet",
     "dash-critical",
     "dash-flame",
     "dash-runs",
@@ -504,61 +503,6 @@ def _bench_section(docs: Mapping[str, Mapping[str, Any]]) -> str:
     return f'<div class="grid">{"".join(cards)}{table}</div>'
 
 
-def _fleet_section(
-    docs: Mapping[str, Mapping[str, Any]],
-    fleet_alerts: Mapping[str, Any] | Sequence[Any] | None,
-) -> str:
-    """Fleet telemetry: BENCH_fleet history charts + last alerts snapshot."""
-    parts = []
-    doc = docs.get("BENCH_fleet")
-    if doc:
-        cards = []
-        for name, values in bench_histories({"BENCH_fleet": doc}).items():
-            labels = [str(i + 1) for i in range(len(values))]
-            cards.append(
-                _chart_card(
-                    name,
-                    _line_chart(name.split(".", 1)[-1], values, labels),
-                    meta=f"{len(values)} recorded run(s)",
-                )
-            )
-        parts.append(f'<div class="grid">{"".join(cards)}</div>')
-    else:
-        parts.append('<p class="okline">no BENCH_fleet.json found</p>')
-    if fleet_alerts is None:
-        parts.append(
-            '<p class="okline">no fleet-alerts snapshot supplied '
-            "(repro fleet alerts --json &gt; alerts.json)</p>"
-        )
-        return "".join(parts)
-    alerts = (
-        fleet_alerts.get("alerts", [])
-        if isinstance(fleet_alerts, Mapping)
-        else list(fleet_alerts)
-    )
-    if not alerts:
-        parts.append('<p class="okline">fleet alerts: none fired</p>')
-        return "".join(parts)
-    rows = "".join(
-        f"<tr><td>{html.escape(str(a.get('severity', '?')))}</td>"
-        f"<td>{html.escape(str(a.get('rule', '')))}</td>"
-        f"<td>{html.escape(str(a.get('run_id', '')))}</td>"
-        f"<td>{html.escape(str(a.get('signal', '')))}</td>"
-        f'<td class="num">{html.escape(str(a.get("observed", "")))}</td>'
-        f"<td>{html.escape(str(a.get('help', '')))}</td></tr>"
-        for a in alerts
-        if isinstance(a, Mapping)
-    )
-    parts.append(
-        '<p class="flagline"><span class="mark">⚠</span> '
-        f"{len(alerts)} fleet alert(s) fired</p>"
-        "<table><thead><tr><th>severity</th><th>rule</th><th>run</th>"
-        '<th>signal</th><th class="num">observed</th><th>help</th>'
-        f"</tr></thead><tbody>{rows}</tbody></table>"
-    )
-    return "".join(parts)
-
-
 def _critical_section(explain: Mapping[str, Any] | None) -> str:
     """Blame bars + slack histogram from a ``repro explain --json`` export."""
     if not explain:
@@ -665,7 +609,6 @@ def build_dashboard(
     ledger: RunLedger | str | Sequence[LedgerEntry] | None = None,
     bench_dir: str = ".",
     folded: str | Sequence[str] | None = None,
-    fleet_alerts: Mapping[str, Any] | Sequence[Any] | str | None = None,
     explain: Mapping[str, Any] | str | None = None,
     title: str = "repro perf dashboard",
     generated_at: str = "",
@@ -674,10 +617,8 @@ def build_dashboard(
     """Render the whole dashboard; returns the HTML text.
 
     ``ledger`` is a :class:`RunLedger`, a JSONL path, or entries;
-    ``folded`` a collapsed-stack file path or lines; ``fleet_alerts`` a
-    ``repro fleet alerts --json`` snapshot (the dict, the bare alert list,
-    or a path to either);
-    ``explain`` a ``repro explain --json`` export (the dict or a path).
+    ``folded`` a collapsed-stack file path or lines; ``explain`` a
+    ``repro explain --json`` export (the dict or a path).
     """
     if isinstance(ledger, str):
         ledger = RunLedger(ledger)
@@ -698,13 +639,6 @@ def build_dashboard(
     else:
         folded_lines = list(folded or [])
     flame_root = _parse_folded(folded_lines)
-
-    if isinstance(fleet_alerts, str):
-        try:
-            with open(fleet_alerts, "r", encoding="utf-8") as fh:
-                fleet_alerts = json.load(fh)
-        except (OSError, ValueError):
-            fleet_alerts = None
 
     if isinstance(explain, str):
         try:
@@ -749,9 +683,6 @@ def build_dashboard(
 
 <h2 id="dash-bench">Benchmark history</h2>
 {_bench_section(docs)}
-
-<h2 id="dash-fleet">Fleet telemetry</h2>
-{_fleet_section(docs, fleet_alerts)}
 
 <h2 id="dash-critical">Critical path</h2>
 {_critical_section(explain)}

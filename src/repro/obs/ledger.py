@@ -1,6 +1,6 @@
 """Persistent run ledger: every record/replay run as one JSONL line.
 
-The fleet-level half of cross-run observability: sessions append a
+Cross-run observability: sessions append a
 compact summary line (workload, seed, ranks, chunk count, storage stages,
 permutation rate, health flags, wall time) to an append-only JSONL file.
 Writes follow the same crash-safe whole-line-flush discipline as

@@ -71,9 +71,8 @@ def sample_object(
 ) -> dict[str, Any]:
     """One ``sample`` stream object: progress counters + occupancy gauges.
 
-    Shared by :class:`MetricsStreamWriter` (JSONL line) and the telemetry
-    shipper (``delta`` frame payload) so local and remote monitoring parse
-    one shape.
+    :class:`MetricsStreamWriter` writes it as a JSONL line and
+    :meth:`MonitorState.update` reads it back.
     """
     counters = registry.counters()
     gauges = registry.gauges()

@@ -7,8 +7,8 @@ interface:
 
 * :class:`TelemetryRegistry` — the real thing. Thread-safe: instrument
   creation takes the registry lock, instrument updates take a per-
-  instrument lock (the shipper and stream-writer threads snapshot
-  instruments while the engine thread updates them).
+  instrument lock (the stream-writer thread snapshots instruments
+  while the engine thread updates them).
 * :class:`NullRegistry` — the disabled fast path. ``counter()`` /
   ``gauge()`` / ``histogram()`` return one shared no-op instrument and
   ``record_span`` drops everything, so instrumented code never allocates
@@ -28,13 +28,6 @@ Semantics worth pinning down:
 * histograms use fixed log2 buckets: bucket ``i`` holds values ``v`` with
   ``bit_length(v) == i`` (bucket 0 is ``v <= 0``), 64 buckets total, so
   any non-negative int maps in O(1) with no configuration.
-
-Cross-process telemetry rides on two registry methods: a run ships
-:meth:`TelemetryRegistry.export_snapshot` mappings (or deltas between
-two of them) to the fleet aggregator, which folds them in with
-:meth:`TelemetryRegistry.merge`. Counter and histogram merges are
-commutative and associative — merging snapshots in any arrival order
-yields the same instruments.
 """
 
 from __future__ import annotations
@@ -97,10 +90,6 @@ class Counter:
         """Did this counter hit the ceiling (its value is a lower bound)?"""
         return self.value >= COUNTER_MAX
 
-    def merge(self, value: int) -> None:
-        """Fold another counter's total in (saturating, commutative)."""
-        self.add(int(value))
-
     def snapshot(self) -> dict[str, Any]:
         snap = {"type": "counter", "name": self.name, "value": self.value}
         if self.saturated:
@@ -136,25 +125,6 @@ class Gauge:
                 self.max = value
                 self.value = value
             self.updates += 1
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a remote gauge snapshot in.
-
-        The high-water mark and update count are order-independent; the
-        last value is taken from the remote only when this gauge never
-        saw a local ``set`` (there is no global ordering between
-        processes, so "last" is otherwise ours).
-        """
-        remote_updates = int(snapshot.get("updates", 0))
-        if remote_updates <= 0:
-            return
-        remote_max = float(snapshot.get("max", 0.0))
-        with self._lock:
-            if self.updates == 0:
-                self.value = float(snapshot.get("value", 0.0))
-            if remote_max > self.max:
-                self.max = remote_max
-            self.updates += remote_updates
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -235,37 +205,6 @@ class Histogram:
         telemetry is visible rather than silently optimistic.
         """
         return self.buckets[HISTOGRAM_BUCKETS - 1] > 0
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a remote histogram snapshot in (commutative, associative).
-
-        Bucket counts, the observation count, and the running total add;
-        min/max take the extrema. ``snapshot`` is the mapping
-        :meth:`snapshot` / :meth:`TelemetryRegistry.export_snapshot`
-        produce — bucket keys are stringified indexes, absent buckets are
-        zero. Out-of-range indexes clamp into the last bucket rather than
-        dropping observations.
-        """
-        buckets = snapshot.get("buckets") or {}
-        count = int(snapshot.get("count", 0))
-        if count <= 0 and not buckets:
-            return
-        with self._lock:
-            for key, n in buckets.items():
-                index = min(max(int(key), 0), HISTOGRAM_BUCKETS - 1)
-                self.buckets[index] += int(n)
-            self.count += count
-            self.total += int(snapshot.get("total", 0))
-            remote_min = snapshot.get("min")
-            if remote_min is not None and count:
-                remote_min = int(remote_min)
-                if self.min is None or remote_min < self.min:
-                    self.min = remote_min
-            remote_max = snapshot.get("max")
-            if remote_max is not None and count:
-                remote_max = int(remote_max)
-                if self.max is None or remote_max > self.max:
-                    self.max = remote_max
 
     def snapshot(self) -> dict[str, Any]:
         nonzero = {
@@ -420,63 +359,6 @@ class TelemetryRegistry:
             if isinstance(i, (Counter, Histogram)) and i.saturated
         ]
 
-    # -- cross-process merge --------------------------------------------------
-
-    def export_snapshot(self) -> dict[str, Any]:
-        """Compact picklable instrument state for :meth:`merge`.
-
-        The shape is ``{"counters": {name: value}, "gauges": {name:
-        {value, max, updates}}, "histograms": {name: {buckets, count,
-        total, min, max}}}`` — everything a peer registry needs to fold
-        this one in, nothing it doesn't (no span buffer, no clocks).
-        """
-        counters: dict[str, int] = {}
-        gauges: dict[str, dict[str, Any]] = {}
-        histograms: dict[str, dict[str, Any]] = {}
-        for inst in self.instruments():
-            if isinstance(inst, Counter):
-                if inst.value:
-                    counters[inst.name] = inst.value
-            elif isinstance(inst, Gauge):
-                if inst.updates:
-                    gauges[inst.name] = {
-                        "value": inst.value,
-                        "max": inst.max,
-                        "updates": inst.updates,
-                    }
-            elif isinstance(inst, Histogram):
-                if inst.count:
-                    snap = inst.snapshot()
-                    histograms[inst.name] = {
-                        "buckets": snap["buckets"],
-                        "count": snap["count"],
-                        "total": snap["total"],
-                        "min": snap["min"],
-                        "max": snap["max"],
-                    }
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold an :meth:`export_snapshot` mapping into this registry.
-
-        Instruments are created on demand (same lazy path as live
-        updates), so a registry that never touched a sender-side
-        instrument still ends up with it. Counter and histogram merges
-        are commutative and associative; see :meth:`Gauge.merge` for the
-        one caveat on gauge last-values. Unknown keys are ignored, which
-        lets callers ride extra routing fields on the same mapping.
-        """
-        for name, value in (snapshot.get("counters") or {}).items():
-            self.counter(name).merge(value)
-        for name, gauge_snap in (snapshot.get("gauges") or {}).items():
-            self.gauge(name).merge(gauge_snap)
-        for name, hist_snap in (snapshot.get("histograms") or {}).items():
-            self.histogram(name).merge(hist_snap)
-
 
 class _NullInstrument:
     """Shared do-nothing instrument for the disabled path."""
@@ -548,12 +430,6 @@ class NullRegistry:
 
     def saturated_instruments(self) -> list[str]:
         return []
-
-    def export_snapshot(self) -> dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        pass
 
 
 #: the one shared disabled registry; identity-comparable.

@@ -31,7 +31,6 @@ from repro.obs import (
     RunStats,
     StallReport,
     TelemetryRegistry,
-    TelemetryShipper,
     build_run_stats,
     build_stall_report,
     resolve_registry,
@@ -98,11 +97,6 @@ class RunResult:
     #: stopped sampling profiler, when the session ran with ``profile=`` —
     #: export with ``write_collapsed`` / ``write_speedscope``.
     profile: SamplingProfiler | None = None
-    #: remote-shipping accounting, when the session ran with
-    #: ``telemetry_sink=`` — a :class:`~repro.obs.agg.ShipperStats`.
-    #: ``shipping.delivered`` False means the fleet server missed frames;
-    #: the run itself is never affected.
-    shipping: Any = None
 
     @property
     def truncated(self) -> bool:
@@ -137,8 +131,6 @@ class _Session:
         watchdog: Any = None,
         metrics_stream: str | None = None,
         metrics_interval: float = 0.05,
-        telemetry_sink: str | None = None,
-        sink_interval: float = 0.1,
         ledger: Any = None,
         run_id: str = "",
         profile: Any = None,
@@ -162,16 +154,7 @@ class _Session:
         #: created if the session would otherwise run with none).
         self.metrics_stream = metrics_stream
         self.metrics_interval = metrics_interval
-        #: when set (``"tcp://host:port"``), a TelemetryShipper streams
-        #: registry snapshot deltas to a fleet aggregation server for the
-        #: run's duration; implies telemetry, like ``metrics_stream``.
-        #: Shipping is fire-and-forget — an unreachable or dying server
-        #: never slows or fails the run.
-        self.telemetry_sink = telemetry_sink
-        self.sink_interval = sink_interval
-        if (
-            metrics_stream is not None or telemetry_sink is not None
-        ) and not self.registry.enabled:
+        if metrics_stream is not None and not self.registry.enabled:
             self.registry = TelemetryRegistry()
         #: ``ledger``: a path or a :class:`~repro.obs.ledger.RunLedger`;
         #: when set, every run appends one summary line to it.
@@ -187,7 +170,6 @@ class _Session:
         self.profiler = resolve_profiler(profile)
         self._wall_seconds = 0.0
         self._archive_path: str | None = None
-        self._shipping: Any = None
 
     def _run(self, controller: MFController, mode: str) -> RunResult:
         network = Network(seed=self.network_seed, latency=self.latency)
@@ -202,7 +184,7 @@ class _Session:
             **engine_kwargs,
         )
         self._engine = engine  # kept for post-mortem diagnostics
-        watchdog = stream = shipper = None
+        watchdog = stream = None
         if self.profiler is not None and not self.profiler.running:
             self.profiler.start()  # samples this (the engine's) thread
         t0 = time.perf_counter()
@@ -213,15 +195,6 @@ class _Session:
                         self.metrics_stream,
                         self.registry,
                         interval=self.metrics_interval,
-                    ).start()
-                if self.telemetry_sink is not None:
-                    shipper = TelemetryShipper(
-                        self.telemetry_sink,
-                        self.registry,
-                        run_id=self.run_id,
-                        mode=mode,
-                        nprocs=self.nprocs,
-                        interval=self.sink_interval,
                     ).start()
                 if self.watchdog is not None:
                     progress = (
@@ -245,9 +218,6 @@ class _Session:
         finally:
             if watchdog is not None:
                 watchdog.stop()
-            if shipper is not None:
-                shipper.close()  # final delta + end frame, bounded drain
-                self._shipping = shipper.stats
             if stream is not None:
                 with use_registry(self.registry):
                     stream.close()
@@ -265,7 +235,6 @@ class _Session:
         """Stamp the run's telemetry rollup onto its result."""
         result.registry = self.registry
         result.profile = self.profiler
-        result.shipping = self._shipping
         if self.registry.enabled:
             chunks = stored_bytes = 0
             if result.archive is not None:
@@ -330,8 +299,6 @@ class RecordSession(_Session):
         watchdog: Any = None,
         metrics_stream: str | None = None,
         metrics_interval: float = 0.05,
-        telemetry_sink: str | None = None,
-        sink_interval: float = 0.1,
         ledger: Any = None,
         run_id: str = "",
         profile: Any = None,
@@ -347,8 +314,6 @@ class RecordSession(_Session):
             watchdog=watchdog,
             metrics_stream=metrics_stream,
             metrics_interval=metrics_interval,
-            telemetry_sink=telemetry_sink,
-            sink_interval=sink_interval,
             ledger=ledger,
             run_id=run_id,
             profile=profile,
@@ -440,8 +405,6 @@ class ReplaySession(_Session):
         watchdog: Any = None,
         metrics_stream: str | None = None,
         metrics_interval: float = 0.05,
-        telemetry_sink: str | None = None,
-        sink_interval: float = 0.1,
         ledger: Any = None,
         run_id: str = "",
         profile: Any = None,
@@ -463,8 +426,6 @@ class ReplaySession(_Session):
             watchdog=watchdog,
             metrics_stream=metrics_stream,
             metrics_interval=metrics_interval,
-            telemetry_sink=telemetry_sink,
-            sink_interval=sink_interval,
             ledger=ledger,
             run_id=run_id,
             profile=profile,

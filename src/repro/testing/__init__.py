@@ -1,7 +1,6 @@
-"""Test support: fault injection for storage and telemetry shipping."""
+"""Test support: fault injection for record storage."""
 
 from repro.testing.faults import (
-    ChaosTelemetryServer,
     FaultInjector,
     FaultPlan,
     FaultyFile,
@@ -9,7 +8,6 @@ from repro.testing.faults import (
 )
 
 __all__ = [
-    "ChaosTelemetryServer",
     "FaultInjector",
     "FaultPlan",
     "FaultyFile",

@@ -180,196 +180,3 @@ class FaultyFile:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-class ChaosTelemetryServer:
-    """Minimal fleet-server double with fault controls for shipper tests.
-
-    Speaks just enough of the :mod:`repro.obs.agg.wire` protocol to be a
-    believable sink — answers every ``hello`` with a ``welcome``, acks
-    every sequenced frame, records everything it decodes — and exposes
-    the failures a fire-and-forget shipper must shrug off:
-
-    * :meth:`drop_connections` — every live connection dies mid-stream
-      (the server "restarts"); the next connect succeeds normally.
-    * :meth:`pause_reading` / :meth:`resume_reading` — the server turns
-      into a slow consumer: it accepts but neither reads nor acks, so
-      the client's kernel buffer fills and its frame buffer backs up.
-
-    ``hellos`` keeps every handshake in arrival order, so tests can
-    assert reconnects arrive with bumped incarnations; ``frames`` keeps
-    every decoded frame, so delta sums are checkable against the
-    sender's local registry (``seq`` dedup is the *test's* job — a
-    retransmit after an unacked send legitimately appears twice).
-    """
-
-    def __init__(self, host: str = "127.0.0.1") -> None:
-        import socket
-        import threading
-
-        self._socket_mod = socket
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, 0))
-        self._sock.listen(64)
-        self._sock.settimeout(0.05)
-        self.host, self.port = self._sock.getsockname()
-        #: every decoded frame in arrival order (including duplicates).
-        self.frames: list[dict] = []
-        #: hello frames in arrival order (one per successful connect).
-        self.hellos: list[dict] = []
-        self.connections = 0
-        self._reading = threading.Event()
-        self._reading.set()
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._conns: list = []
-        self._decoders: dict = {}
-        self._thread: "threading.Thread | None" = None
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    def start(self) -> "ChaosTelemetryServer":
-        import threading
-
-        self._thread = threading.Thread(
-            target=self._loop, name="chaos-telemetry-server", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.drop_connections()
-        self._sock.close()
-
-    def __enter__(self) -> "ChaosTelemetryServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> bool:
-        self.stop()
-        return False
-
-    # -- fault controls ------------------------------------------------------
-
-    def drop_connections(self) -> None:
-        """Kill every live connection (mid-stream server death)."""
-        with self._lock:
-            conns, self._conns = self._conns, []
-            self._decoders.clear()
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already dead
-                pass
-
-    def pause_reading(self) -> None:
-        """Become a slow consumer: accept, but never read or ack."""
-        self._reading.clear()
-
-    def resume_reading(self) -> None:
-        self._reading.set()
-
-    # -- assertions helpers --------------------------------------------------
-
-    def frames_of(self, run_id: str, kind: str = "delta") -> list[dict]:
-        return [
-            f for f in self.frames
-            if f.get("type") == kind and f.get("run_id") == run_id
-        ]
-
-    def incarnations(self, run_id: str) -> list[int]:
-        return [
-            int(h.get("incarnation", 0))
-            for h in self.hellos
-            if h.get("run_id") == run_id
-        ]
-
-    # -- server loop ---------------------------------------------------------
-
-    def _loop(self) -> None:
-        import select
-
-        from repro.obs.agg.wire import FrameDecoder
-
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except (TimeoutError, self._socket_mod.timeout):
-                conn = None
-            except OSError:
-                return
-            if conn is not None:
-                conn.settimeout(0.5)
-                self.connections += 1
-                with self._lock:
-                    self._conns.append(conn)
-                    self._decoders[conn] = FrameDecoder()
-            if not self._reading.is_set():
-                continue
-            with self._lock:
-                conns = list(self._conns)
-            if not conns:
-                continue
-            try:
-                readable, _, _ = select.select(conns, [], [], 0.01)
-            except (OSError, ValueError):  # a conn closed under select
-                continue
-            for sock in readable:
-                self._service(sock)
-
-    def _service(self, sock) -> None:
-        from repro.obs.agg.wire import FrameError, encode_frame
-
-        with self._lock:
-            decoder = self._decoders.get(sock)
-        if decoder is None:
-            return
-        try:
-            data = sock.recv(1 << 16)
-        except (TimeoutError, self._socket_mod.timeout):
-            return
-        except OSError:
-            data = b""
-        if not data:
-            self._close(sock)
-            return
-        try:
-            frames = decoder.feed(data)
-        except FrameError:
-            self._close(sock)
-            return
-        ack_seq = 0
-        for frame in frames:
-            self.frames.append(frame)
-            if frame.get("type") == "hello":
-                self.hellos.append(frame)
-                try:
-                    sock.sendall(encode_frame({
-                        "type": "welcome", "proto": int(frame.get("proto", 1)),
-                        "server": "chaos-telemetry",
-                    }))
-                except OSError:
-                    self._close(sock)
-                    return
-            elif "seq" in frame:
-                ack_seq = max(ack_seq, int(frame["seq"]))
-        if ack_seq:
-            try:
-                sock.sendall(encode_frame({"type": "ack", "seq": ack_seq}))
-            except OSError:
-                self._close(sock)
-
-    def _close(self, sock) -> None:
-        with self._lock:
-            if sock in self._conns:
-                self._conns.remove(sock)
-            self._decoders.pop(sock, None)
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover - already dead
-            pass

@@ -141,79 +141,6 @@ class TestDashboard:
         )
 
 
-class TestFleetSection:
-    """`dash-fleet`: BENCH_fleet charts and the fleet-alerts snapshot."""
-
-    ALERT = {
-        "severity": "warning",
-        "rule": "shipper-drops",
-        "run_id": "record-h-1-0",
-        "signal": "frames_dropped",
-        "observed": 3,
-        "help": "raise buffer_frames or lower sink_interval",
-    }
-
-    def test_fleet_is_a_required_section(self):
-        assert "dash-fleet" in REQUIRED_SECTIONS
-
-    def test_no_data_placeholders(self, tmp_path):
-        text = build_dashboard(bench_dir=str(tmp_path))
-        assert "no BENCH_fleet.json found" in text
-        assert "no fleet-alerts snapshot supplied" in text
-        assert validate_dashboard_html(text) == []
-
-    def test_bench_fleet_charts_rendered(self, tmp_path):
-        doc = {
-            "generated_at": "2026-08-07T00:00:00+0000",
-            "p99_ingest_ms": 4.2,
-            "p99_ingest_ms_history": [5.0, 4.5, 4.2],
-            "overhead_ratio": 1.01,
-            "overhead_ratio_history": [1.03, 1.02, 1.01],
-        }
-        (tmp_path / "BENCH_fleet.json").write_text(json.dumps(doc))
-        text = build_dashboard(bench_dir=str(tmp_path))
-        assert "no BENCH_fleet.json found" not in text
-        assert "p99_ingest_ms" in text
-        assert "3 recorded run(s)" in text
-        assert validate_dashboard_html(text) == []
-
-    def test_alerts_table_from_mapping_and_path(self, tmp_path):
-        snapshot = {"alerts": [self.ALERT]}
-        text = build_dashboard(bench_dir=str(tmp_path), fleet_alerts=snapshot)
-        assert "shipper-drops" in text
-        assert "raise buffer_frames" in text
-        assert validate_dashboard_html(text) == []
-
-        path = tmp_path / "alerts.json"
-        path.write_text(json.dumps(snapshot))
-        from_path = build_dashboard(
-            bench_dir=str(tmp_path), fleet_alerts=str(path)
-        )
-        assert "shipper-drops" in from_path
-
-    def test_empty_alerts_say_none_fired(self, tmp_path):
-        text = build_dashboard(
-            bench_dir=str(tmp_path), fleet_alerts={"alerts": []}
-        )
-        assert "fleet alerts: none fired" in text
-
-    def test_unreadable_alerts_path_degrades(self, tmp_path):
-        text = build_dashboard(
-            bench_dir=str(tmp_path),
-            fleet_alerts=str(tmp_path / "missing.json"),
-        )
-        assert "no fleet-alerts snapshot supplied" in text
-        assert validate_dashboard_html(text) == []
-
-    def test_alert_text_is_escaped(self, tmp_path):
-        evil = dict(self.ALERT, rule='<script>alert(1)</script>')
-        text = build_dashboard(
-            bench_dir=str(tmp_path), fleet_alerts=[evil]
-        )
-        assert "<script>alert(1)</script>" not in text
-        assert "&lt;script&gt;" in text
-
-
 class TestCriticalPathSection:
     """`dash-critical`: blame bars + slack histogram from `repro explain`."""
 

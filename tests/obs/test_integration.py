@@ -77,10 +77,26 @@ class TestRecordTelemetry:
             assert result.run_stats is None
             assert ambient.counters().get("record.flushes", 0) == 0
 
-    def test_disabled_run_matches_enabled_run(self, program):
+    def test_disabled_run_matches_enabled_run(self, program, tmp_path):
         plain = record(program)
         traced = record(program, telemetry=True)
         assert plain.outcomes == traced.outcomes
+
+        # watching a run never changes its record: same archive bytes
+        record(program, store_dir=str(tmp_path / "off"), telemetry=False)
+        record(
+            program,
+            store_dir=str(tmp_path / "on"),
+            telemetry=True,
+            metrics_stream=str(tmp_path / "metrics.jsonl"),
+        )
+        names = sorted(p.name for p in (tmp_path / "off").iterdir())
+        assert "MANIFEST" in names and any(n.startswith("rank-") for n in names)
+        assert names == sorted(p.name for p in (tmp_path / "on").iterdir())
+        for name in names:
+            assert (tmp_path / "on" / name).read_bytes() == (
+                tmp_path / "off" / name
+            ).read_bytes(), name
 
 
 class TestReplayTelemetry:

@@ -1,16 +1,16 @@
 """``import repro.obs`` loads what the core reports into, nothing else.
 
 Every core module imports the package for ``get_registry`` / ``span``, so
-the fleet server, the dashboard, the ledger and the bench-file loader are
-resolved on first use (PEP 562 ``__getattr__`` in ``repro/obs/__init__.py``
-and ``repro/obs/agg/__init__.py``), not when the package is imported.
+the dashboard, the ledger and the bench-file loader are resolved on first
+use (PEP 562 ``__getattr__`` in ``repro/obs/__init__.py``), not when the
+package is imported, and no session or analysis import opens the network
+stack.
 """
 
 import subprocess
 import sys
 
 import repro.obs
-import repro.obs.agg
 
 
 def run(code: str) -> int:
@@ -20,8 +20,9 @@ def run(code: str) -> int:
 def test_importing_the_sessions_leaves_the_server_and_the_dashboard_out():
     code = (
         "import sys, repro.replay.session, repro.analysis; "
-        "loaded = [m for m in ('repro.obs.agg.server', 'repro.obs.dashboard', "
-        "'repro.obs.ledger', 'repro.obs.bench', 'asyncio') if m in sys.modules]; "
+        "loaded = [m for m in ('repro.obs.dashboard', 'repro.obs.ledger', "
+        "'repro.obs.bench', 'socket', 'selectors', 'asyncio') "
+        "if m in sys.modules]; "
         "sys.exit(', '.join(loaded) or 0)"
     )
     assert run(code) == 0
@@ -32,23 +33,20 @@ def test_lazy_names_resolve_on_first_use():
         "import sys, repro.obs as obs; "
         "assert 'repro.obs.dashboard' not in sys.modules; "
         "from repro.obs import build_dashboard, RunLedger; "
-        "from repro.obs.agg import AggregatorServer; "
-        "import repro.obs.dashboard, repro.obs.agg.server; "
+        "import repro.obs.dashboard; "
         "assert build_dashboard is repro.obs.dashboard.build_dashboard; "
-        "assert obs.build_dashboard is build_dashboard; "
-        "assert AggregatorServer is repro.obs.agg.server.AggregatorServer"
+        "assert obs.build_dashboard is build_dashboard"
     )
     assert run(code) == 0
 
 
 def test_every_exported_name_exists_and_nothing_else_is_invented():
-    for package in (repro.obs, repro.obs.agg):
-        assert len(set(package.__all__)) == len(package.__all__)
-        for name in package.__all__:
-            assert getattr(package, name) is not None
-        try:
-            package.no_such_name
-        except AttributeError as exc:
-            assert "no_such_name" in str(exc)
-        else:
-            raise AssertionError("a missing attribute must stay an AttributeError")
+    assert len(set(repro.obs.__all__)) == len(repro.obs.__all__)
+    for name in repro.obs.__all__:
+        assert getattr(repro.obs, name) is not None
+    try:
+        repro.obs.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError("a missing attribute must stay an AttributeError")

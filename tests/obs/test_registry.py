@@ -5,8 +5,6 @@ from __future__ import annotations
 import threading
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.obs import (
     COUNTER_MAX,
@@ -303,151 +301,3 @@ class TestHistogramEdges:
         # q=0 -> target 0 samples; first bucket (even empty) satisfies it
         assert h.quantile_bound(0.0) == Histogram.bucket_upper_bound(0)
 
-
-class TestInstrumentMerge:
-    """Cross-process snapshot folding (the shard-encode return path)."""
-
-    def test_counter_merge_adds(self):
-        reg = TelemetryRegistry()
-        c = reg.counter("x")
-        c.add(3)
-        c.merge(4)
-        assert c.value == 7
-
-    def test_gauge_merge_keeps_local_last_value(self):
-        g = TelemetryRegistry().gauge("g")
-        g.set(2.0)
-        g.merge({"value": 9.0, "max": 9.0, "updates": 1})
-        assert g.value == 2.0  # local last-write wins
-        assert g.max == 9.0    # high-water merges
-        assert g.updates == 2
-
-    def test_gauge_merge_adopts_remote_when_never_set(self):
-        g = TelemetryRegistry().gauge("g")
-        g.merge({"value": 5.0, "max": 5.0, "updates": 2})
-        assert g.value == 5.0
-        assert g.updates == 2
-
-    def test_gauge_merge_empty_snapshot_noop(self):
-        g = TelemetryRegistry().gauge("g")
-        g.set(1.0)
-        g.merge({"value": 99.0, "max": 99.0, "updates": 0})
-        assert g.value == 1.0
-        assert g.max == 1.0
-
-    def test_histogram_merge_adds_buckets_and_extrema(self):
-        a = Histogram("h")
-        b = Histogram("h")
-        a.observe(4)
-        b.observe(1000)
-        b.observe(2)
-        a.merge(b.snapshot())
-        assert a.count == 3
-        assert a.total == 4 + 1000 + 2
-        assert a.min == 2
-        assert a.max == 1000
-
-    def test_histogram_merge_empty_snapshot_noop(self):
-        a = Histogram("h")
-        a.observe(7)
-        a.merge(Histogram("h").snapshot())
-        assert a.count == 1
-        assert a.min == 7 and a.max == 7
-
-    def test_histogram_merge_out_of_range_bucket_clamps(self):
-        a = Histogram("h")
-        a.merge({"buckets": {"999": 2, "-3": 1}, "count": 3, "total": 10})
-        assert a.buckets[HISTOGRAM_BUCKETS - 1] == 2
-        assert a.buckets[0] == 1
-        assert a.count == 3
-
-    def test_registry_merge_creates_instruments_lazily(self):
-        src = TelemetryRegistry("src")
-        src.counter("c").add(2)
-        src.gauge("g").set(3.0)
-        src.histogram("h").observe(11)
-        dst = TelemetryRegistry("dst")
-        dst.merge(src.export_snapshot())
-        assert dst.counter("c").value == 2
-        assert dst.gauge("g").max == 3.0
-        assert dst.histogram("h").count == 1
-
-    def test_registry_merge_ignores_routing_keys(self):
-        dst = TelemetryRegistry("dst")
-        snap = TelemetryRegistry("src").export_snapshot()
-        snap["worker"] = 1234
-        snap["busy_ns"] = 5678
-        dst.merge(snap)  # must not raise or create instruments
-        assert not dst.instruments()
-
-    def test_null_registry_merge_noop(self):
-        NULL_REGISTRY.merge({"counters": {"c": 1}})
-        snap = NULL_REGISTRY.export_snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-class TestMergeProperties:
-    """Hypothesis: histogram merge is commutative and associative."""
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=2**64), max_size=30),
-        st.lists(st.integers(min_value=0, max_value=2**64), max_size=30),
-    )
-    def test_histogram_merge_commutes(self, xs, ys):
-        def hist(values):
-            h = Histogram("h")
-            for v in values:
-                h.observe(v)
-            return h
-
-        ab = hist(xs)
-        ab.merge(hist(ys).snapshot())
-        ba = hist(ys)
-        ba.merge(hist(xs).snapshot())
-        assert ab.snapshot() == ba.snapshot()
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=2**64), max_size=20),
-        st.lists(st.integers(min_value=0, max_value=2**64), max_size=20),
-        st.lists(st.integers(min_value=0, max_value=2**64), max_size=20),
-    )
-    def test_histogram_merge_associates(self, xs, ys, zs):
-        def hist(values):
-            h = Histogram("h")
-            for v in values:
-                h.observe(v)
-            return h
-
-        left = hist(xs)
-        left.merge(hist(ys).snapshot())
-        left.merge(hist(zs).snapshot())
-        bc = hist(ys)
-        bc.merge(hist(zs).snapshot())
-        right = hist(xs)
-        right.merge(bc.snapshot())
-        assert left.snapshot() == right.snapshot()
-
-    @given(
-        st.dictionaries(
-            st.sampled_from(["a", "b", "c"]),
-            st.integers(min_value=0, max_value=1000),
-            max_size=3,
-        ),
-        st.dictionaries(
-            st.sampled_from(["a", "b", "c"]),
-            st.integers(min_value=0, max_value=1000),
-            max_size=3,
-        ),
-    )
-    def test_registry_counter_merge_commutes(self, xs, ys):
-        def reg(counts):
-            r = TelemetryRegistry("r")
-            for name, n in counts.items():
-                r.counter(name).add(n)
-            return r
-
-        ab = reg(xs)
-        ab.merge(reg(ys).export_snapshot())
-        ba = reg(ys)
-        ba.merge(reg(xs).export_snapshot())
-        assert ab.export_snapshot() == ba.export_snapshot()

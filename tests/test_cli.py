@@ -358,6 +358,28 @@ class TestMonitor:
         with pytest.raises(FileNotFoundError):
             main(["monitor", str(tmp_path / "nope.jsonl")])
 
+    def test_metrics_file_is_required(self):
+        with pytest.raises(SystemExit) as info:
+            main(["monitor"])
+        assert info.value.code == 2  # argparse usage error
+
+    def test_closes_the_metrics_file(self, tmp_path, monkeypatch):
+        import builtins
+
+        import repro.cli
+
+        path = self.stream_file(tmp_path)
+        opened = []
+
+        def spy(*args, **kwargs):
+            fh = builtins.open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(repro.cli, "open", spy, raising=False)
+        assert main(["monitor", path]) == 0
+        assert opened and all(fh.closed for fh in opened)
+
 
 class TestStatsSalvage:
     """Regression: ``repro stats`` on crash-truncated archives (the
@@ -724,9 +746,10 @@ class TestDash:
                 "record", "--workload", "synthetic", "--nprocs", "4",
                 "--network-seed", "2", "--out", archive,
                 "-p", "messages_per_rank=6", "-p", "fanout=1",
-                "--ledger", ledger,
+                "--ledger", ledger, "--run-id", "dash-rec",
             ]
         ) == 0
+        assert f"ledger: {ledger} run dash-rec" in capsys.readouterr().out
         out_html = str(tmp_path / "dash.html")
         assert main(
             [
@@ -735,111 +758,10 @@ class TestDash:
             ]
         ) == 0
         assert "self-contained" in capsys.readouterr().out
-        text = open(out_html, encoding="utf-8").read()
+        with open(out_html, encoding="utf-8") as fh:
+            text = fh.read()
         assert validate_dashboard_html(text) == []
         assert "synthetic" in text
-
-
-class TestFleetCLI:
-    """serve/ship/query wired through the CLI verbs end to end."""
-
-    @pytest.fixture(scope="class")
-    def fleet(self, tmp_path_factory):
-        from repro.obs.agg import AggregatorServer
-
-        base = tmp_path_factory.mktemp("fleet-cli")
-        with AggregatorServer() as server:
-            code = main(
-                [
-                    "record", "--workload", "synthetic", "--nprocs", "4",
-                    "--network-seed", "3", "--out", str(base / "rec"),
-                    "-p", "messages_per_rank=6",
-                    "--telemetry-sink", server.address,
-                    "--run-id", "cli-rec",
-                ]
-            )
-            assert code == 0
-            yield server
-
-    def test_record_prints_shipping_line(self, fleet, capsys):
-        # the fixture already recorded; re-record to capture its output
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            assert main(
-                [
-                    "record", "--workload", "synthetic", "--nprocs", "4",
-                    "--out", f"{tmp}/rec", "-p", "messages_per_rank=4",
-                    "--telemetry-sink", fleet.address,
-                    "--run-id", "cli-rec2",
-                ]
-            ) == 0
-        out = capsys.readouterr().out
-        assert "telemetry: shipped" in out
-        assert "as cli-rec2 — delivered" in out
-
-    def test_fleet_status_json(self, fleet, capsys):
-        import json
-
-        assert main(
-            ["fleet", "status", "--remote", fleet.address, "--json"]
-        ) == 0
-        data = json.loads(capsys.readouterr().out)
-        ids = {r["run_id"] for r in data["runs"]}
-        assert "cli-rec" in ids
-        assert all(r["healthy"] for r in data["runs"])
-
-    def test_fleet_status_table(self, fleet, capsys):
-        assert main(["fleet", "status", "--remote", fleet.address]) == 0
-        out = capsys.readouterr().out
-        assert "fleet:" in out
-        assert "cli-rec" in out
-
-    def test_fleet_alerts_quiet(self, fleet, capsys):
-        assert main(["fleet", "alerts", "--remote", fleet.address]) == 0
-        assert "no alerts" in capsys.readouterr().out
-
-    def test_monitor_remote_fleet_table(self, fleet, capsys):
-        assert main(["monitor", "--remote", fleet.address]) == 0
-        assert "fleet:" in capsys.readouterr().out
-
-    def test_monitor_remote_single_run(self, fleet, capsys):
-        assert main(
-            ["monitor", "--remote", fleet.address, "--run", "cli-rec"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "monitor:" in out
-        assert "sim events" in out
-
-    def test_monitor_remote_unknown_run(self, fleet):
-        with pytest.raises(SystemExit, match="no run"):
-            main(["monitor", "--remote", fleet.address, "--run", "nope"])
-
-    def test_monitor_source_is_exactly_one(self):
-        with pytest.raises(SystemExit, match="exactly one"):
-            main(["monitor"])
-
-    def test_monitor_run_needs_remote(self, tmp_path):
-        stream = tmp_path / "m.jsonl"
-        stream.write_text("")
-        with pytest.raises(SystemExit, match="--run needs --remote"):
-            main(["monitor", str(stream), "--run", "r1"])
-
-    def test_fleet_unreachable_is_clean_error(self):
-        import socket
-
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()
-        with pytest.raises(SystemExit, match="cannot reach"):
-            main(["fleet", "status", "--remote", f"127.0.0.1:{port}"])
-
-    def test_serve_telemetry_rejects_bad_rules(self, tmp_path):
-        rules = tmp_path / "rules.json"
-        rules.write_text('[{"rule": "x"}]')
-        with pytest.raises(SystemExit, match="bad alert rules"):
-            main(["serve-telemetry", "--rules", str(rules)])
 
 
 class TestTimelineStrict:
