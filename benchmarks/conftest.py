@@ -7,9 +7,7 @@ EXPERIMENTS.md can quote measured numbers.
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
 import pytest
 
@@ -17,38 +15,6 @@ from repro.replay import BaselineSession, RecordSession
 from repro.workloads import jacobi, mcb
 
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
-
-#: machine-readable perf record at the repo root — later PRs diff against it
-BENCH_JSON = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_encoder.json",
-)
-
-
-def load_previous_bench() -> dict | None:
-    """The ``BENCH_encoder.json`` left by the last benchmark run, if any."""
-    try:
-        with open(BENCH_JSON, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return None
-
-
-@pytest.fixture(scope="session")
-def bench_results():
-    """Collects encoder perf numbers; written to BENCH_encoder.json at exit.
-
-    Tests deposit plain scalars (events/s, speedup ratios). The file is only
-    rewritten when at least one measurement landed, so running an unrelated
-    benchmark file never clobbers the record.
-    """
-    results: dict = {}
-    yield results
-    if results:
-        results["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        with open(BENCH_JSON, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 #: the benchmark-scale stand-in for the paper's 3,072-process runs
 MCB_RANKS = 48

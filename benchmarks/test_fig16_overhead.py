@@ -5,12 +5,18 @@ slows the application 13.1-25.5%, gzip recording 4.6-13.9% less than CDC,
 and both stay scalable because recording is communication-free. Our
 virtual-time cost model (DESIGN.md §2) reproduces the mechanism; we sweep
 smaller rank counts and assert the same shape.
+
+Section 6.2's rates ride along, in virtual time: the CDC thread drains
+331K events/s/process against the application's 258, so the bounded
+observe queue never blocks, and the 8-byte clock piggyback costs ~1.18%.
 """
 
 import pytest
 
 from repro.analysis import render_table
-from repro.replay import BaselineSession, RecordSession
+from repro.replay import BaselineSession, FluidQueueModel, RecordSession
+from repro.replay.cost_model import cdc_cost_model
+from repro.sim import LatencyModel
 from repro.workloads import mcb
 from benchmarks.conftest import emit
 
@@ -85,3 +91,68 @@ def test_fig16_recording_overhead(benchmark, sweep):
     base_large = sweep[RANK_COUNTS[-1]][2]
     scale = RANK_COUNTS[-1] / RANK_COUNTS[0]
     assert base_large > 0.5 * scale * base_small
+
+
+class TestQueueBalance:
+    def test_paper_rates_leave_queue_empty(self, benchmark):
+        def run():
+            q = FluidQueueModel(capacity=100_000, drain_rate=331_000.0)
+            interval = 1.0 / 258.0
+            total_stall = 0.0
+            for i in range(5_000):
+                total_stall += q.enqueue(i * interval)
+            return q, total_stall
+
+        q, stall = benchmark(run)
+        assert stall == 0.0
+        assert q.max_occupancy <= 1.0
+
+    def test_mcb_recording_does_not_saturate_queue(self, benchmark):
+        cfg = mcb.MCBConfig(nprocs=16, particles_per_rank=60, seed=7)
+
+        def run_once():
+            return RecordSession(
+                mcb.build_program(cfg), nprocs=16, network_seed=1, keep_outcomes=False
+            ).run()
+
+        run = benchmark.pedantic(run_once, rounds=1, iterations=1)
+        stats = run.controller.queue_stats()
+        assert all(stall == 0.0 for stall, _ in stats.values())
+
+
+class TestPiggybackOverhead:
+    def test_piggyback_costs_about_a_percent(self, benchmark):
+        """8-byte clock piggyback vs none, identical seeds: ~1% slowdown
+        (paper: 1.18%)."""
+        cfg = mcb.MCBConfig(nprocs=16, particles_per_rank=60, seed=7)
+        program = mcb.build_program(cfg)
+        # deterministic network: the runs differ *only* by the 8 piggyback
+        # bytes, so the measurement is not drowned by reordering noise
+        lat = LatencyModel(base=2e-6, per_byte=2e-8, jitter_mean=0.0)
+
+        def run(piggyback):
+            model = cdc_cost_model()
+            model.enqueue_cost = 0.0  # isolate the piggyback effect
+            model.piggyback_bytes = piggyback
+            return RecordSession(
+                program,
+                nprocs=16,
+                network_seed=1,
+                cost_model=model,
+                keep_outcomes=False,
+                latency=lat,
+            ).run().stats.virtual_time
+
+        bare = run(0)
+        piggy = benchmark.pedantic(run, args=(8,), rounds=1, iterations=1)
+        overhead = piggy / bare - 1
+        emit(
+            "throughput_piggyback",
+            render_table(
+                "Section 6.2 — clock piggyback overhead",
+                ["configuration", "virtual time (s)"],
+                [("no piggyback", f"{bare:.6f}"), ("8-byte piggyback", f"{piggy:.6f}")],
+                note=f"overhead {100 * overhead:.2f}% (paper: 1.18%)",
+            ),
+        )
+        assert 0.0 <= overhead < 0.10

@@ -9,42 +9,15 @@ CDC's scalability story rests on are scale-stable:
 * mean permutation percentage stays in a narrow band.
 """
 
-import json
-import os
-import resource
-import time
-
 import pytest
 
 from repro.analysis import permutation_histogram, render_table
 from repro.core import Method, aggregate_reports, compare_methods
-from repro.replay import RecordSession, ReplaySession, assert_replay_matches
+from repro.replay import RecordSession
 from repro.workloads import mcb
 from benchmarks.conftest import emit
 
 RANKS = (8, 16, 32, 64)
-
-#: machine-readable engine-scale record beside BENCH_encoder.json
-ENGINE_JSON = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_engine.json",
-)
-
-#: paper-scale smoke case: rank count and wall budget for record+replay
-ENGINE_RANKS = 256
-ENGINE_BUDGET_S = 240.0
-
-
-@pytest.fixture(scope="session")
-def engine_results():
-    """Collects engine-scale numbers; written to BENCH_engine.json at exit."""
-    results: dict = {}
-    yield results
-    if results:
-        results["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        with open(ENGINE_JSON, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def measure(nprocs):
@@ -96,56 +69,3 @@ def test_scaling_stability(benchmark, sweep):
     assert all(r > 2.5 for r in ratios)
     assert max(perms) - min(perms) < 0.25
 
-
-def test_mcb_256_rank_record_replay(engine_results):
-    """Record+replay MCB at 256 simulated ranks under a wall-clock budget.
-
-    The paper-scale smoke case behind the engine trend ledger: a full
-    record pass and a bit-identical replay, both through the columnar hot
-    path, with events/s and peak RSS captured in ``BENCH_engine.json``.
-    """
-    cfg = mcb.MCBConfig(nprocs=ENGINE_RANKS, particles_per_rank=60, seed=7)
-    program = mcb.build_program(cfg)
-
-    t0 = time.perf_counter()
-    record = RecordSession(
-        program, nprocs=ENGINE_RANKS, network_seed=1, keep_outcomes=True
-    ).run()
-    t_record = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    replayed = ReplaySession(program, record.archive, network_seed=2).run()
-    t_replay = time.perf_counter() - t0
-    assert_replay_matches(record, replayed)
-
-    events = record.stats.total_events
-    wall = t_record + t_replay
-    rate = events / wall
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-    engine_results["ranks"] = ENGINE_RANKS
-    engine_results["engine_events"] = events
-    engine_results["record_s"] = round(t_record, 3)
-    engine_results["replay_s"] = round(t_replay, 3)
-    engine_results["engine_events_per_sec"] = round(rate)
-    engine_results["peak_rss_mb"] = round(peak_rss_mb, 1)
-    emit(
-        "scaling_engine_256",
-        render_table(
-            f"Paper-scale smoke: MCB record+replay at {ENGINE_RANKS} ranks",
-            ["metric", "value"],
-            [
-                ("engine events", f"{events:,}"),
-                ("record wall (s)", f"{t_record:.2f}"),
-                ("replay wall (s)", f"{t_replay:.2f}"),
-                ("events/second (combined)", f"{rate:,.0f}"),
-                ("peak RSS (MB)", f"{peak_rss_mb:.0f}"),
-            ],
-            note=f"budget {ENGINE_BUDGET_S:.0f}s for the combined pass; "
-            "replay is asserted bit-identical to the record",
-        ),
-    )
-    assert wall < ENGINE_BUDGET_S, (
-        f"256-rank record+replay took {wall:.1f}s, over the "
-        f"{ENGINE_BUDGET_S:.0f}s budget"
-    )

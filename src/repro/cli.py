@@ -705,7 +705,6 @@ def cmd_dash(args: argparse.Namespace) -> int:
 
     text = build_dashboard(
         ledger=args.ledger,
-        bench_dir=args.bench_dir,
         folded=args.folded,
         explain=args.explain,
         title=args.title,
@@ -1162,15 +1161,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash = sub.add_parser(
         "dash",
         help="render the single-file HTML perf dashboard (ledger trends, "
-             "bench history, flamegraph)",
+             "critical path, flamegraph)",
     )
     p_dash.add_argument("--out", required=True, metavar="FILE")
     p_dash.add_argument(
         "--ledger", metavar="FILE", help="run-ledger JSONL for trend charts"
-    )
-    p_dash.add_argument(
-        "--bench-dir", default=".", metavar="DIR",
-        help="directory holding BENCH_*.json files (default: .)",
     )
     p_dash.add_argument(
         "--folded", metavar="FILE",

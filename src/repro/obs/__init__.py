@@ -63,7 +63,6 @@ from repro.obs.stats import RunStats, build_run_stats
 #: together a fifth of what ``import repro.obs`` used to cost, and every
 #: core module imports this package for ``get_registry`` / ``span``.
 _LAZY = {
-    "bench": "bench_histories load_bench_files validate_bench_json",
     "dashboard": "build_dashboard validate_dashboard_html write_dashboard",
     "ledger": "LedgerEntry RunLedger TrendFlag entry_from_result render_run render_runs "
     "render_trend trend_report validate_ledger_lines",
@@ -109,7 +108,6 @@ __all__ = [
     "TraceEvent",
     "TrendFlag",
     "WatchdogConfig",
-    "bench_histories",
     "build_dashboard",
     "build_run_stats",
     "build_stall_report",
@@ -120,7 +118,6 @@ __all__ = [
     "event",
     "first_divergence_candidate",
     "get_registry",
-    "load_bench_files",
     "merged_timeline",
     "metrics_lines",
     "render_monitor",
@@ -136,7 +133,6 @@ __all__ = [
     "telemetry_enabled",
     "trend_report",
     "use_registry",
-    "validate_bench_json",
     "validate_chrome_trace",
     "validate_collapsed_stacks",
     "validate_ledger_lines",

@@ -7,9 +7,6 @@ assets — that CI uploads on every run and a reviewer opens cold:
   line chart per metric with Welford z-score regression flags marked in
   the status color (same :func:`~repro.obs.ledger.trend_report` the CLI
   gates on);
-* **benchmark history** — every ``*_history`` series from the repo's
-  ``BENCH_*.json`` files (schema-checked by :mod:`repro.obs.bench`),
-  plus a table of the current scalars;
 * **flamegraph** — the latest sampling profile's collapsed stacks
   (:mod:`repro.obs.profiler`), rendered as depth-ramped cells with a
   hover readout and a hotspot table.
@@ -32,7 +29,6 @@ import json
 from html.parser import HTMLParser
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.obs.bench import bench_histories, load_bench_files
 from repro.obs.ledger import (
     LedgerEntry,
     RunLedger,
@@ -49,7 +45,6 @@ __all__ = [
 #: sections the validator requires; every build renders all of them.
 REQUIRED_SECTIONS = (
     "dash-ledger",
-    "dash-bench",
     "dash-critical",
     "dash-flame",
     "dash-runs",
@@ -470,39 +465,6 @@ def _ledger_section(
     return f'<div class="grid">{"".join(cards)}</div>{flag_html}'
 
 
-def _bench_section(docs: Mapping[str, Mapping[str, Any]]) -> str:
-    if not docs:
-        return '<p class="okline">no BENCH_*.json files found</p>'
-    cards = []
-    for name, values in bench_histories(docs).items():
-        labels = [str(i + 1) for i in range(len(values))]
-        cards.append(
-            _chart_card(
-                name,
-                _line_chart(name.split(".", 1)[-1], values, labels),
-                meta=f"{len(values)} recorded run(s)",
-            )
-        )
-    rows = []
-    for name, doc in sorted(docs.items()):
-        for key, value in sorted(doc.items()):
-            if key == "generated_at" or key.endswith("_history"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            rows.append(
-                f"<tr><td>{html.escape(name)}</td><td>{html.escape(key)}</td>"
-                f'<td class="num">{html.escape(_fmt(float(value)))}</td></tr>'
-            )
-    table = (
-        '<div class="card"><h3>current benchmark scalars</h3>'
-        "<table><thead><tr><th>suite</th><th>metric</th>"
-        '<th class="num">value</th></tr></thead>'
-        f'<tbody>{"".join(rows)}</tbody></table></div>'
-    )
-    return f'<div class="grid">{"".join(cards)}{table}</div>'
-
-
 def _critical_section(explain: Mapping[str, Any] | None) -> str:
     """Blame bars + slack histogram from a ``repro explain --json`` export."""
     if not explain:
@@ -607,7 +569,6 @@ def _runs_table(entries: Sequence[LedgerEntry], limit: int = 30) -> str:
 
 def build_dashboard(
     ledger: RunLedger | str | Sequence[LedgerEntry] | None = None,
-    bench_dir: str = ".",
     folded: str | Sequence[str] | None = None,
     explain: Mapping[str, Any] | str | None = None,
     title: str = "repro perf dashboard",
@@ -627,8 +588,6 @@ def build_dashboard(
     else:
         entries = list(ledger or [])
     flags, series = trend_report(entries, z_threshold=z_threshold)
-
-    docs = load_bench_files(bench_dir)
 
     if isinstance(folded, str):
         try:
@@ -680,9 +639,6 @@ def build_dashboard(
 
 <h2 id="dash-ledger">Run-ledger trends</h2>
 {_ledger_section(entries, flags, series)}
-
-<h2 id="dash-bench">Benchmark history</h2>
-{_bench_section(docs)}
 
 <h2 id="dash-critical">Critical path</h2>
 {_critical_section(explain)}

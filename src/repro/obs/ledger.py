@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.monitor import RunningStats, sparkline
@@ -294,7 +295,9 @@ def entry_from_result(
                 chunks += 1
                 events_in_chunks += chunk.num_events
                 moved += chunk.diff.num_moved
-                unmatched += sum(n for _, n in chunk.unmatched_runs)
+                # map/itemgetter: no Python frame per run, so the summary
+                # costs the same calls however long the run was
+                unmatched += sum(map(itemgetter(1), chunk.unmatched_runs))
         raw_bytes = ((events_in_chunks + unmatched) * ROW_BITS + 7) // 8
         # both sizes come from the archive's memoized one-pass accounting;
         # a per-table breakdown (analysis.size_model) costs too much here.

@@ -7,8 +7,9 @@ interleavings being recorded). :class:`SamplingProfiler` instead wakes a
 daemon thread ``hz`` times a second, snapshots the target thread's stack
 via :func:`sys._current_frames`, and folds it into a bounded
 collapsed-stack table. Cost is O(stack depth) per sample regardless of
-call rate, so overhead stays in the low single digits percent (gated at
-ratio <= 1.05 in ``BENCH_timeline.json``).
+call rate, so overhead stays in the low single digits percent, and the
+sampler's thread adds no calls to the profiled thread
+(``tests/sim/test_hot_path_budget.py`` holds that count).
 
 Exports:
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 import errno
 import json
 import os
-import random
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -113,30 +112,17 @@ RETRYABLE_ERRNOS = frozenset(
 class RetryPolicy:
     """Bounded exponential backoff for transient storage errors.
 
-    ``jitter`` spreads retries by scaling each delay by a factor drawn
-    uniformly from ``[1 - jitter, 1 + jitter]``. The draw is a pure
-    function of ``(seed, attempt)``, so a seeded policy produces the exact
-    same backoff schedule every run — fault-injection tests stay
-    reproducible while production still decorrelates retry storms.
+    Retry ``attempt`` (0-based) waits ``base_delay * 2**attempt``, capped
+    at ``max_delay``: the same schedule every run, so fault-injection
+    tests stay reproducible.
     """
 
     attempts: int = 4
     base_delay: float = 0.01
     max_delay: float = 0.25
-    jitter: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
 
     def delay(self, attempt: int) -> float:
-        base = min(self.base_delay * (2 ** attempt), self.max_delay)
-        if self.jitter == 0.0:
-            return base
-        # one int mixes seed and attempt: Random(tuple) is a TypeError.
-        rng = random.Random(self.seed * 1000003 + attempt)
-        return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+        return min(self.base_delay * (2 ** attempt), self.max_delay)
 
 
 def _retry_io(fn: Callable[[], object], policy: RetryPolicy):

@@ -261,6 +261,10 @@ class TestMergedTimeline:
         assert len(finishes) == total_receives
         for ev in finishes:
             assert ev["bp"] == "e"
+        # one arrow per distinct (clock, sender) a run received
+        assert timeline["otherData"]["flows"] == sum(
+            len(identities(rec)[1]) for rec in recorders
+        )
 
     def test_every_flow_has_start_and_finish(self, timeline):
         starts = {}

@@ -1,16 +1,10 @@
-"""Dashboard + BENCH schema: build, validate, self-containment."""
+"""Dashboard: build, validate, self-containment."""
 
 from __future__ import annotations
 
 import json
 
-from repro.obs import (
-    build_dashboard,
-    validate_bench_json,
-    validate_dashboard_html,
-    write_dashboard,
-)
-from repro.obs.bench import bench_histories, load_bench_files
+from repro.obs import build_dashboard, validate_dashboard_html, write_dashboard
 from repro.obs.dashboard import REQUIRED_SECTIONS
 from repro.replay import RecordSession
 from repro.workloads import make_workload
@@ -30,55 +24,6 @@ def seeded_ledger(tmp_path, runs=3):
     return path
 
 
-class TestBenchSchema:
-    def test_valid_document(self):
-        doc = {
-            "generated_at": "2026-08-07T00:00:00+0000",
-            "events_per_sec": 123456,
-            "ratio": 1.04,
-            "label": "x",
-            "flag": True,
-            "events_per_sec_history": [1.0, 2.0],
-        }
-        assert validate_bench_json(doc) == []
-
-    def test_problems_flagged(self):
-        assert validate_bench_json([]) != []
-        assert validate_bench_json({}) != []  # no generated_at
-        assert validate_bench_json(
-            {"generated_at": "t", "x_history": "notalist"}
-        ) != []
-        assert validate_bench_json(
-            {"generated_at": "t", "x_history": []}
-        ) != []
-        assert validate_bench_json(
-            {"generated_at": "t", "x_history": [1, "two"]}
-        ) != []
-        assert validate_bench_json({"generated_at": "t", "x": None}) != []
-        assert validate_bench_json({"generated_at": "t", "x": {"y": 1}}) != []
-        assert validate_bench_json(
-            {"generated_at": "t", "x": float("nan")}
-        ) != []
-
-    def test_load_and_histories(self, tmp_path):
-        (tmp_path / "BENCH_a.json").write_text(
-            json.dumps(
-                {"generated_at": "t", "m": 2, "m_history": [1, 2, 3]}
-            )
-        )
-        (tmp_path / "BENCH_broken.json").write_text("{not json")
-        docs = load_bench_files(str(tmp_path))
-        assert set(docs) == {"BENCH_a"}
-        assert bench_histories(docs) == {"BENCH_a.m": [1.0, 2.0, 3.0]}
-
-    def test_repo_bench_files_pass_schema(self):
-        # the shared gate CI runs: every committed BENCH file validates
-        docs = load_bench_files(".")
-        assert docs, "expected BENCH_*.json at the repo root"
-        for name, doc in docs.items():
-            assert validate_bench_json(doc, name) == []
-
-
 class TestDashboard:
     FOLDED = [
         "main;engine;encode 60",
@@ -86,8 +31,8 @@ class TestDashboard:
         "main;io 10",
     ]
 
-    def test_empty_inputs_still_valid(self, tmp_path):
-        text = build_dashboard(bench_dir=str(tmp_path))
+    def test_empty_inputs_still_valid(self):
+        text = build_dashboard()
         assert validate_dashboard_html(text) == []
         for section in REQUIRED_SECTIONS:
             assert section in text
@@ -96,7 +41,6 @@ class TestDashboard:
         ledger = seeded_ledger(tmp_path)
         text = build_dashboard(
             ledger=ledger,
-            bench_dir=".",  # the repo's committed BENCH files
             folded=self.FOLDED,
             generated_at="2026-08-07T00:00:00+0000",
         )
@@ -108,18 +52,13 @@ class TestDashboard:
         assert "data-values=" in text
 
     def test_write_dashboard(self, tmp_path):
-        path = write_dashboard(
-            str(tmp_path / "dash.html"), bench_dir=str(tmp_path)
-        )
+        path = write_dashboard(str(tmp_path / "dash.html"))
         text = open(path, encoding="utf-8").read()
         assert validate_dashboard_html(text) == []
 
-    def test_untrusted_names_escaped(self, tmp_path):
+    def test_untrusted_names_escaped(self):
         evil = '<script>alert(1)</script>'
-        text = build_dashboard(
-            bench_dir=str(tmp_path),
-            folded=[f"main;{evil} 5"],
-        )
+        text = build_dashboard(folded=[f"main;{evil} 5"])
         assert evil not in text
         assert "&lt;script&gt;" in text
         assert validate_dashboard_html(text) == []
@@ -128,7 +67,7 @@ class TestDashboard:
         assert "missing <!DOCTYPE html> preamble" in "; ".join(
             validate_dashboard_html("<html></html>")
         )
-        text = build_dashboard(bench_dir="/nonexistent")
+        text = build_dashboard()
         broken = text.replace('id="dash-flame"', 'id="dash-f"')
         assert any(
             "dash-flame" in p for p in validate_dashboard_html(broken)
@@ -182,14 +121,14 @@ class TestCriticalPathSection:
     def test_critical_is_a_required_section(self):
         assert "dash-critical" in REQUIRED_SECTIONS
 
-    def test_placeholder_without_explain(self, tmp_path):
-        text = build_dashboard(bench_dir=str(tmp_path))
+    def test_placeholder_without_explain(self):
+        text = build_dashboard()
         assert 'id="dash-critical"' in text
         assert "no explain report supplied" in text
         assert validate_dashboard_html(text) == []
 
-    def test_blame_bars_and_histogram_rendered(self, tmp_path):
-        text = build_dashboard(bench_dir=str(tmp_path), explain=self.EXPLAIN)
+    def test_blame_bars_and_histogram_rendered(self):
+        text = build_dashboard(explain=self.EXPLAIN)
         assert "no explain report supplied" not in text
         assert "62.0% of the critical path" in text
         assert "blame by rank" in text
@@ -200,24 +139,22 @@ class TestCriticalPathSection:
     def test_explain_loads_from_path(self, tmp_path):
         path = tmp_path / "explain.json"
         path.write_text(json.dumps(self.EXPLAIN))
-        text = build_dashboard(bench_dir=str(tmp_path), explain=str(path))
+        text = build_dashboard(explain=str(path))
         assert "62.0% of the critical path" in text
 
     def test_unreadable_explain_path_degrades(self, tmp_path):
-        text = build_dashboard(
-            bench_dir=str(tmp_path), explain=str(tmp_path / "missing.json")
-        )
+        text = build_dashboard(explain=str(tmp_path / "missing.json"))
         assert "no explain report supplied" in text
         assert validate_dashboard_html(text) == []
 
-    def test_explain_label_is_escaped(self, tmp_path):
+    def test_explain_label_is_escaped(self):
         evil = dict(self.EXPLAIN, label="<script>alert(1)</script>")
-        text = build_dashboard(bench_dir=str(tmp_path), explain=evil)
+        text = build_dashboard(explain=evil)
         assert "<script>alert(1)</script>" not in text
         assert "&lt;script&gt;" in text
 
-    def test_validator_enforces_critical_id(self, tmp_path):
-        text = build_dashboard(bench_dir=str(tmp_path))
+    def test_validator_enforces_critical_id(self):
+        text = build_dashboard()
         broken = text.replace('id="dash-critical"', 'id="dash-x"')
         assert any(
             "dash-critical" in p for p in validate_dashboard_html(broken)

@@ -21,7 +21,7 @@ def test_importing_the_sessions_leaves_the_server_and_the_dashboard_out():
     code = (
         "import sys, repro.replay.session, repro.analysis; "
         "loaded = [m for m in ('repro.obs.dashboard', 'repro.obs.ledger', "
-        "'repro.obs.bench', 'socket', 'selectors', 'asyncio') "
+        "'socket', 'selectors', 'asyncio') "
         "if m in sys.modules]; "
         "sys.exit(', '.join(loaded) or 0)"
     )

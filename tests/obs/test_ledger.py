@@ -198,10 +198,15 @@ class TestSessionWiring:
         program, _ = make_workload("synthetic", NPROCS, **PARAMS)
         rep = ReplaySession(program, store, network_seed=7, ledger=path).run()
         assert rep.ledger_entry.run_id == "r0002"
+        assert _session(2, ledger=path).run().ledger_entry.run_id == "r0003"
         entries = RunLedger(path).entries()
-        assert [e.mode for e in entries] == ["record", "replay"]
+        assert [e.mode for e in entries] == ["record", "replay", "record"]
         assert entries[1].archive == store
         assert entries[0].events == entries[1].events
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 3
+        assert validate_ledger_lines(lines) == []
 
     def test_ledger_object_and_custom_run_id(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "runs.jsonl"))

@@ -616,31 +616,12 @@ class TestRetries:
         assert loaded.chunks(0) == archive.chunks(0)
 
 
-class TestRetryPolicyJitter:
-    def test_seeded_jitter_is_deterministic(self):
-        a = RetryPolicy(attempts=5, jitter=0.5, seed=42)
-        b = RetryPolicy(attempts=5, jitter=0.5, seed=42)
-        assert [a.delay(i) for i in range(5)] == [b.delay(i) for i in range(5)]
-
-    def test_different_seeds_decorrelate(self):
-        a = RetryPolicy(attempts=5, jitter=0.5, seed=1)
-        b = RetryPolicy(attempts=5, jitter=0.5, seed=2)
-        assert [a.delay(i) for i in range(5)] != [b.delay(i) for i in range(5)]
-
-    def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(base_delay=0.1, max_delay=10.0, jitter=0.25, seed=7)
-        for attempt in range(6):
-            base = min(0.1 * 2**attempt, 10.0)
-            assert 0.75 * base <= policy.delay(attempt) <= 1.25 * base
-
-    def test_zero_jitter_is_exact(self):
+class TestRetryPolicy:
+    def test_backoff_doubles_up_to_the_cap(self):
         policy = RetryPolicy(base_delay=0.01, max_delay=0.25)
         assert policy.delay(0) == 0.01
+        assert policy.delay(1) == 0.02
         assert policy.delay(10) == 0.25
-
-    def test_jitter_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
 
 
 class TestManifestNprocsFlip:

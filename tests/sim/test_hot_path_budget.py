@@ -19,6 +19,13 @@ poll, a filter method per posted receive) moves the counts by thousands —
 the failure message prints the distance to the reference counts — and a
 return to an old chain fails here, on any machine.
 
+The session's opt-in observers are held the same way. A watchdog and a
+sampling profiler work on their own threads, which ``sys.setprofile``
+does not see, and a ledger appends one line after the run: each adds a
+fixed number of calls to the run's own thread, counted at two MCB sizes
+whose engine events differ by more than 4x. A hook that fires per event
+moves the difference between the two by thousands.
+
 Counts were taken on CPython 3.11; later versions inline comprehensions
 and only count fewer. To re-measure after an intended change run::
 
@@ -60,6 +67,26 @@ BUDGET = {"record": int(6.5 * ENGINE_EVENTS), "replay": int(6.5 * ENGINE_EVENTS)
 #: event: a halo message is more engine work than a poll) and after
 UNSTRUCTURED_BEFORE = {"record": 16_292, "replay": 16_979}
 UNSTRUCTURED_CALLS = {"record": 13_806, "replay": 13_333}
+
+
+#: MCB sizes for the observer gates, particles per rank -> engine events
+OBSERVER_SIZES = {5: 1411, 40: 7707}
+#: calls each observer adds to one record over a bare one, at either size
+#: (measured: 33, 36 and 1,305 at both)
+OBSERVER_BUDGET = {"watchdog": 64, "profile": 64, "ledger": 1_400}
+#: how far the added calls may differ between the two sizes: thread
+#: start-up races, not per-event work (measured: 0)
+OBSERVER_GROWTH = 16
+
+
+def observer_kwargs(name, ledger_path):
+    if name == "watchdog":
+        from repro.obs import WatchdogConfig
+
+        return {"watchdog": WatchdogConfig(deadline=300, poll_interval=0.01)}
+    if name == "profile":
+        return {"profile": 97}
+    return {"ledger": str(ledger_path)}
 
 
 def count_calls(fn):
@@ -119,6 +146,35 @@ def measured():
     return measure()
 
 
+def record_calls(ppr, **kwargs):
+    """(Python calls, engine events) for one 8-rank MCB record."""
+    program, _ = make_workload("mcb", NPROCS, particles_per_rank=ppr, seed=3)
+    calls, run = count_calls(
+        lambda: RecordSession(
+            program, nprocs=NPROCS, network_seed=5, keep_outcomes=False, **kwargs
+        ).run()
+    )
+    return calls, run.stats.total_events
+
+
+@pytest.fixture(scope="module")
+def observer_extra(tmp_path_factory):
+    """(observer, particles per rank) -> calls added over a bare record."""
+    tmp = tmp_path_factory.mktemp("observers")
+    small = min(OBSERVER_SIZES)
+    for name in OBSERVER_BUDGET:  # first use imports and warms caches
+        record_calls(small, **observer_kwargs(name, tmp / "warm.jsonl"))
+    extra = {}
+    for ppr, events in OBSERVER_SIZES.items():
+        bare, measured_events = record_calls(ppr)
+        assert measured_events == events  # same runs as the ones sized
+        for name in OBSERVER_BUDGET:
+            ledger = tmp / f"runs-{ppr}.jsonl"
+            calls, _ = record_calls(ppr, **observer_kwargs(name, ledger))
+            extra[name, ppr] = calls - bare
+    return extra
+
+
 @pytest.mark.skipif(
     sys.getprofile() is not None, reason="another profiler owns sys.setprofile"
 )
@@ -152,6 +208,20 @@ class TestHotPathBudget:
             f"events ({calls / events:.2f}/event); pinned at "
             f"{UNSTRUCTURED_CALLS[mode]}, {UNSTRUCTURED_BEFORE[mode]} before "
             "the simulator layer was finished"
+        )
+
+    @pytest.mark.parametrize("name", sorted(OBSERVER_BUDGET))
+    def test_observer_adds_a_constant(self, observer_extra, name):
+        small, large = sorted(OBSERVER_SIZES)
+        added = {ppr: observer_extra[name, ppr] for ppr in (small, large)}
+        assert added[large] <= OBSERVER_BUDGET[name], (
+            f"{name}: +{added[large]} calls over a bare record; "
+            f"budget {OBSERVER_BUDGET[name]}"
+        )
+        assert abs(added[large] - added[small]) <= OBSERVER_GROWTH, (
+            f"{name}: +{added[small]} calls at {OBSERVER_SIZES[small]} engine "
+            f"events but +{added[large]} at {OBSERVER_SIZES[large]}: "
+            "something runs per event on the run's thread"
         )
 
 

@@ -751,12 +751,7 @@ class TestDash:
         ) == 0
         assert f"ledger: {ledger} run dash-rec" in capsys.readouterr().out
         out_html = str(tmp_path / "dash.html")
-        assert main(
-            [
-                "dash", "--out", out_html, "--ledger", ledger,
-                "--bench-dir", ".",
-            ]
-        ) == 0
+        assert main(["dash", "--out", out_html, "--ledger", ledger]) == 0
         assert "self-contained" in capsys.readouterr().out
         with open(out_html, encoding="utf-8") as fh:
             text = fh.read()
