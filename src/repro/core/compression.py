@@ -91,28 +91,17 @@ def _compress_parts(
     structural encoding (RE / PE / LPE tables) versus the trailing zlib
     pass — ``repro stats`` reports the ratio between the two.
     """
-    if method is Method.RAW:
+    if method is Method.RAW or method is Method.GZIP:
         raw = serialize_raw_rows(list(outcomes_to_rows(outcomes)))
-        return len(raw), raw
-    if method is Method.GZIP:
-        raw = serialize_raw_rows(list(outcomes_to_rows(outcomes)))
-        return len(raw), zlib.compress(raw, ZLIB_LEVEL)
+        return len(raw), raw if method is Method.RAW else zlib.compress(raw, ZLIB_LEVEL)
+    # only the complete method keeps callsites apart (MF identification)
+    merged = outcomes if method is Method.CDC else _merge_callsites(outcomes)
+    tables = [t for ts in build_columnar_tables(merged, chunk_events).values() for t in ts]
     if method is Method.CDC_RE:
-        tables = build_columnar_tables(_merge_callsites(outcomes), chunk_events)
-        flat = [t.to_record_table() for ts in tables.values() for t in ts]
-        payload = serialize_re_tables(flat)
-        return len(payload), zlib.compress(payload, ZLIB_LEVEL)
-    if method is Method.CDC_RE_PE_LPE:
-        tables = build_columnar_tables(_merge_callsites(outcomes), chunk_events)
-        chunks = [encode_table(t) for ts in tables.values() for t in ts]
-        payload = serialize_cdc_chunks(chunks)
-        return len(payload), zlib.compress(payload, ZLIB_LEVEL)
-    if method is Method.CDC:
-        tables = build_columnar_tables(outcomes, chunk_events)
-        chunks = [encode_table(t) for ts in tables.values() for t in ts]
-        payload = serialize_cdc_chunks(chunks)
-        return len(payload), zlib.compress(payload, ZLIB_LEVEL)
-    raise ValueError(f"unknown method {method!r}")  # pragma: no cover
+        payload = serialize_re_tables([t.to_record_table() for t in tables])
+    else:
+        payload = serialize_cdc_chunks([encode_table(t) for t in tables])
+    return len(payload), zlib.compress(payload, ZLIB_LEVEL)
 
 
 @dataclass(frozen=True)

@@ -534,6 +534,7 @@ class ReplayController(MFController):
     """Force every MF call to return the recorded outcome."""
 
     mode = "replay"
+    reads_completions = True
 
     def __init__(
         self,

@@ -39,9 +39,9 @@ class MailBox:
     posted: list[Request] = field(default_factory=list)
     unexpected: list[Message] = field(default_factory=list)
     _last_seq_by_src: dict[int, int] = field(default_factory=dict)
-    #: completions since the last sweep by a matching function, in
-    #: completion order; consumed by controllers for callsite binding.
-    completion_log: list[Request] = field(default_factory=list)
+    #: completions the replay controller has not drained yet, in completion
+    #: order; None when no controller reads them (record, baseline).
+    completion_log: list[Request] | None = field(default_factory=list)
 
     def post_recv(self, req: Request) -> None:
         """Post a nonblocking receive; may match an unexpected message."""
@@ -88,7 +88,8 @@ class MailBox:
         req.message = msg
         req.completion_time = time
         req.completion_seq = next(_completion_counter)
-        self.completion_log.append(req)
+        if self.completion_log is not None:
+            self.completion_log.append(req)
 
     def cancel(self, req: Request) -> None:
         """Remove a pending posted receive (MPI_Cancel analogue)."""

@@ -82,6 +82,9 @@ class Engine:
         if len(programs) != nprocs:
             raise SimulationError("one program per rank required")
         self.procs = [SimProcess(rank, prog) for rank, prog in enumerate(programs)]
+        if not self.controller.reads_completions:
+            for proc in self.procs:
+                proc.mailbox.completion_log = None
         if track_vector_clocks:
             from repro.clocks.vector import VectorClock
 

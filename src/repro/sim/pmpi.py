@@ -119,6 +119,9 @@ class MFController:
     """Natural-semantics controller (no recording, no replay)."""
 
     mode = "passthrough"
+    #: whether decide() reads the mailboxes' completion logs; if not, the
+    #: engine keeps none and only the application holds a delivered message.
+    reads_completions = False
 
     def __init__(self) -> None:
         self.engine = None

@@ -115,3 +115,31 @@ class TestLifecycle:
         box.deliver(msg(seq=0), 1.0)
         box.deliver(msg(seq=1), 2.0)
         assert box.completion_log == [r1, r2]
+
+    def test_mailbox_without_a_log_matches_the_same(self):
+        """With its log off (record and baseline runs: no controller reads
+        it) a mailbox makes the same matches, leaves the same states and
+        completes in the same order; it only keeps nothing."""
+
+        def drive(box):
+            rs = [recv(source=2), recv(), recv(tag=7), recv(source=1, tag=5)]
+            box.deliver(msg(src=1, clock=0, seq=0), 1.0)  # unexpected
+            box.deliver(msg(src=2, tag=7, clock=4, seq=0), 2.0)  # unexpected
+            box.post_recv(rs[0])  # takes src 2's message
+            box.post_recv(rs[1])  # takes src 1's message
+            box.post_recv(rs[2])
+            box.post_recv(rs[3])
+            box.deliver(msg(src=1, clock=2, seq=1), 3.0)  # matches rs[3]
+            box.deliver(msg(src=3, tag=7, clock=6, seq=0), 4.0)  # matches rs[2]
+            box.deliver(msg(src=3, clock=8, seq=1), 5.0)  # unexpected
+            ready, _ = MailBox.deliverable(rs)
+            return (
+                [(r.state, r.message.src, r.message.clock) for r in rs],
+                [rs.index(r) for r in ready],
+                [(m.src, m.clock) for m in box.unexpected],
+            )
+
+        logged, unlogged = MailBox(0), MailBox(0, completion_log=None)
+        assert drive(unlogged) == drive(logged)
+        assert len(logged.completion_log) == 4
+        assert unlogged.completion_log is None
