@@ -59,15 +59,24 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _record(args: argparse.Namespace, program, **kw):
+    """``program`` recorded at ``--nprocs`` ranks under ``--network-seed``."""
+    return RecordSession(program, nprocs=args.nprocs, network_seed=args.network_seed, **kw).run()
+
+
+def _replay(args: argparse.Namespace, program, archive, **kw):
+    """``archive`` replayed under the network seed after ``--network-seed``."""
+    return ReplaySession(program, archive, network_seed=args.network_seed + 1, **kw).run()
+
+
 def cmd_record(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
     program, config = make_workload(args.workload, args.nprocs, **params)
     # the archive streams to disk as durable CRC'd frames while the run is
     # in flight; the manifest commits only when recording finishes cleanly.
-    session = RecordSession(
+    result = _record(
+        args,
         program,
-        nprocs=args.nprocs,
-        network_seed=args.network_seed,
         chunk_events=args.chunk_events,
         replay_assist=not args.no_assist,
         store_dir=args.out,
@@ -80,7 +89,6 @@ def cmd_record(args: argparse.Namespace) -> int:
         ledger=args.ledger,
         run_id=args.run_id,
     )
-    result = session.run()
     archive = result.archive
     if args.trace_out:
         from repro.core.trace_io import save_trace
@@ -428,19 +436,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
     program, _ = make_workload(args.workload, args.nprocs, **params)
     registry = TelemetryRegistry()
-    record = RecordSession(
-        program,
-        nprocs=args.nprocs,
-        network_seed=args.network_seed,
-        telemetry=registry,
-    ).run()
+    record = _record(args, program, telemetry=registry)
     if args.replay:
-        ReplaySession(
-            program,
-            record.archive,
-            network_seed=args.network_seed + 1,
-            telemetry=registry,
-        ).run()
+        _replay(args, program, record.archive, telemetry=registry)
     events = write_chrome_trace(registry, args.out)
     print(f"trace: {args.out} ({events:,} trace events) — load in "
           "chrome://tracing or https://ui.perfetto.dev")
@@ -473,25 +471,11 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
     program, _ = make_workload(args.workload, args.nprocs, **params)
     registry = TelemetryRegistry() if args.metrics_out else None
-    rec_flow = ColumnarFlowRecorder("record")
-    record = RecordSession(
-        program,
-        nprocs=args.nprocs,
-        network_seed=args.network_seed,
-        flow=rec_flow,
-        telemetry=registry,
-    ).run()
-    recorders = [rec_flow]
+    recorders = [ColumnarFlowRecorder("record")]
+    record = _record(args, program, flow=recorders[0], telemetry=registry)
     if not args.no_replay:
-        rep_flow = ColumnarFlowRecorder("replay")
-        ReplaySession(
-            program,
-            record.archive,
-            network_seed=args.network_seed + 1,
-            flow=rep_flow,
-            telemetry=registry,
-        ).run()
-        recorders.append(rep_flow)
+        recorders.append(ColumnarFlowRecorder("replay"))
+        _replay(args, program, record.archive, flow=recorders[1], telemetry=registry)
     trace = write_timeline(recorders, args.out)
     unhealthy = []
     for rec in recorders:
@@ -756,9 +740,7 @@ def cmd_transcode(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
     program, _ = make_workload(args.workload, args.nprocs, **params)
-    run = RecordSession(
-        program, nprocs=args.nprocs, network_seed=args.network_seed
-    ).run()
+    run = _record(args, program)
     reports = [compare_methods(run.outcomes[r]) for r in range(args.nprocs)]
     return _print_methods(f"{args.workload} at {args.nprocs} ranks", reports)
 
@@ -783,13 +765,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return _cmd_profile_sample(args, program)
 
     def record_pass():
-        return RecordSession(
-            program,
-            nprocs=args.nprocs,
-            network_seed=args.network_seed,
-            chunk_events=args.chunk_events,
-            keep_outcomes=False,
-        ).run()
+        return _record(args, program, chunk_events=args.chunk_events, keep_outcomes=False)
 
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
@@ -797,11 +773,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         result = profiler.runcall(record_pass)
     else:  # record outside the profiler, replay under it
         result = record_pass()
-        profiler.runcall(
-            lambda: ReplaySession(
-                program, result.archive, network_seed=args.network_seed + 1
-            ).run()
-        )
+        profiler.runcall(lambda: _replay(args, program, result.archive))
     wall = time.perf_counter() - t0
     events = result.stats.total_events
 
@@ -844,27 +816,12 @@ def _cmd_profile_sample(args: argparse.Namespace, program) -> int:
 
     sampler = SamplingProfiler(hz=args.hz)
     if args.mode == "record":
-        result = RecordSession(
-            program,
-            nprocs=args.nprocs,
-            network_seed=args.network_seed,
-            chunk_events=args.chunk_events,
-            keep_outcomes=False,
-            profile=sampler,
-        ).run()
+        result = _record(
+            args, program, chunk_events=args.chunk_events, keep_outcomes=False, profile=sampler
+        )
     else:  # record unprofiled, sample the replay
-        recorded = RecordSession(
-            program,
-            nprocs=args.nprocs,
-            network_seed=args.network_seed,
-            chunk_events=args.chunk_events,
-        ).run()
-        result = ReplaySession(
-            program,
-            recorded.archive,
-            network_seed=args.network_seed + 1,
-            profile=sampler,
-        ).run()
+        recorded = _record(args, program, chunk_events=args.chunk_events)
+        result = _replay(args, program, recorded.archive, profile=sampler)
     print(
         f"{args.mode} of {args.workload} at {args.nprocs} ranks "
         f"({result.stats.total_events:,} engine events)"

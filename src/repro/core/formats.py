@@ -18,6 +18,7 @@ All layouts are self-describing streams; gzip (zlib) is applied on top by
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, groupby
 from typing import Mapping, NamedTuple, Sequence
 
@@ -111,8 +112,10 @@ def serialize_re_tables(tables: Sequence[RecordTable]) -> bytes:
 
 
 #: how a column is coded: as varints of the chunk's varint run, or as a plane of
-#: its bit section — a bit per event, Rice codes (unary + remainder), a packed index
-VARINT, BITMAP, RICE, PACKED = "varint", "bitmap", "rice", "packed"
+#: its bit section — a bit per event, Rice codes (unary + remainder), a sender
+#: index: each round's Lehmer code in mixed-radix words when the column is rounds
+#: that name every sender once, else packed
+VARINT, BITMAP, RICE, LEHMER = "varint", "bitmap", "rice", "lehmer"
 
 
 class Column(NamedTuple):
@@ -155,7 +158,7 @@ CDC_COLUMNS = (
     Column("exceptions"),
     Column("exceptions", signed=True),
     # replay-assist sender column (DESIGN.md §5.6): an index into the ranks above
-    Column("assist", assisted=True, coder=PACKED),
+    Column("assist", assisted=True, coder=LEHMER),
 )
 
 #: Byte-attribution buckets, in layout order: the ``format.cdc.<table>_bytes``
@@ -171,8 +174,16 @@ _LAYOUTS = tuple(
 )
 _ASSIST_VARINTS = tuple(c for c in _LAYOUTS[True] if c.coder == VARINT)
 
-#: an assist record's first varint: the layout bit, then a bit per optional table
+#: an assist record's first varint: the layout bit, a bit per optional table, and
+#: whether the sender plane is rounds of permutations (Lehmer words, not an index)
 _HAS = _HAS_PERMUTATION, _HAS_WITH_NEXT, _HAS_UNMATCHED, _HAS_EXCEPTIONS = 2, 4, 8, 16
+_ROUNDS = 32
+#: the most senders a permutation round has — a default chunk's events: coding a
+#: round costs O(d) per event. Two-sender rounds keep the packed index too: their
+#: Lehmer code saves 1 byte of 5,110 on jacobi64 for a dozen array calls a chunk
+MAX_ROUND_SENDERS = 1 << 10
+#: [i, j] of a round of d: is position j later than position i
+_later = lru_cache(maxsize=64)(lambda d: ~np.tri(d, d, 0, bool))
 #: the frame-payload cap — no frame is written, inflated, or a plane built, past
 #: it (1,024 events fill a few KiB, a million a few MiB); the largest Rice parameter
 MAX_PAYLOAD_BYTES, MAX_RICE_K = 1 << 22, 15
@@ -238,10 +249,77 @@ def _paper_records(chunks: Sequence[CDCChunk], cs_id: Mapping[str, int], sizes: 
     return _varint_run(flat, np.tile(_PAPER_CODES, len(chunks)), lengths, sizes)
 
 
-def _flags(chunk: CDCChunk) -> int:
-    """An assist record's first varint, read off the chunk."""
+def _flags(chunk: CDCChunk, rounds: bool) -> int:
+    """An assist record's first varint, read off the chunk and its sender plane."""
     tables = chunk.diff.indices, chunk.with_next_indices, chunk.unmatched_runs
-    return 1 + sum(has for has, table in zip(_HAS, (*tables, chunk.boundary_exceptions)) if table)
+    has = zip(_HAS, (*tables, chunk.boundary_exceptions))
+    return 1 + sum(bit for bit, table in has if table) + _ROUNDS * rounds
+
+
+def _is_rounds(index: np.ndarray, d: int) -> bool:
+    """Is the sender index rounds of ``d`` events, 3 to ``MAX_ROUND_SENDERS``,
+    that each name every sender once?"""
+    if not 2 < d <= MAX_ROUND_SENDERS or len(index) % d:
+        return False
+    return bool((np.sort(index.reshape(-1, d)) == np.arange(d)).all())
+
+
+@lru_cache(maxsize=128)
+def _words(d: int) -> tuple[np.ndarray, ...]:
+    """A round of ``d`` senders as mixed-radix words: the radices ``d, ..., 1`` of its digits
+    grouped greedily into words of product at most 2**64, the first digit least significant
+    (the last, radix 1, is 0 and adds no bit). Per digit: its word, place value and radix;
+    the digits words begin at; each word's product, which it is below; per bit of a round's
+    plane, words high bit first: its word and weight; the bits words begin at."""
+    word, place, products = [], [], [1 << 64]
+    for radix in range(d, 0, -1):
+        if products[-1] * radix > 1 << 64:
+            products.append(1)
+        word.append(len(products) - 2)
+        place.append(products[-1])
+        products[-1] *= radix
+    widths = [(product - 1).bit_length() for product in products[1:]]
+    shifts = np.concatenate([np.arange(width, dtype=np.uint64)[::-1] for width in widths])
+    return (np.array(word), np.array(place, np.uint64), np.arange(d, 0, -1, dtype=np.uint64),
+            np.flatnonzero(np.diff(word, prepend=-1)), np.array(products[1:], np.uint64),
+            np.repeat(np.arange(len(widths)), widths), np.uint64(1) << shifts,
+            np.cumsum([0, *widths[:-1]]))
+
+
+def _lehmer_bits(index: np.ndarray, d: int) -> np.ndarray:
+    """The sender plane of rounds of permutations: per round, digit ``i``
+    counts the later positions whose index is smaller; the digits go into words."""
+    _, place, _, starts, _, bit_word, weight, _ = _words(d)
+    rows, later = index.astype(np.int16).reshape(-1, d), _later(d)  # d <= 1024: short ints
+    digits, step = np.empty(rows.shape, np.uint16), max(1, (1 << 20) // (d * d))
+    for start in range(0, len(rows), step):  # rounds compared at once: a MiB of booleans
+        block = rows[start : start + step]
+        ((block[:, None, :] < block[:, :, None]) & later).sum(2, np.uint16, digits[start:][:step])
+    words = np.add.reduceat(digits * place, starts, axis=1)
+    return ((words[:, bit_word] & weight) != 0).view(np.uint8).ravel()
+
+
+def _lehmer_senders(bits: np.ndarray, n: int, ranks: list[int]) -> list[int]:
+    """Inverse of :func:`_lehmer_bits`, as ranks: a digit picks its position's sender among
+    those not yet picked — round by round or, where rounds outnumber senders fourfold,
+    position by position over all rounds at once. A word past its product is refused."""
+    d = len(ranks)
+    word, place, radix, _, products, _, weight, bit_starts = _words(d)
+    words = np.add.reduceat(bits.reshape(n // d, -1) * weight, bit_starts, axis=1)
+    if (words >= products).any():
+        raise RecordFormatError("a permutation word at or past its radix product")
+    digits = (words[:, word] // place % radix).astype(np.intp)
+    if len(digits) >= 4 * d:
+        left, rounds, picked = np.tile(ranks, (len(digits), 1)), np.arange(len(digits)), []
+        for i, digit in enumerate(digits.T):
+            picked.append(left[rounds, digit])
+            left = np.where(np.arange(d - 1 - i) < digit[:, None], left[:, :-1], left[:, 1:])
+        return np.column_stack(picked).ravel().tolist()
+    senders: list[int] = []
+    for row in digits.tolist():
+        left = list(ranks)
+        senders += [left.pop(digit) for digit in row]
+    return senders
 
 
 def _assist_record(chunk: CDCChunk, sizes: Sizes) -> bytes:
@@ -252,7 +330,9 @@ def _assist_record(chunk: CDCChunk, sizes: Sizes) -> bytes:
     ceilings = [c for _, c in pairs]
     if len(senders) != n or sorted(set(senders)) != ranks:
         raise RecordFormatError("event count or epoch ranks are not the sender column's")
-    scalars = [_flags(chunk), n, len(ranks)]
+    index = np.array(ranks).searchsorted(senders) if len(ranks) > 1 else np.zeros(n, np.uint8)
+    rounds = _is_rounds(index, len(ranks))
+    scalars = [_flags(chunk, rounds), n, len(ranks)]
     planes: list[tuple[str, np.ndarray]] = []  # (table, bits), in section order
     if with_next:
         if sorted(set(with_next)) != list(with_next) or not 0 <= with_next[0] <= with_next[-1] < n:
@@ -284,11 +364,11 @@ def _assist_record(chunk: CDCChunk, sizes: Sizes) -> bytes:
         unary[zeros] = 0
         remainders = kernels.to_bits(values[:m], ks[0]), kernels.to_bits(values[m:], ks[1])
         planes += [("unmatched", plane) for plane in (unary, *remainders)]
-    if len(ranks) > 1:
-        index = np.array(ranks).searchsorted(senders)
-        planes.append(("assist", kernels.to_bits(index, (len(ranks) - 1).bit_length())))
-    else:  # the one sender's index: a zero per event
-        planes.append(("assist", np.zeros(n, np.uint8)))
+    if rounds:
+        planes.append(("assist", _lehmer_bits(index, len(ranks))))
+    else:  # with one sender, the plane is its index: a zero per event
+        width = (len(ranks) - 1).bit_length()
+        planes.append(("assist", kernels.to_bits(index, width) if len(ranks) > 1 else index))
     out = bytearray()
     for scalar in scalars:
         encode_uvarint(scalar, out)
@@ -455,8 +535,12 @@ def _decode_assist(callsite: str, data: bytes, offset: int, stop: int) -> CDCChu
     for j in range(6 if flags & _HAS_UNMATCHED else 2):
         scalars[j], offset = decode_uvarint(data, offset)
     n, d, m, k_gap, k_len, unary_bits = scalars
+    rounds = bool(flags & _ROUNDS)
+    if rounds and (not 2 < d <= MAX_ROUND_SENDERS or n % d):
+        raise RecordFormatError(f"{n} events as permutation rounds of {d} senders")
     width = max(1, (d - 1).bit_length())
-    planes = (n * bool(flags & _HAS_WITH_NEXT), unary_bits, m * k_gap, m * k_len, n * width)
+    senders = n // d * len(_words(d)[5]) if rounds else n * width  # [5]: a round's bits
+    planes = (n * bool(flags & _HAS_WITH_NEXT), unary_bits, m * k_gap, m * k_len, senders)
     bounds = list(accumulate(planes, initial=0))
     run = offset + -(-bounds[-1] // 8)  # where the varint run starts
     if run > stop or not (d <= n and (d or not n)) or max(k_gap, k_len) > MAX_RICE_K:
@@ -493,7 +577,10 @@ def _decode_assist(callsite: str, data: bytes, offset: int, stop: int) -> CDCChu
     ranks = list(accumulate(rank_gaps, lambda rank, gap: rank + gap + 1))
     if ranks and ranks[-1] >= kernels.VALUE_LIMIT:  # (and numpy would index them as floats)
         raise RecordFormatError(f"sender rank {ranks[-1]} is past the format's limit")
-    if d > 1:
+    if rounds:
+        index = _lehmer_senders(index, n, ranks)
+        counts = [n // d] * d
+    elif d > 1:
         index = kernels.from_bits(index, n, width)
         counts = np.bincount(index, minlength=d).tolist()
     else:  # at most one sender: its index is a zero per event
@@ -511,9 +598,10 @@ def _decode_assist(callsite: str, data: bytes, offset: int, stop: int) -> CDCChu
         epoch=EpochLine(dict(zip(ranks, accumulate(steps)))),
         sender_counts=tuple(zip(ranks, counts)),
         boundary_exceptions=tuple(zip(x_rank, x_clock)),
-        sender_sequence=tuple(np.array(ranks)[index].tolist() if d > 1 else ranks * n),
+        sender_sequence=tuple(index if rounds else
+                              np.array(ranks)[index].tolist() if d > 1 else ranks * n),
     )
-    if _flags(chunk) != flags:
+    if _flags(chunk, rounds or _is_rounds(index, d)) != flags:
         raise RecordFormatError(f"record flags {flags:#x} name a table the record does not hold")
     return chunk
 

@@ -23,7 +23,6 @@ arrow pointing at the send that caused it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -424,8 +423,6 @@ def write_timeline(
     critical_path: Sequence[Mapping[str, Any]] | None = None,
 ) -> dict[str, Any]:
     """Write the merged timeline JSON; returns the trace object."""
-    trace = merged_timeline(recorders, critical_path=critical_path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return trace
+    from repro.analysis.report import write_json
+
+    return write_json(merged_timeline(recorders, critical_path=critical_path), path)

@@ -210,11 +210,10 @@ def write_chrome_trace(
     pid: int | None = None,
 ) -> int:
     """Write the Chrome trace JSON; returns the number of trace events."""
+    from repro.analysis.report import write_json
+
     trace = chrome_trace(registry, process_name=process_name, pid=pid)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return len(trace["traceEvents"])
+    return len(write_json(trace, path)["traceEvents"])
 
 
 def validate_chrome_trace(trace: Mapping[str, Any]) -> list[str]:

@@ -411,16 +411,8 @@ def trend_report(
 # ---------------------------------------------------------------------------
 
 
-def _human_bytes(n: float) -> str:
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(n) < 1000:
-            return f"{n:.3g} {unit}"
-        n /= 1000.0
-    return f"{n:.3g} PB"
-
-
 def render_runs(entries: Sequence[LedgerEntry], limit: int = 20) -> str:
-    from repro.analysis.report import render_table
+    from repro.analysis.report import human_bytes, render_table
 
     shown = list(entries)[-limit:]
     rows = [
@@ -431,7 +423,7 @@ def render_runs(entries: Sequence[LedgerEntry], limit: int = 20) -> str:
             e.nprocs,
             "-" if e.network_seed is None else e.network_seed,
             f"{e.events:,}",
-            _human_bytes(e.stored_bytes),
+            human_bytes(e.stored_bytes),
             f"{e.bytes_per_event:.3f}",
             f"{100 * e.permutation_pct:.1f}%",
             f"{e.wall_seconds:.3f}",
@@ -454,7 +446,7 @@ def render_runs(entries: Sequence[LedgerEntry], limit: int = 20) -> str:
 
 
 def render_run(entry: LedgerEntry) -> str:
-    from repro.analysis.report import render_table
+    from repro.analysis.report import human_bytes, render_table
 
     rows = [
         ("mode", entry.mode),
@@ -463,9 +455,9 @@ def render_run(entry: LedgerEntry) -> str:
         ("network seed", "-" if entry.network_seed is None else entry.network_seed),
         ("receive events", f"{entry.events:,}"),
         ("CDC chunks", f"{entry.chunks:,}"),
-        ("raw quintuples", _human_bytes(entry.raw_bytes)),
-        ("CDC tables (pre-gzip)", _human_bytes(entry.cdc_bytes)),
-        ("stored (gzip)", _human_bytes(entry.stored_bytes)),
+        ("raw quintuples", human_bytes(entry.raw_bytes)),
+        ("CDC tables (pre-gzip)", human_bytes(entry.cdc_bytes)),
+        ("stored (gzip)", human_bytes(entry.stored_bytes)),
         ("bytes/event", f"{entry.bytes_per_event:.3f}"),
         ("compression rate", f"{entry.compression_rate:.1f}x"),
         ("permutation", f"{100 * entry.permutation_pct:.1f}%"),

@@ -16,14 +16,6 @@ from repro.obs.registry import NullRegistry, TelemetryRegistry
 __all__ = ["RunStats", "build_run_stats"]
 
 
-def _human_bytes(n: float) -> str:
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(n) < 1000:
-            return f"{n:.3g} {unit}"
-        n /= 1000.0
-    return f"{n:.3g} PB"
-
-
 @dataclass(frozen=True)
 class RunStats:
     """Telemetry rollup for one session run."""
@@ -66,6 +58,8 @@ class RunStats:
 
     def render(self, top_counters: int = 12) -> str:
         """Multi-line human summary (aligned key: value rows)."""
+        from repro.analysis.report import human_bytes
+
         rows: list[tuple[str, str]] = [
             ("mode", self.mode),
             ("ranks", str(self.nprocs)),
@@ -77,7 +71,7 @@ class RunStats:
         if self.chunks:
             rows.append(("CDC chunks", f"{self.chunks:,}"))
         if self.stored_bytes:
-            rows.append(("archive bytes", _human_bytes(self.stored_bytes)))
+            rows.append(("archive bytes", human_bytes(self.stored_bytes)))
             rows.append(("bytes/event", f"{self.bytes_per_event:.3f}"))
         rows.append(("span events", f"{self.span_events:,}"))
         if self.dropped_events:

@@ -8,12 +8,13 @@ storage must be able to lose a tail without losing the run.
 
 **Rank file layout** (``rank-NNNNN.cdc``)::
 
-    magic "CDCARC4\\n" (8 bytes)
+    magic "CDCARC5\\n" (8 bytes)
     frame*                       appended as chunks flush
-    frame := uvarint length of body (at most 5 bytes)
+    frame := uvarint len(body) << 1 | stored (at most 5 bytes)
              u32 CRC32 of body (LE)
              body = raw deflate of encode_frame_payload(chunk), a payload
-                    of at most MAX_PAYLOAD_BYTES
+                    of at most MAX_PAYLOAD_BYTES — or, with ``stored`` set,
+                    the payload itself, where deflate would grow it
 
 Each frame holds exactly one CDC chunk and is a function of that chunk
 alone, so any valid frame prefix is an epoch-aligned chunk prefix: salvage
@@ -80,12 +81,12 @@ __all__ = [
     "summarize",
 ]
 
-ARCHIVE_MAGIC = b"CDCARC4\n"
-ARCHIVE_VERSION = 4
+ARCHIVE_MAGIC = b"CDCARC5\n"
+ARCHIVE_VERSION = 5
 MANIFEST_NAME = "MANIFEST"
 
-#: a frame's header: the varint length of its body (a u32: at most five
-#: bytes), then the body's CRC32 (four bytes, little-endian).
+#: a frame's header: a varint of its body's length and a stored-raw bit (a
+#: u32: at most five bytes), then the body's CRC32 (four bytes, little-endian).
 _MAX_LENGTH_BYTES, _CRC_BYTES = 5, 4
 #: a manifest-less directory may miss this many rank files below its highest
 #: one: past that, a file name does not say how many ranks there were
@@ -160,21 +161,24 @@ def _retry_io(fn: Callable[[], object], policy: RetryPolicy):
 
 
 def _encode_frame(chunk: CDCChunk) -> tuple[bytes, int, int]:
-    """(frame, pre-deflate payload length, deflated length) for one chunk.
-    The deflate stream is raw: the frame's CRC already covers it."""
+    """(frame, payload length, body length) for one chunk. The body is the
+    payload's raw deflate stream — the frame's CRC already covers it — or the
+    payload itself where deflate would grow it, flagged in the length's low bit."""
     raw = encode_frame_payload(chunk)
     if len(raw) > MAX_PAYLOAD_BYTES:
         raise RecordFormatError(f"frame payload of {len(raw)} bytes is over the cap")
     deflate = zlib.compressobj(ZLIB_LEVEL, zlib.DEFLATED, -15)
     body = deflate.compress(raw) + deflate.flush()
+    stored = len(body) > len(raw)
+    body = raw if stored else body
     header = bytearray()
-    encode_uvarint(len(body), header)
+    encode_uvarint(len(body) << 1 | stored, header)
     header += zlib.crc32(body).to_bytes(_CRC_BYTES, "little")
     return bytes(header) + body, len(raw), len(body)
 
 
 def frame_bytes(chunk: CDCChunk) -> bytes:
-    """One self-delimiting frame: header + deflated single-chunk payload."""
+    """One self-delimiting frame: header + one chunk's payload, deflated or stored."""
     return _encode_frame(chunk)[0]
 
 
@@ -187,7 +191,7 @@ class RecordArchive:
     chunks_by_rank: dict[int, list[CDCChunk]] = field(default_factory=dict)
     #: metadata preserved for replay bookkeeping.
     meta: dict[str, object] = field(default_factory=dict)
-    #: id(chunk) -> (chunk, payload bytes, deflated bytes) of its frame, from
+    #: id(chunk) -> (chunk, payload bytes, body bytes) of its frame, from
     #: whoever built the frame (writer, loader) or the first request; per
     #: chunk object, so editing ``chunks_by_rank`` needs no invalidation.
     _frame_sizes: dict[int, tuple[CDCChunk, int, int]] = field(
@@ -216,12 +220,12 @@ class RecordArchive:
 
     # -- size accounting -----------------------------------------------------
 
-    def note_frame(self, chunk: CDCChunk, payload_bytes: int, deflated_bytes: int) -> None:
+    def note_frame(self, chunk: CDCChunk, payload_bytes: int, body_bytes: int) -> None:
         """Take the payload lengths of a frame just built for ``chunk``."""
-        self._frame_sizes[id(chunk)] = (chunk, payload_bytes, deflated_bytes)
+        self._frame_sizes[id(chunk)] = (chunk, payload_bytes, body_bytes)
 
     def frame_sizes(self, chunk: CDCChunk) -> tuple[int, int]:
-        """(pre-deflate, deflated) byte lengths of ``chunk``'s frame payload;
+        """(payload, stored body) byte lengths of ``chunk``'s frame;
         a chunk nobody has reported is serialized and deflated here, once."""
         known = self._frame_sizes.get(id(chunk))
         if known is None or known[0] is not chunk:
@@ -232,7 +236,7 @@ class RecordArchive:
     def rank_bytes(self, rank: int) -> int:
         """Size of the rank's record file: magic plus one frame per chunk."""
         bodies = [self.frame_sizes(c)[1] for c in self.chunks(rank)]
-        return len(ARCHIVE_MAGIC) + sum(uvarint_size(n) + _CRC_BYTES + n for n in bodies)
+        return len(ARCHIVE_MAGIC) + sum(uvarint_size(n << 1) + _CRC_BYTES + n for n in bodies)
 
     def rank_payload_bytes(self, rank: int) -> int:
         """Pre-deflate size of the rank's frame payloads (Figure 8 tables)."""
@@ -485,7 +489,7 @@ class DurableArchiveWriter:
 
     def append(self, rank: int, chunk: CDCChunk) -> tuple[int, int]:
         """Append ``chunk`` to ``rank``'s file as one frame; returns its
-        payload's (pre-deflate, deflated) byte lengths —
+        (payload, stored body) byte lengths —
         :meth:`RecordArchive.note_frame`'s."""
         if self._closed:
             raise RecordFormatError("archive writer already closed")
@@ -584,9 +588,10 @@ def _parse_rank_frames(
     size = len(data)
     while offset < size:
         try:
-            length, used = decode_uvarint(data[offset : offset + _MAX_LENGTH_BYTES], 0)
+            head, used = decode_uvarint(data[offset : offset + _MAX_LENGTH_BYTES], 0)
         except RecordFormatError:  # cut inside the length, or no u32's varint
-            length, used = size, 0
+            head, used = size << 1, 0
+        length = head >> 1
         start = offset + used + _CRC_BYTES
         end = start + length
         if end > size:
@@ -599,10 +604,15 @@ def _parse_rank_frames(
             recovery.detail = f"frame {recovery.frames_kept}"
             break
         try:
-            inflate = zlib.decompressobj(-15)
-            raw = inflate.decompress(body, MAX_PAYLOAD_BYTES)
-            if not inflate.eof or inflate.unused_data:  # cut, over the cap, or trailed
-                raise ValueError("body is not one complete deflate stream under the cap")
+            if head & 1:  # stored: the payload itself, held to the same cap
+                if length > MAX_PAYLOAD_BYTES:
+                    raise ValueError(f"stored body of {length} bytes is over the payload cap")
+                raw = body
+            else:
+                inflate = zlib.decompressobj(-15)
+                raw = inflate.decompress(body, MAX_PAYLOAD_BYTES)
+                if not inflate.eof or inflate.unused_data:  # cut, over the cap, or trailed
+                    raise ValueError("body is not one complete deflate stream under the cap")
             chunk = decode_frame_payload(raw)
         except (zlib.error, RecordFormatError, ValueError) as exc:
             # CRC passed but content is bad (ValueError: not exactly one

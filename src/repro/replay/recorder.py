@@ -167,7 +167,7 @@ class RecordingController(MFController):
     def _store_chunk(self, rank: int, chunk) -> None:
         """Keep ``chunk`` in memory and on disk, with an instant trace
         marker per stored chunk (the monitor's epoch feed) carrying its
-        frame's deflated payload length, so the stream can flag per-chunk
+        frame's stored body length, so the stream can flag per-chunk
         compression-ratio anomalies live. The archive takes the sizes of
         the frame the store just wrote — or, with no store, builds that
         frame itself, once — so nothing later deflates the chunk again."""

@@ -117,7 +117,9 @@ class RunResult:
 
 
 class _Session:
-    """Shared engine plumbing."""
+    """Shared engine plumbing. Its observer keywords — ``telemetry``,
+    ``flow``, ``watchdog``, ``metrics_stream``, ``metrics_interval``,
+    ``ledger``, ``run_id``, ``profile`` — are every session's, declared here once."""
 
     def __init__(
         self,
@@ -294,30 +296,9 @@ class RecordSession(_Session):
         store_fsync: bool = True,
         store_retry: RetryPolicy | None = None,
         meta: Mapping[str, Any] | None = None,
-        telemetry: Any = None,
-        flow: ColumnarFlowRecorder | None = None,
-        watchdog: Any = None,
-        metrics_stream: str | None = None,
-        metrics_interval: float = 0.05,
-        ledger: Any = None,
-        run_id: str = "",
-        profile: Any = None,
+        **observers: Any,
     ) -> None:
-        super().__init__(
-            program,
-            nprocs,
-            network_seed,
-            latency,
-            engine_kwargs,
-            telemetry,
-            flow=flow,
-            watchdog=watchdog,
-            metrics_stream=metrics_stream,
-            metrics_interval=metrics_interval,
-            ledger=ledger,
-            run_id=run_id,
-            profile=profile,
-        )
+        super().__init__(program, nprocs, network_seed, latency, engine_kwargs, **observers)
         self.chunk_events = chunk_events
         self.cost_model = cost_model
         self.keep_outcomes = keep_outcomes
@@ -401,13 +382,7 @@ class ReplaySession(_Session):
         mode: str = "strict",
         keep_outcomes: bool = True,
         telemetry: Any = None,
-        flow: ColumnarFlowRecorder | None = None,
-        watchdog: Any = None,
-        metrics_stream: str | None = None,
-        metrics_interval: float = 0.05,
-        ledger: Any = None,
-        run_id: str = "",
-        profile: Any = None,
+        **observers: Any,
     ) -> None:
         if mode not in ("strict", "salvage"):
             raise ValueError(f"mode must be 'strict' or 'salvage', got {mode!r}")
@@ -416,19 +391,7 @@ class ReplaySession(_Session):
         with use_registry(registry):  # a directory load reports store.* metrics
             run = open_run(archive, salvage=mode == "salvage")
         super().__init__(
-            program,
-            run.archive.nprocs,
-            network_seed,
-            latency,
-            engine_kwargs,
-            registry,
-            flow=flow,
-            watchdog=watchdog,
-            metrics_stream=metrics_stream,
-            metrics_interval=metrics_interval,
-            ledger=ledger,
-            run_id=run_id,
-            profile=profile,
+            program, run.archive.nprocs, network_seed, latency, engine_kwargs, registry, **observers
         )
         self._archive_path = run.path
         self.archive = run.archive

@@ -12,10 +12,12 @@ import path may call them — and they share no kernel with what they check.
   their last caller there did.
 * The **paper-exact chunk layout**, column by column, as PR 14's per-column
   serializer wrote it: one length-prefixed varint array per column.
-* The **version-4 assist record** (DESIGN.md §5.10), bit by bit: flags,
+* The **version-5 assist record** (DESIGN.md §5.10), bit by bit: flags,
   counts and Rice scalars as varints; the plane section built and read one
-  bit at a time as a string of ``0``/``1``; the varint run value by value.
-  It follows the layout's prose, independently of ``formats.CDC_COLUMNS``.
+  bit at a time as a string of ``0``/``1`` — a sender plane that is rounds
+  of permutations as each round's Lehmer digits counted pair by pair and
+  written as Python-int words; the varint run value by value. It follows
+  the layout's prose, independently of ``formats.CDC_COLUMNS``.
 * The **parent's encoder** of the commit before "each fact once" (7b1d829),
   bodies verbatim: ``encode_chunk`` with its batch and scalar helpers,
   ``encode_chunk_sequence`` and the per-sender slot ranking of
@@ -365,7 +367,7 @@ def _paper_record_oracle(chunk: CDCChunk, callsite_id: int, sizes: dict) -> byte
 
 
 #: the largest Rice parameter and unary plane the layout allows (§5.10)
-MAX_RICE_K, MAX_UNARY_BITS = 15, 8 << 22
+MAX_RICE_K, MAX_UNARY_BITS, MAX_ROUND_SENDERS = 15, 8 << 22, 1024
 
 
 def rice_parameter(values: Sequence[int]) -> int:
@@ -374,17 +376,83 @@ def rice_parameter(values: Sequence[int]) -> int:
 
 
 def _assist_flags(chunk: CDCChunk) -> int:
+    ranks = sorted(set(chunk.sender_sequence))
     return (
         1
         + 2 * bool(chunk.diff.indices)
         + 4 * bool(chunk.with_next_indices)
         + 8 * bool(chunk.unmatched_runs)
         + 16 * bool(chunk.boundary_exceptions)
+        + 32 * bool(permutation_rounds([ranks.index(s) for s in chunk.sender_sequence], len(ranks)))
     )
 
 
+def permutation_rounds(index: Sequence[int], d: int) -> list[list[int]]:
+    """The sender index cut into rounds of ``d`` events, 3 to 1,024, when each
+    names every sender once; otherwise no rounds."""
+    if not 2 < d <= MAX_ROUND_SENDERS or len(index) % d:
+        return []
+    rounds = [list(index[i : i + d]) for i in range(0, len(index), d)]
+    return [] if any(sorted(r) != list(range(d)) for r in rounds) else rounds
+
+
+def word_radices(d: int) -> list[list[int]]:
+    """Radices ``d, d-1, ..., 2`` in words whose product is at most 2**64."""
+    words: list[list[int]] = []
+    for radix in range(d, 1, -1):
+        if not words or int(np.prod(words[-1], dtype=object)) * radix > 2**64:
+            words.append([])
+        words[-1].append(radix)
+    return words
+
+
+def _word_width(radices: list[int]) -> int:
+    return (int(np.prod(radices, dtype=object)) - 1).bit_length()
+
+
+def sender_plane_bits(flags: int, n: int, d: int) -> int:
+    """Bits of an assist record's sender plane: packed index, or Lehmer words."""
+    if flags & 32:
+        return n // d * sum(map(_word_width, word_radices(d)))
+    return n * max(1, (d - 1).bit_length())
+
+
+def lehmer_plane_oracle(rounds: list[list[int]]) -> str:
+    """Each round's Lehmer code — digit i: the later positions with a smaller
+    index — as words, the first digit least significant, high bit first."""
+    bits = ""
+    for r in rounds:
+        digits = [sum(later < value for later in r[i + 1 :]) for i, value in enumerate(r)]
+        for radices in word_radices(len(r)):
+            word, place = 0, 1
+            for radix in radices:
+                word += digits.pop(0) * place
+                place *= radix
+            bits += format(word, "b").zfill(_word_width(radices))
+    return bits
+
+
+def lehmer_index_oracle(plane: str, n: int, d: int) -> list[int]:
+    """Inverse of :func:`lehmer_plane_oracle`; a word at or past its radix product is refused."""
+    index, cursor = [], 0
+    for _ in range(n // d):
+        digits = []
+        for radices in word_radices(d):
+            width = _word_width(radices)
+            word = int(plane[cursor : cursor + width], 2)
+            cursor += width
+            if word >= int(np.prod(radices, dtype=object)):
+                raise RecordFormatError("a permutation word at or past its radix product")
+            for radix in radices:
+                word, digit = divmod(word, radix)
+                digits.append(digit)
+        left = list(range(d))
+        index += [left.pop(digit) for digit in digits + [0]]
+    return index
+
+
 def assist_record_oracle(chunk: CDCChunk, sizes: dict | None = None) -> bytes:
-    """A version-4 assist record (DESIGN.md §5.10), one bit at a time: the
+    """A version-5 assist record (DESIGN.md §5.10), one bit at a time: the
     plane section is built as a string of ``0``/``1``."""
     sizes = sizes if sizes is not None else dict.fromkeys((*_CDC_TABLE_COUNTERS, "header"), 0)
     n, senders = chunk.num_events, chunk.sender_sequence
@@ -423,7 +491,10 @@ def assist_record_oracle(chunk: CDCChunk, sizes: dict | None = None) -> bytes:
         low += "".join(format(c, "b").zfill(k_len)[-k_len:] for c in lengths) if k_len else ""
         planes.append(("unmatched", unary + low))
     width = max(1, (len(ranks) - 1).bit_length())
-    planes.append(("assist", "".join(format(ranks.index(s), "b").zfill(width) for s in senders)))
+    index = [ranks.index(s) for s in senders]
+    rounds = permutation_rounds(index, len(ranks))
+    planes.append(("assist", lehmer_plane_oracle(rounds) if rounds else "".join(
+        format(i, "b").zfill(width) for i in index)))
     sizes["header"] += len(out)
     section = "".join(bits for _, bits in planes)
     section += "0" * (-len(section) % 8)
@@ -466,8 +537,11 @@ def assist_chunk_oracle(callsite: str, data: bytes, offset: int, stop: int) -> C
         k_gap, offset = decode_uvarint(data, offset)
         k_len, offset = decode_uvarint(data, offset)
         unary_bits, offset = decode_uvarint(data, offset)
+    if flags & 32 and (not 2 < d <= MAX_ROUND_SENDERS or n % d):
+        raise RecordFormatError("not whole permutation rounds of 3 to 1024 senders")
     width = max(1, (d - 1).bit_length())
-    total = (n if flags & 4 else 0) + unary_bits + m * (k_gap + k_len) + n * width
+    senders = sender_plane_bits(flags, n, d)
+    total = (n if flags & 4 else 0) + unary_bits + m * (k_gap + k_len) + senders
     run = offset + -(-total // 8)
     if run > stop or d > n or (n and not d) or k_gap > MAX_RICE_K or k_len > MAX_RICE_K:
         raise RecordFormatError("planes do not fit the record, or its scalars are off")
@@ -496,7 +570,10 @@ def assist_chunk_oracle(callsite: str, data: bytes, offset: int, stop: int) -> C
             runs.append((position, length))
     else:
         take(m * (k_gap + k_len))
-    index = [int(take(width), 2) for _ in range(n)]
+    if flags & 32:
+        index = lehmer_index_oracle(take(senders), n, d)
+    else:
+        index = [int(take(width), 2) for _ in range(n)]
     values = []  # (unsigned reading, zig-zag reading) of the varint run
     while run < stop:
         try:

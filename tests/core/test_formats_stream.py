@@ -7,7 +7,7 @@ by the declared column layout (DESIGN.md §6.5) and an assist chunk as
 flags, a plane section and a short varint run (§5.10). What they are
 checked against lives in ``tests/core/oracles.py``: the per-column code the
 stream replaced, bound to the scalar varint and LP references, and a
-bit-by-bit reference of the version-4 record. Every property here is
+bit-by-bit reference of the version-5 record. Every property here is
 differential: random chunk lists must serialize to the oracle's bytes and
 decode to the oracle's chunks, and hostile bytes — truncations, bit flips,
 splices, inflated counts, a flipped layout bit, planes whose scalars lie,
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import Counter
 import tracemalloc
 from types import SimpleNamespace
 
@@ -43,6 +44,7 @@ from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.core.formats import (
     CDC_MAGIC,
     MAX_RICE_K,
+    MAX_ROUND_SENDERS,
     _write_string_table,
     decode_frame_payload,
     deserialize_cdc_chunks,
@@ -59,7 +61,9 @@ from tests.core.oracles import (
     decode_frame_payload_oracle,
     deserialize_cdc_chunks_oracle,
     encode_frame_payload_oracle,
+    permutation_rounds,
     rice_parameter,
+    sender_plane_bits,
     serialize_cdc_chunks_oracle,
 )
 
@@ -192,6 +196,45 @@ def plane_chunks(draw):
     )
 
 
+#: distinct senders of a round: two (their first index bit: the packed index
+#: keeps them), in one word (up to 20), in two (21 to 34), in several (past
+#: 300), the most a round may have and one more
+ROUND_SENDERS = st.one_of(
+    st.integers(2, 40),
+    st.integers(290, 330),
+    st.sampled_from([MAX_ROUND_SENDERS, MAX_ROUND_SENDERS + 1]),
+)
+
+
+@st.composite
+def sender_columns(draw):
+    """``(kind, chunk)``: an assist chunk whose sender column is rounds that
+    each name every sender once, or a near miss — one round repeating a
+    sender, events that are not whole rounds, a single sender."""
+    kind = draw(st.sampled_from(["rounds", "repeat", "ragged", "single"]))
+    d = 1 if kind == "single" else draw(ROUND_SENDERS)
+    ranks = ascending(draw, [draw(st.sampled_from([0, 1, 300])) for _ in range(d)])
+    shuffle = draw(st.randoms(use_true_random=False)).sample
+    rounds = [shuffle(ranks, d) for _ in range(draw(st.integers(1, 4 if d < 300 else 2)))]
+    if kind == "repeat":
+        seat, other = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        rounds[-1][seat] = rounds[-1][other]
+    elif kind == "ragged":
+        rounds.append(rounds[0][: draw(st.integers(1, d - 1))])
+    senders = tuple(rank for round_ in rounds for rank in round_)
+    counts = Counter(senders)
+    return kind, CDCChunk(
+        callsite="a",
+        num_events=len(senders),
+        diff=PermutationDiff(len(senders), (), ()),
+        with_next_indices=(),
+        unmatched_runs=(),
+        epoch=EpochLine({rank: draw(small) for rank in counts}),
+        sender_counts=tuple(sorted(counts.items())),
+        sender_sequence=senders,
+    )
+
+
 def paper_twin(chunk: CDCChunk) -> CDCChunk:
     """The same columns in the paper's layout: no sender column, every
     epoch column stored."""
@@ -272,7 +315,7 @@ def assist_payload(callsite="a", flags=1, n=0, d=0, rice=(), planes="", run=()) 
 
 
 #: flag bits of an assist record's first varint
-ASSIST, MOVED, WITH_NEXT, UNMATCHED, EXCEPTIONS = 1, 2, 4, 8, 16
+ASSIST, MOVED, WITH_NEXT, UNMATCHED, EXCEPTIONS, ROUNDS = 1, 2, 4, 8, 16, 32
 
 #: senders of a chunk whose varint runs the scalar steps produce and read
 #: (under ``varint.KERNEL_MIN_VALUES`` values and bytes), and the kernels
@@ -314,7 +357,7 @@ def frame_value_spans(payload: bytes, chunk: CDCChunk) -> list[tuple[int, int]]:
             offset = end
         _, n, d, m, k_gap, k_len, unary_bits = (*scalars, 0, 0, 0, 0)[:7]
         bits = n * bool(chunk.with_next_indices) + unary_bits + m * (k_gap + k_len)
-        offset += -(-(bits + n * max(1, (d - 1).bit_length())) // 8)
+        offset += -(-(bits + sender_plane_bits(scalars[0], n, d)) // 8)
     while offset < len(payload):
         _, end = decode_uvarint(payload, offset)
         spans.append((offset, end))
@@ -426,6 +469,23 @@ class TestSameBytesSameChunks:
         assert assert_same_outcome(serialize_cdc_chunks([chunk, paper_twin(chunk)])) == [
             chunk, paper_twin(chunk)
         ]
+
+    @unhurried
+    @given(sender_columns())
+    def test_the_sender_plane_as_permutation_rounds(self, drawn):
+        """The Lehmer-word coder (record flag 32) is chosen exactly when the
+        sender column is rounds of 3 to ``MAX_ROUND_SENDERS`` senders that
+        each name every sender once — never on a near miss — and either
+        coder reads back what it wrote, byte for byte with the oracle."""
+        kind, chunk = drawn
+        ranks = sorted(set(chunk.sender_sequence))
+        index = [ranks.index(rank) for rank in chunk.sender_sequence]
+        payload = encode_frame_payload(chunk)
+        chosen = bool(payload[len(b"\x01a")] & ROUNDS)  # the flags, behind the callsite
+        assert chosen == (kind == "rounds" and 2 < len(ranks) <= MAX_ROUND_SENDERS)
+        assert chosen == bool(permutation_rounds(index, len(ranks)))
+        assert payload == encode_frame_payload_oracle(chunk)
+        assert decode_frame_payload(payload) == chunk == decode_frame_payload_oracle(payload)
 
     def test_shapes_the_strategies_rarely_draw(self):
         empty = CDCChunk("a", 0, PermutationDiff(0, (), ()), (), (), EpochLine({}), ())
@@ -638,7 +698,30 @@ class TestHostileBytes:
          "name a table the record does not hold"),
         (assist_payload(flags=ASSIST | EXCEPTIONS, n=1, d=1, planes="0", run=(7, 4)),
          "name a table the record does not hold"),
-        (assist_payload(flags=ASSIST | 32, n=1, d=1, planes="0", run=(7, 4)),
+        # the sender plane as permutation rounds: fewer than three senders,
+        # events that are not whole rounds, more senders than a round may have,
+        # a plane the bytes do not hold, and a word at or past its radix
+        # product (3! = 6 in three bits); last, rounds of permutations written
+        # as a packed index
+        (assist_payload(flags=ASSIST | ROUNDS, n=1, d=1, planes="0", run=(7, 4)),
+         "1 events as permutation rounds of 1 senders"),
+        (assist_payload(flags=ASSIST | ROUNDS, n=0, d=0, run=()),
+         "0 events as permutation rounds of 0 senders"),
+        (assist_payload(flags=ASSIST | ROUNDS, n=2, d=2, planes="0", run=(0, 0, 2, 2)),
+         "2 events as permutation rounds of 2 senders"),
+        (assist_payload(flags=ASSIST | ROUNDS, n=4, d=3, planes="0", run=(0, 0, 0, 2, 2, 2)),
+         "4 events as permutation rounds of 3 senders"),
+        (assist_payload(flags=ASSIST | ROUNDS, n=1025, d=1025, planes="0" * 64),
+         "1025 events as permutation rounds of 1025 senders"),
+        (assist_payload(flags=ASSIST | ROUNDS, n=2**33, d=2**33, planes="0" * 64),
+         "as permutation rounds of 8589934592 senders"),
+        (assist_payload(flags=ASSIST | ROUNDS, n=3 * 2**40, d=3, planes="0" * 64,
+                        run=(0, 0, 0, 2, 2, 2)), "in a record of"),
+        (assist_payload(flags=ASSIST | ROUNDS, n=3, d=3, planes="110", run=(0, 0, 0, 2, 2, 2)),
+         "a permutation word at or past its radix product"),
+        (assist_payload(flags=ASSIST | ROUNDS, n=3, d=3, planes="111", run=(0, 0, 0, 2, 2, 2)),
+         "a permutation word at or past its radix product"),
+        (assist_payload(n=3, d=3, planes="00" "01" "10", run=(0, 0, 0, 2, 2, 2)),
          "name a table the record does not hold"),
         # the varint run: a moved-event count past its values, an odd rest,
         # a cut varint behind it

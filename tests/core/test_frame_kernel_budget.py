@@ -2,7 +2,8 @@
 
 A durable record writes one frame per flushed chunk and a load reads each
 back. An assist frame (DESIGN.md §5.10) is one bit pass and one varint pass
-in each direction: its planes go through ``kernels.packbits`` /
+in each direction: its planes — a sender plane of permutation rounds as
+much as a packed index — go through ``kernels.packbits`` /
 ``kernels.unpackbits`` exactly once, and its varint run — the few values
 left once the per-event columns are planes — through the LEB128 kernel at
 most once: a run under ``varint.KERNEL_MIN_VALUES`` values takes the scalar
@@ -21,11 +22,18 @@ from repro.core import kernels, varint
 from repro.replay import RecordSession
 from repro.replay.durable_store import load_archive
 from repro.workloads import make_workload
+from tests.core.oracles import permutation_rounds
 
 NPROCS = 8
 #: kernel calls per frame in each direction with one length-prefixed array
 #: per column, for the failure message
 PER_COLUMN_CALLS = 12
+
+
+def rounds(chunk) -> bool:
+    """Is the chunk's sender column rounds of permutations?"""
+    ranks = sorted(set(chunk.sender_sequence))
+    return bool(permutation_rounds([ranks.index(s) for s in chunk.sender_sequence], len(ranks)))
 
 
 def count_calls(monkeypatch, module, name):
@@ -41,22 +49,35 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+#: many small MCB frames, and an unstructured record whose every frame holds
+#: its sender plane as permutation rounds (Lehmer words, record flag 32)
+WORKLOADS = {
+    "mcb": {"particles_per_rank": 40},
+    "unstructured": {"vertices": 64, "iterations": 3},
+}
+
+
 @pytest.mark.parametrize("telemetry", [False, True])
-def test_one_kernel_call_per_frame_in_each_direction(tmp_path, telemetry):
+def test_one_kernel_call_per_frame_in_each_direction(tmp_path, telemetry, workload="mcb"):
     for always_kernel in (False, True):
         with pytest.MonkeyPatch.context() as monkeypatch:
             if always_kernel:
                 monkeypatch.setattr(varint, "KERNEL_MIN_VALUES", 0)
             store = str(tmp_path / f"rec-{always_kernel}")
-            check_frame_budget(monkeypatch, store, telemetry, always_kernel)
+            check_frame_budget(monkeypatch, store, telemetry, always_kernel, workload)
 
 
-def check_frame_budget(monkeypatch, store, telemetry, always_kernel):
+@pytest.mark.parametrize("telemetry", [False, True])
+def test_permutation_rounds_take_no_extra_bit_pass(tmp_path, telemetry):
+    test_one_kernel_call_per_frame_in_each_direction(tmp_path, telemetry, "unstructured")
+
+
+def check_frame_budget(monkeypatch, store, telemetry, always_kernel, workload):
     encodes = count_calls(monkeypatch, kernels, "_encode_u64")
     decodes = count_calls(monkeypatch, kernels, "uvarint_decode_batch")
     packs = count_calls(monkeypatch, kernels, "packbits")
     unpacks = count_calls(monkeypatch, kernels, "unpackbits")
-    program, _ = make_workload("mcb", NPROCS, particles_per_rank=40, seed=3)
+    program, _ = make_workload(workload, NPROCS, seed=3, **WORKLOADS[workload])
     recorded = RecordSession(
         program,
         nprocs=NPROCS,
@@ -67,7 +88,10 @@ def check_frame_budget(monkeypatch, store, telemetry, always_kernel):
         telemetry=telemetry,
     ).run()
     frames = sum(len(recorded.archive.chunks(r)) for r in range(NPROCS))
-    assert frames > 4 * NPROCS  # many small frames: the case being gated
+    if workload == "mcb":
+        assert frames > 4 * NPROCS  # many small frames: the case being gated
+    else:
+        assert frames == NPROCS and all(rounds(c) for _, c in recorded.archive.iter_all())
     # with telemetry on too: the rollup reads the sizes of the frames the
     # store wrote, it does not serialize each rank's record again
     assert len(packs) == frames, f"{len(packs) / frames:.1f} bit passes per frame written"

@@ -1,4 +1,4 @@
-"""Durable archive format (version 4): framing, atomicity, salvage, retries."""
+"""Durable archive format (version 5): framing, atomicity, salvage, retries."""
 
 import errno
 import json
@@ -52,10 +52,10 @@ def rank_path(directory, rank=0):
     return os.path.join(directory, rank_filename(rank))
 
 
-def framed(body: bytes) -> bytes:
-    """``body`` behind a frame header: varint length, CRC-32."""
+def framed(body: bytes, stored: bool = False) -> bytes:
+    """``body`` behind a frame header: varint length and stored-raw bit, CRC-32."""
     header = bytearray()
-    encode_uvarint(len(body), header)
+    encode_uvarint(len(body) << 1 | stored, header)
     return bytes(header) + struct.pack("<I", zlib.crc32(body)) + body
 
 
@@ -96,6 +96,19 @@ V3_DIRECTORY = {
     "rank-00001.cdc": bytes.fromhex(
         "434443415243330a16a89155177376713664644c646464660001262e46060620931100"
     ),
+}
+
+
+#: a two-rank directory written by the parent commit (c000eb1, version 4:
+#: ``CDCARC4\n``, every frame body deflated behind its plain length, and a
+#: sender column always a packed index)
+V4_DIRECTORY = {
+    "MANIFEST": (
+        b'{"format":"cdc-archive","frames":[1,1],"meta":{"workload":"unit"},'
+        b'"nprocs":2,"version":4}\n'
+    ),
+    "rank-00000.cdc": bytes.fromhex("434443415243340a0fb8064e1b634c64606200014626463620067200"),
+    "rank-00001.cdc": bytes.fromhex("434443415243340a0adeb9ee71634c6464626460e00000"),
 }
 
 
@@ -166,11 +179,11 @@ class TestSaveLoadRoundTrip:
     def test_record_archive_save_writes_the_one_layout(self, archive, tmp_path):
         d = str(tmp_path / "rec")
         archive.save(d)
-        assert ARCHIVE_MAGIC == b"CDCARC4\n"
+        assert ARCHIVE_MAGIC == b"CDCARC5\n"
         assert open(rank_path(d), "rb").read().startswith(ARCHIVE_MAGIC)
         manifest = open(os.path.join(d, "MANIFEST"), "rb").read()
         assert manifest.count(b"\n") == 1 and b" " not in manifest  # one compact line
-        assert json.loads(manifest)["version"] == 4
+        assert json.loads(manifest)["version"] == 5
         assert json.loads(manifest)["frames"] == [3, 1, 0]
         assert RecordArchive.load(d).chunks_by_rank == archive.chunks_by_rank
 
@@ -181,6 +194,10 @@ class TestSaveLoadRoundTrip:
     @pytest.mark.parametrize("mode", ["strict", "salvage"])
     def test_version_3_directory_is_rejected_in_both_modes(self, tmp_path, mode):
         self.assert_rejected_by_name(tmp_path, mode, V3_DIRECTORY, "version 3")
+
+    @pytest.mark.parametrize("mode", ["strict", "salvage"])
+    def test_version_4_directory_is_rejected_in_both_modes(self, tmp_path, mode):
+        self.assert_rejected_by_name(tmp_path, mode, V4_DIRECTORY, "version 4")
 
     def assert_rejected_by_name(self, tmp_path, mode, directory, version):
         """A replaced layout has no reader: bytes an earlier commit wrote are
@@ -474,6 +491,59 @@ class TestHostileDirectories:
             assert report.ranks[0].failure == "frame-decode-error"
             assert "under the cap" in report.ranks[0].detail
             assert recovered.chunks(0) == archive.chunks(0)[:1]
+
+    def test_a_frame_is_stored_raw_exactly_when_deflate_would_grow_it(self, archive):
+        """The body is whichever is shorter, the raw deflate stream or the
+        payload itself (a tie deflates); the length's low bit says which, and
+        the CRC covers the body as stored."""
+        big = chunk([ReceiveEvent(r % 3, 2 * r) for r in range(300)], "a-long-callsite")
+        for c in [*archive.chunks(0), *archive.chunks(1), big]:
+            payload = encode_frame_payload(c)
+            deflated = raw_deflate(payload)
+            stored = len(deflated) > len(payload)
+            expected = framed(payload, stored=True) if stored else framed(deflated)
+            assert frame_bytes(c) == expected
+        small = [*archive.chunks(0), *archive.chunks(1)]
+        assert any(frame_bytes(c)[0] & 1 for c in small)  # deflate grows a few-byte payload
+        assert not frame_bytes(big)[0] & 1
+
+    @pytest.mark.parametrize("mode", ["strict", "salvage"])
+    @pytest.mark.parametrize("body", ["deflate-stream", "two-payloads", "empty", "over-the-cap"])
+    def test_a_stored_body_is_exactly_one_payload_under_the_cap(
+        self, archive, tmp_path, mode, body, monkeypatch
+    ):
+        """A stored (raw) body is parsed as it is: a deflate stream flagged
+        raw, two payloads or none are a frame decode error with the frames
+        before kept, and a stored body past the payload cap is refused before
+        it is parsed — in both reading modes."""
+        import repro.replay.durable_store as durable_store
+
+        d = str(tmp_path / "rec")
+        save_archive(archive, d)
+        kept, first, second = archive.chunks(0)[1], *archive.chunks(0)[::2]
+        first, second = encode_frame_payload(first), encode_frame_payload(second)
+        stored = {
+            "deflate-stream": raw_deflate(second),
+            "two-payloads": second + first,
+            "empty": b"",
+            "over-the-cap": second,
+        }[body]
+        open(rank_path(d), "wb").write(
+            ARCHIVE_MAGIC + frame_bytes(kept) + framed(stored, stored=True)
+        )
+        if body == "over-the-cap":  # the kept frame's payload is under it
+            assert len(encode_frame_payload(kept)) < len(second)
+            monkeypatch.setattr(durable_store, "MAX_PAYLOAD_BYTES", len(second) - 1)
+        outcome, _ = self.measured(d, mode)
+        if mode == "strict":
+            assert isinstance(outcome, ArchiveCorruptionError)
+            assert "frame-decode-error" in str(outcome) and outcome.frame_index == 1
+        else:
+            recovered, report = outcome
+            assert report.ranks[0].failure == "frame-decode-error"
+            assert recovered.chunks(0) == [kept]
+            if body == "over-the-cap":
+                assert "over the payload cap" in report.ranks[0].detail
 
     def test_a_payload_over_the_cap_is_not_written(self, monkeypatch):
         import repro.replay.durable_store as durable_store

@@ -21,7 +21,7 @@ from repro.core.events import ReceiveEvent
 from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.errors import RecordFormatError
-from repro.replay.durable_store import RecordArchive, load_archive, save_archive
+from repro.replay.durable_store import ARCHIVE_VERSION, RecordArchive, load_archive, save_archive
 
 MODES = ("strict", "salvage")
 DEADLINE_S = 1.0
@@ -47,7 +47,7 @@ def saved(tmp_path_factory):
 def manifest_bytes(**overrides):
     manifest = {
         "format": "cdc-archive",
-        "version": 4,
+        "version": ARCHIVE_VERSION,
         "nprocs": 3,
         "frames": [2, 1, 0],
         "meta": {},
@@ -73,12 +73,12 @@ HOSTILE = {
     "nprocs-string": manifest_bytes(nprocs="3"),
     "nprocs-null": manifest_bytes(nprocs=None),
     "nprocs-missing": json.dumps(
-        {"format": "cdc-archive", "version": 4, "frames": []}
+        {"format": "cdc-archive", "version": ARCHIVE_VERSION, "frames": []}
     ).encode(),
     "nprocs-5000-digits": manifest_bytes().replace(b'"nprocs": 3', b'"nprocs": ' + b"9" * 5000),
     "frames-dict": manifest_bytes(frames={"0": 2, "1": 1, "2": 0}),  # version 3's shape
     "frames-missing": json.dumps(
-        {"format": "cdc-archive", "version": 4, "nprocs": 3}
+        {"format": "cdc-archive", "version": ARCHIVE_VERSION, "nprocs": 3}
     ).encode(),
     "frames-null": manifest_bytes(frames=None),
     "frame-count-negative": manifest_bytes(frames=[-2, 1, 0]),
@@ -91,11 +91,12 @@ HOSTILE = {
     "frame-rank-out-of-range": manifest_bytes(frames=[2, 1, 0, 0]),  # an entry for rank 3 of 3
     "frame-ranks-collapse": manifest_bytes(frames=[2, 1]),  # two entries for three ranks
     "meta-list": manifest_bytes(meta=[1, 2]),
-    "version-string": manifest_bytes(version="4"),
+    "version-string": manifest_bytes(version="5"),
     "version-2": manifest_bytes(version=2),
-    "version-3": manifest_bytes(version=3),  # the layout this one replaced
+    "version-3": manifest_bytes(version=3),
     "version-3-as-written": manifest_bytes(version=3, frames={"0": 2, "1": 1, "2": 0}),
-    "version-5": manifest_bytes(version=5),
+    "version-4": manifest_bytes(version=4),  # the layout this one replaced
+    "version-6": manifest_bytes(version=6),
     "format-other": manifest_bytes(format="cdc-archive-ng"),
     "top-level-list": b"[1, 2, 3]",
     "deep-meta": manifest_bytes().replace(b'"meta": {}', b'"meta": ' + b"[" * 50_000),

@@ -99,8 +99,8 @@ class TestRecording:
 
 
 class TestChunkMarkers:
-    """``record.chunk`` trace markers carry each chunk's deflated frame
-    payload length — the frame the durable store just wrote, or the one
+    """``record.chunk`` trace markers carry each chunk's stored frame body
+    length — the frame the durable store just wrote, or the one
     the archive builds for itself — and nothing sizes the archive by
     serializing or deflating a chunk a second time."""
 
@@ -140,13 +140,14 @@ class TestChunkMarkers:
         from repro.core.compression import ZLIB_LEVEL
         from repro.core.formats import encode_frame_payload
 
-        # a frame's body is a raw deflate stream: zlib's, less its 2-byte
-        # header and 4-byte Adler-32
+        # a frame's body is a raw deflate stream — zlib's, less its 2-byte
+        # header and 4-byte Adler-32 — or the payload, where that is shorter
         return sorted(
-            (rank, chunk.callsite, chunk.num_events,
-             len(zlib.compress(encode_frame_payload(chunk), ZLIB_LEVEL)) - 6)
+            (rank, chunk.callsite, chunk.num_events, min(
+                len(payload), len(zlib.compress(payload, ZLIB_LEVEL)) - 6))
             for rank in range(4)
             for chunk in result.archive.chunks(rank)
+            for payload in [encode_frame_payload(chunk)]
         )
 
     def observed(self, markers):

@@ -1,8 +1,9 @@
 """An archive has one size: the bytes of the rank files it is stored as.
 
 ``RecordArchive.rank_bytes(r)`` is the length of ``rank-NNNNN.cdc`` —
-magic plus one framed, deflated payload per chunk (a one- or two-byte
-varint length, a CRC-32, a raw deflate stream) — for an archive that
+magic plus one framed payload per chunk (a one- or two-byte varint of the
+body's length and a stored-raw bit, a CRC-32, a raw deflate stream or,
+where deflate would grow it, the payload itself) — for an archive that
 was just recorded to a store, loaded from one, or never stored at all,
 and every reader of "how big is this record" (``record.chunk`` markers,
 ``RunStats``, the ledger, ``repro record|inspect|stats``) reports that
@@ -92,7 +93,7 @@ def test_durable_record_is_sized_as_its_files(name, tmp_path, deflates):
     markers = [e.attrs for e in result.registry.events if e.name == "record.chunk"]
     assert len(markers) == chunks
     assert (
-        sum(m["stored_bytes"] + uvarint_size(m["stored_bytes"]) for m in markers)
+        sum(m["stored_bytes"] + uvarint_size(m["stored_bytes"] << 1) for m in markers)
         + FRAME_CRC * chunks
         + len(ARCHIVE_MAGIC) * archive.nprocs
         == archive.total_bytes()
@@ -148,3 +149,18 @@ def test_cli_record_inspect_and_stats_print_the_files_size(tmp_path, capsys):
     assert main(["stats", directory]) == 0
     stats = capsys.readouterr().out
     assert re.search(rf"stored \(gzip\)\s+\|?\s*{re.escape(human_bytes(size))}", stats)
+
+
+#: the file bytes of two small records (network seed 1), exact: a byte gate
+#: on the archive layout. Version 4 stored 925 and 326 B; version 5 holds an
+#: unstructured halo round's senders as Lehmer words, and a frame whose deflate
+#: stream would be longer than its payload as the payload itself.
+STORED_BYTES = {"mcb": 878, "unstructured": 302}
+
+
+@pytest.mark.parametrize("name", sorted(STORED_BYTES))
+def test_a_small_record_stores_exactly_its_pinned_bytes(name, tmp_path):
+    directory = str(tmp_path / "rec")
+    archive = record(name, store_dir=directory).archive
+    assert sum(file_sizes(directory, archive.nprocs)) == archive.total_bytes()
+    assert archive.total_bytes() == STORED_BYTES[name]
