@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.formats import CDC_BUCKETS, cdc_record_sizes
+from repro.core.formats import CALLSITE_ID_BYTES, CDC_BUCKETS, cdc_record_sizes
 from repro.core.pipeline import CDCChunk
-from repro.core.varint import uvarint_size
 from repro.replay.durable_store import RecordArchive
 
 
@@ -66,12 +65,11 @@ def chunk_breakdown(chunk: CDCChunk, callsite_id: int = 0) -> SizeBreakdown:
 def archive_breakdown(archive: RecordArchive) -> SizeBreakdown:
     """Pre-deflate breakdown of a whole archive, frame by frame.
 
-    ``total`` is :meth:`RecordArchive.total_payload_bytes`; the callsite
-    each frame payload opens with lands in ``header``.
+    ``total`` is :meth:`RecordArchive.total_payload_bytes`; the 4-byte
+    callsite id each frame payload opens with lands in ``header``.
     """
     chunks = [chunk for _, chunk in archive.iter_all()]
-    # a frame names its callsite inline, so every id is 0
+    # the id is the payload's; a record's own callsite index is always 0
     total = chunks_breakdown(chunks, dict.fromkeys((c.callsite for c in chunks), 0))
-    for name in (c.callsite.encode("utf-8") for c in chunks):
-        total.header += uvarint_size(len(name)) + len(name)
+    total.header += CALLSITE_ID_BYTES * len(chunks)
     return total

@@ -840,8 +840,7 @@ def _cmd_profile_sample(args: argparse.Namespace, program) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Clock Delta Compression record-and-replay (SC'15 reproduction)",
+        prog="repro", description="Clock Delta Compression record-and-replay (SC'15 reproduction)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -849,343 +848,209 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p_record)
     p_record.add_argument("--out", required=True, help="archive output directory")
     p_record.add_argument("--chunk-events", type=int, default=1024)
-    p_record.add_argument(
-        "--no-assist", action="store_true",
-        help="store the paper-exact format (no replay-assist column)",
-    )
-    p_record.add_argument(
-        "--trace-out", metavar="FILE",
-        help="additionally export the raw outcome trace as JSON lines",
-    )
-    p_record.add_argument(
-        "--ledger", metavar="FILE",
-        help="append this run's summary line to a JSONL run ledger",
-    )
-    p_record.add_argument(
-        "--run-id", default="", metavar="ID",
-        help="name of this run's --ledger entry (default: the next rNNNN)",
-    )
+    p_record.add_argument("--no-assist", action="store_true",
+                          help="store the paper-exact format (no replay-assist column)")
+    p_record.add_argument("--trace-out", metavar="FILE",
+                          help="additionally export the raw outcome trace as JSON lines")
+    p_record.add_argument("--ledger", metavar="FILE",
+                          help="append this run's summary line to a JSONL run ledger")
+    p_record.add_argument("--run-id", default="", metavar="ID",
+                          help="name of this run's --ledger entry (default: the next rNNNN)")
     p_record.set_defaults(func=cmd_record)
 
     p_replay = sub.add_parser("replay", help="replay a recorded archive")
     p_replay.add_argument("--record", required=True, help="archive directory")
     p_replay.add_argument("--network-seed", type=int, default=2)
-    p_replay.add_argument(
-        "--verify", action="store_true",
-        help="re-record under the original seed and compare outcome streams",
-    )
+    p_replay.add_argument("--verify", action="store_true",
+                          help="re-record under the original seed and compare outcome streams")
     p_replay.add_argument("--show-results", type=int, default=3, metavar="N")
-    p_replay.add_argument(
-        "--salvage", action="store_true",
-        help="tolerate archive corruption: replay the longest recoverable "
-             "epoch-aligned prefix and report where the record ends",
-    )
-    p_replay.add_argument(
-        "--verbose", action="store_true",
-        help="run with telemetry and print the run-stats rollup",
-    )
-    p_replay.add_argument(
-        "--ledger", metavar="FILE",
-        help="append this run's summary line to a JSONL run ledger",
-    )
-    p_replay.add_argument(
-        "--run-id", default="", metavar="ID",
-        help="name of this run's --ledger entry (default: the next rNNNN)",
-    )
+    p_replay.add_argument("--salvage", action="store_true",
+                          help="tolerate archive corruption: replay the longest recoverable "
+                               "epoch-aligned prefix and report where the record ends")
+    p_replay.add_argument("--verbose", action="store_true",
+                          help="run with telemetry and print the run-stats rollup")
+    p_replay.add_argument("--ledger", metavar="FILE",
+                          help="append this run's summary line to a JSONL run ledger")
+    p_replay.add_argument("--run-id", default="", metavar="ID",
+                          help="name of this run's --ledger entry (default: the next rNNNN)")
     p_replay.set_defaults(func=cmd_replay)
 
-    p_stats = sub.add_parser(
-        "stats",
-        help="storage statistics of an archive: per-rank sizes, "
-             "compression stages, permutation rates",
-    )
+    p_stats = sub.add_parser("stats",
+                             help="storage statistics of an archive: per-rank sizes, compression "
+                                  "stages, permutation rates")
     p_stats.add_argument("record", help="archive directory")
-    p_stats.add_argument(
-        "--ranks", type=int, default=8, metavar="N",
-        help="show at most N ranks in per-rank tables",
-    )
-    p_stats.add_argument(
-        "--chunks", action="store_true", help="include the per-chunk breakdown"
-    )
-    p_stats.add_argument(
-        "--salvage", action="store_true",
-        help="load crash-truncated archives: report on the longest "
-             "recoverable epoch-aligned prefix instead of failing",
-    )
-    p_stats.add_argument(
-        "--metrics", metavar="FILE",
-        help="also report telemetry health from a metrics JSONL dump "
-             "(span-buffer drops, counter/histogram saturation)",
-    )
+    p_stats.add_argument("--ranks", type=int, default=8, metavar="N",
+                         help="show at most N ranks in per-rank tables")
+    p_stats.add_argument("--chunks", action="store_true", help="include the per-chunk breakdown")
+    p_stats.add_argument("--salvage", action="store_true",
+                         help="load crash-truncated archives: report on the longest recoverable "
+                              "epoch-aligned prefix instead of failing")
+    p_stats.add_argument("--metrics", metavar="FILE",
+                         help="also report telemetry health from a metrics JSONL dump "
+                              "(span-buffer drops, counter/histogram saturation)")
     p_stats.set_defaults(func=cmd_stats)
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="run a workload with telemetry and export a Chrome trace",
-    )
+    p_trace = sub.add_parser("trace",
+                             help="run a workload with telemetry and export a Chrome trace")
     _add_workload_args(p_trace)
-    p_trace.add_argument(
-        "--out", default="trace.json", metavar="FILE",
-        help="Chrome trace_event JSON output (Perfetto-loadable)",
-    )
-    p_trace.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="additionally dump every instrument as metrics JSONL",
-    )
-    p_trace.add_argument(
-        "--replay", action="store_true",
-        help="also replay the fresh record into the same trace",
-    )
+    p_trace.add_argument("--out", default="trace.json", metavar="FILE",
+                         help="Chrome trace_event JSON output (Perfetto-loadable)")
+    p_trace.add_argument("--metrics-out", metavar="FILE",
+                         help="additionally dump every instrument as metrics JSONL")
+    p_trace.add_argument("--replay", action="store_true",
+                         help="also replay the fresh record into the same trace")
     p_trace.set_defaults(func=cmd_trace)
 
-    p_timeline = sub.add_parser(
-        "timeline",
-        help="record + replay a workload into one causally-linked Chrome "
-             "trace with cross-rank flow arrows",
-    )
+    p_timeline = sub.add_parser("timeline",
+                                help="record + replay a workload into one causally-linked Chrome "
+                                     "trace with cross-rank flow arrows")
     _add_workload_args(p_timeline)
-    p_timeline.add_argument(
-        "--out", default="timeline.json", metavar="FILE",
-        help="merged timeline output (Perfetto-loadable trace_event JSON)",
-    )
-    p_timeline.add_argument(
-        "--no-replay", action="store_true",
-        help="trace only the recording run (skip the replay process group)",
-    )
-    p_timeline.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="additionally dump run telemetry as metrics JSONL",
-    )
-    p_timeline.add_argument(
-        "--strict", action="store_true",
-        help="exit nonzero when any run correlates < 100%% of its receives "
-             "or repeats a send identity (FlowMatchStats.match_rate < 1.0 or "
-             "duplicate_sends > 0)",
-    )
+    p_timeline.add_argument("--out", default="timeline.json", metavar="FILE",
+                            help="merged timeline output (Perfetto-loadable trace_event JSON)")
+    p_timeline.add_argument("--no-replay", action="store_true",
+                            help="trace only the recording run (skip the replay process group)")
+    p_timeline.add_argument("--metrics-out", metavar="FILE",
+                            help="additionally dump run telemetry as metrics JSONL")
+    p_timeline.add_argument("--strict", action="store_true",
+                            help="exit nonzero when any run correlates < 100%% of its receives or "
+                                 "repeats a send identity (FlowMatchStats.match_rate < 1.0 or "
+                                 "duplicate_sends > 0)")
     p_timeline.set_defaults(func=cmd_timeline)
 
-    p_monitor = sub.add_parser(
-        "monitor",
-        help="render live progress from a metrics JSONL stream "
-             "(sessions started with metrics_stream=FILE)",
-    )
+    p_monitor = sub.add_parser("monitor",
+                               help="render live progress from a metrics JSONL stream (sessions "
+                                    "started with metrics_stream=FILE)")
     p_monitor.add_argument("metrics", help="metrics JSONL stream file")
-    p_monitor.add_argument(
-        "--follow", action="store_true",
-        help="keep polling until the stream's end line arrives",
-    )
-    p_monitor.add_argument(
-        "--interval", type=float, default=0.5, metavar="SECONDS",
-        help="poll interval in --follow mode",
-    )
-    p_monitor.add_argument(
-        "--timeout", type=float, default=0.0, metavar="SECONDS",
-        help="give up following after this many wall seconds (0 = never)",
-    )
+    p_monitor.add_argument("--follow", action="store_true",
+                           help="keep polling until the stream's end line arrives")
+    p_monitor.add_argument("--interval", type=float, default=0.5, metavar="SECONDS",
+                           help="poll interval in --follow mode")
+    p_monitor.add_argument("--timeout", type=float, default=0.0, metavar="SECONDS",
+                           help="give up following after this many wall seconds (0 = never)")
     p_monitor.set_defaults(func=cmd_monitor)
 
-    p_verify = sub.add_parser(
-        "verify", help="integrity-check a recorded archive (CRCs, tails)"
-    )
+    p_verify = sub.add_parser("verify", help="integrity-check a recorded archive (CRCs, tails)")
     p_verify.add_argument("--record", required=True, help="archive directory")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_salvage = sub.add_parser(
-        "salvage", help="recover the valid chunk prefix of a damaged archive"
-    )
+    p_salvage = sub.add_parser("salvage",
+                               help="recover the valid chunk prefix of a damaged archive")
     p_salvage.add_argument("--record", required=True, help="archive directory")
-    p_salvage.add_argument(
-        "--out", help="write the recovered archive here (clean v2 format)"
-    )
+    p_salvage.add_argument("--out", help="write the recovered archive here (clean v2 format)")
     p_salvage.set_defaults(func=cmd_salvage)
 
     p_inspect = sub.add_parser("inspect", help="summarize a recorded archive")
     p_inspect.add_argument("--record", required=True)
     p_inspect.add_argument("--ranks", type=int, default=4, metavar="N")
-    p_inspect.add_argument(
-        "--salvage", action="store_true",
-        help="summarize crash-truncated archives: report on the longest "
-             "recoverable epoch-aligned prefix instead of failing",
-    )
+    p_inspect.add_argument("--salvage", action="store_true",
+                           help="summarize crash-truncated archives: report on the longest "
+                                "recoverable epoch-aligned prefix instead of failing")
     p_inspect.set_defaults(func=cmd_inspect)
 
-    p_diff = sub.add_parser(
-        "diff",
-        help="diff two runs: first divergent match per rank, eligible-send "
-             "pool, per-callsite nondeterminism profile",
-    )
-    p_diff.add_argument(
-        "a", help="reference run: archive dir, outcome trace, or run id"
-    )
-    p_diff.add_argument(
-        "b", help="comparison run: archive dir, outcome trace, or run id"
-    )
-    p_diff.add_argument(
-        "--ledger", metavar="FILE",
-        help="resolve run-id operands against this JSONL run ledger",
-    )
-    p_diff.add_argument(
-        "--context", type=int, default=5, metavar="N",
-        help="deliveries of context shown on each side of a divergence",
-    )
-    p_diff.add_argument(
-        "--ranks", type=int, default=8, metavar="N",
-        help="show at most N ranks in the per-rank divergence table",
-    )
-    p_diff.add_argument(
-        "--out", metavar="FILE", help="write the divergence report as JSON"
-    )
-    p_diff.add_argument(
-        "--timeline", metavar="FILE",
-        help="write a Perfetto trace of only the divergent region "
-             "(flow arrows, both runs side by side)",
-    )
+    p_diff = sub.add_parser("diff",
+                            help="diff two runs: first divergent match per rank, eligible-send "
+                                 "pool, per-callsite nondeterminism profile")
+    p_diff.add_argument("a", help="reference run: archive dir, outcome trace, or run id")
+    p_diff.add_argument("b", help="comparison run: archive dir, outcome trace, or run id")
+    p_diff.add_argument("--ledger", metavar="FILE",
+                        help="resolve run-id operands against this JSONL run ledger")
+    p_diff.add_argument("--context", type=int, default=5, metavar="N",
+                        help="deliveries of context shown on each side of a divergence")
+    p_diff.add_argument("--ranks", type=int, default=8, metavar="N",
+                        help="show at most N ranks in the per-rank divergence table")
+    p_diff.add_argument("--out", metavar="FILE", help="write the divergence report as JSON")
+    p_diff.add_argument("--timeline", metavar="FILE",
+                        help="write a Perfetto trace of only the divergent region (flow arrows, "
+                             "both runs side by side)")
     p_diff.set_defaults(func=cmd_diff)
 
-    p_explain = sub.add_parser(
-        "explain",
-        help="critical-path & wait-state blame report for a recorded run "
-             "(which rank made it slow, and who was it waiting on?)",
-    )
-    p_explain.add_argument(
-        "source", help="archive directory, or a ledger run id with --ledger"
-    )
-    p_explain.add_argument(
-        "--ledger", metavar="FILE",
-        help="resolve run-id operands against this JSONL run ledger and "
-             "append a mode=explain entry carrying critical_path_share / "
-             "max_slack_us for `repro runs trend`",
-    )
-    p_explain.add_argument(
-        "--network-seed", type=int, default=0, metavar="N",
-        help="network seed of the rehydrating replay (any seed yields the "
-             "same delivery order; timings are the replay's virtual clock)",
-    )
-    p_explain.add_argument(
-        "--top", type=int, default=10, metavar="K",
-        help="rows shown in the rank/callsite blame tables",
-    )
-    p_explain.add_argument(
-        "--json", metavar="FILE",
-        help="write the schema-validated explain report as JSON",
-    )
-    p_explain.add_argument(
-        "--timeline", metavar="FILE",
-        help="write a Perfetto trace with the critical path highlighted "
-             "as a distinct track",
-    )
+    p_explain = sub.add_parser("explain",
+                               help="critical-path & wait-state blame report for a recorded run "
+                                    "(which rank made it slow, and who was it waiting on?)")
+    p_explain.add_argument("source", help="archive directory, or a ledger run id with --ledger")
+    p_explain.add_argument("--ledger", metavar="FILE",
+                           help="resolve run-id operands against this JSONL run ledger and append "
+                                "a mode=explain entry carrying critical_path_share / max_slack_us "
+                                "for `repro runs trend`")
+    p_explain.add_argument("--network-seed", type=int, default=0, metavar="N",
+                           help="network seed of the rehydrating replay (any seed yields the same "
+                                "delivery order; timings are the replay's virtual clock)")
+    p_explain.add_argument("--top", type=int, default=10, metavar="K",
+                           help="rows shown in the rank/callsite blame tables")
+    p_explain.add_argument("--json", metavar="FILE",
+                           help="write the schema-validated explain report as JSON")
+    p_explain.add_argument("--timeline", metavar="FILE",
+                           help="write a Perfetto trace with the critical path highlighted as a "
+                                "distinct track")
     p_explain.set_defaults(func=cmd_explain)
 
-    p_runs = sub.add_parser(
-        "runs", help="browse the persistent run ledger (list / show / trend)"
-    )
+    p_runs = sub.add_parser("runs", help="browse the persistent run ledger (list / show / trend)")
     runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
     p_runs_list = runs_sub.add_parser("list", help="render ledgered run history")
     p_runs_list.add_argument("--ledger", required=True, metavar="FILE")
-    p_runs_list.add_argument(
-        "--limit", type=int, default=20, metavar="N",
-        help="show at most the last N runs",
-    )
+    p_runs_list.add_argument("--limit", type=int, default=20, metavar="N",
+                             help="show at most the last N runs")
     p_runs_list.set_defaults(func=cmd_runs)
     p_runs_show = runs_sub.add_parser("show", help="full detail of one run")
     p_runs_show.add_argument("run_id", help="ledger run id (e.g. r0001)")
     p_runs_show.add_argument("--ledger", required=True, metavar="FILE")
     p_runs_show.set_defaults(func=cmd_runs)
-    p_runs_trend = runs_sub.add_parser(
-        "trend",
-        help="metric trends per (workload, mode, ranks) group with "
-             "Welford z-score regression flags (exit 1 when any fire)",
-    )
+    p_runs_trend = runs_sub.add_parser("trend",
+                                       help="metric trends per (workload, mode, ranks) group with "
+                                            "Welford z-score regression flags (exit 1 when any "
+                                            "fire)")
     p_runs_trend.add_argument("--ledger", required=True, metavar="FILE")
-    p_runs_trend.add_argument(
-        "--z", type=float, default=3.0, metavar="Z",
-        help="|z| threshold beyond which a run flags as a regression",
-    )
-    p_runs_trend.add_argument(
-        "--sparkline", type=int, nargs="?", const=60, default=None,
-        metavar="WIDTH",
-        help="render each metric as a wide unicode sparkline chart "
-             "(optionally WIDTH cells, default 60)",
-    )
+    p_runs_trend.add_argument("--z", type=float, default=3.0, metavar="Z",
+                              help="|z| threshold beyond which a run flags as a regression")
+    p_runs_trend.add_argument("--sparkline", type=int, nargs="?", const=60, default=None,
+                              metavar="WIDTH",
+                              help="render each metric as a wide unicode sparkline chart "
+                                   "(optionally WIDTH cells, default 60)")
     p_runs_trend.set_defaults(func=cmd_runs)
 
-    p_compare = sub.add_parser(
-        "compare", help="run the Figure 13 method comparison on a workload"
-    )
+    p_compare = sub.add_parser("compare", help="run the Figure 13 method comparison on a workload")
     _add_workload_args(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
-    p_dash = sub.add_parser(
-        "dash",
-        help="render the single-file HTML perf dashboard (ledger trends, "
-             "critical path, flamegraph)",
-    )
+    p_dash = sub.add_parser("dash",
+                            help="render the single-file HTML perf dashboard (ledger trends, "
+                                 "critical path, flamegraph)")
     p_dash.add_argument("--out", required=True, metavar="FILE")
-    p_dash.add_argument(
-        "--ledger", metavar="FILE", help="run-ledger JSONL for trend charts"
-    )
-    p_dash.add_argument(
-        "--folded", metavar="FILE",
-        help="collapsed-stack file from `repro profile --sample --folded-out`",
-    )
-    p_dash.add_argument(
-        "--explain", metavar="FILE",
-        help="explain report JSON (from repro explain --json) for the "
-             "Critical path section (blame bars + slack histogram)",
-    )
+    p_dash.add_argument("--ledger", metavar="FILE", help="run-ledger JSONL for trend charts")
+    p_dash.add_argument("--folded", metavar="FILE",
+                        help="collapsed-stack file from `repro profile --sample --folded-out`")
+    p_dash.add_argument("--explain", metavar="FILE",
+                        help="explain report JSON (from repro explain --json) for the Critical "
+                             "path section (blame bars + slack histogram)")
     p_dash.add_argument("--title", default="repro perf dashboard")
-    p_dash.add_argument(
-        "--z", type=float, default=3.0, metavar="Z",
-        help="|z| threshold for trend regression flags",
-    )
+    p_dash.add_argument("--z", type=float, default=3.0, metavar="Z",
+                        help="|z| threshold for trend regression flags")
     p_dash.set_defaults(func=cmd_dash)
 
-    p_transcode = sub.add_parser(
-        "transcode", help="compress a JSON-lines trace with every method"
-    )
+    p_transcode = sub.add_parser("transcode", help="compress a JSON-lines trace with every method")
     p_transcode.add_argument("--trace", required=True, help="trace file (JSON lines)")
     p_transcode.set_defaults(func=cmd_transcode)
 
-    p_profile = sub.add_parser(
-        "profile", help="cProfile a workload pass and print the hotspot table"
-    )
+    p_profile = sub.add_parser("profile",
+                               help="cProfile a workload pass and print the hotspot table")
     _add_workload_args(p_profile)
     p_profile.add_argument("--chunk-events", type=int, default=1024)
-    p_profile.add_argument(
-        "--mode", choices=("record", "replay"), default="record",
-        help="profile the record pass, or a replay of a fresh record",
-    )
-    p_profile.add_argument(
-        "--top", type=int, default=15, metavar="N",
-        help="hotspot rows to print",
-    )
-    p_profile.add_argument(
-        "--sort", choices=("cumulative", "tottime"), default="cumulative",
-        help="ranking key for the hotspot table",
-    )
-    p_profile.add_argument(
-        "--out", metavar="FILE", help="also dump raw pstats data to FILE"
-    )
-    p_profile.add_argument(
-        "--raw", action="store_true",
-        help="additionally print the full pstats report",
-    )
-    p_profile.add_argument(
-        "--sample", action="store_true",
-        help="use the low-overhead sampling profiler instead of cProfile",
-    )
-    p_profile.add_argument(
-        "--hz", type=float, default=97.0, metavar="HZ",
-        help="sampling rate for --sample (default 97)",
-    )
-    p_profile.add_argument(
-        "--folded-out", metavar="FILE",
-        help="with --sample: write collapsed stacks (flamegraph.pl input)",
-    )
-    p_profile.add_argument(
-        "--speedscope-out", metavar="FILE",
-        help="with --sample: write a speedscope JSON profile",
-    )
+    p_profile.add_argument("--mode", choices=("record", "replay"), default="record",
+                           help="profile the record pass, or a replay of a fresh record")
+    p_profile.add_argument("--top", type=int, default=15, metavar="N", help="hotspot rows to print")
+    p_profile.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative",
+                           help="ranking key for the hotspot table")
+    p_profile.add_argument("--out", metavar="FILE", help="also dump raw pstats data to FILE")
+    p_profile.add_argument("--raw", action="store_true",
+                           help="additionally print the full pstats report")
+    p_profile.add_argument("--sample", action="store_true",
+                           help="use the low-overhead sampling profiler instead of cProfile")
+    p_profile.add_argument("--hz", type=float, default=97.0, metavar="HZ",
+                           help="sampling rate for --sample (default 97)")
+    p_profile.add_argument("--folded-out", metavar="FILE",
+                           help="with --sample: write collapsed stacks (flamegraph.pl input)")
+    p_profile.add_argument("--speedscope-out", metavar="FILE",
+                           help="with --sample: write a speedscope JSON profile")
     p_profile.set_defaults(func=cmd_profile)
     return parser
 

@@ -18,6 +18,7 @@ All layouts are self-describing streams; gzip (zlib) is applied on top by
 
 from __future__ import annotations
 
+import zlib
 from functools import lru_cache
 from itertools import accumulate, groupby
 from typing import Mapping, NamedTuple, Sequence
@@ -44,7 +45,7 @@ from repro.core.varint import (
     stream_to_unsigned,
     uvarint_stream_sizes,
 )
-from repro.errors import RecordFormatError
+from repro.errors import RecordFormatError, UnknownCallsiteError
 from repro.obs import get_registry
 
 RAW_MAGIC = b"CDR0"
@@ -439,17 +440,37 @@ def serialize_cdc_chunks(chunks: Sequence[CDCChunk]) -> bytes:
     return _records(out, chunks, {c: i for i, c in enumerate(callsites)}, heads=True)
 
 
+#: a frame payload opens with its callsite's id: the CRC-32 of the name's UTF-8
+CALLSITE_ID_BYTES = 4
+
+
+def callsite_id(callsite: str) -> int:
+    """The 4-byte id a frame names its callsite by (the name is the manifest's)."""
+    return zlib.crc32(callsite.encode("utf-8"))
+
+
+def callsite_label(cid: int) -> str:
+    """What a chunk is called when only its callsite's id survives."""
+    return f"#{cid:08x}"
+
+
 def encode_frame_payload(chunk: CDCChunk) -> bytes:
-    """What an archive frame deflates: the callsite, then the chunk's record
-    to the end of the payload."""
-    out = bytearray()
-    _write_string(out, chunk.callsite)
+    """What an archive frame deflates: the callsite's id (little-endian),
+    then the chunk's record to the end of the payload."""
+    out = bytearray(callsite_id(chunk.callsite).to_bytes(CALLSITE_ID_BYTES, "little"))
     return _records(out, [chunk], {chunk.callsite: 0}, heads=False)
 
 
-def decode_frame_payload(data: bytes) -> CDCChunk:
-    """Inverse of :func:`encode_frame_payload`: exactly one chunk."""
-    callsite, offset = _read_string(data, 0)
+def decode_frame_payload(data: bytes, callsites: Mapping[int, str] | None = None) -> CDCChunk:
+    """Inverse of :func:`encode_frame_payload`: exactly one chunk, named by
+    ``callsites`` (id -> name) — without a table, by :func:`callsite_label`.
+    An id the table does not hold is an :class:`UnknownCallsiteError`."""
+    if len(data) < CALLSITE_ID_BYTES:
+        raise RecordFormatError("frame payload shorter than its callsite id")
+    cid, offset = int.from_bytes(data[:CALLSITE_ID_BYTES], "little"), CALLSITE_ID_BYTES
+    callsite = callsite_label(cid) if callsites is None else callsites.get(cid)
+    if callsite is None:
+        raise UnknownCallsiteError(f"callsite id {cid:#010x} is not in the names table")
     if decode_uvarint(data, offset)[0] & 1:
         return _decode_assist(callsite, data, offset, len(data))
     chunks: list[CDCChunk] = []
@@ -607,36 +628,27 @@ def _decode_assist(callsite: str, data: bytes, offset: int, stop: int) -> CDCChu
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# the container's string table
 # ---------------------------------------------------------------------------
-
-
-def _write_string(out: bytearray, string: str) -> None:
-    raw = string.encode("utf-8")
-    encode_uvarint(len(raw), out)
-    out += raw
-
-
-def _read_string(data: bytes, offset: int) -> tuple[str, int]:
-    length, offset = decode_uvarint(data, offset)
-    if offset + length > len(data):
-        raise RecordFormatError("string table truncated")
-    try:
-        return data[offset : offset + length].decode("utf-8"), offset + length
-    except UnicodeDecodeError as exc:
-        raise RecordFormatError(f"string table: {exc}") from None
 
 
 def _write_string_table(out: bytearray, strings: Sequence[str]) -> None:
     encode_uvarint(len(strings), out)
-    for string in strings:
-        _write_string(out, string)
+    for raw in (string.encode("utf-8") for string in strings):
+        encode_uvarint(len(raw), out)
+        out += raw
 
 
 def _read_string_table(data: bytes, offset: int) -> tuple[list[str], int]:
     n, offset = decode_uvarint(data, offset)
     strings: list[str] = []
     for _ in range(n):
-        string, offset = _read_string(data, offset)
-        strings.append(string)
+        length, offset = decode_uvarint(data, offset)
+        if offset + length > len(data):
+            raise RecordFormatError("string table truncated")
+        try:
+            strings.append(data[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise RecordFormatError(f"string table: {exc}") from None
+        offset += length
     return strings, offset

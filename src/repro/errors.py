@@ -45,6 +45,10 @@ class RecordFormatError(DecodingError):
     """A serialized chunk violates the CDC binary format."""
 
 
+class UnknownCallsiteError(RecordFormatError):
+    """A frame names its callsite by an id the archive's names table lacks."""
+
+
 class ArchiveCorruptionError(RecordFormatError):
     """A stored record archive failed an integrity check.
 

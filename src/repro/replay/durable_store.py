@@ -8,24 +8,25 @@ storage must be able to lose a tail without losing the run.
 
 **Rank file layout** (``rank-NNNNN.cdc``)::
 
-    magic "CDCARC5\\n" (8 bytes)
+    magic "CDCARC6\\n" (8 bytes)
     frame*                       appended as chunks flush
     frame := uvarint len(body) << 1 | stored (at most 5 bytes)
              u32 CRC32 of body (LE)
-             body = raw deflate of encode_frame_payload(chunk), a payload
-                    of at most MAX_PAYLOAD_BYTES — or, with ``stored`` set,
-                    the payload itself, where deflate would grow it
+             body = raw deflate of encode_frame_payload(chunk) (callsite
+                    id, record), a payload of at most MAX_PAYLOAD_BYTES — or,
+                    with ``stored`` set, the payload itself, where deflate
+                    would grow it
 
 Each frame holds exactly one CDC chunk and is a function of that chunk
 alone, so any valid frame prefix is an epoch-aligned chunk prefix: salvage
 never has to split a chunk (DESIGN.md §5.9 on why frames stay stateless and
 carry one checksum). The one-line manifest (written last, atomically) lists
 the expected frame count per rank, letting the loader tell a clean short
-record from a crash.
+record from a crash, and each callsite's name once (DESIGN.md §5.10).
 This is the only layout — a manifest that does not declare it, or a rank
 file without the magic, is an error in every mode — and an archive's size
-(:meth:`RecordArchive.rank_bytes`) is the size of these files, whether it
-was just recorded, loaded, or never stored.
+(:meth:`RecordArchive.total_bytes`) is these files plus the manifest's
+names table, whether it was just recorded, loaded, or never stored.
 
 **Durability rules**
 
@@ -54,13 +55,14 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, IO, Iterator, Mapping
+from typing import Any, Callable, IO, Iterable, Iterator, Mapping
 
 from repro.core.compression import ZLIB_LEVEL
-from repro.core.formats import MAX_PAYLOAD_BYTES, decode_frame_payload, encode_frame_payload
+from repro.core.formats import MAX_PAYLOAD_BYTES, callsite_id
+from repro.core.formats import decode_frame_payload, encode_frame_payload
 from repro.core.pipeline import CDCChunk
 from repro.core.varint import decode_uvarint, encode_uvarint, uvarint_size
-from repro.errors import ArchiveCorruptionError, RecordFormatError
+from repro.errors import ArchiveCorruptionError, RecordFormatError, UnknownCallsiteError
 from repro.obs import get_registry, span
 
 __all__ = [
@@ -73,6 +75,7 @@ __all__ = [
     "RetryPolicy",
     "StoredRun",
     "bytes_per_event",
+    "callsite_table",
     "frame_bytes",
     "load_archive",
     "open_run",
@@ -81,8 +84,8 @@ __all__ = [
     "summarize",
 ]
 
-ARCHIVE_MAGIC = b"CDCARC5\n"
-ARCHIVE_VERSION = 5
+ARCHIVE_MAGIC = b"CDCARC6\n"
+ARCHIVE_VERSION = 6
 MANIFEST_NAME = "MANIFEST"
 
 #: a frame's header: a varint of its body's length and a stored-raw bit (a
@@ -182,6 +185,29 @@ def frame_bytes(chunk: CDCChunk) -> bytes:
     return _encode_frame(chunk)[0]
 
 
+def _enter_name(by_id: dict[int, str], name: str) -> None:
+    """File ``name`` under its id; another name there already is refused:
+    the archive could not tell the two apart."""
+    cid = callsite_id(name)
+    other = by_id.setdefault(cid, name)
+    if other != name:
+        raise RecordFormatError(
+            f"callsites {other!r} and {name!r} share the id {cid:#010x}: "
+            "an archive cannot hold both"
+        )
+
+
+def callsite_table(names: Iterable[str]) -> bytes:
+    """The names table as it stands in the MANIFEST: ``"callsites":[...],``
+    over the distinct names, sorted — nothing when there is none. Two names
+    with one id are a :class:`~repro.errors.RecordFormatError` naming both."""
+    by_id: dict[int, str] = {}
+    for name in sorted(set(names)):
+        _enter_name(by_id, name)
+    table = json.dumps({"callsites": sorted(by_id.values())}, separators=(",", ":"))
+    return table.encode("utf-8")[1:-1] + b"," if by_id else b""
+
+
 @dataclass
 class RecordArchive:
     """All ranks' CDC records for one recorded run."""
@@ -242,9 +268,15 @@ class RecordArchive:
         """Pre-deflate size of the rank's frame payloads (Figure 8 tables)."""
         return sum(self.frame_sizes(c)[0] for c in self.chunks(rank))
 
+    def callsite_table(self) -> bytes:
+        """:func:`callsite_table` of the archive's callsites."""
+        return callsite_table(chunk.callsite for _, chunk in self.iter_all())
+
     def total_bytes(self) -> int:
-        """Size of all rank files — what the run left on storage."""
-        return sum(self.rank_bytes(r) for r in range(self.nprocs))
+        """Size of all rank files and of the manifest's names table — what
+        the run left on storage, bar the rest of the manifest."""
+        files = sum(self.rank_bytes(r) for r in range(self.nprocs))
+        return files + len(self.callsite_table())
 
     def total_payload_bytes(self) -> int:
         return sum(self.rank_payload_bytes(r) for r in range(self.nprocs))
@@ -309,7 +341,7 @@ class RankRecovery:
     bytes_dropped: int = 0
     #: None when the file was clean; otherwise the failure kind:
     #: "bad-magic", "truncated-tail", "crc-mismatch", "frame-decode-error",
-    #: "frame-count-mismatch", "missing-file".
+    #: "unknown-callsite", "frame-count-mismatch", "missing-file".
     failure: str | None = None
     detail: str = ""
 
@@ -420,8 +452,9 @@ def _atomic_write(
         _fsync_dir(os.path.dirname(path) or ".")
 
 
-def _manifest_bytes(frames: list[int], meta: dict[str, object]) -> bytes:
-    """The manifest: one line of JSON, rank ``r``'s frame count at ``frames[r]``."""
+def _manifest_bytes(frames: list[int], table: bytes, meta: dict[str, object]) -> bytes:
+    """The manifest: one line of JSON, rank ``r``'s frame count at ``frames[r]``
+    and ``table`` (:func:`callsite_table`) first, where its sorted key goes."""
     manifest = {
         "format": "cdc-archive",
         "version": ARCHIVE_VERSION,
@@ -429,7 +462,8 @@ def _manifest_bytes(frames: list[int], meta: dict[str, object]) -> bytes:
         "frames": frames,
         "meta": meta,
     }
-    return (json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    rest = json.dumps(manifest, sort_keys=True, separators=(",", ":"))[1:] + "\n"
+    return b"{" + table + rest.encode("utf-8")
 
 
 class DurableArchiveWriter:
@@ -461,6 +495,8 @@ class DurableArchiveWriter:
         os.makedirs(directory, exist_ok=True)
         #: frames written per rank: the manifest's frame table.
         self.frames = [0] * nprocs
+        #: callsite id -> name, of every frame written: the names table.
+        self._names: dict[int, str] = {}
         self._files: dict[int, IO[bytes]] = {}
         for rank in range(nprocs):
             path = os.path.join(directory, rank_filename(rank))
@@ -495,6 +531,7 @@ class DurableArchiveWriter:
             raise RecordFormatError("archive writer already closed")
         if rank not in self._files:
             raise RecordFormatError(f"rank {rank} out of range")
+        _enter_name(self._names, chunk.callsite)
         registry = get_registry()
         t0 = time.perf_counter_ns()
         frame, raw_len, body_len = _encode_frame(chunk)
@@ -516,7 +553,7 @@ class DurableArchiveWriter:
             fh.close()
         _atomic_write(
             os.path.join(self.directory, MANIFEST_NAME),
-            _manifest_bytes(self.frames, dict(meta or {})),
+            _manifest_bytes(self.frames, callsite_table(self._names.values()), dict(meta or {})),
             self._opener,
             self._fsync,
             self.retry,
@@ -552,8 +589,10 @@ def save_archive(
     assembled in memory and lands via tmp + fsync + rename; a crash during
     save leaves either the old file or the new one, never a torn mix. The
     manifest is committed last, so a partially-saved directory is always
-    detectable.
+    detectable. Two callsites with one id are refused before any file is
+    written.
     """
+    table = archive.callsite_table()
     policy = retry if retry is not None else RetryPolicy()
     os.makedirs(directory, exist_ok=True)
     for rank in range(archive.nprocs):
@@ -567,7 +606,7 @@ def save_archive(
     frames = [len(archive.chunks(rank)) for rank in range(archive.nprocs)]
     _atomic_write(
         os.path.join(directory, MANIFEST_NAME),
-        _manifest_bytes(frames, dict(archive.meta)),
+        _manifest_bytes(frames, table, dict(archive.meta)),
         opener,
         fsync,
         policy,
@@ -580,10 +619,11 @@ def save_archive(
 
 
 def _parse_rank_frames(
-    data: bytes, recovery: RankRecovery, archive: RecordArchive
+    data: bytes, recovery: RankRecovery, archive: RecordArchive, callsites: Mapping | None
 ) -> None:
     """Append the longest valid frame prefix (and each frame's sizes) to
-    ``archive``; record in ``recovery`` how it ended."""
+    ``archive``, chunks named from ``callsites`` (labelled without it);
+    record in ``recovery`` how it ended."""
     offset = len(ARCHIVE_MAGIC)
     size = len(data)
     while offset < size:
@@ -613,7 +653,11 @@ def _parse_rank_frames(
                 raw = inflate.decompress(body, MAX_PAYLOAD_BYTES)
                 if not inflate.eof or inflate.unused_data:  # cut, over the cap, or trailed
                     raise ValueError("body is not one complete deflate stream under the cap")
-            chunk = decode_frame_payload(raw)
+            chunk = decode_frame_payload(raw, callsites)
+        except UnknownCallsiteError as exc:
+            recovery.failure = "unknown-callsite"
+            recovery.detail = f"frame {recovery.frames_kept}: {exc}"
+            break
         except (zlib.error, RecordFormatError, ValueError) as exc:
             # CRC passed but content is bad (ValueError: not exactly one
             # stream): written corrupt, not bit rot.
@@ -636,12 +680,14 @@ def _json_count(value: Any, what: str) -> int:
 
 def _read_manifest(
     directory: str, opener: Opener
-) -> tuple[int, dict[str, object], list[int]] | None:
-    """Return (nprocs, meta, expected frames per rank); None if absent.
+) -> tuple[int, dict[str, object], list[int], dict[int, str]] | None:
+    """Return (nprocs, meta, expected frames per rank, callsite id -> name);
+    None if absent.
 
     Outside input: every value is type-checked, and the frame table must
-    have ``nprocs`` entries before anything sized by ``nprocs`` is built,
-    so an accepted manifest costs no more than its own length.
+    have ``nprocs`` entries and the names table no more than the frames
+    before anything sized by either is built, so an accepted manifest costs
+    no more than its own length.
     """
     path = os.path.join(directory, MANIFEST_NAME)
     try:
@@ -669,10 +715,20 @@ def _read_manifest(
                 f"frame table has {len(frames)} rank(s), nprocs is {nprocs}"
             )
         expected = [_json_count(count, f"frames[{rank}]") for rank, count in enumerate(frames)]
-    except (ValueError, LookupError, TypeError, RecursionError) as exc:
+        names = manifest.get("callsites", [])  # absent: no frame to name
+        if not isinstance(names, list):
+            raise ValueError("callsites must be a list")
+        if len(names) > sum(expected):
+            raise ValueError(f"{len(names)} callsite(s) for {sum(expected)} frame(s)")
+        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+            raise ValueError("callsites must be distinct strings")
+        callsites: dict[int, str] = {}
+        for name in names:
+            _enter_name(callsites, name)
+    except (ValueError, LookupError, TypeError, RecursionError, RecordFormatError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise RecordFormatError(f"malformed MANIFEST in {directory}: {what}") from exc
-    return nprocs, meta, expected
+    return nprocs, meta, expected, callsites
 
 
 def _scan_rank_files(directory: str) -> list[int]:
@@ -732,7 +788,7 @@ def _load_archive(
         ranks_present = _scan_rank_files(directory)
         if strict or not ranks_present:
             raise RecordFormatError(f"no MANIFEST in {directory}")
-        nprocs, meta, expected_frames = ranks_present[-1] + 1, {}, None
+        nprocs, meta, expected_frames, callsites = ranks_present[-1] + 1, {}, None, None
         if nprocs - len(ranks_present) > MAX_ABSENT_RANKS:
             raise RecordFormatError(
                 f"no MANIFEST in {directory} and {len(ranks_present)} rank file(s) "
@@ -741,10 +797,10 @@ def _load_archive(
         report.manifest_ok = False
         report.notes.append(
             "MANIFEST missing (crash before finalize?); "
-            f"inferred nprocs={nprocs} from rank files"
+            f"inferred nprocs={nprocs} from rank files, callsites labelled by id"
         )
     else:
-        nprocs, meta, expected_frames = manifest
+        nprocs, meta, expected_frames, callsites = manifest
 
     archive = RecordArchive(nprocs=nprocs, meta=meta)
     for rank in range(nprocs):
@@ -762,7 +818,7 @@ def _load_archive(
             continue
 
         if data.startswith(ARCHIVE_MAGIC):
-            _parse_rank_frames(data, recovery, archive)
+            _parse_rank_frames(data, recovery, archive, callsites)
         else:
             recovery.bytes_dropped = len(data)
             if ARCHIVE_MAGIC.startswith(data):

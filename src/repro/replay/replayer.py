@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from repro.core.events import MFKind, ReceiveEvent
+from repro.core.formats import callsite_id, callsite_label
 from repro.core.permutation import decode_permutation
 from repro.core.pipeline import CDCChunk, assist_occurrence_indices
 from repro.errors import RecordExhausted, RecordFormatError, ReplayDivergence
@@ -577,6 +578,18 @@ class ReplayController(MFController):
                     global_floor=self._floors[rank],
                 )
 
+    def _adopt(self, rank: int, callsite: str) -> CallsiteReplayState | None:
+        """The state of the chunks a manifest-less salvage labelled with
+        ``callsite``'s id, filed under the name the program calls it by from
+        now on; None when there is none."""
+        label = callsite_label(callsite_id(callsite))
+        state = self._states[rank].pop(label, None)
+        if state is not None:
+            state.callsite = callsite
+            self._states[rank][callsite] = state
+            self._recorded[(rank, callsite)] = self._recorded.pop((rank, label))
+        return state
+
     def callsite_states(self) -> Iterator[CallsiteReplayState]:
         """Every (rank, callsite) decoder, ranks ascending."""
         for by_callsite in self._states:
@@ -606,7 +619,9 @@ class ReplayController(MFController):
         callsite = call.callsite
         state = self._states[rank].get(callsite)
         if state is None:
-            raise RecordExhausted(rank, callsite)
+            state = self._adopt(rank, callsite)
+            if state is None:
+                raise RecordExhausted(rank, callsite)
         requests = call.requests
         mailbox = proc.mailbox
         filters = None

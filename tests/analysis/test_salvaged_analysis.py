@@ -26,7 +26,7 @@ def _program():
 def salvaged(tmp_path_factory):
     """(salvaged archive, recovery report) of a crash-truncated recording."""
     directory = str(tmp_path_factory.mktemp("salvaged") / "rec")
-    injector = FaultInjector(FaultPlan(crash_after_bytes=200))
+    injector = FaultInjector(FaultPlan(crash_after_bytes=150))
     session = RecordSession(
         _program(),
         nprocs=NPROCS,
@@ -159,7 +159,7 @@ class TestDiffAgainstCrashedRecording:
             _program(), nprocs=NPROCS, network_seed=2, chunk_events=64,
             store_dir=clean, store_fsync=False, meta=self.META,
         ).run()
-        injector = FaultInjector(FaultPlan(crash_after_bytes=200))
+        injector = FaultInjector(FaultPlan(crash_after_bytes=150))
         with pytest.raises(InjectedCrash):
             RecordSession(
                 _program(), nprocs=NPROCS, network_seed=1, chunk_events=64,

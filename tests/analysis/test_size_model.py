@@ -21,11 +21,11 @@ from tests.core.test_pipeline import random_events
 
 def serialized_chunk_bytes(chunk):
     """Actual bytes of one chunk's record: what a frame payload holds behind
-    its callsite — and a single-chunk container behind its preamble (magic +
-    string table + count) and, for an assist chunk, the head and length it
-    puts in front of the record."""
+    its callsite's 4-byte id — and a single-chunk container behind its
+    preamble (magic + string table + count) and, for an assist chunk, the
+    head and length it puts in front of the record."""
     raw_cs = chunk.callsite.encode("utf-8")
-    record = len(encode_frame_payload(chunk)) - 1 - len(raw_cs)
+    record = len(encode_frame_payload(chunk)) - 4
     preamble = 4 + 1 + 1 + len(raw_cs) + 1  # magic, n_cs, len, cs, n_chunks
     if chunk.sender_sequence is not None:
         preamble += 1 + uvarint_size(record)

@@ -34,6 +34,7 @@ import path may call them — and they share no kernel with what they check.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
@@ -717,17 +718,27 @@ def deserialize_cdc_chunks_oracle(data: bytes) -> list[CDCChunk]:
 
 
 def encode_frame_payload_oracle(chunk: CDCChunk) -> bytes:
-    """What a frame deflates: the callsite, then the chunk's record."""
-    out = bytearray()
-    _write_string(out, chunk.callsite)
+    """What a frame deflates: the CRC-32 of the callsite's name, four bytes
+    little-endian, then the chunk's record."""
+    out = bytearray(zlib.crc32(chunk.callsite.encode("utf-8")).to_bytes(4, "little"))
     sizes = dict.fromkeys((*_CDC_TABLE_COUNTERS, "header"), 0)
     if chunk.sender_sequence is None:
         return bytes(out) + _paper_record_oracle(chunk, 0, sizes)
     return bytes(out) + assist_record_oracle(chunk, sizes)
 
 
-def decode_frame_payload_oracle(data: bytes) -> CDCChunk:
-    callsite, offset = _read_string(data, 0)
+def decode_frame_payload_oracle(data: bytes, callsites: Mapping[int, str] | None = None) -> CDCChunk:
+    """A table maps id -> name; without one, a chunk is called ``#`` and its
+    id in eight hex digits."""
+    if len(data) < 4:
+        raise RecordFormatError("frame payload shorter than its callsite id")
+    cid, offset = int.from_bytes(data[:4], "little"), 4
+    if callsites is None:
+        callsite = f"#{cid:08x}"
+    elif cid in callsites:
+        callsite = callsites[cid]
+    else:
+        raise RecordFormatError(f"callsite id {cid:#010x} is not in the names table")
     if decode_uvarint(data, offset)[0] & 1:
         return assist_chunk_oracle(callsite, data, offset, len(data))
     chunk, end = _paper_chunk_oracle([callsite], data, offset)

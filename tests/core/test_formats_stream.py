@@ -27,6 +27,7 @@ Example counts come from the hypothesis profile: the default locally, the
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from collections import Counter
 import tracemalloc
@@ -46,6 +47,7 @@ from repro.core.formats import (
     MAX_RICE_K,
     MAX_ROUND_SENDERS,
     _write_string_table,
+    callsite_id,
     decode_frame_payload,
     deserialize_cdc_chunks,
     encode_frame_payload,
@@ -76,6 +78,12 @@ SECONDS_PER_INPUT = 2.0
 #: that is the deadline here: hypothesis's own is per example, and one
 #: example below decodes hundreds of inputs with two decoders
 unhurried = settings(deadline=None)
+
+#: the names table frame payloads are read back with where a test compares
+#: chunks: every callsite below; without one a decoder labels the chunk by id
+NAMES = {callsite_id(name): name for name in ("a", "b", "mcb:poll", "cs")}
+decode = functools.partial(decode_frame_payload, callsites=NAMES)
+decode_oracle = functools.partial(decode_frame_payload_oracle, callsites=NAMES)
 
 # -- random chunks -------------------------------------------------------------
 
@@ -301,11 +309,11 @@ def value_spans(data: bytes) -> list[tuple[int, int]]:
 
 def assist_payload(callsite="a", flags=1, n=0, d=0, rice=(), planes="", run=()) -> bytes:
     """A frame payload holding one assist record, field by field: the
-    scalars as given, ``planes`` a string of ``0``/``1`` (padded with
-    zeros to a byte unless it says otherwise), ``run`` the varint run's
-    unsigned values."""
-    out = bytearray()
-    for scalar in (len(callsite), *callsite.encode(), flags, n, d, *rice):
+    callsite's id, the scalars as given, ``planes`` a string of ``0``/``1``
+    (padded with zeros to a byte unless it says otherwise), ``run`` the
+    varint run's unsigned values."""
+    out = bytearray(callsite_id(callsite).to_bytes(4, "little"))
+    for scalar in (flags, n, d, *rice):
         encode_uvarint(scalar, out)
     planes += "0" * (-len(planes) % 8)
     out += bytes(int(planes[i : i + 8], 2) for i in range(0, len(planes), 8))
@@ -344,10 +352,9 @@ def used_the_kernels(fn) -> bool:
 
 def frame_value_spans(payload: bytes, chunk: CDCChunk) -> list[tuple[int, int]]:
     """``(start, end)`` of every varint of a frame payload behind its
-    callsite: each column position of a paper-exact record; an assist
+    callsite id: each column position of a paper-exact record; an assist
     record's scalars and its varint run, the planes between them skipped."""
-    length, offset = decode_uvarint(payload, 0)
-    offset += length
+    offset = 4
     spans, scalars = [], []
     if chunk.sender_sequence is not None:
         for _ in range(7 if chunk.unmatched_runs else 3):
@@ -366,10 +373,12 @@ def frame_value_spans(payload: bytes, chunk: CDCChunk) -> list[tuple[int, int]]:
 
 
 def as_container(payload: bytes, assisted: bool) -> bytes:
-    """The multi-chunk container holding a frame payload's one record."""
-    length, offset = decode_uvarint(payload, 0)
-    record = payload[offset + length :]
-    out = bytearray(CDC_MAGIC + b"\x01" + payload[: offset + length] + b"\x01")
+    """The multi-chunk container holding a frame payload's one record,
+    its callsite named from :data:`NAMES`."""
+    record = payload[4:]
+    out = bytearray(CDC_MAGIC)
+    _write_string_table(out, [NAMES[int.from_bytes(payload[:4], "little")]])
+    out += b"\x01"
     if assisted:
         out += b"\x01"
         encode_uvarint(len(record), out)
@@ -386,7 +395,7 @@ def assert_round_trips(chunk_list):
     for chunk in chunk_list:
         payload = encode_frame_payload(chunk)
         assert payload == encode_frame_payload_oracle(chunk)
-        assert decode_frame_payload(payload) == chunk == decode_frame_payload_oracle(payload)
+        assert decode(payload) == chunk == decode_oracle(payload)
     return data
 
 
@@ -481,11 +490,11 @@ class TestSameBytesSameChunks:
         ranks = sorted(set(chunk.sender_sequence))
         index = [ranks.index(rank) for rank in chunk.sender_sequence]
         payload = encode_frame_payload(chunk)
-        chosen = bool(payload[len(b"\x01a")] & ROUNDS)  # the flags, behind the callsite
+        chosen = bool(payload[4] & ROUNDS)  # the flags, behind the callsite id
         assert chosen == (kind == "rounds" and 2 < len(ranks) <= MAX_ROUND_SENDERS)
         assert chosen == bool(permutation_rounds(index, len(ranks)))
         assert payload == encode_frame_payload_oracle(chunk)
-        assert decode_frame_payload(payload) == chunk == decode_frame_payload_oracle(payload)
+        assert decode(payload) == chunk == decode_oracle(payload)
 
     def test_shapes_the_strategies_rarely_draw(self):
         empty = CDCChunk("a", 0, PermutationDiff(0, (), ()), (), (), EpochLine({}), ())
@@ -615,8 +624,8 @@ class TestHostileBytes:
                 nine = bytearray()
                 encode_uvarint(big, nine)
                 hostile = payload[:start] + bytes(nine) + payload[end:]
-                got = bounded_outcome(hostile, decode_frame_payload)
-                assert got == outcome(decode_frame_payload_oracle, hostile)
+                got = bounded_outcome(hostile, decode)
+                assert got == outcome(decode_oracle, hostile)
                 assert assert_same_outcome(as_container(hostile, assist)) in ([got], got)
 
     @unhurried
@@ -738,8 +747,8 @@ class TestHostileBytes:
         is refused. (Non-ascending senders cannot be written down at all:
         the list is stored as gaps, less one.) Allocation stays bounded by
         the payload's length whatever its scalars claim."""
-        got = bounded_outcome(payload, decode_frame_payload)
-        assert got == outcome(decode_frame_payload_oracle, payload)
+        got = bounded_outcome(payload, decode)
+        assert got == outcome(decode_oracle, payload)
         if message is None:
             assert got.unmatched_runs == ((2, 1), (6, 2)) and got.sender_sequence == (7,)
             assert encode_frame_payload(got) == payload
@@ -748,7 +757,7 @@ class TestHostileBytes:
         with pytest.raises(RecordFormatError, match=message):
             decode_frame_payload(payload)
         # inside the multi-chunk container the same record is refused too
-        record = payload[2:]
+        record = payload[4:]
         container = bytearray(serialize_cdc_chunks([]))
         container[4:] = b"\x01\x01a" b"\x01" b"\x01"
         encode_uvarint(len(record), container)

@@ -159,7 +159,7 @@ class TestEntryFromResult:
         from repro.testing import FaultInjector, FaultPlan, InjectedCrash
 
         store = str(tmp_path / "truncated")
-        injector = FaultInjector(FaultPlan(crash_after_bytes=260))
+        injector = FaultInjector(FaultPlan(crash_after_bytes=200))
         big = {"messages_per_rank": 40, "fanout": 2}
         program, _ = make_workload("synthetic", NPROCS, **big)
         session = RecordSession(

@@ -75,7 +75,7 @@ class TestStreamSurvivesCrash:
 
     def test_every_line_is_complete_json(self, tmp_path):
         metrics = tmp_path / "metrics.jsonl"
-        injector = FaultInjector(FaultPlan(crash_after_bytes=450))
+        injector = FaultInjector(FaultPlan(crash_after_bytes=320))
         with pytest.raises(InjectedCrash):
             record_session(tmp_path, injector=injector, metrics=metrics).run()
         for line in metrics.read_text().splitlines():

@@ -9,7 +9,15 @@ from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.errors import RecordFormatError
 from repro.replay.chunk_store import RecordArchive, bytes_per_event, summarize
-from repro.replay.durable_store import ARCHIVE_MAGIC, frame_bytes, rank_filename
+from repro.replay.durable_store import (
+    ARCHIVE_MAGIC,
+    callsite_table,
+    frame_bytes,
+    rank_filename,
+)
+
+#: the names table ``archive`` stores in its manifest, once
+TABLE = b'"callsites":["a","b"],'
 
 
 def chunk(events, callsite="cs", assist=False):
@@ -33,7 +41,10 @@ class TestAccounting:
         assert archive.total_events() == 5
 
     def test_rank_bytes_positive_and_total_sums(self, archive):
-        assert archive.total_bytes() == archive.rank_bytes(0) + archive.rank_bytes(1)
+        assert callsite_table(["b", "a", "a"]) == TABLE
+        assert archive.total_bytes() == (
+            archive.rank_bytes(0) + archive.rank_bytes(1) + len(TABLE)
+        )
 
     def test_bytes_per_event(self, archive):
         assert bytes_per_event(archive) == pytest.approx(
@@ -113,7 +124,8 @@ class TestAccounting:
         self, archive, tmp_path
     ):
         """An archive that never met a store sizes itself as the files
-        ``save`` writes — empty ranks hold the 8-byte magic."""
+        ``save`` writes — empty ranks hold the 8-byte magic — and the names
+        table it puts in the manifest."""
         sizes = [archive.rank_bytes(r) for r in range(archive.nprocs)]
         total = archive.total_bytes()
         directory = str(tmp_path / "record")
@@ -123,7 +135,8 @@ class TestAccounting:
             for r in range(archive.nprocs)
         ]
         assert sizes == on_disk
-        assert total == sum(on_disk)
+        assert total == sum(on_disk) + len(TABLE)
+        assert TABLE in open(os.path.join(directory, "MANIFEST"), "rb").read()
         assert RecordArchive(nprocs=3).total_bytes() == 3 * len(ARCHIVE_MAGIC)
 
 

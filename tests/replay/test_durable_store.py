@@ -1,5 +1,6 @@
-"""Durable archive format (version 5): framing, atomicity, salvage, retries."""
+"""Durable archive format (version 6): framing, atomicity, salvage, retries."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -11,7 +12,12 @@ import zlib
 import pytest
 
 from repro.core.events import ReceiveEvent
-from repro.core.formats import encode_frame_payload, serialize_cdc_chunks
+from repro.core.formats import (
+    callsite_id,
+    callsite_label,
+    encode_frame_payload,
+    serialize_cdc_chunks,
+)
 from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.core.varint import encode_uvarint
@@ -46,6 +52,15 @@ def archive():
     a.append(1, chunk([ReceiveEvent(0, 2)], "a", assist=True))
     # rank 2 intentionally empty: header-only file must round-trip
     return a
+
+
+def labelled(chunks):
+    """``chunks`` as a directory without its manifest gives them back: each
+    called by the label of its callsite's id."""
+    return [
+        dataclasses.replace(c, callsite=callsite_label(callsite_id(c.callsite)))
+        for c in chunks
+    ]
 
 
 def rank_path(directory, rank=0):
@@ -109,6 +124,17 @@ V4_DIRECTORY = {
     ),
     "rank-00000.cdc": bytes.fromhex("434443415243340a0fb8064e1b634c64606200014626463620067200"),
     "rank-00001.cdc": bytes.fromhex("434443415243340a0adeb9ee71634c6464626460e00000"),
+}
+
+#: a two-rank directory written by the parent commit (ef4753a, version 5:
+#: ``CDCARC5\n``, every frame payload opening with its callsite's name)
+V5_DIRECTORY = {
+    "MANIFEST": (
+        b'{"format":"cdc-archive","frames":[1,1],"meta":{"workload":"unit"},'
+        b'"nprocs":2,"version":5}\n'
+    ),
+    "rank-00000.cdc": bytes.fromhex("434443415243350a1eb8064e1b634c64606200014626463620067200"),
+    "rank-00001.cdc": bytes.fromhex("434443415243350a11cfc1a4cd0161010101000004"),
 }
 
 
@@ -179,12 +205,13 @@ class TestSaveLoadRoundTrip:
     def test_record_archive_save_writes_the_one_layout(self, archive, tmp_path):
         d = str(tmp_path / "rec")
         archive.save(d)
-        assert ARCHIVE_MAGIC == b"CDCARC5\n"
+        assert ARCHIVE_MAGIC == b"CDCARC6\n"
         assert open(rank_path(d), "rb").read().startswith(ARCHIVE_MAGIC)
         manifest = open(os.path.join(d, "MANIFEST"), "rb").read()
         assert manifest.count(b"\n") == 1 and b" " not in manifest  # one compact line
-        assert json.loads(manifest)["version"] == 5
+        assert json.loads(manifest)["version"] == 6
         assert json.loads(manifest)["frames"] == [3, 1, 0]
+        assert json.loads(manifest)["callsites"] == ["a", "b"]  # each name once
         assert RecordArchive.load(d).chunks_by_rank == archive.chunks_by_rank
 
     @pytest.mark.parametrize("mode", ["strict", "salvage"])
@@ -198,6 +225,10 @@ class TestSaveLoadRoundTrip:
     @pytest.mark.parametrize("mode", ["strict", "salvage"])
     def test_version_4_directory_is_rejected_in_both_modes(self, tmp_path, mode):
         self.assert_rejected_by_name(tmp_path, mode, V4_DIRECTORY, "version 4")
+
+    @pytest.mark.parametrize("mode", ["strict", "salvage"])
+    def test_version_5_directory_is_rejected_in_both_modes(self, tmp_path, mode):
+        self.assert_rejected_by_name(tmp_path, mode, V5_DIRECTORY, "version 5")
 
     def assert_rejected_by_name(self, tmp_path, mode, directory, version):
         """A replaced layout has no reader: bytes an earlier commit wrote are
@@ -242,7 +273,7 @@ class TestIncrementalWriter:
             load_archive(d, mode="strict")
         recovered, report = load_archive(d, mode="salvage")
         assert not report.clean
-        assert recovered.chunks(0) == archive.chunks(0)[:1]
+        assert recovered.chunks(0) == labelled(archive.chunks(0)[:1])
 
     def test_append_after_close_rejected(self, archive, tmp_path):
         writer = DurableArchiveWriter(str(tmp_path / "w"), 1)
@@ -371,15 +402,16 @@ class TestCorruptionDetection:
         epoch-aligned chunk prefix, and a frame's size a chunk's size)."""
         d = self.saved(archive, tmp_path)
         first, second = map(encode_frame_payload, archive.chunks(0)[:2])
-        for payload in (
-            first + second,  # two payloads back to back
-            first + second[2:],  # two records behind one callsite
-            serialize_cdc_chunks(archive.chunks(0)[:2]),  # the multi-chunk container
-            first + b"\x00",
+        for payload, failure in (
+            (first + second, "frame-decode-error"),  # two payloads back to back
+            (first + second[4:], "frame-decode-error"),  # two records behind one callsite id
+            # the multi-chunk container: its magic is no callsite's id
+            (serialize_cdc_chunks(archive.chunks(0)[:2]), "unknown-callsite"),
+            (first + b"\x00", "frame-decode-error"),
         ):
             open(rank_path(d), "wb").write(ARCHIVE_MAGIC + framed(raw_deflate(payload)))
             _, report = load_archive(d, mode="salvage")
-            assert report.ranks[0].failure == "frame-decode-error"
+            assert report.ranks[0].failure == failure
             assert report.ranks[0].frames_kept == 0
 
     @pytest.mark.parametrize(
@@ -513,9 +545,9 @@ class TestHostileDirectories:
         self, archive, tmp_path, mode, body, monkeypatch
     ):
         """A stored (raw) body is parsed as it is: a deflate stream flagged
-        raw, two payloads or none are a frame decode error with the frames
-        before kept, and a stored body past the payload cap is refused before
-        it is parsed — in both reading modes."""
+        raw (whose first four bytes name no callsite), two payloads or none
+        are refused with the frames before kept, and a stored body past the
+        payload cap is refused before it is parsed — in both reading modes."""
         import repro.replay.durable_store as durable_store
 
         d = str(tmp_path / "rec")
@@ -535,12 +567,13 @@ class TestHostileDirectories:
             assert len(encode_frame_payload(kept)) < len(second)
             monkeypatch.setattr(durable_store, "MAX_PAYLOAD_BYTES", len(second) - 1)
         outcome, _ = self.measured(d, mode)
+        failure = "unknown-callsite" if body == "deflate-stream" else "frame-decode-error"
         if mode == "strict":
             assert isinstance(outcome, ArchiveCorruptionError)
-            assert "frame-decode-error" in str(outcome) and outcome.frame_index == 1
+            assert failure in str(outcome) and outcome.frame_index == 1
         else:
             recovered, report = outcome
-            assert report.ranks[0].failure == "frame-decode-error"
+            assert report.ranks[0].failure == failure
             assert recovered.chunks(0) == [kept]
             if body == "over-the-cap":
                 assert "over the payload cap" in report.ranks[0].detail
@@ -576,11 +609,88 @@ class TestHostileDirectories:
         os.rename(rank_path(d, 2), rank_path(d, highest))
         (recovered, report), _ = self.measured(d, "salvage")
         assert recovered.nprocs == highest + 1 == len(report.ranks)
-        assert recovered.chunks(0) == archive.chunks(0)
+        assert recovered.chunks(0) == labelled(archive.chunks(0))
         missing = [r for r, rec in report.ranks.items() if rec.failure == "missing-file"]
         assert missing == list(range(1, highest))
         os.rename(rank_path(d, highest), rank_path(d, highest + 1))
         assert isinstance(self.measured(d, "salvage")[0], RecordFormatError)
+
+
+class TestCallsiteIds:
+    """A frame names its callsite by the CRC-32 of the name; the manifest
+    holds each name once. Two names with one id are refused before anything
+    is written, and a directory without its manifest labels chunks by id."""
+
+    #: two callsite names with one CRC-32
+    TWINS = ("cs:29685295", "cs:32060020")
+
+    def twins_archive(self):
+        a = RecordArchive(nprocs=2, meta={"workload": "unit"})
+        a.append(0, chunk([ReceiveEvent(1, 1)], self.TWINS[0]))
+        a.append(1, chunk([ReceiveEvent(0, 2)], self.TWINS[1]))
+        return a
+
+    def assert_names_both(self, info):
+        assert all(name in str(info.value) for name in self.TWINS)
+        assert "0x059ce680" in str(info.value)
+
+    def test_the_twins_share_an_id(self):
+        assert callsite_id(self.TWINS[0]) == callsite_id(self.TWINS[1]) == 0x059CE680
+        assert callsite_label(0x059CE680) == "#059ce680"
+
+    def test_a_frame_opens_with_its_callsite_id(self, archive):
+        for c in archive.chunks(0):
+            assert encode_frame_payload(c)[:4] == struct.pack("<I", zlib.crc32(c.callsite.encode()))
+
+    def test_the_writer_refuses_the_second_name_before_writing_it(self, tmp_path):
+        d = str(tmp_path / "inc")
+        first, second = self.twins_archive().iter_all()
+        writer = DurableArchiveWriter(d, 2, fsync=False)
+        writer.append(*first)
+        with pytest.raises(RecordFormatError) as info:
+            writer.append(*second)
+        self.assert_names_both(info)
+        assert writer.frames == [1, 0]
+        assert open(rank_path(d, 1), "rb").read() == ARCHIVE_MAGIC
+        writer.abort()
+        assert not os.path.exists(os.path.join(d, "MANIFEST"))
+
+    def test_save_refuses_before_writing_any_file(self, tmp_path):
+        d = tmp_path / "saved"
+        with pytest.raises(RecordFormatError) as info:
+            save_archive(self.twins_archive(), str(d))
+        self.assert_names_both(info)
+        assert not d.exists()
+
+    def test_a_record_with_both_callsites_fails_typed(self, tmp_path):
+        """End to end: a program that calls both twins cannot be recorded to a
+        store, and the directory it leaves has no manifest."""
+        from repro.replay import RecordSession
+
+        def program(ctx):
+            peer = 1 - ctx.rank
+            for callsite in self.TWINS:
+                ctx.isend(peer, 0)
+                yield ctx.wait(ctx.irecv(source=peer), callsite=callsite)
+
+        d = str(tmp_path / "rec")
+        with pytest.raises(RecordFormatError) as info:
+            RecordSession(program, nprocs=2, store_dir=d, store_fsync=False).run()
+        self.assert_names_both(info)
+        assert not os.path.exists(os.path.join(d, "MANIFEST"))
+        in_memory = RecordSession(program, nprocs=2).run().archive
+        with pytest.raises(RecordFormatError):
+            save_archive(in_memory, str(tmp_path / "saved"))
+        assert not os.path.exists(tmp_path / "saved")
+
+    def test_without_the_manifest_chunks_are_labelled_by_id(self, archive, tmp_path):
+        d = str(tmp_path / "rec")
+        save_archive(archive, d)
+        os.remove(os.path.join(d, "MANIFEST"))
+        recovered, report = load_archive(d, mode="salvage")
+        for rank in range(archive.nprocs):
+            assert recovered.chunks(rank) == labelled(archive.chunks(rank))
+        assert "labelled by id" in report.render()
 
 
 class TestRetries:

@@ -15,11 +15,13 @@ loader -> ``ReplaySession`` — and checks the durability contract:
   salvage keeps only frames whose CRC verifies.
 """
 
+import dataclasses
 import functools
 import os
 
 import pytest
 
+from repro.core.formats import callsite_id, callsite_label
 from repro.errors import ArchiveCorruptionError
 from repro.replay import RecordSession, ReplaySession
 from repro.replay.chunk_store import RecordArchive
@@ -33,11 +35,12 @@ from repro.sim import ANY_SOURCE
 from repro.testing import FaultInjector, FaultPlan, InjectedCrash
 
 NPROCS = 4
-N_MESSAGES = 10  # per sender -> 30 receives at rank 0 -> 4 chunks of <= 8
-CHUNK_EVENTS = 8
-#: a file:function label, as a PMPI tool would take one from the call stack;
-#: every frame carries it, which keeps rank 0's file past the byte offsets
-#: the torn-write and bit-flip cases below name (it is 256 bytes)
+#: per sender -> 480 receives at rank 0 -> 4 chunks of <= 128: with senders
+#: that interleave irregularly, enough to keep rank 0's file past the byte
+#: offsets the torn-write and bit-flip cases below name (it is 256 bytes)
+N_MESSAGES = 160
+CHUNK_EVENTS = 128
+#: a file:function label, as a PMPI tool would take one from the call stack
 CALLSITE = "examples/fan_in_collector.py:collect"
 FAST_RETRY = RetryPolicy(attempts=4, base_delay=0.0)
 
@@ -64,7 +67,7 @@ def collector(ctx, die_at=None):
         ctx.cancel(req)
         return got
     for k in range(N_MESSAGES):
-        yield ctx.compute((ctx.rank % 3) * 1e-6)
+        yield ctx.compute((ctx.rank * 7 + k * k * 13) % 11 * 1e-6)
         ctx.isend(0, k, tag=1)
 
 
@@ -113,10 +116,16 @@ def salvage_as(nprocs, directory):
     return full, report
 
 
-def assert_prefix_recovered(baseline, recovered):
-    """Recovered chunks must be an exact flush-order prefix per rank."""
+def assert_prefix_recovered(baseline, recovered, report):
+    """Recovered chunks must be an exact flush-order prefix per rank — under
+    the label of their callsite's id where the manifest never landed."""
     for rank in range(NPROCS):
         ref = baseline.archive.chunks(rank)
+        if not report.manifest_ok:
+            ref = [
+                dataclasses.replace(c, callsite=callsite_label(callsite_id(c.callsite)))
+                for c in ref
+            ]
         got = recovered.chunks(rank)
         assert got == ref[: len(got)], f"rank {rank} not a chunk prefix"
 
@@ -131,6 +140,8 @@ def assert_prefix_replays(baseline, recovered):
     for key, events in got.items():
         assert events == ref[key][: len(events)], f"{key} diverged"
     recovered_total = recovered.total_events()
+    # labelled or named, a recovered chunk is found by the call that reads it
+    assert bool(got) == bool(recovered_total)
     if recovered_total < baseline.archive.total_events():
         assert replay.truncated or sum(map(len, got.values())) == recovered_total
 
@@ -162,7 +173,7 @@ class TestCrashPoints:
                 assert budget == 0, f"budget {budget}: {exc}"
                 continue
             assert not report.clean
-            assert_prefix_recovered(baseline, recovered)
+            assert_prefix_recovered(baseline, recovered, report)
             assert_prefix_replays(baseline, recovered)
 
     def test_crash_never_loses_committed_frames(self, baseline, tmp_path):
@@ -185,7 +196,7 @@ class TestDeathBetweenFlushes:
         self, baseline, tmp_path, k
     ):
         total = N_MESSAGES * (NPROCS - 1)
-        assert len(baseline.archive.chunks(0)) == 4  # 8 + 8 + 8 + 6 receives
+        assert len(baseline.archive.chunks(0)) == 4  # 128 + 128 + 128 + 96 receives
         die_at = min(k * CHUNK_EVENTS, total) - 1
         d = str(tmp_path / f"flush{k}")
         program = functools.partial(collector, die_at=die_at)
@@ -195,7 +206,7 @@ class TestDeathBetweenFlushes:
         recovered, report = salvage_as(NPROCS, d)
         assert not report.clean
         assert len(recovered.chunks(0)) == k - 1
-        assert_prefix_recovered(baseline, recovered)
+        assert_prefix_recovered(baseline, recovered, report)
         assert_prefix_replays(baseline, recovered)
 
 
@@ -210,7 +221,7 @@ class TestTornWrites:
             record_session(store_dir=d, injector=injector).run()
         recovered, report = salvage_as(NPROCS, d)
         assert not report.clean
-        assert_prefix_recovered(baseline, recovered)
+        assert_prefix_recovered(baseline, recovered, report)
         assert_prefix_replays(baseline, recovered)
 
 
@@ -229,7 +240,7 @@ class TestBitFlips:
             load_archive(d, mode="strict")
         recovered, report = salvage_as(NPROCS, d)
         assert not report.clean
-        assert_prefix_recovered(baseline, recovered)
+        assert_prefix_recovered(baseline, recovered, report)
         assert_prefix_replays(baseline, recovered)
 
 
@@ -346,3 +357,46 @@ class TestCrashedWorkloadRecording:
 
         with pytest.raises(RecordFormatError):
             load_archive(crashed_dir, mode="strict")
+
+
+class TestCrashedRecordingNames:
+    """A crash before finalize leaves no names table: the salvaged chunks
+    carry the labels of their callsites' ids, and the replay under ``diff``
+    and ``explain`` files each one under the name the program calls it by."""
+
+    META = {
+        "workload": "synthetic",
+        "nprocs": 4,
+        "network_seed": 1,
+        "params": {"messages_per_rank": 40, "fanout": 2, "seed": 3},
+    }
+
+    def session(self, **kwargs):
+        from repro.workloads import make_workload
+
+        program, _ = make_workload("synthetic", 4, **self.META["params"])
+        return RecordSession(
+            program, nprocs=4, network_seed=1, chunk_events=16, meta=self.META, **kwargs
+        )
+
+    def test_diff_and_explain_report_the_programs_names(self, tmp_path):
+        from repro.analysis import analyze_critical_path, diff_runs
+
+        full = self.session().run()
+        names = {c.callsite for _, c in full.archive.iter_all()}
+        d = str(tmp_path / "crashed")
+        injector = FaultInjector(FaultPlan(crash_after_bytes=300))
+        with pytest.raises(InjectedCrash):
+            self.session(store_dir=d, store_opener=injector.open, store_fsync=False).run()
+        archive, recovery = load_archive(d, mode="salvage")
+        labels = {c.callsite for _, c in archive.iter_all()}
+        assert not recovery.manifest_ok
+        assert labels == {callsite_label(callsite_id(n)) for n in names}
+
+        report = diff_runs(full, d, label_a="full", label_b="crashed")
+        explained = analyze_critical_path(d, workload_fallback=self.META)
+        assert 0 < report.events_b < report.events_a
+        assert explained.matched == report.events_b
+        assert {p.callsite for p in report.profiles} == names
+        assert {c["callsite"] for c in explained.top_callsites()} == names
+        assert not any(label in report.render() + explained.render() for label in labels)

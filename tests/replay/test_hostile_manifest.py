@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.events import ReceiveEvent
 from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
-from repro.errors import RecordFormatError
+from repro.errors import ArchiveCorruptionError, RecordFormatError
 from repro.replay.durable_store import ARCHIVE_VERSION, RecordArchive, load_archive, save_archive
 
 MODES = ("strict", "salvage")
@@ -50,6 +50,7 @@ def manifest_bytes(**overrides):
         "version": ARCHIVE_VERSION,
         "nprocs": 3,
         "frames": [2, 1, 0],
+        "callsites": ["a", "b"],
         "meta": {},
     }
     manifest.update(overrides)
@@ -95,13 +96,25 @@ HOSTILE = {
     "version-2": manifest_bytes(version=2),
     "version-3": manifest_bytes(version=3),
     "version-3-as-written": manifest_bytes(version=3, frames={"0": 2, "1": 1, "2": 0}),
-    "version-4": manifest_bytes(version=4),  # the layout this one replaced
-    "version-6": manifest_bytes(version=6),
+    "version-4": manifest_bytes(version=4),
+    "version-5": manifest_bytes(version=5),  # the layout this one replaced
+    "version-7": manifest_bytes(version=7),
     "format-other": manifest_bytes(format="cdc-archive-ng"),
     "top-level-list": b"[1, 2, 3]",
     "deep-meta": manifest_bytes().replace(b'"meta": {}', b'"meta": ' + b"[" * 50_000),
     "empty-file": b"",
     "not-utf8": b"\xff\xfe{}",
+    # the names table: a list of distinct strings, one name per id, no more
+    # names than frames
+    "callsites-string": manifest_bytes(callsites="a"),
+    "callsites-object": manifest_bytes(callsites={"a": 0}),
+    "callsites-null": manifest_bytes(callsites=None),
+    "callsites-number-in-list": manifest_bytes(callsites=["a", 7]),
+    "callsites-nested-list": manifest_bytes(callsites=[["a"], "b"]),
+    "callsites-repeated-name": manifest_bytes(callsites=["a", "b", "a"]),
+    "callsites-one-id-two-names": manifest_bytes(callsites=["cs:29685295", "cs:32060020"]),
+    "callsites-past-the-frames": manifest_bytes(callsites=["a", "b", "c", "d"]),
+    "callsites-million-past-the-frames": manifest_bytes(callsites=[""] * 1_000_000),
 }
 
 
@@ -169,8 +182,9 @@ json_values = st.recursive(
     max_leaves=8,
 )
 KEY_PATHS = [
-    ("format",), ("version",), ("nprocs",), ("frames",), ("meta",),
+    ("format",), ("version",), ("nprocs",), ("frames",), ("meta",), ("callsites",),
     ("frames", 0), ("frames", 1), ("frames", 2), ("frames", 3),
+    ("callsites", 0), ("callsites", 1), ("callsites", 2),
     ("meta", "workload"), ("extra",),
 ]
 
@@ -186,7 +200,7 @@ def mutated_manifests(draw, valid):
         for parent in parents:
             target = target.get(parent) if isinstance(target, dict) else None
         if isinstance(target, list) and isinstance(key, int):
-            # the frame table: drop an entry, set one, or append one
+            # the frame or names table: drop an entry, set one, or append one
             if draw(st.booleans()) and key < len(target):
                 del target[key]
             else:
@@ -234,5 +248,30 @@ def test_mutated_manifest_loads_or_fails_typed(saved, data):
                 assert got == archive.chunks(rank)[: len(got)], (mode, rank)
             if mode == "strict":
                 assert report.clean
+    finally:
+        with_manifest(d, json.dumps(valid).encode())
+
+
+# -- frames the names table does not name ----------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_frame_whose_callsite_the_table_lacks(saved, mode):
+    """The table names "a" and "b"; with "b" renamed, rank 0's second frame
+    names a callsite the table lacks: strict mode says which rank and frame,
+    salvage keeps the frame before it and reports the kind."""
+    _, d, valid = saved
+    try:
+        with_manifest(d, json.dumps(dict(valid, callsites=["a", "c"])).encode())
+        if mode == "strict":
+            with pytest.raises(ArchiveCorruptionError) as info:
+                load_archive(d, mode=mode)
+            assert (info.value.rank, info.value.frame_index) == (0, 1)
+            assert "unknown-callsite" in str(info.value)
+            return
+        loaded, report = load_archive(d, mode=mode)
+        assert report.ranks[0].failure == "unknown-callsite"
+        assert [c.callsite for c in loaded.chunks(0)] == ["a"]
+        assert [c.callsite for c in loaded.chunks(1)] == ["a"] and report.ranks[1].clean
     finally:
         with_manifest(d, json.dumps(valid).encode())

@@ -12,9 +12,10 @@ way: it shares the engine and the MF-call path with record and replay but
 has no recorder hook, so a change that only holds under recording shows.
 
 Everything but the ``archive`` digests was generated at the commit *before*
-the fused MF-call path; the archive digests moved once since, with the
-version-3 layout ("each fact once", DESIGN.md §5.9), and with them blanked
-the file is identical to its predecessor. Regenerate (only after an
+the fused MF-call path; the archive digests moved with each archive layout
+since version 3 ("each fact once", DESIGN.md §5.9; the latest, version 6,
+names a frame's callsite by a 4-byte id), and with them blanked the file is
+identical to its predecessor. Regenerate (only after an
 intentional behaviour change) with::
 
     PYTHONPATH=src:. python tests/replay/test_record_golden.py

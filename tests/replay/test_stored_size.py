@@ -1,15 +1,19 @@
-"""An archive has one size: the bytes of the rank files it is stored as.
+"""An archive has one size: the bytes of its rank files and names table.
 
 ``RecordArchive.rank_bytes(r)`` is the length of ``rank-NNNNN.cdc`` —
 magic plus one framed payload per chunk (a one- or two-byte varint of the
 body's length and a stored-raw bit, a CRC-32, a raw deflate stream or,
-where deflate would grow it, the payload itself) — for an archive that
-was just recorded to a store, loaded from one, or never stored at all,
-and every reader of "how big is this record" (``record.chunk`` markers,
-``RunStats``, the ledger, ``repro record|inspect|stats``) reports that
-number without deflating anything a second time.
+where deflate would grow it, the payload itself) — and
+``RecordArchive.total_bytes()`` adds, once, the names table the manifest
+stores (``"callsites":[...],``: each callsite's name, which a frame names by
+its 4-byte id). That holds for an archive that was just recorded to a
+store, loaded from one, or never stored at all, and every reader of "how
+big is this record" (``record.chunk`` markers, ``RunStats``, the ledger,
+``repro record|inspect|stats``) reports that number without deflating
+anything a second time.
 """
 
+import json
 import os
 import re
 import zlib
@@ -21,6 +25,7 @@ from repro.cli import main
 from repro.core.varint import uvarint_size
 from repro.replay.durable_store import (
     ARCHIVE_MAGIC,
+    callsite_table,
     load_archive,
     rank_filename,
     save_archive,
@@ -71,6 +76,17 @@ def file_sizes(directory, nprocs):
     ]
 
 
+def table_share(directory):
+    """Bytes the names table takes in the directory's MANIFEST: what the
+    manifest would lose without its ``callsites`` key."""
+    with open(os.path.join(directory, "MANIFEST"), "rb") as fh:
+        manifest = fh.read()
+    without = dict(json.loads(manifest))
+    without.pop("callsites", None)
+    rest = json.dumps(without, sort_keys=True, separators=(",", ":")) + "\n"
+    return len(manifest) - len(rest.encode("utf-8"))
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_durable_record_is_sized_as_its_files(name, tmp_path, deflates):
     directory = str(tmp_path / "rec")
@@ -88,7 +104,9 @@ def test_durable_record_is_sized_as_its_files(name, tmp_path, deflates):
     on_disk = sum(
         os.path.getsize(os.path.join(directory, n)) for n in os.listdir(directory)
     )
-    assert archive.total_bytes() + manifest == on_disk
+    table = table_share(directory)
+    assert table == len(archive.callsite_table()) > 0
+    assert archive.total_bytes() + manifest - table == on_disk
 
     markers = [e.attrs for e in result.registry.events if e.name == "record.chunk"]
     assert len(markers) == chunks
@@ -96,6 +114,7 @@ def test_durable_record_is_sized_as_its_files(name, tmp_path, deflates):
         sum(m["stored_bytes"] + uvarint_size(m["stored_bytes"] << 1) for m in markers)
         + FRAME_CRC * chunks
         + len(ARCHIVE_MAGIC) * archive.nprocs
+        + table
         == archive.total_bytes()
     )
     assert result.run_stats.stored_bytes == archive.total_bytes()
@@ -130,6 +149,26 @@ def test_in_memory_record_is_sized_as_save_then_writes(name, tmp_path, deflates)
     assert sizes == file_sizes(directory, archive.nprocs)
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_total_bytes_is_the_rank_files_and_the_tables_share(name, tmp_path):
+    """Recorded to a store, loaded from it, or never stored: ``total_bytes``
+    is the rank files plus the names table's share of the MANIFEST."""
+    recorded_dir, saved_dir = str(tmp_path / "rec"), str(tmp_path / "saved")
+    recorded = record(name, store_dir=recorded_dir).archive
+    loaded, _ = load_archive(recorded_dir)
+    never_stored = record(name).archive
+    save_archive(never_stored, saved_dir, fsync=False)
+    for archive, directory in (
+        (recorded, recorded_dir), (loaded, recorded_dir), (never_stored, saved_dir)
+    ):
+        files = sum(file_sizes(directory, archive.nprocs))
+        assert archive.total_bytes() == files + table_share(directory)
+    names = sorted({c.callsite for _, c in recorded.iter_all()})
+    assert table_share(recorded_dir) == len(callsite_table(names)) == len(
+        json.dumps({"callsites": names}, separators=(",", ":"))
+    ) - 1  # the braces off, the comma behind it on
+
+
 def test_cli_record_inspect_and_stats_print_the_files_size(tmp_path, capsys):
     directory = str(tmp_path / "rec")
     assert main(
@@ -137,7 +176,7 @@ def test_cli_record_inspect_and_stats_print_the_files_size(tmp_path, capsys):
          "-p", "particles_per_rank=20", "--out", directory]
     ) == 0
     recorded = capsys.readouterr().out
-    size = sum(file_sizes(directory, 8))
+    size = sum(file_sizes(directory, 8)) + table_share(directory)
     events = int(re.search(r"recorded ([\d,]+) receive", recorded)[1].replace(",", ""))
     assert f"({human_bytes(size)}, {size / events:.3f} bytes/event)" in recorded
 
@@ -151,16 +190,19 @@ def test_cli_record_inspect_and_stats_print_the_files_size(tmp_path, capsys):
     assert re.search(rf"stored \(gzip\)\s+\|?\s*{re.escape(human_bytes(size))}", stats)
 
 
-#: the file bytes of two small records (network seed 1), exact: a byte gate
-#: on the archive layout. Version 4 stored 925 and 326 B; version 5 holds an
-#: unstructured halo round's senders as Lehmer words, and a frame whose deflate
-#: stream would be longer than its payload as the payload itself.
-STORED_BYTES = {"mcb": 878, "unstructured": 302}
+#: the stored bytes of two small records (network seed 1) — rank files and
+#: names table — exact: a byte gate on the archive layout. Version 4 stored
+#: 925 and 326 B; version 5 878 and 302 B, an unstructured halo round's
+#: senders as Lehmer words and a frame whose deflate stream would be longer
+#: than its payload as the payload itself; version 6 names a frame's
+#: callsite by a 4-byte id and each name once, in the manifest.
+STORED_BYTES = {"mcb": 795, "unstructured": 280}
 
 
 @pytest.mark.parametrize("name", sorted(STORED_BYTES))
 def test_a_small_record_stores_exactly_its_pinned_bytes(name, tmp_path):
     directory = str(tmp_path / "rec")
     archive = record(name, store_dir=directory).archive
-    assert sum(file_sizes(directory, archive.nprocs)) == archive.total_bytes()
+    files = sum(file_sizes(directory, archive.nprocs))
+    assert files + table_share(directory) == archive.total_bytes()
     assert archive.total_bytes() == STORED_BYTES[name]

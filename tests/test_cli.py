@@ -397,7 +397,7 @@ class TestStatsSalvage:
         program, _ = make_workload(
             "synthetic", 4, seed="3", messages_per_rank="40", fanout="2"
         )
-        injector = FaultInjector(FaultPlan(crash_after_bytes=200))
+        injector = FaultInjector(FaultPlan(crash_after_bytes=150))
         session = RecordSession(
             program, nprocs=4, network_seed=1, chunk_events=64,
             store_dir=directory, store_opener=injector.open,
@@ -467,7 +467,7 @@ class TestInspectSalvage:
         program, _ = make_workload(
             "synthetic", 4, seed="3", messages_per_rank="40", fanout="2"
         )
-        injector = FaultInjector(FaultPlan(crash_after_bytes=260))
+        injector = FaultInjector(FaultPlan(crash_after_bytes=200))
         session = RecordSession(
             program, nprocs=4, network_seed=1, chunk_events=64,
             store_dir=directory, store_opener=injector.open,
