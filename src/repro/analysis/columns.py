@@ -10,14 +10,20 @@ clock makes the timings exact. :func:`rehydrate` is that step and
 
 :func:`rehydrate_pair` does it for the two operands of a diff, minus what
 Theorem 2 proves redundant: a replay is a pure function of (record,
-program), so two operands holding the same record are replayed once
+program), so one record is replayed once and two distinct ones at once
 (DESIGN.md §5.11). Nothing is kept between calls or written to disk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+import os
+import pickle
+import signal
+import sys
+import threading
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -164,18 +170,63 @@ def _same_record(a: Any, b: Any) -> bool:
     )
 
 
+def _replay_both(replay_a: Callable, replay_b: Callable) -> tuple[RehydratedRun, RehydratedRun]:
+    """``(replay_a(), replay_b())``, B replayed by a forked child while this
+    process replays A (DESIGN.md §5.11, "Two records, two processes") if it
+    runs on Linux with one thread and telemetry off. A child that does not
+    deliver its pickle costs ``replay_b()`` here: the serial path's result or
+    error. No child outlives the call."""
+    from repro.obs.registry import telemetry_enabled
+
+    if sys.platform != "linux" or threading.active_count() > 1 or telemetry_enabled():
+        return replay_a(), replay_b()
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: the serial path
+        os.close(reader), os.close(writer)
+        return replay_a(), replay_b()
+    if pid == 0:  # the child leaves by os._exit: no atexit hook, no stdio flush
+        try:
+            os.close(reader)
+            run = replay_b()
+            drop = dict.fromkeys(("archive", "controller", "registry", "flow", "profile"))
+            run.result = replace(run.result, **drop)
+            with os.fdopen(writer, "wb") as pipe:
+                pickle.dump(run, pipe, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(writer)
+    try:
+        with os.fdopen(reader, "rb") as pipe:
+            first = replay_a()
+            data = pipe.read()
+        pid, status = 0, os.waitpid(pid, 0)[1]  # pid 0: reaped
+    finally:
+        if pid:  # not reaped: this process's replay raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    try:
+        second = pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
+    except (pickle.UnpicklingError, EOFError):  # a short or unreadable pickle
+        second = None
+    return first, second or replay_b()
+
+
 def rehydrate_pair(a: Any, b: Any) -> tuple[RehydratedRun, RehydratedRun]:
     """Both operands of a diff as columns: a :class:`RehydratedRun` passes
     through, outcome streams held in memory are converted, a record is
     replayed (either side's :func:`workload_meta` the fallback for a side
     without a manifest). Within the call the program is built once per
     distinct workload metadata, and when both operands are the same record
-    (:func:`_same_record`) the second one *is* the first (Theorem 2)."""
+    (:func:`_same_record`) the second one *is* the first (Theorem 2); two
+    distinct records are replayed at once (:func:`_replay_both`)."""
     from repro.replay.durable_store import open_run
 
     a, b = (open_run(s) if isinstance(s, str) else s for s in (a, b))  # a directory once
     fallback = workload_meta(a) or workload_meta(b)
-    out: list[RehydratedRun] = []
+    out: list = []  # columns, None for "the first replay's", or a replay to run
     first: tuple | None = None  # (stored run, workload, program) of the first replay
     for source in (a, b):
         streams = _outcome_mapping(source)
@@ -184,18 +235,17 @@ def rehydrate_pair(a: Any, b: Any) -> tuple[RehydratedRun, RehydratedRun]:
         elif streams is not None:
             out.append(RehydratedRun.from_outcomes(streams))
         elif first and _same_record(first[0], open_run(source)):
-            out.append(out[0])
+            out.append(None)
         else:
             run = open_run(source)
             meta = workload_meta(run) or dict(fallback or {}, nprocs=run.archive.nprocs)
             workload = [meta.get(k) for k in ("workload", "nprocs", "params")]
-            if first and first[1] == workload:
-                program = first[2]
-            else:
-                program = run.program(fallback)
-            out.append(rehydrate(run, workload_fallback=fallback, program=program))
+            program = first[2] if first and first[1] == workload else run.program(fallback)
+            out.append(partial(rehydrate, run, workload_fallback=fallback, program=program))
             first = first or (run, workload, program)
-    return out[0], out[1]
+    both = all(isinstance(job, partial) for job in out)
+    a, b = _replay_both(*out) if both else (j() if isinstance(j, partial) else j for j in out)
+    return a, b if b is not None else a
 
 
 def rehydrate_run(

@@ -1,16 +1,24 @@
 """Analysis on columns (analysis/columns.py, analysis/divergence.py).
 
-Three things: the array compare against the object compare it replaced
+Four things: the array compare against the object compare it replaced
 (``tests/analysis/oracles.py``), the replay-once rule of
 ``rehydrate_pair`` (counting ``ReplaySession.run`` calls: the ``replays``
-fixture of ``conftest.py``), and the
-timeline drawn from the columns.
+fixture of ``conftest.py``), the
+timeline drawn from the columns, and two distinct records replayed in two
+processes, which must give what one process gives.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import copy
+import errno
 import json
+import os
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +35,8 @@ from repro.analysis.divergence import (
     run_outcomes,
 )
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
-from repro.obs import ColumnarFlowRecorder
+from repro.errors import ReplayDivergence
+from repro.obs import ColumnarFlowRecorder, TelemetryRegistry, use_registry
 from repro.replay.durable_store import RecordArchive, open_run
 from repro.replay.session import RecordSession
 from repro.workloads import make_workload
@@ -353,3 +362,204 @@ class TestTimelineFromColumns:
         pair = rehydrate_pair(str(tmp_path / "3"), copy.copy(kept[1].archive))
         for a, b in (kept, pair, [dict(k.outcomes) for k in kept]):
             assert divergence_timeline(report, a, b, window=2) == expect
+
+
+# -- (d) two distinct records, two processes --------------------------------------
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")
+COLUMNS = [*("send_" + c for c in ("src", "dst", "tag", "clock", "t"))] + [
+    *("recv_" + c for c in ("rank", "cs", "sender", "clock", "t"))
+]
+
+
+@contextlib.contextmanager
+def another_thread():
+    """A second live thread: ``rehydrate_pair`` then replays in one process."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def sides(monkeypatch, tmp_path):
+    """``rehydrate`` calls as ``(pid, nprocs of the run)``, from this process
+    and any child, through a file both append to. With ``sides.kill_child``
+    set, a child sends itself ``SIGKILL`` instead of replaying."""
+    import repro.analysis.columns as columns
+
+    path, real, parent = tmp_path / "rehydrate-calls", columns.rehydrate, os.getpid()
+
+    def logged(run, **kw):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()} {run.archive.nprocs}\n".encode())
+        os.close(fd)
+        if logged.kill_child and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(run, **kw)
+
+    def calls():
+        if not path.exists():
+            return []
+        return [tuple(int(v) for v in line.split()) for line in path.read_text().splitlines()]
+
+    logged.kill_child, logged.calls = False, calls
+    monkeypatch.setattr(columns, "rehydrate", logged)
+    return logged
+
+
+def assert_same_pair(forked, serial):
+    for mine, theirs in zip(forked, serial):
+        for name in COLUMNS:
+            assert np.array_equal(getattr(mine, name), getattr(theirs, name)), name
+        assert (mine.label, mine.nprocs, mine.ranks) == (theirs.label, theirs.nprocs, theirs.ranks)
+        assert (mine.callsites, mine.kinds) == (theirs.callsites, theirs.kinds)
+        ours, want = mine.result, theirs.result
+        assert ours is not None and ours.mode == want.mode
+        assert ours.app_results == want.app_results and ours.final_clocks == want.final_clocks
+        assert ours.stats.total_events == want.stats.total_events > 0
+        assert ours.truncated_at == want.truncated_at
+
+
+class TestTwoRecordsTwoProcesses:
+    @pytest.mark.parametrize("seed", [7, 31])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_parallel_equals_serial(self, shape, seed, tmp_path, sides):
+        app, nprocs, params = SHAPES[shape]
+        dirs = [str(tmp_path / name) for name in "ab"]
+        for i, path in enumerate(dirs):
+            record(app, nprocs, dict(params, seed=seed), seed + 1 + 2 * i, path)
+        forked = rehydrate_pair(*dirs)
+        pids = {pid for pid, _ in sides.calls()}
+        report = diff_runs(*dirs).to_json()
+        kw = {"context": 2, "label_a": "x", "label_b": "y"}
+        swapped = diff_runs(dirs[1], dirs[0], **kw).to_json()
+        with another_thread():
+            serial = rehydrate_pair(*dirs)
+            assert diff_runs(*dirs).to_json() == report
+            assert diff_runs(dirs[1], dirs[0], **kw).to_json() == swapped
+        if shape == "jacobi64":  # hidden determinism: one replay, nothing forked
+            assert forked[0] is forked[1] and pids == {os.getpid()}
+            return
+        assert_same_pair(forked, serial)
+        forks = sys.platform == "linux"
+        assert len(pids) == 1 + forks and (forked[1].result.flow is None) == forks
+
+    @linux_only
+    def test_side_b_replays_in_another_process(self, tmp_path, sides):
+        dirs = [str(tmp_path / name) for name in "ab"]
+        record("mcb", 6, {"particles_per_rank": 12}, 3, dirs[0])
+        record("mcb", 7, {"particles_per_rank": 12}, 3, dirs[1])
+        exits = tmp_path / "atexit"
+        hook = lambda: exits.write_text(str(os.getpid()))  # noqa: E731
+        atexit.register(hook)
+        try:
+            a, b = rehydrate_pair(*dirs)
+        finally:
+            atexit.unregister(hook)
+        assert not exits.exists()  # the child left by os._exit
+        by_side = {nprocs: pid for pid, nprocs in sides.calls()}
+        assert by_side[6] == os.getpid() != by_side[7] and len(sides.calls()) == 2
+        assert a.nprocs == 6 and b.nprocs == 7 and b.result.archive is None
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("why", ["thread", "telemetry"])
+    def test_what_keeps_the_diff_in_one_process(self, why, tmp_path, sides):
+        dirs = [str(tmp_path / name) for name in "ab"]
+        for seed, path in zip((3, 4), dirs):
+            record("mcb", 6, {"particles_per_rank": 12}, seed, path)
+        guard = another_thread() if why == "thread" else use_registry(TelemetryRegistry())
+        with guard:
+            a, b = rehydrate_pair(*dirs)
+        assert [pid for pid, _ in sides.calls()] == [os.getpid()] * 2
+        assert a.result.flow is not None and b.result.flow is not None
+
+
+class TestTwoProcessesFail:
+    @pytest.fixture(scope="class")
+    def pair(self):
+        """A record, and another whose manifest names other params: its
+        replay runs out of matches."""
+        runs = [record("mcb", 6, {"particles_per_rank": 12}, s, None) for s in (3, 4)]
+        other = runs[1].archive
+        bad = RecordArchive(other.nprocs, meta=dict(other.meta, params={"particles_per_rank": 14}))
+        for rank in range(bad.nprocs):
+            for chunk in other.chunks(rank):
+                bad.append(rank, chunk)
+        return runs[0].archive, bad
+
+    @staticmethod
+    def failure(a, b):
+        with pytest.raises(ReplayDivergence) as caught:
+            diff_runs(a, b)
+        return type(caught.value), str(caught.value)
+
+    @pytest.mark.parametrize("bad_side", ["a", "b"])
+    def test_the_serial_error_and_no_child_left(self, pair, bad_side, monkeypatch):
+        good, bad = pair
+        operands = (good, bad) if bad_side == "b" else (bad, good)
+        with another_thread():
+            serial = self.failure(*operands)
+        forks = []
+        real_fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        assert self.failure(*operands) == serial
+        assert len(forks) == (1 if sys.platform == "linux" else 0)
+        with pytest.raises(ChildProcessError):  # no child survives the raise
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_process_to_be_had_is_the_serial_path(self, pair, monkeypatch):
+        good = pair[0]
+        other = record("mcb", 6, {"particles_per_rank": 12}, 5, None).archive
+        with another_thread():
+            expect = diff_runs(good, other).to_json()
+
+        def refused():
+            raise BlockingIOError(errno.EAGAIN, "no process to be had")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert diff_runs(good, other).to_json() == expect and not expect["identical"]
+
+    @linux_only
+    def test_an_interrupt_here_kills_the_child(self, pair, monkeypatch):
+        import repro.analysis.columns as columns
+
+        other = record("mcb", 6, {"particles_per_rank": 12}, 5, None).archive
+        real, parent = columns.rehydrate, os.getpid()
+
+        def interrupted(run, **kw):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(run, **kw)
+
+        monkeypatch.setattr(columns, "rehydrate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            diff_runs(pair[0], other)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @linux_only
+    def test_a_killed_child_falls_back_to_this_process(self, tmp_path, sides):
+        dirs = [str(tmp_path / name) for name in "ab"]
+        for seed, path in zip((3, 4), dirs):
+            record("mcb", 6, {"particles_per_rank": 12}, seed, path)
+        with another_thread():
+            expect = diff_runs(*dirs).to_json()
+        calls = len(sides.calls())
+        sides.kill_child = True
+        assert diff_runs(*dirs).to_json() == expect and not expect["identical"]
+        pids = [pid for pid, _ in sides.calls()[calls:]]
+        assert len(pids) == 3 and pids.count(os.getpid()) == 2  # B, again, here
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
