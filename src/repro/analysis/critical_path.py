@@ -58,7 +58,7 @@ __all__ = [
 EXPLAIN_FORMAT = "cdc-explain"
 EXPLAIN_VERSION = 1
 
-#: slack histogram resolution for JSON / dashboard export.
+#: slack histogram resolution for the terminal report and the JSON export.
 SLACK_BINS = 10
 
 

@@ -683,29 +683,6 @@ def cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_dash(args: argparse.Namespace) -> int:
-    """Render the single-file HTML perf dashboard (the CI artifact)."""
-    from repro.obs.dashboard import build_dashboard, validate_dashboard_html
-
-    text = build_dashboard(
-        ledger=args.ledger,
-        folded=args.folded,
-        explain=args.explain,
-        title=args.title,
-        generated_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        z_threshold=args.z,
-    )
-    problems = validate_dashboard_html(text)
-    if problems:
-        for problem in problems:
-            print(f"dashboard invalid: {problem}", file=sys.stderr)
-        return 1
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"dashboard: {args.out} ({len(text):,} bytes, self-contained)")
-    return 0
-
-
 def _print_methods(subject: str, reports: list, extra: str = "") -> int:
     """Print the Figure 13 methods table of per-rank method reports."""
     agg = aggregate_reports(reports)
@@ -1011,21 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="run the Figure 13 method comparison on a workload")
     _add_workload_args(p_compare)
     p_compare.set_defaults(func=cmd_compare)
-
-    p_dash = sub.add_parser("dash",
-                            help="render the single-file HTML perf dashboard (ledger trends, "
-                                 "critical path, flamegraph)")
-    p_dash.add_argument("--out", required=True, metavar="FILE")
-    p_dash.add_argument("--ledger", metavar="FILE", help="run-ledger JSONL for trend charts")
-    p_dash.add_argument("--folded", metavar="FILE",
-                        help="collapsed-stack file from `repro profile --sample --folded-out`")
-    p_dash.add_argument("--explain", metavar="FILE",
-                        help="explain report JSON (from repro explain --json) for the Critical "
-                             "path section (blame bars + slack histogram)")
-    p_dash.add_argument("--title", default="repro perf dashboard")
-    p_dash.add_argument("--z", type=float, default=3.0, metavar="Z",
-                        help="|z| threshold for trend regression flags")
-    p_dash.set_defaults(func=cmd_dash)
 
     p_transcode = sub.add_parser("transcode", help="compress a JSON-lines trace with every method")
     p_transcode.add_argument("--trace", required=True, help="trace file (JSON lines)")

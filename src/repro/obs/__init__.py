@@ -63,12 +63,10 @@ from repro.obs.stats import RunStats, build_run_stats
 #: together a fifth of what ``import repro.obs`` used to cost, and every
 #: core module imports this package for ``get_registry`` / ``span``.
 _LAZY = {
-    "dashboard": "build_dashboard validate_dashboard_html write_dashboard",
     "ledger": "LedgerEntry RunLedger TrendFlag entry_from_result render_run render_runs "
     "render_trend trend_report validate_ledger_lines",
     "profiler": "SamplingProfiler resolve_profiler validate_collapsed_stacks validate_speedscope",
-    "monitor": "MetricsStreamWriter MonitorState drain_chunk_objects render_monitor "
-    "sample_object sparkline",
+    "monitor": "MetricsStreamWriter MonitorState render_monitor sparkline",
     "watchdog": "DivergenceCandidate ProgressWatchdog StallReport WatchdogConfig "
     "build_stall_report first_divergence_candidate",
 }
@@ -108,11 +106,9 @@ __all__ = [
     "TraceEvent",
     "TrendFlag",
     "WatchdogConfig",
-    "build_dashboard",
     "build_run_stats",
     "build_stall_report",
     "chrome_trace",
-    "drain_chunk_objects",
     "entry_from_result",
     "env_enabled",
     "event",
@@ -126,7 +122,6 @@ __all__ = [
     "render_trend",
     "resolve_profiler",
     "resolve_registry",
-    "sample_object",
     "set_registry",
     "span",
     "sparkline",
@@ -136,11 +131,9 @@ __all__ = [
     "validate_chrome_trace",
     "validate_collapsed_stacks",
     "validate_ledger_lines",
-    "validate_dashboard_html",
     "validate_metrics_lines",
     "validate_speedscope",
     "write_chrome_trace",
-    "write_dashboard",
     "write_metrics_jsonl",
     "write_timeline",
 ]

@@ -10,7 +10,7 @@ whose every line parses (the reader additionally tolerates a torn final
 line, so even a crash *inside* the single append cannot poison history).
 
 ``repro runs list/show/trend`` renders the history;
-:func:`trend_report` flags compression-ratio and throughput regressions
+:func:`trend_report` flags bytes-per-event and critical-path regressions
 with the same Welford z-score machinery live monitoring uses
 (:class:`~repro.obs.monitor.RunningStats`), grouped per
 ``(workload, mode, nprocs)`` so unlike runs never share a baseline.
@@ -50,12 +50,15 @@ TREND_Z = 3.0
 TREND_MIN_RUNS = 4
 
 #: metric name -> (entry attribute, direction that is a regression).
+#: Only functions of the record and the program, which read the same on
+#: any machine, so a flag measures the code. Wall time is not gated: a
+#: run's events/s moves with whatever else the machine runs, and
+#: ``bench/run.py``'s paired runs are the wall-clock ruler.
 TREND_METRICS: dict[str, tuple[str, str]] = {
     "bytes_per_event": ("bytes_per_event", "high"),
-    "events_per_second": ("events_per_second", "low"),
-    # explain metrics: only present on ``mode="explain"`` entries (None
-    # elsewhere — trend_report skips missing values, so record/replay
-    # entries never pollute the explain baselines).
+    # explain metrics, in virtual time: only present on ``mode="explain"``
+    # entries (None elsewhere — trend_report skips missing values, so
+    # record/replay entries never pollute the explain baselines).
     "critical_path_share": ("critical_path_share", "high"),
     "max_slack_us": ("max_slack_us", "high"),
 }
@@ -371,8 +374,8 @@ def trend_report(
     Walks entries in append order per ``(workload, mode, nprocs)`` group;
     each run is z-scored against the runs *before* it (Welford), so one
     bad run flags itself without poisoning its own baseline. Only the
-    regression direction flags: compression getting *better* or runs
-    getting *faster* is not an anomaly.
+    regression direction flags: compression getting *better* or a
+    critical path getting *shorter* is not an anomaly.
     """
     flags: list[TrendFlag] = []
     series: dict[tuple[str, str, int], dict[str, list[float]]] = {}
@@ -484,8 +487,7 @@ def render_trend(
 
     The default one-liner-per-metric form keeps ``repro runs trend``
     scannable; ``--sparkline`` (a width, e.g. 60) renders each metric as
-    a full-width sparkline annotated with its min/max band, so ledger
-    trends are readable without the HTML dashboard.
+    a full-width sparkline annotated with its min/max band.
     """
     flags, series = trend_report(entries, z_threshold, min_runs)
     title = f"run trends over {len(entries)} ledgered run(s)"

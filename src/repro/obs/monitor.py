@@ -35,9 +35,7 @@ __all__ = [
     "MetricsStreamWriter",
     "MonitorState",
     "RunningStats",
-    "drain_chunk_objects",
     "render_monitor",
-    "sample_object",
     "sparkline",
 ]
 

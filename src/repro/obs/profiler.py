@@ -14,8 +14,8 @@ sampler's thread adds no calls to the profiled thread
 Exports:
 
 * **collapsed stacks** — one ``frame;frame;frame count`` line per unique
-  stack, root first (Brendan Gregg's flamegraph input format; also what
-  the dashboard's flamegraph renderer consumes);
+  stack, root first (Brendan Gregg's flamegraph input format: pipe it
+  through ``flamegraph.pl`` for an SVG);
 * **speedscope JSON** — an ``evented``-free ``"sampled"`` profile that
   https://speedscope.app and compatible viewers open directly.
 

@@ -1,10 +1,10 @@
 """``import repro.obs`` loads what the core reports into, nothing else.
 
 Every core module imports the package for ``get_registry`` / ``span``, so
-the dashboard, the ledger and the bench-file loader are resolved on first
-use (PEP 562 ``__getattr__`` in ``repro/obs/__init__.py``), not when the
-package is imported, and no session or analysis import opens the network
-stack.
+the ledger, the profiler, the monitor and the watchdog are resolved on
+first use (PEP 562 ``__getattr__`` in ``repro/obs/__init__.py``), not when
+the package is imported, and no session or analysis import opens the
+network stack.
 """
 
 import subprocess
@@ -17,10 +17,10 @@ def run(code: str) -> int:
     return subprocess.run([sys.executable, "-c", code]).returncode
 
 
-def test_importing_the_sessions_leaves_the_server_and_the_dashboard_out():
+def test_importing_the_sessions_leaves_the_ledger_and_the_network_out():
     code = (
         "import sys, repro.replay.session, repro.analysis; "
-        "loaded = [m for m in ('repro.obs.dashboard', 'repro.obs.ledger', "
+        "loaded = [m for m in ('repro.obs.ledger', "
         "'socket', 'selectors', 'asyncio') "
         "if m in sys.modules]; "
         "sys.exit(', '.join(loaded) or 0)"
@@ -31,11 +31,11 @@ def test_importing_the_sessions_leaves_the_server_and_the_dashboard_out():
 def test_lazy_names_resolve_on_first_use():
     code = (
         "import sys, repro.obs as obs; "
-        "assert 'repro.obs.dashboard' not in sys.modules; "
-        "from repro.obs import build_dashboard, RunLedger; "
-        "import repro.obs.dashboard; "
-        "assert build_dashboard is repro.obs.dashboard.build_dashboard; "
-        "assert obs.build_dashboard is build_dashboard"
+        "assert 'repro.obs.ledger' not in sys.modules; "
+        "from repro.obs import RunLedger; "
+        "import repro.obs.ledger; "
+        "assert RunLedger is repro.obs.ledger.RunLedger; "
+        "assert obs.RunLedger is RunLedger"
     )
     assert run(code) == 0
 

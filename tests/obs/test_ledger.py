@@ -247,12 +247,18 @@ class TestTrend:
         flags, _ = trend_report(entries)
         assert not any(f.metric == "bytes_per_event" for f in flags)
 
-    def test_throughput_regression_flags(self):
-        entries = self.history(
-            [0.5, 0.51, 0.49, 0.5, 0.52, 30.0], metric="wall_seconds"
-        )
-        flags, _ = trend_report(entries)
-        assert any(f.metric == "events_per_second" for f in flags)
+    def test_a_slow_run_never_flags_a_bytes_regression_does(self):
+        # wall time is the machine's, not the code's: r0006 is 60x slower
+        # than its group and must stay silent; r0007 stores 6x the bytes.
+        walls = [0.5, 0.51, 0.49, 0.5, 0.52, 30.0, 0.5]
+        stored = [250, 251, 249, 250, 252, 250, 1500]
+        entries = [
+            _entry(run_id=f"r{i:04d}", wall_seconds=w, stored_bytes=b)
+            for i, (w, b) in enumerate(zip(walls, stored), start=1)
+        ]
+        flags, series = trend_report(entries)
+        assert [(f.run_id, f.metric) for f in flags] == [("r0007", "bytes_per_event")]
+        assert set(series[("synthetic", "record", 4)]) == {"bytes_per_event"}
 
     def test_short_history_never_flags(self):
         entries = self.history([250, 9999])

@@ -628,6 +628,20 @@ class TestDiffAndRuns:
         with pytest.raises(SystemExit):
             main(["runs", "show", "r9999", "--ledger", ledger])
 
+    def test_record_run_id_names_the_ledger_entry(self, tmp_path, capsys):
+        ledger = str(tmp_path / "ledger.jsonl")
+        assert main(
+            [
+                "record", "--workload", "synthetic", "--nprocs", "4",
+                "--network-seed", "2", "--out", str(tmp_path / "rec"),
+                "-p", "messages_per_rank=6", "-p", "fanout=1",
+                "--ledger", ledger, "--run-id", "nightly-7",
+            ]
+        ) == 0
+        assert f"ledger: {ledger} run nightly-7" in capsys.readouterr().out
+        assert main(["runs", "show", "nightly-7", "--ledger", ledger]) == 0
+        assert "run nightly-7" in capsys.readouterr().out
+
     def test_runs_trend(self, two_seed_setup, capsys):
         _, ledger = two_seed_setup
         assert main(["runs", "trend", "--ledger", ledger]) == 0
@@ -692,7 +706,7 @@ class TestTrendSparkline:
     def test_default_width_when_bare_flag(self, ledgered, capsys):
         assert main(["runs", "trend", "--ledger", ledgered, "--sparkline"]) == 0
         out = capsys.readouterr().out
-        assert "events_per_second (n=3):" in out
+        assert "bytes_per_event (n=3):" in out
 
     def test_compact_form_unchanged_without_flag(self, ledgered, capsys):
         assert main(["runs", "trend", "--ledger", ledgered]) == 0
@@ -735,28 +749,13 @@ class TestProfileSample:
         assert "replay of synthetic" in capsys.readouterr().out
 
 
-class TestDash:
-    def test_dash_builds_valid_html(self, tmp_path, capsys):
-        from repro.obs import validate_dashboard_html
-
-        ledger = str(tmp_path / "ledger.jsonl")
-        archive = str(tmp_path / "rec")
-        assert main(
-            [
-                "record", "--workload", "synthetic", "--nprocs", "4",
-                "--network-seed", "2", "--out", archive,
-                "-p", "messages_per_rank=6", "-p", "fanout=1",
-                "--ledger", ledger, "--run-id", "dash-rec",
-            ]
-        ) == 0
-        assert f"ledger: {ledger} run dash-rec" in capsys.readouterr().out
-        out_html = str(tmp_path / "dash.html")
-        assert main(["dash", "--out", out_html, "--ledger", ledger]) == 0
-        assert "self-contained" in capsys.readouterr().out
-        with open(out_html, encoding="utf-8") as fh:
-            text = fh.read()
-        assert validate_dashboard_html(text) == []
-        assert "synthetic" in text
+class TestDashIsGone:
+    def test_dash_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dash", "--out", str(tmp_path / "x.html")])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "invalid choice: 'dash'" in capsys.readouterr().err
+        assert not (tmp_path / "x.html").exists()
 
 
 class TestTimelineStrict:
