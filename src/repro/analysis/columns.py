@@ -190,7 +190,7 @@ def _replay_both(replay_a: Callable, replay_b: Callable) -> tuple[RehydratedRun,
         try:
             os.close(reader)
             run = replay_b()
-            drop = dict.fromkeys(("archive", "controller", "registry", "flow", "profile"))
+            drop = dict.fromkeys(("archive", "controller", "registry", "flow"))
             run.result = replace(run.result, **drop)
             with os.fdopen(writer, "wb") as pipe:
                 pickle.dump(run, pipe, pickle.HIGHEST_PROTOCOL)

@@ -723,34 +723,33 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile a record (and optionally replay) pass; print hotspots.
+    """cProfile a record pass, or a replay of a fresh record; print hotspots.
 
-    The one-command perf baseline: every optimization PR runs this before
-    and after to show where the time went. Default is cProfile
-    (deterministic, per-call, 2-5x overhead); ``--sample`` switches to the
-    low-overhead sampling profiler (:mod:`repro.obs.profiler`), which is
-    safe on runs whose timing you care about and exports flamegraph
-    inputs (``--folded-out``) and speedscope files (``--speedscope-out``).
+    The one-command perf baseline: a performance change is measured with
+    this before and after to show where the time went. cProfile hooks
+    every call (2-5x wall overhead), which the recorded run does not see:
+    the only non-determinism is the seeded network in virtual time, so a
+    profiled record writes the same archive as a plain one. ``--out``
+    dumps the pstats data for ``pstats`` or snakeviz. Wall time and
+    events/s are the profiled pass's alone.
     """
     import cProfile
+    import functools
     import io
     import pstats
 
     params = _parse_params(args.param)
     program, _ = make_workload(args.workload, args.nprocs, **params)
-    if args.sample:
-        return _cmd_profile_sample(args, program)
 
     def record_pass():
         return _record(args, program, chunk_events=args.chunk_events, keep_outcomes=False)
 
+    profiled = record_pass
+    if args.mode == "replay":  # record outside the profiler, replay under it
+        profiled = functools.partial(_replay, args, program, record_pass().archive)
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
-    if args.mode == "record":
-        result = profiler.runcall(record_pass)
-    else:  # record outside the profiler, replay under it
-        result = record_pass()
-        profiler.runcall(lambda: _replay(args, program, result.archive))
+    result = profiler.runcall(profiled)
     wall = time.perf_counter() - t0
     events = result.stats.total_events
 
@@ -784,34 +783,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         buf = io.StringIO()
         pstats.Stats(profiler, stream=buf).sort_stats(args.sort).print_stats(width)
         print(buf.getvalue())
-    return 0
-
-
-def _cmd_profile_sample(args: argparse.Namespace, program) -> int:
-    """``repro profile --sample``: sampling profile of a session pass."""
-    from repro.obs.profiler import SamplingProfiler
-
-    sampler = SamplingProfiler(hz=args.hz)
-    if args.mode == "record":
-        result = _record(
-            args, program, chunk_events=args.chunk_events, keep_outcomes=False, profile=sampler
-        )
-    else:  # record unprofiled, sample the replay
-        recorded = _record(args, program, chunk_events=args.chunk_events)
-        result = _replay(args, program, recorded.archive, profile=sampler)
-    print(
-        f"{args.mode} of {args.workload} at {args.nprocs} ranks "
-        f"({result.stats.total_events:,} engine events)"
-    )
-    print(result.profile.render(args.top))
-    if args.folded_out:
-        result.profile.write_collapsed(args.folded_out)
-        print(f"collapsed stacks: {args.folded_out} (flamegraph.pl input)")
-    if args.speedscope_out:
-        result.profile.write_speedscope(
-            args.speedscope_out, name=f"{args.mode} {args.workload}"
-        )
-        print(f"speedscope profile: {args.speedscope_out} (open at speedscope.app)")
     return 0
 
 
@@ -1005,14 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--out", metavar="FILE", help="also dump raw pstats data to FILE")
     p_profile.add_argument("--raw", action="store_true",
                            help="additionally print the full pstats report")
-    p_profile.add_argument("--sample", action="store_true",
-                           help="use the low-overhead sampling profiler instead of cProfile")
-    p_profile.add_argument("--hz", type=float, default=97.0, metavar="HZ",
-                           help="sampling rate for --sample (default 97)")
-    p_profile.add_argument("--folded-out", metavar="FILE",
-                           help="with --sample: write collapsed stacks (flamegraph.pl input)")
-    p_profile.add_argument("--speedscope-out", metavar="FILE",
-                           help="with --sample: write a speedscope JSON profile")
     p_profile.set_defaults(func=cmd_profile)
     return parser
 

@@ -1,9 +1,9 @@
 """Per-callsite record tables — Figure 4 and the Figure 6 decomposition.
 
 A :class:`RecordTable` is one sealed chunk of a callsite's MF outcome stream
-as objects — what ``ColumnarTable.to_record_table``, ``reconstruct_table`` and
-``eliminate_redundancy`` hand out; recording builds columns
-(:mod:`repro.core.columnar`). A chunk holds:
+as objects — what ``ColumnarTable.to_record_table`` and ``reconstruct_table``
+hand out; recording builds columns (:mod:`repro.core.columnar`). A chunk
+holds:
 
 * ``matched`` — the matched receives in observed (delivery) order;
 * ``with_next_indices`` — observed indices whose receive was returned in the

@@ -65,7 +65,6 @@ from repro.obs.stats import RunStats, build_run_stats
 _LAZY = {
     "ledger": "LedgerEntry RunLedger TrendFlag entry_from_result render_run render_runs "
     "render_trend trend_report validate_ledger_lines",
-    "profiler": "SamplingProfiler resolve_profiler validate_collapsed_stacks validate_speedscope",
     "monitor": "MetricsStreamWriter MonitorState render_monitor sparkline",
     "watchdog": "DivergenceCandidate ProgressWatchdog StallReport WatchdogConfig "
     "build_stall_report first_divergence_candidate",
@@ -99,7 +98,6 @@ __all__ = [
     "ProgressWatchdog",
     "RunLedger",
     "RunStats",
-    "SamplingProfiler",
     "Span",
     "StallReport",
     "TelemetryRegistry",
@@ -120,7 +118,6 @@ __all__ = [
     "render_run",
     "render_runs",
     "render_trend",
-    "resolve_profiler",
     "resolve_registry",
     "set_registry",
     "span",
@@ -129,10 +126,8 @@ __all__ = [
     "trend_report",
     "use_registry",
     "validate_chrome_trace",
-    "validate_collapsed_stacks",
     "validate_ledger_lines",
     "validate_metrics_lines",
-    "validate_speedscope",
     "write_chrome_trace",
     "write_metrics_jsonl",
     "write_timeline",

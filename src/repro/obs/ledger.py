@@ -55,10 +55,12 @@ TREND_MIN_RUNS = 4
 #: run's events/s moves with whatever else the machine runs, and
 #: ``bench/run.py``'s paired runs are the wall-clock ruler.
 TREND_METRICS: dict[str, tuple[str, str]] = {
-    "bytes_per_event": ("bytes_per_event", "high"),
+    # None on entries that stored nothing (``explain``): trend_report skips
+    # missing values, so no group charts a bytes/event of 0.
+    "bytes_per_event": ("stored_bytes_per_event", "high"),
     # explain metrics, in virtual time: only present on ``mode="explain"``
-    # entries (None elsewhere — trend_report skips missing values, so
-    # record/replay entries never pollute the explain baselines).
+    # entries (None elsewhere, so record/replay entries never pollute the
+    # explain baselines).
     "critical_path_share": ("critical_path_share", "high"),
     "max_slack_us": ("max_slack_us", "high"),
 }
@@ -101,6 +103,11 @@ class LedgerEntry:
     @property
     def bytes_per_event(self) -> float:
         return self.stored_bytes / self.events if self.events else 0.0
+
+    @property
+    def stored_bytes_per_event(self) -> float | None:
+        """:attr:`bytes_per_event`, or None when the run stored no bytes."""
+        return self.bytes_per_event if self.stored_bytes else None
 
     @property
     def events_per_second(self) -> float:

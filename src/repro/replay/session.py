@@ -37,7 +37,6 @@ from repro.obs import (
     span,
     use_registry,
 )
-from repro.obs.profiler import SamplingProfiler, resolve_profiler
 from repro.obs.watchdog import engine_progress, replay_progress, resolve_watchdog
 from repro.replay.cost_model import RecordingCostModel
 from repro.replay.durable_store import (
@@ -94,9 +93,6 @@ class RunResult:
     stall: StallReport | None = None
     #: ledger line appended for this run (sessions with ``ledger=`` only).
     ledger_entry: Any = None
-    #: stopped sampling profiler, when the session ran with ``profile=`` —
-    #: export with ``write_collapsed`` / ``write_speedscope``.
-    profile: SamplingProfiler | None = None
 
     @property
     def truncated(self) -> bool:
@@ -119,7 +115,7 @@ class RunResult:
 class _Session:
     """Shared engine plumbing. Its observer keywords — ``telemetry``,
     ``flow``, ``watchdog``, ``metrics_stream``, ``metrics_interval``,
-    ``ledger``, ``run_id``, ``profile`` — are every session's, declared here once."""
+    ``ledger``, ``run_id`` — are every session's, declared here once."""
 
     def __init__(
         self,
@@ -135,7 +131,6 @@ class _Session:
         metrics_interval: float = 0.05,
         ledger: Any = None,
         run_id: str = "",
-        profile: Any = None,
     ) -> None:
         self.program = program
         self.nprocs = nprocs
@@ -166,10 +161,6 @@ class _Session:
             ledger = RunLedger(ledger)
         self.ledger = ledger
         self.run_id = run_id
-        #: ``profile``: None/False = off, True = default-rate sampling
-        #: profiler, a number = sampling Hz, or a
-        #: :class:`~repro.obs.profiler.SamplingProfiler` to share/configure.
-        self.profiler = resolve_profiler(profile)
         self._wall_seconds = 0.0
         self._archive_path: str | None = None
 
@@ -187,8 +178,6 @@ class _Session:
         )
         self._engine = engine  # kept for post-mortem diagnostics
         watchdog = stream = None
-        if self.profiler is not None and not self.profiler.running:
-            self.profiler.start()  # samples this (the engine's) thread
         t0 = time.perf_counter()
         try:
             with use_registry(self.registry):
@@ -223,8 +212,6 @@ class _Session:
             if stream is not None:
                 with use_registry(self.registry):
                     stream.close()
-            if self.profiler is not None:
-                self.profiler.stop()
             self._wall_seconds = time.perf_counter() - t0
         result = RunResult(mode=mode, nprocs=self.nprocs, stats=stats)
         result.app_results = {p.rank: p.result for p in engine.procs}
@@ -236,7 +223,6 @@ class _Session:
     def _attach_stats(self, result: RunResult) -> RunResult:
         """Stamp the run's telemetry rollup onto its result."""
         result.registry = self.registry
-        result.profile = self.profiler
         if self.registry.enabled:
             chunks = stored_bytes = 0
             if result.archive is not None:

@@ -30,6 +30,9 @@ import path may call them — and they share no kernel with what they check.
   one way (``ColumnarTableBuilder`` → ``encode_table``): ``RecordTableBuilder``
   / ``build_tables`` and ``encode_chunk_scalar`` / ``encode_chunk_sequence``,
   one ``ReceiveEvent`` and one Python step per receive.
+* The **redundancy-elimination transform** (Section 3.2), Figure 4 rows to
+  the Figure 6 tables and back (``eliminate_redundancy`` /
+  ``restore_redundancy``): the worked example's 55 → 23 values.
 """
 
 from __future__ import annotations
@@ -1189,3 +1192,38 @@ def myers_edit_script(a: Sequence, b: Sequence) -> list[tuple[str, object]]:
     for k in range(j, m):
         script.append((">", b[k]))
     return script
+
+
+# ---------------------------------------------------------------------------
+# Redundancy elimination (Section 3.2) as a row transform: Figure 4 quintuple
+# rows to the Figure 6 tables and back. Left src/ (``core/redundancy.py``)
+# with no caller there; the recorder builds the Figure 6 split as columns.
+# ---------------------------------------------------------------------------
+
+
+def eliminate_redundancy(rows: Sequence[QuintupleRow], callsite: str) -> RecordTable:
+    """Figure 4 rows → Figure 6 tables (matched / with_next / unmatched)."""
+    matched: list[ReceiveEvent] = []
+    with_next: list[int] = []
+    unmatched: list[tuple[int, int]] = []
+    for row in rows:
+        if row.flag:
+            if row.count != 1:
+                raise DecodingError("matched rows must have count == 1")
+            if row.rank is None or row.clock is None:
+                raise DecodingError("matched rows need rank and clock")
+            if row.with_next:
+                with_next.append(len(matched))
+            matched.append(ReceiveEvent(row.rank, row.clock))
+        else:
+            index = len(matched)
+            if unmatched and unmatched[-1][0] == index:
+                unmatched[-1] = (index, unmatched[-1][1] + row.count)
+            else:
+                unmatched.append((index, row.count))
+    return RecordTable(callsite, tuple(matched), tuple(with_next), tuple(unmatched))
+
+
+def restore_redundancy(table: RecordTable) -> list[QuintupleRow]:
+    """Figure 6 tables → Figure 4 rows (the exact inverse)."""
+    return table.raw_rows()

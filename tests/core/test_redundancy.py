@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.events import QuintupleRow, outcomes_to_rows
-from repro.core.redundancy import eliminate_redundancy, restore_redundancy
 from repro.errors import DecodingError
+from tests.core.oracles import eliminate_redundancy, restore_redundancy
 
 
 class TestForward:

@@ -19,10 +19,10 @@ poll, a filter method per posted receive) moves the counts by thousands —
 the failure message prints the distance to the reference counts — and a
 return to an old chain fails here, on any machine.
 
-The session's opt-in observers are held the same way. A watchdog and a
-sampling profiler work on their own threads, which ``sys.setprofile``
-does not see, and a ledger appends one line after the run: each adds a
-fixed number of calls to the run's own thread, counted at two MCB sizes
+The session's opt-in observers are held the same way. A watchdog works
+on its own thread, which ``sys.setprofile`` does not see, and a ledger
+appends one line after the run: each adds a fixed number of calls to the
+run's own thread, counted at two MCB sizes
 whose engine events differ by more than 4x. A hook that fires per event
 moves the difference between the two by thousands.
 
@@ -72,8 +72,8 @@ UNSTRUCTURED_CALLS = {"record": 13_806, "replay": 13_333}
 #: MCB sizes for the observer gates, particles per rank -> engine events
 OBSERVER_SIZES = {5: 1411, 40: 7707}
 #: calls each observer adds to one record over a bare one, at either size
-#: (measured: 33, 36 and 1,305 at both)
-OBSERVER_BUDGET = {"watchdog": 64, "profile": 64, "ledger": 1_400}
+#: (measured: 33 and 1,305 at both)
+OBSERVER_BUDGET = {"watchdog": 64, "ledger": 1_400}
 #: how far the added calls may differ between the two sizes: thread
 #: start-up races, not per-event work (measured: 0)
 OBSERVER_GROWTH = 16
@@ -84,8 +84,6 @@ def observer_kwargs(name, ledger_path):
         from repro.obs import WatchdogConfig
 
         return {"watchdog": WatchdogConfig(deadline=300, poll_interval=0.01)}
-    if name == "profile":
-        return {"profile": 97}
     return {"ledger": str(ledger_path)}
 
 

@@ -715,38 +715,92 @@ class TestTrendSparkline:
         assert "min " not in out
 
 
-class TestProfileSample:
-    def test_sample_mode_writes_valid_exports(self, tmp_path, capsys):
-        import json
+class TestProfile:
+    ARGS = [
+        "profile", "--workload", "synthetic", "--nprocs", "4", "--top", "5",
+        "-p", "messages_per_rank=20", "-p", "fanout=2",
+    ]
 
-        from repro.obs import validate_collapsed_stacks, validate_speedscope
+    @staticmethod
+    def rows(out):
+        """(tottime, cumtime, function) of each hotspot row printed."""
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("------")) + 1
+        end = next(i for i, line in enumerate(lines) if line.startswith("note:"))
+        return [
+            (float(tt), float(ct), where)
+            for _, tt, ct, where in (line.split(None, 3) for line in lines[start:end])
+        ]
 
-        folded = str(tmp_path / "p.folded")
-        speedscope = str(tmp_path / "p.speedscope.json")
-        assert main(
-            [
-                "profile", "--workload", "mcb", "--nprocs", "6",
-                "--sample", "--hz", "400", "--top", "5",
-                "--folded-out", folded, "--speedscope-out", speedscope,
-            ]
-        ) == 0
+    def test_record_mode(self, capsys):
+        assert main(self.ARGS) == 0
         out = capsys.readouterr().out
-        assert "sampling profile" in out
-        assert validate_collapsed_stacks(
-            open(folded, encoding="utf-8").read().splitlines()
-        ) == []
-        with open(speedscope, encoding="utf-8") as fh:
-            assert validate_speedscope(json.load(fh)) == []
+        assert "cProfile hotspots — record of synthetic at 4 ranks (" in out
+        assert "sorted by cumulative; wall " in out and " events/s including" in out
+        rows = self.rows(out)
+        assert len(rows) == 5
+        assert [ct for _, ct, _ in rows] == sorted((ct for _, ct, _ in rows), reverse=True)
 
-    def test_sample_replay_mode(self, capsys):
-        assert main(
-            [
-                "profile", "--workload", "synthetic", "--nprocs", "4",
-                "--mode", "replay", "--sample", "--hz", "400",
-                "-p", "messages_per_rank=20", "-p", "fanout=2",
-            ]
-        ) == 0
-        assert "replay of synthetic" in capsys.readouterr().out
+    def test_sort_tottime(self, capsys):
+        assert main(self.ARGS + ["--sort", "tottime"]) == 0
+        out = capsys.readouterr().out
+        assert "sorted by tottime" in out
+        rows = self.rows(out)
+        assert [tt for tt, _, _ in rows] == sorted((tt for tt, _, _ in rows), reverse=True)
+
+    def test_replay_mode_times_and_counts_only_the_replay(self, monkeypatch, capsys):
+        import dataclasses
+        import re
+        import time
+        import types
+
+        from repro import cli
+
+        # the record pass outside the profiler takes 1000 s on this clock
+        # and reports a count no replay can have
+        offset, recorded = [0.0], []
+        monkeypatch.setattr(
+            cli, "time", types.SimpleNamespace(perf_counter=lambda: time.perf_counter() + offset[0])
+        )
+        record = cli._record
+
+        def slow_record(*args, **kw):
+            result = record(*args, **kw)
+            offset[0] += 1000.0
+            recorded.append(result.stats.total_events)
+            result.stats = dataclasses.replace(result.stats, total_events=10**9)
+            return result
+
+        monkeypatch.setattr(cli, "_record", slow_record)
+        assert main(self.ARGS + ["--mode", "replay"]) == 0
+        out = capsys.readouterr().out
+        events = int(re.search(r"at 4 ranks \(([\d,]+) engine events\)", out)[1].replace(",", ""))
+        wall = float(re.search(r"wall ([\d.]+)s", out)[1])
+        assert "cProfile hotspots — replay of synthetic" in out
+        assert events == recorded[0]  # a replay makes the record's engine events
+        assert wall < 1000
+
+    def test_out_dump_loads_with_pstats(self, tmp_path, capsys):
+        import pstats
+
+        dump = str(tmp_path / "profile.pstats")
+        assert main(self.ARGS + ["--out", dump]) == 0
+        assert f"profile data: {dump}" in capsys.readouterr().out
+        stats = pstats.Stats(dump)
+        assert any(filename.endswith("engine.py") for filename, _, _ in stats.stats)
+
+    def test_raw_prints_the_pstats_report(self, capsys):
+        assert main(self.ARGS + ["--raw"]) == 0
+        out = capsys.readouterr().out
+        assert "cProfile hotspots" in out
+        assert "function calls" in out and "Ordered by: cumulative time" in out
+
+    def test_sample_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--sample", "--folded-out", str(tmp_path / "p.folded")])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments: --sample" in capsys.readouterr().err
+        assert not (tmp_path / "p.folded").exists()
 
 
 class TestDashIsGone:
@@ -889,6 +943,23 @@ class TestExplain:
         assert entries[-1].max_slack_us is not None
         # record/replay entries never carry explain metrics
         assert entries[0].critical_path_share is None
+
+    def test_trend_charts_no_bytes_for_explain_entries(self, explained, capsys):
+        _, ledger = explained
+        assert main(["explain", "r0001", "--ledger", ledger]) == 0
+        capsys.readouterr()
+        assert main(["runs", "trend", "--ledger", ledger]) == 0
+        groups, group = {}, None
+        for line in capsys.readouterr().out.splitlines():
+            if line.endswith(" ranks:"):
+                group = groups.setdefault(line, [])
+            elif line.startswith("  ") and group is not None:
+                group.append(line.split(":")[0].strip())
+        # an explain stores nothing: its group charts no bytes/event of 0
+        assert groups["synthetic/explain @ 6 ranks:"] == [
+            "critical_path_share", "max_slack_us"
+        ]
+        assert "bytes_per_event" in groups["synthetic/record @ 6 ranks:"]
 
     def test_unknown_run_id_fails(self, explained):
         _, ledger = explained
