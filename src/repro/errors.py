@@ -83,25 +83,22 @@ class ArchiveCorruptionError(RecordFormatError):
 
 
 class ReplayStallError(ReproError):
-    """A run made no observable progress within the watchdog deadline.
+    """A replay reached a state from which no event can release a parked rank.
 
-    Raised by :class:`~repro.obs.watchdog.ProgressWatchdog` through the
-    engine's abort channel when no event was delivered for ``deadline``
-    wall seconds — the signature of a replay wedged on a divergent or
-    truncated record (the heap may still spin on beacon retries, so a
-    pure deadlock check never fires). The session attaches a structured
-    :class:`~repro.obs.watchdog.StallReport` as ``.report`` before the
-    error reaches the caller.
+    Raised by the replay controller's retry tick on the assist-less LMC
+    path (DESIGN.md §5.4): every live rank is parked, nothing but tool
+    callbacks is scheduled, and either no parked group could become certain
+    at any channel floor or a full round of retries changed nothing.
+    Without it the beacon retries would spin until ``max_events``. Carries
+    ``delivered``, the events delivered before the stall; the replay
+    session attaches a :class:`~repro.replay.diagnostics.StallReport` as
+    ``.report`` before the error reaches the caller.
     """
 
-    def __init__(self, deadline: float, progress: int, detail: str = "") -> None:
-        self.deadline = deadline
-        self.progress = progress
+    def __init__(self, delivered: int, detail: str = "") -> None:
+        self.delivered = delivered
         self.report = None  # StallReport, attached by the session
-        msg = (
-            f"no progress for {deadline:g}s (stuck at {progress} delivered "
-            "events)"
-        )
+        msg = f"replay stalled after {delivered} delivered events"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

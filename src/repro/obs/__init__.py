@@ -66,8 +66,6 @@ _LAZY = {
     "ledger": "LedgerEntry RunLedger TrendFlag entry_from_result render_run render_runs "
     "render_trend trend_report validate_ledger_lines",
     "monitor": "MetricsStreamWriter MonitorState render_monitor sparkline",
-    "watchdog": "DivergenceCandidate ProgressWatchdog StallReport WatchdogConfig "
-    "build_stall_report first_divergence_candidate",
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names.split()}
 
@@ -85,7 +83,6 @@ __all__ = [
     "ColumnarFlowRecorder",
     "HISTOGRAM_BUCKETS",
     "Counter",
-    "DivergenceCandidate",
     "FlowMatchStats",
     "Gauge",
     "Histogram",
@@ -95,22 +92,17 @@ __all__ = [
     "NOOP_SPAN",
     "NULL_REGISTRY",
     "NullRegistry",
-    "ProgressWatchdog",
     "RunLedger",
     "RunStats",
     "Span",
-    "StallReport",
     "TelemetryRegistry",
     "TraceEvent",
     "TrendFlag",
-    "WatchdogConfig",
     "build_run_stats",
-    "build_stall_report",
     "chrome_trace",
     "entry_from_result",
     "env_enabled",
     "event",
-    "first_divergence_candidate",
     "get_registry",
     "merged_timeline",
     "metrics_lines",

@@ -20,8 +20,10 @@ from repro.replay.cost_model import (
 )
 from repro.replay.diagnostics import (
     CallsiteReport,
+    DivergenceCandidate,
     RankReport,
     ReplayReport,
+    StallReport,
     replay_report,
 )
 from repro.replay.recorder import (
@@ -42,8 +44,10 @@ __all__ = [
     "BaselineSession",
     "CallsiteReplayState",
     "CallsiteReport",
+    "DivergenceCandidate",
     "RankReport",
     "ReplayReport",
+    "StallReport",
     "replay_report",
     "DEFAULT_CHUNK_EVENTS",
     "DeliveryMode",

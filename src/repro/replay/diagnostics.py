@@ -4,7 +4,12 @@ When a replay deadlocks or raises, the raw exception rarely tells the
 whole story. :func:`replay_report` snapshots every rank's pending call and
 callsite decoder state — cursor position, pool contents, outstanding
 quotas, certainty horizon — into a structured report the session attaches
-to its error, and that tooling can render for humans.
+to its error, and that tooling can render for humans. A
+:class:`~repro.errors.ReplayStallError` gets a :class:`StallReport` on top:
+delivered events per callsite and the **first-divergence candidate** — the
+earliest queued receive whose ``(clock, sender)`` identity the active record
+chunk refuses, or the certainty-horizon event the record claims but that
+never arrived.
 """
 
 from __future__ import annotations
@@ -181,3 +186,114 @@ def replay_report(engine: Engine, controller: ReplayController) -> ReplayReport:
             )
         )
     return ReplayReport(tuple(ranks), telemetry=telemetry_snapshot())
+
+
+@dataclass(frozen=True)
+class DivergenceCandidate:
+    """The most suspicious record/reality mismatch at stall time.
+
+    Two kinds:
+
+    * ``"unexpected-arrival"`` — a message *arrived* and queued (pool
+      overflow) but the active chunk's membership (sender quota, epoch
+      line, boundary claims) refuses it: the record most plausibly
+      diverged at this event.
+    * ``"missing-event"`` — nothing queued explains the stall; the
+      blocked callsite's certainty horizon names the earliest ``(clock,
+      sender)`` the record still claims but that never arrived.
+    """
+
+    kind: str
+    rank: int
+    callsite: str
+    sender: int
+    clock: int
+
+    def describe(self) -> str:
+        if self.kind == "unexpected-arrival":
+            return (
+                f"rank {self.rank} @ {self.callsite!r}: message (clock "
+                f"{self.clock}, sender {self.sender}) arrived but is absent "
+                "from the active record chunk — earliest refused arrival"
+            )
+        return (
+            f"rank {self.rank} @ {self.callsite!r}: record claims a receive "
+            f"from sender {self.sender} with clock >= {self.clock} that "
+            "never arrived"
+        )
+
+
+def first_divergence_candidate(
+    controller: ReplayController,
+) -> DivergenceCandidate | None:
+    """Earliest record/reality mismatch across a replay controller's states.
+
+    Prefers refused arrivals (overflow entries of callsites that are
+    still blocked mid-chunk) over missing events, and orders both by the
+    global ``(clock, sender)`` identity, so the returned candidate is the
+    causally earliest place the record and the replayed reality disagree.
+    """
+    blocked = [
+        s
+        for s in controller.callsite_states()
+        if s.chunk is not None and any(q > 0 for q in s.quota.values())
+    ]
+    arrivals = [
+        ((msg.clock, msg.src), state) for state in blocked for msg in state.overflow
+    ]
+    if arrivals:
+        (clock, sender), state = min(arrivals, key=lambda kv: kv[0])
+        return DivergenceCandidate(
+            "unexpected-arrival", state.rank, state.callsite, sender, clock
+        )
+    horizons = [
+        (h, s) for s in blocked if (h := s.certainty_horizon()) is not None
+    ]
+    if horizons:
+        (clock, sender), state = min(horizons, key=lambda kv: kv[0])
+        return DivergenceCandidate(
+            "missing-event", state.rank, state.callsite, sender, clock
+        )
+    return None
+
+
+@dataclass(frozen=True)
+class StallReport:
+    """Everything known about a replay when it stalled."""
+
+    #: per-rank last epoch: events delivered per (rank, callsite) so far.
+    last_epoch: dict[tuple[int, str], int]
+    replay: ReplayReport
+    divergence: DivergenceCandidate | None = None
+
+    @property
+    def delivered(self) -> int:
+        """Events delivered before the stall."""
+        return sum(self.last_epoch.values())
+
+    def render(self) -> str:
+        title = (
+            f"replay stall report: no event can release a parked rank "
+            f"({self.delivered} delivered)"
+        )
+        lines = [title, "=" * len(title)]
+        if self.divergence is not None:
+            lines.append(f"first-divergence candidate: {self.divergence.describe()}")
+        if self.last_epoch:
+            lines.append("delivered events per (rank, callsite):")
+            for (rank, callsite), n in sorted(self.last_epoch.items()):
+                lines.append(f"  rank {rank} @ {callsite}: {n}")
+        lines.append(self.replay.render())
+        return "\n".join(lines)
+
+
+def build_stall_report(engine: Engine, controller: ReplayController) -> StallReport:
+    """Assemble the stall report after the engine loop unwound."""
+    return StallReport(
+        last_epoch={
+            (state.rank, state.callsite): state.delivered_events
+            for state in controller.callsite_states()
+        },
+        replay=replay_report(engine, controller),
+        divergence=first_divergence_candidate(controller),
+    )

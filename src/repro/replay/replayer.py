@@ -57,7 +57,12 @@ from repro.core.events import MFKind, ReceiveEvent
 from repro.core.formats import callsite_id, callsite_label
 from repro.core.permutation import decode_permutation
 from repro.core.pipeline import CDCChunk, assist_occurrence_indices
-from repro.errors import RecordExhausted, RecordFormatError, ReplayDivergence
+from repro.errors import (
+    RecordExhausted,
+    RecordFormatError,
+    ReplayDivergence,
+    ReplayStallError,
+)
 from repro.obs import get_registry
 from repro.replay.durable_store import RecordArchive
 from repro.sim.communicator import MailBox, _completion_key
@@ -168,7 +173,7 @@ class CallsiteReplayState:
         default_factory=list
     )
     #: arrivals fed into the active chunk and not delivered yet — the one
-    #: "how much is pooled" figure reports, the watchdog and the
+    #: "how much is pooled" figure reports, the stall detector and the
     #: ``replay.pool_occupancy`` gauge read.
     pooled_count: int = 0
     #: per-sender clock of the last event fed into the *active* chunk
@@ -410,6 +415,19 @@ class CallsiteReplayState:
             messages.append(arrived[ref_index][1])
         return messages
 
+    def never_certain(self) -> bool:
+        """Could the group at the cursor stay uncertain even if every
+        channel floor rose to infinity? Then only a new arrival can release
+        it: with infinite floors the certain prefix is everything pooled
+        (PROGRESSIVE), or nothing while a member is missing (BARRIER)."""
+        if self.mode is DeliveryMode.BARRIER:
+            return any(q > 0 for q in self.quota.values())
+        pooled = len(self.arrived_sorted)
+        order = self.order
+        return any(
+            order[p] >= pooled for p in range(self.cursor, self.group_end[self.cursor] + 1)
+        )
+
     # -- diagnostics ------------------------------------------------------------------
 
     def status(self) -> str:
@@ -563,6 +581,10 @@ class ReplayController(MFController):
         self._beacons_in_flight: set[tuple[int, int]] = set()
         #: ranks with a pending blocked-retry tick.
         self._retry_pending: set[int] = set()
+        #: stall detection: the progress signature the last retry tick left,
+        #: and the ranks whose ticks since then changed nothing.
+        self._quiet_signature: tuple | None = None
+        self._quiet_ranks: set[int] = set()
         #: virtual latency of a tool beacon round (small control message).
         self.beacon_nbytes = 16
         #: re-probe period while blocked (virtual seconds).
@@ -883,8 +905,72 @@ class ReplayController(MFController):
             self._retry_pending.discard(proc.rank)
             if proc.pending_call is not None and self.engine is not None:
                 self.engine._try_mf(proc, at_time=now)
+                if proc.pending_call is not None:
+                    self._check_stall(proc.rank)
 
         return retry
+
+    def _check_stall(self, rank: int) -> None:
+        """Raise :class:`ReplayStallError` once no event can ever release a
+        parked rank (DESIGN.md §5.4); called after ``rank``'s retry tick
+        left it parked.
+
+        A stall needs a quiet job: the engine holds only tool callbacks and
+        every live rank is parked on an assist-less group. Then no rank
+        runs, so no new message exists until some group becomes certain,
+        and certainty only grows with the channel floors. Two shapes are
+        final:
+
+        * *ladder* — no parked group could become certain even with every
+          floor at infinity (:meth:`CallsiteReplayState.never_certain`);
+        * *frozen* — no beacon is in flight, and a tick of every rank with
+          a retry pending, each starting from the state the previous one
+          left, changed no chunk, cursor, pool or floor: the next round
+          repeats this one forever.
+        """
+        engine = self.engine
+        parked = []
+        for proc in engine.procs:
+            if proc.done:
+                continue
+            call = proc.pending_call
+            state = self._states[proc.rank].get(call.callsite) if call else None
+            if state is None or state.chunk is None or state.senders is not None:
+                self._quiet_signature = None
+                return
+            parked.append(state)
+        if not engine.only_tool_events_pending():
+            self._quiet_signature = None
+            return
+        if all(state.never_certain() for state in parked):
+            raise self._stall(
+                "every parked group stays uncertain even with every channel "
+                "floor at infinity"
+            )
+        if self._beacons_in_flight:
+            self._quiet_signature = None
+            return
+        signature = (
+            tuple(
+                (s.chunk_index, s.cursor, s.pooled_count, len(s.overflow))
+                for s in self.callsite_states()
+            ),
+            tuple(tuple(floors.items()) for floors in self._floors.values()),
+        )
+        if signature != self._quiet_signature:
+            self._quiet_signature = signature
+            self._quiet_ranks = set()
+            return
+        self._quiet_ranks.add(rank)
+        if self._retry_pending <= self._quiet_ranks:
+            raise self._stall(
+                "a round of retries over every parked rank changed no chunk, "
+                "cursor, pool or channel floor"
+            )
+
+    def _stall(self, detail: str) -> ReplayStallError:
+        delivered = sum(state.delivered_events for state in self.callsite_states())
+        return ReplayStallError(delivered, detail)
 
     def _sender_promise(self, sender_proc: SimProcess) -> int:
         """Lower bound on the clock any *future* send of this rank carries.

@@ -22,23 +22,25 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.events import MFOutcome
-from repro.errors import RecordExhausted, ReplayStallError, SimulationError
+from repro.errors import (
+    RecordExhausted,
+    ReplayDivergence,
+    ReplayStallError,
+    SimulationError,
+)
 from repro.obs import (
     ColumnarFlowRecorder,
     MetricsStreamWriter,
     NullRegistry,
-    ProgressWatchdog,
     RunStats,
-    StallReport,
     TelemetryRegistry,
     build_run_stats,
-    build_stall_report,
     resolve_registry,
     span,
     use_registry,
 )
-from repro.obs.watchdog import engine_progress, replay_progress, resolve_watchdog
 from repro.replay.cost_model import RecordingCostModel
+from repro.replay.diagnostics import StallReport, build_stall_report, replay_report
 from repro.replay.durable_store import (
     DurableArchiveWriter,
     RecordArchive,
@@ -88,8 +90,8 @@ class RunResult:
     #: causal flow capture, when the session ran with ``flow=`` — feed to
     #: :func:`repro.obs.merged_timeline` for the cross-rank Chrome trace.
     flow: ColumnarFlowRecorder | None = None
-    #: watchdog post-mortem, when a stall fired and policy degraded to a
-    #: partial result instead of raising.
+    #: salvage-mode replay only: the post-mortem of a replay that stalled
+    #: (:class:`~repro.errors.ReplayStallError`) and ended early.
     stall: StallReport | None = None
     #: ledger line appended for this run (sessions with ``ledger=`` only).
     ledger_entry: Any = None
@@ -114,8 +116,8 @@ class RunResult:
 
 class _Session:
     """Shared engine plumbing. Its observer keywords — ``telemetry``,
-    ``flow``, ``watchdog``, ``metrics_stream``, ``metrics_interval``,
-    ``ledger``, ``run_id`` — are every session's, declared here once."""
+    ``flow``, ``metrics_stream``, ``metrics_interval``, ``ledger``,
+    ``run_id`` — are every session's, declared here once."""
 
     def __init__(
         self,
@@ -126,7 +128,6 @@ class _Session:
         engine_kwargs: Mapping[str, Any] | None = None,
         telemetry: Any = None,
         flow: ColumnarFlowRecorder | None = None,
-        watchdog: Any = None,
         metrics_stream: str | None = None,
         metrics_interval: float = 0.05,
         ledger: Any = None,
@@ -143,9 +144,6 @@ class _Session:
         self.registry = resolve_registry(telemetry)
         #: optional causal flow capture (repro.obs.causal.ColumnarFlowRecorder).
         self.flow = flow
-        #: ``watchdog``: None = off, a float = deadline in wall seconds,
-        #: or a :class:`~repro.obs.WatchdogConfig` for policy control.
-        self.watchdog = resolve_watchdog(watchdog)
         #: when set, a MetricsStreamWriter appends live JSONL here for
         #: ``repro monitor``; implies telemetry (a private registry is
         #: created if the session would otherwise run with none).
@@ -177,7 +175,7 @@ class _Session:
             **engine_kwargs,
         )
         self._engine = engine  # kept for post-mortem diagnostics
-        watchdog = stream = None
+        stream = None
         t0 = time.perf_counter()
         try:
             with use_registry(self.registry):
@@ -187,28 +185,10 @@ class _Session:
                         self.registry,
                         interval=self.metrics_interval,
                     ).start()
-                if self.watchdog is not None:
-                    progress = (
-                        replay_progress(controller)
-                        if hasattr(controller, "callsite_states")
-                        else engine_progress(engine)
-                    )
-                    watchdog = ProgressWatchdog(
-                        engine, progress, self.watchdog
-                    ).start()
                 with span(f"session.{mode}", nprocs=self.nprocs) as sp:
                     stats = engine.run()
                     sp.set(events=stats.total_events)
-        except ReplayStallError as exc:
-            # attach the structured post-mortem while the (now unwound)
-            # engine state is still coherent; policy handling is the
-            # subclass's job.
-            with use_registry(self.registry):
-                exc.report = build_stall_report(engine, controller, exc, mode)
-            raise
         finally:
-            if watchdog is not None:
-                watchdog.stop()
             if stream is not None:
                 with use_registry(self.registry):
                     stream.close()
@@ -355,6 +335,12 @@ class ReplaySession(_Session):
       record ends, with ``result.truncated_at`` naming the (rank,
       callsite) that ran out. Application results of unfinished ranks are
       whatever the partial run produced.
+
+    A replay that stalls (:class:`~repro.errors.ReplayStallError`, the
+    assist-less LMC path only) carries its :class:`StallReport` on
+    ``.report``; in ``"salvage"`` mode it instead ends as a
+    ``"replay-stalled"`` result with ``.stall`` set and ``truncated_at``
+    naming the first-divergence candidate's (rank, callsite).
     """
 
     def __init__(
@@ -405,15 +391,13 @@ class ReplaySession(_Session):
             result.truncated_at = (exc.rank, exc.callsite)
             return self._finish(result, controller)
         except ReplayStallError as exc:
-            # _run attached exc.report; decide between failing loudly and
-            # degrading to a salvage-style partial result.
-            policy = self.watchdog.policy if self.watchdog is not None else "raise"
-            if policy != "salvage" and self.mode != "salvage":
+            with use_registry(self.registry):
+                exc.report = report = build_stall_report(self._engine, controller)
+            if self.mode != "salvage":
                 raise
-            report = exc.report
             result = self._collect("replay-stalled", controller)
             result.stall = report
-            if report is not None and report.divergence is not None:
+            if report.divergence is not None:
                 result.truncated_at = (
                     report.divergence.rank,
                     report.divergence.callsite,
@@ -421,9 +405,6 @@ class ReplaySession(_Session):
             return self._finish(result, controller)
         except SimulationError as exc:
             # attach a structured post-mortem so the user sees *why*
-            from repro.errors import ReplayDivergence
-            from repro.replay.diagnostics import replay_report
-
             with use_registry(self.registry):
                 report = replay_report(self._engine, controller)
             raise ReplayDivergence(

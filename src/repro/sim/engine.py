@@ -99,10 +99,6 @@ class Engine:
         #: optional ColumnarFlowRecorder capturing send/delivery pairs for causal
         #: cross-rank tracing (see repro.obs.causal).
         self.flow_recorder = flow_recorder
-        #: abort channel: another thread (the progress watchdog) stores an
-        #: exception here; the main loop raises it at the next event — the
-        #: only point where engine state is guaranteed consistent.
-        self._abort: BaseException | None = None
         #: global simulation time = timestamp of the event being processed.
         self.now: float = 0.0
 
@@ -111,15 +107,6 @@ class Engine:
     def _push(self, time: float, kind: int, data: object) -> None:
         heapq.heappush(self._heap, (time, next(self._seq), kind, data))
 
-    def request_abort(self, exc: BaseException) -> None:
-        """Ask the main loop to raise ``exc`` at its next safe point.
-
-        Thread-safe (a single reference store); used by the progress
-        watchdog so the stall report can be assembled single-threadedly
-        after the loop unwinds.
-        """
-        self._abort = exc
-
     def schedule_tool_event(self, time: float, fn) -> None:
         """Schedule a controller-level callback (tool messages, beacons).
 
@@ -127,6 +114,12 @@ class Engine:
         controller model side-channel traffic such as clock beacons.
         """
         self._push(time, _CALLBACK, fn)
+
+    def only_tool_events_pending(self) -> bool:
+        """True when every scheduled event is a tool callback: no message is
+        in flight and no rank is runnable, so nothing the application does
+        can change the job's state until a callback releases a rank."""
+        return all(entry[2] == _CALLBACK for entry in self._heap)
 
     def isend(self, proc: SimProcess, dest: int, payload, tag: int) -> Request:
         """Non-blocking send: piggyback clock, schedule delivery, complete."""
@@ -191,9 +184,9 @@ class Engine:
 
         # The dispatch loop runs once per simulation event — hundreds of
         # millions of times at paper-scale rank counts — so everything it
-        # touches is hoisted into locals and all bookkeeping that tolerates
-        # batching (step histogram, stats publication) happens once per
-        # STEP_SAMPLE_EVENTS block instead of per event.
+        # touches is hoisted into locals and the step histogram, which
+        # tolerates batching, is fed once per STEP_SAMPLE_EVENTS block
+        # instead of per event.
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -211,15 +204,11 @@ class Engine:
         tick = sample
         try:
             while heap and remaining:
-                if self._abort is not None:
-                    raise self._abort
                 count += 1
-                tick -= 1
-                if tick == 0:
-                    tick = sample
-                    # publish progress for the watchdog thread once per block
-                    stats.total_events = count
-                    if track:
+                if track:
+                    tick -= 1
+                    if tick == 0:
+                        tick = sample
                         now_ns = perf_counter_ns()
                         step_hist.observe((now_ns - block_t0) // 1000)
                         block_t0 = now_ns

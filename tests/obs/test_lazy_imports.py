@@ -1,10 +1,9 @@
 """``import repro.obs`` loads what the core reports into, nothing else.
 
 Every core module imports the package for ``get_registry`` / ``span``, so
-the ledger, the profiler, the monitor and the watchdog are resolved on
-first use (PEP 562 ``__getattr__`` in ``repro/obs/__init__.py``), not when
-the package is imported, and no session or analysis import opens the
-network stack.
+the ledger and the monitor are resolved on first use (PEP 562
+``__getattr__`` in ``repro/obs/__init__.py``), not when the package is
+imported, and no session or analysis import opens the network stack.
 """
 
 import subprocess

@@ -10,7 +10,7 @@ go wrong. These tests drive telemetry-enabled sessions through
 * transient EIO storms (absorbed by the store's retry path) neither
   corrupt the stream nor lose chunk lines;
 * replaying a no-assist record against a truncated message stream wedges
-  — and the watchdog converts the wedge into a
+  — and the replayer turns the wedge into a
   :class:`~repro.errors.ReplayStallError` whose report names a
   first-divergence candidate, with the stall run's own metrics stream
   still schema-valid.
@@ -23,7 +23,7 @@ import json
 import pytest
 
 from repro.errors import ReplayStallError
-from repro.obs import MonitorState, WatchdogConfig, validate_metrics_lines
+from repro.obs import MonitorState, validate_metrics_lines
 from repro.replay import RecordSession, ReplaySession
 from repro.replay.durable_store import RetryPolicy
 from repro.testing import FaultInjector, FaultPlan, InjectedCrash
@@ -104,9 +104,9 @@ class TestStreamUnderTransientErrors:
 
 class TestWatchdogOnTruncatedRecordReplay:
     """A no-assist record replayed against a truncated message stream
-    (every sender produces fewer messages than recorded) wedges in the
-    beacon-retry spin; the watchdog turns the wedge into a diagnosis and
-    the run's own monitoring stream survives it."""
+    (every sender produces fewer messages than recorded) wedges; the
+    replayer's own stall watchdog, its retry tick, turns the wedge into a
+    diagnosis and the run's own monitoring stream survives it."""
 
     @pytest.fixture(scope="class")
     def recorded(self):
@@ -123,7 +123,6 @@ class TestWatchdogOnTruncatedRecordReplay:
             make_program(messages_per_rank=6),
             recorded.archive,
             network_seed=2,
-            watchdog=WatchdogConfig(deadline=0.5, poll_interval=0.02),
             metrics_stream=str(metrics),
             metrics_interval=0.005,
         )
@@ -132,7 +131,7 @@ class TestWatchdogOnTruncatedRecordReplay:
         report = info.value.report
         assert report is not None
         assert report.divergence is not None
-        assert report.divergence.kind in ("missing-event", "unexpected-arrival")
+        assert report.divergence.kind == "missing-event"
         assert "first-divergence candidate" in report.render()
         # the stalled run's own monitoring stream is intact
         lines = metrics.read_text().splitlines()
@@ -140,4 +139,4 @@ class TestWatchdogOnTruncatedRecordReplay:
         state = MonitorState()
         state.feed_lines(lines)
         assert state.ended
-        assert state.latest_counter("replay.delivered_events") == report.progress
+        assert state.latest_counter("replay.delivered_events") == report.delivered

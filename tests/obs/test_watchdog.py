@@ -1,173 +1,121 @@
-"""Replay watchdog: stall detection, reports, divergence candidates.
+"""The replayer's stall watchdog: its retry tick, reports, divergence candidates.
 
-The integration scenario is the one the watchdog exists for: a record
-made *without* replay assist is replayed against a program whose message
-stream was truncated (one sender sends fewer messages than recorded).
-The blocked callsite then re-probes through clock-beacon retry ticks
-forever — no deadlock, no exception, just an engine that never drains.
-The watchdog turns that spin into a structured
-:class:`~repro.errors.ReplayStallError` naming the first-divergence
-candidate.
+Without replay assist a blocked callsite re-probes on clock-beacon retry
+ticks, so a replay that can never finish does not drain the event heap.
+The tick itself watches for the fixpoint (DESIGN.md §5.4) and raises
+:class:`~repro.errors.ReplayStallError`, with a report naming the
+first-divergence candidate. No thread and no deadline are involved.
+
+The integration scenario: a record made *without* replay assist is
+replayed against a program whose message stream was truncated (every
+sender sends fewer messages than recorded). The MCB grid that wedges with
+no fault at all is in ``tests/replay/test_stall.py``.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
 from repro.errors import ReplayStallError
-from repro.obs import (
-    DivergenceCandidate,
-    ProgressWatchdog,
-    StallReport,
-    WatchdogConfig,
-    first_divergence_candidate,
-)
-from repro.obs.watchdog import resolve_watchdog
-from repro.replay.session import RecordSession, ReplaySession
+from repro.replay import DivergenceCandidate, RecordSession, ReplaySession, StallReport
+from repro.replay.diagnostics import first_divergence_candidate
+from repro.sim import Engine, Network
+from repro.sim.tracing import EngineTracer
 from repro.workloads import make_workload
+from tests.replay.test_stall import record_mcb
 
 NPROCS = 4
 
 
-class TestWatchdogConfig:
-    def test_defaults(self):
-        config = WatchdogConfig()
-        assert config.deadline == 30.0
-        assert config.policy == "raise"
-        assert config.interval == 1.0  # deadline/8 clamped to 1 s
-
-    def test_interval_derivation(self):
-        assert WatchdogConfig(deadline=0.08).interval == pytest.approx(0.01)
-        assert WatchdogConfig(deadline=0.001).interval == 0.001  # floor
-        assert WatchdogConfig(deadline=100, poll_interval=0.25).interval == 0.25
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WatchdogConfig(deadline=0)
-        with pytest.raises(ValueError):
-            WatchdogConfig(policy="explode")
-
-    def test_resolve(self):
-        assert resolve_watchdog(None) is None
-        assert resolve_watchdog(2.5) == WatchdogConfig(deadline=2.5)
-        config = WatchdogConfig(deadline=1, policy="salvage")
-        assert resolve_watchdog(config) is config
-        with pytest.raises(TypeError):
-            resolve_watchdog(True)
-        with pytest.raises(TypeError):
-            resolve_watchdog("soon")
-
-
-class FakeEngine:
-    def __init__(self):
-        self.aborted_with = None
-        self.abort_event = threading.Event()
-
-    def request_abort(self, exc):
-        self.aborted_with = exc
-        self.abort_event.set()
-
-
 class TestProgressWatchdog:
+    """The frozen shape needs a whole round of ticks, each starting from the
+    state the previous one left, in which nothing could still move."""
+
+    @pytest.fixture
+    def stalled(self):
+        program, recorded = record_mcb(4, 30)
+        session = ReplaySession(program, recorded.archive, network_seed=9)
+        with pytest.raises(ReplayStallError, match="round of retries"):
+            session.run()
+        controller = session._engine.controller
+        return controller, sorted(controller._retry_pending)
+
     def test_engine_progress_is_the_engine_event_count(self):
-        from repro.obs.watchdog import engine_progress
+        """A stall unwinds the event loop by exception; the engine still
+        publishes how many events it dispatched."""
 
-        class FakeStats:
-            total_events = 7
+        def program(ctx):
+            yield ctx.compute(1e-6)
+            if ctx.rank == 0:
+                yield from ctx.recv(source=1)
+                raise RuntimeError("stop")
+            ctx.isend(0, ctx.rank)
 
-        class CountingEngine:
-            stats = FakeStats()
+        tracer = EngineTracer()
+        engine = Engine(2, program, network=Network(seed=1), tracer=tracer)
+        with pytest.raises(RuntimeError, match="stop"):
+            engine.run()
+        assert engine.stats.total_events == len(tracer) > 0
 
-        progress = engine_progress(CountingEngine())
-        assert progress() == 7
-        FakeStats.total_events = 9
-        assert progress() == 9
+    def test_fires_when_progress_stops(self, stalled):
+        controller, ranks = stalled
+        with pytest.raises(ReplayStallError, match="round of retries"):
+            for rank in ranks * 2:
+                controller._check_stall(rank)
 
-    def test_fires_when_progress_stops(self):
-        engine = FakeEngine()
-        dog = ProgressWatchdog(
-            engine,
-            progress=lambda: 7,
-            config=WatchdogConfig(deadline=0.02, poll_interval=0.005),
-        )
-        with dog:
-            assert engine.abort_event.wait(timeout=5.0)
-        assert dog.fired
-        exc = engine.aborted_with
-        assert isinstance(exc, ReplayStallError)
-        assert exc.progress == 7
-        assert "no progress for 0.02s" in str(exc)
+    def test_stays_quiet_while_progress_moves(self, stalled):
+        controller, ranks = stalled
+        floors = controller._floors[0]
+        for rank in ranks * 2:
+            floors[1] = floors.get(1, -1) + 1
+            controller._check_stall(rank)
 
-    def test_stays_quiet_while_progress_moves(self):
-        engine = FakeEngine()
-        counter = iter(range(10**9))
-        dog = ProgressWatchdog(
-            engine,
-            progress=lambda: next(counter),
-            config=WatchdogConfig(deadline=0.05, poll_interval=0.002),
-        )
-        with dog:
-            time.sleep(0.2)
-        assert not dog.fired
-        assert engine.aborted_with is None
+    def test_stop_before_deadline_never_fires(self, stalled):
+        """The tick that saw a change does not count toward the round."""
+        controller, ranks = stalled
+        controller._quiet_signature = None
+        for rank in ranks:
+            controller._check_stall(rank)
+        with pytest.raises(ReplayStallError):
+            controller._check_stall(ranks[0])
 
-    def test_stop_before_deadline_never_fires(self):
-        engine = FakeEngine()
-        dog = ProgressWatchdog(
-            engine, progress=lambda: 0, config=WatchdogConfig(deadline=60.0)
-        )
-        dog.start()
-        dog.stop()
-        assert not dog.fired
-        assert engine.aborted_with is None
+    def test_a_beacon_in_flight_defers_it(self, stalled):
+        controller, ranks = stalled
+        controller._beacons_in_flight.add((0, 1))
+        for rank in ranks * 2:
+            controller._check_stall(rank)
+        controller._beacons_in_flight.clear()
+        with pytest.raises(ReplayStallError):
+            for rank in ranks * 2:
+                controller._check_stall(rank)
 
 
-def record_no_assist(messages_per_rank=8):
-    program, _ = make_workload(
+def synthetic(messages_per_rank):
+    return make_workload(
         "synthetic", NPROCS, seed="3",
         messages_per_rank=str(messages_per_rank), fanout="2",
-    )
-    result = RecordSession(
-        program, nprocs=NPROCS, network_seed=1, replay_assist=False
+    )[0]
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """8 messages per rank without assist; replayed against a program that
+    sends 6, the record claims events no sender produces."""
+    return RecordSession(
+        synthetic(8), nprocs=NPROCS, network_seed=1, replay_assist=False
     ).run()
-    return program, result
-
-
-def truncated_program(messages_per_rank=6):
-    """Same workload, but every rank sends fewer messages than recorded."""
-    program, _ = make_workload(
-        "synthetic", NPROCS, seed="3",
-        messages_per_rank=str(messages_per_rank), fanout="2",
-    )
-    return program
 
 
 class TestStallIntegration:
-    @pytest.fixture(scope="class")
-    def recorded(self):
-        return record_no_assist()
-
     def test_truncated_record_stream_raises_stall(self, recorded):
-        _, record = recorded
-        session = ReplaySession(
-            truncated_program(),
-            record.archive,
-            network_seed=2,
-            watchdog=WatchdogConfig(deadline=0.5, poll_interval=0.02),
-        )
+        session = ReplaySession(synthetic(6), recorded.archive, network_seed=2)
         with pytest.raises(ReplayStallError) as info:
             session.run()
         report = info.value.report
         assert isinstance(report, StallReport)
-        assert report.mode == "replay"
-        assert report.progress > 0  # it wedged mid-run, not at the start
-        assert report.last_epoch  # per-rank last epoch is populated
+        assert report.delivered == info.value.delivered > 0  # wedged mid-run
         assert all(n >= 0 for n in report.last_epoch.values())
         # the record claims events the truncated senders never produced
-        assert isinstance(report.divergence, DivergenceCandidate)
         assert report.divergence.kind == "missing-event"
         assert 0 <= report.divergence.sender < NPROCS
         text = report.render()
@@ -176,58 +124,33 @@ class TestStallIntegration:
         assert "delivered events per (rank, callsite)" in text
 
     def test_salvage_policy_degrades_to_partial_result(self, recorded):
-        _, record = recorded
-        session = ReplaySession(
-            truncated_program(),
-            record.archive,
-            network_seed=2,
-            watchdog=WatchdogConfig(
-                deadline=0.5, poll_interval=0.02, policy="salvage"
-            ),
-        )
-        result = session.run()
+        result = ReplaySession(
+            synthetic(6), recorded.archive, network_seed=2, mode="salvage"
+        ).run()
         assert result.mode == "replay-stalled"
-        assert result.stall is not None
-        assert result.truncated
-        rank, callsite = result.truncated_at
-        assert (rank, callsite) == (
-            result.stall.divergence.rank,
-            result.stall.divergence.callsite,
-        )
-        # the partial prefix is still a coherent replay result
-        assert result.outcomes
-        assert sum(len(s) for s in result.outcomes.values()) > 0
+        divergence = result.stall.divergence
+        assert result.truncated_at == (divergence.rank, divergence.callsite)
+        assert result.total_receive_events() == result.stall.delivered > 0
 
     def test_deadline_in_seconds_shorthand(self, recorded):
-        _, record = recorded
-        session = ReplaySession(
-            truncated_program(),
-            record.archive,
-            network_seed=2,
-            watchdog=0.5,
-        )
-        with pytest.raises(ReplayStallError):
-            session.run()
+        """There is no deadline left to give: the keyword is gone."""
+        with pytest.raises(TypeError):
+            ReplaySession(synthetic(8), recorded.archive, watchdog=0.5)
 
     def test_healthy_replay_unbothered_by_watchdog(self, recorded):
-        program, record = recorded
-        result = ReplaySession(
-            program,
-            record.archive,
-            network_seed=2,
-            watchdog=WatchdogConfig(deadline=30.0),
-        ).run()
+        result = ReplaySession(synthetic(8), recorded.archive, network_seed=2).run()
         assert result.mode == "replay"
         assert result.stall is None
-        assert result.outcomes == record.outcomes
+        assert result.outcomes == recorded.outcomes
 
 
 class TestDivergenceCandidate:
     def test_no_states_means_no_candidate(self):
-        class Plain:
-            pass
+        class NoStates:
+            def callsite_states(self):
+                return []
 
-        assert first_divergence_candidate(Plain()) is None
+        assert first_divergence_candidate(NoStates()) is None
 
     def test_describe_both_kinds(self):
         missing = DivergenceCandidate("missing-event", 1, "cs", 2, 10)
@@ -235,17 +158,10 @@ class TestDivergenceCandidate:
         refused = DivergenceCandidate("unexpected-arrival", 1, "cs", 2, 10)
         assert "absent from the active record chunk" in refused.describe()
 
-    def test_candidate_from_stalled_controller(self):
-        _, record = record_no_assist()
-        session = ReplaySession(
-            truncated_program(),
-            record.archive,
-            network_seed=2,
-            watchdog=WatchdogConfig(deadline=0.5, poll_interval=0.02),
-        )
+    def test_candidate_from_stalled_controller(self, recorded):
+        session = ReplaySession(synthetic(6), recorded.archive, network_seed=2)
         with pytest.raises(ReplayStallError) as info:
             session.run()
         # rebuilding from the controller reproduces the attached candidate
         controller = session._engine.controller
-        candidate = first_divergence_candidate(controller)
-        assert candidate == info.value.report.divergence
+        assert first_divergence_candidate(controller) == info.value.report.divergence

@@ -10,7 +10,9 @@ it (the paper's LMC certainty reasoning), each under both delivery modes.
 A case the replayer cannot finish (``DeliveryMode.BARRIER`` withholding a
 delivery its own chunk depends on; the assist-less path's known stalls)
 pins the error type and how many events were delivered before it wedged,
-so "fails exactly as before" is pinned too.
+so "fails exactly as before" is pinned too. Each of them is a
+``ReplayStallError`` the replayer raises at the fixpoint (DESIGN.md §5.4);
+the delivered counts are those the ``max_events`` backstop used to stop at.
 
 The telemetry section pins the replay instruments, which count decisions
 (pooled arrivals, blocked polls, deliveries, peak pool size, wait samples)
@@ -30,11 +32,10 @@ import os
 
 import pytest
 
-from repro.errors import ReplayDivergence, ReplayStallError, ReproError
+from repro.errors import ReplayDivergence, ReproError
 from repro.obs import TelemetryRegistry
-from repro.obs.watchdog import StallReport, build_stall_report
 from repro.replay import RecordSession, ReplaySession
-from repro.replay.diagnostics import replay_report
+from repro.replay.diagnostics import StallReport, build_stall_report, replay_report
 from repro.replay.replayer import DeliveryMode
 from repro.sim.process import MFResult
 from repro.workloads import make_workload
@@ -55,8 +56,8 @@ REPLAY_SEEDS = (21, 22)
 #: exceptions all run many times per case; one-event chunks are what lets
 #: ``BARRIER`` finish on the assist-less path, so it is pinned by successes.
 CHUNK_SIZES = (24, 1)
-#: a replay that cannot finish spins on beacon retries; bounding the engine
-#: at this multiple of the record's event count turns that into a quick error.
+#: a wedge the stall detector missed would spin on beacon retries; bounding
+#: the engine at this multiple of the record's event count keeps that quick.
 MAX_EVENTS_FACTOR = 3
 
 CASES = [
@@ -270,9 +271,7 @@ class TestStalledAssistArchiveStillReports:
     def test_stall_report_renders(self):
         session, _ = self.stalled_session()
         controller = session._engine.controller
-        stall = build_stall_report(
-            session._engine, controller, ReplayStallError(0.5, 1), "replay"
-        )
+        stall = build_stall_report(session._engine, controller)
         assert isinstance(stall, StallReport)
         assert stall.divergence is not None
         assert stall.divergence.kind == "missing-event"

@@ -19,12 +19,11 @@ poll, a filter method per posted receive) moves the counts by thousands —
 the failure message prints the distance to the reference counts — and a
 return to an old chain fails here, on any machine.
 
-The session's opt-in observers are held the same way. A watchdog works
-on its own thread, which ``sys.setprofile`` does not see, and a ledger
-appends one line after the run: each adds a fixed number of calls to the
-run's own thread, counted at two MCB sizes
-whose engine events differ by more than 4x. A hook that fires per event
-moves the difference between the two by thousands.
+The session's opt-in observers are held the same way. A ledger appends
+one line after the run: it adds a fixed number of calls to the run's
+thread, counted at two MCB sizes whose engine events differ by more than
+4x. A hook that fires per event moves the difference between the two by
+thousands.
 
 Counts were taken on CPython 3.11; later versions inline comprehensions
 and only count fewer. To re-measure after an intended change run::
@@ -72,19 +71,15 @@ UNSTRUCTURED_CALLS = {"record": 13_806, "replay": 13_333}
 #: MCB sizes for the observer gates, particles per rank -> engine events
 OBSERVER_SIZES = {5: 1411, 40: 7707}
 #: calls each observer adds to one record over a bare one, at either size
-#: (measured: 33 and 1,305 at both)
-OBSERVER_BUDGET = {"watchdog": 64, "ledger": 1_400}
-#: how far the added calls may differ between the two sizes: thread
-#: start-up races, not per-event work (measured: 0)
+#: (measured: 1,305 at both)
+OBSERVER_BUDGET = {"ledger": 1_400}
+#: how far the added calls may differ between the two sizes: not per-event
+#: work (measured: 0)
 OBSERVER_GROWTH = 16
 
 
 def observer_kwargs(name, ledger_path):
-    if name == "watchdog":
-        from repro.obs import WatchdogConfig
-
-        return {"watchdog": WatchdogConfig(deadline=300, poll_interval=0.01)}
-    return {"ledger": str(ledger_path)}
+    return {name: str(ledger_path)}
 
 
 def count_calls(fn):
