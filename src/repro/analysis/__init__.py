@@ -19,7 +19,6 @@ from repro.analysis.divergence import (
     RankDivergence,
     diff_runs,
     divergence_timeline,
-    kendall_tau_distance,
     rehydrate_run,
     run_outcomes,
     validate_divergence_json,
@@ -40,12 +39,8 @@ from repro.analysis.inspector import (
     profile_callsites,
 )
 from repro.analysis.report import human_bytes, render_histogram, render_table
-from repro.analysis.seed_search import SeedSweep, distinct_outcomes, sweep_seeds
-from repro.analysis.size_model import (
-    SizeBreakdown,
-    archive_breakdown,
-    chunk_breakdown,
-)
+from repro.analysis.seed_search import SeedSweep, sweep_seeds
+from repro.analysis.size_model import SizeBreakdown, archive_breakdown
 from repro.analysis.similarity import (
     ClockSeries,
     PermutationHistogram,
@@ -74,15 +69,12 @@ __all__ = [
     "analyze_critical_path",
     "archive_breakdown",
     "budget_comparison",
-    "chunk_breakdown",
     "chunk_stats",
     "clock_series",
     "diff_runs",
-    "distinct_outcomes",
     "divergence_timeline",
     "human_bytes",
     "iter_chunk_stats",
-    "kendall_tau_distance",
     "permutation_histogram",
     "profile_callsites",
     "rehydrate",

@@ -56,7 +56,6 @@ __all__ = [
     "compare_columns",
     "diff_runs",
     "divergence_timeline",
-    "kendall_tau_distance",
     "rehydrate_run",
     "run_outcomes",
     "validate_divergence_json",
@@ -351,19 +350,6 @@ class DivergenceReport:
 # ---------------------------------------------------------------------------
 # order statistics
 # ---------------------------------------------------------------------------
-
-
-def kendall_tau_distance(order: Sequence[int]) -> float:
-    """Normalized Kendall-tau distance of a permutation vs the identity.
-
-    ``order`` is a permutation of ``0..n-1`` (run B's event sequence
-    expressed as indices into run A's sequence); the result is the
-    fraction of discordant pairs: inversions / C(n, 2).
-    """
-    n = len(order)
-    if n < 2:
-        return 0.0
-    return _count_inversions(order) / (n * (n - 1) / 2)
 
 
 def _count_inversions(values: Sequence[int]) -> int:

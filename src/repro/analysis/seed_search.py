@@ -10,7 +10,7 @@ record-and-replay flow then makes permanently reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.replay.session import RecordSession, RunResult
 
@@ -68,24 +68,3 @@ def sweep_seeds(
         else:
             sweep.non_matching.append(seed)
     return sweep
-
-
-def distinct_outcomes(
-    program: Callable,
-    nprocs: int,
-    seeds: Sequence[int],
-    key: Callable[[RunResult], Any] | None = None,
-) -> dict[Any, list[int]]:
-    """Group seeds by run outcome — a quick non-determinism census.
-
-    ``key`` defaults to the tuple of per-rank application results.
-    """
-    if key is None:
-        key = lambda run: tuple(
-            repr(run.app_results[r]) for r in sorted(run.app_results)
-        )
-    groups: dict[Any, list[int]] = {}
-    for seed in seeds:
-        run = RecordSession(program, nprocs=nprocs, network_seed=seed).run()
-        groups.setdefault(key(run), []).append(seed)
-    return groups

@@ -57,11 +57,6 @@ def chunks_breakdown(
     )
 
 
-def chunk_breakdown(chunk: CDCChunk, callsite_id: int = 0) -> SizeBreakdown:
-    """:func:`chunks_breakdown` of one chunk."""
-    return chunks_breakdown([chunk], {chunk.callsite: callsite_id})
-
-
 def archive_breakdown(archive: RecordArchive) -> SizeBreakdown:
     """Pre-deflate breakdown of a whole archive, frame by frame.
 

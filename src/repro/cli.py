@@ -23,7 +23,7 @@ from typing import Sequence
 
 from repro.analysis import human_bytes, render_table
 from repro.core import ALL_METHODS, aggregate_reports, compare_methods
-from repro.errors import RecordFormatError
+from repro.errors import RecordFormatError, ReplayStallError
 from repro.replay.durable_store import StoredRun, open_run, save_archive, summarize
 from repro.replay.session import (
     RecordSession,
@@ -114,15 +114,19 @@ def cmd_replay(args: argparse.Namespace) -> int:
         program = run.program()
     except ValueError as exc:
         raise SystemExit(str(exc))
-    result = ReplaySession(
-        program,
-        run,
-        network_seed=args.network_seed,
-        mode=run.mode,
-        telemetry=True if args.verbose else None,
-        ledger=args.ledger,
-        run_id=args.run_id,
-    ).run()
+    try:
+        result = ReplaySession(
+            program,
+            run,
+            network_seed=args.network_seed,
+            mode=run.mode,
+            telemetry=True if args.verbose else None,
+            ledger=args.ledger,
+            run_id=args.run_id,
+        ).run()
+    except ReplayStallError as exc:
+        print(exc.report.render())
+        return 1
     print(
         f"replayed {result.total_receive_events():,} receive events on "
         f"{run.archive.nprocs} ranks under network seed {args.network_seed}"
@@ -132,6 +136,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.verbose and result.run_stats is not None:
         print()
         print(result.run_stats.render())
+    if result.stall is not None:
+        # a stall names its divergence candidate in truncated_at, but
+        # nothing is missing from the record
+        print(result.stall.render())
+        return 1
     if result.truncated_at is not None:
         rank, callsite = result.truncated_at
         delivered = result.controller.delivered_summary()

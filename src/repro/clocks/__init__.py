@@ -1,11 +1,10 @@
 """Logical clocks used to build CDC's replayable reference order."""
 
-from repro.clocks.lamport import LamportClock, is_strictly_increasing
+from repro.clocks.lamport import LamportClock
 from repro.clocks.vector import VectorClock, total_order_key
 
 __all__ = [
     "LamportClock",
     "VectorClock",
-    "is_strictly_increasing",
     "total_order_key",
 ]

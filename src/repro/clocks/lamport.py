@@ -101,9 +101,3 @@ class LamportClock:
     def fork(self) -> "LamportClock":
         """Independent copy (used by tests comparing record/replay clocks)."""
         return LamportClock(self.value)
-
-
-def is_strictly_increasing(values) -> bool:
-    """True iff ``values`` is strictly increasing (helper for invariants)."""
-    seq = list(values)
-    return all(a < b for a, b in zip(seq, seq[1:]))

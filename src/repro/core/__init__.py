@@ -18,7 +18,7 @@ from repro.core.compression import (
 from repro.core import kernels
 from repro.core.epoch import EpochLine
 from repro.core.events import MFKind, MFOutcome, QuintupleRow, ReceiveEvent
-from repro.core.lp_encoding import lp_decode, lp_encode
+from repro.core.lp_encoding import lp_encode
 from repro.core.metrics import (
     ValueCountBreakdown,
     matched_events,
@@ -34,7 +34,6 @@ from repro.core.permutation import (
 )
 from repro.core.pipeline import (
     CDCChunk,
-    chunk_members,
     reconstruct_observed_order,
     reconstruct_table,
     reference_order,
@@ -66,14 +65,12 @@ __all__ = [
     "aggregate_reports",
     "apply_permutation",
     "build_columnar_tables",
-    "chunk_members",
     "compare_methods",
     "compress",
     "decode_permutation",
     "encode_permutation",
     "encode_table",
     "kernels",
-    "lp_decode",
     "lp_encode",
     "matched_events",
     "monotonic_fraction",

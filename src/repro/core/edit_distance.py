@@ -93,17 +93,6 @@ def validate_permutation(b: Sequence[int]) -> None:
         seen[x] = 1
 
 
-def permutation_edit_distance(b: Sequence[int]) -> int:
-    """Insert/delete edit distance between ``b`` and the identity 0..N-1.
-
-    Equals ``2 * (number of moved elements)`` in CDC's decomposition — every
-    permuted element contributes one deletion and one insertion (the paper's
-    "< x / > x" pair observation).
-    """
-    validate_permutation(b)
-    return 2 * (len(b) - lis_length(b))
-
-
 def stable_and_moved(
     b: Sequence[int], validated: bool = False
 ) -> tuple[list[int], list[int]]:

@@ -15,8 +15,9 @@ on the line through ``x_{n-1}`` and ``x_{n-2}``:
 The text's worked example is reproduced in the tests:
 ``[1, 2, 4, 6, 8, 12, 17] -> [1, 0, 1, 0, 0, 2, 1]``.
 
-This module provides the paper's order-2 predictor, a general integer
-predictor with arbitrary coefficients, and exact decoders for both.
+This module provides the predictor (the paper's coefficients or any other
+integer ones) and the exact inverse of the paper's, which the archive
+reader uses.
 """
 
 from __future__ import annotations
@@ -48,20 +49,6 @@ def lp_encode(values: Sequence[int], coeffs: Sequence[int] = PAPER_COEFFS) -> li
     return errors
 
 
-def lp_decode(errors: Sequence[int], coeffs: Sequence[int] = PAPER_COEFFS) -> list[int]:
-    """Recursively restore the original values from prediction errors."""
-    values: list[int] = []
-    p = len(coeffs)
-    for n, e in enumerate(errors):
-        prediction = 0
-        for i in range(1, p + 1):
-            k = n - i
-            if k >= 0:
-                prediction += coeffs[i - 1] * values[k]
-        values.append(e + prediction)
-    return values
-
-
 def lp_decode_exact(errors: Iterable[int]) -> Iterator[int]:
     """Order-2 paper-predictor inverse on Python ints, exact at any size.
 
@@ -71,17 +58,3 @@ def lp_decode_exact(errors: Iterable[int]) -> Iterator[int]:
     decodes every LP column this way (DESIGN.md §6.5).
     """
     return accumulate(accumulate(errors))
-
-
-def prediction_quality(values: Sequence[int], coeffs: Sequence[int] = PAPER_COEFFS) -> float:
-    """Fraction of exactly-predicted values (``e_n == 0``), excluding warmup.
-
-    A diagnostic used by the hidden-determinism analysis (Section 6.3): for
-    regular (deterministic) communication the index sequences are arithmetic
-    and this approaches 1.0.
-    """
-    errors = lp_encode(values, coeffs)
-    if len(errors) <= len(coeffs):
-        return 0.0
-    body = errors[len(coeffs):]
-    return sum(1 for e in body if e == 0) / len(body)

@@ -212,31 +212,3 @@ def reconstruct_table(chunk: CDCChunk, received: Sequence[ReceiveEvent]) -> Reco
         with_next_indices=chunk.with_next_indices,
         unmatched_runs=chunk.unmatched_runs,
     )
-
-
-def chunk_members(
-    chunk: CDCChunk,
-    candidates: Iterable[ReceiveEvent],
-    later_exceptions: Iterable[tuple[int, int]] = (),
-) -> tuple[list[ReceiveEvent], list[ReceiveEvent]]:
-    """Split candidate receives into (chunk members, later-chunk rest).
-
-    ``candidates`` must be in per-sender arrival order (guaranteed when they
-    come from FIFO channels). Membership takes, per sender, the first
-    ``count_r`` candidates — except events claimed by a *later* chunk's
-    boundary exceptions, which are exactly the arrivals that would
-    otherwise be misassigned when an inversion spans the flush boundary
-    (DESIGN.md §5.2).
-    """
-    quota = dict(chunk.sender_counts)
-    claimed = set(later_exceptions)
-    members: list[ReceiveEvent] = []
-    rest: list[ReceiveEvent] = []
-    for ev in candidates:
-        remaining = quota.get(ev.rank, 0)
-        if remaining > 0 and (ev.rank, ev.clock) not in claimed:
-            quota[ev.rank] = remaining - 1
-            members.append(ev)
-        else:
-            rest.append(ev)
-    return members, rest

@@ -17,7 +17,6 @@ the process count and format version.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from typing import Mapping, Sequence, TextIO
@@ -100,10 +99,3 @@ def read_trace(path: str) -> dict[int, list[MFOutcome]]:
     """:func:`load_trace` from a file path."""
     with open(path, encoding="utf-8") as fh:
         return load_trace(fh)
-
-
-def trace_to_string(outcomes_by_rank: Mapping[int, Sequence[MFOutcome]]) -> str:
-    """In-memory dump (tests, piping)."""
-    buf = io.StringIO()
-    dump_trace(outcomes_by_rank, buf)
-    return buf.getvalue()

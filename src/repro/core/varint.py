@@ -75,17 +75,6 @@ def decode_uvarint(buf: bytes, offset: int) -> tuple[int, int]:
             raise RecordFormatError(f"varint too long at offset {offset}")
 
 
-def encode_svarint(value: int, out: bytearray) -> None:
-    """Append a signed (zig-zag) varint to ``out``."""
-    encode_uvarint(zigzag_encode(value), out)
-
-
-def decode_svarint(buf: bytes, offset: int) -> tuple[int, int]:
-    """Decode a signed (zig-zag) varint; return (value, next offset)."""
-    raw, pos = decode_uvarint(buf, offset)
-    return zigzag_decode(raw), pos
-
-
 # ---------------------------------------------------------------------------
 # whole streams: a CDC payload body is one run of varints (DESIGN.md §6.5)
 # ---------------------------------------------------------------------------

@@ -475,7 +475,7 @@ class DurableArchiveWriter:
     :meth:`close`, marking the archive complete. :meth:`abort` closes the
     file handles without a manifest — what a crash handler would do.
 
-    ``opener`` exists for fault injection (see :mod:`repro.testing.faults`)
+    ``opener`` exists for fault injection (``tests/faults.py`` drives it)
     and must behave like :func:`open` for binary modes.
     """
 

@@ -2,7 +2,7 @@
 
 from repro.sim.communicator import MailBox
 from repro.sim.datatypes import ANY_SOURCE, ANY_TAG, Message, Request, RequestState, Status
-from repro.sim.engine import Engine, SimStats, run_program
+from repro.sim.engine import Engine, SimStats
 from repro.sim.network import LatencyModel, Network, payload_nbytes
 from repro.sim.pmpi import MFController, finalize_delivery
 from repro.sim.process import Compute, Ctx, MFCall, MFResult, SimProcess
@@ -29,5 +29,4 @@ __all__ = [
     "SubComm",
     "finalize_delivery",
     "payload_nbytes",
-    "run_program",
 ]

@@ -62,7 +62,6 @@ class Engine:
         mf_cost: float = 5.0e-7,
         max_events: int = 50_000_000,
         track_vector_clocks: bool = False,
-        tracer=None,
         flow_recorder=None,
     ) -> None:
         if nprocs <= 0:
@@ -94,8 +93,6 @@ class Engine:
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = itertools.count()
         self.stats = SimStats(nprocs)
-        #: optional EngineTracer flight recorder (see repro.sim.tracing).
-        self.tracer = tracer
         #: optional ColumnarFlowRecorder capturing send/delivery pairs for causal
         #: cross-rank tracing (see repro.obs.causal).
         self.flow_recorder = flow_recorder
@@ -193,7 +190,6 @@ class Engine:
         next_seq = self._seq.__next__
         procs = self.procs
         stats = self.stats
-        tracer = self.tracer
         evaluate = controller.evaluate
         on_blocked = controller.on_blocked
         mf_cost = self.mf_cost
@@ -220,8 +216,6 @@ class Engine:
                 self.now = time
                 if kind == _RESUME:
                     proc, value = data  # type: ignore[misc]
-                    if tracer is not None:
-                        tracer.record(time, "resume", proc.rank)
                     if time > proc.time:
                         proc.time = time
                     try:
@@ -265,17 +259,13 @@ class Engine:
                 elif kind == _DELIVER:
                     msg: Message = data  # type: ignore[assignment]
                     proc = procs[msg.dst]
-                    if tracer is not None:
-                        tracer.record(
-                            time, "deliver", msg.dst, f"from {msg.src} tag {msg.tag}"
-                        )
                     proc.mailbox.deliver(msg, time)
                     # Re-arm a parked MF call on *any* arrival: the replay
                     # controller also consumes unexpected messages (shadow-
                     # receive drains), not only request completions.
                     if proc.pending_call is not None:
                         try_mf(proc, at_time=time)
-                    elif tracer is None:
+                    else:
                         # Batched delivery drain: a delivery to a rank with
                         # no parked MF call only mutates mailbox state — it
                         # schedules nothing and consults no controller — so
@@ -297,8 +287,6 @@ class Engine:
                             proc.mailbox.deliver(msg, time)
                         self.now = time
                 else:
-                    if tracer is not None:
-                        tracer.record(time, "callback", -1)
                     data(time)  # type: ignore[operator]
         finally:
             stats.total_events = count
@@ -329,22 +317,3 @@ class Engine:
         result, overhead = answer
         base = proc.time if proc.time > at_time else at_time
         self._push(base + (self.mf_cost + overhead), _RESUME, (proc, result))
-
-
-def run_program(
-    nprocs: int,
-    program: Callable | Sequence[Callable],
-    network_seed: int = 0,
-    controller: MFController | None = None,
-    **engine_kwargs,
-) -> tuple[Engine, SimStats]:
-    """One-call convenience: build a network + engine and run to completion."""
-    engine = Engine(
-        nprocs,
-        program,
-        network=Network(seed=network_seed),
-        controller=controller,
-        **engine_kwargs,
-    )
-    stats = engine.run()
-    return engine, stats

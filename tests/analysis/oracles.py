@@ -1,4 +1,5 @@
-"""Differential oracle for :func:`repro.analysis.diff_runs`.
+"""Differential oracle for :func:`repro.analysis.diff_runs`, and
+:func:`chunk_breakdown`, the one-chunk size model the size tests read.
 
 The per-event object compare that ``diff_runs`` ran before it worked on
 columns, moved here verbatim (PR 22): every matched receive becomes a
@@ -22,7 +23,14 @@ from repro.analysis.divergence import (
     DivergenceReport,
     RankDivergence,
 )
+from repro.analysis.size_model import SizeBreakdown, chunks_breakdown
 from repro.core.events import MFOutcome
+from repro.core.pipeline import CDCChunk
+
+
+def chunk_breakdown(chunk: CDCChunk, callsite_id: int = 0) -> SizeBreakdown:
+    """:func:`~repro.analysis.size_model.chunks_breakdown` of one chunk."""
+    return chunks_breakdown([chunk], {chunk.callsite: callsite_id})
 
 
 def oracle_outcomes(source: Any, fallback: Mapping[str, Any] | None = None):

@@ -10,7 +10,6 @@ from repro.analysis.divergence import (
     _count_inversions,
     diff_runs,
     divergence_timeline,
-    kendall_tau_distance,
     run_outcomes,
     validate_divergence_json,
     write_divergence_json,
@@ -23,6 +22,15 @@ from repro.workloads import make_workload
 
 NPROCS = 4
 PARAMS = {"messages_per_rank": 6, "fanout": 2}
+
+
+def kendall_tau_distance(order) -> float:
+    """Normalized Kendall-tau distance of a permutation vs the identity:
+    the fraction of discordant pairs, inversions / C(n, 2)."""
+    n = len(order)
+    if n < 2:
+        return 0.0
+    return _count_inversions(order) / (n * (n - 1) / 2)
 
 
 def _record(seed, store_dir=None):

@@ -7,10 +7,11 @@ hand them truncated chunk sequences and ranks with *zero* recovered chunks.
 import pytest
 
 from repro.analysis.similarity import clock_series, permutation_histogram
-from repro.analysis.size_model import archive_breakdown, chunk_breakdown
+from repro.analysis.size_model import archive_breakdown
+from tests.analysis.oracles import chunk_breakdown
 from repro.replay.durable_store import RetryPolicy, load_archive
 from repro.replay.session import RecordSession, ReplaySession
-from repro.testing import FaultInjector, FaultPlan, InjectedCrash
+from tests.faults import FaultInjector, FaultPlan, InjectedCrash
 from repro.workloads import make_workload
 
 NPROCS = 4
@@ -86,8 +87,7 @@ class TestSizeModelOnSalvage:
         assert archive.chunks(empty) == []
         # a one-rank view of the empty rank: its file is the store's magic
         # alone, no frame, so there is no payload to attribute
-        from repro.replay.chunk_store import RecordArchive
-        from repro.replay.durable_store import ARCHIVE_MAGIC
+        from repro.replay.durable_store import ARCHIVE_MAGIC, RecordArchive
 
         solo = RecordArchive(nprocs=1)
         breakdown = archive_breakdown(solo)

@@ -1,7 +1,18 @@
 """Seed-search utilities."""
 
-from repro.analysis.seed_search import distinct_outcomes, sweep_seeds
+from repro.analysis.seed_search import sweep_seeds
+from repro.replay.session import RecordSession
 from repro.sim import ANY_SOURCE
+
+
+def distinct_outcomes(program, nprocs, seeds):
+    """Group seeds by the tuple of per-rank application results."""
+    groups = {}
+    for seed in seeds:
+        run = RecordSession(program, nprocs=nprocs, network_seed=seed).run()
+        key = tuple(repr(run.app_results[r]) for r in sorted(run.app_results))
+        groups.setdefault(key, []).append(seed)
+    return groups
 
 
 def order_sensitive_program(ctx):

@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.size_model import (
-    SizeBreakdown,
-    archive_breakdown,
-    chunk_breakdown,
-)
+from repro.analysis.size_model import SizeBreakdown, archive_breakdown
+from tests.analysis.oracles import chunk_breakdown
 from repro.core.events import ReceiveEvent
 from repro.core.formats import encode_frame_payload, serialize_cdc_chunks
 from repro.core.varint import uvarint_size

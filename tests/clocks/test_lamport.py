@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.clocks import LamportClock, is_strictly_increasing
+from repro.clocks import LamportClock
+
+
+def is_strictly_increasing(values) -> bool:
+    seq = list(values)
+    return all(a < b for a, b in zip(seq, seq[1:]))
 
 
 class TestSendRule:

@@ -6,8 +6,10 @@ can assert the production codec gives the same bytes, the same chunks and
 the same errors. They live under ``tests/`` on purpose — nothing on the
 import path may call them — and they share no kernel with what they check.
 
-* The **scalar varint / LP references** (``*_array_scalar``, ``svarint_size``,
-  ``array_payload_size``, ``lp_encode_array`` / ``lp_decode_array`` and the
+* The **scalar varint / LP references** (``encode_svarint`` /
+  ``decode_svarint``, ``*_array_scalar``, ``svarint_size``,
+  ``array_payload_size``, ``lp_decode`` (Eq. 1 inverted for any
+  coefficients), ``lp_encode_array`` / ``lp_decode_array`` and the
   range-switching ``lp_encode_auto`` / ``lp_decode_auto``) left ``src/`` when
   their last caller there did.
 * The **paper-exact chunk layout**, column by column, as PR 14's per-column
@@ -58,7 +60,8 @@ from repro.core.formats import (
     WITH_NEXT_BITS,
     _read_string_table,
 )
-from repro.core.lp_encoding import lp_decode, lp_encode
+from repro.core.edit_distance import lis_length, validate_permutation
+from repro.core.lp_encoding import PAPER_COEFFS, lp_encode
 from repro.core.permutation import (
     PermutationDiff,
     encode_permutation,
@@ -67,9 +70,7 @@ from repro.core.permutation import (
 from repro.core.pipeline import CDCChunk, reference_order
 from repro.core.record_table import RecordTable
 from repro.core.varint import (
-    decode_svarint,
     decode_uvarint,
-    encode_svarint,
     encode_uvarint,
     uvarint_size,
     zigzag_decode,
@@ -81,6 +82,31 @@ from repro.obs import get_registry, span
 # ---------------------------------------------------------------------------
 # scalar varint / LP references (moved out of src/repro/core)
 # ---------------------------------------------------------------------------
+
+
+def encode_svarint(value: int, out: bytearray) -> None:
+    """Append a signed (zig-zag) varint to ``out``."""
+    encode_uvarint(zigzag_encode(value), out)
+
+
+def decode_svarint(buf: bytes, offset: int) -> tuple[int, int]:
+    """Decode a signed (zig-zag) varint; return (value, next offset)."""
+    raw, pos = decode_uvarint(buf, offset)
+    return zigzag_decode(raw), pos
+
+
+def lp_decode(errors: Sequence[int], coeffs: Sequence[int] = PAPER_COEFFS) -> list[int]:
+    """Recursively restore the original values from prediction errors."""
+    values: list[int] = []
+    p = len(coeffs)
+    for n, e in enumerate(errors):
+        prediction = 0
+        for i in range(1, p + 1):
+            k = n - i
+            if k >= 0:
+                prediction += coeffs[i - 1] * values[k]
+        values.append(e + prediction)
+    return values
 
 
 def _encode_body_scalar(vals: Sequence[int], encode) -> bytes:
@@ -1125,8 +1151,15 @@ def encode_chunk_sequence(
 
 
 # ---------------------------------------------------------------------------
-# Generic Myers diff: the cross-check of the LIS edit distance (left src/ in PR 22)
+# The LIS edit distance and its cross-check, the generic Myers diff
 # ---------------------------------------------------------------------------
+
+
+def permutation_edit_distance(b: Sequence[int]) -> int:
+    """Insert/delete edit distance between ``b`` and the identity 0..N-1:
+    one deletion and one insertion per moved element (the "< x / > x" pairs)."""
+    validate_permutation(b)
+    return 2 * (len(b) - lis_length(b))
 
 
 def myers_edit_distance(a: Sequence, b: Sequence) -> int:

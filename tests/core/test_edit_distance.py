@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from repro.core.edit_distance import (
     lis_length,
     longest_increasing_subsequence,
-    permutation_edit_distance,
     stable_and_moved,
     validate_permutation,
 )
 from repro.errors import EncodingError
-from tests.core.oracles import myers_edit_distance, myers_edit_script
+from tests.core.oracles import (
+    myers_edit_distance,
+    myers_edit_script,
+    permutation_edit_distance,
+)
 
 permutations = st.integers(0, 40).map(
     lambda n: random.Random(n).sample(range(n), n)

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.lp_encoding import PAPER_COEFFS, lp_decode, lp_encode, prediction_quality
-from tests.core.oracles import lp_decode_array, lp_encode_array
+from repro.core.lp_encoding import PAPER_COEFFS, lp_encode
+from tests.core.oracles import lp_decode, lp_decode_array, lp_encode_array
+
+
+def prediction_quality(values, coeffs=PAPER_COEFFS) -> float:
+    """Fraction of exactly-predicted values (``e_n == 0``) after the warmup."""
+    errors = lp_encode(values, coeffs)
+    if len(errors) <= len(coeffs):
+        return 0.0
+    body = errors[len(coeffs):]
+    return sum(1 for e in body if e == 0) / len(body)
 
 
 class TestPaperExample:

@@ -14,7 +14,6 @@ from repro.core.events import ReceiveEvent
 from repro.core.permutation import decode_permutation
 from repro.core.pipeline import (
     assist_occurrence_indices,
-    chunk_members,
     reconstruct_observed_order,
     reconstruct_table,
     reference_order,
@@ -72,6 +71,23 @@ def build_tables(outcomes, chunk_events=None):
     """``build_columnar_tables``' chunks as object tables."""
     tables = build_columnar_tables(outcomes, chunk_events)
     return {cs: [t.to_record_table() for t in ts] for cs, ts in tables.items()}
+
+
+def chunk_members(chunk, candidates, later_exceptions=()):
+    """Split per-sender-FIFO candidates into (chunk members, later-chunk
+    rest): per sender the first ``count_r``, except events a later chunk's
+    boundary exceptions claim (DESIGN.md §5.2)."""
+    quota = dict(chunk.sender_counts)
+    claimed = set(later_exceptions)
+    members, rest = [], []
+    for ev in candidates:
+        remaining = quota.get(ev.rank, 0)
+        if remaining > 0 and (ev.rank, ev.clock) not in claimed:
+            quota[ev.rank] = remaining - 1
+            members.append(ev)
+        else:
+            rest.append(ev)
+    return members, rest
 
 
 class TestReferenceOrder:

@@ -5,13 +5,15 @@ import io
 import pytest
 
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
-from repro.core.trace_io import (
-    load_trace,
-    read_trace,
-    save_trace,
-    trace_to_string,
-)
+from repro.core.trace_io import dump_trace, load_trace, read_trace, save_trace
 from repro.errors import RecordFormatError
+
+
+def trace_to_string(outcomes_by_rank) -> str:
+    """In-memory :func:`dump_trace`."""
+    buf = io.StringIO()
+    dump_trace(outcomes_by_rank, buf)
+    return buf.getvalue()
 
 
 @pytest.fixture

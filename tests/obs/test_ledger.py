@@ -156,7 +156,7 @@ class TestEntryFromResult:
 
     def test_salvaged_replay_flags_health(self, tmp_path):
         from repro.replay.durable_store import RetryPolicy
-        from repro.testing import FaultInjector, FaultPlan, InjectedCrash
+        from tests.faults import FaultInjector, FaultPlan, InjectedCrash
 
         store = str(tmp_path / "truncated")
         injector = FaultInjector(FaultPlan(crash_after_bytes=200))

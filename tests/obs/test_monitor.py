@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 
 import pytest
 
@@ -145,16 +144,6 @@ class TestMonitorState:
     def test_render_empty_state(self):
         text = render_monitor(MonitorState())
         assert "monitor: ? [live]" in text
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-        self.lock = threading.Lock()
-
-    def __call__(self):
-        with self.lock:
-            return self.now
 
 
 class TestMetricsStreamWriter:

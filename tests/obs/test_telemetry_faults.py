@@ -2,7 +2,7 @@
 
 A monitoring stream is only useful if it survives exactly the runs that
 go wrong. These tests drive telemetry-enabled sessions through
-:mod:`repro.testing.faults` failures and assert that:
+:mod:`tests.faults` failures and assert that:
 
 * the live metrics JSONL stays schema-valid after a mid-flush crash
   (every line is flushed before the next is started, so a dead process
@@ -26,7 +26,7 @@ from repro.errors import ReplayStallError
 from repro.obs import MonitorState, validate_metrics_lines
 from repro.replay import RecordSession, ReplaySession
 from repro.replay.durable_store import RetryPolicy
-from repro.testing import FaultInjector, FaultPlan, InjectedCrash
+from tests.faults import FaultInjector, FaultPlan, InjectedCrash
 from repro.workloads import make_workload
 
 NPROCS = 4

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.events import MFKind, MFOutcome, ReceiveEvent
 from repro.core.pipeline import CDCChunk
 from repro.errors import RecordExhausted
-from repro.replay.chunk_store import RecordArchive
+from repro.replay.durable_store import RecordArchive
 from repro.replay.replayer import CallsiteReplayState, DeliveryMode, ReplayController
 from repro.sim.communicator import _completion_key
 from repro.sim.datatypes import Message, Request, RequestState

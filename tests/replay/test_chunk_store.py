@@ -8,12 +8,14 @@ from repro.core.events import ReceiveEvent
 from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.errors import RecordFormatError
-from repro.replay.chunk_store import RecordArchive, bytes_per_event, summarize
 from repro.replay.durable_store import (
     ARCHIVE_MAGIC,
+    RecordArchive,
+    bytes_per_event,
     callsite_table,
     frame_bytes,
     rank_filename,
+    summarize,
 )
 
 #: the names table ``archive`` stores in its manifest, once

@@ -29,10 +29,10 @@ from repro.core.events import ReceiveEvent
 from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.errors import DecodingError
-from repro.replay.chunk_store import RecordArchive
 from repro.core.varint import encode_uvarint
 from repro.replay.durable_store import (
     ARCHIVE_MAGIC,
+    RecordArchive,
     frame_bytes,
     load_archive,
     save_archive,

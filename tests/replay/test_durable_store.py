@@ -22,12 +22,12 @@ from tests.core.test_pipeline import encode_chunk
 from repro.core.record_table import RecordTable
 from repro.core.varint import encode_uvarint
 from repro.errors import ArchiveCorruptionError, RecordFormatError
-from repro.replay.chunk_store import RecordArchive
 from repro.replay.durable_store import (
     ARCHIVE_MAGIC,
     MAX_ABSENT_RANKS,
     MAX_PAYLOAD_BYTES,
     DurableArchiveWriter,
+    RecordArchive,
     RetryPolicy,
     frame_bytes,
     load_archive,

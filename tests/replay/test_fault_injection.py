@@ -1,6 +1,6 @@
 """Fault-injection suite: recording under crashes, torn writes, bit rot, EIO.
 
-Drives :class:`repro.testing.faults.FaultInjector` through the full stack —
+Drives :class:`tests.faults.FaultInjector` through the full stack —
 ``RecordSession`` -> recording controller -> durable store -> salvage
 loader -> ``ReplaySession`` — and checks the durability contract:
 
@@ -24,15 +24,15 @@ import pytest
 from repro.core.formats import callsite_id, callsite_label
 from repro.errors import ArchiveCorruptionError
 from repro.replay import RecordSession, ReplaySession
-from repro.replay.chunk_store import RecordArchive
 from repro.replay.durable_store import (
+    RecordArchive,
     RetryPolicy,
     load_archive,
     rank_filename,
     save_archive,
 )
 from repro.sim import ANY_SOURCE
-from repro.testing import FaultInjector, FaultPlan, InjectedCrash
+from tests.faults import FaultInjector, FaultPlan, InjectedCrash
 
 NPROCS = 4
 #: per sender -> 480 receives at rank 0 -> 4 chunks of <= 128: with senders

@@ -19,11 +19,11 @@ import pytest
 from repro.replay import RecordSession, ReplaySession, assert_replay_matches
 from repro.replay.replayer import ReplayController
 from repro.sim.datatypes import RequestState
-from repro.sim.engine import run_program
 from repro.sim.network import LatencyModel
 from repro.workloads import make_workload
 
 from tests.integration.test_replay_modes import window1_program
+from tests.sim.helpers import run_program
 
 
 class LogWatchingController(ReplayController):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import ANY_SOURCE, Engine, Network, run_program
+from repro.sim import ANY_SOURCE, Engine, Network
+from tests.sim.helpers import run_program
 
 
 class TestBasics:
@@ -58,6 +59,21 @@ class TestBasics:
         assert stats.total_messages == 4
         assert stats.total_mf_calls == 4
         assert len(stats.per_rank_time) == 4
+
+        def fanout(ctx):
+            if ctx.rank == 0:
+                sources = []
+                for _ in range(ctx.nprocs - 1):
+                    msg = yield from ctx.recv(source=ANY_SOURCE)
+                    sources.append(msg.src)
+                return sorted(sources)
+            yield ctx.compute(ctx.rank * 1e-6)
+            ctx.isend(0, ctx.rank)
+
+        engine, stats = run_program(4, fanout, network_seed=1)
+        assert stats.total_messages == 3
+        assert engine.procs[0].result == [1, 2, 3]  # three deliveries to rank 0
+        assert all(p.done for p in engine.procs)  # every rank was resumed
 
 
 class TestDeterminism:

@@ -6,7 +6,8 @@ testing the second request first. This is the paper's argument that
 (source, tag) cannot identify messages and (rank, clock) can.
 """
 
-from repro.sim import ANY_SOURCE, ANY_TAG, run_program
+from repro.sim import ANY_SOURCE, ANY_TAG
+from tests.sim.helpers import run_program
 
 
 def make_programs():

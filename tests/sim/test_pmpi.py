@@ -5,9 +5,10 @@ import pytest
 from repro.core.events import MFKind, MFOutcome
 from repro.errors import CommunicatorError
 from repro.replay import RecordSession, ReplaySession
-from repro.sim import ANY_SOURCE, run_program
+from repro.sim import ANY_SOURCE
 from repro.sim.datatypes import Request
 from repro.sim.process import MFCall, MFResult
+from tests.sim.helpers import run_program
 
 
 def run_collector(body, nprocs=3, seed=0, **kwargs):

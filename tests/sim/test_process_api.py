@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import CommunicatorError
-from repro.sim import run_program
 from repro.sim.process import Compute, MFResult
+from tests.sim.helpers import run_program
 
 
 class TestYieldables:

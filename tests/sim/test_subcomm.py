@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import CommunicatorError
 from repro.replay import RecordSession, ReplaySession, assert_replay_matches
-from repro.sim import ANY_SOURCE, run_program
+from repro.sim import ANY_SOURCE
+from tests.sim.helpers import run_program
 
 
 class TestSplit:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.replay.chunk_store import RecordArchive
+from repro.replay.durable_store import RecordArchive
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,39 @@ class TestReplay:
         archive.save(directory)
         with pytest.raises(SystemExit):
             main(["replay", "--record", directory])
+
+
+class TestReplayStall:
+    """A paper-exact MCB record that wedges on replay (DESIGN.md §5.4): the
+    stall report is printed and the exit code is 1 in both modes. Nothing
+    is missing from the record, so salvage does not say it ends early."""
+
+    @pytest.fixture(scope="class")
+    def wedged_dir(self, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("stall") / "rec")
+        code = main(
+            [
+                "record",
+                "--workload", "mcb",
+                "--nprocs", "4",
+                "--network-seed", "1",
+                "--out", directory,
+                "-p", "particles_per_rank=30",
+                "-p", "seed=7",
+                "--no-assist",
+                "--chunk-events", "64",
+            ]
+        )
+        assert code == 0
+        return directory
+
+    @pytest.mark.parametrize("mode", [[], ["--salvage"]], ids=["strict", "salvage"])
+    def test_a_stall_prints_its_report_and_exits_1(self, wedged_dir, mode, capsys):
+        code = main(["replay", "--record", wedged_dir, "--network-seed", "9", *mode])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "first-divergence candidate: rank 1 @ 'mcb:particles'" in out
+        assert "record ends early" not in out
 
 
 class TestVerifyAndSalvage:
@@ -390,7 +423,7 @@ class TestStatsSalvage:
     def truncated_dir(self, tmp_path_factory):
         from repro.replay import RecordSession
         from repro.replay.durable_store import RetryPolicy
-        from repro.testing import FaultInjector, FaultPlan, InjectedCrash
+        from tests.faults import FaultInjector, FaultPlan, InjectedCrash
         from repro.workloads import make_workload
 
         directory = str(tmp_path_factory.mktemp("stats") / "truncated")
@@ -460,7 +493,7 @@ class TestInspectSalvage:
     def truncated_dir(self, tmp_path_factory):
         from repro.replay import RecordSession
         from repro.replay.durable_store import RetryPolicy
-        from repro.testing import FaultInjector, FaultPlan, InjectedCrash
+        from tests.faults import FaultInjector, FaultPlan, InjectedCrash
         from repro.workloads import make_workload
 
         directory = str(tmp_path_factory.mktemp("inspect") / "truncated")
