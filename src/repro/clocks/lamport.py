@@ -89,15 +89,6 @@ class LamportClock:
             value = (value if value > clock else clock) + 1
         self.value = value
 
-    def peek_next_send(self) -> int:
-        """Clock value the *next* send would attach, without mutating state.
-
-        Used by the replayer's LMC (local minimum clock) computation: the
-        smallest clock a sender can still attach is a lower bound for any
-        future message on that channel.
-        """
-        return self.value
-
     def fork(self) -> "LamportClock":
         """Independent copy (used by tests comparing record/replay clocks)."""
         return LamportClock(self.value)

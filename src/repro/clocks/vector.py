@@ -54,10 +54,6 @@ class VectorClock:
         lt = any(a < b for a, b in zip(self.components, other.components))
         return le and lt
 
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        """Neither clock causally precedes the other."""
-        return not self.happened_before(other) and not other.happened_before(self)
-
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self.components)
 

@@ -55,10 +55,3 @@ class EpochLine:
         """Deterministic (rank, clock) serialization order."""
         return sorted(self.max_clock_by_rank.items())
 
-    def merge(self, other: "EpochLine") -> "EpochLine":
-        """Pointwise max of two epoch lines (diagnostics over whole runs)."""
-        merged = dict(self.max_clock_by_rank)
-        for rank, clock in other.max_clock_by_rank.items():
-            if merged.get(rank, -1) < clock:
-                merged[rank] = clock
-        return EpochLine(merged)

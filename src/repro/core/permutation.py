@@ -58,11 +58,6 @@ class PermutationDiff:
         """Number of permuted events ``Np`` (numerator of Figure 14's metric)."""
         return len(self.indices)
 
-    @property
-    def edit_distance(self) -> int:
-        """Insert/delete edit distance ``D = 2 * Np`` (Section 4.1)."""
-        return 2 * self.num_moved
-
     def permutation_percentage(self) -> float:
         """``Np / N`` — the similarity metric of Figure 14 (0.0 when empty)."""
         if self.size == 0:

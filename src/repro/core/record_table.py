@@ -102,16 +102,3 @@ class RecordTable:
         for _ in range(unmatched.pop(n, 0)):
             yield MFOutcome(self.callsite, MFKind.TEST, ())
 
-    def with_next_groups(self) -> list[tuple[int, int]]:
-        """Observed-index ranges ``[start, end]`` delivered by one MF call."""
-        groups: list[tuple[int, int]] = []
-        with_next = set(self.with_next_indices)
-        i = 0
-        n = len(self.matched)
-        while i < n:
-            start = i
-            while i in with_next and i + 1 < n:
-                i += 1
-            groups.append((start, i))
-            i += 1
-        return groups

@@ -8,8 +8,9 @@ Two machine-readable views of one :class:`~repro.obs.registry.TelemetryRegistry`
 * **Chrome trace JSON** — the ``trace_event`` format that
   ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_ load
   directly: complete (``"ph": "X"``) events with microsecond timestamps
-  relative to the registry's start, thread-name metadata so threads
-  read as labelled rows, and final counter values as ``"C"`` samples.
+  relative to the registry's start, one ``main`` thread-name row (every
+  span comes from the engine's thread), and final counter values as
+  ``"C"`` samples.
 
 Both formats ship a validator (:func:`validate_chrome_trace`,
 :func:`validate_metrics_lines`) returning a list of human-readable
@@ -136,23 +137,20 @@ def chrome_trace(
 
     Events are sorted by start timestamp (monotone in file order — the
     golden test asserts this), timestamps are microseconds relative to the
-    registry's construction, and each thread that produced spans gets a
-    ``thread_name`` metadata row.
+    registry's construction, and the spans share one ``main`` thread row.
     """
     if pid is None:
         pid = os.getpid()
     t0 = registry.t0_ns
     events: list[dict[str, Any]] = []
-    tids: dict[int, int] = {}
     for ev in sorted(registry.events, key=lambda e: (e.ts_ns, -e.dur_ns)):
-        tid = tids.setdefault(ev.tid, len(tids))
         entry: dict[str, Any] = {
             "name": ev.name,
             "cat": ev.name.split(".", 1)[0],
             "ph": ev.phase,
             "ts": round((ev.ts_ns - t0) / 1000.0, 3),
             "pid": pid,
-            "tid": tid,
+            "tid": 0,
         }
         if ev.phase == "X":
             entry["dur"] = round(ev.dur_ns / 1000.0, 3)
@@ -183,14 +181,14 @@ def chrome_trace(
             "args": {"name": process_name},
         }
     ]
-    for raw_tid, tid in sorted(tids.items(), key=lambda kv: kv[1]):
+    if registry.events:
         metadata.append(
             {
                 "name": "thread_name",
                 "ph": "M",
                 "pid": pid,
-                "tid": tid,
-                "args": {"name": f"thread-{tid}" if tid else "main"},
+                "tid": 0,
+                "args": {"name": "main"},
             }
         )
     return {

@@ -1,13 +1,13 @@
 """Persistent run ledger: every record/replay run as one JSONL line.
 
-Cross-run observability: sessions append a
-compact summary line (workload, seed, ranks, chunk count, storage stages,
-permutation rate, health flags, wall time) to an append-only JSONL file.
-Writes follow the same crash-safe whole-line-flush discipline as
-:class:`~repro.obs.monitor.MetricsStreamWriter`: a line is built fully,
-written in one call, and flushed — a crash mid-run leaves a valid ledger
-whose every line parses (the reader additionally tolerates a torn final
-line, so even a crash *inside* the single append cannot poison history).
+Cross-run observability: sessions append a compact summary line
+(workload, seed, ranks, chunk count, storage stages, permutation rate,
+health flags, wall time) to an append-only JSONL file. Writes are
+crash-safe whole-line flushes, as the metrics stream's are: a line is
+built fully, written in one call, and flushed — a crash mid-run leaves a
+valid ledger whose every line parses (the reader additionally tolerates
+a torn final line, so even a crash *inside* the single append cannot
+poison history).
 
 ``repro runs list/show/trend`` renders the history;
 :func:`trend_report` flags bytes-per-event and critical-path regressions

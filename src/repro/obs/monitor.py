@@ -2,16 +2,19 @@
 
 Two halves, joined by a file:
 
-* :class:`MetricsStreamWriter` — a background thread a session attaches
-  (``metrics_stream=path``) that appends JSON lines while the run is in
-  flight: a leading ``meta`` line, periodic ``sample`` lines (elapsed
-  wall time plus the progress counters and queue gauges), one ``chunk``
-  line per flushed CDC chunk (scraped from the registry's trace buffer,
-  which is append-only — the cursor never races the engine thread), and
-  a final ``end`` line after the full instrument dump. The file is
-  flushed line-by-line, so an external ``repro monitor --follow`` sees
-  progress while the run is alive — and whatever the stream holds after
-  a crash is still schema-valid (the fault-injection tests assert this).
+* :class:`MetricsStreamWriter` — what a session attaches
+  (``metrics_stream=path``). It appends JSON lines while the run is in
+  flight: a leading ``meta`` line; then, from the engine's own block tick
+  every :attr:`~repro.sim.engine.Engine.STEP_SAMPLE_EVENTS` events, one
+  ``chunk`` line per CDC chunk flushed since the last tick (scraped from
+  the registry's append-only trace buffer) and one ``sample`` line (the
+  engine's event count, elapsed wall time, progress counters and queue
+  gauges); and, from the session's ``finally``, a last sample, the full
+  instrument dump and an ``end`` line. Everything runs on the engine's
+  thread. The file is flushed line by line, so an external ``repro
+  monitor --follow`` sees progress while the run is alive — and whatever
+  the stream holds after a crash is still schema-valid (the
+  fault-injection tests assert this).
 
 * :func:`render_monitor` over a :class:`MonitorState` — the pure
   rendering half the ``repro monitor`` CLI drives: per-epoch progress
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, TextIO
@@ -41,7 +43,6 @@ __all__ = [
 
 #: counters worth streaming every sample (progress + pipeline health).
 SAMPLE_COUNTERS = (
-    "sim.events",
     "record.flushes",
     "replay.delivered_events",
     "replay.pooled_events",
@@ -65,9 +66,10 @@ _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
 def sample_object(
-    registry: TelemetryRegistry | NullRegistry, t: float
+    registry: TelemetryRegistry | NullRegistry, t: float, events: int
 ) -> dict[str, Any]:
-    """One ``sample`` stream object: progress counters + occupancy gauges.
+    """One ``sample`` stream object: the engine's event count, progress
+    counters and occupancy gauges.
 
     :class:`MetricsStreamWriter` writes it as a JSONL line and
     :meth:`MonitorState.update` reads it back.
@@ -77,6 +79,7 @@ def sample_object(
     return {
         "type": "sample",
         "t": round(t, 6),
+        "events": events,
         "counters": {k: counters[k] for k in SAMPLE_COUNTERS if k in counters},
         "gauges": {k: gauges[k] for k in SAMPLE_GAUGES if k in gauges},
     }
@@ -87,9 +90,8 @@ def drain_chunk_objects(
 ) -> tuple[list[dict[str, Any]], int]:
     """Fresh ``record.chunk`` trace markers as ``chunk`` stream objects.
 
-    The trace buffer is append-only and the cursor only moves forward, so
-    reading a prefix from another thread is safe without locking the
-    registry. Returns the new objects and the advanced cursor.
+    The trace buffer is append-only and the cursor only moves forward.
+    Returns the new objects and the advanced cursor.
     """
     events = registry.events
     end = len(events)
@@ -113,27 +115,26 @@ def drain_chunk_objects(
 
 
 class MetricsStreamWriter:
-    """Append registry snapshots to a JSONL file while a run is alive."""
+    """Append registry snapshots to a JSONL file while a run is alive.
+
+    Single-threaded: the engine calls :meth:`sample` from its block tick
+    and the session calls :meth:`close` when the run ends.
+    """
 
     def __init__(
         self,
         path: str,
         registry: TelemetryRegistry | NullRegistry,
-        interval: float = 0.05,
         clock=time.perf_counter,
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
         self.path = path
         self.registry = registry
-        self.interval = interval
         self.clock = clock
         self._fh: TextIO | None = None
         self._t0 = 0.0
         self._event_cursor = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
+        #: the engine's event count at the last sample.
+        self.events = 0
         self.lines_written = 0
 
     # -- lifecycle -----------------------------------------------------------
@@ -147,24 +148,16 @@ class MetricsStreamWriter:
                 "stream": True,
                 "registry": getattr(self.registry, "name", "null"),
                 "enabled": self.registry.enabled,
-                "interval": self.interval,
             }
         )
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-metrics-stream", daemon=True
-        )
-        self._thread.start()
         return self
 
-    def close(self) -> int:
-        """Stop sampling, dump final instruments + end marker; returns lines."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+    def close(self, events: int | None = None) -> int:
+        """Write a last sample (at ``events``, else the last sample's
+        count), the instrument dump and the end marker; returns lines."""
         if self._fh is None:
             return self.lines_written
-        self._sample()  # one last observation of the finished run
+        self.sample(self.events if events is None else events)
         for snapshot in self.registry.metrics():
             self._write(snapshot)
         self._write(
@@ -188,21 +181,17 @@ class MetricsStreamWriter:
 
     # -- sampling ------------------------------------------------------------
 
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._sample()
-
-    def _sample(self) -> None:
-        with self._lock:
-            if self._fh is None:
-                return
-            t = self.clock() - self._t0
-            chunks, self._event_cursor = drain_chunk_objects(
-                self.registry, self._event_cursor, t
-            )
-            for obj in chunks:
-                self._write(obj)
-            self._write(sample_object(self.registry, t))
+    def sample(self, events: int) -> None:
+        """Write the chunks flushed since the last sample, then one
+        ``sample`` line at the engine's event count ``events``."""
+        self.events = events
+        t = self.clock() - self._t0
+        chunks, self._event_cursor = drain_chunk_objects(
+            self.registry, self._event_cursor, t
+        )
+        for obj in chunks:
+            self._write(obj)
+        self._write(sample_object(self.registry, t, events))
 
     def _write(self, obj: Mapping[str, Any]) -> None:
         assert self._fh is not None
@@ -348,6 +337,13 @@ class MonitorState:
             return int(inst.get("value", 0))
         return 0
 
+    def latest_events(self) -> int:
+        """The engine's event count at the newest sample that carries one."""
+        for sample in reversed(self.samples):
+            if "events" in sample:
+                return int(sample["events"])
+        return self.latest_counter("sim.events")
+
     def gauge_series(self, name: str) -> list[float]:
         return [
             float(s["gauges"][name])
@@ -390,7 +386,7 @@ def render_monitor(state: MonitorState, max_epochs: int = 12) -> str:
         f"{len(state.chunks)} chunk(s)"
     )
     progress = [
-        ("sim events", state.latest_counter("sim.events")),
+        ("sim events", state.latest_events()),
         ("record flushes", state.latest_counter("record.flushes")),
         ("replay delivered", state.latest_counter("replay.delivered_events")),
         ("replay pooled", state.latest_counter("replay.pooled_events")),

@@ -5,10 +5,10 @@ emits — metric instruments (created lazily, by name) and completed span
 events (see :mod:`repro.obs.spans`). Two implementations share one
 interface:
 
-* :class:`TelemetryRegistry` — the real thing. Thread-safe: instrument
-  creation takes the registry lock, instrument updates take a per-
-  instrument lock (the stream-writer thread snapshots instruments
-  while the engine thread updates them).
+* :class:`TelemetryRegistry` — the real thing. Single-threaded: the
+  engine thread updates instruments and the metrics stream snapshots
+  them from that same thread (the engine's block tick), so nothing
+  locks.
 * :class:`NullRegistry` — the disabled fast path. ``counter()`` /
   ``gauge()`` / ``histogram()`` return one shared no-op instrument and
   ``record_span`` drops everything, so instrumented code never allocates
@@ -33,7 +33,6 @@ Semantics worth pinning down:
 from __future__ import annotations
 
 import os
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -70,20 +69,18 @@ ENV_VAR = "REPRO_TELEMETRY"
 class Counter:
     """Monotonically increasing count, saturating at :data:`COUNTER_MAX`."""
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "value")
 
     kind = "counter"
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
-        self._lock = threading.Lock()
 
     def add(self, n: int = 1) -> None:
         if n < 0:
             raise ValueError(f"counter {self.name!r}: add() takes n >= 0, got {n}")
-        with self._lock:
-            self.value = min(self.value + n, COUNTER_MAX)
+        self.value = min(self.value + n, COUNTER_MAX)
 
     @property
     def saturated(self) -> bool:
@@ -100,7 +97,7 @@ class Counter:
 class Gauge:
     """Last-value instrument that also remembers its high-water mark."""
 
-    __slots__ = ("name", "value", "max", "updates", "_lock")
+    __slots__ = ("name", "value", "max", "updates")
 
     kind = "gauge"
 
@@ -109,22 +106,19 @@ class Gauge:
         self.value = 0.0
         self.max = float("-inf")
         self.updates = 0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
-            if value > self.max:
-                self.max = value
-            self.updates += 1
+        self.value = value
+        if value > self.max:
+            self.max = value
+        self.updates += 1
 
     def set_max(self, value: float) -> None:
         """Keep only the high-water mark (cheap for per-event callsites)."""
-        with self._lock:
-            if value > self.max:
-                self.max = value
-                self.value = value
-            self.updates += 1
+        if value > self.max:
+            self.max = value
+            self.value = value
+        self.updates += 1
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -144,7 +138,7 @@ class Histogram:
     with 63+ bits. The bucket upper bound is ``2**i - 1``.
     """
 
-    __slots__ = ("name", "buckets", "count", "total", "min", "max", "_lock")
+    __slots__ = ("name", "buckets", "count", "total", "min", "max")
 
     kind = "histogram"
 
@@ -155,7 +149,6 @@ class Histogram:
         self.total = 0
         self.min: int | None = None
         self.max: int | None = None
-        self._lock = threading.Lock()
 
     @staticmethod
     def bucket_index(value: int) -> int:
@@ -169,14 +162,13 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         v = int(value)
-        with self._lock:
-            self.buckets[self.bucket_index(v)] += 1
-            self.count += 1
-            self.total += v
-            if self.min is None or v < self.min:
-                self.min = v
-            if self.max is None or v > self.max:
-                self.max = v
+        self.buckets[self.bucket_index(v)] += 1
+        self.count += 1
+        self.total += v
+        if self.min is None or v < self.min:
+            self.min = v
+        if self.max is None or v > self.max:
+            self.max = v
 
     @property
     def mean(self) -> float:
@@ -234,14 +226,13 @@ class TraceEvent:
     name: str
     ts_ns: int  # absolute perf_counter_ns at span start
     dur_ns: int  # 0 for instant events
-    tid: int
     depth: int
     phase: str = "X"  # Chrome trace phase: X = complete, i = instant
     attrs: Mapping[str, Any] = field(default_factory=dict)
 
 
 class TelemetryRegistry:
-    """Thread-safe home for a run's instruments and trace buffer."""
+    """Single-threaded home for a run's instruments and trace buffer."""
 
     enabled = True
 
@@ -257,7 +248,6 @@ class TelemetryRegistry:
         self.t0_ns = clock()
         #: wall-clock (epoch seconds) at construction, for report rendering.
         self.created_at = time.time()
-        self._lock = threading.Lock()
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self._events: list[TraceEvent] = []
         self.dropped_events = 0
@@ -268,8 +258,7 @@ class TelemetryRegistry:
     def _get(self, name: str, cls):
         inst = self._instruments.get(name)
         if inst is None:
-            with self._lock:
-                inst = self._instruments.setdefault(name, cls(name))
+            inst = self._instruments[name] = cls(name)
         if not isinstance(inst, cls):
             raise TypeError(
                 f"instrument {name!r} already registered as {inst.kind}"
@@ -292,7 +281,6 @@ class TelemetryRegistry:
         name: str,
         ts_ns: int,
         dur_ns: int,
-        tid: int,
         depth: int,
         attrs: Mapping[str, Any] | None = None,
         phase: str = "X",
@@ -308,7 +296,6 @@ class TelemetryRegistry:
                 name=name,
                 ts_ns=ts_ns,
                 dur_ns=dur_ns,
-                tid=tid,
                 depth=depth,
                 phase=phase,
                 attrs=attrs or {},
@@ -325,8 +312,7 @@ class TelemetryRegistry:
     # -- snapshots -----------------------------------------------------------
 
     def instruments(self) -> list[Counter | Gauge | Histogram]:
-        with self._lock:
-            return sorted(self._instruments.values(), key=lambda i: i.name)
+        return sorted(self._instruments.values(), key=lambda i: i.name)
 
     def metrics(self) -> list[dict[str, Any]]:
         """Snapshot every instrument, sorted by name."""

@@ -6,8 +6,9 @@ registry's trace buffer when it closes. Design constraints, in order:
 * **Disabled is free.** When telemetry is off, :func:`span` returns one
   shared no-op context manager — no allocation, no clock read, nothing to
   garbage-collect. ``span("a") is span("b")`` holds, and tests assert it.
-* **Nesting is structural.** Each thread keeps a depth counter; a span
-  records the depth it opened at, so exporters (and the nesting tests)
+* **Nesting is structural.** One module-level depth counter (spans open
+  and close on the engine's one thread); a span records the depth it
+  opened at, so exporters (and the nesting tests)
   can verify that a child's interval lies inside its parent's without
   reconstructing a tree.
 * **Exceptions still close the span** (the event is recorded with an
@@ -19,18 +20,14 @@ happen rather than last — a flush commit, a salvage decision.
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 from repro.obs.registry import get_registry
 
 __all__ = ["NOOP_SPAN", "Span", "event", "span"]
 
-_tls = threading.local()
-
-
-def _depth() -> int:
-    return getattr(_tls, "depth", 0)
+#: how many recording spans are open right now.
+_depth = 0
 
 
 class Span:
@@ -51,21 +48,22 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        self._span_depth = _depth()
-        _tls.depth = self._span_depth + 1
+        global _depth
+        self._span_depth = _depth
+        _depth += 1
         self._t0_ns = self._registry.clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        global _depth
         t1 = self._registry.clock()
-        _tls.depth = self._span_depth
+        _depth = self._span_depth
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
         self._registry.record_span(
             self.name,
             self._t0_ns,
             t1 - self._t0_ns,
-            threading.get_ident(),
             self._span_depth,
             self.attrs,
         )
@@ -108,8 +106,7 @@ def event(name: str, **attrs: Any) -> None:
         name,
         registry.clock(),
         0,
-        threading.get_ident(),
-        _depth(),
+        _depth,
         attrs,
         phase="i",
     )

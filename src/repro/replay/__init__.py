@@ -1,6 +1,6 @@
 """Record-and-replay engine built on the CDC core and the MPI simulator."""
 
-from repro.replay.async_queue import FluidQueueModel, SPSCQueue
+from repro.replay.async_queue import FluidQueueModel
 from repro.replay.durable_store import (
     DurableArchiveWriter,
     RankRecovery,
@@ -67,7 +67,6 @@ __all__ = [
     "ReplayController",
     "ReplaySession",
     "RunResult",
-    "SPSCQueue",
     "assert_replay_matches",
     "bytes_per_event",
     "cdc_cost_model",

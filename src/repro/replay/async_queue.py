@@ -1,4 +1,4 @@
-"""Asynchronous recording queues — Section 4.2 / Figure 11.
+"""The asynchronous recording queue — Section 4.2 / Figure 11.
 
 CDC keeps encoding and file I/O off the application's critical path with a
 single-producer single-consumer (SPSC) queue: the main thread enqueues MF
@@ -7,66 +7,18 @@ bounded; the main thread stalls only when it outruns the CDC thread for
 long enough to fill it (the paper measures drain 331 K events/s vs produce
 258 events/s, so stalls are rare).
 
-Two artifacts here:
-
-* :class:`SPSCQueue` — a functional bounded FIFO with the SPSC contract
-  (single producer, single consumer, no locking needed in the paper's C
-  implementation; asserted here).
-* :class:`FluidQueueModel` — the virtual-time analogue used by the
-  recording cost model: occupancy drains continuously at ``drain_rate``;
-  an enqueue that finds the queue full charges the producer the stall time
-  until a slot frees. Deterministic and O(1) per event.
+:class:`FluidQueueModel` is the virtual-time analogue the recording cost
+model uses in place of that thread: occupancy drains continuously at
+``drain_rate``; an enqueue that finds the queue full charges the producer
+the stall time until a slot frees. Deterministic and O(1) per event.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any
 
 from repro.errors import SimulationError
 from repro.obs import get_registry
-
-
-class SPSCQueue:
-    """Bounded single-producer single-consumer FIFO."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self.enqueued = 0
-        self.dequeued = 0
-
-    def try_enqueue(self, item: Any) -> bool:
-        """Producer side: returns False when the queue is full."""
-        if len(self._items) >= self.capacity:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("queue.full_rejections").add()
-            return False
-        self._items.append(item)
-        self.enqueued += 1
-        return True
-
-    def try_dequeue(self) -> tuple[bool, Any]:
-        """Consumer side: returns (False, None) when empty."""
-        if not self._items:
-            return False, None
-        self.dequeued += 1
-        return True, self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._items
 
 
 @dataclass

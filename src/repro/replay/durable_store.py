@@ -284,14 +284,6 @@ class RecordArchive:
     def total_events(self) -> int:
         return sum(c.num_events for _, c in self.iter_all())
 
-    def per_node_bytes(self, procs_per_node: int = 24) -> dict[int, int]:
-        """Aggregate record bytes per compute node (Figure 15's unit)."""
-        nodes: dict[int, int] = {}
-        for rank in range(self.nprocs):
-            node = rank // procs_per_node
-            nodes[node] = nodes.get(node, 0) + self.rank_bytes(rank)
-        return nodes
-
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory: str) -> None:

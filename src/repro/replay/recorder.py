@@ -223,6 +223,3 @@ class GzipRecordingController(RecordingController):
         """gzip'd raw-format record size for one rank."""
         rows = list(outcomes_to_rows(self.ranks[rank].outcomes))
         return len(zlib.compress(serialize_raw_rows(rows), ZLIB_LEVEL))
-
-    def total_storage_bytes(self) -> int:
-        return sum(self.storage_bytes(r) for r in self.ranks)

@@ -116,8 +116,8 @@ class RunResult:
 
 class _Session:
     """Shared engine plumbing. Its observer keywords — ``telemetry``,
-    ``flow``, ``metrics_stream``, ``metrics_interval``, ``ledger``,
-    ``run_id`` — are every session's, declared here once."""
+    ``flow``, ``metrics_stream``, ``ledger``, ``run_id`` — are every
+    session's, declared here once."""
 
     def __init__(
         self,
@@ -129,7 +129,6 @@ class _Session:
         telemetry: Any = None,
         flow: ColumnarFlowRecorder | None = None,
         metrics_stream: str | None = None,
-        metrics_interval: float = 0.05,
         ledger: Any = None,
         run_id: str = "",
     ) -> None:
@@ -145,10 +144,10 @@ class _Session:
         #: optional causal flow capture (repro.obs.causal.ColumnarFlowRecorder).
         self.flow = flow
         #: when set, a MetricsStreamWriter appends live JSONL here for
-        #: ``repro monitor``; implies telemetry (a private registry is
-        #: created if the session would otherwise run with none).
+        #: ``repro monitor``, written from the engine's block tick; implies
+        #: telemetry (a private registry is created if the session would
+        #: otherwise run with none).
         self.metrics_stream = metrics_stream
-        self.metrics_interval = metrics_interval
         if metrics_stream is not None and not self.registry.enabled:
             self.registry = TelemetryRegistry()
         #: ``ledger``: a path or a :class:`~repro.obs.ledger.RunLedger`;
@@ -175,23 +174,19 @@ class _Session:
             **engine_kwargs,
         )
         self._engine = engine  # kept for post-mortem diagnostics
-        stream = None
         t0 = time.perf_counter()
+        if self.metrics_stream is not None:
+            engine.metrics_stream = MetricsStreamWriter(
+                self.metrics_stream, self.registry
+            ).start()
         try:
             with use_registry(self.registry):
-                if self.metrics_stream is not None:
-                    stream = MetricsStreamWriter(
-                        self.metrics_stream,
-                        self.registry,
-                        interval=self.metrics_interval,
-                    ).start()
                 with span(f"session.{mode}", nprocs=self.nprocs) as sp:
                     stats = engine.run()
                     sp.set(events=stats.total_events)
         finally:
-            if stream is not None:
-                with use_registry(self.registry):
-                    stream.close()
+            if engine.metrics_stream is not None:
+                engine.metrics_stream.close(engine.stats.total_events)
             self._wall_seconds = time.perf_counter() - t0
         result = RunResult(mode=mode, nprocs=self.nprocs, stats=stats)
         result.app_results = {p.rank: p.result for p in engine.procs}

@@ -96,6 +96,9 @@ class Engine:
         #: optional ColumnarFlowRecorder capturing send/delivery pairs for causal
         #: cross-rank tracing (see repro.obs.causal).
         self.flow_recorder = flow_recorder
+        #: the session's MetricsStreamWriter (repro.obs.monitor), sampled at
+        #: each step-timing block tick while telemetry is on; None = none.
+        self.metrics_stream = None
         #: global simulation time = timestamp of the event being processed.
         self.now: float = 0.0
 
@@ -178,12 +181,13 @@ class Engine:
             # block, so the histogram costs ~nothing per event.
             step_hist = registry.histogram("sim.step_block_us")
             block_t0 = perf_counter_ns()
+            stream = self.metrics_stream
 
         # The dispatch loop runs once per simulation event — hundreds of
         # millions of times at paper-scale rank counts — so everything it
         # touches is hoisted into locals and the step histogram, which
         # tolerates batching, is fed once per STEP_SAMPLE_EVENTS block
-        # instead of per event.
+        # instead of per event; so is the metrics stream.
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -208,6 +212,8 @@ class Engine:
                         now_ns = perf_counter_ns()
                         step_hist.observe((now_ns - block_t0) // 1000)
                         block_t0 = now_ns
+                        if stream is not None:
+                            stream.sample(count)
                 if count > max_events:
                     raise SimulationError(
                         f"exceeded {self.max_events} events; likely livelock"

@@ -25,11 +25,6 @@ class TestSendRule:
         c = LamportClock()
         assert [c.on_send() for _ in range(5)] == [0, 1, 2, 3, 4]
 
-    def test_peek_next_send_does_not_mutate(self):
-        c = LamportClock(7)
-        assert c.peek_next_send() == 7
-        assert c.value == 7
-
 
 class TestReceiveRule:
     def test_receive_of_larger_clock_jumps(self):

@@ -44,7 +44,8 @@ class TestCausality:
         b = VectorClock(rank=1, nprocs=2)
         a.on_send()
         b.on_send()
-        assert a.concurrent_with(b)
+        # concurrent: neither clock causally precedes the other
+        assert not a.happened_before(b) and not b.happened_before(a)
 
 
 class TestScalabilityCost:

@@ -52,11 +52,6 @@ class TestMembership:
 
 
 class TestMergeAndSerialization:
-    def test_merge_takes_pointwise_max(self):
-        a, b = EpochLine({0: 5, 1: 9}), EpochLine({0: 7, 2: 3})
-        merged = a.merge(b)
-        assert merged.max_clock_by_rank == {0: 7, 1: 9, 2: 3}
-
     def test_sorted_pairs_deterministic(self):
         line = EpochLine({3: 1, 1: 2, 2: 3})
         assert line.as_sorted_pairs() == [(1, 2), (2, 3), (3, 1)]

@@ -135,12 +135,3 @@ class TestChunking:
         tables = build_tables(outs)
         assert len(tables["a"][0].matched) == 2
         assert len(tables["b"][0].matched) == 1
-
-
-class TestWithNextGroups:
-    def test_groups_partition_events(self, paper_outcomes):
-        table = build_tables(paper_outcomes)["A"][0]
-        groups = table.with_next_groups()
-        covered = [i for s, e in groups for i in range(s, e + 1)]
-        assert covered == list(range(table.num_events))
-        assert (1, 2) in groups  # the Figure 4 pair

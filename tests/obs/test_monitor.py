@@ -152,7 +152,7 @@ class TestMetricsStreamWriter:
         registry = TelemetryRegistry()
         registry.counter("sim.events").add(41)
         with use_registry(registry):
-            writer = MetricsStreamWriter(str(path), registry, interval=0.005)
+            writer = MetricsStreamWriter(str(path), registry)
             with writer:
                 registry.counter("sim.events").add(1)
             assert writer.lines_written > 0
@@ -162,10 +162,6 @@ class TestMetricsStreamWriter:
         assert kinds[0] == "meta"
         assert kinds[-1] == "end"
         assert "sample" in kinds
-
-    def test_interval_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            MetricsStreamWriter(str(tmp_path / "m"), TelemetryRegistry(), interval=0)
 
     def test_close_is_idempotent(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
@@ -181,7 +177,6 @@ class TestMetricsStreamWriter:
             network_seed=1,
             chunk_events=32,
             metrics_stream=str(path),
-            metrics_interval=0.005,
         ).run()
         assert result.registry.enabled  # metrics_stream implies telemetry
         lines = path.read_text().splitlines()
@@ -198,6 +193,37 @@ class TestMetricsStreamWriter:
         assert "[finished]" in text
         assert "epoch progress" in text
 
+    def test_engine_tick_writes_progress_during_the_run(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        result = RecordSession(
+            make_program(messages_per_rank=300),
+            nprocs=NPROCS,
+            network_seed=1,
+            chunk_events=32,
+            metrics_stream=str(path),
+        ).run()
+        total = result.stats.total_events
+        assert total > 2 * 1024
+        objs = [json.loads(ln) for ln in path.read_text().splitlines()]
+        kinds = [obj["type"] for obj in objs]
+        dump = min(i for i, k in enumerate(kinds) if k in ("counter", "gauge", "histogram"))
+        samples = [i for i in range(dump) if kinds[i] == "sample"]
+        assert len(samples) >= 2
+        counts = [objs[i]["events"] for i in samples]
+        assert all(a < b for a, b in zip(counts, counts[1:]))
+        assert counts[-1] == total
+        # the engine's tick, not the end of the run, wrote chunk lines and
+        # samples: a follower sees per-chunk progress while the run is alive
+        first = samples[0]
+        assert counts[0] < total
+        assert "chunk" in kinds[:first]
+        state = MonitorState()
+        state.feed_lines(ln for ln in path.read_text().splitlines()[: first + 1])
+        text = render_monitor(state)
+        assert "[live]" in text
+        assert f"sim events: {counts[0]:,}" in text
+        assert "epoch progress" in text
+
     def test_replay_session_stream_counts_delivered(self, tmp_path):
         program = make_program()
         record = RecordSession(
@@ -209,7 +235,6 @@ class TestMetricsStreamWriter:
             record.archive,
             network_seed=2,
             metrics_stream=str(path),
-            metrics_interval=0.005,
         ).run()
         state = MonitorState()
         state.feed_lines(path.read_text().splitlines())

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.obs import (
@@ -106,25 +104,3 @@ class TestRecordingPath:
         assert ev.phase == "i"
         assert ev.dur_ns == 0
         assert ev.attrs == {"rank": 2}
-
-    def test_threads_have_independent_depth(self):
-        reg = TelemetryRegistry()
-        done = threading.Event()
-
-        def worker():
-            with use_registry(reg):
-                # no enclosing span in this thread: depth must start at 0
-                with span("thread-span"):
-                    pass
-            done.set()
-
-        with use_registry(reg):
-            with span("main-span"):
-                t = threading.Thread(target=worker)
-                t.start()
-                t.join()
-        assert done.is_set()
-        by_name = {ev.name: ev for ev in reg.events}
-        assert by_name["thread-span"].depth == 0
-        assert by_name["main-span"].depth == 0
-        assert by_name["thread-span"].tid != by_name["main-span"].tid

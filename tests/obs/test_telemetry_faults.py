@@ -52,7 +52,6 @@ def record_session(tmp_path, injector=None, metrics=None, **kwargs):
         store_fsync=False,
         store_retry=FAST_RETRY,
         metrics_stream=str(metrics) if metrics else None,
-        metrics_interval=0.005,
         **kwargs,
     )
 
@@ -124,7 +123,6 @@ class TestWatchdogOnTruncatedRecordReplay:
             recorded.archive,
             network_seed=2,
             metrics_stream=str(metrics),
-            metrics_interval=0.005,
         )
         with pytest.raises(ReplayStallError) as info:
             session.run()

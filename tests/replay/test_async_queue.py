@@ -1,40 +1,11 @@
-"""SPSC queue (Figure 11) and its fluid virtual-time model."""
+"""The fluid virtual-time model of the SPSC recording queue (Figure 11)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.replay.async_queue import FluidQueueModel, SPSCQueue
-
-
-class TestSPSCQueue:
-    def test_fifo_order(self):
-        q = SPSCQueue(4)
-        for i in range(3):
-            assert q.try_enqueue(i)
-        assert [q.try_dequeue()[1] for _ in range(3)] == [0, 1, 2]
-
-    def test_full_rejects(self):
-        q = SPSCQueue(2)
-        assert q.try_enqueue(1) and q.try_enqueue(2)
-        assert not q.try_enqueue(3)
-        assert q.full
-
-    def test_empty_dequeue(self):
-        ok, item = SPSCQueue(1).try_dequeue()
-        assert not ok and item is None
-
-    def test_counters(self):
-        q = SPSCQueue(8)
-        for i in range(5):
-            q.try_enqueue(i)
-        q.try_dequeue()
-        assert (q.enqueued, q.dequeued, len(q)) == (5, 1, 4)
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            SPSCQueue(0)
+from repro.replay.async_queue import FluidQueueModel
 
 
 class TestFluidModel:

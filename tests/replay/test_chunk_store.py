@@ -56,13 +56,6 @@ class TestAccounting:
     def test_empty_archive(self):
         assert bytes_per_event(RecordArchive(1)) == 0.0
 
-    def test_per_node_aggregation(self):
-        a = RecordArchive(nprocs=48)
-        for r in range(48):
-            a.append(r, chunk([ReceiveEvent(0, 1)]))
-        nodes = a.per_node_bytes(procs_per_node=24)
-        assert set(nodes) == {0, 1}
-
     def test_chunks_by_callsite_preserves_order(self, archive):
         by_cs = archive.chunks_by_callsite(0)
         assert len(by_cs["a"]) == 2
@@ -102,7 +95,6 @@ class TestAccounting:
         assert after > before
         archive.total_bytes()
         assert len(calls) == 2  # rank 1's one chunk, once
-        archive.per_node_bytes()
         bytes_per_event(archive)
         assert len(calls) == 2
 

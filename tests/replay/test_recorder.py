@@ -176,7 +176,6 @@ class TestGzipBaseline:
         controller = GzipRecordingController(4)
         engine = Engine(4, fanin_program(), network=Network(seed=2), controller=controller)
         engine.run()
-        assert controller.total_storage_bytes() > 0
         assert controller.storage_bytes(0) > controller.storage_bytes(1)
 
     def test_gzip_mode_is_cheaper_in_time_than_cdc(self):

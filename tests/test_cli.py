@@ -355,7 +355,7 @@ class TestMonitor:
         )
         RecordSession(
             program, nprocs=4, network_seed=1, chunk_events=32,
-            metrics_stream=path, metrics_interval=0.005,
+            metrics_stream=path,
         ).run()
         return path
 

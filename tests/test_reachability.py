@@ -19,10 +19,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: ``replay/async_queue.py`` is only its own test's; ROADMAP item 15 keeps it
-#: until a change may delete the tests that go with it.
-ALLOWED = {"SPSCQueue"}
-
 
 def _is_reexport(node):
     return isinstance(node, (ast.Import, ast.ImportFrom)) or (
@@ -63,7 +59,5 @@ def test_every_public_name_is_reached_outside_tests():
                 and node.name not in reached
             ):
                 unreached[node.name] = path.relative_to(ROOT)
-    # an allowlisted name that is used again, or gone, leaves the list
-    assert set(unreached) >= ALLOWED
-    extra = sorted(f"{unreached[name]}::{name}" for name in set(unreached) - ALLOWED)
+    extra = sorted(f"{unreached[name]}::{name}" for name in unreached)
     assert not extra, "named only in tests (move into tests/ or delete): " + ", ".join(extra)
